@@ -9,7 +9,6 @@ from .assembly import (
     blowup_correction,
     extra_term,
     main_term,
-    run_scenario,
     semistable_series,
 )
 from .eisenstein import (
@@ -40,6 +39,7 @@ from .orbits import (
     normal_rep_of,
     parse_poly,
 )
+from .runner import run_scenario
 from .series import (
     BettiTable,
     TruncatedSeries,

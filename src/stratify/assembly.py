@@ -128,10 +128,3 @@ def blowup_correction(exceptional: BettiTable, n: int, order: int | None = None)
     for q in range(2, min(order, 2 * n - 2) + 1):
         coeffs[q] = Fraction(e[2 * n - q] if q <= n else e[q])
     return TruncatedSeries.from_coeffs(coeffs, order)
-
-
-def run_scenario(source, cache_dir=None):
-    """Execute a scenario file or built-in scenario; see stratify.runner."""
-    from .runner import run_scenario as _run
-
-    return _run(source, cache_dir=cache_dir)

@@ -5,6 +5,11 @@ theta = omega - omega^2 with theta * conj(theta) = 3.  Hermitian forms are
 linear in the second slot, take values in theta * E, and have diagonal in 3Z.
 The underlying integral form is (x, y) = -(2/3) Re<x, y> on the basis
 e_1, omega e_1, e_2, omega e_2, ...
+
+Eisenstein numbers are `EisInt` and determinants and inverses come from
+`stratify._exact`; this module keeps what is particular to lattices: short
+vectors by LDL completion of squares, triflection groups, Smith normal form,
+discriminant forms, Hermite-normal-form overlattices and boundary divisors.
 """
 
 from __future__ import annotations
@@ -15,79 +20,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import _backend
+from ._exact import EisInt, det, eis, flatten_eis_matrix, inverse, unflatten_eis_matrix
 from .invariants import (
     DEFAULT_CAP,
     FiniteMatrixGroup,
-    QOmega,
     abelian_quotient_betti,
     close_group,
-    flatten_eis_matrix,
     wreath_symmetrize,
 )
 from .series import BettiTable
-
-
-# ---------------------------------------------------------------------------
-# Eisenstein integers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EisInt:
-    """a + b*omega with integer a, b."""
-
-    a: int
-    b: int
-
-    def __add__(self, o):
-        return EisInt(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return EisInt(self.a - o.a, self.b - o.b)
-
-    def __neg__(self):
-        return EisInt(-self.a, -self.b)
-
-    def __mul__(self, o):
-        if isinstance(o, int):
-            return EisInt(self.a * o, self.b * o)
-        bd = self.b * o.b
-        return EisInt(self.a * o.a - bd, self.a * o.b + self.b * o.a - bd)
-
-    def conj(self):
-        return EisInt(self.a - self.b, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_real(self) -> bool:
-        return self.b == 0
-
-    def divmod_nearest(self, o):
-        """Nearest-integer division: q, r with self = q*o + r and N(r) < N(o)."""
-        n = o.norm()
-        num = self * o.conj()
-        qa = _round_div(num.a, n)
-        qb = _round_div(num.b, n)
-        q = EisInt(qa, qb)
-        return q, self - q * o
-
-    def exact_div(self, o):
-        q, r = self.divmod_nearest(o)
-        if not r.is_zero():
-            raise ValueError(f"{self} is not divisible by {o}")
-        return q
-
-    def __repr__(self):
-        return f"Eis({self.a},{self.b})"
-
-
-def _round_div(a: int, n: int) -> int:
-    return (2 * a + n) // (2 * n)
-
 
 E_ZERO = EisInt(0, 0)
 E_ONE = EisInt(1, 0)
@@ -105,19 +46,6 @@ def eis_gcd(x: EisInt, y: EisInt) -> EisInt:
         _, r = x.divmod_nearest(y)
         x, y = y, r
     return x
-
-
-def eis(value) -> EisInt:
-    if isinstance(value, EisInt):
-        return value
-    if isinstance(value, int):
-        return EisInt(value, 0)
-    a, b = value
-    return EisInt(int(a), int(b))
-
-
-def _qo(x: EisInt) -> QOmega:
-    return QOmega(x.a, x.b)
 
 
 # ---------------------------------------------------------------------------
@@ -156,36 +84,8 @@ class EisLattice:
                 s = s + ci * self.gram[i][j] * y[j]
         return s
 
-    def pair_q(self, x, y) -> QOmega:
-        """Pairing of vectors with QOmega coordinates."""
-        s = QOmega(0, 0)
-        for i in range(self.rank):
-            ci = x[i].conj()
-            for j in range(self.rank):
-                s = s + ci * _qo(self.gram[i][j]) * y[j]
-        return s
-
     def det(self) -> EisInt:
-        mat = [[_qo(e) for e in row] for row in self.gram]
-        det = QOmega(1, 0)
-        k = self.rank
-        for c in range(k):
-            piv = next((i for i in range(c, k) if not mat[i][c].is_zero()), None)
-            if piv is None:
-                return E_ZERO
-            if piv != c:
-                mat[c], mat[piv] = mat[piv], mat[c]
-                det = -det
-            det = det * mat[c][c]
-            inv = mat[c][c].inverse()
-            for i in range(c + 1, k):
-                if not mat[i][c].is_zero():
-                    f = mat[i][c] * inv
-                    for j in range(c, k):
-                        mat[i][j] = mat[i][j] - f * mat[c][j]
-        if det.a.denominator != 1 or det.b.denominator != 1:
-            raise AssertionError("integral gram has non-integral determinant")
-        return EisInt(int(det.a), int(det.b))
+        return det(self.gram)
 
     def direct_sum(self, other: "EisLattice") -> "EisLattice":
         r = self.rank + other.rank
@@ -275,32 +175,7 @@ class ZLattice:
         )
 
     def det(self) -> int:
-        from math import prod
-
-        d, _, _ = smith_normal_form([list(r) for r in self.gram])
-        sign = _det_sign(self.gram)
-        return sign * prod(d[i][i] for i in range(self.rank))
-
-
-def _det_sign(gram) -> int:
-    mat = [[Fraction(x) for x in row] for row in gram]
-    k = len(mat)
-    sign = 1
-    for c in range(k):
-        piv = next((i for i in range(c, k) if mat[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            sign = -sign
-        if mat[c][c] < 0:
-            sign = -sign
-        for i in range(c + 1, k):
-            if mat[i][c] != 0:
-                f = mat[i][c] / mat[c][c]
-                for j in range(c, k):
-                    mat[i][j] -= f * mat[c][j]
-    return sign
+        return det(self.gram)
 
 
 def z_form(lat: EisLattice) -> ZLattice:
@@ -465,20 +340,12 @@ def _mat_order_divides_3(flat, k) -> bool:
 
 
 def _preserves_form(flat, lat: EisLattice) -> bool:
-    k = lat.rank
-    mat = [
-        [EisInt(flat[2 * (i * k + j)], flat[2 * (i * k + j) + 1]) for j in range(k)]
-        for i in range(k)
-    ]
-    for i in range(k):
-        for j in range(k):
-            s = E_ZERO
-            for ll in range(k):
-                for t in range(k):
-                    s = s + mat[ll][i].conj() * lat.gram[ll][t] * mat[t][j]
-            if s != lat.gram[i][j]:
-                return False
-    return True
+    cols = list(zip(*unflatten_eis_matrix(flat, lat.rank)))
+    return all(
+        lat.pair(cols[i], cols[j]) == lat.gram[i][j]
+        for i in range(lat.rank)
+        for j in range(lat.rank)
+    )
 
 
 _WEYL_CACHE: dict = {}
@@ -522,7 +389,7 @@ def weyl_group(lat: EisLattice, cap: int = DEFAULT_CAP,
         if elements is None or t not in element_set:
             gens.append(t)
             grp = close_group(
-                [_unflatten_pairs(g, k) for g in gens], cap=cap, cache_dir=cache_dir
+                [unflatten_eis_matrix(g, k) for g in gens], cap=cap, cache_dir=cache_dir
             )
             elements = grp.elements
             element_set = set(elements)
@@ -531,13 +398,6 @@ def weyl_group(lat: EisLattice, cap: int = DEFAULT_CAP,
                               form=lat.flat_gram())
     _WEYL_CACHE[cache_key] = group
     return group
-
-
-def _unflatten_pairs(flat, k):
-    return [
-        [(flat[2 * (i * k + j)], flat[2 * (i * k + j) + 1]) for j in range(k)]
-        for i in range(k)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -637,26 +497,6 @@ class DiscriminantGroup:
         return out
 
 
-def _mat_inv_q(mat):
-    n = len(mat)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                fi = aug[i][c]
-                aug[i] = [x - fi * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def discriminant_form(zl: ZLattice) -> DiscriminantGroup:
     """Discriminant group with its Q/2Z quadratic form on chosen generators."""
     g = [list(r) for r in zl.gram]
@@ -670,8 +510,8 @@ def discriminant_form(zl: ZLattice) -> DiscriminantGroup:
         prod *= abs(x)
     if prod != abs(zl.det()):
         raise AssertionError("invariant factor product must match |det|")
-    uinv = _mat_inv_q(u)
-    ginv = _mat_inv_q(zl.gram)
+    uinv = inverse(u)
+    ginv = inverse(zl.gram)
     factors = []
     qvals = []
     gens = []
@@ -867,57 +707,34 @@ def verify_unimodular_complement_vector() -> CuspVectorReport:
     rank = big.rank
 
     def embed(vec3, copy):
-        out = [QOmega(0, 0)] * rank
-        for i, c in enumerate(vec3):
-            out[3 * copy + i] = _qo(c)
+        out = [E_ZERO] * rank
+        out[3 * copy:3 * copy + 3] = vec3
         return out
 
     v1 = embed(v_sought, 0)
     v2 = embed(v_sought, 1)
     v3 = embed(v_sought, 2)
-    # u = e + omega*f in the hyperbolic summand, norm -3
-    u = [QOmega(0, 0)] * rank
-    u[9] = QOmega(1, 0)
-    u[10] = QOmega(0, 1)
-    theta = QOmega(1, 2)
-    minus_theta = QOmega(-1, -2)
+    # w = (v1 - v2) + theta*u with u = e + omega*f of norm -3 in the hyperbolic summand
     w = [a - b for a, b in zip(v1, v2)]
-    for i in (9, 10):
-        w[i] = theta * u[i]
+    w[9] = THETA * E_ONE
+    w[10] = THETA * OMEGA
 
-    big_q = [[_qo(e) for e in row] for row in big.gram]
-
-    def pair_q(x, y):
-        s = QOmega(0, 0)
-        for i in range(rank):
-            ci = x[i].conj()
-            if ci.is_zero():
-                continue
-            for j in range(rank):
-                if not y[j].is_zero():
-                    s = s + ci * big_q[i][j] * y[j]
-        return s
-
-    nw = pair_q(w, w)
-    if not (nw.is_rational() and nw.a == 3):
+    nw = big.pair(w, w)
+    if not (nw.is_real() and nw.a == 3):
         return CuspVectorReport(False, int(nw.a), 0, "candidate vector does not have norm 3")
 
     # spanning set of the glued-plus-hyperbolic lattice: standard basis + glue
     gens = []
     for i in range(rank):
-        e = [QOmega(0, 0)] * rank
-        e[i] = QOmega(1, 0)
+        e = [E_ZERO] * rank
+        e[i] = E_ONE
         gens.append(e)
-    third = QOmega(Fraction(1, 3), 0)
-    glue = [QOmega(0, 0)] * rank
-    for vi in (v1, v2, v3):
-        for i in range(9):
-            glue[i] = glue[i] + third * (minus_theta * vi[i])  # z_i = -theta v_i
-    gens.append(glue)
+    # glue z/3 with z_i = -theta (v1 + v2 + v3)_i
+    gens.append([-THETA * (a + b + c) / 3 for a, b, c in zip(v1, v2, v3)])
 
     pairings = []
     for x in gens:
-        p = pair_q(x, w)
+        p = big.pair(x, w)
         if p.a.denominator != 1 or p.b.denominator != 1:
             return CuspVectorReport(False, 3, 0, "pairing with the glued lattice is not integral")
         pairings.append(EisInt(int(p.a), int(p.b)))
@@ -952,10 +769,8 @@ def boundary_betti(spec: dict, cap: int = DEFAULT_CAP,
         if group_spec == "weyl":
             grp = weyl_group(lat, cap=cap, cache_dir=cache_dir)
         else:
-            gens = [
-                [[(eis(e).a, eis(e).b) for e in row] for row in mat]
-                for mat in group_spec["generators"]
-            ]
+            gens = [[[eis(e) for e in row] for row in mat]
+                    for mat in group_spec["generators"]]
             grp = close_group(gens, cap=cap, cache_dir=cache_dir)
             grp = FiniteMatrixGroup(grp.ring, grp.dim, grp.elements, grp.gens,
                                     form=lat.flat_gram())

@@ -3,6 +3,11 @@
 Provides multiplicative closure from generators, Molien series of invariant
 rings, invariant cohomology of abelian-variety quotients by exact character
 averaging, and cycle-index symmetrization of even graded Poincare series.
+
+Eisenstein group elements are stored in the kernels' flat int layout
+(`flatten_eis_matrix`); Molien averaging unflattens them to `EisInt`
+matrices, and rational elements are lifted to `EisInt` with zero omega part,
+so both rings share one arithmetic and one determinant from `stratify._exact`.
 """
 
 from __future__ import annotations
@@ -15,67 +20,10 @@ from fractions import Fraction
 from math import factorial
 
 from . import _backend
+from ._exact import EisInt, det, flatten_eis_matrix, unflatten_eis_matrix
 from .series import BettiTable, TruncatedSeries, duality_check
 
 DEFAULT_CAP = 10**6
-
-
-class QOmega:
-    """Element a + b*omega of the cyclotomic field, a and b rational."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, o):
-        return QOmega(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return QOmega(self.a - o.a, self.b - o.b)
-
-    def __neg__(self):
-        return QOmega(-self.a, -self.b)
-
-    def __mul__(self, o):
-        bd = self.b * o.b
-        return QOmega(self.a * o.a - bd, self.a * o.b + self.b * o.a - bd)
-
-    def conj(self):
-        return QOmega(self.a - self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def inverse(self) -> "QOmega":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(omega)")
-        c = self.conj()
-        return QOmega(c.a / n, c.b / n)
-
-    def __truediv__(self, o):
-        return self * o.inverse()
-
-    def __eq__(self, o):
-        return isinstance(o, QOmega) and self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self):
-        return self.b == 0
-
-    def __repr__(self):
-        return f"({self.a}{self.b:+}w)"
-
-
-QOMEGA_ZERO = QOmega(0, 0)
-QOMEGA_ONE = QOmega(1, 0)
 
 
 @dataclass(frozen=True)
@@ -103,26 +51,10 @@ class FiniteMatrixGroup:
 
 
 def _is_eis_entry(x) -> bool:
+    if isinstance(x, EisInt):
+        return True
     return isinstance(x, (tuple, list)) and len(x) == 2 and all(
         isinstance(v, int) for v in x
-    )
-
-
-def flatten_eis_matrix(mat) -> tuple:
-    k = len(mat)
-    flat = []
-    for row in mat:
-        if len(row) != k:
-            raise ValueError("matrix must be square")
-        for a, b in row:
-            flat.extend((int(a), int(b)))
-    return tuple(flat)
-
-
-def unflatten_eis_matrix(flat, k) -> tuple:
-    return tuple(
-        tuple((flat[2 * (i * k + j)], flat[2 * (i * k + j) + 1]) for j in range(k))
-        for i in range(k)
     )
 
 
@@ -138,58 +70,6 @@ def _q_mul(x, y):
     )
 
 
-def _q_det(mat) -> Fraction:
-    m = [list(r) for r in mat]
-    k = len(m)
-    det = Fraction(1)
-    for c in range(k):
-        piv = next((i for i in range(c, k) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, k):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                for j in range(c, k):
-                    m[i][j] -= f * m[c][j]
-    return det
-
-
-def _eis_to_qomega(flat, k):
-    return tuple(
-        tuple(
-            QOmega(flat[2 * (i * k + j)], flat[2 * (i * k + j) + 1])
-            for j in range(k)
-        )
-        for i in range(k)
-    )
-
-
-def _qomega_det(mat) -> QOmega:
-    m = [list(r) for r in mat]
-    k = len(m)
-    det = QOMEGA_ONE
-    for c in range(k):
-        piv = next((i for i in range(c, k) if not m[i][c].is_zero()), None)
-        if piv is None:
-            return QOMEGA_ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, k):
-            if not m[i][c].is_zero():
-                f = m[i][c] * inv
-                for j in range(c, k):
-                    m[i][j] = m[i][j] - f * m[c][j]
-    return det
-
-
 def _cache_dir() -> str | None:
     return os.environ.get("STRATIFY_CACHE") or None
 
@@ -203,7 +83,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, cache_dir: str | None = None
     """Breadth-first multiplicative closure with exact equality testing.
 
     Accepts rational matrices (entries int/Fraction) or Eisenstein matrices
-    (entries (a, b) integer pairs).  Elements are returned canonically
+    (entries `EisInt` or (a, b) integer pairs).  Elements are returned canonically
     ordered.  Raises on a non-invertible generator or when the closure
     exceeds ``cap``.
     """
@@ -217,7 +97,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, cache_dir: str | None = None
     if eis:
         flats = [flatten_eis_matrix(g) for g in generators]
         for flat in flats:
-            if _qomega_det(_eis_to_qomega(flat, k)).is_zero():
+            if not det(unflatten_eis_matrix(flat, k)):
                 raise ValueError("generator is not invertible")
         cache_dir = cache_dir or _cache_dir()
         cached = None
@@ -240,7 +120,7 @@ def close_group(generators, cap: int = DEFAULT_CAP, cache_dir: str | None = None
 
     gens = [_q_matrix(g) for g in generators]
     for g in gens:
-        if _q_det(g) == 0:
+        if not det(g):
             raise ValueError("generator is not invertible")
     ident = tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(k))
@@ -264,13 +144,13 @@ def close_group(generators, cap: int = DEFAULT_CAP, cache_dir: str | None = None
     return FiniteMatrixGroup("Q", k, tuple(sorted(seen)), tuple(gens))
 
 
-def _qomega_elements(group: FiniteMatrixGroup):
+def _eis_elements(group: FiniteMatrixGroup):
     if group.ring == "E":
         for flat in group.elements:
-            yield _eis_to_qomega(flat, group.dim)
+            yield unflatten_eis_matrix(flat, group.dim)
     else:
         for mat in group.elements:
-            yield tuple(tuple(QOmega(x) for x in row) for row in mat)
+            yield tuple(tuple(EisInt(x, 0) for x in row) for row in mat)
 
 
 def _elementary_symmetric(mat, k):
@@ -281,21 +161,21 @@ def _elementary_symmetric(mat, k):
         powers.append(cur)
         cur = tuple(
             tuple(
-                sum((cur[i][l] * mat[l][j] for l in range(k)), QOMEGA_ZERO)
+                sum(cur[i][l] * mat[l][j] for l in range(k))
                 for j in range(k)
             )
             for i in range(k)
         )
-    ps = [sum((powers[p - 1][i][i] for i in range(k)), QOMEGA_ZERO) for p in range(1, k + 1)]
-    es = [QOMEGA_ONE]
+    ps = [sum(powers[p - 1][i][i] for i in range(k)) for p in range(1, k + 1)]
+    es = [EisInt(1, 0)]
     for p in range(1, k + 1):
-        s = QOMEGA_ZERO
+        s = EisInt(0, 0)
         sign = 1
         for j in range(1, p + 1):
             term = es[p - j] * ps[j - 1]
             s = s + (term if sign > 0 else -term)
             sign = -sign
-        es.append(QOmega(s.a / p, s.b / p))
+        es.append(s / p)
     return es
 
 
@@ -310,22 +190,22 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
         raise ValueError("generator degree must be a positive even integer")
     k = group.dim
     g = generator_degree
-    total = [QOMEGA_ZERO] * (order + 1)
-    for mat in _qomega_elements(group):
+    zero = EisInt(0, 0)
+    total = [zero] * (order + 1)
+    for mat in _eis_elements(group):
         es = _elementary_symmetric(mat, k)
         # det(1 - T M) = sum_p (-1)^p e_p T^p with T = t^g
-        poly = [QOMEGA_ZERO] * (order + 1)
-        poly[0] = QOMEGA_ONE
+        poly = [zero] * (order + 1)
+        poly[0] = EisInt(1, 0)
         for p in range(1, k + 1):
             if p * g > order:
                 break
-            c = es[p]
-            poly[p * g] = QOmega(-c.a, -c.b) if p % 2 else c
-        inv = [QOMEGA_ONE] + [QOMEGA_ZERO] * order
+            poly[p * g] = -es[p] if p % 2 else es[p]
+        inv = [EisInt(1, 0)] + [zero] * order
         for m in range(1, order + 1):
-            s = QOMEGA_ZERO
+            s = zero
             for t in range(1, m + 1):
-                if not poly[t].is_zero():
+                if poly[t]:
                     s = s + poly[t] * inv[m - t]
             inv[m] = -s
         for i in range(order + 1):
@@ -333,9 +213,9 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     n = group.order
     coeffs = []
     for c in total:
-        if not QOmega(c.a / n, c.b / n).is_rational():
+        if not c.is_real():
             raise AssertionError("Molien average has an irrational coefficient")
-        val = c.a / n
+        val = Fraction(c.a, n)
         if val.denominator != 1 or val < 0:
             raise AssertionError(f"Molien coefficient {val} is not a nonnegative integer")
         coeffs.append(val)
@@ -437,6 +317,3 @@ def wreath_symmetrize(p, n: int):
         total = total + term.scale(Fraction(weight, factorial(n)))
     return total
 
-
-def backend_name() -> str:
-    return _backend.BACKEND

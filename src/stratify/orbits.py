@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._exact import inverse, rank
 from .weights import Vector, dot, monomials_of_degree, vec
 
 
@@ -221,24 +222,6 @@ def _project(pairing, cochars, gram_inv) -> Vector:
     )
 
 
-def _invert_gram(cochars) -> list:
-    r = len(cochars)
-    g = [[dot(vec(a), vec(b)) for b in cochars] for a in cochars]
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(r)] for i, row in enumerate(g)]
-    for c in range(r):
-        piv = next((i for i in range(c, r) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("cocharacters are linearly dependent")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for i in range(r):
-            if i != c and aug[i][c] != 0:
-                fi = aug[i][c]
-                aug[i] = [x - fi * y for x, y in zip(aug[i], aug[c])]
-    return [row[r:] for row in aug]
-
-
 def _block_ranks(polys) -> dict:
     """Rank of the span of each torus-weight block of the given polynomials.
 
@@ -257,31 +240,8 @@ def _block_ranks(polys) -> dict:
             for e, c in p.terms.items():
                 row[col[e]] = c
             rows.append(row)
-        ranks[pairing] = _row_rank(rows)
+        ranks[pairing] = rank(rows)
     return ranks
-
-
-def _row_rank(rows) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        head = rows[0]
-        for r in rows[1:]:
-            if r[col] != 0:
-                f = r[col] / head[col]
-                for j in range(col, ncols):
-                    r[j] -= f * head[j]
-        rows = rows[1:]
-        rank += 1
-        col += 1
-    return rank
 
 
 def normal_rep_of(
@@ -325,7 +285,10 @@ def normal_rep_of(
         tagged.append((pairs.pop(), p))
 
     ranks = _block_ranks(tagged)
-    gram_inv = _invert_gram(cochars)
+    try:
+        gram_inv = inverse([[dot(a, b) for b in cochars] for a in cochars])
+    except ValueError:
+        raise ValueError("cocharacters are linearly dependent") from None
 
     full: dict = {}
     for expo in monomials_of_degree(n, d):

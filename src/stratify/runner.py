@@ -37,6 +37,36 @@ class ScenarioCheckError(AssertionError):
     pass
 
 
+_REQUIRED = object()
+
+
+class StepArgs(dict):
+    """Resolved arguments of one step.
+
+    A missing required argument, or a non-integer where an op needs an
+    integer, is a parse error naming the step and the argument.
+    """
+
+    def __init__(self, step_id, values):
+        super().__init__(values)
+        self.step_id = step_id
+
+    def __missing__(self, key):
+        raise ScenarioParseError(f"step {self.step_id!r} needs argument {key!r}")
+
+    def integer(self, key, default=_REQUIRED):
+        """Integer argument ``key``; required unless a default is given."""
+        value = self[key] if default is _REQUIRED else self.get(key, default)
+        if value is None and default is None:
+            return None
+        if type(value) is not int:  # rejects bool, str, float and Fraction
+            raise ScenarioParseError(
+                f"step {self.step_id!r}: argument {key!r} must be an integer, "
+                f"got {value!r}"
+            )
+        return value
+
+
 @dataclass
 class Context:
     order: int
@@ -95,15 +125,16 @@ def _strata_list(value):
     raise ScenarioParseError("expected a list of strata")
 
 
-def _contributions(specs, ctx) -> list:
+def _contributions(args, key, ctx) -> list:
     out = []
-    for spec in specs:
+    for spec in args.get(key, []):
+        spec = StepArgs(args.step_id, spec)
         series = _as_series(ctx.resolve(spec.get("series", 1)), ctx.order)
         out.append(
             assembly.StratumContribution(
-                codim=spec["codim"],
+                codim=spec.integer("codim"),
                 series=series,
-                weyl_share=spec.get("weyl_share", 1),
+                weyl_share=spec.integer("weyl_share", 1),
                 provenance=spec.get("provenance", ""),
             )
         )
@@ -134,7 +165,7 @@ def _op_declare(ctx, args, step):
     kind = args.get("kind", "series")
     value = args["value"]
     if kind == "series":
-        return _as_series(value, args.get("order", ctx.order))
+        return _as_series(value, args.integer("order", ctx.order))
     if kind == "betti_table":
         return serialize.table_from_jsonable(value)
     if kind == "int":
@@ -146,13 +177,13 @@ def _op_declare(ctx, args, step):
 
 @op("hypersurface_weights")
 def _op_hw(ctx, args, step):
-    return weights.hypersurface_weights(args["n"], args["d"])
+    return weights.hypersurface_weights(args.integer("n"), args.integer("d"))
 
 
 @op("instability_index_set")
 def _op_iis(ctx, args, step):
     ws = args["weights"]
-    budget = args.get("budget", strata.DEFAULT_BUDGET)
+    budget = args.integer("budget", strata.DEFAULT_BUDGET)
     return strata.instability_index_set(ws, args.get("weyl", "sym"), budget)
 
 
@@ -167,7 +198,7 @@ def _op_min_codim(ctx, args, step):
 @op("codim_census")
 def _op_codim_census(ctx, args, step):
     census: dict = {}
-    bound = args.get("up_to")
+    bound = args.integer("up_to", None)
     for s in _strata_list(args["strata"]):
         if s.is_zero():
             continue
@@ -210,13 +241,13 @@ def _op_vso(ctx, args, step):
     if isinstance(ws, (weights.WeightSystem, orbits.NormalRep)):
         ws = ws.weights
     return strata.verify_strata_against_oracle(
-        ws, args["strata"], args.get("max_support")
+        ws, args["strata"], args.integer("max_support", None)
     )
 
 
 @op("parse_poly")
 def _op_parse_poly(ctx, args, step):
-    return orbits.parse_poly(args["text"], args["nvars"])
+    return orbits.parse_poly(args["text"], args.integer("nvars"))
 
 
 @op("check_semiinvariant")
@@ -260,9 +291,9 @@ def _op_wfc(ctx, args, step):
 
 @op("classifying_series")
 def _op_classifying(ctx, args, step):
-    order = args.get("order", ctx.order)
+    order = args.integer("order", ctx.order)
     group = args["group"]
-    n = args.get("n", 0)
+    n = args.integer("n", 0)
     if group in ("SL", "PGL"):
         return gf_expand([(2 * i, 1) for i in range(2, n + 1)], order)
     if group == "GL":
@@ -276,22 +307,22 @@ def _op_classifying(ctx, args, step):
 
 @op("gf_expand")
 def _op_gf(ctx, args, step):
-    return gf_expand([tuple(f) for f in args["factors"]], args.get("order", ctx.order))
+    return gf_expand([tuple(f) for f in args["factors"]], args.integer("order", ctx.order))
 
 
 @op("projective_series")
 def _op_proj(ctx, args, step):
-    return projective_space_series(args["dim"], args.get("order", ctx.order))
+    return projective_space_series(args.integer("dim"), args.integer("order", ctx.order))
 
 
 @op("projective_table")
 def _op_proj_table(ctx, args, step):
-    return BettiTable.of_projective_space(args["dim"])
+    return BettiTable.of_projective_space(args.integer("dim"))
 
 
 @op("series_product")
 def _op_series_product(ctx, args, step):
-    order = args.get("order", ctx.order)
+    order = args.integer("order", ctx.order)
     total = TruncatedSeries.one(order)
     for f in args["factors"]:
         total = total * _as_series(f, order)
@@ -300,7 +331,7 @@ def _op_series_product(ctx, args, step):
 
 @op("lincomb")
 def _op_lincomb(ctx, args, step):
-    order = args.get("order", ctx.order)
+    order = args.integer("order", ctx.order)
     terms = []
     for coeff, shift, ref in args["terms"]:
         terms.append((_as_rational(coeff), shift, _as_series(ref, order)))
@@ -314,7 +345,7 @@ def _op_close_group(ctx, args, step):
         gens = [[[tuple(e) for e in row] for row in m] for m in gens]
     else:
         gens = [_as_matrix(m) for m in gens]
-    return invariants.close_group(gens, args.get("cap", invariants.DEFAULT_CAP),
+    return invariants.close_group(gens, args.integer("cap", invariants.DEFAULT_CAP),
                                   cache_dir=ctx.cache_dir)
 
 
@@ -325,16 +356,17 @@ def _op_group_order(ctx, args, step):
 
 @op("molien")
 def _op_molien(ctx, args, step):
-    return invariants.molien(args["group"], args["degree"], args.get("order", ctx.order))
+    return invariants.molien(args["group"], args.integer("degree"),
+                             args.integer("order", ctx.order))
 
 
 @op("semistable_series")
 def _op_semistable(ctx, args, step):
     return assembly.semistable_series(
-        args["ambient_dim"],
+        args.integer("ambient_dim"),
         args["bsl_exponents"],
-        _contributions(args.get("strata", []), ctx),
-        args.get("order", ctx.order),
+        _contributions(args, "strata", ctx),
+        args.integer("order", ctx.order),
     )
 
 
@@ -345,36 +377,38 @@ def _op_main_term(ctx, args, step):
         rank = rank.normal.dim
     elif isinstance(rank, orbits.NormalRep):
         rank = rank.dim
+    else:
+        rank = args.integer("normal_rank")
     return assembly.main_term(
-        _as_series(args["center_series"], args.get("order", ctx.order)),
+        _as_series(args["center_series"], args.integer("order", ctx.order)),
         rank,
-        args.get("order", ctx.order),
+        args.integer("order", ctx.order),
     )
 
 
 @op("extra_term")
 def _op_extra_term(ctx, args, step):
     return assembly.extra_term(
-        _contributions(args.get("items", []), ctx), args.get("order", ctx.order)
+        _contributions(args, "items", ctx), args.integer("order", ctx.order)
     )
 
 
 @op("b_shift")
 def _op_b_shift(ctx, args, step):
-    return assembly.b_shift(args["table"], args.get("order", ctx.order))
+    return assembly.b_shift(args["table"], args.integer("order", ctx.order))
 
 
 @op("blowup_correction")
 def _op_blowup(ctx, args, step):
     return assembly.blowup_correction(
-        args["exceptional"], args["dim"], args.get("order", ctx.order)
+        args["exceptional"], args.integer("dim"), args.integer("order", ctx.order)
     )
 
 
 @op("duality_complete")
 def _op_duality_complete(ctx, args, step):
     return duality_complete(
-        _as_series(args["series"], args.get("order", ctx.order)), args["dim"]
+        _as_series(args["series"], args.integer("order", ctx.order)), args.integer("dim")
     )
 
 
@@ -415,19 +449,19 @@ def _op_weyl_group(ctx, args, step):
     lat = args["lattice"]
     if isinstance(lat, str):
         lat = eisenstein.named_lattice(lat)
-    return eisenstein.weyl_group(lat, cap=args.get("cap", invariants.DEFAULT_CAP),
+    return eisenstein.weyl_group(lat, cap=args.integer("cap", invariants.DEFAULT_CAP),
                                  cache_dir=ctx.cache_dir)
 
 
 @op("abelian_quotient_betti")
 def _op_aqb(ctx, args, step):
-    return invariants.abelian_quotient_betti(args["group"], args["rank"],
+    return invariants.abelian_quotient_betti(args["group"], args.integer("rank"),
                                              form=args.get("form"))
 
 
 @op("wreath_symmetrize")
 def _op_wreath(ctx, args, step):
-    return invariants.wreath_symmetrize(args["value"], args["n"])
+    return invariants.wreath_symmetrize(args["value"], args.integer("n"))
 
 
 @op("boundary_betti")
@@ -456,7 +490,7 @@ def _op_glue(ctx, args, step):
 def _op_glue_diag(ctx, args, step):
     """Glue n copies of a lattice along 1/3 of the diagonal norm-(-12) div-3 class."""
     base = args["lattice"]
-    copies = args.get("copies", 3)
+    copies = args.integer("copies", 3)
     n = base.rank
     z = eisenstein.find_norm_div_vector(base, -12, 3)
     if z is None:
@@ -481,7 +515,7 @@ def _op_cusp_vector(ctx, args, step):
 
 @op("assert_nonpositive")
 def _op_assert_nonpos(ctx, args, step):
-    s = _as_series(args["series"], args.get("order", ctx.order))
+    s = _as_series(args["series"], args.integer("order", ctx.order))
     if any(c > 0 for c in s.coeffs):
         raise ScenarioCheckError(f"series has a positive coefficient: {s}")
     return True
@@ -582,6 +616,8 @@ def load_scenario(source) -> dict:
 def _validate(doc):
     if "name" not in doc or "steps" not in doc:
         raise ScenarioParseError("scenario needs 'name' and 'steps'")
+    if type(doc.get("order", 10)) is not int:
+        raise ScenarioParseError("scenario 'order' must be an integer")
     seen = set()
     for step in doc["steps"]:
         if "id" not in step or "op" not in step:
@@ -590,6 +626,8 @@ def _validate(doc):
             raise ScenarioParseError(f"duplicate step id {step['id']!r}")
         if step["op"] not in OPS:
             raise ScenarioParseError(f"unknown op {step['op']!r}")
+        if not isinstance(step.get("args", {}), dict):
+            raise ScenarioParseError(f"arguments of step {step['id']!r} must be an object")
         for fact in step.get("facts", []):
             if not fact.get("cite"):
                 raise ScenarioParseError(
@@ -605,7 +643,7 @@ def run_scenario(source, cache_dir: str | None = None) -> ScenarioReport:
     step_reports = []
     provenance = []
     for step in doc["steps"]:
-        args = ctx.resolve(step.get("args", {}))
+        args = StepArgs(step["id"], ctx.resolve(step.get("args", {})))
         try:
             value = OPS[step["op"]](ctx, args, step)
         except (ScenarioParseError, ScenarioCheckError, ResourceCapError):

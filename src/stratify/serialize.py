@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .eisenstein import DiscriminantGroup, EisInt, EisLattice, ZLattice
+from ._exact import EisInt
+from .eisenstein import DiscriminantGroup, EisLattice, ZLattice
 from .invariants import FiniteMatrixGroup
 from .orbits import MultiPoly, NormalRep, TangentNormalSplit
 from .series import BettiTable, DualityReport, TruncatedSeries

@@ -16,6 +16,7 @@ from functools import reduce
 from itertools import combinations
 from math import lcm
 
+from . import _exact
 from ._backend import ResourceCapError, projection_candidates
 from .weights import Vector, WeightSystem, dot, norm2, vec
 
@@ -44,30 +45,6 @@ class BetaStratum:
 
 def _rational_lift(weights) -> tuple:
     return tuple(vec(w) for w in weights)
-
-
-def _span_rank(points) -> int:
-    """Rank of the linear span, by exact Gaussian elimination."""
-    rows = [list(p) for p in points]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        head = rows[0]
-        for r in rows[1:]:
-            if r[col] != 0:
-                f = r[col] / head[col]
-                for j in range(col, ncols):
-                    r[j] -= f * head[j]
-        rows = rows[1:]
-        rank += 1
-        col += 1
-    return rank
 
 
 def _inversions(beta: Vector) -> int:
@@ -142,7 +119,7 @@ def _index_set(weights, group: str, budget: int) -> list:
         raise ValueError("empty weight list")
     denom = reduce(lcm, (c.denominator for w in weights for c in w), 1)
     scaled = [tuple(int(c * denom) for c in w) for w in weights]
-    rank = _span_rank(weights)
+    rank = _exact.rank(weights)
     if group == "pgl2" and rank != 1:
         raise ValueError("pgl2 mode expects weights on a single line")
     _check_weyl_invariance(weights, group)
@@ -194,7 +171,7 @@ def closest_point(points) -> Vector:
     pts = _rational_lift(points)
     if not pts:
         raise ValueError("empty point list")
-    rank = _span_rank(pts)
+    rank = _exact.rank(pts)
     best = None
     best_n2 = None
     for k in range(1, min(rank + 1, len(pts)) + 1):

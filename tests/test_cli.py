@@ -49,6 +49,18 @@ class TestScenarioCommand:
         assert code == 2
         assert json.loads(err.strip())["error"] == "check"
 
+    def test_bad_step_argument_exit_code(self, tmp_path):
+        for args, named in (({"n": 4}, "'d'"), ({"n": "4", "d": 3}, "'n'")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({
+                "name": "bad",
+                "steps": [{"id": "ws", "op": "hypersurface_weights", "args": args}]}))
+            code, _, err = run_cli("scenario", "run", str(bad))
+            assert code == 3
+            err = json.loads(err.strip())
+            assert err["error"] == "parse"
+            assert "'ws'" in err["message"] and named in err["message"]
+
 
 class TestLatticeCommand:
     def test_weyl_order(self):

@@ -56,6 +56,14 @@ class TestEisInt:
         with pytest.raises(ValueError):
             EisInt(1, 0).exact_div(THETA)
 
+    def test_field_axioms_spot(self):
+        w = EisInt(0, 1)
+        assert w * w == EisInt(-1, -1)
+        assert w * w * w == EisInt(1, 0)
+        x = EisInt(Fraction(2, 3), Fraction(-1, 2))
+        assert x * (1 / x) == EisInt(1, 0)
+        assert (x * x.conj()).is_real()
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
     def test_gcd_divides_both(self, a, b, c, d):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from stratify._backend import ResourceCapError
 from stratify.eisenstein import E3, weyl_group
 from stratify.invariants import (
-    QOmega,
     abelian_quotient_betti,
     close_group,
     molien,
@@ -162,16 +161,6 @@ class TestWreath:
                  + (p * p.substitute_power(2)).scale(3)
                  + p.substitute_power(3).scale(2)).scale(Fraction(1, 6))
         assert wreath_symmetrize(p, 3) == three
-
-
-class TestQOmega:
-    def test_field_axioms_spot(self):
-        w = QOmega(0, 1)
-        assert w * w == QOmega(-1, -1)
-        assert w * w * w == QOmega(1, 0)
-        x = QOmega(Fraction(2, 3), Fraction(-1, 2))
-        assert x * x.inverse() == QOmega(1, 0)
-        assert (x * x.conj()).is_rational()
 
 
 def test_molien_rejects_odd_generator_degree():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from stratify.runner import ScenarioCheckError, run_scenario
+from stratify.runner import ScenarioCheckError, ScenarioParseError, run_scenario
 
 
 def run_steps(steps, order=8):
@@ -94,3 +94,20 @@ def test_declare_kinds():
          "facts": [{"statement": "test literal", "cite": "unit test"}]}])
     assert value_of(rep, "n") == 7
     assert value_of(rep, "s")["triples"] == [[0, 1, 1], [2, 3, 1]]
+
+
+@pytest.mark.parametrize("step, message", [
+    ({"op": "hypersurface_weights", "args": {"n": 4}}, "needs argument 'd'"),
+    ({"op": "wreath_symmetrize", "args": {"n": 2}}, "needs argument 'value'"),
+    ({"op": "hypersurface_weights", "args": {"n": "4", "d": 3}}, "'n' must be an integer"),
+    ({"op": "hypersurface_weights", "args": {"n": True, "d": 3}}, "'n' must be an integer"),
+    ({"op": "projective_series", "args": {"dim": 2.0}}, "'dim' must be an integer"),
+    ({"op": "projective_series", "args": {"dim": 2, "order": "6"}}, "'order' must be an integer"),
+    ({"op": "codim_census", "args": {"strata": [], "up_to": [3]}}, "'up_to' must be an integer"),
+    ({"op": "extra_term", "args": {"items": [{"weyl_share": 1}]}}, "needs argument 'codim'"),
+    ({"op": "extra_term", "args": {"items": [{"codim": "2"}]}}, "'codim' must be an integer"),
+])
+def test_bad_step_arguments_are_parse_errors(step, message):
+    with pytest.raises(ScenarioParseError, match=message) as info:
+        run_steps([{"id": "s", **step}])
+    assert "step 's'" in str(info.value)

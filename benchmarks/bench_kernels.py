@@ -1,16 +1,12 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Usage: python benchmarks/bench_kernels.py [--full]
-
---full adds the rank-4 triflection group (order 155520), which takes around
-a minute on the pure path.
+Usage: python benchmarks/bench_kernels.py
 """
 
-import argparse
 import time
 
 from stratify import _pure
-from stratify.eisenstein import E3, E4, eisenstein_roots, triflection
+from stratify.eisenstein import E3, eisenstein_roots, triflection
 from stratify.invariants import flatten_eis_matrix
 from stratify.weights import hypersurface_weights
 
@@ -39,11 +35,6 @@ def compare(label, pure_fn, fast_fn, *args):
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--full", action="store_true",
-                        help="include the order-155520 group")
-    args = parser.parse_args()
-
     fast = _kernels
 
     ws = hypersurface_weights(4, 3)
@@ -57,19 +48,6 @@ def main():
     gens3 = sorted(set(gens3))[:4]
     compare("group closure, rank 3 (order 648)",
             _pure.close_eis, fast.close_eis if fast else None, gens3, 3, 10**4)
-
-    elements3 = _pure.close_eis(gens3, 3, 10**4)
-    compare("character sums, 648 x rank 3",
-            _pure.eis_char_sums, fast.eis_char_sums if fast else None,
-            elements3, 3, E3.flat_gram())
-
-    if args.full:
-        from stratify.eisenstein import weyl_group
-
-        grp = weyl_group(E4)
-        compare("character sums, 155520 x rank 4",
-                _pure.eis_char_sums, fast.eis_char_sums if fast else None,
-                list(grp.elements), 4, E4.flat_gram())
 
 
 if __name__ == "__main__":

@@ -23,8 +23,16 @@ BACKEND = _impl.BACKEND
 
 projection_candidates = _impl.projection_candidates
 close_eis = _impl.close_eis
-eis_char_sums = _impl.eis_char_sums
 
 # helpers shared by both backends
 eis_identity_flat = _pure.eis_identity_flat
 eis_mul_flat = _pure.eis_mul_flat
+
+
+def eis_char_sums(*args, **kwargs):
+    """Retired: invariant cohomology comes from generator fixed spaces.
+
+    Only the name is left, because the benchmark's tracer (`perfbench/child.py`)
+    wraps it by name; it goes when that lookup goes.
+    """
+    raise NotImplementedError("use invariants.abelian_quotient_betti")

@@ -5,9 +5,9 @@ integer a, b it is an Eisenstein integer; with `Fraction` parts it is an
 element of Q(omega).  Parts are never coerced: integer input stays integer,
 so Gram entries serialize as plain JSON ints.
 
-One determinant, one rank and one inverse, each over Q (int or `Fraction`
-entries) or Q(omega) (`EisInt` entries).  Every division goes through
-`_div`, which returns an int when an integer quotient is exact and a
+One determinant, one rank, one nullspace and one inverse, each over Q (int
+or `Fraction` entries) or Q(omega) (`EisInt` entries).  Every division goes
+through `_div`, which returns an int when an integer quotient is exact and a
 `Fraction` otherwise; no result is ever a float.
 
 The kernels keep their own flat-int layout, and the closest-point oracle in
@@ -196,6 +196,37 @@ def rank(rows) -> int:
                     r[j] = r[j] - f * head[j]
         rk += 1
     return rk
+
+
+def nullspace(rows) -> list:
+    """Basis of {x : rows x = 0} by reduced row echelon form.
+
+    Returns one vector per free column: 1 there, 0 at the other free columns.
+    """
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0])
+    pivots = []
+    for col in range(ncols):
+        rk = len(pivots)
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        f = rows[rk][col]
+        head = rows[rk] = [_div(x, f) for x in rows[rk]]
+        for i, r in enumerate(rows):
+            if i != rk and r[col]:
+                fi = r[col]
+                rows[i] = [x - fi * y for x, y in zip(r, head)]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        x = [0] * ncols
+        x[free] = 1
+        for r, col in enumerate(pivots):
+            x[col] = -rows[r][free]
+        basis.append(x)
+    return basis
 
 
 def inverse(mat) -> list:

@@ -1,6 +1,6 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernels: convex-projection candidate enumeration, Eisenstein
-matrix-group closure, and character-sum accumulation.
+"""Compiled kernels: convex-projection candidate enumeration and Eisenstein
+matrix-group closure.
 
 Drop-in replacements for the functions in `stratify._pure`; interfaces and
 results are identical (the pure module is the reference implementation, and
@@ -272,112 +272,4 @@ def close_eis(gens, k, cap):
         p = <i64*> (<char*> key)
         out.append(tuple([p[i] for i in range(size)]))
     out.sort()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# character sums
-# ---------------------------------------------------------------------------
-
-
-cdef tuple _minor_det_cols(i64* mat, list rows, list cols, int kk):
-    cdef int n = len(rows)
-    if n == 0:
-        return (1, 0)
-    cdef int i = rows[0]
-    cdef int j = cols[0]
-    if n == 1:
-        return (mat[2 * (i * kk + j)], mat[2 * (i * kk + j) + 1])
-    cdef i64 ra = 0, rb = 0
-    cdef i64 a, b, bd, da, db
-    cdef int sign = 1
-    cdef int t
-    for t in range(n):
-        i = rows[t]
-        a = mat[2 * (i * kk + j)]
-        b = mat[2 * (i * kk + j) + 1]
-        if a != 0 or b != 0:
-            sub = _minor_det_cols(mat, [rows[x] for x in range(n) if x != t], cols[1:], kk)
-            da = sub[0]
-            db = sub[1]
-            bd = b * db
-            ra += sign * (a * da - bd)
-            rb += sign * (a * db + b * da - bd)
-        sign = -sign
-    return (ra, rb)
-
-
-def eis_char_sums(elements, k, gram_flat):
-    """See `_pure.eis_char_sums`."""
-    cdef int kk = k
-    if kk > 8:
-        return _pure.eis_char_sums(elements, k, gram_flat)
-    cdef int size = 2 * kk * kk
-    cdef i64 mat[128]
-    cdef i64 gram[128]
-    cdef i64 esa[9]
-    cdef i64 esb[9]
-    cdef i128 acc_a[81]
-    cdef i128 acc_b[81]
-    cdef int i, j, l, p, q, t
-    cdef i64 a, b, c, d, bd, sa, sb, fa, fb, ea, eb
-
-    for i in range((kk + 1) * (kk + 1)):
-        acc_a[i] = 0
-        acc_b[i] = 0
-    for i in range(size):
-        gram[i] = gram_flat[i]
-
-    from itertools import combinations as _comb
-    subsets = [[list(s) for s in _comb(range(kk), p)] for p in range(kk + 1)]
-
-    for flat in elements:
-        for i in range(size):
-            mat[i] = flat[i]
-        # unitarity: conj(M)^T G M == G
-        for i in range(kk):
-            for j in range(kk):
-                sa = 0
-                sb = 0
-                for l in range(kk):
-                    a = mat[2 * (l * kk + i)]
-                    b = mat[2 * (l * kk + i) + 1]
-                    a, b = a - b, -b
-                    for t in range(kk):
-                        c = gram[2 * (l * kk + t)]
-                        d = gram[2 * (l * kk + t) + 1]
-                        bd = b * d
-                        fa = a * c - bd
-                        fb = a * d + b * c - bd
-                        c = mat[2 * (t * kk + j)]
-                        d = mat[2 * (t * kk + j) + 1]
-                        bd = fb * d
-                        sa += fa * c - bd
-                        sb += fa * d + fb * c - bd
-                if sa != gram[2 * (i * kk + j)] or sb != gram[2 * (i * kk + j) + 1]:
-                    raise ValueError("group element is not unitary for the declared form")
-        for p in range(kk + 1):
-            sa = 0
-            sb = 0
-            for sub in subsets[p]:
-                minor = _minor_det_cols(mat, sub, sub, kk)
-                sa += <i64> minor[0]
-                sb += <i64> minor[1]
-            esa[p] = sa
-            esb[p] = sb
-        for p in range(kk + 1):
-            ea = esa[p]
-            eb = esb[p]
-            for q in range(kk + 1):
-                fa = esa[q] - esb[q]
-                fb = -esb[q]
-                bd = eb * fb
-                acc_a[p * (kk + 1) + q] += ea * fa - bd
-                acc_b[p * (kk + 1) + q] += ea * fb + eb * fa - bd
-    out = []
-    for p in range(kk + 1):
-        row = []
-        for q in range(kk + 1):
-            row.append((_py128(acc_a[p * (kk + 1) + q]), _py128(acc_b[p * (kk + 1) + q])))
-        out.append(row)
     return out

@@ -177,92 +177,3 @@ def close_eis(gens, k, cap):
                     nxt.append(y)
         frontier = nxt
     return sorted(seen)
-
-
-def _eis_conj(a, b):
-    # conj(a + b w) = a + b w^2 = (a - b) - b w
-    return a - b, -b
-
-
-def _eis_mul(a, b, c, d):
-    bd = b * d
-    return a * c - bd, a * d + b * c - bd
-
-
-def _minor_det(mat, rows, cols):
-    """Determinant of a square Z[omega] submatrix given as (a, b) pairs."""
-    n = len(rows)
-    if n == 0:
-        return (1, 0)
-    if n == 1:
-        return mat[rows[0]][cols[0]]
-    ra, rb = 0, 0
-    sign = 1
-    for t, r in enumerate(rows):
-        a, b = mat[r][cols[0]]
-        if (a, b) != (0, 0):
-            sub = _minor_det(mat, rows[:t] + rows[t + 1:], cols[1:])
-            pa, pb = _eis_mul(a, b, sub[0], sub[1])
-            ra += sign * pa
-            rb += sign * pb
-        sign = -sign
-    return ra, rb
-
-
-def eis_char_sums(elements, k, gram_flat):
-    """Accumulate sums of e_p(M) * conj(e_q(M)) over a list of flat matrices.
-
-    e_p is the p-th elementary symmetric function of the eigenvalues of M,
-    obtained as the sum of principal p x p minors.  Every element is checked
-    to be unitary for the hermitian Gram matrix ``gram_flat``; a violation
-    raises ValueError.  Returns an (k+1) x (k+1) array of (a, b) pairs.
-    """
-    acc = [[(0, 0) for _ in range(k + 1)] for _ in range(k + 1)]
-    gram = _unflatten(gram_flat, k)
-    index_sets = [list(combinations(range(k), p)) for p in range(k + 1)]
-    for flat in elements:
-        mat = _unflatten(flat, k)
-        if not _is_unitary(mat, gram, k):
-            raise ValueError("group element is not unitary for the declared form")
-        es = []
-        for p in range(k + 1):
-            sa, sb = 0, 0
-            for sub in index_sets[p]:
-                da, db = _minor_det(mat, list(sub), list(sub))
-                sa += da
-                sb += db
-            es.append((sa, sb))
-        for p in range(k + 1):
-            ea, eb = es[p]
-            for q in range(k + 1):
-                fa, fb = _eis_conj(*es[q])
-                pa, pb = _eis_mul(ea, eb, fa, fb)
-                ca, cb = acc[p][q]
-                acc[p][q] = (ca + pa, cb + pb)
-    return acc
-
-
-def _unflatten(flat, k):
-    return [
-        [(flat[2 * (i * k + j)], flat[2 * (i * k + j) + 1]) for j in range(k)]
-        for i in range(k)
-    ]
-
-
-def _is_unitary(mat, gram, k):
-    """Check conj(M)^T G M == G over Z[omega]."""
-    for i in range(k):
-        for j in range(k):
-            sa, sb = 0, 0
-            for l in range(k):
-                ca, cb = _eis_conj(*mat[l][i])
-                for t in range(k):
-                    ga, gb = gram[l][t]
-                    ma, mb = mat[t][j]
-                    xa, xb = _eis_mul(ca, cb, ga, gb)
-                    ya, yb = _eis_mul(xa, xb, ma, mb)
-                    sa += ya
-                    sb += yb
-            if (sa, sb) != gram[i][j]:
-                return False
-    return True

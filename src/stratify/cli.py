@@ -18,6 +18,9 @@ from .runner import (
     BUILTIN_SCENARIOS,
     ScenarioCheckError,
     ScenarioParseError,
+    StepArgs,
+    boundary_spec,
+    check_order,
     run_scenario,
 )
 from .series import BettiTable
@@ -153,8 +156,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    spec = _load_json_arg(args.spec)
-    table = eisenstein.boundary_betti(spec, cache_dir=args.cache_dir)
+    spec = boundary_spec(StepArgs("boundary", {"spec": _load_json_arg(args.spec)}))
+    table = eisenstein.boundary_betti(spec)
 
     def text(t):
         return f"even Betti {t.even()}, odd {t.odd()}\n"
@@ -229,6 +232,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.truncate is not None:
+            check_order(args.truncate)
         return args.fn(args)
     except ResourceCapError as e:
         print(json.dumps({"error": "resource-cap", "message": str(e)}), file=sys.stderr)

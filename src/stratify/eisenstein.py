@@ -26,6 +26,7 @@ from .invariants import (
     FiniteMatrixGroup,
     abelian_quotient_betti,
     close_group,
+    is_unitary,
     wreath_symmetrize,
 )
 from .series import BettiTable
@@ -339,13 +340,25 @@ def _mat_order_divides_3(flat, k) -> bool:
     return m3 == _backend.eis_identity_flat(k)
 
 
-def _preserves_form(flat, lat: EisLattice) -> bool:
-    cols = list(zip(*unflatten_eis_matrix(flat, lat.rank)))
-    return all(
-        lat.pair(cols[i], cols[j]) == lat.gram[i][j]
-        for i in range(lat.rank)
-        for j in range(lat.rank)
-    )
+def triflections(lat: EisLattice) -> list:
+    """All distinct triflections of a definite lattice, as sorted flat matrices.
+
+    Every triflection is checked to have order 3 and preserve the form.
+    """
+    k = lat.rank
+    found = set()
+    for r in eisenstein_roots(lat):
+        flat = flatten_eis_matrix(triflection(lat, r))
+        if flat in found:
+            continue
+        if not _mat_order_divides_3(flat, k) or flat == _backend.eis_identity_flat(k):
+            raise AssertionError("triflection does not have order 3")
+        if not is_unitary(unflatten_eis_matrix(flat, k), lat.gram):
+            raise AssertionError("triflection does not preserve the form")
+        found.add(flat)
+    if not found:
+        raise ValueError("lattice has no roots")
+    return sorted(found)
 
 
 _WEYL_CACHE: dict = {}
@@ -355,37 +368,21 @@ def weyl_group(lat: EisLattice, cap: int = DEFAULT_CAP,
                cache_dir: str | None = None) -> FiniteMatrixGroup:
     """Group generated by all triflections of a definite Eisenstein lattice.
 
-    Every triflection is checked to have order 3 and preserve the form.  The
-    closure runs over a greedily chosen generating subset; membership of every
-    triflection in the result certifies that the full triflection group was
-    obtained.  Results are memoized in-process (the construction is pure).
+    The closure runs over a greedily chosen generating subset of
+    `triflections`; membership of every triflection in the result certifies
+    that the full triflection group was obtained.  Results are memoized
+    in-process (the construction is pure).
     """
     cache_key = (lat.flat_gram(), cap)
     cached = _WEYL_CACHE.get(cache_key)
     if cached is not None:
         return cached
     k = lat.rank
-    roots = eisenstein_roots(lat)
-    seen = set()
-    triflections = []
-    for r in roots:
-        flat = flatten_eis_matrix(triflection(lat, r))
-        if flat in seen:
-            continue
-        seen.add(flat)
-        if not _mat_order_divides_3(flat, k) or flat == _backend.eis_identity_flat(k):
-            raise AssertionError("triflection does not have order 3")
-        if not _preserves_form(flat, lat):
-            raise AssertionError("triflection does not preserve the form")
-        triflections.append(flat)
-    triflections.sort()
-    if not triflections:
-        raise ValueError("lattice has no roots")
-
+    trifl = triflections(lat)
     gens: list = []
     elements = None
     element_set: set = set()
-    for t in triflections:
+    for t in trifl:
         if elements is None or t not in element_set:
             gens.append(t)
             grp = close_group(
@@ -393,8 +390,8 @@ def weyl_group(lat: EisLattice, cap: int = DEFAULT_CAP,
             )
             elements = grp.elements
             element_set = set(elements)
-    assert all(t in element_set for t in triflections)
-    group = FiniteMatrixGroup("E", k, tuple(elements), tuple(triflections),
+    assert all(t in element_set for t in trifl)
+    group = FiniteMatrixGroup("E", k, tuple(elements), tuple(trifl),
                               form=lat.flat_gram())
     _WEYL_CACHE[cache_key] = group
     return group
@@ -750,13 +747,13 @@ def verify_unimodular_complement_vector() -> CuspVectorReport:
 # ---------------------------------------------------------------------------
 
 
-def boundary_betti(spec: dict, cap: int = DEFAULT_CAP,
-                   cache_dir: str | None = None) -> BettiTable:
+def boundary_betti(spec: dict) -> BettiTable:
     """Betti table of a toroidal boundary divisor from its factor description.
 
     ``spec`` lists factors, each a lattice acted on by its triflection group
     or by an explicitly generated isometry group, repeated ``count`` times and
     symmetrized; factors and declared projective lines multiply together.
+    Each factor's quotient comes from the generators alone, never a closure.
     Declared extra symmetries that act trivially are recorded by the caller
     and do not change the table.
     """
@@ -767,14 +764,10 @@ def boundary_betti(spec: dict, cap: int = DEFAULT_CAP,
             lat = named_lattice(lat)
         group_spec = factor.get("group", "weyl")
         if group_spec == "weyl":
-            grp = weyl_group(lat, cap=cap, cache_dir=cache_dir)
+            gens = triflections(lat)
         else:
-            gens = [[[eis(e) for e in row] for row in mat]
-                    for mat in group_spec["generators"]]
-            grp = close_group(gens, cap=cap, cache_dir=cache_dir)
-            grp = FiniteMatrixGroup(grp.ring, grp.dim, grp.elements, grp.gens,
-                                    form=lat.flat_gram())
-        part = abelian_quotient_betti(grp, lat.rank)
+            gens = [flatten_eis_matrix(mat) for mat in group_spec["generators"]]
+        part = abelian_quotient_betti(gens, lat.rank, form=lat.flat_gram())
         if any(b != 0 for b in part.odd()):
             raise AssertionError("factor quotient has odd cohomology; cannot symmetrize")
         count = factor.get("count", 1)

@@ -1,13 +1,15 @@
 """Finite matrix groups over the rationals or the Eisenstein integers.
 
 Provides multiplicative closure from generators, Molien series of invariant
-rings, invariant cohomology of abelian-variety quotients by exact character
-averaging, and cycle-index symmetrization of even graded Poincare series.
+rings, invariant cohomology of abelian-variety quotients as joint fixed
+spaces of generators on exterior powers, and cycle-index symmetrization of
+even graded Poincare series.
 
 Eisenstein group elements are stored in the kernels' flat int layout
-(`flatten_eis_matrix`); Molien averaging unflattens them to `EisInt`
-matrices, and rational elements are lifted to `EisInt` with zero omega part,
-so both rings share one arithmetic and one determinant from `stratify._exact`.
+(`flatten_eis_matrix`); Molien averaging and the fixed-space computation
+unflatten them to `EisInt` matrices, and rational elements are lifted to
+`EisInt` with zero omega part, so both rings share one arithmetic and one
+determinant from `stratify._exact`.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import comb, factorial, lcm
 
 from . import _backend
-from ._exact import EisInt, det, flatten_eis_matrix, unflatten_eis_matrix
+from ._exact import EisInt, det, eis, flatten_eis_matrix, nullspace, unflatten_eis_matrix
 from .series import BettiTable, TruncatedSeries, duality_check
 
 DEFAULT_CAP = 10**6
@@ -224,48 +227,115 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     return TruncatedSeries.from_coeffs(coeffs, order)
 
 
-_CHAR_SUM_CACHE: dict = {}
+def is_unitary(mat, gram) -> bool:
+    """Whether conj(M)^T G M == G, for square matrices of `EisInt`."""
+    k = len(gram)
+    gm = [[sum((gram[i][l] * mat[l][j] for l in range(k)), EisInt(0, 0))
+           for j in range(k)] for i in range(k)]
+    return all(
+        sum((mat[l][i].conj() * gm[l][j] for l in range(k)), EisInt(0, 0)) == gram[i][j]
+        for i in range(k)
+        for j in range(k)
+    )
 
 
-def abelian_quotient_betti(
-    group: FiniteMatrixGroup, k: int, form=None
-) -> BettiTable:
+def _is_definite(gram) -> bool:
+    """Sylvester's criterion for a hermitian matrix of `EisInt`."""
+    k = len(gram)
+    if any(gram[j][i] != gram[i][j].conj() for i in range(k) for j in range(k)):
+        return False
+    minors = [det([row[:i] for row in gram[:i]]) for i in range(1, k + 1)]
+    return all(m.a > 0 for m in minors) or all(
+        (-1) ** i * m.a > 0 for i, m in enumerate(minors, 1)
+    )
+
+
+def _compound(mat, p):
+    """p-th exterior power: the p x p minors, p-subsets in lexicographic order."""
+    subsets = list(combinations(range(len(mat)), p))
+    return [
+        [eis(det([[mat[i][j] for j in cols] for i in rows])) for cols in subsets]
+        for rows in subsets
+    ]
+
+
+def _integral(v) -> list:
+    """``v`` times the lcm of its denominators, so that products stay in Z[omega]."""
+    v = [eis(x) for x in v]
+    d = lcm(*(Fraction(x).denominator for e in v for x in (e.a, e.b)))
+    return [EisInt(int(e.a * d), int(e.b * d)) for e in v]
+
+
+def _invariant_dim(powers, p, q) -> int:
+    """dim (Lambda^p V (x) conj Lambda^q V)^G, narrowed one generator at a time.
+
+    ``powers`` holds, per generator (at least one), its exterior powers by
+    degree.  The fixed space of G is the joint fixed space of its generators.
+    """
+    basis = None  # None stands for the whole space
+    for ext in powers:
+        a = ext[p]
+        b = [[x.conj() for x in row] for row in ext[q]]
+        n, m = len(a), len(b)
+        op = [
+            [a[i][r] * b[j][s] - int(i == r and j == s) for r in range(n) for s in range(m)]
+            for i in range(n)
+            for j in range(m)
+        ]
+        if basis is None:
+            basis = [_integral(v) for v in nullspace(op)]
+        else:
+            images = [[sum(x * y for x, y in zip(row, v)) for row in op] for v in basis]
+            coeffs = [_integral(c) for c in nullspace(list(zip(*images)))]
+            basis = [[sum(c * v[t] for c, v in zip(cs, basis)) for t in range(n * m)]
+                     for cs in coeffs]
+        if not basis:
+            return 0
+    return len(basis)
+
+
+def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
     """Betti table of the quotient of a k-dimensional abelian variety.
 
     The variety is the k-fold product of the j-invariant-zero elliptic curve;
-    the group acts through its Eisenstein matrix representation.  Invariant
-    (p, q)-cohomology dimensions are computed exactly by averaging
-    e_p(M) * conj(e_q(M)) over the group; every element is checked to be
-    unitary for the declared hermitian form.  Character sums are memoized
-    in-process, keyed by the generators that determine the closure.
+    the group acts through its Eisenstein matrix representation.  ``group``
+    is a `FiniteMatrixGroup` over the Eisenstein integers (its generators are
+    used, or its elements if it has none) or a sequence of generators in the
+    flat layout.  h^{p,q} is the dimension of the invariants in
+    Lambda^p V (x) conj Lambda^q V, computed exactly as the joint fixed space
+    of the generators for p <= q; conjugation gives h^{q,p} = h^{p,q}.
+
+    Certificate: every generator has Z[omega] entries and is unitary for the
+    hermitian form, which is definite, so the group is finite; the table must
+    satisfy Poincare duality.
     """
-    if group.ring != "E":
-        raise ValueError("abelian quotients need a group over the Eisenstein integers")
-    if group.dim != k:
-        raise ValueError("rank mismatch")
-    gram = form if form is not None else group.form
+    if isinstance(group, FiniteMatrixGroup):
+        if group.ring != "E":
+            raise ValueError("abelian quotients need a group over the Eisenstein integers")
+        if group.dim != k:
+            raise ValueError("rank mismatch")
+        gens = group.gens or group.elements
+        gram = form if form is not None else group.form
+    else:
+        gens, gram = tuple(group), form
     if gram is None:
         raise ValueError("no hermitian form declared for unitarity checking")
-    cache_key = (group.gens, group.dim, group.order, tuple(gram)) if group.gens else None
-    acc = _CHAR_SUM_CACHE.get(cache_key) if cache_key else None
-    if acc is None:
-        acc = _backend.eis_char_sums(list(group.elements), k, tuple(gram))
-        if cache_key:
-            _CHAR_SUM_CACHE[cache_key] = acc
-    n = group.order
-    h = [[0] * (k + 1) for _ in range(k + 1)]
-    for p in range(k + 1):
-        for q in range(k + 1):
-            a, b = acc[p][q]
-            if b != 0 or a % n != 0 or a < 0:
-                raise AssertionError(
-                    f"character average at (p,q)=({p},{q}) is not a nonnegative integer"
-                )
-            h[p][q] = a // n
+    if len(gram) != 2 * k * k or any(len(g) != 2 * k * k for g in gens):
+        raise ValueError("rank mismatch")
+    if not all(type(x) is int for flat in (gram, *gens) for x in flat):
+        raise ValueError("generators and form must have Eisenstein-integer entries")
+    gram = unflatten_eis_matrix(gram, k)
+    if not _is_definite(gram):
+        raise ValueError("the hermitian form is not definite")
+    mats = [unflatten_eis_matrix(flat, k) for flat in gens]
+    if not all(is_unitary(m, gram) for m in mats):
+        raise ValueError("generator is not unitary for the declared form")
+    powers = [[_compound(m, p) for p in range(k + 1)] for m in mats]
     betti = [0] * (2 * k + 1)
     for p in range(k + 1):
-        for q in range(k + 1):
-            betti[p + q] += h[p][q]
+        for q in range(p, k + 1):
+            h = _invariant_dim(powers, p, q) if powers else comb(k, p) * comb(k, q)
+            betti[p + q] += h if p == q else 2 * h
     table = BettiTable.from_list(betti, k)
     rep = duality_check(table)
     if not rep.ok:

@@ -39,32 +39,72 @@ class ScenarioCheckError(AssertionError):
 
 _REQUIRED = object()
 
+# Truncation-order cap: series work grows with the square of the order, and
+# the built-in scenarios use at most 10.
+MAX_ORDER = 1000
+
+
+def check_order(order: int) -> int:
+    """A truncation order (scenario, step or --truncate) within `MAX_ORDER`."""
+    if order > MAX_ORDER:
+        raise ResourceCapError(f"truncation order {order} exceeds the cap {MAX_ORDER}")
+    return order
+
 
 class StepArgs(dict):
-    """Resolved arguments of one step.
+    """Resolved arguments of one step, or an object nested in them.
 
-    A missing required argument, or a non-integer where an op needs an
-    integer, is a parse error naming the step and the argument.
+    A missing required argument, or a value of the wrong kind where an op
+    needs an integer, a list or an object, is a parse error naming the step
+    and the field.
     """
 
-    def __init__(self, step_id, values):
+    def __init__(self, where, values, path=""):
         super().__init__(values)
-        self.step_id = step_id
+        self.where = where  # e.g. "step 'ws'"
+        self.path = path  # e.g. "spec.factors[0]" for a nested object
+
+    def _label(self):
+        return f"{self.where}: {self.path}" if self.path else self.where
 
     def __missing__(self, key):
-        raise ScenarioParseError(f"step {self.step_id!r} needs argument {key!r}")
+        raise ScenarioParseError(f"{self._label()} needs argument {key!r}")
 
-    def integer(self, key, default=_REQUIRED):
+    def reject(self, key, what, value):
+        raise ScenarioParseError(
+            f"{self._label()}: argument {key!r} must be {what}, got {value!r}"
+        )
+
+    def _get(self, key, default):
+        return self[key] if default is _REQUIRED else self.get(key, default)
+
+    def integer(self, key, default=_REQUIRED, minimum=None):
         """Integer argument ``key``; required unless a default is given."""
-        value = self[key] if default is _REQUIRED else self.get(key, default)
+        value = self._get(key, default)
         if value is None and default is None:
             return None
-        if type(value) is not int:  # rejects bool, str, float and Fraction
-            raise ScenarioParseError(
-                f"step {self.step_id!r}: argument {key!r} must be an integer, "
-                f"got {value!r}"
-            )
+        # rejects bool, str, float and Fraction
+        if type(value) is not int or (minimum is not None and value < minimum):
+            self.reject(key, "an integer" + (f" >= {minimum}" if minimum is not None else ""),
+                        value)
         return value
+
+    def order(self, default: int) -> int:
+        """The step's truncation order: its own ``order`` or the scenario's."""
+        return check_order(self.integer("order", default))
+
+    def listing(self, key, default=_REQUIRED) -> list:
+        """List argument ``key``."""
+        value = self._get(key, default)
+        if not isinstance(value, list):
+            self.reject(key, "a list", value)
+        return value
+
+    def nested(self, key, value) -> "StepArgs":
+        """The object ``value`` found under ``key``, with its own checks."""
+        if not isinstance(value, dict):
+            self.reject(key, "an object", value)
+        return StepArgs(self.where, value, f"{self.path}.{key}" if self.path else key)
 
 
 @dataclass
@@ -127,8 +167,8 @@ def _strata_list(value):
 
 def _contributions(args, key, ctx) -> list:
     out = []
-    for spec in args.get(key, []):
-        spec = StepArgs(args.step_id, spec)
+    for i, spec in enumerate(args.listing(key, [])):
+        spec = args.nested(f"{key}[{i}]", spec)
         series = _as_series(ctx.resolve(spec.get("series", 1)), ctx.order)
         out.append(
             assembly.StratumContribution(
@@ -165,7 +205,7 @@ def _op_declare(ctx, args, step):
     kind = args.get("kind", "series")
     value = args["value"]
     if kind == "series":
-        return _as_series(value, args.integer("order", ctx.order))
+        return _as_series(value, args.order(ctx.order))
     if kind == "betti_table":
         return serialize.table_from_jsonable(value)
     if kind == "int":
@@ -291,7 +331,7 @@ def _op_wfc(ctx, args, step):
 
 @op("classifying_series")
 def _op_classifying(ctx, args, step):
-    order = args.integer("order", ctx.order)
+    order = args.order(ctx.order)
     group = args["group"]
     n = args.integer("n", 0)
     if group in ("SL", "PGL"):
@@ -307,12 +347,16 @@ def _op_classifying(ctx, args, step):
 
 @op("gf_expand")
 def _op_gf(ctx, args, step):
-    return gf_expand([tuple(f) for f in args["factors"]], args.integer("order", ctx.order))
+    factors = args.listing("factors")
+    for i, f in enumerate(factors):
+        if not (isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)):
+            args.reject(f"factors[{i}]", "an integer pair [period, multiplicity]", f)
+    return gf_expand([tuple(f) for f in factors], args.order(ctx.order))
 
 
 @op("projective_series")
 def _op_proj(ctx, args, step):
-    return projective_space_series(args.integer("dim"), args.integer("order", ctx.order))
+    return projective_space_series(args.integer("dim"), args.order(ctx.order))
 
 
 @op("projective_table")
@@ -322,7 +366,7 @@ def _op_proj_table(ctx, args, step):
 
 @op("series_product")
 def _op_series_product(ctx, args, step):
-    order = args.integer("order", ctx.order)
+    order = args.order(ctx.order)
     total = TruncatedSeries.one(order)
     for f in args["factors"]:
         total = total * _as_series(f, order)
@@ -331,9 +375,12 @@ def _op_series_product(ctx, args, step):
 
 @op("lincomb")
 def _op_lincomb(ctx, args, step):
-    order = args.integer("order", ctx.order)
+    order = args.order(ctx.order)
     terms = []
-    for coeff, shift, ref in args["terms"]:
+    for i, term in enumerate(args.listing("terms")):
+        if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
+            args.reject(f"terms[{i}]", "a list [coefficient, integer shift, series]", term)
+        coeff, shift, ref = term
         terms.append((_as_rational(coeff), shift, _as_series(ref, order)))
     return lincomb(terms)
 
@@ -357,7 +404,7 @@ def _op_group_order(ctx, args, step):
 @op("molien")
 def _op_molien(ctx, args, step):
     return invariants.molien(args["group"], args.integer("degree"),
-                             args.integer("order", ctx.order))
+                             args.order(ctx.order))
 
 
 @op("semistable_series")
@@ -366,7 +413,7 @@ def _op_semistable(ctx, args, step):
         args.integer("ambient_dim"),
         args["bsl_exponents"],
         _contributions(args, "strata", ctx),
-        args.integer("order", ctx.order),
+        args.order(ctx.order),
     )
 
 
@@ -380,35 +427,35 @@ def _op_main_term(ctx, args, step):
     else:
         rank = args.integer("normal_rank")
     return assembly.main_term(
-        _as_series(args["center_series"], args.integer("order", ctx.order)),
+        _as_series(args["center_series"], args.order(ctx.order)),
         rank,
-        args.integer("order", ctx.order),
+        args.order(ctx.order),
     )
 
 
 @op("extra_term")
 def _op_extra_term(ctx, args, step):
     return assembly.extra_term(
-        _contributions(args, "items", ctx), args.integer("order", ctx.order)
+        _contributions(args, "items", ctx), args.order(ctx.order)
     )
 
 
 @op("b_shift")
 def _op_b_shift(ctx, args, step):
-    return assembly.b_shift(args["table"], args.integer("order", ctx.order))
+    return assembly.b_shift(args["table"], args.order(ctx.order))
 
 
 @op("blowup_correction")
 def _op_blowup(ctx, args, step):
     return assembly.blowup_correction(
-        args["exceptional"], args.integer("dim"), args.integer("order", ctx.order)
+        args["exceptional"], args.integer("dim"), args.order(ctx.order)
     )
 
 
 @op("duality_complete")
 def _op_duality_complete(ctx, args, step):
     return duality_complete(
-        _as_series(args["series"], args.integer("order", ctx.order)), args.integer("dim")
+        _as_series(args["series"], args.order(ctx.order)), args.integer("dim")
     )
 
 
@@ -464,9 +511,43 @@ def _op_wreath(ctx, args, step):
     return invariants.wreath_symmetrize(args["value"], args.integer("n"))
 
 
+def _eis_matrix(value) -> bool:
+    """Whether ``value`` is a square matrix of integers or [a, b] integer pairs."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == len(value)
+        and all(type(e) is int or (isinstance(e, list) and len(e) == 2
+                                   and all(type(x) is int for x in e)) for e in row)
+        for row in value
+    )
+
+
+def boundary_spec(args: StepArgs) -> dict:
+    """The ``spec`` argument of `eisenstein.boundary_betti`, every field checked."""
+    spec = args.nested("spec", args["spec"])
+    factors = []
+    for i, factor in enumerate(spec.listing("factors")):
+        factor = spec.nested(f"factors[{i}]", factor)
+        lattice = factor["lattice"]
+        if not isinstance(lattice, (str, eisenstein.EisLattice)):
+            factor.reject("lattice", "a lattice or a lattice name", lattice)
+        group = factor.get("group", "weyl")
+        if group != "weyl":
+            group = factor.nested("group", group)
+            gens = group.listing("generators")
+            for j, mat in enumerate(gens):
+                if not _eis_matrix(mat):
+                    group.reject(f"generators[{j}]",
+                                 "a square matrix of integers or [a, b] pairs", mat)
+            group = {"generators": gens}
+        factors.append({"lattice": lattice, "group": group,
+                        "count": factor.integer("count", 1, minimum=1)})
+    return {"factors": factors,
+            "extra_projective_lines": spec.integer("extra_projective_lines", 0, minimum=0)}
+
+
 @op("boundary_betti")
 def _op_boundary(ctx, args, step):
-    return eisenstein.boundary_betti(args["spec"], cache_dir=ctx.cache_dir)
+    return eisenstein.boundary_betti(boundary_spec(args))
 
 
 @op("discriminant_form")
@@ -515,7 +596,7 @@ def _op_cusp_vector(ctx, args, step):
 
 @op("assert_nonpositive")
 def _op_assert_nonpos(ctx, args, step):
-    s = _as_series(args["series"], args.integer("order", ctx.order))
+    s = _as_series(args["series"], args.order(ctx.order))
     if any(c > 0 for c in s.coeffs):
         raise ScenarioCheckError(f"series has a positive coefficient: {s}")
     return True
@@ -618,6 +699,7 @@ def _validate(doc):
         raise ScenarioParseError("scenario needs 'name' and 'steps'")
     if type(doc.get("order", 10)) is not int:
         raise ScenarioParseError("scenario 'order' must be an integer")
+    check_order(doc.get("order", 10))
     seen = set()
     for step in doc["steps"]:
         if "id" not in step or "op" not in step:
@@ -643,7 +725,7 @@ def run_scenario(source, cache_dir: str | None = None) -> ScenarioReport:
     step_reports = []
     provenance = []
     for step in doc["steps"]:
-        args = StepArgs(step["id"], ctx.resolve(step.get("args", {})))
+        args = StepArgs(f"step {step['id']!r}", ctx.resolve(step.get("args", {})))
         try:
             value = OPS[step["op"]](ctx, args, step)
         except (ScenarioParseError, ScenarioCheckError, ResourceCapError):

@@ -196,7 +196,7 @@ def test_criterion_08_abelian_quotient_patterns(capsys):
     assert q3.even() == [1, 1, 1, 1] and all(b == 0 for b in q3.odd())
     assert q4.even() == [1, 1, 1, 1, 1] and all(b == 0 for b in q4.odd())
     with capsys.disabled():
-        report(8, "weighted-projective cohomology patterns by character averaging")
+        report(8, "weighted-projective cohomology patterns from generator fixed spaces")
 
 
 def test_criterion_09_boundary_divisors(cubic3fold_report, cubicsurf_report, capsys):

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from stratify import _backend, _pure
-from stratify.eisenstein import E1, E2, E3, z_form
+from stratify.eisenstein import E1, E2, z_form
 from stratify.invariants import flatten_eis_matrix
 from stratify.weights import hypersurface_weights
 
@@ -56,13 +56,6 @@ class TestBackendAgreement:
         gens = [flatten_eis_matrix(triflection(E2, r)) for r in eisenstein_roots(E2)]
         a = _pure.close_eis(gens, 2, 10**4)
         b = _kernels.close_eis(gens, 2, 10**4)
-        assert a == b
-
-    def test_char_sums_triflection_group(self):
-        from stratify.eisenstein import weyl_group
-        grp = weyl_group(E3)
-        a = _pure.eis_char_sums(list(grp.elements), 3, grp.form)
-        b = _kernels.eis_char_sums(list(grp.elements), 3, grp.form)
         assert a == b
 
     def test_cap_errors_match(self):

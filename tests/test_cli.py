@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 
 def run_cli(*args):
@@ -62,6 +63,21 @@ class TestScenarioCommand:
             assert "'ws'" in err["message"] and named in err["message"]
 
 
+    def test_huge_truncation_order_hits_the_cap(self, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({"name": "huge", "order": 100000000, "steps": [
+            {"id": "p", "op": "projective_series", "args": {"dim": 2}}]}))
+        step = tmp_path / "step.json"
+        step.write_text(json.dumps({"name": "step", "steps": [
+            {"id": "p", "op": "projective_series", "args": {"dim": 2, "order": 100000000}}]}))
+        for argv in (("scenario", "run", str(doc)), ("scenario", "run", str(step)),
+                     ("molien", "--gens", "[[[1]]]", "--truncate", "100000000")):
+            t0 = time.perf_counter()
+            code, _, err = run_cli(*argv)
+            assert time.perf_counter() - t0 < 1
+            assert code == 4 and json.loads(err)["error"] == "resource-cap"
+
+
 class TestLatticeCommand:
     def test_weyl_order(self):
         code, out, _ = run_cli("lattice", "weyl-order", "E3")
@@ -115,6 +131,13 @@ class TestOtherCommands:
         code, out, _ = run_cli(
             "boundary", '{"factors":[{"lattice":"E3","group":"weyl","count":3}]}')
         assert code == 0 and "[1, 1, 2, 3, 3, 3, 3, 2, 1, 1]" in out
+
+    def test_boundary_bad_spec_is_parse_error(self):
+        code, _, err = run_cli("boundary", '{"factors":[{"group":"weyl","count":2}]}')
+        assert code == 3
+        err = json.loads(err)
+        assert err["error"] == "parse"
+        assert "spec.factors[0]" in err["message"] and "'lattice'" in err["message"]
 
     def test_cache_dir(self, tmp_path):
         code, out, _ = run_cli("--cache-dir", str(tmp_path),

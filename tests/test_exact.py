@@ -1,10 +1,11 @@
 """Differential tests for the shared exact arithmetic in `stratify._exact`.
 
 Each helper is checked against an independent computation of the same
-quantity: Smith normal form for |det| and rank over Q, cofactor expansion
-(the kernels' `_minor_det`) for det over Z and Q(omega), and the product with
-the input for the inverse.  Entries reach past 2^63 so that nothing can hide
-behind machine integers, and no result may ever be a float.
+quantity: Smith normal form for |det| and rank over Q, cofactor expansion on
+(a, b) integer pairs (`minor_det` below) for det over Z and Q(omega), the
+product with the input for the inverse, and rank for the dimension of the
+nullspace.  Entries reach past 2^63 so that nothing can hide behind machine
+integers, and no result may ever be a float.
 
 `smith_normal_form` blows up on dense matrices with large entries (a random
 4 x 4 matrix with 10-bit entries grows intermediates past 4300 digits), so the
@@ -19,9 +20,26 @@ from math import prod
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stratify._exact import EisInt, det, inverse, rank
-from stratify._pure import _minor_det
+from stratify._exact import EisInt, det, inverse, nullspace, rank
 from stratify.eisenstein import smith_normal_form
+
+
+def minor_det(mat, rows, cols):
+    """Determinant of a square Z[omega] submatrix of (a, b) pairs by cofactors."""
+    if not rows:
+        return (1, 0)
+    ra, rb = 0, 0
+    sign = 1
+    for t, r in enumerate(rows):
+        a, b = mat[r][cols[0]]
+        if (a, b) != (0, 0):
+            c, d = minor_det(mat, rows[:t] + rows[t + 1:], cols[1:])
+            bd = b * d  # (a + b w)(c + d w) = (ac - bd) + (ad + bc - bd) w
+            ra += sign * (a * c - bd)
+            rb += sign * (a * d + b * c - bd)
+        sign = -sign
+    return ra, rb
+
 
 BIG = 2**70
 big_ints = st.integers(-BIG, BIG)
@@ -102,7 +120,7 @@ def test_integer_det_matches_cofactor_expansion(mat):
     assert type(d) is int
     pairs = [[(x, 0) for x in row] for row in mat]
     n = len(mat)
-    assert (d, 0) == _minor_det(pairs, list(range(n)), list(range(n)))
+    assert (d, 0) == minor_det(pairs, list(range(n)), list(range(n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,7 +131,7 @@ def test_eisenstein_det_matches_cofactor_expansion(mat):
     assert type(d.a) is int and type(d.b) is int
     pairs = [[(e.a, e.b) for e in row] for row in mat]
     n = len(mat)
-    assert (d.a, d.b) == _minor_det(pairs, list(range(n)), list(range(n)))
+    assert (d.a, d.b) == minor_det(pairs, list(range(n)), list(range(n)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,6 +156,20 @@ def test_eisenstein_rank_is_half_the_rational_rank(re, im):
     rows, cols = min(len(re), len(im)), min(len(re[0]), len(im[0]))
     mat = [[EisInt(re[i][j], im[i][j]) for j in range(cols)] for i in range(rows)]
     assert 2 * rank(mat) == rank(realify(mat))
+
+
+@settings(max_examples=40, deadline=None)
+@given(low_rank(), low_rank())
+def test_nullspace_is_the_kernel(re, im):
+    rows, cols = min(len(re), len(im)), min(len(re[0]), len(im[0]))
+    for mat in ([row[:cols] for row in re[:rows]],
+                [[EisInt(re[i][j], im[i][j]) for j in range(cols)] for i in range(rows)]):
+        basis = nullspace(mat)
+        assert_exact(basis)
+        assert len(basis) == cols - rank(mat)
+        assert all(not sum(x * y for x, y in zip(row, v)) for row in mat for v in basis)
+        if basis:
+            assert rank(basis) == len(basis)
 
 
 @settings(max_examples=60, deadline=None)

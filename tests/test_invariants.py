@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratify._backend import ResourceCapError
-from stratify.eisenstein import E3, weyl_group
+from stratify._exact import EisInt, flatten_eis_matrix, unflatten_eis_matrix
+from stratify.eisenstein import E1, E2, E3, H, NAMED_LATTICES, UNITS, triflections, weyl_group
 from stratify.invariants import (
+    FiniteMatrixGroup,
+    _elementary_symmetric,
     abelian_quotient_betti,
     close_group,
     molien,
@@ -118,6 +121,72 @@ class TestAbelianQuotients:
         g = close_group(DIHEDRAL_GENS)
         with pytest.raises(ValueError):
             abelian_quotient_betti(g, 2, form=(3, 0, 0, 0, 0, 0, 3, 0))
+
+    def test_int64_sized_generator_is_not_unitary(self):
+        # the retired compiled character sums wrapped this entry to -1
+        gen = flatten_eis_matrix([[(2**63 - 1, 0), (0, 0)], [(0, 0), (1, 0)]])
+        form = flatten_eis_matrix([[3, 0], [0, 3]])
+        with pytest.raises(ValueError):
+            abelian_quotient_betti(FiniteMatrixGroup("E", 2, (gen,), (gen,), form), 2)
+        with pytest.raises(ValueError):
+            abelian_quotient_betti([gen], 2, form=form)
+
+    def test_indefinite_form_is_rejected(self):
+        g = close_group([[[(1, 0), (0, 0)], [(0, 0), (1, 0)]]])
+        with pytest.raises(ValueError):
+            abelian_quotient_betti(g, 2, form=H.flat_gram())
+
+
+def element_average_betti(group, k):
+    """h^{p,q} as the element average of e_p(M) conj(e_q(M)), summed to Betti
+    numbers.  e_p comes from Newton's identities on trace powers, so this
+    shares nothing with the fixed-space computation."""
+    acc = [[EisInt(0, 0)] * (k + 1) for _ in range(k + 1)]
+    for flat in group.elements:
+        es = _elementary_symmetric(unflatten_eis_matrix(flat, k), k)
+        for p in range(k + 1):
+            for q in range(k + 1):
+                acc[p][q] = acc[p][q] + es[p] * es[q].conj()
+    betti = [0] * (2 * k + 1)
+    for p in range(k + 1):
+        for q in range(k + 1):
+            h = acc[p][q] / group.order
+            assert h.is_real() and h.a.denominator == 1 and h.a >= 0
+            betti[p + q] += int(h.a)
+    return betti
+
+
+TRIFLECTIONS = {lat: triflections(lat) for lat in (E1, E2, E3)}
+
+
+@st.composite
+def monomial(draw):
+    """A permutation matrix on 3E1 with unit entries."""
+    perm = draw(st.permutations(range(3)))
+    units = draw(st.lists(st.sampled_from(UNITS), min_size=3, max_size=3))
+    mat = [[EisInt(0, 0)] * 3 for _ in range(3)]
+    for j in range(3):
+        mat[perm[j]][j] = units[j]
+    return flatten_eis_matrix(mat)
+
+
+small_groups = st.one_of(
+    st.sampled_from([E1, E2, E3]).flatmap(lambda lat: st.tuples(
+        st.just(lat),
+        st.lists(st.sampled_from(TRIFLECTIONS[lat]), min_size=1, max_size=3, unique=True))),
+    st.tuples(st.just(NAMED_LATTICES["3E1"]), st.lists(monomial(), min_size=1, max_size=3)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+def test_fixed_spaces_match_element_average(case):
+    lat, gens = case
+    k = lat.rank
+    group = close_group([unflatten_eis_matrix(g, k) for g in gens], cap=1500)
+    expected = element_average_betti(group, k)
+    assert list(abelian_quotient_betti(group, k, form=lat.flat_gram()).betti) == expected
+    assert list(abelian_quotient_betti(gens, k, form=lat.flat_gram()).betti) == expected
 
 
 class TestWreath:

@@ -106,8 +106,33 @@ def test_declare_kinds():
     ({"op": "codim_census", "args": {"strata": [], "up_to": [3]}}, "'up_to' must be an integer"),
     ({"op": "extra_term", "args": {"items": [{"weyl_share": 1}]}}, "needs argument 'codim'"),
     ({"op": "extra_term", "args": {"items": [{"codim": "2"}]}}, "'codim' must be an integer"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [{"lattice": "E1", "count": "3"}]}}},
+     r"spec.factors\[0\]: argument 'count' must be an integer"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [{"lattice": "E1", "count": 0}]}}},
+     r"spec.factors\[0\]: argument 'count' must be an integer >= 1"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [{"group": "weyl"}]}}},
+     r"spec.factors\[0\] needs argument 'lattice'"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"lattice": "E1", "group": {"generators": [[[1.5]]]}}]}}},
+     r"spec.factors\[0\].group: argument 'generators\[0\]' must be a square matrix"),
+    ({"op": "gf_expand", "args": {"factors": [[2, "1"]]}},
+     r"argument 'factors\[0\]' must be an integer pair"),
+    ({"op": "lincomb", "args": {"terms": [[1, [[0, 1]]]]}},
+     r"argument 'terms\[0\]' must be a list \[coefficient, integer shift, series\]"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:
         run_steps([{"id": "s", **step}])
     assert "step 's'" in str(info.value)
+
+
+def test_boundary_spec_fields_pass_through():
+    rep = run_steps([
+        {"id": "lat", "op": "named_lattice", "args": {"name": "E1"}},
+        {"id": "b", "op": "boundary_betti", "args": {"spec": {
+            "factors": [{"lattice": "$lat", "group": {"generators": [[[[0, 1]]], [[-1]]]},
+                         "count": 2}],
+            "extra_projective_lines": 1}},
+         "expect": {"kind": "betti_table", "complex_dim": 3,
+                    "even": [1, 2, 2, 1], "odd": [0, 0, 0]}}])
+    assert value_of(rep, "b")["complex_dim"] == 3

@@ -1,4 +1,4 @@
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled group closure against the pure-Python fallback.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -8,7 +8,6 @@ import time
 from stratify import _pure
 from stratify.eisenstein import E3, eisenstein_roots, triflection
 from stratify.invariants import flatten_eis_matrix
-from stratify.weights import hypersurface_weights
 
 try:
     from stratify import _kernels
@@ -36,14 +35,6 @@ def compare(label, pure_fn, fast_fn, *args):
 
 def main():
     fast = _kernels
-
-    ws = hypersurface_weights(4, 3)
-    scaled = [tuple(int(c * 5) for c in w) for w in ws.weights]
-    compare("projection candidates, 35 weights rank 4",
-            _pure.projection_candidates,
-            fast.projection_candidates if fast else None,
-            scaled, 4, 10**7, True)
-
     gens3 = [flatten_eis_matrix(triflection(E3, r)) for r in eisenstein_roots(E3)]
     gens3 = sorted(set(gens3))[:4]
     compare("group closure, rank 3 (order 648)",

@@ -1,6 +1,7 @@
 """Kernel backend selection: compiled extension if available, pure otherwise.
 
-Set STRATIFY_PURE=1 to force the pure-Python kernels.
+Set STRATIFY_PURE=1 to force the pure-Python kernels.  Only `close_eis` has a
+compiled version; `projection_candidates` is the pure search on both backends.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ else:
 
 BACKEND = _impl.BACKEND
 
-projection_candidates = _impl.projection_candidates
 close_eis = _impl.close_eis
 
-# helpers shared by both backends
+# shared by both backends
+projection_candidates = _pure.projection_candidates
 eis_identity_flat = _pure.eis_identity_flat
 eis_mul_flat = _pure.eis_mul_flat
 

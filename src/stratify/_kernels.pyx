@@ -1,16 +1,13 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernels: convex-projection candidate enumeration and Eisenstein
-matrix-group closure.
+"""Compiled kernel: Eisenstein matrix-group closure.
 
-Drop-in replacements for the functions in `stratify._pure`; interfaces and
-results are identical (the pure module is the reference implementation, and
-the test suite cross-checks the two).
+A drop-in replacement for `stratify._pure.close_eis`; interface and result
+are identical (the pure module is the reference implementation, and the test
+suite cross-checks the two).  The closest-point candidate search has no
+compiled version: `_pure.projection_candidates` serves both backends.
 """
 
-from math import comb
-
 from cpython.dict cimport PyDict_GetItem
-from libc.math cimport sqrt
 from libc.stdlib cimport free, malloc
 
 from . import _pure
@@ -20,186 +17,6 @@ ResourceCapError = _pure.ResourceCapError
 BACKEND = "compiled"
 
 ctypedef long long i64
-cdef extern from *:
-    ctypedef long long i128 "__int128"
-
-
-cdef i128 _gcd128(i128 a, i128 b) noexcept:
-    if a < 0:
-        a = -a
-    if b < 0:
-        b = -b
-    while b:
-        a, b = b, a % b
-    return a
-
-
-cdef object _py128(i128 v):
-    cdef bint neg = v < 0
-    if neg:
-        v = -v
-    cdef unsigned long long lo = <unsigned long long> (v & <i128> 0xFFFFFFFFFFFFFFFF)
-    cdef unsigned long long hi = <unsigned long long> (v >> 64)
-    out = (int(hi) << 64) + int(lo)
-    return -out if neg else out
-
-
-# ---------------------------------------------------------------------------
-# closest-point candidate enumeration
-# ---------------------------------------------------------------------------
-
-
-cdef i128 _bareiss_det(i128* a, int n) noexcept:
-    """Determinant by fraction-free forward elimination; destroys ``a``."""
-    cdef int r, i, c, piv
-    cdef i128 prev = 1, arr, air, tmp
-    cdef int sign = 1
-    for r in range(n - 1):
-        if a[r * n + r] == 0:
-            piv = -1
-            for i in range(r + 1, n):
-                if a[i * n + r] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                return 0
-            for c in range(n):
-                tmp = a[r * n + c]
-                a[r * n + c] = a[piv * n + c]
-                a[piv * n + c] = tmp
-            sign = -sign
-        arr = a[r * n + r]
-        for i in range(r + 1, n):
-            air = a[i * n + r]
-            for c in range(r + 1, n):
-                a[i * n + c] = (arr * a[i * n + c] - air * a[r * n + c]) // prev
-            a[i * n + r] = 0
-        prev = arr
-    return sign * a[(n - 1) * n + (n - 1)]
-
-
-def projection_candidates(weights, rank, budget, chamber_sort):
-    """See `_pure.projection_candidates`; int64/int128 fast path.
-
-    Falls back to the pure implementation when a runtime Hadamard bound shows
-    the exact elimination might overflow 126 bits, or the subsets get large.
-    """
-    pts = [tuple(w) for w in weights]
-    cdef int npts = len(pts)
-    if npts == 0:
-        raise ValueError("empty weight list")
-    cdef int m = len(pts[0])
-    cdef int kmax = min(rank + 1, npts)
-    total = sum(comb(npts, k) for k in range(1, kmax + 1))
-    if total > budget:
-        raise ResourceCapError(f"candidate subsets {total} exceed budget {budget}")
-
-    # Hadamard bound over minors of the bordered Gram matrix; generous margin
-    maxabs = max(abs(x) for p in pts for x in p)
-    cdef double rownorm = sqrt(<double> (m * maxabs * maxabs + 1))
-    cdef double bound = sqrt(<double> (kmax + 1)) * (rownorm ** kmax)
-    if kmax + 1 > 9 or bound > 1e36:
-        return _pure.projection_candidates(weights, rank, budget, chamber_sort)
-
-    cdef i64* coords = <i64*> malloc(npts * m * sizeof(i64))
-    cdef i64* dots = <i64*> malloc(npts * npts * sizeof(i64))
-    cdef int* idx = <int*> malloc((kmax + 2) * sizeof(int))
-    cdef i128* beta = <i128*> malloc(m * sizeof(i128))
-    cdef i128* nums = <i128*> malloc((kmax + 2) * sizeof(i128))
-    cdef i128 work[100]
-    cdef int i, j, t, k, n, col, ok
-    cdef i64 s
-    cdef i128 det, deti, g
-
-    for i in range(npts):
-        for t in range(m):
-            coords[i * m + t] = pts[i][t]
-    for i in range(npts):
-        for j in range(npts):
-            s = 0
-            for t in range(m):
-                s += coords[i * m + t] * coords[j * m + t]
-            dots[i * npts + j] = s
-
-    found = set()
-    try:
-        for k in range(1, kmax + 1):
-            n = k + 1
-            for i in range(k):
-                idx[i] = i
-            while True:
-                if k == 1:
-                    # singleton: the point itself, denominator 1 (already reduced)
-                    i = idx[0]
-                    out_nums = [coords[i * m + t] for t in range(m)]
-                    if chamber_sort:
-                        out_nums.sort(reverse=True)
-                    found.add((tuple(out_nums), 1))
-                else:
-                    # bordered Gram matrix [[G, 1], [1, 0]]
-                    for i in range(k):
-                        for j in range(k):
-                            work[i * n + j] = dots[idx[i] * npts + idx[j]]
-                        work[i * n + k] = 1
-                    for j in range(k):
-                        work[k * n + j] = 1
-                    work[k * n + k] = 0
-                    det = _bareiss_det(work, n)
-                    if det != 0:
-                        ok = 1
-                        # Cramer: barycentric numerator i = det with col i -> e_k
-                        for col in range(k):
-                            for i in range(k):
-                                for j in range(k):
-                                    work[i * n + j] = dots[idx[i] * npts + idx[j]]
-                                work[i * n + k] = 1
-                            for j in range(k):
-                                work[k * n + j] = 1
-                            work[k * n + k] = 0
-                            for i in range(n):
-                                work[i * n + col] = 0
-                            work[k * n + col] = 1
-                            deti = _bareiss_det(work, n)
-                            if det < 0:
-                                deti = -deti
-                            if deti < 0:
-                                ok = 0
-                                break
-                            nums[col] = deti
-                        if ok:
-                            if det < 0:
-                                det = -det
-                            for t in range(m):
-                                beta[t] = 0
-                            for i in range(k):
-                                if nums[i] != 0:
-                                    for t in range(m):
-                                        beta[t] += nums[i] * <i128> coords[idx[i] * m + t]
-                            g = det
-                            for t in range(m):
-                                g = _gcd128(g, beta[t])
-                            if g <= 0:
-                                g = 1
-                            out_nums = [_py128(beta[t] // g) for t in range(m)]
-                            if chamber_sort:
-                                out_nums.sort(reverse=True)
-                            found.add((tuple(out_nums), _py128(det // g)))
-                # advance combination
-                i = k - 1
-                while i >= 0 and idx[i] == npts - k + i:
-                    i -= 1
-                if i < 0:
-                    break
-                idx[i] += 1
-                for j in range(i + 1, k):
-                    idx[j] = idx[j - 1] + 1
-    finally:
-        free(coords)
-        free(dots)
-        free(idx)
-        free(beta)
-        free(nums)
-    return found
 
 
 # ---------------------------------------------------------------------------

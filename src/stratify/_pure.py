@@ -1,9 +1,10 @@
 """Pure-Python implementations of the hot kernels.
 
-These are the reference implementations; `stratify._kernels` (Cython) provides
-drop-in replacements selected at import time by `stratify._backend`.  All
-arithmetic is exact: Python ints throughout, rationals as (numerator,
-denominator) pairs.
+`projection_candidates` is the only implementation on both backends: its
+depth-first search beats the compiled flat loop it replaced.  For `close_eis`
+this is the reference; `stratify._kernels` (Cython) provides a drop-in
+replacement selected at import time by `stratify._backend`.  All arithmetic is
+exact: Python ints throughout, rationals as (numerator, denominator) pairs.
 
 Kernel data conventions
 -----------------------
@@ -14,8 +15,7 @@ Kernel data conventions
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 BACKEND = "pure"
 
@@ -29,41 +29,60 @@ class ResourceCapError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _solve_bordered(gram, k):
-    """Solve [[G, 1], [1, 0]] z = e_k exactly by fraction-free elimination.
+def _extend_ldl(low, rhs, row, b):
+    """Add one equation to a fraction-free LDL^T elimination, or return None.
 
-    Returns (det, nums) where z_i = nums[i] / det for i < k, or None if the
-    system is singular (affinely dependent points).
+    ``low`` and ``rhs`` hold the rows eliminated so far of a symmetric system
+    D c = b (Bareiss, 1968): ``low[s][t]`` is entry (s, t) just before step t,
+    so ``low[s][s]`` is the s-th pivot, the leading (s+1)-minor of D, and
+    ``rhs[s]`` is b_s after steps 0..s-1.  ``row`` is the new row of D (its
+    entries against every earlier unknown and its diagonal) and ``b`` its
+    right-hand side.  By symmetry, entry (t, s) of an earlier pivot row is the
+    new row's entry (s, t) before step t, so no earlier row changes.  Returns
+    the eliminated row and right-hand side; None when the new pivot is zero.
     """
-    n = k + 1
-    # augmented matrix, last column is the right-hand side e_k
-    a = [list(gram[i]) + [1, 0] for i in range(k)]
-    a.append([1] * k + [0, 1])
-    sign = 1
+    s = len(low)
     prev = 1
-    for r in range(n):
-        if a[r][r] == 0:
-            for p in range(r + 1, n):
-                if a[p][r] != 0:
-                    a[r], a[p] = a[p], a[r]
-                    sign = -sign
-                    break
-            else:
-                return None
-        arr = a[r][r]
-        for i in range(n):
-            if i == r:
-                continue
-            air = a[i][r]
-            row_i = a[i]
-            row_r = a[r]
-            for j in range(r + 1, n + 1):
-                row_i[j] = (arr * row_i[j] - air * row_r[j]) // prev
-            row_i[r] = 0
-        prev = arr
-    det = sign * a[n - 1][n - 1]
-    nums = [sign * a[i][n] for i in range(k)]
-    return det, nums
+    for t in range(s):
+        piv = low[t][t]
+        f = row[t]
+        for j in range(t + 1, s):
+            row[j] = (piv * row[j] - f * low[j][t]) // prev
+        row[s] = (piv * row[s] - f * f) // prev
+        b = (piv * b - f * rhs[t]) // prev
+        prev = piv
+    if row[s] == 0:
+        return None
+    return row, b
+
+
+def _solve_ldl(low, rhs):
+    """Integer y = det(D) * c for the eliminated system (back substitution).
+
+    Every division is exact: by Cramer, det(D) * c is integral.
+    """
+    n = len(low)
+    det = low[-1][-1]
+    y = [0] * n
+    for t in range(n - 1, -1, -1):
+        acc = det * rhs[t]
+        for j in range(t + 1, n):
+            acc -= low[j][t] * y[j]
+        y[t] = acc // low[t][t]
+    return det, y
+
+
+def _coordinate_symmetric(pts):
+    """Whether the point set is invariant under every coordinate permutation.
+
+    Checked on the adjacent transpositions, which generate S_m.
+    """
+    pset = set(pts)
+    return all(
+        p[:j] + (p[j + 1], p[j]) + p[j + 2:] in pset
+        for j in range(len(pts[0]) - 1)
+        for p in pts
+    )
 
 
 def projection_candidates(weights, rank, budget, chamber_sort):
@@ -74,50 +93,102 @@ def projection_candidates(weights, rank, budget, chamber_sort):
     lies in the convex hull (all barycentric coordinates nonnegative).
     Returns the deduplicated set of candidates as (nums, den) pairs with
     den > 0 and gcd 1; nums are sorted descending when chamber_sort is set.
+
+    The subsets are visited by a depth-first search over index-increasing
+    subsets of the distinct weights, sorted lex-descending (a repeated weight
+    only ever gives singular subsets).  Each step extends an exact
+    fraction-free elimination of the prefix's system by one row
+    (`_extend_ldl`), so a node costs one row, not a whole solve:
+
+    * an affinely dependent prefix (zero pivot) cuts its whole subtree, since
+      every superset is dependent too;
+    * with chamber_sort, on a point set invariant under coordinate
+      permutations, only one subset per S_m-orbit is needed, because sorting
+      makes the candidate an orbit invariant.  The coordinates on which every
+      chosen point agrees form the classes of the prefix's pointwise
+      stabilizer, a Young subgroup; a next point is accepted only if its
+      coordinates do not increase within each class, i.e. it is the first
+      index of its orbit under that subgroup (orderly generation, McKay,
+      "Isomorph-free exhaustive generation", 1998).  The lex-least subset of
+      every orbit passes the test at each level, so no candidate is lost.
+
+    The budget bounds the flat count, sum of C(n, k) over k <= rank+1, before
+    any work is done.
     """
     pts = [tuple(w) for w in weights]
-    npts = len(pts)
-    if npts == 0:
+    if not pts:
         raise ValueError("empty weight list")
-    m = len(pts[0])
-    kmax = min(rank + 1, npts)
-    total = sum(comb(npts, k) for k in range(1, kmax + 1))
+    kmax = min(rank + 1, len(pts))
+    total = sum(comb(len(pts), k) for k in range(1, kmax + 1))
     if total > budget:
         raise ResourceCapError(
             f"candidate subsets {total} exceed budget {budget}"
         )
+    pts = sorted(set(pts), reverse=True)
+    npts = len(pts)
+    m = len(pts[0])
+    kmax = min(kmax, npts)
     dots = [[sum(a * b for a, b in zip(p, q)) for q in pts] for p in pts]
+    # coordinate pairs (a, b), consecutive within a stabilizer class, on
+    # which an accepted point must have p[a] >= p[b]; empty: no reduction
+    if chamber_sort and _coordinate_symmetric(pts):
+        chain = [(j, j + 1) for j in range(m - 1)]
+    else:
+        chain = []
     found = set()
-    for k in range(1, kmax + 1):
-        for idx in combinations(range(npts), k):
-            if k == 1:
-                det, nums = 1, [1]
-            else:
-                gram = [[dots[i][j] for j in idx] for i in idx]
-                sol = _solve_bordered(gram, k)
-                if sol is None:
-                    continue
-                det, nums = sol
-                if det < 0:
-                    det = -det
-                    nums = [-c for c in nums]
-                if any(c < 0 for c in nums):
-                    continue
-            beta = [0] * m
-            for c, i in zip(nums, idx):
-                if c:
-                    p = pts[i]
-                    for t in range(m):
-                        beta[t] += c * p[t]
-            g = det
-            for b in beta:
-                g = gcd(g, b)
-            if g > 1:
-                beta = [b // g for b in beta]
-                det //= g
-            if chamber_sort:
-                beta.sort(reverse=True)
-            found.add((tuple(beta), det))
+
+    def record(det, lam, idx):
+        beta = [0] * m
+        for c, j in zip(lam, idx):
+            if c:
+                q = pts[j]
+                for t in range(m):
+                    beta[t] += c * q[t]
+        g = det
+        for x in beta:
+            g = gcd(g, x)
+        if g > 1:
+            beta = [x // g for x in beta]
+        if chamber_sort:
+            beta.sort(reverse=True)
+        found.add((tuple(beta), det // g))
+
+    def visit(start, chain, idx, low, rhs):
+        # the affine span of pts[idx] is that of p0 + span(pts[j] - p0), so the
+        # projection of the origin solves D c = b with D the Gram matrix of
+        # the differences and b_s = -<p0, pts[j_s] - p0>
+        i0 = idx[0]
+        d0 = dots[i0]
+        for i in range(start, npts):
+            p = pts[i]
+            if chain and any(p[a] < p[b] for a, b in chain):
+                continue
+            di = dots[i]
+            c0 = d0[i0] - di[i0]
+            row = [di[j] - d0[j] + c0 for j in idx[1:]]
+            row.append(di[i] - 2 * di[i0] + d0[i0])
+            ext = _extend_ldl(low, rhs, row, d0[i0] - d0[i])
+            if ext is None:
+                continue  # affinely dependent prefix: so is every superset
+            idx.append(i)
+            low.append(ext[0])
+            rhs.append(ext[1])
+            det, y = _solve_ldl(low, rhs)
+            lam0 = det - sum(y)
+            if lam0 >= 0 and all(c >= 0 for c in y):
+                record(det, [lam0] + y, idx)
+            if len(idx) < kmax:
+                visit(i + 1, [(a, b) for a, b in chain if p[a] == p[b]], idx, low, rhs)
+            idx.pop()
+            low.pop()
+            rhs.pop()
+
+    for i, p in enumerate(pts):
+        if chain and any(p[a] < p[b] for a, b in chain):
+            continue
+        record(1, [1], [i])
+        if kmax > 1:
+            visit(i + 1, [(a, b) for a, b in chain if p[a] == p[b]], [i], [], [])
     return found
 
 

@@ -25,6 +25,7 @@ from .invariants import (
     DEFAULT_CAP,
     FiniteMatrixGroup,
     abelian_quotient_betti,
+    check_wreath_count,
     close_group,
     is_unitary,
     wreath_symmetrize,
@@ -757,6 +758,8 @@ def boundary_betti(spec: dict) -> BettiTable:
     Declared extra symmetries that act trivially are recorded by the caller
     and do not change the table.
     """
+    for factor in spec["factors"]:
+        check_wreath_count(factor.get("count", 1))
     table = None
     for factor in spec["factors"]:
         lat = factor["lattice"]

@@ -359,6 +359,20 @@ def _partitions(n: int):
     yield from rec(n, n)
 
 
+# Cap on the number of symmetrized copies: the cycle index sums over the
+# partitions of n (p(12) = 77 terms, p(100) about 1.9e8), each a product of
+# series of order 2 * dim * n.  The pinned boundaries use at most 3.
+MAX_WREATH_COUNT = 12
+
+
+def check_wreath_count(n: int) -> None:
+    """Raise ResourceCapError for a symmetrized copy count above `MAX_WREATH_COUNT`."""
+    if n > MAX_WREATH_COUNT:
+        raise _backend.ResourceCapError(
+            f"symmetrized copy count {n} exceeds the cap {MAX_WREATH_COUNT}"
+        )
+
+
 def wreath_symmetrize(p, n: int):
     """Symmetric-power invariants via the cycle index of the symmetric group.
 
@@ -367,6 +381,7 @@ def wreath_symmetrize(p, n: int):
     """
     if n < 1:
         raise ValueError("n must be positive")
+    check_wreath_count(n)
     if isinstance(p, BettiTable):
         series = p.poincare_series(2 * p.complex_dim * n)
         out = wreath_symmetrize(series, n)

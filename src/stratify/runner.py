@@ -126,37 +126,54 @@ class Context:
         return obj
 
 
-def _as_series(value, order) -> TruncatedSeries:
+def _is_term(item, lengths=(2, 3)) -> bool:
+    """Whether ``item`` is a series term [degree, num] or [degree, num, den]
+    of integers with degree >= 0 and den != 0."""
+    return (isinstance(item, list) and len(item) in lengths
+            and all(type(x) is int for x in item) and item[0] >= 0
+            and (len(item) == 2 or item[2] != 0))
+
+
+def _as_series(args: StepArgs, key, value, order) -> TruncatedSeries:
+    """Series argument ``key`` of a step: a series, an integer constant, a
+    serialized series, or a literal list [[degree, num(, den)], ...]."""
     if isinstance(value, TruncatedSeries):
         return value.truncate(min(order, value.order))
     if isinstance(value, int):
         return TruncatedSeries.one(order).scale(value)
     if isinstance(value, dict) and value.get("kind") == "series":
-        return serialize.series_from_jsonable(value)
-    if isinstance(value, list):
-        # [[degree, num] or [degree, num, den], ...]
+        top = value.get("order")
+        triples = value.get("triples")
+        if (type(top) is int and top >= 0 and isinstance(triples, list)
+                and all(_is_term(t, (3,)) and t[0] <= top for t in triples)):
+            check_order(top)
+            return serialize.series_from_jsonable(value)
+    elif isinstance(value, list) and all(_is_term(item) for item in value):
         coeffs = [Fraction(0)] * (order + 1)
-        for item in value:
-            d, num = item[0], item[1]
-            den = item[2] if len(item) > 2 else 1
+        for d, num, *den in value:
             if d <= order:
-                coeffs[d] = Fraction(num, den)
+                coeffs[d] = Fraction(num, *den)
         return TruncatedSeries.from_coeffs(coeffs, order)
-    raise ScenarioParseError(f"cannot interpret {value!r} as a series")
+    args.reject(key, "a series: an integer, a serialized series or a list of "
+                "[degree >= 0, num] or [degree, num, den != 0] integer terms", value)
 
 
-def _as_rational(value) -> Fraction:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, list) and len(value) == 2:
-        return Fraction(value[0], value[1])
-    raise ScenarioParseError(f"cannot interpret {value!r} as a rational")
+def _as_rational(args: StepArgs, key, value) -> Fraction:
+    """Rational argument ``key``: an integer, a string such as "1/3", or [num, den]."""
+    try:
+        if isinstance(value, (int, Fraction, str)):
+            return Fraction(value)
+        if isinstance(value, list) and len(value) == 2:
+            return Fraction(*value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        pass
+    args.reject(key, "a rational: an integer, a string like \"1/3\" or [num, den]", value)
 
 
-def _as_matrix(rows):
-    return [[_as_rational(x) for x in row] for row in rows]
+def _as_matrix(args: StepArgs, key, rows):
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        args.reject(key, "a matrix (a list of rows)", rows)
+    return [[_as_rational(args, key, x) for x in row] for row in rows]
 
 
 def _strata_list(value):
@@ -169,7 +186,7 @@ def _contributions(args, key, ctx) -> list:
     out = []
     for i, spec in enumerate(args.listing(key, [])):
         spec = args.nested(f"{key}[{i}]", spec)
-        series = _as_series(ctx.resolve(spec.get("series", 1)), ctx.order)
+        series = _as_series(spec, "series", spec.get("series", 1), ctx.order)
         out.append(
             assembly.StratumContribution(
                 codim=spec.integer("codim"),
@@ -205,7 +222,7 @@ def _op_declare(ctx, args, step):
     kind = args.get("kind", "series")
     value = args["value"]
     if kind == "series":
-        return _as_series(value, args.order(ctx.order))
+        return _as_series(args, "value", value, args.order(ctx.order))
     if kind == "betti_table":
         return serialize.table_from_jsonable(value)
     if kind == "int":
@@ -292,7 +309,7 @@ def _op_parse_poly(ctx, args, step):
 
 @op("check_semiinvariant")
 def _op_check_semi(ctx, args, step):
-    rep = orbits.check_semiinvariant(args["form"], _as_matrix(args["matrix"]))
+    rep = orbits.check_semiinvariant(args["form"], _as_matrix(args, "matrix", args["matrix"]))
     return {"ok": rep.ok, "scalar": serialize.to_jsonable(rep.scalar) if rep.scalar is not None else None}
 
 
@@ -322,7 +339,7 @@ def _op_nrs(ctx, args, step):
 def _op_wfc(ctx, args, step):
     sl = _strata_list(args["strata"])
     index_set = [s.beta for s in sl]
-    beta = tuple(_as_rational(c) for c in args["beta"])
+    beta = tuple(_as_rational(args, "beta", c) for c in args.listing("beta"))
     wr = None
     if args.get("stabilizer_weyl") == "sign":
         wr = [lambda v: v, lambda v: tuple(-c for c in v)]
@@ -368,8 +385,8 @@ def _op_proj_table(ctx, args, step):
 def _op_series_product(ctx, args, step):
     order = args.order(ctx.order)
     total = TruncatedSeries.one(order)
-    for f in args["factors"]:
-        total = total * _as_series(f, order)
+    for i, f in enumerate(args.listing("factors")):
+        total = total * _as_series(args, f"factors[{i}]", f, order)
     return total
 
 
@@ -381,7 +398,8 @@ def _op_lincomb(ctx, args, step):
         if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
             args.reject(f"terms[{i}]", "a list [coefficient, integer shift, series]", term)
         coeff, shift, ref = term
-        terms.append((_as_rational(coeff), shift, _as_series(ref, order)))
+        terms.append((_as_rational(args, f"terms[{i}]", coeff), shift,
+                      _as_series(args, f"terms[{i}]", ref, order)))
     return lincomb(terms)
 
 
@@ -391,7 +409,7 @@ def _op_close_group(ctx, args, step):
     if args.get("ring") == "E":
         gens = [[[tuple(e) for e in row] for row in m] for m in gens]
     else:
-        gens = [_as_matrix(m) for m in gens]
+        gens = [_as_matrix(args, f"generators[{i}]", m) for i, m in enumerate(gens)]
     return invariants.close_group(gens, args.integer("cap", invariants.DEFAULT_CAP),
                                   cache_dir=ctx.cache_dir)
 
@@ -427,7 +445,7 @@ def _op_main_term(ctx, args, step):
     else:
         rank = args.integer("normal_rank")
     return assembly.main_term(
-        _as_series(args["center_series"], args.order(ctx.order)),
+        _as_series(args, "center_series", args["center_series"], args.order(ctx.order)),
         rank,
         args.order(ctx.order),
     )
@@ -455,7 +473,8 @@ def _op_blowup(ctx, args, step):
 @op("duality_complete")
 def _op_duality_complete(ctx, args, step):
     return duality_complete(
-        _as_series(args["series"], args.order(ctx.order)), args.integer("dim")
+        _as_series(args, "series", args["series"], args.order(ctx.order)),
+        args.integer("dim")
     )
 
 
@@ -508,7 +527,10 @@ def _op_aqb(ctx, args, step):
 
 @op("wreath_symmetrize")
 def _op_wreath(ctx, args, step):
-    return invariants.wreath_symmetrize(args["value"], args.integer("n"))
+    value = args["value"]
+    if not isinstance(value, (BettiTable, TruncatedSeries)):
+        value = _as_series(args, "value", value, args.order(ctx.order))
+    return invariants.wreath_symmetrize(value, args.integer("n", minimum=1))
 
 
 def _eis_matrix(value) -> bool:
@@ -561,7 +583,7 @@ def _op_disc(ctx, args, step):
 @op("glue_overlattice")
 def _op_glue(ctx, args, step):
     base = args["lattice"]
-    glue = [[_as_rational(x) for x in g] for g in args["glue"]]
+    glue = _as_matrix(args, "glue", args["glue"])
     res = eisenstein.glue_overlattice(base, glue)
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}
@@ -596,7 +618,7 @@ def _op_cusp_vector(ctx, args, step):
 
 @op("assert_nonpositive")
 def _op_assert_nonpos(ctx, args, step):
-    s = _as_series(args["series"], args.order(ctx.order))
+    s = _as_series(args, "series", args["series"], args.order(ctx.order))
     if any(c > 0 for c in s.coeffs):
         raise ScenarioCheckError(f"series has a positive coefficient: {s}")
     return True

@@ -4,8 +4,12 @@ The index set consists of the closest points to the origin of convex hulls
 of nonempty weight subsets, reduced to the closed positive Weyl chamber.
 Candidates are generated from affinely independent subsets of at most
 rank+1 weights (Caratheodory), solved exactly, and filtered by hull
-membership.  `closest_point` is an independent brute-force oracle kept
-deliberately separate from the candidate kernel.
+membership.  The kernel (`_pure.projection_candidates`) finds them by a
+depth-first search that cuts every subtree below an affinely dependent
+prefix and, for the symmetric Weyl group, visits one subset per orbit of the
+coordinate permutations (orderly generation); the budget still bounds the
+flat subset count.  `closest_point` is an independent brute-force oracle
+kept deliberately separate from the candidate kernel.
 """
 
 from __future__ import annotations

@@ -4,14 +4,11 @@ When the compiled extension is unavailable these collapse to self-checks and
 are skipped where trivial.
 """
 
-import random
-
 import pytest
 
 from stratify import _backend, _pure
 from stratify.eisenstein import E1, E2, z_form
 from stratify.invariants import flatten_eis_matrix
-from stratify.weights import hypersurface_weights
 
 try:
     from stratify import _kernels
@@ -24,26 +21,6 @@ needs_compiled = pytest.mark.skipif(
 
 @needs_compiled
 class TestBackendAgreement:
-    def test_projection_candidates_random(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            m = rng.randint(2, 5)
-            npts = rng.randint(1, 12)
-            rank = rng.randint(1, m)
-            pts = [tuple(rng.randint(-7, 7) for _ in range(m)) for _ in range(npts)]
-            for chamber in (False, True):
-                a = _pure.projection_candidates(pts, rank, 10**7, chamber)
-                b = _kernels.projection_candidates(pts, rank, 10**7, chamber)
-                assert a == b
-
-    @pytest.mark.parametrize("n,d", [(1, 12), (2, 3), (3, 3), (4, 3)])
-    def test_projection_candidates_hypersurfaces(self, n, d):
-        ws = hypersurface_weights(n, d)
-        scaled = [tuple(int(c * (n + 1)) for c in w) for w in ws.weights]
-        a = _pure.projection_candidates(scaled, n, 10**7, True)
-        b = _kernels.projection_candidates(scaled, n, 10**7, True)
-        assert a == b
-
     def test_close_eis_small_groups(self):
         omega = [[(0, 1)]]
         neg = [[(-1, 0)]]

@@ -78,6 +78,32 @@ class TestScenarioCommand:
             assert code == 4 and json.loads(err)["error"] == "resource-cap"
 
 
+    def test_bad_literal_values_exit_code(self, tmp_path):
+        for step, field in (
+                ({"op": "series_product", "args": {"factors": [[[0]]]}}, "'factors[0]'"),
+                ({"op": "check_semiinvariant", "args": {"form": "x0", "matrix": [["a"]]}},
+                 "'matrix'")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"name": "bad", "steps": [{"id": "s", **step}]}))
+            code, _, err = run_cli("scenario", "run", str(bad))
+            assert code == 3
+            err = json.loads(err.strip())
+            assert err["error"] == "parse"
+            assert "step 's'" in err["message"] and field in err["message"]
+
+    def test_huge_wreath_count_hits_the_cap(self, tmp_path):
+        doc = tmp_path / "wreath.json"
+        doc.write_text(json.dumps({"name": "wreath", "steps": [
+            {"id": "b", "op": "boundary_betti",
+             "args": {"spec": {"factors": [{"lattice": "E4", "count": 100}]}}}]}))
+        for argv in (("scenario", "run", str(doc)),
+                     ("boundary", '{"factors":[{"lattice":"E1","count":100}]}')):
+            t0 = time.perf_counter()
+            code, _, err = run_cli(*argv)
+            assert time.perf_counter() - t0 < 1
+            assert code == 4 and json.loads(err)["error"] == "resource-cap"
+
+
 class TestLatticeCommand:
     def test_weyl_order(self):
         code, out, _ = run_cli("lattice", "weyl-order", "E3")
@@ -112,6 +138,14 @@ class TestStrataCommand:
         code, out, _ = run_cli("--format", "csv", "strata", "--n", "1", "--d", "12")
         assert code == 0
         assert out.splitlines()[0] == "beta,norm2,n_beta,dim_g_mod_p,codim_expected"
+
+    def test_over_budget_exits_at_once(self):
+        # the budget bounds the flat subset count before any search
+        for n, d in (("5", "3"), ("6", "3"), ("4", "5")):
+            t0 = time.perf_counter()
+            code, _, err = run_cli("strata", "--n", n, "--d", d)
+            assert time.perf_counter() - t0 < 1
+            assert code == 4 and json.loads(err)["error"] == "resource-cap"
 
 
 class TestOtherCommands:

@@ -119,11 +119,53 @@ def test_declare_kinds():
      r"argument 'factors\[0\]' must be an integer pair"),
     ({"op": "lincomb", "args": {"terms": [[1, [[0, 1]]]]}},
      r"argument 'terms\[0\]' must be a list \[coefficient, integer shift, series\]"),
+    ({"op": "lincomb", "args": {"terms": [["z", 0, 1]]}},
+     r"argument 'terms\[0\]' must be a rational"),
+    ({"op": "series_product", "args": {"factors": [[[0]]]}},
+     r"argument 'factors\[0\]' must be a series"),
+    ({"op": "series_product", "args": {"factors": [[["0", 1]]]}},
+     r"argument 'factors\[0\]' must be a series"),
+    ({"op": "series_product", "args": {"factors": [1, [[-1, 1]]]}},
+     r"argument 'factors\[1\]' must be a series"),
+    ({"op": "series_product", "args": {"factors": [[[0, 1, 0]]]}},
+     r"argument 'factors\[0\]' must be a series"),
+    ({"op": "series_product", "args": {"factors": [
+        {"kind": "series", "order": "4", "triples": []}]}},
+     r"argument 'factors\[0\]' must be a series"),
+    ({"op": "series_product", "args": {"factors": [
+        {"kind": "series", "order": 4, "triples": [[6, 1, 1]]}]}},
+     r"argument 'factors\[0\]' must be a series"),
+    ({"op": "wreath_symmetrize", "args": {"value": "x", "n": 2}},
+     r"argument 'value' must be a series"),
+    ({"op": "check_semiinvariant", "args": {"form": "x0", "matrix": [["a"]]}},
+     r"argument 'matrix' must be a rational"),
+    ({"op": "check_semiinvariant", "args": {"form": "x0", "matrix": [1]}},
+     r"argument 'matrix' must be a matrix"),
+    ({"op": "weyl_fiber_count", "args": {"strata": [], "beta": ["1/0"]}},
+     r"argument 'beta' must be a rational"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:
         run_steps([{"id": "s", **step}])
     assert "step 's'" in str(info.value)
+
+
+def test_series_literal_forms():
+    rep = run_steps([
+        {"id": "s", "op": "series_product", "args": {"factors": [
+            [[0, 1], [2, 1, 2], [9, 5]],
+            {"kind": "series", "order": 8, "triples": [[0, 1, 1], [4, -1, 3]]}]},
+         "expect": {"kind": "series", "order": 8,
+                    "triples": [[0, 1, 1], [2, 1, 2], [4, -1, 3], [6, -1, 6]]}}])
+    assert value_of(rep, "s")["order"] == 8
+
+
+def test_wreath_count_cap():
+    from stratify.strata import ResourceCapError
+    with pytest.raises(ResourceCapError, match="exceeds the cap 12"):
+        run_steps([{"id": "w", "op": "wreath_symmetrize", "args": {"value": 1, "n": 13}}])
+    rep = run_steps([{"id": "w", "op": "wreath_symmetrize", "args": {"value": 1, "n": 12}}])
+    assert value_of(rep, "w")["triples"] == [[0, 1, 1]]
 
 
 def test_boundary_spec_fields_pass_through():

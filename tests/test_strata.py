@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratify import _pure
 from stratify.orbits import normal_rep_of, parse_poly
 from stratify.strata import (
     ResourceCapError,
@@ -31,6 +34,123 @@ def brute_force_index_set_rank1(values):
             else:
                 out.add(Fraction(-sub[-1]))
     return out
+
+
+def _solve_bordered(gram, k):
+    """Solve [[G, 1], [1, 0]] z = e_k by fraction-free elimination with pivoting.
+
+    Returns (det, nums) with z_i = nums[i] / det, or None when singular.
+    """
+    n = k + 1
+    a = [list(gram[i]) + [1, 0] for i in range(k)]
+    a.append([1] * k + [0, 1])
+    sign = 1
+    prev = 1
+    for r in range(n):
+        if a[r][r] == 0:
+            for p in range(r + 1, n):
+                if a[p][r] != 0:
+                    a[r], a[p] = a[p], a[r]
+                    sign = -sign
+                    break
+            else:
+                return None
+        row_r = a[r]
+        arr = row_r[r]
+        for i in range(n):
+            if i != r:
+                row_i = a[i]
+                air = row_i[r]
+                for j in range(r + 1, n + 1):
+                    row_i[j] = (arr * row_i[j] - air * row_r[j]) // prev
+                row_i[r] = 0
+        prev = arr
+    return sign * a[n - 1][n - 1], [sign * a[i][n] for i in range(k)]
+
+
+def flat_candidates(pts, rank, chamber_sort):
+    """Reference for `_pure.projection_candidates`: every subset, no pruning."""
+    dots = [[sum(a * b for a, b in zip(p, q)) for q in pts] for p in pts]
+    found = set()
+    for k in range(1, min(rank + 1, len(pts)) + 1):
+        for idx in combinations(range(len(pts)), k):
+            sol = _solve_bordered([[dots[i][j] for j in idx] for i in idx], k)
+            if sol is None:
+                continue
+            det, nums = sol
+            if det < 0:
+                det, nums = -det, [-c for c in nums]
+            if any(c < 0 for c in nums):
+                continue
+            beta = [sum(c * pts[i][t] for c, i in zip(nums, idx))
+                    for t in range(len(pts[0]))]
+            g = gcd(det, *beta)
+            beta = [b // g for b in beta]
+            if chamber_sort:
+                beta.sort(reverse=True)
+            found.add((tuple(beta), det // g))
+    return found
+
+
+def _flat_count(npts, rank):
+    return sum(comb(npts, k) for k in range(1, min(rank + 1, npts) + 1))
+
+
+@st.composite
+def invariant_point_sets(draw):
+    """Unions of S_m-orbits of integer vectors, with repeats, in random order."""
+    m = draw(st.integers(1, 4))
+    bases = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                          min_size=1, max_size=3))
+    orbit = sorted({p for b in bases for p in permutations(b)})
+    pts = orbit + draw(st.lists(st.sampled_from(orbit), max_size=4))
+    return draw(st.permutations(pts))
+
+
+class TestProjectionCandidates:
+    """The pruned, symmetry-reduced search against the flat enumeration."""
+
+    LIMIT = 3000  # flat subsets per example, so the reference stays fast
+
+    def _rank(self, draw_rank, pts):
+        rank = draw_rank
+        while rank > 0 and _flat_count(len(pts), rank) > self.LIMIT:
+            rank -= 1
+        return rank
+
+    @settings(max_examples=80, deadline=None)
+    @given(invariant_point_sets(), st.integers(0, 4), st.booleans())
+    def test_invariant_sets(self, pts, rank, chamber_sort):
+        rank = self._rank(rank, pts)
+        got = _pure.projection_candidates(pts, rank, 10**7, chamber_sort)
+        assert got == flat_candidates(pts, rank, chamber_sort)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+               st.tuples(*[st.integers(-5, 5)] * m), min_size=1, max_size=12)),
+           st.integers(0, 4), st.booleans())
+    def test_random_sets(self, pts, rank, chamber_sort):
+        # mostly not permutation-invariant: the kernel must see that itself
+        rank = self._rank(rank, pts)
+        got = _pure.projection_candidates(pts, rank, 10**7, chamber_sort)
+        assert got == flat_candidates(pts, rank, chamber_sort)
+
+    @pytest.mark.parametrize("n,d", [(1, 12), (2, 3), (3, 3), (4, 3)])
+    def test_hypersurfaces(self, n, d):
+        pts = [tuple(int(c * (n + 1)) for c in w)
+               for w in hypersurface_weights(n, d).weights]
+        random.Random(n * 100 + d).shuffle(pts)
+        got = _pure.projection_candidates(pts, n, 10**7, True)
+        assert got == flat_candidates(pts, n, True)
+        # a rank below the true rank truncates both searches alike
+        assert (_pure.projection_candidates(pts, n - 1, 10**7, True)
+                == flat_candidates(pts, n - 1, True))
+
+    def test_budget_counts_flat_subsets(self):
+        pts = [(1, 0), (0, 1), (1, 0)]
+        assert _pure.projection_candidates(pts, 1, _flat_count(3, 1), True)
+        with pytest.raises(ResourceCapError):
+            _pure.projection_candidates(pts, 1, _flat_count(3, 1) - 1, True)
 
 
 class TestClosestPoint:

@@ -2,7 +2,7 @@
 Poincare series, blowup corrections, and Eisenstein-lattice boundary
 cohomology."""
 
-from ._backend import BACKEND
+from ._pure import BACKEND
 from .assembly import (
     StratumContribution,
     b_shift,

@@ -1,16 +1,17 @@
-"""Pure-Python implementations of the hot kernels.
+"""The hot kernels, in pure Python (the one backend).
 
-`projection_candidates` is the only implementation on both backends: its
-depth-first search beats the compiled flat loop it replaced.  For `close_eis`
-this is the reference; `stratify._kernels` (Cython) provides a drop-in
-replacement selected at import time by `stratify._backend`.  All arithmetic is
-exact: Python ints throughout, rationals as (numerator, denominator) pairs.
+`projection_candidates` is the closest-point candidate search behind every
+index set; `close_eis` lists the elements of a matrix group for
+`invariants.close_group`.  All arithmetic is exact: Python ints throughout,
+rationals as (numerator, denominator) pairs, except that a rational matrix
+group closes with `Fraction` entries.
 
 Kernel data conventions
 -----------------------
 * Integer weight vectors: tuples of ints.
 * Eisenstein matrices: a k x k matrix over Z[omega] is a flat tuple of
-  2*k*k ints, entry (i,j) = (flat[2*(i*k+j)] + flat[2*(i*k+j)+1] * omega).
+  2*k*k ints, entry (i,j) = (flat[2*(i*k+j)] + flat[2*(i*k+j)+1] * omega);
+  a rational matrix has `Fraction` entries and zero omega parts.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def eis_mul_flat(x, y, k):
 
 
 def close_eis(gens, k, cap):
-    """Breadth-first multiplicative closure of flat Z[omega] matrices.
+    """Breadth-first multiplicative closure of flat Z[omega] or Q matrices.
 
     Returns the closed set as a sorted list of flat tuples (the canonical
     element order).  Raises ResourceCapError beyond ``cap`` elements.

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import eisenstein, invariants, serialize, strata, weights
-from ._backend import BACKEND, ResourceCapError
+from ._pure import BACKEND, ResourceCapError
 from .runner import (
     BUILTIN_SCENARIOS,
     ScenarioCheckError,
@@ -21,6 +21,7 @@ from .runner import (
     StepArgs,
     boundary_spec,
     check_order,
+    group_generators,
     run_scenario,
 )
 from .series import BettiTable
@@ -58,7 +59,7 @@ def _load_json_arg(value: str):
 def _cmd_scenario(args) -> int:
     if args.action != "run":
         raise ScenarioParseError("only 'scenario run' is supported")
-    report = run_scenario(args.source, cache_dir=args.cache_dir)
+    report = run_scenario(args.source)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     elif args.format == "latex":
@@ -108,10 +109,9 @@ def _cmd_strata(args) -> int:
 
 def _cmd_molien(args) -> int:
     spec = _load_json_arg(args.gens)
-    gens = spec["generators"] if isinstance(spec, dict) else spec
-    if isinstance(spec, dict) and spec.get("ring") == "E":
-        gens = [[[tuple(e) for e in row] for row in m] for m in gens]
-    group = invariants.close_group(gens, cache_dir=args.cache_dir)
+    if not isinstance(spec, dict):
+        spec = {"generators": spec}
+    group = invariants.close_group(group_generators(StepArgs("molien", spec)))
     series = invariants.molien(group, args.degree, args.truncate or 10)
 
     def text(s):
@@ -135,7 +135,7 @@ def _cmd_lattice(args) -> int:
         _emit({"count": len(roots)}, args.format,
               lambda p: f"{p['count']} roots\n")
     elif args.action == "weyl-order":
-        grp = eisenstein.weyl_group(lat, cache_dir=args.cache_dir)
+        grp = eisenstein.weyl_group(lat)
         _emit({"order": grp.order}, args.format, lambda p: f"{p['order']}\n")
     elif args.action == "discriminant":
         disc = eisenstein.discriminant_form(eisenstein.z_form(lat))
@@ -182,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--truncate", type=int, default=argparse.SUPPRESS, metavar="K",
                         help="truncation degree (series) or codimension bound (strata)")
-    common.add_argument("--cache-dir", default=argparse.SUPPRESS,
-                        help="group-closure cache directory (default: env STRATIFY_CACHE)")
     p = argparse.ArgumentParser(
         prog="stratify",
         description="exact cohomology workbench for GIT quotients and ball-quotient boundaries",
@@ -191,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "csv", "latex"], default="text")
     p.add_argument("--truncate", type=int, default=None, metavar="K",
                    help="truncation degree (series) or codimension bound (strata)")
-    p.add_argument("--cache-dir", default=os.environ.get("STRATIFY_CACHE"),
-                   help="group-closure cache directory (default: env STRATIFY_CACHE)")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("scenario", help="run a scenario pipeline", parents=[common])

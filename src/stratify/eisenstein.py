@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from . import _backend
-from ._exact import EisInt, det, eis, flatten_eis_matrix, inverse, unflatten_eis_matrix
+from . import _pure
+from ._exact import EisInt, det, eis, flatten_eis_matrix, inverse, nullspace, unflatten_eis_matrix
 from .invariants import (
-    DEFAULT_CAP,
     FiniteMatrixGroup,
     abelian_quotient_betti,
+    check_quotient_rank,
     check_wreath_count,
-    close_group,
     is_unitary,
+    permutation_group_order,
     wreath_symmetrize,
 )
 from .series import BettiTable
@@ -336,9 +336,9 @@ def triflection(lat: EisLattice, root) -> tuple:
 
 
 def _mat_order_divides_3(flat, k) -> bool:
-    m2 = _backend.eis_mul_flat(flat, flat, k)
-    m3 = _backend.eis_mul_flat(m2, flat, k)
-    return m3 == _backend.eis_identity_flat(k)
+    m2 = _pure.eis_mul_flat(flat, flat, k)
+    m3 = _pure.eis_mul_flat(m2, flat, k)
+    return m3 == _pure.eis_identity_flat(k)
 
 
 def triflections(lat: EisLattice) -> list:
@@ -352,7 +352,7 @@ def triflections(lat: EisLattice) -> list:
         flat = flatten_eis_matrix(triflection(lat, r))
         if flat in found:
             continue
-        if not _mat_order_divides_3(flat, k) or flat == _backend.eis_identity_flat(k):
+        if not _mat_order_divides_3(flat, k) or flat == _pure.eis_identity_flat(k):
             raise AssertionError("triflection does not have order 3")
         if not is_unitary(unflatten_eis_matrix(flat, k), lat.gram):
             raise AssertionError("triflection does not preserve the form")
@@ -362,40 +362,63 @@ def triflections(lat: EisLattice) -> list:
     return sorted(found)
 
 
-_WEYL_CACHE: dict = {}
+def _apply(flat, k, v) -> tuple:
+    """A flat Z[omega] matrix times a column vector in the integral layout."""
+    out = []
+    for i in range(k):
+        ra = rb = 0
+        for j in range(k):
+            a, b = flat[2 * (i * k + j)], flat[2 * (i * k + j) + 1]
+            c, d = v[2 * j], v[2 * j + 1]
+            bd = b * d
+            ra += a * c - bd
+            rb += a * d + b * c - bd
+        out += (ra, rb)
+    return tuple(out)
 
 
-def weyl_group(lat: EisLattice, cap: int = DEFAULT_CAP,
-               cache_dir: str | None = None) -> FiniteMatrixGroup:
+def isometry_group_order(lat: EisLattice, gens) -> int:
+    """Order of the group generated by isometries of a definite lattice.
+
+    ``gens`` are flat Z[omega] matrices.  Each one permutes the finitely many
+    roots, and the order is that of this permutation group, from
+    `permutation_group_order` (Schreier-Sims).  The action is faithful: an
+    element fixing every root fixes their span, and it fixes their orthogonal
+    complement because every generator must (as triflections do).  When the
+    roots span the lattice, as for every named lattice, the complement is
+    zero and this check is vacuous.
+    """
+    k = lat.rank
+    zroots = enumerate_roots(z_form(lat))
+    if not zroots:
+        raise ValueError("lattice has no roots")
+    roots = [eis_vector_from_z(v, k) for v in zroots]
+    # x is orthogonal to r when sum_ij conj(r_i) G_ij x_j = 0
+    perp = nullspace([[sum((r[i].conj() * lat.gram[i][j] for i in range(k)), E_ZERO)
+                       for j in range(k)] for r in roots])
+    perp = [tuple(c for x in v for c in (eis(x).a, eis(x).b)) for v in perp]
+    if any(_apply(flat, k, x) != x for flat in gens for x in perp):
+        raise AssertionError("a generator moves the orthogonal complement of the roots, "
+                             "so the action on the roots is not certified faithful")
+    index = {v: i for i, v in enumerate(zroots)}
+    perms = []
+    for flat in gens:
+        perm = tuple(index.get(_apply(flat, k, v)) for v in zroots)
+        if None in perm or len(set(perm)) != len(perm):
+            raise AssertionError("a generator does not permute the roots")
+        perms.append(perm)
+    return permutation_group_order(perms)
+
+
+def weyl_group(lat: EisLattice) -> FiniteMatrixGroup:
     """Group generated by all triflections of a definite Eisenstein lattice.
 
-    The closure runs over a greedily chosen generating subset of
-    `triflections`; membership of every triflection in the result certifies
-    that the full triflection group was obtained.  Results are memoized
-    in-process (the construction is pure).
+    Its order is certified by Schreier-Sims on the roots
+    (`isometry_group_order`); its elements are not listed.
     """
-    cache_key = (lat.flat_gram(), cap)
-    cached = _WEYL_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    k = lat.rank
     trifl = triflections(lat)
-    gens: list = []
-    elements = None
-    element_set: set = set()
-    for t in trifl:
-        if elements is None or t not in element_set:
-            gens.append(t)
-            grp = close_group(
-                [unflatten_eis_matrix(g, k) for g in gens], cap=cap, cache_dir=cache_dir
-            )
-            elements = grp.elements
-            element_set = set(elements)
-    assert all(t in element_set for t in trifl)
-    group = FiniteMatrixGroup("E", k, tuple(elements), tuple(trifl),
-                              form=lat.flat_gram())
-    _WEYL_CACHE[cache_key] = group
-    return group
+    return FiniteMatrixGroup("E", lat.rank, (), tuple(trifl), form=lat.flat_gram(),
+                             order=isometry_group_order(lat, trifl))
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +781,14 @@ def boundary_betti(spec: dict) -> BettiTable:
     Declared extra symmetries that act trivially are recorded by the caller
     and do not change the table.
     """
-    for factor in spec["factors"]:
-        check_wreath_count(factor.get("count", 1))
-    table = None
+    lattices = []
     for factor in spec["factors"]:
         lat = factor["lattice"]
-        if isinstance(lat, str):
-            lat = named_lattice(lat)
+        lattices.append(named_lattice(lat) if isinstance(lat, str) else lat)
+        check_quotient_rank(lattices[-1].rank)
+        check_wreath_count(factor.get("count", 1))
+    table = None
+    for factor, lat in zip(spec["factors"], lattices):
         group_spec = factor.get("group", "weyl")
         if group_spec == "weyl":
             gens = triflections(lat)

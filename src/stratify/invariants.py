@@ -1,28 +1,26 @@
 """Finite matrix groups over the rationals or the Eisenstein integers.
 
-Provides multiplicative closure from generators, Molien series of invariant
-rings, invariant cohomology of abelian-variety quotients as joint fixed
-spaces of generators on exterior powers, and cycle-index symmetrization of
-even graded Poincare series.
+Provides multiplicative closure from generators, orders of permutation
+groups by Schreier-Sims, Molien series of invariant rings, invariant
+cohomology of abelian-variety quotients as joint fixed spaces of generators
+on exterior powers, and cycle-index symmetrization of even graded Poincare
+series.
 
-Eisenstein group elements are stored in the kernels' flat int layout
-(`flatten_eis_matrix`); Molien averaging and the fixed-space computation
-unflatten them to `EisInt` matrices, and rational elements are lifted to
-`EisInt` with zero omega part, so both rings share one arithmetic and one
+Group elements of both rings are stored in the kernels' flat layout
+(`flatten_eis_matrix`), a rational entry with zero omega part; Molien
+averaging and the fixed-space computation unflatten them to `EisInt`
+matrices, so both rings share one arithmetic, one closure and one
 determinant from `stratify._exact`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm
 
-from . import _backend
+from . import _pure
 from ._exact import EisInt, det, eis, flatten_eis_matrix, nullspace, unflatten_eis_matrix
 from .series import BettiTable, TruncatedSeries, duality_check
 
@@ -31,12 +29,15 @@ DEFAULT_CAP = 10**6
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
-    """Explicit finite matrix group; elements in canonical sorted order.
+    """Finite matrix group; elements, when listed, in canonical sorted order.
 
-    ``ring`` is "Q" (entries are Fractions, matrices stored as nested tuples)
-    or "E" (entries in Z[omega], matrices stored as flat int tuples in the
-    kernel layout).  ``form`` optionally carries a hermitian Gram matrix (flat
-    Eisenstein layout) the group is unitary for.
+    ``ring`` is "Q" (rational entries) or "E" (entries in Z[omega]); matrices
+    are stored as flat tuples in the kernel layout, a rational entry q as the
+    pair (q, 0).  ``form`` optionally carries a hermitian Gram matrix (flat
+    Eisenstein layout) the group is unitary for.  ``order`` defaults to the
+    number of listed elements; a group whose order is certified otherwise
+    (a Weyl group, by Schreier-Sims) lists none, and `molien` closes its
+    generators when it needs the elements.
     """
 
     ring: str
@@ -44,13 +45,11 @@ class FiniteMatrixGroup:
     elements: tuple
     gens: tuple = ()
     form: tuple | None = None
+    order: int | None = None
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, m):
-        return m in set(self.elements)
+    def __post_init__(self):
+        if self.order is None:
+            object.__setattr__(self, "order", len(self.elements))
 
 
 def _is_eis_entry(x) -> bool:
@@ -61,34 +60,14 @@ def _is_eis_entry(x) -> bool:
     )
 
 
-def _q_matrix(mat) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in mat)
-
-
-def _q_mul(x, y):
-    k = len(x)
-    return tuple(
-        tuple(sum(x[i][l] * y[l][j] for l in range(k)) for j in range(k))
-        for i in range(k)
-    )
-
-
-def _cache_dir() -> str | None:
-    return os.environ.get("STRATIFY_CACHE") or None
-
-
-def _closure_cache_key(kind, k, gens, cap) -> str:
-    payload = json.dumps([kind, k, [list(g) for g in gens], cap], sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def close_group(generators, cap: int = DEFAULT_CAP, cache_dir: str | None = None):
+def close_group(generators, cap: int = DEFAULT_CAP):
     """Breadth-first multiplicative closure with exact equality testing.
 
     Accepts rational matrices (entries int/Fraction) or Eisenstein matrices
-    (entries `EisInt` or (a, b) integer pairs).  Elements are returned canonically
-    ordered.  Raises on a non-invertible generator or when the closure
-    exceeds ``cap``.
+    (entries `EisInt` or (a, b) integer pairs); both close in the flat layout
+    of `_pure.close_eis`, a rational entry q as q + 0*omega.  Elements are
+    returned canonically ordered.  Raises on a non-invertible generator or
+    when the closure exceeds ``cap``.
     """
     generators = list(generators)
     if not generators:
@@ -96,64 +75,118 @@ def close_group(generators, cap: int = DEFAULT_CAP, cache_dir: str | None = None
     first = generators[0]
     k = len(first)
     eis = _is_eis_entry(first[0][0]) if not isinstance(first[0][0], (int, Fraction)) else False
-
-    if eis:
-        flats = [flatten_eis_matrix(g) for g in generators]
-        for flat in flats:
-            if not det(unflatten_eis_matrix(flat, k)):
-                raise ValueError("generator is not invertible")
-        cache_dir = cache_dir or _cache_dir()
-        cached = None
-        key = _closure_cache_key("E", k, flats, cap)
-        if cache_dir:
-            path = os.path.join(cache_dir, f"group-{key}.json")
-            if os.path.exists(path):
-                with open(path) as fh:
-                    cached = [tuple(e) for e in json.load(fh)]
-        if cached is None:
-            cached = [tuple(e) for e in _backend.close_eis(flats, k, cap)]
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
-                path = os.path.join(cache_dir, f"group-{key}.json")
-                tmp = path + ".tmp"
-                with open(tmp, "w") as fh:
-                    json.dump([list(e) for e in cached], fh)
-                os.replace(tmp, path)
-        return FiniteMatrixGroup("E", k, tuple(cached), tuple(flats))
-
-    gens = [_q_matrix(g) for g in generators]
-    for g in gens:
-        if not det(g):
+    if not eis:
+        generators = [[[Fraction(x) for x in row] for row in g] for g in generators]
+    flats = [flatten_eis_matrix(g) for g in generators]
+    for flat in flats:
+        if not det(unflatten_eis_matrix(flat, k)):
             raise ValueError("generator is not invertible")
-    ident = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(k))
-        for i in range(k)
-    )
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _q_mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise _backend.ResourceCapError(
-                            f"group closure exceeded cap {cap}"
-                        )
-                    nxt.append(y)
-        frontier = nxt
-    return FiniteMatrixGroup("Q", k, tuple(sorted(seen)), tuple(gens))
+    return FiniteMatrixGroup("E" if eis else "Q", k, tuple(_pure.close_eis(flats, k, cap)),
+                             tuple(flats))
 
 
-def _eis_elements(group: FiniteMatrixGroup):
-    if group.ring == "E":
-        for flat in group.elements:
-            yield unflatten_eis_matrix(flat, group.dim)
-    else:
-        for mat in group.elements:
-            yield tuple(tuple(EisInt(x, 0) for x in row) for row in mat)
+def _then(p, q):
+    """The permutation 'first p, then q'; a permutation is the tuple of images."""
+    return tuple(map(q.__getitem__, p))
+
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    fixing the earlier base points, the basic orbit with a transversal
+    (orbit point y -> (u, u^-1) with u mapping the base point to y), and the
+    Schreier generators (y, generator index) already sifted."""
+
+    def __init__(self, point, ident):
+        self.point = point
+        self.gens = []
+        self.trans = {point: (ident, ident)}
+        self.sifted = set()
+
+    def add(self, gen):
+        """Add a strong generator and extend the orbit; old entries stay."""
+        self.gens.append(gen)
+        trans = self.trans
+        queue = list(trans)
+        for y in queue:
+            u = trans[y][0]
+            for s in self.gens:
+                z = s[y]
+                if z not in trans:
+                    v = _then(u, s)
+                    trans[z] = (v, _inverse(v))
+                    queue.append(z)
+
+
+def _sift(levels, g, start):
+    """Strip g through the levels from ``start``: the residue and the level
+    where it left the basic orbit (``len(levels)`` if it fixes every base point)."""
+    for i in range(start, len(levels)):
+        t = levels[i].trans.get(g[levels[i].point])
+        if t is None:
+            return g, i
+        g = _then(g, t[1])
+    return g, len(levels)
+
+
+def permutation_group_order(perms) -> int:
+    """Order of the group generated by permutations of 0..n-1.
+
+    Deterministic Schreier-Sims (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 4.4; Seress, *Permutation Group
+    Algorithms*, 2003, section 4.2).  Generators are added one at a time and
+    one that sifts to the identity through the chain built so far is already
+    in the group.  Every Schreier generator u_y s u_{y^s}^-1 of every level is
+    sifted through the levels below it; a nonidentity residue becomes a new
+    strong generator and the levels from there down are checked again.  With
+    no residue left the chain is complete, and the order is the product of the
+    basic orbit lengths.
+    """
+    perms = [tuple(p) for p in perms]
+    if not perms:
+        return 1
+    ident = tuple(range(len(perms[0])))
+    levels = []
+
+    def insert(h, lo, hi):
+        # h fixes the base points of the levels before hi; hi may be a new level
+        if hi == len(levels):
+            levels.append(_Level(next(x for x, y in enumerate(h) if x != y), ident))
+        for level in levels[lo:hi + 1]:
+            level.add(h)
+
+    for g in perms:
+        h, j = _sift(levels, g, 0)
+        if h == ident:
+            continue
+        insert(h, 0, j)
+        i = j
+        while i >= 0:
+            level = levels[i]
+            restart = None
+            for y, (u, _) in list(level.trans.items()):
+                for si, s in enumerate(level.gens):
+                    if (y, si) in level.sifted:
+                        continue
+                    level.sifted.add((y, si))
+                    h, j = _sift(levels, _then(_then(u, s), level.trans[s[y]][1]), i + 1)
+                    if h != ident:
+                        insert(h, i + 1, j)
+                        restart = j
+                        break
+                if restart is not None:
+                    break
+            i = i - 1 if restart is None else restart
+    order = 1
+    for level in levels:
+        order *= len(level.trans)
+    return order
 
 
 def _elementary_symmetric(mat, k):
@@ -187,16 +220,21 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
 
     ``generator_degree`` is the (even) cohomological degree the algebra
     generators are placed in.  The result is checked to be integral with
-    constant term 1.
+    constant term 1.  A group given without its elements is closed first, and
+    the closure must have the declared order.
     """
     if generator_degree < 1 or generator_degree % 2 != 0:
         raise ValueError("generator degree must be a positive even integer")
     k = group.dim
+    elements = group.elements or _pure.close_eis(group.gens, k, DEFAULT_CAP)
+    if len(elements) != group.order:
+        raise AssertionError(
+            f"closure has order {len(elements)}, the group declares {group.order}")
     g = generator_degree
     zero = EisInt(0, 0)
     total = [zero] * (order + 1)
-    for mat in _eis_elements(group):
-        es = _elementary_symmetric(mat, k)
+    for flat in elements:
+        es = _elementary_symmetric(unflatten_eis_matrix(flat, k), k)
         # det(1 - T M) = sum_p (-1)^p e_p T^p with T = t^g
         poly = [zero] * (order + 1)
         poly[0] = EisInt(1, 0)
@@ -294,6 +332,21 @@ def _invariant_dim(powers, p, q) -> int:
     return len(basis)
 
 
+# Cap on the rank of an abelian quotient: the fixed spaces live in
+# Lambda^p V (x) conj Lambda^q V, of dimension C(k, p) C(k, q), up to 400 at
+# rank 6 against 100 at rank 5 (E1+E4 took 7.8 s, 2E3 and E2+E4 did not finish
+# in 150 s).  The pinned boundaries use at most rank 4.
+MAX_QUOTIENT_RANK = 5
+
+
+def check_quotient_rank(k: int) -> None:
+    """Raise ResourceCapError for an abelian quotient of rank above `MAX_QUOTIENT_RANK`."""
+    if k > MAX_QUOTIENT_RANK:
+        raise _pure.ResourceCapError(
+            f"abelian quotient rank {k} exceeds the cap {MAX_QUOTIENT_RANK}"
+        )
+
+
 def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
     """Betti table of the quotient of a k-dimensional abelian variety.
 
@@ -307,8 +360,9 @@ def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
 
     Certificate: every generator has Z[omega] entries and is unitary for the
     hermitian form, which is definite, so the group is finite; the table must
-    satisfy Poincare duality.
+    satisfy Poincare duality.  Ranks above `MAX_QUOTIENT_RANK` are refused.
     """
+    check_quotient_rank(k)
     if isinstance(group, FiniteMatrixGroup):
         if group.ring != "E":
             raise ValueError("abelian quotients need a group over the Eisenstein integers")
@@ -368,7 +422,7 @@ MAX_WREATH_COUNT = 12
 def check_wreath_count(n: int) -> None:
     """Raise ResourceCapError for a symmetrized copy count above `MAX_WREATH_COUNT`."""
     if n > MAX_WREATH_COUNT:
-        raise _backend.ResourceCapError(
+        raise _pure.ResourceCapError(
             f"symmetrized copy count {n} exceeds the cap {MAX_WREATH_COUNT}"
         )
 

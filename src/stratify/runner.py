@@ -17,7 +17,8 @@ from fractions import Fraction
 from importlib import resources
 
 from . import assembly, eisenstein, invariants, orbits, serialize, strata, weights
-from ._backend import BACKEND, ResourceCapError
+from ._exact import eis
+from ._pure import BACKEND, ResourceCapError
 from .series import (
     BettiTable,
     TruncatedSeries,
@@ -111,7 +112,6 @@ class StepArgs(dict):
 class Context:
     order: int
     values: dict = field(default_factory=dict)
-    cache_dir: str | None = None
 
     def resolve(self, obj):
         if isinstance(obj, str) and obj.startswith("$"):
@@ -403,15 +403,26 @@ def _op_lincomb(ctx, args, step):
     return lincomb(terms)
 
 
+def group_generators(args: StepArgs) -> list:
+    """The ``generators`` of a `close_group` step or the `molien` command:
+    with ``"ring": "E"`` square matrices of integers or [a, b] pairs
+    (`_eis_matrix`), else square rational matrices."""
+    gens = args.listing("generators")
+    if args.get("ring") != "E":
+        for i, m in enumerate(gens):
+            if not _square(m):
+                args.reject(f"generators[{i}]", "a square matrix", m)
+        return [_as_matrix(args, f"generators[{i}]", m) for i, m in enumerate(gens)]
+    for i, m in enumerate(gens):
+        if not _eis_matrix(m):
+            args.reject(f"generators[{i}]", "a square matrix of integers or [a, b] pairs", m)
+    return [[[eis(e) for e in row] for row in m] for m in gens]
+
+
 @op("close_group")
 def _op_close_group(ctx, args, step):
-    gens = args["generators"]
-    if args.get("ring") == "E":
-        gens = [[[tuple(e) for e in row] for row in m] for m in gens]
-    else:
-        gens = [_as_matrix(args, f"generators[{i}]", m) for i, m in enumerate(gens)]
-    return invariants.close_group(gens, args.integer("cap", invariants.DEFAULT_CAP),
-                                  cache_dir=ctx.cache_dir)
+    return invariants.close_group(group_generators(args),
+                                  args.integer("cap", invariants.DEFAULT_CAP))
 
 
 @op("group_order")
@@ -515,8 +526,7 @@ def _op_weyl_group(ctx, args, step):
     lat = args["lattice"]
     if isinstance(lat, str):
         lat = eisenstein.named_lattice(lat)
-    return eisenstein.weyl_group(lat, cap=args.integer("cap", invariants.DEFAULT_CAP),
-                                 cache_dir=ctx.cache_dir)
+    return eisenstein.weyl_group(lat)
 
 
 @op("abelian_quotient_betti")
@@ -533,13 +543,18 @@ def _op_wreath(ctx, args, step):
     return invariants.wreath_symmetrize(value, args.integer("n", minimum=1))
 
 
+def _square(value) -> bool:
+    """Whether ``value`` is a nonempty list of rows as long as the list."""
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(row, list) and len(row) == len(value) for row in value)
+
+
 def _eis_matrix(value) -> bool:
     """Whether ``value`` is a square matrix of integers or [a, b] integer pairs."""
-    return isinstance(value, list) and all(
-        isinstance(row, list) and len(row) == len(value)
-        and all(type(e) is int or (isinstance(e, list) and len(e) == 2
-                                   and all(type(x) is int for x in e)) for e in row)
-        for row in value
+    return _square(value) and all(
+        type(e) is int or (isinstance(e, list) and len(e) == 2
+                           and all(type(x) is int for x in e))
+        for row in value for e in row
     )
 
 
@@ -740,10 +755,10 @@ def _validate(doc):
         seen.add(step["id"])
 
 
-def run_scenario(source, cache_dir: str | None = None) -> ScenarioReport:
+def run_scenario(source) -> ScenarioReport:
     doc = load_scenario(source)
     _validate(doc)
-    ctx = Context(order=doc.get("order", 10), cache_dir=cache_dir)
+    ctx = Context(order=doc.get("order", 10))
     step_reports = []
     provenance = []
     for step in doc["steps"]:

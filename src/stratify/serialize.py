@@ -2,7 +2,7 @@
 
 Series serialize as ordered (degree, numerator, denominator) triples;
 Betti tables as (complex_dim, even list, odd list); strata as records with
-rational tuples; groups as generator lists; lattices as Gram entries.
+rational tuples; groups as ring, dimension and order; lattices as Gram entries.
 All emitted structures are deterministic (sorted, no environment data).
 """
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import lcm
 
 from . import _exact
-from ._backend import ResourceCapError, projection_candidates
+from ._pure import ResourceCapError, projection_candidates
 from .weights import Vector, WeightSystem, dot, norm2, vec
 
 DEFAULT_BUDGET = 10**7

@@ -247,7 +247,7 @@ def test_criterion_11_property_suites(cubic3fold_report, capsys):
         assert all(num <= 0 for _, num, _ in steps[sid]["value"]["triples"])
 
     # triflections have order 3 and preserve the form
-    from stratify._backend import eis_identity_flat, eis_mul_flat
+    from stratify._pure import eis_identity_flat, eis_mul_flat
     from stratify.eisenstein import eisenstein_roots, triflection
     from stratify.invariants import flatten_eis_matrix
     ident = eis_identity_flat(3)

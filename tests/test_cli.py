@@ -121,6 +121,13 @@ class TestLatticeCommand:
         code, out, _ = run_cli("--format", "csv", "lattice", "z-form", "E1")
         assert code == 0 and out.splitlines() == ["-2,1", "1,-2"]
 
+    def test_weyl_order_of_orthogonal_sums(self):
+        # each root of a sum of minimum-3 lattices lies in one summand, so
+        # the Weyl group is the product of the summands' groups
+        for name, order in (("3E3", 648**3), ("E1+2E4", 3 * 155520**2)):
+            code, out, _ = run_cli("lattice", "weyl-order", name)
+            assert code == 0 and out.strip() == str(order)
+
     def test_lattice_file(self, tmp_path):
         f = tmp_path / "lat.json"
         f.write_text(json.dumps({"gram": [[3]]}))
@@ -155,6 +162,16 @@ class TestOtherCommands:
             "--degree", "2", "--truncate", "8")
         assert code == 0 and "group order 6" in out
 
+    def test_molien_generator_input(self):
+        code, out, _ = run_cli("molien", "--gens", '{"ring":"E","generators":[[[1]]]}',
+                               "--truncate", "4")
+        assert code == 0 and "group order 1" in out
+        for gens in ('{"ring":"E","generators":[[[1,2,3]]]}', "[[]]"):
+            code, _, err = run_cli("molien", "--gens", gens)
+            assert code == 3
+            err = json.loads(err)
+            assert err["error"] == "parse" and "'generators[0]'" in err["message"]
+
     def test_blowup(self):
         code, out, _ = run_cli(
             "blowup", "--exceptional",
@@ -173,11 +190,9 @@ class TestOtherCommands:
         assert err["error"] == "parse"
         assert "spec.factors[0]" in err["message"] and "'lattice'" in err["message"]
 
-    def test_cache_dir(self, tmp_path):
-        code, out, _ = run_cli("--cache-dir", str(tmp_path),
-                               "lattice", "weyl-order", "E3")
-        assert code == 0 and out.strip() == "648"
-        assert list(tmp_path.iterdir())
-        code2, out2, _ = run_cli("--cache-dir", str(tmp_path),
-                                 "lattice", "weyl-order", "E3")
-        assert code2 == 0 and out2.strip() == "648"
+    def test_high_rank_boundary_hits_the_cap(self):
+        for lattice in ("3E3", "E1+2E4"):
+            t0 = time.perf_counter()
+            code, _, err = run_cli("boundary", f'{{"factors":[{{"lattice":"{lattice}"}}]}}')
+            assert time.perf_counter() - t0 < 1
+            assert code == 4 and json.loads(err)["error"] == "resource-cap"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratify._backend import eis_identity_flat, eis_mul_flat
+from stratify._pure import eis_identity_flat, eis_mul_flat
 from stratify.eisenstein import (
     E1,
     E2,
@@ -24,13 +24,20 @@ from stratify.eisenstein import (
     enumerate_vectors,
     find_norm_div_vector,
     glue_overlattice,
+    isometry_group_order,
     named_lattice,
     triflection,
     verify_unimodular_complement_vector,
     weyl_group,
     z_form,
 )
-from stratify.invariants import flatten_eis_matrix
+from stratify.invariants import (
+    FiniteMatrixGroup,
+    close_group,
+    flatten_eis_matrix,
+    molien,
+    unflatten_eis_matrix,
+)
 
 O3E1_GENS = {
     "generators": [
@@ -136,6 +143,38 @@ class TestWeylGroups:
         assert weyl_group(E1).order == 3
         assert weyl_group(E3).order == 648
         assert weyl_group(E4).order == 155520
+
+    def test_orders_come_without_closure(self, monkeypatch):
+        from stratify import _pure
+
+        def refuse(*args):
+            raise AssertionError("closure called")
+
+        monkeypatch.setattr(_pure, "close_eis", refuse)
+        assert weyl_group(E3).order == 648
+        w4 = weyl_group(E4)
+        assert w4.order == 155520 and w4.elements == () and len(w4.gens) == 40
+
+    def test_roots_short_of_spanning(self):
+        # the roots of diag(3, 6) span only the first line; a triflection
+        # fixes its orthogonal complement, so the action is still faithful
+        lat = eis_lattice([[3, 0], [0, 6]])
+        assert weyl_group(lat).order == 3
+        sign = flatten_eis_matrix([[1, 0], [0, -1]])  # fixes every root
+        with pytest.raises(AssertionError, match="not certified faithful"):
+            isometry_group_order(lat, [sign])
+
+    def test_generator_must_permute_the_roots(self):
+        with pytest.raises(AssertionError, match="permute the roots"):
+            isometry_group_order(E1, [flatten_eis_matrix([[2]])])
+
+    def test_molien_closes_a_weyl_group(self):
+        w2 = weyl_group(E2)
+        closed = close_group([unflatten_eis_matrix(t, 2) for t in w2.gens])
+        assert molien(w2, 2, 12) == molien(closed, 2, 12)
+        wrong = FiniteMatrixGroup("E", 2, (), w2.gens, w2.form, order=12)
+        with pytest.raises(AssertionError, match="order 24"):
+            molien(wrong, 2, 12)
 
     def test_order_divides_declared_supergroup(self):
         # the rank-3 triflection group sits inside the rank-6 real Weyl group

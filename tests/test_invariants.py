@@ -4,15 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratify._backend import ResourceCapError
+from stratify._pure import ResourceCapError
 from stratify._exact import EisInt, flatten_eis_matrix, unflatten_eis_matrix
-from stratify.eisenstein import E1, E2, E3, H, NAMED_LATTICES, UNITS, triflections, weyl_group
+from stratify.eisenstein import (
+    E1,
+    E2,
+    E3,
+    H,
+    NAMED_LATTICES,
+    UNITS,
+    isometry_group_order,
+    triflections,
+    weyl_group,
+)
 from stratify.invariants import (
     FiniteMatrixGroup,
     _elementary_symmetric,
     abelian_quotient_betti,
     close_group,
     molien,
+    permutation_group_order,
     wreath_symmetrize,
 )
 from stratify.series import BettiTable, TruncatedSeries, gf_expand
@@ -44,13 +55,6 @@ class TestCloseGroup:
         a = close_group(DIHEDRAL_GENS).elements
         b = close_group(list(reversed(DIHEDRAL_GENS))).elements
         assert a == b
-
-    def test_closure_cache_round_trip(self, tmp_path):
-        g1 = close_group([[[(0, 1)]]], cache_dir=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        g2 = close_group([[[(0, 1)]]], cache_dir=str(tmp_path))
-        assert g1.elements == g2.elements
 
 
 class TestMolien:
@@ -187,6 +191,43 @@ def test_fixed_spaces_match_element_average(case):
     expected = element_average_betti(group, k)
     assert list(abelian_quotient_betti(group, k, form=lat.flat_gram()).betti) == expected
     assert list(abelian_quotient_betti(gens, k, form=lat.flat_gram()).betti) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups)
+def test_schreier_sims_matches_closure(case):
+    lat, gens = case
+    closed = close_group([unflatten_eis_matrix(g, lat.rank) for g in gens], cap=1500)
+    assert isometry_group_order(lat, gens) == closed.order
+
+
+def permutation_closure_order(perms):
+    """Breadth-first closure of permutations, shared with nothing in the library."""
+    ident = tuple(range(len(perms[0])))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        frontier = [y for y in {tuple(g[i] for i in x) for x in frontier for g in perms}
+                    if y not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4)))
+def test_permutation_group_order_matches_closure(perms):
+    assert permutation_group_order(perms) == permutation_closure_order(perms)
+
+
+def test_permutation_group_order_of_known_groups():
+    cycle = tuple(range(1, 12)) + (0,)
+    swap = (1, 0) + tuple(range(2, 12))
+    assert permutation_group_order([cycle, swap]) == 479001600  # S_12
+    # Mathieu group M11 on 11 points
+    a = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0)
+    b = (0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7)
+    assert permutation_group_order([a, b]) == 7920
+    assert permutation_group_order([tuple(range(5))]) == 1
 
 
 class TestWreath:

@@ -85,6 +85,14 @@ def test_molien_over_eisenstein_ring():
     assert value_of(rep, "m")["triples"][1] == [6, 1, 1]
 
 
+def test_eisenstein_generators_accept_integer_entries():
+    # an integer entry is a + 0*omega, as in a boundary spec's generators
+    rep = run_steps([
+        {"id": "g", "op": "close_group", "args": {"ring": "E", "generators": [[[1]], [[-1]]]}},
+        {"id": "n", "op": "group_order", "args": {"group": "$g"}, "expect": 2}])
+    assert value_of(rep, "g")["ring"] == "E"
+
+
 def test_declare_kinds():
     rep = run_steps([
         {"id": "s", "op": "declare",
@@ -143,6 +151,10 @@ def test_declare_kinds():
      r"argument 'matrix' must be a matrix"),
     ({"op": "weyl_fiber_count", "args": {"strata": [], "beta": ["1/0"]}},
      r"argument 'beta' must be a rational"),
+    ({"op": "close_group", "args": {"ring": "E", "generators": [[[[1, 2, 3]]]]}},
+     r"argument 'generators\[0\]' must be a square matrix of integers or \[a, b\] pairs"),
+    ({"op": "close_group", "args": {"generators": [[[1, 2]]]}},
+     r"argument 'generators\[0\]' must be a square matrix, got \[\[1, 2\]\]"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:
@@ -178,3 +190,15 @@ def test_boundary_spec_fields_pass_through():
          "expect": {"kind": "betti_table", "complex_dim": 3,
                     "even": [1, 2, 2, 1], "odd": [0, 0, 0]}}])
     assert value_of(rep, "b")["complex_dim"] == 3
+
+
+@pytest.mark.parametrize("step, rank", [
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [{"lattice": "3E3"}]}}}, 9),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"lattice": "E1", "count": 2}, {"lattice": "E1+2E4"}]}}}, 9),
+    ({"op": "abelian_quotient_betti", "args": {"group": [], "rank": 6}}, 6),
+])
+def test_quotient_rank_cap(step, rank):
+    from stratify.strata import ResourceCapError
+    with pytest.raises(ResourceCapError, match=f"rank {rank} exceeds the cap 5"):
+        run_steps([{"id": "q", **step}])

@@ -50,7 +50,6 @@ from .series import (
 )
 from .strata import (
     BetaStratum,
-    closest_point,
     instability_index_set,
     maximal_support_report,
     normal_rep_strata,
@@ -80,7 +79,6 @@ __all__ = [
     "boundary_betti",
     "check_semiinvariant",
     "close_group",
-    "closest_point",
     "df_matrix",
     "discriminant_form",
     "divisibility",

@@ -10,8 +10,9 @@ or `Fraction` entries) or Q(omega) (`EisInt` entries).  Every division goes
 through `_div`, which returns an int when an integer quotient is exact and a
 `Fraction` otherwise; no result is ever a float.
 
-The kernels keep their own flat-int layout, and the closest-point oracle in
-`strata` keeps its own solver so that it stays independent of the kernel.
+The kernels keep their own flat-int layout, and the closest-point
+certificate in `strata` (`verify_strata_against_oracle`) keeps its own
+integer phase-I simplex so that it stays independent of the kernel.
 """
 
 from __future__ import annotations
@@ -179,21 +180,27 @@ def det(mat):
 
 
 def rank(rows) -> int:
-    """Rank of a list of rows by Gaussian elimination."""
+    """Rank of a list of rows by fraction-free (Bareiss) elimination.
+
+    As in `det`, every intermediate entry is a minor of the input, so integer
+    rows stay integer throughout.
+    """
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     rk = 0
+    prev = 1
     for col in range(ncols):
         piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
         head = rows[rk]
+        p = head[col]
         for r in rows[rk + 1:]:
-            if r[col]:
-                f = _div(r[col], head[col])
-                for j in range(col, ncols):
-                    r[j] = r[j] - f * head[j]
+            f = r[col]
+            for j in range(col + 1, ncols):
+                r[j] = _div(r[j] * p - f * head[j], prev)
+        prev = p
         rk += 1
     return rk
 

@@ -203,17 +203,22 @@ def _contributions(args, key, ctx) -> list:
 # ---------------------------------------------------------------------------
 
 OPS = {}
+# the step arguments each op reads; any other argument is a parse error
+OP_ARGS = {}
 
 
-def op(name):
+def op(name, *argnames):
+    """Register an op under ``name``, reading the step arguments ``argnames``."""
+
     def deco(fn):
         OPS[name] = fn
+        OP_ARGS[name] = frozenset(argnames)
         return fn
 
     return deco
 
 
-@op("declare")
+@op("declare", "kind", "value", "order")
 def _op_declare(ctx, args, step):
     if not any(f.get("cite") for f in step.get("facts", [])):
         raise ScenarioParseError(
@@ -232,19 +237,19 @@ def _op_declare(ctx, args, step):
     raise ScenarioParseError(f"unknown declare kind {kind!r}")
 
 
-@op("hypersurface_weights")
+@op("hypersurface_weights", "n", "d")
 def _op_hw(ctx, args, step):
     return weights.hypersurface_weights(args.integer("n"), args.integer("d"))
 
 
-@op("instability_index_set")
+@op("instability_index_set", "weights", "budget", "weyl")
 def _op_iis(ctx, args, step):
     ws = args["weights"]
     budget = args.integer("budget", strata.DEFAULT_BUDGET)
     return strata.instability_index_set(ws, args.get("weyl", "sym"), budget)
 
 
-@op("min_nonzero_codim")
+@op("min_nonzero_codim", "strata")
 def _op_min_codim(ctx, args, step):
     vals = [s.codim_expected for s in _strata_list(args["strata"]) if not s.is_zero()]
     if not vals:
@@ -252,7 +257,7 @@ def _op_min_codim(ctx, args, step):
     return min(vals)
 
 
-@op("codim_census")
+@op("codim_census", "strata", "up_to")
 def _op_codim_census(ctx, args, step):
     census: dict = {}
     bound = args.integer("up_to", None)
@@ -265,7 +270,7 @@ def _op_codim_census(ctx, args, step):
     return [[c, census[c]] for c in sorted(census)]
 
 
-@op("mark_nonempty")
+@op("mark_nonempty", "strata", "codims")
 def _op_mark_nonempty(ctx, args, step):
     """Fill the nonemptiness flag of selected strata from declared input."""
     if not any(f.get("cite") for f in step.get("facts", [])):
@@ -284,13 +289,13 @@ def _op_mark_nonempty(ctx, args, step):
     return out
 
 
-@op("maximal_support_report")
+@op("maximal_support_report", "weights", "strata")
 def _op_msr(ctx, args, step):
     report = strata.maximal_support_report(args["weights"], args["strata"])
     return [[r.r, r.codim_expected] for r in report]
 
 
-@op("verify_strata_oracle")
+@op("verify_strata_oracle", "weights", "strata", "max_support")
 def _op_vso(ctx, args, step):
     ws = args["weights"]
     if isinstance(ws, orbits.TangentNormalSplit):
@@ -302,32 +307,32 @@ def _op_vso(ctx, args, step):
     )
 
 
-@op("parse_poly")
+@op("parse_poly", "text", "nvars")
 def _op_parse_poly(ctx, args, step):
     return orbits.parse_poly(args["text"], args.integer("nvars"))
 
 
-@op("check_semiinvariant")
+@op("check_semiinvariant", "form", "matrix")
 def _op_check_semi(ctx, args, step):
     rep = orbits.check_semiinvariant(args["form"], _as_matrix(args, "matrix", args["matrix"]))
     return {"ok": rep.ok, "scalar": serialize.to_jsonable(rep.scalar) if rep.scalar is not None else None}
 
 
-@op("normal_rep_of")
+@op("normal_rep_of", "form", "cocharacters", "extra_tangents")
 def _op_normal_rep(ctx, args, step):
     return orbits.normal_rep_of(
         args["form"], args["cocharacters"], args.get("extra_tangents", ())
     )
 
 
-@op("split_summary")
+@op("split_summary", "split")
 def _op_split_summary(ctx, args, step):
     sp = args["split"]
     return {"span_dim": sp.span_dim, "relation_count": sp.relation_count,
             "normal_dim": sp.normal.dim}
 
 
-@op("normal_rep_strata")
+@op("normal_rep_strata", "rep", "group")
 def _op_nrs(ctx, args, step):
     rep = args["rep"]
     if isinstance(rep, orbits.TangentNormalSplit):
@@ -335,7 +340,7 @@ def _op_nrs(ctx, args, step):
     return strata.normal_rep_strata(rep, args["group"])
 
 
-@op("weyl_fiber_count")
+@op("weyl_fiber_count", "strata", "beta", "stabilizer_weyl")
 def _op_wfc(ctx, args, step):
     sl = _strata_list(args["strata"])
     index_set = [s.beta for s in sl]
@@ -346,7 +351,7 @@ def _op_wfc(ctx, args, step):
     return strata.weyl_fiber_count(beta, index_set, wr)
 
 
-@op("classifying_series")
+@op("classifying_series", "group", "n", "order")
 def _op_classifying(ctx, args, step):
     order = args.order(ctx.order)
     group = args["group"]
@@ -362,7 +367,7 @@ def _op_classifying(ctx, args, step):
     raise ScenarioParseError(f"unknown classifying space {group!r}")
 
 
-@op("gf_expand")
+@op("gf_expand", "factors", "order")
 def _op_gf(ctx, args, step):
     factors = args.listing("factors")
     for i, f in enumerate(factors):
@@ -371,17 +376,17 @@ def _op_gf(ctx, args, step):
     return gf_expand([tuple(f) for f in factors], args.order(ctx.order))
 
 
-@op("projective_series")
+@op("projective_series", "dim", "order")
 def _op_proj(ctx, args, step):
     return projective_space_series(args.integer("dim"), args.order(ctx.order))
 
 
-@op("projective_table")
+@op("projective_table", "dim")
 def _op_proj_table(ctx, args, step):
     return BettiTable.of_projective_space(args.integer("dim"))
 
 
-@op("series_product")
+@op("series_product", "factors", "order")
 def _op_series_product(ctx, args, step):
     order = args.order(ctx.order)
     total = TruncatedSeries.one(order)
@@ -390,7 +395,7 @@ def _op_series_product(ctx, args, step):
     return total
 
 
-@op("lincomb")
+@op("lincomb", "terms", "order")
 def _op_lincomb(ctx, args, step):
     order = args.order(ctx.order)
     terms = []
@@ -419,24 +424,24 @@ def group_generators(args: StepArgs) -> list:
     return [[[eis(e) for e in row] for row in m] for m in gens]
 
 
-@op("close_group")
+@op("close_group", "generators", "ring", "cap")
 def _op_close_group(ctx, args, step):
     return invariants.close_group(group_generators(args),
                                   args.integer("cap", invariants.DEFAULT_CAP))
 
 
-@op("group_order")
+@op("group_order", "group")
 def _op_group_order(ctx, args, step):
     return args["group"].order
 
 
-@op("molien")
+@op("molien", "group", "degree", "order")
 def _op_molien(ctx, args, step):
     return invariants.molien(args["group"], args.integer("degree"),
                              args.order(ctx.order))
 
 
-@op("semistable_series")
+@op("semistable_series", "ambient_dim", "bsl_exponents", "strata", "order")
 def _op_semistable(ctx, args, step):
     return assembly.semistable_series(
         args.integer("ambient_dim"),
@@ -446,7 +451,7 @@ def _op_semistable(ctx, args, step):
     )
 
 
-@op("main_term")
+@op("main_term", "center_series", "normal_rank", "order")
 def _op_main_term(ctx, args, step):
     rank = args["normal_rank"]
     if isinstance(rank, orbits.TangentNormalSplit):
@@ -462,26 +467,26 @@ def _op_main_term(ctx, args, step):
     )
 
 
-@op("extra_term")
+@op("extra_term", "items", "order")
 def _op_extra_term(ctx, args, step):
     return assembly.extra_term(
         _contributions(args, "items", ctx), args.order(ctx.order)
     )
 
 
-@op("b_shift")
+@op("b_shift", "table", "order")
 def _op_b_shift(ctx, args, step):
     return assembly.b_shift(args["table"], args.order(ctx.order))
 
 
-@op("blowup_correction")
+@op("blowup_correction", "exceptional", "dim", "order")
 def _op_blowup(ctx, args, step):
     return assembly.blowup_correction(
         args["exceptional"], args.integer("dim"), args.order(ctx.order)
     )
 
 
-@op("duality_complete")
+@op("duality_complete", "series", "dim", "order")
 def _op_duality_complete(ctx, args, step):
     return duality_complete(
         _as_series(args, "series", args["series"], args.order(ctx.order)),
@@ -489,12 +494,12 @@ def _op_duality_complete(ctx, args, step):
     )
 
 
-@op("duality_check")
+@op("duality_check", "table")
 def _op_duality_check(ctx, args, step):
     return duality_check(args["table"])
 
 
-@op("betti_product")
+@op("betti_product", "tables")
 def _op_betti_product(ctx, args, step):
     tables = args["tables"]
     total = tables[0]
@@ -503,17 +508,17 @@ def _op_betti_product(ctx, args, step):
     return total
 
 
-@op("named_lattice")
+@op("named_lattice", "name")
 def _op_named_lattice(ctx, args, step):
     return eisenstein.named_lattice(args["name"])
 
 
-@op("z_form")
+@op("z_form", "lattice")
 def _op_z_form(ctx, args, step):
     return eisenstein.z_form(args["lattice"])
 
 
-@op("root_count")
+@op("root_count", "lattice")
 def _op_root_count(ctx, args, step):
     lat = args["lattice"]
     if isinstance(lat, eisenstein.EisLattice):
@@ -521,7 +526,7 @@ def _op_root_count(ctx, args, step):
     return len(eisenstein.enumerate_roots(lat))
 
 
-@op("weyl_group")
+@op("weyl_group", "lattice")
 def _op_weyl_group(ctx, args, step):
     lat = args["lattice"]
     if isinstance(lat, str):
@@ -529,13 +534,13 @@ def _op_weyl_group(ctx, args, step):
     return eisenstein.weyl_group(lat)
 
 
-@op("abelian_quotient_betti")
+@op("abelian_quotient_betti", "group", "rank", "form")
 def _op_aqb(ctx, args, step):
     return invariants.abelian_quotient_betti(args["group"], args.integer("rank"),
                                              form=args.get("form"))
 
 
-@op("wreath_symmetrize")
+@op("wreath_symmetrize", "value", "n", "order")
 def _op_wreath(ctx, args, step):
     value = args["value"]
     if not isinstance(value, (BettiTable, TruncatedSeries)):
@@ -582,12 +587,12 @@ def boundary_spec(args: StepArgs) -> dict:
             "extra_projective_lines": spec.integer("extra_projective_lines", 0, minimum=0)}
 
 
-@op("boundary_betti")
+@op("boundary_betti", "spec")
 def _op_boundary(ctx, args, step):
     return eisenstein.boundary_betti(boundary_spec(args))
 
 
-@op("discriminant_form")
+@op("discriminant_form", "lattice")
 def _op_disc(ctx, args, step):
     lat = args["lattice"]
     if isinstance(lat, eisenstein.EisLattice):
@@ -595,7 +600,7 @@ def _op_disc(ctx, args, step):
     return eisenstein.discriminant_form(lat)
 
 
-@op("glue_overlattice")
+@op("glue_overlattice", "lattice", "glue")
 def _op_glue(ctx, args, step):
     base = args["lattice"]
     glue = _as_matrix(args, "glue", args["glue"])
@@ -604,7 +609,7 @@ def _op_glue(ctx, args, step):
             "invariant_factors": list(res.disc.invariant_factors)}
 
 
-@op("glue_diagonal_norm12")
+@op("glue_diagonal_norm12", "lattice", "copies")
 def _op_glue_diag(ctx, args, step):
     """Glue n copies of a lattice along 1/3 of the diagonal norm-(-12) div-3 class."""
     base = args["lattice"]
@@ -631,7 +636,7 @@ def _op_cusp_vector(ctx, args, step):
     return {"ok": rep.ok, "norm": rep.norm, "div_ideal_norm": rep.div_norm}
 
 
-@op("assert_nonpositive")
+@op("assert_nonpositive", "series", "order")
 def _op_assert_nonpos(ctx, args, step):
     s = _as_series(args, "series", args["series"], args.order(ctx.order))
     if any(c > 0 for c in s.coeffs):
@@ -639,7 +644,7 @@ def _op_assert_nonpos(ctx, args, step):
     return True
 
 
-@op("assert_true")
+@op("assert_true", "value")
 def _op_assert_true(ctx, args, step):
     val = args["value"]
     if isinstance(val, dict):
@@ -747,6 +752,11 @@ def _validate(doc):
             raise ScenarioParseError(f"unknown op {step['op']!r}")
         if not isinstance(step.get("args", {}), dict):
             raise ScenarioParseError(f"arguments of step {step['id']!r} must be an object")
+        unknown = sorted(set(step.get("args", {})) - OP_ARGS[step["op"]])
+        if unknown:
+            raise ScenarioParseError(
+                f"step {step['id']!r}: op {step['op']!r} has no argument {unknown[0]!r}"
+            )
         for fact in step.get("facts", []):
             if not fact.get("cite"):
                 raise ScenarioParseError(

@@ -8,8 +8,16 @@ membership.  The kernel (`_pure.projection_candidates`) finds them by a
 depth-first search that cuts every subtree below an affinely dependent
 prefix and, for the symmetric Weyl group, visits one subset per orbit of the
 coordinate permutations (orderly generation); the budget still bounds the
-flat subset count.  `closest_point` is an independent brute-force oracle
-kept deliberately separate from the candidate kernel.
+flat subset count.  The index set's own bookkeeping (rank, Weyl-invariance
+check, each candidate's support and below count, inversions) runs on the
+same scaled integer weights as the kernel; `Fraction`s appear only in the
+returned `BetaStratum` fields.
+
+`verify_strata_against_oracle` certifies each stratum without the kernel:
+beta is the closest point of conv(S) if and only if every s in S has
+<s, beta> = |beta|^2 and beta lies in conv(S).  It recomputes the support
+and n_beta from the weights and checks a nonnegative barycentric witness
+found by an exact phase-I simplex.
 """
 
 from __future__ import annotations
@@ -17,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from . import _exact
 from ._pure import ResourceCapError, projection_candidates
-from .weights import Vector, WeightSystem, dot, norm2, vec
+from .weights import Vector, WeightSystem, vec
 
 DEFAULT_BUDGET = 10**7
 
@@ -47,31 +54,51 @@ class BetaStratum:
         return all(c == 0 for c in self.beta)
 
 
-def _rational_lift(weights) -> tuple:
-    return tuple(vec(w) for w in weights)
+def _scaled_weights(weights) -> tuple:
+    """The weights as integer vectors over their common denominator.
+
+    Returns (scaled, denom): weight i is scaled[i] / denom.  The kernel and
+    the index set's bookkeeping both work on ``scaled``.
+    """
+    weights = [vec(w) for w in weights]
+    if not weights:
+        raise ValueError("empty weight list")
+    denom = reduce(lcm, (c.denominator for w in weights for c in w), 1)
+    return [tuple(c.numerator * (denom // c.denominator) for c in w) for w in weights], denom
 
 
-def _inversions(beta: Vector) -> int:
+def _scaled_beta(beta, denom) -> tuple:
+    """A rational beta as (nums, den) in the scaled coordinates: beta * denom
+    == nums / den."""
+    coords = [Fraction(c) * denom for c in beta]
+    den = reduce(lcm, (c.denominator for c in coords), 1)
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _face(scaled, nums, den) -> list:
+    """(<w, beta> - |beta|^2) * (den * denom)^2 for each weight w, where
+    beta = nums / (den * denom): zero on the support, negative below it."""
+    b2 = sum(c * c for c in nums)
+    return [den * sum(a * b for a, b in zip(w, nums)) - b2 for w in scaled]
+
+
+def _inversions(nums) -> int:
     return sum(
         1
-        for i in range(len(beta))
-        for j in range(i + 1, len(beta))
-        if beta[i] > beta[j]
+        for i in range(len(nums))
+        for j in range(i + 1, len(nums))
+        if nums[i] > nums[j]
     )
 
 
-def _stratum_from_beta(beta, weights, group: str) -> BetaStratum | None:
-    b2 = norm2(beta)
-    support = []
-    below = 0
-    for i, w in enumerate(weights):
-        p = dot(w, beta)
-        if p == b2:
-            support.append(i)
-        elif p < b2:
-            below += 1
+def _stratum_from_beta(nums, den, denom, scaled, group: str) -> BetaStratum | None:
+    """The stratum of the candidate beta = nums / (den * denom), or None when
+    its expected codimension is negative."""
+    side = _face(scaled, nums, den)
+    below = sum(1 for x in side if x < 0)
+    b2 = sum(c * c for c in nums)
     if group == "sym":
-        dim_gp = _inversions(beta)
+        dim_gp = _inversions(nums)
     elif group == "pgl2":
         dim_gp = 0 if b2 == 0 else 1
     elif group == "torus":
@@ -82,10 +109,11 @@ def _stratum_from_beta(beta, weights, group: str) -> BetaStratum | None:
         # expected dimension exceeds the ambient dimension, so the stratum
         # is empty; such index elements are dropped from the report
         return None
+    scale = den * denom
     return BetaStratum(
-        beta=beta,
-        norm2=b2,
-        support=tuple(support),
+        beta=tuple(Fraction(c, scale) for c in nums),
+        norm2=Fraction(b2, scale * scale),
+        support=tuple(i for i, x in enumerate(side) if x == 0),
         n_beta=below,
         dim_g_mod_p=dim_gp,
         codim_expected=below - dim_gp,
@@ -118,21 +146,16 @@ def _check_weyl_invariance(weights, group: str):
 
 
 def _index_set(weights, group: str, budget: int) -> list:
-    weights = _rational_lift(weights)
-    if not weights:
-        raise ValueError("empty weight list")
-    denom = reduce(lcm, (c.denominator for w in weights for c in w), 1)
-    scaled = [tuple(int(c * denom) for c in w) for w in weights]
-    rank = _exact.rank(weights)
+    scaled, denom = _scaled_weights(weights)
+    rank = _exact.rank(scaled)
     if group == "pgl2" and rank != 1:
         raise ValueError("pgl2 mode expects weights on a single line")
-    _check_weyl_invariance(weights, group)
+    _check_weyl_invariance(scaled, group)
     chamber_sort = group in ("sym", "pgl2")
     cands = projection_candidates(scaled, rank, budget, chamber_sort)
     out = []
     for nums, den in cands:
-        beta = tuple(Fraction(c, den * denom) for c in nums)
-        stratum = _stratum_from_beta(beta, weights, group)
+        stratum = _stratum_from_beta(nums, den, denom, scaled, group)
         if stratum is not None:
             out.append(stratum)
     out.sort(key=lambda s: (s.norm2, s.beta))
@@ -163,62 +186,6 @@ def normal_rep_strata(rep, group: str, budget: int = DEFAULT_BUDGET) -> list:
     if group not in ("torus", "pgl2"):
         raise ValueError("group must be 'torus' or 'pgl2'")
     return _index_set(rep.weights, group, budget)
-
-
-def closest_point(points) -> Vector:
-    """Exact closest point of the convex hull to the origin (oracle).
-
-    Exhaustive minimization over projections onto affine spans of all
-    affinely independent subsets of at most rank+1 points, filtered by hull
-    membership.  Independent of the candidate-generation kernel.
-    """
-    pts = _rational_lift(points)
-    if not pts:
-        raise ValueError("empty point list")
-    rank = _exact.rank(pts)
-    best = None
-    best_n2 = None
-    for k in range(1, min(rank + 1, len(pts)) + 1):
-        for sub in combinations(pts, k):
-            cand = _project_origin_fraction(sub)
-            if cand is None:
-                continue
-            n2 = norm2(cand)
-            if best is None or n2 < best_n2:
-                best, best_n2 = cand, n2
-    assert best is not None
-    return best
-
-
-def _project_origin_fraction(points) -> Vector | None:
-    """Projection of the origin onto the affine span, or None.
-
-    Returns the projection only when it has nonnegative barycentric
-    coordinates (hull membership); uses plain Fraction elimination.
-    """
-    k = len(points)
-    if k == 1:
-        return points[0]
-    a = [[dot(p, q) for q in points] + [Fraction(1), Fraction(0)] for p in points]
-    a.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
-    n = k + 1
-    for r in range(n):
-        piv = next((i for i in range(r, n) if a[i][r] != 0), None)
-        if piv is None:
-            return None
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(n):
-            if i != r and a[i][r] != 0:
-                f = a[i][r] / a[r][r]
-                for j in range(r, n + 1):
-                    a[i][j] -= f * a[r][j]
-    coeffs = [a[i][n] / a[i][i] for i in range(k)]
-    if any(c < 0 for c in coeffs):
-        return None
-    m = len(points[0])
-    return tuple(
-        sum((c * p[t] for c, p in zip(coeffs, points)), Fraction(0)) for t in range(m)
-    )
 
 
 def weyl_fiber_count(beta_prime, rep_index_set, wr_action=None) -> int:
@@ -263,15 +230,13 @@ def maximal_support_report(ws: WeightSystem, strata) -> list:
     is formed; strata whose closed side is maximal under inclusion are the
     maximal unstable families.  Records carry r = |closed side|.
     """
-    weights = _rational_lift(ws.weights)
+    scaled, denom = _scaled_weights(ws.weights)
     sides = []
     for s in strata:
         if s.is_zero():
             continue
-        closed = frozenset(
-            i for i, w in enumerate(weights) if dot(w, s.beta) >= s.norm2
-        )
-        sides.append((closed, s))
+        side = _face(scaled, *_scaled_beta(s.beta, denom))
+        sides.append((frozenset(i for i, x in enumerate(side) if x >= 0), s))
     records = []
     for closed, s in sides:
         if any(closed < other for other, _ in sides):
@@ -292,26 +257,112 @@ def maximal_support_report(ws: WeightSystem, strata) -> list:
 
 
 def verify_strata_against_oracle(weights, strata, max_support: int | None = None):
-    """Cross-check: each emitted beta is the closest point of its support hull.
+    """Certify that each beta is the closest point to the origin of the hull
+    of its support; a failed check raises AssertionError.
 
-    Skips strata whose support exceeds ``max_support`` (oracle cost grows
-    combinatorially); returns the number of strata checked.
+    beta is the closest point of conv(S) if and only if every s in S has
+    <s, beta> = |beta|^2 and beta lies in conv(S).  The support and n_beta
+    are recomputed from the weights in scaled integers and must equal the
+    stratum's record.  Membership needs a barycentric witness lambda >= 0
+    with sum(lambda) = 1 and sum(lambda_i * s_i) = beta: `_hull_witness`
+    searches for one, and it is checked exactly here.  Neither the candidate
+    kernel nor the index set's helpers are used.
+
+    Nonzero strata whose support has more than ``max_support`` points are
+    not certified.  A zero stratum is always certified, as 0 lying in the
+    hull of all the weights, but not counted: the return value is the number
+    of nonzero strata certified.
     """
-    weights = _rational_lift(weights)
+    pts = [vec(w) for w in weights]
+    denom = reduce(lcm, (c.denominator for p in pts for c in p), 1)
+    pts = [[c.numerator * (denom // c.denominator) for c in p] for p in pts]
     checked = 0
     for s in strata:
-        if s.is_zero():
-            continue
-        if max_support is not None and len(s.support) > max_support:
-            continue
-        pts = [weights[i] for i in s.support]
-        got = closest_point(pts)
-        if got != s.beta:
+        # beta * denom = nums / den, compared with the integer weights pts
+        coords = [Fraction(c) * denom for c in s.beta]
+        den = reduce(lcm, (c.denominator for c in coords), 1)
+        nums = [c.numerator * (den // c.denominator) for c in coords]
+        b2 = sum(c * c for c in nums)
+        dots = [den * sum(a * b for a, b in zip(p, nums)) for p in pts]
+        support = tuple(i for i, x in enumerate(dots) if x == b2)
+        n_beta = sum(1 for x in dots if x < b2)
+        if support != tuple(s.support) or n_beta != s.n_beta:
             raise AssertionError(
-                f"oracle mismatch at beta={s.beta}: closest point of support is {got}"
+                f"face mismatch at beta={s.beta}: support {support} and n_beta "
+                f"{n_beta} from the weights, {s.support} and {s.n_beta} recorded"
             )
-        checked += 1
+        nonzero = any(nums)
+        if nonzero and max_support is not None and len(support) > max_support:
+            continue
+        hull = [[den * c for c in pts[i]] for i in support]
+        lam, lam_den = _hull_witness(hull, nums)
+        if not (all(x >= 0 for x in lam) and sum(lam) == lam_den and all(
+            sum(x * p[t] for x, p in zip(lam, hull)) == lam_den * nums[t]
+            for t in range(len(nums))
+        )):
+            raise AssertionError(
+                f"oracle: beta={s.beta} does not lie in the hull of its support"
+            )
+        checked += nonzero
     return checked
+
+
+def _hull_witness(points, target) -> tuple:
+    """Barycentric coordinates of ``target`` on ``points`` (integer vectors)
+    from an exact phase-I simplex.
+
+    Searches lambda >= 0 with sum(lambda) = 1 and sum(lambda_i * points[i])
+    = target: one artificial variable per equation, minimizing their sum by
+    Bland's rule (smallest entering column, ties in the ratio test to the
+    smallest basic variable), which cannot cycle (Chvatal, *Linear
+    Programming*, ch. 3).  The tableau rows are integer, each reduced by its
+    gcd; an artificial that leaves the basis is dropped.  Returns (nums, den)
+    with lambda_i = nums[i] / den, read off the last basis whether or not it
+    is feasible: the caller checks the witness.
+    """
+    k = len(points)
+    rows = [[p[t] for p in points] + [b] for t, b in enumerate(target)]
+    rows.append([1] * (k + 1))
+    rows = [r if r[-1] >= 0 else [-x for x in r] for r in rows if any(r)]
+    # basic variable of each row: a column, or k + row for its artificial
+    basis = [k + r for r in range(len(rows))]
+    # phase-I objective as an equation w*s + sum(obj[j] x_j) = obj[k], s > 0
+    obj = [sum(col) for col in zip(*rows)]
+    while obj[k]:
+        c = next((j for j in range(k) if obj[j] > 0), None)
+        if c is None:
+            break  # optimal with a positive artificial: infeasible
+        best = None
+        for i, row in enumerate(rows):
+            if row[c] > 0 and (
+                best is None or _ratio_before(row, rows[best], c, basis[i], basis[best])
+            ):
+                best = i
+        piv = rows[best]
+        p = piv[c]
+        for i, row in enumerate(rows):
+            if i != best and row[c]:
+                rows[i] = _reduce([p * x - row[c] * y for x, y in zip(row, piv)])
+        obj = _reduce([p * x - obj[c] * y for x, y in zip(obj, piv)])
+        basis[best] = c
+    lam_den = reduce(lcm, (rows[i][j] for i, j in enumerate(basis) if j < k), 1)
+    lam = [0] * k
+    for row, j in zip(rows, basis):
+        if j < k:
+            lam[j] = row[k] * (lam_den // row[j])
+    return lam, lam_den
+
+
+def _ratio_before(row, other, c, var, other_var) -> bool:
+    """Whether ``row`` wins the ratio test in column c against ``other``:
+    a smaller rhs / entry, or an equal one with a smaller basic variable."""
+    lhs, rhs = row[-1] * other[c], other[-1] * row[c]
+    return lhs < rhs or (lhs == rhs and var < other_var)
+
+
+def _reduce(row) -> list:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 __all__ = [
@@ -321,7 +372,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "instability_index_set",
     "normal_rep_strata",
-    "closest_point",
     "weyl_fiber_count",
     "maximal_support_report",
     "verify_strata_against_oracle",

@@ -21,7 +21,8 @@ from stratify.eisenstein import (
     smith_normal_form,
     z_form,
 )
-from stratify.strata import closest_point, instability_index_set
+from hull_reference import closest_point
+from stratify.strata import instability_index_set
 from stratify.weights import WeightSystem, dot, norm2, vec
 
 

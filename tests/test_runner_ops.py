@@ -155,6 +155,10 @@ def test_declare_kinds():
      r"argument 'generators\[0\]' must be a square matrix of integers or \[a, b\] pairs"),
     ({"op": "close_group", "args": {"generators": [[[1, 2]]]}},
      r"argument 'generators\[0\]' must be a square matrix, got \[\[1, 2\]\]"),
+    ({"op": "weyl_group", "args": {"lattice": "E3", "cap": 10}},
+     r"op 'weyl_group' has no argument 'cap'"),
+    ({"op": "molien", "args": {"group": [], "degree": 2, "ordr": 2}},
+     r"op 'molien' has no argument 'ordr'"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:

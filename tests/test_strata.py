@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, gcd
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hull_reference import affine_projection, closest_point
 from stratify import _pure
 from stratify.orbits import normal_rep_of, parse_poly
 from stratify.strata import (
+    BetaStratum,
     ResourceCapError,
-    closest_point,
     instability_index_set,
     maximal_support_report,
     normal_rep_strata,
@@ -177,6 +179,106 @@ class TestClosestPoint:
             assert dot(x, vec(p)) >= norm2(x)
 
 
+def _record(pts, beta, support=None, n_beta=None):
+    """A stratum record for ``beta`` on ``pts``, its face recomputed unless given."""
+    b2 = norm2(beta)
+    if support is None:
+        support = tuple(i for i, p in enumerate(pts) if dot(p, beta) == b2)
+    if n_beta is None:
+        n_beta = sum(1 for p in pts if dot(p, beta) < b2)
+    return BetaStratum(beta=beta, norm2=b2, support=support, n_beta=n_beta,
+                       dim_g_mod_p=0, codim_expected=0)
+
+
+def _certified(pts, record) -> bool:
+    try:
+        verify_strata_against_oracle(pts, [record])
+    except AssertionError:
+        return False
+    return True
+
+
+def _is_closest_point(pts, record) -> bool:
+    """The reference verdict: beta is the closest point of its support's hull."""
+    return bool(record.support) and closest_point(
+        [pts[i] for i in record.support]) == record.beta
+
+
+small_point_sets = st.integers(2, 3).flatmap(lambda m: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * m), min_size=1, max_size=6)).map(
+        lambda pts: [vec(p) for p in pts])
+
+
+class TestHullCertificate:
+    """The closest-point certificate against the brute-force reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_point_sets)
+    def test_accepts_reference_closest_point(self, pts):
+        beta = closest_point(pts)
+        checked = verify_strata_against_oracle(pts, [_record(pts, beta)])
+        assert checked == (1 if any(beta) else 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_point_sets, st.data())
+    def test_agrees_with_reference_on_projections(self, pts, data):
+        # the origin's projection onto the affine span of a subset: the
+        # candidates the kernel solves for, inside the hull or off it
+        idx = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1,
+                                 max_size=len(pts[0]) + 1, unique=True))
+        found = affine_projection([pts[i] for i in idx])
+        if found is None:
+            return
+        record = _record(pts, found[1])
+        assert _certified(pts, record) == _is_closest_point(pts, record)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_point_sets, st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-1)]),
+           st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    def test_rejects_beta_moved_off_the_hull(self, pts, factor, shift):
+        beta = closest_point(pts)
+        for moved in (tuple(factor * c for c in beta),
+                      tuple(c + Fraction(d, 3) for c, d in zip(beta, shift))):
+            record = _record(pts, moved)
+            assert _certified(pts, record) == _is_closest_point(pts, record)
+            if not record.support:
+                assert not _certified(pts, record)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_point_sets, st.data())
+    def test_rejects_support_with_an_index_added_or_dropped(self, pts, data):
+        beta = closest_point(pts)
+        support = _record(pts, beta).support
+        others = [i for i in range(len(pts)) if i not in support]
+        edits = [tuple(sorted(support + (i,))) for i in others]
+        edits += [support[:j] + support[j + 1:] for j in range(len(support))]
+        bad = data.draw(st.sampled_from(edits)) if edits else None
+        if bad is not None:
+            assert not _certified(pts, _record(pts, beta, support=bad))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_point_sets, st.sampled_from([-1, 1]))
+    def test_rejects_a_wrong_n_beta(self, pts, delta):
+        beta = closest_point(pts)
+        right = _record(pts, beta)
+        assert not _certified(pts, _record(pts, beta, n_beta=right.n_beta + delta))
+
+    def test_zero_stratum_needs_the_origin_in_the_hull(self):
+        zero = (Fraction(0), Fraction(0))
+        around = [vec((1, 0)), vec((-1, 1)), vec((0, -1))]
+        assert verify_strata_against_oracle(around, [_record(around, zero)]) == 0
+        aside = [vec((1, 0)), vec((0, 1))]
+        with pytest.raises(AssertionError):
+            verify_strata_against_oracle(aside, [_record(aside, zero)])
+
+    def test_skips_only_nonzero_strata_above_max_support(self):
+        pts = [vec((1, 0)), vec((-1, 1)), vec((0, -1)), vec((1, 1))]
+        records = [_record(pts, (Fraction(0), Fraction(0))),
+                   _record(pts, closest_point([pts[0], pts[3]]))]
+        assert verify_strata_against_oracle(pts, records, max_support=1) == 0
+        assert verify_strata_against_oracle(pts, records, max_support=2) == 1
+
+
 class TestInstabilityIndexSet:
     def test_cubic_threefolds_minimum(self):
         ws = hypersurface_weights(4, 3)
@@ -217,7 +319,11 @@ class TestInstabilityIndexSet:
     def test_cubic_threefold_betas_verify_against_oracle(self):
         ws = hypersurface_weights(4, 3)
         bset = instability_index_set(ws)
-        assert verify_strata_against_oracle(ws.weights, bset, max_support=9) > 0
+        nonzero = sum(1 for s in bset if not s.is_zero())
+        assert verify_strata_against_oracle(ws.weights, bset, max_support=9) == 66
+        start = time.perf_counter()
+        assert verify_strata_against_oracle(ws.weights, bset) == nonzero == 71
+        assert time.perf_counter() - start < 1.0
 
     def test_codim_weyl_invariance(self):
         # permuting ambient coordinates leaves the (norm2, codim) multiset alone

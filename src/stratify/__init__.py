@@ -1,107 +1,55 @@
 """Exact-arithmetic workbench for instability stratifications, equivariant
 Poincare series, blowup corrections, and Eisenstein-lattice boundary
-cohomology."""
+cohomology.
 
-from ._pure import BACKEND
-from .assembly import (
-    StratumContribution,
-    b_shift,
-    blowup_correction,
-    extra_term,
-    main_term,
-    semistable_series,
-)
-from .eisenstein import (
-    EisInt,
-    EisLattice,
-    ZLattice,
-    boundary_betti,
-    discriminant_form,
-    divisibility,
-    enumerate_roots,
-    glue_overlattice,
-    named_lattice,
-    weyl_group,
-    z_form,
-)
-from .invariants import (
-    FiniteMatrixGroup,
-    abelian_quotient_betti,
-    close_group,
-    molien,
-    wreath_symmetrize,
-)
-from .orbits import (
-    MultiPoly,
-    NormalRep,
-    check_semiinvariant,
-    df_matrix,
-    normal_rep_of,
-    parse_poly,
-)
-from .runner import run_scenario
-from .series import (
-    BettiTable,
-    TruncatedSeries,
-    duality_check,
-    duality_complete,
-    gf_expand,
-    lincomb,
-)
-from .strata import (
-    BetaStratum,
-    instability_index_set,
-    maximal_support_report,
-    normal_rep_strata,
-    weyl_fiber_count,
-)
-from .weights import WeightSystem, hypersurface_weights
+The public names below are loaded on first use (PEP 562): importing the
+package compiles none of its layers, so a command-line call pays only for the
+modules it runs.  A submodule (``stratify.runner``) is likewise loaded when
+first looked up.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "__version__",
-    "BetaStratum",
-    "BettiTable",
-    "EisInt",
-    "EisLattice",
-    "FiniteMatrixGroup",
-    "MultiPoly",
-    "NormalRep",
-    "StratumContribution",
-    "TruncatedSeries",
-    "WeightSystem",
-    "ZLattice",
-    "abelian_quotient_betti",
-    "b_shift",
-    "blowup_correction",
-    "boundary_betti",
-    "check_semiinvariant",
-    "close_group",
-    "df_matrix",
-    "discriminant_form",
-    "divisibility",
-    "duality_check",
-    "duality_complete",
-    "enumerate_roots",
-    "extra_term",
-    "gf_expand",
-    "glue_overlattice",
-    "hypersurface_weights",
-    "instability_index_set",
-    "lincomb",
-    "main_term",
-    "maximal_support_report",
-    "molien",
-    "named_lattice",
-    "normal_rep_of",
-    "normal_rep_strata",
-    "parse_poly",
-    "run_scenario",
-    "semistable_series",
-    "weyl_fiber_count",
-    "weyl_group",
-    "wreath_symmetrize",
-    "z_form",
-]
+# submodule -> the public names it defines; the one source of `__all__`
+_EXPORTS = {
+    "_pure": ("BACKEND",),
+    "assembly": ("StratumContribution", "b_shift", "blowup_correction", "extra_term",
+                 "main_term", "semistable_series"),
+    "eisenstein": ("EisInt", "EisLattice", "ZLattice", "boundary_betti",
+                   "discriminant_form", "divisibility", "enumerate_roots",
+                   "glue_overlattice", "named_lattice", "weyl_group", "z_form"),
+    "invariants": ("FiniteMatrixGroup", "abelian_quotient_betti", "close_group", "molien",
+                   "wreath_symmetrize"),
+    "orbits": ("MultiPoly", "NormalRep", "check_semiinvariant", "df_matrix",
+               "normal_rep_of", "parse_poly"),
+    "runner": ("run_scenario",),
+    "series": ("BettiTable", "TruncatedSeries", "duality_check", "duality_complete",
+               "gf_expand", "lincomb"),
+    "strata": ("BetaStratum", "instability_index_set", "maximal_support_report",
+               "normal_rep_strata", "weyl_fiber_count"),
+    "weights": ("WeightSystem", "hypersurface_weights"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        globals()[name] = value
+        return value
+    if not name.startswith("__"):
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as e:
+            if e.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

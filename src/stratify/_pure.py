@@ -1,4 +1,10 @@
-"""The hot kernels, in pure Python (the one backend).
+"""The hot kernels, in pure Python (the one backend), and the input contract
+that every layer and the command line share.
+
+This module imports no other stratify module, so the command line can load
+it, and with it the error types, the truncation-order cap, the built-in
+scenario names and the input-file reader, before it knows which layers a
+call needs.
 
 `projection_candidates` is the closest-point candidate search behind every
 index set; `close_eis` lists the elements of a matrix group for
@@ -21,8 +27,48 @@ from math import comb, gcd
 BACKEND = "pure"
 
 
+# ---------------------------------------------------------------------------
+# input contract: error types (one per exit code), caps, input files
+# ---------------------------------------------------------------------------
+
+
 class ResourceCapError(RuntimeError):
-    """An enumeration or closure exceeded its configured cap."""
+    """An enumeration or closure exceeded its configured cap (exit code 4)."""
+
+
+class ScenarioParseError(ValueError):
+    """Malformed input: a scenario, a step argument or a command-line value
+    (exit code 3)."""
+
+
+class ScenarioCheckError(AssertionError):
+    """A pinned value or an invariant did not hold (exit code 2)."""
+
+
+# Truncation-order cap: series work grows with the square of the order, and
+# the built-in scenarios use at most 10.
+MAX_ORDER = 1000
+
+BUILTIN_SCENARIOS = ("cubic3fold", "cubicsurf", "cubiccurve", "binary12")
+
+
+def check_order(order: int) -> int:
+    """A truncation order (scenario, step or --truncate) within `MAX_ORDER`."""
+    if order > MAX_ORDER:
+        raise ResourceCapError(f"truncation order {order} exceeds the cap {MAX_ORDER}")
+    return order
+
+
+def read_input(path) -> str:
+    """The text of an input file.  A path that is a directory, cannot be read
+    or does not hold UTF-8 text is a parse error, not a traceback."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ScenarioParseError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioParseError(f"{path} is not UTF-8 text: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 Subcommands: `scenario run`, `strata`, `molien`, `lattice`, `boundary`,
 `blowup`.  Output formats: text, json, csv, latex.  Exit codes: 0 success,
 2 check failure, 3 parse error, 4 resource cap exceeded.
+
+Each subcommand imports only the layers it runs, after its input has
+parsed: a fresh interpreter per call pays to compile just those modules.
 """
 
 from __future__ import annotations
@@ -12,19 +15,16 @@ import json
 import os
 import sys
 
-from . import eisenstein, invariants, serialize, strata, weights
-from ._pure import BACKEND, ResourceCapError
-from .runner import (
+from . import serialize
+from ._pure import (
+    BACKEND,
     BUILTIN_SCENARIOS,
+    ResourceCapError,
     ScenarioCheckError,
     ScenarioParseError,
-    StepArgs,
-    boundary_spec,
     check_order,
-    group_generators,
-    run_scenario,
+    read_input,
 )
-from .series import BettiTable
 
 EXIT_OK = 0
 EXIT_CHECK = 2
@@ -48,8 +48,7 @@ def _emit(payload, fmt: str, text_fn=None, csv_fn=None, latex_fn=None):
 def _load_json_arg(value: str):
     """Parse an argument that is either inline JSON or a path to a JSON file."""
     if os.path.exists(value):
-        with open(value) as fh:
-            return json.load(fh)
+        return json.loads(read_input(value))
     try:
         return json.loads(value)
     except json.JSONDecodeError as e:
@@ -57,6 +56,8 @@ def _load_json_arg(value: str):
 
 
 def _cmd_scenario(args) -> int:
+    from .runner import run_scenario
+
     if args.action != "run":
         raise ScenarioParseError("only 'scenario run' is supported")
     report = run_scenario(args.source)
@@ -76,6 +77,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_strata(args) -> int:
+    from . import strata, weights
+
     ws = weights.hypersurface_weights(args.n, args.d)
     weyl = "sym" if args.group == "sl" else "trivial"
     result = strata.instability_index_set(ws, weyl=weyl)
@@ -109,9 +112,13 @@ def _cmd_strata(args) -> int:
 
 def _cmd_molien(args) -> int:
     spec = _load_json_arg(args.gens)
+    from . import invariants
+    from .runner import StepArgs, group_generators
+
     if not isinstance(spec, dict):
         spec = {"generators": spec}
-    group = invariants.close_group(group_generators(StepArgs("molien", spec)))
+    gens = group_generators(StepArgs("molien", spec).only(("generators", "ring")))
+    group = invariants.close_group(gens)
     series = invariants.molien(group, args.degree, args.truncate or 10)
 
     def text(s):
@@ -121,15 +128,17 @@ def _cmd_molien(args) -> int:
     return EXIT_OK
 
 
-def _resolve_lattice(name: str) -> eisenstein.EisLattice:
-    if name in eisenstein.NAMED_LATTICES:
-        return eisenstein.named_lattice(name)
-    doc = _load_json_arg(name)
-    return eisenstein.eis_lattice(doc["gram"])
-
-
 def _cmd_lattice(args) -> int:
-    lat = _resolve_lattice(args.lattice)
+    from . import eisenstein
+
+    if args.lattice in eisenstein.NAMED_LATTICES:
+        lat = eisenstein.named_lattice(args.lattice)
+    else:
+        doc = _load_json_arg(args.lattice)
+        from .runner import StepArgs, lattice_gram
+
+        gram = lattice_gram(StepArgs(f"lattice {args.action}", {"lattice": doc}))
+        lat = eisenstein.eis_lattice(gram)
     if args.action == "roots":
         roots = eisenstein.enumerate_roots(eisenstein.z_form(lat))
         _emit({"count": len(roots)}, args.format,
@@ -156,7 +165,11 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    spec = boundary_spec(StepArgs("boundary", {"spec": _load_json_arg(args.spec)}))
+    doc = _load_json_arg(args.spec)
+    from . import eisenstein
+    from .runner import StepArgs, boundary_spec
+
+    spec = boundary_spec(StepArgs("boundary", {"spec": doc}))
     table = eisenstein.boundary_betti(spec)
 
     def text(t):
@@ -168,9 +181,10 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_blowup(args) -> int:
     doc = _load_json_arg(args.exceptional)
-    table = serialize.table_from_jsonable(doc)
     from .assembly import blowup_correction
+    from .runner import StepArgs, betti_table
 
+    table = betti_table(StepArgs("blowup", {"exceptional": doc}), "exceptional")
     corr = blowup_correction(table, args.dim, order=args.truncate)
     _emit(corr, args.format, lambda s: f"{s}\n")
     return EXIT_OK

@@ -6,19 +6,30 @@ earlier steps ("$id").  Declared geometric facts must carry citations, and
 any step may pin an expected output; mismatches fail the run with a diff.
 The emitted report is deterministic, so identical invocations are
 byte-identical.
+
+Each op imports the layers it calls when it runs, so a scenario loads only
+the layers its steps use.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 
-from . import assembly, eisenstein, invariants, orbits, serialize, strata, weights
+from . import serialize
 from ._exact import eis
-from ._pure import BACKEND, ResourceCapError
+from ._pure import (
+    BACKEND,
+    BUILTIN_SCENARIOS,
+    ResourceCapError,
+    ScenarioCheckError,
+    ScenarioParseError,
+    check_order,
+    read_input,
+)
 from .series import (
     BettiTable,
     TruncatedSeries,
@@ -29,27 +40,7 @@ from .series import (
     projective_space_series,
 )
 
-
-class ScenarioParseError(ValueError):
-    pass
-
-
-class ScenarioCheckError(AssertionError):
-    pass
-
-
 _REQUIRED = object()
-
-# Truncation-order cap: series work grows with the square of the order, and
-# the built-in scenarios use at most 10.
-MAX_ORDER = 1000
-
-
-def check_order(order: int) -> int:
-    """A truncation order (scenario, step or --truncate) within `MAX_ORDER`."""
-    if order > MAX_ORDER:
-        raise ResourceCapError(f"truncation order {order} exceeds the cap {MAX_ORDER}")
-    return order
 
 
 class StepArgs(dict):
@@ -101,11 +92,20 @@ class StepArgs(dict):
             self.reject(key, "a list", value)
         return value
 
-    def nested(self, key, value) -> "StepArgs":
-        """The object ``value`` found under ``key``, with its own checks."""
+    def nested(self, key, value, names) -> "StepArgs":
+        """The object ``value`` found under ``key``, with its own checks; a
+        field outside ``names``, the fields its reader reads, is a parse error."""
         if not isinstance(value, dict):
             self.reject(key, "an object", value)
-        return StepArgs(self.where, value, f"{self.path}.{key}" if self.path else key)
+        nested = StepArgs(self.where, value, f"{self.path}.{key}" if self.path else key)
+        return nested.only(names)
+
+    def only(self, names) -> "StepArgs":
+        """These arguments; a field outside ``names`` is a parse error."""
+        unknown = sorted(set(self) - set(names))
+        if unknown:
+            raise ScenarioParseError(f"{self._label()} has no field {unknown[0]!r}")
+        return self
 
 
 @dataclass
@@ -158,6 +158,19 @@ def _as_series(args: StepArgs, key, value, order) -> TruncatedSeries:
                 "[degree >= 0, num] or [degree, num, den != 0] integer terms", value)
 
 
+def betti_table(args: StepArgs, key) -> BettiTable:
+    """Betti-table argument ``key``: {"complex_dim": n, "even": [...], "odd": [...]}
+    (a serialized table) with n >= 0 and at most n + 1 even and n odd integer
+    Betti numbers; missing ones are 0."""
+    table = args.nested(key, args[key], ("kind", "complex_dim", "even", "odd"))
+    n = table.integer("complex_dim", minimum=0)
+    for part, betti, most in (("even", table.listing("even"), n + 1),
+                              ("odd", table.listing("odd", []), n)):
+        if len(betti) > most or any(type(b) is not int for b in betti):
+            table.reject(part, f"a list of at most {most} integers", betti)
+    return serialize.table_from_jsonable(table)
+
+
 def _as_rational(args: StepArgs, key, value) -> Fraction:
     """Rational argument ``key``: an integer, a string such as "1/3", or [num, den]."""
     try:
@@ -176,6 +189,13 @@ def _as_matrix(args: StepArgs, key, rows):
     return [[_as_rational(args, key, x) for x in row] for row in rows]
 
 
+def _instance(value, layer, cls) -> bool:
+    """isinstance(value, stratify.<layer>.<cls>), without loading the layer:
+    no value of a class whose module was never imported can exist."""
+    module = sys.modules.get(f"{__package__}.{layer}")
+    return module is not None and isinstance(value, getattr(module, cls))
+
+
 def _strata_list(value):
     if isinstance(value, list):
         return value
@@ -183,12 +203,15 @@ def _strata_list(value):
 
 
 def _contributions(args, key, ctx) -> list:
+    from .assembly import StratumContribution
+
     out = []
     for i, spec in enumerate(args.listing(key, [])):
-        spec = args.nested(f"{key}[{i}]", spec)
+        spec = args.nested(f"{key}[{i}]", spec,
+                           ("codim", "series", "weyl_share", "provenance"))
         series = _as_series(spec, "series", spec.get("series", 1), ctx.order)
         out.append(
-            assembly.StratumContribution(
+            StratumContribution(
                 codim=spec.integer("codim"),
                 series=series,
                 weyl_share=spec.integer("weyl_share", 1),
@@ -229,7 +252,7 @@ def _op_declare(ctx, args, step):
     if kind == "series":
         return _as_series(args, "value", value, args.order(ctx.order))
     if kind == "betti_table":
-        return serialize.table_from_jsonable(value)
+        return betti_table(args, "value")
     if kind == "int":
         return int(value)
     if kind == "raw":
@@ -239,11 +262,15 @@ def _op_declare(ctx, args, step):
 
 @op("hypersurface_weights", "n", "d")
 def _op_hw(ctx, args, step):
+    from . import weights
+
     return weights.hypersurface_weights(args.integer("n"), args.integer("d"))
 
 
 @op("instability_index_set", "weights", "budget", "weyl")
 def _op_iis(ctx, args, step):
+    from . import strata
+
     ws = args["weights"]
     budget = args.integer("budget", strata.DEFAULT_BUDGET)
     return strata.instability_index_set(ws, args.get("weyl", "sym"), budget)
@@ -291,16 +318,20 @@ def _op_mark_nonempty(ctx, args, step):
 
 @op("maximal_support_report", "weights", "strata")
 def _op_msr(ctx, args, step):
+    from . import strata
+
     report = strata.maximal_support_report(args["weights"], args["strata"])
     return [[r.r, r.codim_expected] for r in report]
 
 
 @op("verify_strata_oracle", "weights", "strata", "max_support")
 def _op_vso(ctx, args, step):
+    from . import strata
+
     ws = args["weights"]
-    if isinstance(ws, orbits.TangentNormalSplit):
+    if _instance(ws, "orbits", "TangentNormalSplit"):
         ws = ws.normal
-    if isinstance(ws, (weights.WeightSystem, orbits.NormalRep)):
+    if _instance(ws, "weights", "WeightSystem") or _instance(ws, "orbits", "NormalRep"):
         ws = ws.weights
     return strata.verify_strata_against_oracle(
         ws, args["strata"], args.integer("max_support", None)
@@ -309,17 +340,23 @@ def _op_vso(ctx, args, step):
 
 @op("parse_poly", "text", "nvars")
 def _op_parse_poly(ctx, args, step):
+    from . import orbits
+
     return orbits.parse_poly(args["text"], args.integer("nvars"))
 
 
 @op("check_semiinvariant", "form", "matrix")
 def _op_check_semi(ctx, args, step):
+    from . import orbits
+
     rep = orbits.check_semiinvariant(args["form"], _as_matrix(args, "matrix", args["matrix"]))
     return {"ok": rep.ok, "scalar": serialize.to_jsonable(rep.scalar) if rep.scalar is not None else None}
 
 
 @op("normal_rep_of", "form", "cocharacters", "extra_tangents")
 def _op_normal_rep(ctx, args, step):
+    from . import orbits
+
     return orbits.normal_rep_of(
         args["form"], args["cocharacters"], args.get("extra_tangents", ())
     )
@@ -334,14 +371,18 @@ def _op_split_summary(ctx, args, step):
 
 @op("normal_rep_strata", "rep", "group")
 def _op_nrs(ctx, args, step):
+    from . import strata
+
     rep = args["rep"]
-    if isinstance(rep, orbits.TangentNormalSplit):
+    if _instance(rep, "orbits", "TangentNormalSplit"):
         rep = rep.normal
     return strata.normal_rep_strata(rep, args["group"])
 
 
 @op("weyl_fiber_count", "strata", "beta", "stabilizer_weyl")
 def _op_wfc(ctx, args, step):
+    from . import strata
+
     sl = _strata_list(args["strata"])
     index_set = [s.beta for s in sl]
     beta = tuple(_as_rational(args, "beta", c) for c in args.listing("beta"))
@@ -426,6 +467,8 @@ def group_generators(args: StepArgs) -> list:
 
 @op("close_group", "generators", "ring", "cap")
 def _op_close_group(ctx, args, step):
+    from . import invariants
+
     return invariants.close_group(group_generators(args),
                                   args.integer("cap", invariants.DEFAULT_CAP))
 
@@ -437,12 +480,16 @@ def _op_group_order(ctx, args, step):
 
 @op("molien", "group", "degree", "order")
 def _op_molien(ctx, args, step):
+    from . import invariants
+
     return invariants.molien(args["group"], args.integer("degree"),
                              args.order(ctx.order))
 
 
 @op("semistable_series", "ambient_dim", "bsl_exponents", "strata", "order")
 def _op_semistable(ctx, args, step):
+    from . import assembly
+
     return assembly.semistable_series(
         args.integer("ambient_dim"),
         args["bsl_exponents"],
@@ -453,10 +500,12 @@ def _op_semistable(ctx, args, step):
 
 @op("main_term", "center_series", "normal_rank", "order")
 def _op_main_term(ctx, args, step):
+    from . import assembly
+
     rank = args["normal_rank"]
-    if isinstance(rank, orbits.TangentNormalSplit):
+    if _instance(rank, "orbits", "TangentNormalSplit"):
         rank = rank.normal.dim
-    elif isinstance(rank, orbits.NormalRep):
+    elif _instance(rank, "orbits", "NormalRep"):
         rank = rank.dim
     else:
         rank = args.integer("normal_rank")
@@ -469,6 +518,8 @@ def _op_main_term(ctx, args, step):
 
 @op("extra_term", "items", "order")
 def _op_extra_term(ctx, args, step):
+    from . import assembly
+
     return assembly.extra_term(
         _contributions(args, "items", ctx), args.order(ctx.order)
     )
@@ -476,11 +527,15 @@ def _op_extra_term(ctx, args, step):
 
 @op("b_shift", "table", "order")
 def _op_b_shift(ctx, args, step):
+    from . import assembly
+
     return assembly.b_shift(args["table"], args.order(ctx.order))
 
 
 @op("blowup_correction", "exceptional", "dim", "order")
 def _op_blowup(ctx, args, step):
+    from . import assembly
+
     return assembly.blowup_correction(
         args["exceptional"], args.integer("dim"), args.order(ctx.order)
     )
@@ -510,16 +565,22 @@ def _op_betti_product(ctx, args, step):
 
 @op("named_lattice", "name")
 def _op_named_lattice(ctx, args, step):
+    from . import eisenstein
+
     return eisenstein.named_lattice(args["name"])
 
 
 @op("z_form", "lattice")
 def _op_z_form(ctx, args, step):
+    from . import eisenstein
+
     return eisenstein.z_form(args["lattice"])
 
 
 @op("root_count", "lattice")
 def _op_root_count(ctx, args, step):
+    from . import eisenstein
+
     lat = args["lattice"]
     if isinstance(lat, eisenstein.EisLattice):
         lat = eisenstein.z_form(lat)
@@ -528,6 +589,8 @@ def _op_root_count(ctx, args, step):
 
 @op("weyl_group", "lattice")
 def _op_weyl_group(ctx, args, step):
+    from . import eisenstein
+
     lat = args["lattice"]
     if isinstance(lat, str):
         lat = eisenstein.named_lattice(lat)
@@ -536,12 +599,16 @@ def _op_weyl_group(ctx, args, step):
 
 @op("abelian_quotient_betti", "group", "rank", "form")
 def _op_aqb(ctx, args, step):
+    from . import invariants
+
     return invariants.abelian_quotient_betti(args["group"], args.integer("rank"),
                                              form=args.get("form"))
 
 
 @op("wreath_symmetrize", "value", "n", "order")
 def _op_wreath(ctx, args, step):
+    from . import invariants
+
     value = args["value"]
     if not isinstance(value, (BettiTable, TruncatedSeries)):
         value = _as_series(args, "value", value, args.order(ctx.order))
@@ -565,16 +632,16 @@ def _eis_matrix(value) -> bool:
 
 def boundary_spec(args: StepArgs) -> dict:
     """The ``spec`` argument of `eisenstein.boundary_betti`, every field checked."""
-    spec = args.nested("spec", args["spec"])
+    spec = args.nested("spec", args["spec"], ("factors", "extra_projective_lines"))
     factors = []
     for i, factor in enumerate(spec.listing("factors")):
-        factor = spec.nested(f"factors[{i}]", factor)
+        factor = spec.nested(f"factors[{i}]", factor, ("lattice", "group", "count"))
         lattice = factor["lattice"]
-        if not isinstance(lattice, (str, eisenstein.EisLattice)):
+        if not (isinstance(lattice, str) or _instance(lattice, "eisenstein", "EisLattice")):
             factor.reject("lattice", "a lattice or a lattice name", lattice)
         group = factor.get("group", "weyl")
         if group != "weyl":
-            group = factor.nested("group", group)
+            group = factor.nested("group", group, ("generators",))
             gens = group.listing("generators")
             for j, mat in enumerate(gens):
                 if not _eis_matrix(mat):
@@ -587,13 +654,27 @@ def boundary_spec(args: StepArgs) -> dict:
             "extra_projective_lines": spec.integer("extra_projective_lines", 0, minimum=0)}
 
 
+def lattice_gram(args: StepArgs) -> list:
+    """The Gram matrix of a ``lattice`` document {"gram": [[entry, ...], ...]}
+    (`eisenstein.eis_lattice`): square, each entry an integer or an [a, b] pair."""
+    doc = args.nested("lattice", args["lattice"], ("gram",))
+    gram = doc["gram"]
+    if not _eis_matrix(gram):
+        doc.reject("gram", "a square matrix of integers or [a, b] pairs", gram)
+    return gram
+
+
 @op("boundary_betti", "spec")
 def _op_boundary(ctx, args, step):
+    from . import eisenstein
+
     return eisenstein.boundary_betti(boundary_spec(args))
 
 
 @op("discriminant_form", "lattice")
 def _op_disc(ctx, args, step):
+    from . import eisenstein
+
     lat = args["lattice"]
     if isinstance(lat, eisenstein.EisLattice):
         lat = eisenstein.z_form(lat)
@@ -602,6 +683,8 @@ def _op_disc(ctx, args, step):
 
 @op("glue_overlattice", "lattice", "glue")
 def _op_glue(ctx, args, step):
+    from . import eisenstein
+
     base = args["lattice"]
     glue = _as_matrix(args, "glue", args["glue"])
     res = eisenstein.glue_overlattice(base, glue)
@@ -612,6 +695,8 @@ def _op_glue(ctx, args, step):
 @op("glue_diagonal_norm12", "lattice", "copies")
 def _op_glue_diag(ctx, args, step):
     """Glue n copies of a lattice along 1/3 of the diagonal norm-(-12) div-3 class."""
+    from . import eisenstein
+
     base = args["lattice"]
     copies = args.integer("copies", 3)
     n = base.rank
@@ -632,6 +717,8 @@ def _op_glue_diag(ctx, args, step):
 
 @op("verify_cusp_vector")
 def _op_cusp_vector(ctx, args, step):
+    from . import eisenstein
+
     rep = eisenstein.verify_unimodular_complement_vector()
     return {"ok": rep.ok, "norm": rep.norm, "div_ideal_norm": rep.div_norm}
 
@@ -709,11 +796,9 @@ class ScenarioReport:
 
 
 def builtin_scenario_path(name: str):
-    pkg = resources.files("stratify") / "scenarios" / f"{name}.json"
-    return pkg
+    from importlib import resources
 
-
-BUILTIN_SCENARIOS = ("cubic3fold", "cubicsurf", "cubiccurve", "binary12")
+    return resources.files("stratify") / "scenarios" / f"{name}.json"
 
 
 def load_scenario(source) -> dict:
@@ -723,8 +808,7 @@ def load_scenario(source) -> dict:
     if name in BUILTIN_SCENARIOS:
         text = builtin_scenario_path(name).read_text()
     elif os.path.exists(name):
-        with open(name) as fh:
-            text = fh.read()
+        text = read_input(name)
     else:
         raise ScenarioParseError(
             f"no such scenario {name!r}; built-ins: {', '.join(BUILTIN_SCENARIOS)}"
@@ -737,8 +821,12 @@ def load_scenario(source) -> dict:
 
 
 def _validate(doc):
-    if "name" not in doc or "steps" not in doc:
+    if not isinstance(doc, dict) or "name" not in doc or "steps" not in doc:
         raise ScenarioParseError("scenario needs 'name' and 'steps'")
+    if not (isinstance(doc["steps"], list) and all(isinstance(s, dict) for s in doc["steps"])):
+        raise ScenarioParseError("scenario 'steps' must be a list of objects")
+    if not isinstance(doc.get("outputs", {}), dict):
+        raise ScenarioParseError("scenario 'outputs' must be an object")
     if type(doc.get("order", 10)) is not int:
         raise ScenarioParseError("scenario 'order' must be an integer")
     check_order(doc.get("order", 10))

@@ -4,19 +4,15 @@ Series serialize as ordered (degree, numerator, denominator) triples;
 Betti tables as (complex_dim, even list, odd list); strata as records with
 rational tuples; groups as ring, dimension and order; lattices as Gram entries.
 All emitted structures are deterministic (sorted, no environment data).
+
+This module imports no layer at load: `to_jsonable` finds a class's encoder
+by the class's module and name, and the readers import the series layer when
+first called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from ._exact import EisInt
-from .eisenstein import DiscriminantGroup, EisLattice, ZLattice
-from .invariants import FiniteMatrixGroup
-from .orbits import MultiPoly, NormalRep, TangentNormalSplit
-from .series import BettiTable, DualityReport, TruncatedSeries
-from .strata import BetaStratum, SupportRecord
-from .weights import WeightSystem
 
 
 def frac_pair(x: Fraction) -> list:
@@ -33,6 +29,8 @@ def series_to_jsonable(s: TruncatedSeries) -> dict:
 
 
 def series_from_jsonable(obj) -> TruncatedSeries:
+    from .series import TruncatedSeries
+
     coeffs = [Fraction(0)] * (obj["order"] + 1)
     for d, num, den in obj["triples"]:
         coeffs[d] = Fraction(num, den)
@@ -49,6 +47,8 @@ def table_to_jsonable(t: BettiTable) -> dict:
 
 
 def table_from_jsonable(obj) -> BettiTable:
+    from .series import BettiTable
+
     n = obj["complex_dim"]
     betti = [0] * (2 * n + 1)
     for j, b in enumerate(obj["even"]):
@@ -71,52 +71,114 @@ def stratum_to_jsonable(s: BetaStratum) -> dict:
     }
 
 
+def _support_record(value) -> dict:
+    return {"kind": "support_record", "r": value.r,
+            "codim_expected": value.codim_expected,
+            "beta": [frac_pair(c) for c in value.beta]}
+
+
+def _weight_system(value) -> dict:
+    return {"kind": "weight_system", "n": value.n, "d": value.d,
+            "monomials": [list(m) for m in value.monomials]}
+
+
+def _normal_rep(value) -> dict:
+    return {"kind": "normal_rep", "dim": value.dim,
+            "pairings": [[frac_pair(c) for c in p] for p in value.pairings]}
+
+
+def _tangent_normal_split(value) -> dict:
+    return {"kind": "tangent_normal_split", "span_dim": value.span_dim,
+            "relation_count": value.relation_count,
+            "normal": to_jsonable(value.normal)}
+
+
+def _matrix_group(value) -> dict:
+    return {"kind": "matrix_group", "ring": value.ring, "dim": value.dim,
+            "order": value.order}
+
+
+def _eis_lattice(value) -> dict:
+    return {"kind": "eis_lattice", "rank": value.rank,
+            "gram": [[[e.a, e.b] for e in row] for row in value.gram]}
+
+
+def _z_lattice(value) -> dict:
+    return {"kind": "z_lattice", "rank": value.rank,
+            "gram": [list(r) for r in value.gram]}
+
+
+def _discriminant(value) -> dict:
+    return {"kind": "discriminant", "invariant_factors": list(value.invariant_factors),
+            "q_mod_2": [frac_pair(q) for q in value.q_values]}
+
+
+def _duality(value) -> dict:
+    return {"kind": "duality", "ok": value.ok,
+            "first_offense": list(value.first_offense) if value.first_offense else None}
+
+
+def _poly(value) -> dict:
+    return {"kind": "poly", "nvars": value.nvars, "text": repr(value)}
+
+
+def _eis_int(value) -> list:
+    return [value.a, value.b]
+
+
+def _sequence(value) -> list:
+    return [to_jsonable(v) for v in value]
+
+
+def _mapping(value) -> dict:
+    return {k: to_jsonable(v) for k, v in sorted(value.items())}
+
+
+def _itself(value):
+    return value
+
+
+# Encoders by the defining module and name of a class, so that this module
+# imports no layer: a value of a class whose module was never imported cannot
+# exist.  A class uses the encoder of the first class in its MRO found here,
+# which is what a chain of isinstance tests in this order would pick.
+_ENCODERS = {
+    "stratify.series.TruncatedSeries": series_to_jsonable,
+    "stratify.series.BettiTable": table_to_jsonable,
+    "stratify.strata.BetaStratum": stratum_to_jsonable,
+    "stratify.strata.SupportRecord": _support_record,
+    "stratify.weights.WeightSystem": _weight_system,
+    "stratify.orbits.NormalRep": _normal_rep,
+    "stratify.orbits.TangentNormalSplit": _tangent_normal_split,
+    "stratify.invariants.FiniteMatrixGroup": _matrix_group,
+    "stratify.eisenstein.EisLattice": _eis_lattice,
+    "stratify.eisenstein.ZLattice": _z_lattice,
+    "stratify.eisenstein.DiscriminantGroup": _discriminant,
+    "stratify.series.DualityReport": _duality,
+    "stratify.orbits.MultiPoly": _poly,
+    "stratify._exact.EisInt": _eis_int,
+    "fractions.Fraction": frac_pair,
+    "builtins.list": _sequence,
+    "builtins.tuple": _sequence,
+    "builtins.dict": _mapping,
+    "builtins.int": _itself,
+    "builtins.str": _itself,
+    "builtins.NoneType": _itself,
+}
+# the encoder of each class met so far
+_BY_CLASS = {}
+
+
+def _encoder(cls):
+    for base in cls.__mro__:
+        encode = _ENCODERS.get(f"{base.__module__}.{base.__qualname__}")
+        if encode is not None:
+            _BY_CLASS[cls] = encode
+            return encode
+    raise TypeError(f"cannot serialize {cls.__name__}")
+
+
 def to_jsonable(value):
-    if isinstance(value, TruncatedSeries):
-        return series_to_jsonable(value)
-    if isinstance(value, BettiTable):
-        return table_to_jsonable(value)
-    if isinstance(value, BetaStratum):
-        return stratum_to_jsonable(value)
-    if isinstance(value, SupportRecord):
-        return {"kind": "support_record", "r": value.r,
-                "codim_expected": value.codim_expected,
-                "beta": [frac_pair(c) for c in value.beta]}
-    if isinstance(value, WeightSystem):
-        return {"kind": "weight_system", "n": value.n, "d": value.d,
-                "monomials": [list(m) for m in value.monomials]}
-    if isinstance(value, NormalRep):
-        return {"kind": "normal_rep", "dim": value.dim,
-                "pairings": [[frac_pair(c) for c in p] for p in value.pairings]}
-    if isinstance(value, TangentNormalSplit):
-        return {"kind": "tangent_normal_split", "span_dim": value.span_dim,
-                "relation_count": value.relation_count,
-                "normal": to_jsonable(value.normal)}
-    if isinstance(value, FiniteMatrixGroup):
-        return {"kind": "matrix_group", "ring": value.ring, "dim": value.dim,
-                "order": value.order}
-    if isinstance(value, EisLattice):
-        return {"kind": "eis_lattice", "rank": value.rank,
-                "gram": [[[e.a, e.b] for e in row] for row in value.gram]}
-    if isinstance(value, ZLattice):
-        return {"kind": "z_lattice", "rank": value.rank,
-                "gram": [list(r) for r in value.gram]}
-    if isinstance(value, DiscriminantGroup):
-        return {"kind": "discriminant", "invariant_factors": list(value.invariant_factors),
-                "q_mod_2": [frac_pair(q) for q in value.q_values]}
-    if isinstance(value, DualityReport):
-        return {"kind": "duality", "ok": value.ok,
-                "first_offense": list(value.first_offense) if value.first_offense else None}
-    if isinstance(value, MultiPoly):
-        return {"kind": "poly", "nvars": value.nvars, "text": repr(value)}
-    if isinstance(value, EisInt):
-        return [value.a, value.b]
-    if isinstance(value, Fraction):
-        return frac_pair(value)
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: to_jsonable(v) for k, v in sorted(value.items())}
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    cls = type(value)
+    encode = _BY_CLASS.get(cls) or _encoder(cls)
+    return encode(value)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -190,9 +192,53 @@ class TestOtherCommands:
         assert err["error"] == "parse"
         assert "spec.factors[0]" in err["message"] and "'lattice'" in err["message"]
 
+    @pytest.mark.parametrize("argv, field", [
+        (("boundary", '{"factors":[{"lattice":"E1","cuont":2}]}'),
+         "spec.factors[0] has no field 'cuont'"),
+        (("molien", "--gens", '{"generators": [[[0,1],[1,0]]], "rng": "E"}'),
+         "has no field 'rng'"),
+    ])
+    def test_unknown_nested_field_is_parse_error(self, argv, field):
+        code, _, err = run_cli(*argv)
+        assert code == 3
+        err = json.loads(err)
+        assert err["error"] == "parse" and field in err["message"]
+
     def test_high_rank_boundary_hits_the_cap(self):
         for lattice in ("3E3", "E1+2E4"):
             t0 = time.perf_counter()
             code, _, err = run_cli("boundary", f'{{"factors":[{{"lattice":"{lattice}"}}]}}')
             assert time.perf_counter() - t0 < 1
             assert code == 4 and json.loads(err)["error"] == "resource-cap"
+
+
+class TestBadInput:
+    """Malformed input exits 3 naming the problem, never with a traceback.
+    ``@dir`` stands for a directory, ``@latin1`` for a file that is not UTF-8
+    and ``@number`` for a JSON document that is not an object."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("boundary", "@dir"), "Is a directory"),
+        (("scenario", "run", "@dir"), "Is a directory"),
+        (("boundary", "@latin1"), "is not UTF-8 text"),
+        (("scenario", "run", "@latin1"), "is not UTF-8 text"),
+        (("scenario", "run", "@number"), "scenario needs 'name' and 'steps'"),
+        (("lattice", "roots", '{"gram": 5}'), "argument 'gram' must be a square matrix"),
+        (("lattice", "roots", "[1]"), "argument 'lattice' must be an object"),
+        (("blowup", "--exceptional", "[1,2]", "--dim", "4"),
+         "argument 'exceptional' must be an object"),
+        (("blowup", "--exceptional", '{"complex_dim": "3", "even": [1]}', "--dim", "4"),
+         "argument 'complex_dim' must be an integer >= 0"),
+        (("blowup", "--exceptional", '{"complex_dim": 1, "even": [1, 1], "odd": [0, 0]}',
+          "--dim", "3"), "argument 'odd' must be a list of at most 1 integers"),
+    ])
+    def test_bad_input_is_parse_error(self, tmp_path, argv, message):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        number = tmp_path / "number.json"
+        number.write_text("5")
+        paths = {"@dir": tmp_path, "@latin1": latin1, "@number": number}
+        code, _, err = run_cli(*(str(paths.get(a, a)) for a in argv))
+        assert code == 3
+        err = json.loads(err)
+        assert err["error"] == "parse" and message in err["message"]

@@ -1,0 +1,82 @@
+"""The package loads its layers on first use.
+
+Every CLI call is a fresh interpreter, so the modules a call compiles are
+most of its cost.  These tests count modules, not time: each runs a call in a
+fresh interpreter and reads `sys.modules` after it.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import stratify
+
+MATH_LAYERS = {"assembly", "eisenstein", "invariants", "orbits", "series", "strata",
+               "weights"}
+
+PROBE = """
+import contextlib, io, json, sys
+{load}
+print(json.dumps(sorted(m.rpartition(".")[2] for m in sys.modules
+                        if m.startswith("stratify."))))
+"""
+CLI_CALL = """
+import stratify.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = stratify.cli.main(sys.argv[1:])
+print(code)
+"""
+
+
+def loaded(load, *argv):
+    """The stratify submodules a fresh interpreter holds after ``load``,
+    and the lines ``load`` printed."""
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(load=load), *argv],
+                          capture_output=True, text=True, check=True)
+    *printed, modules = proc.stdout.splitlines()
+    return set(json.loads(modules)), printed
+
+
+def test_import_loads_no_submodule():
+    assert loaded("import stratify")[0] == set()
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (("strata", "--n", "3", "--d", "3"), "0", {"eisenstein", "invariants", "orbits", "runner"}),
+    (("lattice", "roots", "E3"), "0", {"strata", "orbits", "runner"}),
+    (("boundary", "{not json"), "3", MATH_LAYERS | {"runner"}),
+    (("scenario", "run", "cubiccurve"), "0", {"eisenstein", "invariants", "orbits"}),
+])
+def test_a_call_loads_only_its_layers(argv, code, absent):
+    modules, printed = loaded(CLI_CALL, *argv)
+    assert printed == [code]
+    assert not modules & absent, sorted(modules & absent)
+
+
+def test_runner_reachable_after_importing_the_cli():
+    # the benchmark's set-up probe and tracer look it up this way
+    modules, printed = loaded("import stratify.cli\n"
+                              "print(stratify.runner.load_scenario('cubicsurf')['name'])\n"
+                              "from stratify import _backend, runner")
+    assert printed == ["cubicsurf"] and {"runner", "_backend"} <= modules
+
+
+def test_public_names_resolve():
+    for name in stratify.__all__:
+        assert getattr(stratify, name) is not None, name
+    assert set(stratify.__all__) <= set(dir(stratify))
+
+
+def test_star_import():
+    namespace = {}
+    exec("from stratify import *", namespace)
+    assert set(stratify.__all__) <= set(namespace)
+    assert namespace["run_scenario"] is stratify.runner.run_scenario
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        stratify.no_such_name
+    assert not hasattr(stratify, "__no_such_dunder__")

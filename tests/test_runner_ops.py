@@ -159,6 +159,25 @@ def test_declare_kinds():
      r"op 'weyl_group' has no argument 'cap'"),
     ({"op": "molien", "args": {"group": [], "degree": 2, "ordr": 2}},
      r"op 'molien' has no argument 'ordr'"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [{"lattice": "E1", "cuont": 2}]}}},
+     r"spec.factors\[0\] has no field 'cuont'"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [], "extra_lines": 1}}},
+     r"spec has no field 'extra_lines'"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"lattice": "E1", "group": {"generators": [], "ring": "E"}}]}}},
+     r"spec.factors\[0\].group has no field 'ring'"),
+    ({"op": "extra_term", "args": {"items": [{"codim": 2, "weyl_shar": 3}]}},
+     r"items\[0\] has no field 'weyl_shar'"),
+    ({"op": "semistable_series", "args": {"ambient_dim": 2, "bsl_exponents": [],
+                                          "strata": [{"codim": 1, "seres": 1}]}},
+     r"strata\[0\] has no field 'seres'"),
+    ({"op": "declare", "args": {"kind": "betti_table", "value": {"complex_dim": "1"}},
+      "facts": [{"cite": "unit test"}]},
+     r"value: argument 'complex_dim' must be an integer >= 0"),
+    ({"op": "declare", "args": {"kind": "betti_table",
+                                "value": {"complex_dim": 1, "even": [1, 1, 1]}},
+      "facts": [{"cite": "unit test"}]},
+     r"value: argument 'even' must be a list of at most 2 integers"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:

@@ -132,6 +132,23 @@ def _coordinate_symmetric(pts):
     )
 
 
+def _equation(dots, idx, i):
+    """The row and right-hand side that add point i to the system of the
+    points idx, given the matrix ``dots`` of their inner products.
+
+    The affine span of pts[idx] is that of p0 + span(pts[j] - p0), so the
+    projection of the origin solves D c = b with D the Gram matrix of the
+    differences and b_s = -<p0, pts[j_s] - p0>.
+    """
+    i0 = idx[0]
+    d0 = dots[i0]
+    di = dots[i]
+    c0 = d0[i0] - di[i0]
+    row = [di[j] - d0[j] + c0 for j in idx[1:]]
+    row.append(di[i] - 2 * di[i0] + d0[i0])
+    return row, d0[i0] - d0[i]
+
+
 def projection_candidates(weights, rank, budget, chamber_sort):
     """Closest-point candidates for hulls of subsets of integer weight vectors.
 
@@ -157,7 +174,15 @@ def projection_candidates(weights, rank, budget, chamber_sort):
       coordinates do not increase within each class, i.e. it is the first
       index of its orbit under that subgroup (orderly generation, McKay,
       "Isomorph-free exhaustive generation", 1998).  The lex-least subset of
-      every orbit passes the test at each level, so no candidate is lost.
+      every orbit passes the test at each level, so no candidate is lost;
+    * the search stops at the affine dimension a of the weights.  Every
+      affinely independent subset of a+1 weights spans their whole affine
+      hull, so the origin projects to one point, the apex, and that level
+      adds at most the apex.  The search runs to depth a; only when the apex
+      is not yet a candidate does it search depth a+1, and it stops when the
+      apex is recorded there.  If it never is, the apex lies outside the
+      hull and the level has been searched in full.  Larger subsets are
+      all dependent.  When rank+1 <= a the cut does not apply.
 
     The budget bounds the flat count, sum of C(n, k) over k <= rank+1, before
     any work is done.
@@ -184,7 +209,8 @@ def projection_candidates(weights, rank, budget, chamber_sort):
         chain = []
     found = set()
 
-    def record(det, lam, idx):
+    def candidate(det, lam, idx):
+        """The point sum(lam_j * pts[j]) / det as a key of `found`."""
         beta = [0] * m
         for c, j in zip(lam, idx):
             if c:
@@ -198,23 +224,16 @@ def projection_candidates(weights, rank, budget, chamber_sort):
             beta = [x // g for x in beta]
         if chamber_sort:
             beta.sort(reverse=True)
-        found.add((tuple(beta), det // g))
+        return tuple(beta), det // g
 
-    def visit(start, chain, idx, low, rhs):
-        # the affine span of pts[idx] is that of p0 + span(pts[j] - p0), so the
-        # projection of the origin solves D c = b with D the Gram matrix of
-        # the differences and b_s = -<p0, pts[j_s] - p0>
-        i0 = idx[0]
-        d0 = dots[i0]
+    def visit(start, chain, idx, low, rhs, limit, stop):
+        """Extend the prefix idx by every later point, up to `limit` points;
+        True as soon as the candidate `stop` is recorded."""
         for i in range(start, npts):
             p = pts[i]
             if chain and any(p[a] < p[b] for a, b in chain):
                 continue
-            di = dots[i]
-            c0 = d0[i0] - di[i0]
-            row = [di[j] - d0[j] + c0 for j in idx[1:]]
-            row.append(di[i] - 2 * di[i0] + d0[i0])
-            ext = _extend_ldl(low, rhs, row, d0[i0] - d0[i])
+            ext = _extend_ldl(low, rhs, *_equation(dots, idx, i))
             if ext is None:
                 continue  # affinely dependent prefix: so is every superset
             idx.append(i)
@@ -223,19 +242,46 @@ def projection_candidates(weights, rank, budget, chamber_sort):
             det, y = _solve_ldl(low, rhs)
             lam0 = det - sum(y)
             if lam0 >= 0 and all(c >= 0 for c in y):
-                record(det, [lam0] + y, idx)
-            if len(idx) < kmax:
-                visit(i + 1, [(a, b) for a, b in chain if p[a] == p[b]], idx, low, rhs)
+                key = candidate(det, [lam0] + y, idx)
+                found.add(key)
+                if key == stop:
+                    return True
+            if len(idx) < limit and visit(
+                    i + 1, [(a, b) for a, b in chain if p[a] == p[b]],
+                    idx, low, rhs, limit, stop):
+                return True
             idx.pop()
             low.pop()
             rhs.pop()
+        return False
 
-    for i, p in enumerate(pts):
-        if chain and any(p[a] < p[b] for a, b in chain):
-            continue
-        record(1, [1], [i])
-        if kmax > 1:
-            visit(i + 1, [(a, b) for a, b in chain if p[a] == p[b]], [i], [], [])
+    def search(limit, stop=None):
+        """Subsets of at most `limit` points; stops once `stop` is recorded."""
+        for i, p in enumerate(pts):
+            if chain and any(p[a] < p[b] for a, b in chain):
+                continue
+            found.add(candidate(1, [1], [i]))
+            if limit > 1 and visit(i + 1, [(a, b) for a, b in chain if p[a] == p[b]],
+                                   [i], [], [], limit, stop):
+                return
+
+    # an affine basis of the weights, greedily from pts[0]
+    basis, low, rhs = [0], [], []
+    for i in range(1, npts):
+        ext = _extend_ldl(low, rhs, *_equation(dots, basis, i))
+        if ext is not None:
+            basis.append(i)
+            low.append(ext[0])
+            rhs.append(ext[1])
+    dim = len(basis) - 1  # the affine dimension a
+    if dim == 0 or kmax <= dim:
+        search(kmax)
+        return found
+    det, y = _solve_ldl(low, rhs)
+    apex = candidate(det, [det - sum(y)] + y, basis)
+    search(dim)
+    if apex not in found:
+        search(dim + 1, apex)
     return found
 
 

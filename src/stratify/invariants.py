@@ -26,6 +26,9 @@ from .series import BettiTable, TruncatedSeries, duality_check
 
 DEFAULT_CAP = 10**6
 
+# the units of Z[omega] as (a, b) for a + b*omega: +-1, +-omega, +-omega^2
+_UNITS = {(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)}
+
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
@@ -66,8 +69,10 @@ def close_group(generators, cap: int = DEFAULT_CAP):
     Accepts rational matrices (entries int/Fraction) or Eisenstein matrices
     (entries `EisInt` or (a, b) integer pairs); both close in the flat layout
     of `_pure.close_eis`, a rational entry q as q + 0*omega.  Elements are
-    returned canonically ordered.  Raises on a non-invertible generator or
-    when the closure exceeds ``cap``.
+    returned canonically ordered.  Raises ValueError, before any closure, on
+    a generator whose determinant is not a unit (+-1 over Q, the six units
+    over Z[omega]): the determinant of a matrix of finite order is a root of
+    unity.  Raises ResourceCapError when the closure exceeds ``cap``.
     """
     generators = list(generators)
     if not generators:
@@ -78,9 +83,14 @@ def close_group(generators, cap: int = DEFAULT_CAP):
     if not eis:
         generators = [[[Fraction(x) for x in row] for row in g] for g in generators]
     flats = [flatten_eis_matrix(g) for g in generators]
-    for flat in flats:
-        if not det(unflatten_eis_matrix(flat, k)):
+    for i, flat in enumerate(flats):
+        d = det(unflatten_eis_matrix(flat, k))
+        if not d:
             raise ValueError("generator is not invertible")
+        if (d.a, d.b) not in _UNITS:
+            value = d.a if d.is_real() else f"{d.a} + {d.b}*omega"
+            raise ValueError(f"generator {i} has determinant {value}, not a unit, "
+                             "so it has infinite order")
     return FiniteMatrixGroup("E" if eis else "Q", k, tuple(_pure.close_eis(flats, k, cap)),
                              tuple(flats))
 

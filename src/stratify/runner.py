@@ -831,11 +831,15 @@ def _validate(doc):
         raise ScenarioParseError("scenario 'order' must be an integer")
     check_order(doc.get("order", 10))
     seen = set()
-    for step in doc["steps"]:
+    for pos, step in enumerate(doc["steps"]):
         if "id" not in step or "op" not in step:
             raise ScenarioParseError("each step needs 'id' and 'op'")
+        if isinstance(step["id"], (list, dict)):
+            raise ScenarioParseError(f"steps[{pos}]: 'id' must not be a list or an object")
         if step["id"] in seen:
             raise ScenarioParseError(f"duplicate step id {step['id']!r}")
+        if not isinstance(step["op"], str):
+            raise ScenarioParseError(f"step {step['id']!r}: 'op' must be a string")
         if step["op"] not in OPS:
             raise ScenarioParseError(f"unknown op {step['op']!r}")
         if not isinstance(step.get("args", {}), dict):
@@ -845,7 +849,10 @@ def _validate(doc):
             raise ScenarioParseError(
                 f"step {step['id']!r}: op {step['op']!r} has no argument {unknown[0]!r}"
             )
-        for fact in step.get("facts", []):
+        facts = step.get("facts", [])
+        if not (isinstance(facts, list) and all(isinstance(f, dict) for f in facts)):
+            raise ScenarioParseError(f"step {step['id']!r}: 'facts' must be a list of objects")
+        for fact in facts:
             if not fact.get("cite"):
                 raise ScenarioParseError(
                     f"fact without citation in step {step['id']!r}"

@@ -7,8 +7,11 @@ rank+1 weights (Caratheodory), solved exactly, and filtered by hull
 membership.  The kernel (`_pure.projection_candidates`) finds them by a
 depth-first search that cuts every subtree below an affinely dependent
 prefix and, for the symmetric Weyl group, visits one subset per orbit of the
-coordinate permutations (orderly generation); the budget still bounds the
-flat subset count.  The index set's own bookkeeping (rank, Weyl-invariance
+coordinate permutations (orderly generation).  It stops at the affine
+dimension a of the weights: every independent subset of a+1 weights
+projects the origin to the same point, so that level is searched only when
+no smaller subset has given that point, and only until it appears.  The
+budget still bounds the flat subset count.  The index set's own bookkeeping (rank, Weyl-invariance
 check, each candidate's support and below count, inversions) runs on the
 same scaled integer weights as the kernel; `Fraction`s appear only in the
 returned `BetaStratum` fields.

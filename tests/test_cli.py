@@ -174,6 +174,12 @@ class TestOtherCommands:
             err = json.loads(err)
             assert err["error"] == "parse" and "'generators[0]'" in err["message"]
 
+    def test_molien_generator_of_infinite_order_fails_at_once(self):
+        start = time.perf_counter()
+        code, _, err = run_cli("molien", "--gens", "[[[2]]]", "--degree", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "not a unit" in json.loads(err)["message"]
+
     def test_blowup(self):
         code, out, _ = run_cli(
             "blowup", "--exceptional",
@@ -215,7 +221,13 @@ class TestOtherCommands:
 class TestBadInput:
     """Malformed input exits 3 naming the problem, never with a traceback.
     ``@dir`` stands for a directory, ``@latin1`` for a file that is not UTF-8
-    and ``@number`` for a JSON document that is not an object."""
+    and any other ``@name`` for a file holding ``FILES[name]``."""
+
+    FILES = {
+        "@number": "5",
+        "@list-id": '{"name": "x", "steps": [{"id": ["s"], "op": "declare"}]}',
+        "@object-id": '{"name": "x", "steps": [{"id": {"s": 1}, "op": "declare"}]}',
+    }
 
     @pytest.mark.parametrize("argv, message", [
         (("boundary", "@dir"), "Is a directory"),
@@ -231,13 +243,16 @@ class TestBadInput:
          "argument 'complex_dim' must be an integer >= 0"),
         (("blowup", "--exceptional", '{"complex_dim": 1, "even": [1, 1], "odd": [0, 0]}',
           "--dim", "3"), "argument 'odd' must be a list of at most 1 integers"),
+        (("scenario", "run", "@list-id"), "steps[0]: 'id' must not be a list or an object"),
+        (("scenario", "run", "@object-id"), "steps[0]: 'id' must not be a list or an object"),
     ])
     def test_bad_input_is_parse_error(self, tmp_path, argv, message):
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
-        number = tmp_path / "number.json"
-        number.write_text("5")
-        paths = {"@dir": tmp_path, "@latin1": latin1, "@number": number}
+        paths = {"@dir": tmp_path, "@latin1": latin1}
+        for name, text in self.FILES.items():
+            paths[name] = tmp_path / (name[1:] + ".json")
+            paths[name].write_text(text)
         code, _, err = run_cli(*(str(paths.get(a, a)) for a in argv))
         assert code == 3
         err = json.loads(err)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,20 @@ class TestCloseGroup:
     def test_rejects_singular_generator(self):
         with pytest.raises(ValueError):
             close_group([[[1, 0], [1, 0]]])
+
+    @pytest.mark.parametrize("gens, det", [
+        ([[[2]]], "determinant 2,"),
+        ([DIHEDRAL_GENS[0], [[Fraction(1, 2), 0], [0, 1]]], "generator 1 has determinant 1/2,"),
+        ([[[(2, 1)]]], "determinant 2 + 1*omega,"),
+    ])
+    def test_rejects_generator_of_infinite_order(self, gens, det):
+        with pytest.raises(ValueError, match=re.escape(det)):
+            close_group(gens)
+
+    def test_accepts_every_unit_determinant(self):
+        # -omega^2 = 1 + omega is a unit of order 6
+        assert close_group([[[(1, 1)]]]).order == 6
+        assert close_group([[[-1]]]).order == 2
 
     def test_canonical_ordering_deterministic(self):
         a = close_group(DIHEDRAL_GENS).elements

@@ -178,6 +178,14 @@ def test_declare_kinds():
                                 "value": {"complex_dim": 1, "even": [1, 1, 1]}},
       "facts": [{"cite": "unit test"}]},
      r"value: argument 'even' must be a list of at most 2 integers"),
+    ({"op": ["declare"]}, "'op' must be a string"),
+    ({"op": {"declare": 1}}, "'op' must be a string"),
+    ({"op": "declare", "args": {"kind": "int", "value": 1}, "facts": ["nope"]},
+     "'facts' must be a list of objects"),
+    ({"op": "declare", "args": {"kind": "int", "value": 1}, "facts": "nope"},
+     "'facts' must be a list of objects"),
+    ({"op": "declare", "args": {"kind": "int", "value": 1}, "facts": 5},
+     "'facts' must be a list of objects"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:

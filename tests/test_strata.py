@@ -148,6 +148,42 @@ class TestProjectionCandidates:
         assert (_pure.projection_candidates(pts, n - 1, 10**7, True)
                 == flat_candidates(pts, n - 1, True))
 
+    @staticmethod
+    def _key(beta, chamber_sort):
+        return (tuple(sorted(beta, reverse=True)) if chamber_sort else beta), 1
+
+    # shifted simplices in general position: the origin projects into the
+    # interior and onto no proper face, so only the full subset, at the
+    # deepest level the search visits, gives the apex
+    @pytest.mark.parametrize("pts, apex", [
+        ([(2, -1, 1), (-1, 3, 1), (-2, -1, 1)], (0, 0, 1)),
+        ([(2, 0, 0, 1), (0, 3, 0, 1), (0, 0, 1, 1), (-1, -2, -1, 1)], (0, 0, 0, 1)),
+    ])
+    @pytest.mark.parametrize("chamber_sort", [False, True])
+    def test_apex_only_in_the_interior(self, pts, apex, chamber_sort):
+        got = _pure.projection_candidates(pts, len(pts), 10**7, chamber_sort)
+        assert self._key(apex, chamber_sort) in got
+        assert got == flat_candidates(pts, len(pts), chamber_sort)
+
+    @pytest.mark.parametrize("chamber_sort", [False, True])
+    def test_apex_outside_the_hull(self, chamber_sort):
+        # 0 is not in the plane z = 1, and (0, 0, 1) is not in the hull
+        pts = [(1, 0, 1), (3, 1, 1), (1, 2, 1), (4, 4, 1), (2, 5, 1)]
+        got = _pure.projection_candidates(pts, 3, 10**7, chamber_sort)
+        assert self._key((0, 0, 1), chamber_sort) not in got
+        assert got == flat_candidates(pts, 3, chamber_sort)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("chamber_sort", [False, True])
+    def test_rank_below_the_affine_dimension(self, rank, chamber_sort):
+        # affine dimension 3, permutation-invariant: the search stops at the
+        # caller's rank, with the orbit reduction when chamber_sort is set
+        pts = sorted({p for b in [(2, 0, -1, -1), (1, 1, -1, -1), (3, -1, -1, -1)]
+                      for p in permutations(b)})
+        random.Random(rank).shuffle(pts)
+        assert (_pure.projection_candidates(pts, rank, 10**7, chamber_sort)
+                == flat_candidates(pts, rank, chamber_sort))
+
     def test_budget_counts_flat_subsets(self):
         pts = [(1, 0), (0, 1), (1, 0)]
         assert _pure.projection_candidates(pts, 1, _flat_count(3, 1), True)
@@ -324,6 +360,18 @@ class TestInstabilityIndexSet:
         start = time.perf_counter()
         assert verify_strata_against_oracle(ws.weights, bset) == nonzero == 71
         assert time.perf_counter() - start < 1.0
+
+    def test_cubic_fourfold_census(self):
+        # the GIT setting of Laza 2009: the default budget refuses its flat
+        # count (36.7M subsets), the search itself is small
+        ws = hypersurface_weights(5, 3)
+        bset = instability_index_set(ws, budget=10**9)
+        nonzero = [s for s in bset if not s.is_zero()]
+        assert len(bset) == 289
+        assert verify_strata_against_oracle(ws.weights, bset, max_support=None) == 288
+        assert len(nonzero) == 288
+        assert min(s.codim_expected for s in nonzero) == 9
+        assert sum(1 for s in nonzero if s.codim_expected == 9) == 1
 
     def test_codim_weyl_invariance(self):
         # permuting ambient coordinates leaves the (norm2, codim) multiset alone

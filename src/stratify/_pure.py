@@ -8,7 +8,9 @@ call needs.
 
 `projection_candidates` is the closest-point candidate search behind every
 index set; `close_eis` lists the elements of a matrix group for
-`invariants.close_group`.  All arithmetic is exact: Python ints throughout,
+`invariants.close_group`.  `_extend_ldl`, the fraction-free LDL^T step of the
+candidate search, also decomposes Gram matrices for the short-vector
+enumeration of `eisenstein.enumerate_vectors`.  All arithmetic is exact: Python ints throughout,
 rationals as (numerator, denominator) pairs, except that a rational matrix
 group closes with `Fraction` entries.
 
@@ -87,6 +89,10 @@ def _extend_ldl(low, rhs, row, b):
     right-hand side.  By symmetry, entry (t, s) of an earlier pivot row is the
     new row's entry (s, t) before step t, so no earlier row changes.  Returns
     the eliminated row and right-hand side; None when the new pivot is zero.
+
+    Two callers: `projection_candidates` grows one row per search node, and
+    `eisenstein._definite_ldl` eliminates a Gram matrix row by row with
+    right-hand side 0 for Fincke-Pohst enumeration.
     """
     s = len(low)
     prev = 1

@@ -6,10 +6,13 @@ linear in the second slot, take values in theta * E, and have diagonal in 3Z.
 The underlying integral form is (x, y) = -(2/3) Re<x, y> on the basis
 e_1, omega e_1, e_2, omega e_2, ...
 
-Eisenstein numbers are `EisInt` and determinants and inverses come from
+Eisenstein numbers are `EisInt` and determinants come from
 `stratify._exact`; this module keeps what is particular to lattices: short
-vectors by LDL completion of squares, triflection groups, Smith normal form,
-discriminant forms, Hermite-normal-form overlattices and boundary divisors.
+vectors by Fincke-Pohst enumeration on the fraction-free LDL^T of
+`_pure._extend_ldl`, triflection groups, Smith normal form, discriminant
+forms, Hermite-normal-form overlattices and boundary divisors.  Short
+vectors, overlattice Grams and discriminant q values are computed in
+integers.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import _pure
-from ._exact import EisInt, det, eis, flatten_eis_matrix, inverse, nullspace, unflatten_eis_matrix
+from ._exact import EisInt, det, eis, flatten_eis_matrix, nullspace, unflatten_eis_matrix
 from .invariants import (
     FiniteMatrixGroup,
     abelian_quotient_betti,
@@ -214,88 +217,70 @@ def eis_vector_from_z(v, k) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _ldl(gram):
-    """Symmetric decomposition Q = L^T D L for rational Q; returns (d, l)."""
+def _definite_ldl(gram):
+    """(sign, low) with sign * G positive definite and ``low`` its
+    fraction-free LDL^T elimination (`_pure._extend_ldl`, right-hand side 0).
+
+    The pivots low[i][i] are the leading principal minors P_i of sign * G, so
+    by Sylvester's criterion sign * G is positive definite when all are
+    positive.  A zero minor means the form is degenerate, or indefinite when
+    its determinant is not zero.
+    """
     n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    l = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = q[i][i]
-        if d[i] == 0:
-            raise ValueError("degenerate form")
-        l[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            l[i][j] = q[i][j] / d[i]
-        for j in range(i + 1, n):
-            for t in range(j, n):
-                q[j][t] -= l[i][j] * l[i][t] * d[i]
-                q[t][j] = q[j][t]
-    return d, l
-
-
-def _int_interval(center: Fraction, radius2: Fraction):
-    """Integers x with (x - center)^2 <= radius2, exactly."""
-    if radius2 < 0:
-        return range(0)
-    s = math.isqrt(int(radius2 * center.denominator**2)) + 2
-    lo = math.floor(center) - s
-    hi = math.ceil(center) + s
-    while lo <= hi and (Fraction(lo) - center) ** 2 > radius2:
-        lo += 1
-    while hi >= lo and (Fraction(hi) - center) ** 2 > radius2:
-        hi -= 1
-    return range(lo, hi + 1)
+    zeros = [0] * n
+    for sign in (1, -1):
+        low = []
+        for s in range(n):
+            ext = _pure._extend_ldl(low, zeros, [sign * x for x in gram[s][:s + 1]], 0)
+            if ext is None:
+                raise ValueError("degenerate form" if det(gram) == 0 else "lattice is indefinite")
+            low.append(ext[0])
+        if all(row[-1] > 0 for row in low):
+            return sign, low
+    raise ValueError("lattice is indefinite")
 
 
 def enumerate_vectors(zl: ZLattice, value: int) -> list:
     """All integer vectors with (v, v) equal to ``value`` in a definite lattice.
 
-    Exact bounded enumeration via rational LDL completion of squares; raises
-    on an indefinite or degenerate form.
+    Fincke-Pohst enumeration in integers: with U_i the i-th row of the upper
+    factor (U_ij = low[j][i]) and P_i the pivots (P_-1 = 1), the positive
+    definite form is Q(x) = sum_i (U_i . x)^2 / (P_(i-1) P_i).  Choosing x
+    from the last coordinate down, the budget left before x_i, scaled by P_i,
+    is an integer, and each coordinate's range is exact by `math.isqrt`.
+    Raises on an indefinite or degenerate form.
     """
     n = zl.rank
-    probe = _ldl(zl.gram)[0]
-    if all(x > 0 for x in probe):
-        q = zl.gram
-        target = value
-    elif all(x < 0 for x in probe):
-        q = tuple(tuple(-x for x in row) for row in zl.gram)
-        target = -value
-    else:
-        raise ValueError("lattice is indefinite")
+    sign, low = _definite_ldl(zl.gram)
+    target = sign * value
     if target < 0:
         return []
-    d, l = _ldl(q)
-
     out = []
     x = [0] * n
 
-    def rec(i, remaining):
+    def rec(i, r):
+        """Choose x_i, ..., x_0 with P_i * (target - Q so far) = r."""
         if i < 0:
-            if remaining == 0:
+            if r == 0:
                 out.append(tuple(x))
             return
-        center = -sum(l[i][j] * x[j] for j in range(i + 1, n))
-        for xi in _int_interval(center, remaining / d[i]):
+        p = low[i][i]
+        c = sum(low[j][i] * x[j] for j in range(i + 1, n))
+        b = r * (low[i - 1][i - 1] if i else 1)  # (p x_i + c)^2 <= b
+        s = math.isqrt(b)
+        for xi in range(-((s + c) // p), (s - c) // p + 1):
             x[i] = xi
-            contrib = d[i] * (Fraction(xi) - center) ** 2
-            rec(i - 1, remaining - contrib)
+            u = p * xi + c
+            rec(i - 1, (b - u * u) // p)
         x[i] = 0
 
-    rec(n - 1, Fraction(target))
-    out = [v for v in out if any(v)] if value != 0 else out
+    rec(n - 1, (low[-1][-1] if n else 1) * target)
     return sorted(out)
 
 
 def enumerate_roots(zl: ZLattice) -> list:
     """Vectors of square -2 (negative definite) or +2 (positive definite)."""
-    probe = _ldl(zl.gram)[0]
-    if all(x > 0 for x in probe):
-        return enumerate_vectors(zl, 2)
-    if all(x < 0 for x in probe):
-        return enumerate_vectors(zl, -2)
-    raise ValueError("lattice is indefinite")
+    return enumerate_vectors(zl, 2 * _definite_ldl(zl.gram)[0])
 
 
 def eisenstein_roots(lat: EisLattice) -> list:
@@ -521,7 +506,7 @@ class DiscriminantGroup:
 def discriminant_form(zl: ZLattice) -> DiscriminantGroup:
     """Discriminant group with its Q/2Z quadratic form on chosen generators."""
     g = [list(r) for r in zl.gram]
-    d, u, _ = smith_normal_form(g)
+    d, _, v = smith_normal_form(g)
     n = zl.rank
     dets = [d[i][i] for i in range(n)]
     if any(x == 0 for x in dets):
@@ -531,27 +516,20 @@ def discriminant_form(zl: ZLattice) -> DiscriminantGroup:
         prod *= abs(x)
     if prod != abs(zl.det()):
         raise AssertionError("invariant factor product must match |det|")
-    uinv = inverse(u)
-    ginv = inverse(zl.gram)
+    # U G V = D gives G^-1 U^-1 = V D^-1: the generator dual to column t of
+    # U^-1 is column t of V over d_t
     factors = []
     qvals = []
     gens = []
     for t in range(n):
-        dt = abs(dets[t])
-        if dt == 1:
+        dt = dets[t]
+        if abs(dt) == 1:
             continue
-        factors.append(dt)
-        # generator in dual coords is column t of U^-1; e-basis coords G^-1 y
-        y = [uinv[i][t] for i in range(n)]
-        w = [
-            sum(ginv[i][j] * y[j] for j in range(n))
-            for i in range(n)
-        ]
-        q = sum(
-            w[i] * zl.gram[i][j] * w[j] for i in range(n) for j in range(n)
-        ) % 2
-        qvals.append(q)
-        gens.append(tuple(w))
+        factors.append(abs(dt))
+        col = [v[i][t] for i in range(n)]
+        num = sum(col[i] * zl.gram[i][j] * col[j] for i in range(n) for j in range(n))
+        qvals.append(Fraction(num % (2 * dt * dt), dt * dt))
+        gens.append(tuple(Fraction(c, dt) for c in col))
     return DiscriminantGroup(tuple(factors), tuple(qvals), tuple(gens))
 
 
@@ -623,19 +601,7 @@ def glue_overlattice(zl: ZLattice, glue) -> GlueResult:
     """
     glue = [tuple(Fraction(x) for x in g) for g in glue]
     n = zl.rank
-    for g in glue:
-        pairings = [
-            sum(zl.gram[i][j] * g[j] for j in range(n)) for i in range(n)
-        ]
-        if any(p.denominator != 1 for p in pairings):
-            raise ValueError("glue vector is not in the dual lattice")
-        q = sum(g[i] * zl.gram[i][j] * g[j] for i in range(n) for j in range(n))
-        if q.denominator != 1 or int(q) % 2 != 0:
-            raise ValueError(f"glue vector is not isotropic: q = {q} mod 2Z")
-    for g1, g2 in combinations(glue, 2):
-        p = sum(g1[i] * zl.gram[i][j] * g2[j] for i in range(n) for j in range(n))
-        if p.denominator != 1:
-            raise ValueError("glue vectors do not pair integrally")
+    gram = zl.gram
     if not glue:
         return GlueResult(zl, 1, discriminant_form(zl),
                           tuple(tuple(Fraction(int(i == j)) for j in range(n))
@@ -644,23 +610,26 @@ def glue_overlattice(zl: ZLattice, glue) -> GlueResult:
     for g in glue:
         for x in g:
             denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    rows = []
-    for i in range(n):
-        rows.append([denom * int(i == j) for j in range(n)])
-    for g in glue:
-        rows.append([int(x * denom) for x in g])
+    # each glue vector scaled once to integers, h = denom * g
+    scaled = [[x.numerator * (denom // x.denominator) for x in g] for g in glue]
+    gh = [[sum(gram[i][j] * h[j] for j in range(n)) for i in range(n)] for h in scaled]
+    d2 = denom * denom
+    for h, pairings in zip(scaled, gh):
+        if any(p % denom for p in pairings):
+            raise ValueError("glue vector is not in the dual lattice")
+        q = sum(h[i] * pairings[i] for i in range(n))
+        if q % (2 * d2):
+            raise ValueError(f"glue vector is not isotropic: q = {Fraction(q, d2)} mod 2Z")
+    for (h1, _), (_, p2) in combinations(zip(scaled, gh), 2):
+        if sum(h1[i] * p2[i] for i in range(n)) % d2:
+            raise ValueError("glue vectors do not pair integrally")
+    rows = [[denom * int(i == j) for j in range(n)] for i in range(n)] + scaled
     basis = _hnf_rows(rows)
-    bq = [[Fraction(x, denom) for x in row] for row in basis]
-    gram = [
-        [
-            sum(bq[r][i] * zl.gram[i][j] * bq[s][j] for i in range(n) for j in range(n))
-            for s in range(n)
-        ]
-        for r in range(n)
-    ]
-    if any(x.denominator != 1 for row in gram for x in row):
+    bg = [[sum(row[i] * gram[i][j] for i in range(n)) for j in range(n)] for row in basis]
+    new_gram = [[sum(x * y for x, y in zip(r, s)) for s in basis] for r in bg]
+    if any(x % d2 for row in new_gram for x in row):
         raise AssertionError("overlattice gram is not integral")
-    new = ZLattice(n, tuple(tuple(int(x) for x in row) for row in gram))
+    new = ZLattice(n, tuple(tuple(x // d2 for x in row) for row in new_gram))
     if not new.is_even():
         raise ValueError("glue produces a non-even lattice")
     det_old = abs(zl.det())
@@ -672,7 +641,7 @@ def glue_overlattice(zl: ZLattice, glue) -> GlueResult:
     if index * index != index2:
         raise AssertionError("determinant ratio is not a perfect square")
     return GlueResult(new, index, discriminant_form(new),
-                      tuple(tuple(r) for r in bq))
+                      tuple(tuple(Fraction(x, denom) for x in row) for row in basis))
 
 
 def find_norm_div_vector(zl: ZLattice, norm: int, div: int):

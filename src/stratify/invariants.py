@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from . import _pure
 from ._exact import EisInt, det, eis, flatten_eis_matrix, nullspace, unflatten_eis_matrix
@@ -72,7 +72,9 @@ def close_group(generators, cap: int = DEFAULT_CAP):
     returned canonically ordered.  Raises ValueError, before any closure, on
     a generator whose determinant is not a unit (+-1 over Q, the six units
     over Z[omega]): the determinant of a matrix of finite order is a root of
-    unity.  Raises ResourceCapError when the closure exceeds ``cap``.
+    unity.  A unit determinant does not make the order finite, so each
+    generator must also pass `_check_finite_order`.  Raises ResourceCapError
+    when the closure exceeds ``cap``.
     """
     generators = list(generators)
     if not generators:
@@ -91,8 +93,104 @@ def close_group(generators, cap: int = DEFAULT_CAP):
             value = d.a if d.is_real() else f"{d.a} + {d.b}*omega"
             raise ValueError(f"generator {i} has determinant {value}, not a unit, "
                              "so it has infinite order")
+        _check_finite_order(i, flat, k)
     return FiniteMatrixGroup("E" if eis else "Q", k, tuple(_pure.close_eis(flats, k, cap)),
                              tuple(flats))
+
+
+def _poly_mul(p, q):
+    """Product of two integer polynomials, coefficient lists leading first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _divide_monic(p, m):
+    """The quotient p / m by a monic m, or None when m does not divide p."""
+    p = list(p)
+    top = len(p) - len(m) + 1
+    for i in range(top):
+        if p[i]:
+            for j in range(1, len(m)):
+                p[i + j] -= p[i] * m[j]
+    return None if any(p[top:]) else p[:top]
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _cyclotomic_orders(poly):
+    """The n whose Phi_n divide the monic integer polynomial ``poly`` when it
+    is a product of cyclotomic polynomials, else None.
+
+    Phi_n is the product over squarefree e | n of (x^(n/e) - 1)^mu(e).  It
+    has degree phi(n) >= sqrt(n/2), so only n <= 2 deg^2 can divide.
+    """
+    orders = set()
+    n = 0
+    while len(poly) > 1:
+        n += 1
+        if n > 2 * (len(poly) - 1) ** 2:
+            return None
+        primes = _prime_factors(n)
+        if n // prod(primes) * prod(p - 1 for p in primes) >= len(poly):
+            continue  # phi(n) exceeds the degree left
+        num, den = [1], [1]
+        for r in range(len(primes) + 1):
+            for sub in combinations(primes, r):
+                d = n // prod(sub)
+                factor = [1] + [0] * (d - 1) + [-1]
+                if r % 2:
+                    den = _poly_mul(den, factor)
+                else:
+                    num = _poly_mul(num, factor)
+        phi_n = _divide_monic(num, den)
+        while (rest := _divide_monic(poly, phi_n)) is not None:
+            poly = rest
+            orders.add(n)
+    return orders
+
+
+def _check_finite_order(i, flat, k):
+    """Refuse generator i, a flat k x k matrix M, unless it has finite order.
+
+    Certificate: f times its conjugate, with f = det(x - M), is a product of
+    cyclotomic polynomials Phi_n, so every eigenvalue is a root of unity;
+    and M^L = I for L the lcm of those n, so M is diagonalizable.
+    """
+    es = _elementary_symmetric(unflatten_eis_matrix(flat, k), k)
+    f = [-e if p % 2 else e for p, e in enumerate(es)]
+    ff = [sum((f[j] * f[t - j].conj() for j in range(max(0, t - k), min(t, k) + 1)),
+              EisInt(0, 0)) for t in range(2 * k + 1)]
+    orders = None
+    if all(c.is_real() and Fraction(c.a).denominator == 1 for c in ff):
+        orders = _cyclotomic_orders([int(c.a) for c in ff])
+    if orders is None:
+        raise ValueError(f"generator {i} has infinite order: "
+                         "an eigenvalue is not a root of unity")
+    ident = _pure.eis_identity_flat(k)
+    order = lcm(*orders)
+    power, square, e = ident, flat, order
+    while e:
+        if e & 1:
+            power = _pure.eis_mul_flat(power, square, k)
+        e >>= 1
+        if e:
+            square = _pure.eis_mul_flat(square, square, k)
+    if power != ident:
+        raise ValueError(f"generator {i} has infinite order: "
+                         f"M^{order} is not the identity")
 
 
 def _then(p, q):

@@ -175,10 +175,13 @@ class TestOtherCommands:
             assert err["error"] == "parse" and "'generators[0]'" in err["message"]
 
     def test_molien_generator_of_infinite_order_fails_at_once(self):
-        start = time.perf_counter()
-        code, _, err = run_cli("molien", "--gens", "[[[2]]]", "--degree", "2")
-        assert time.perf_counter() - start < 1.0
-        assert code == 2 and "not a unit" in json.loads(err)["message"]
+        for gens, message in (("[[[2]]]", "not a unit"),
+                              ("[[[1,1],[0,1]]]", "infinite order"),  # unipotent
+                              ("[[[2,1],[1,1]]]", "infinite order")):  # hyperbolic, det 1
+            start = time.perf_counter()
+            code, _, err = run_cli("molien", "--gens", gens, "--degree", "2")
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and message in json.loads(err)["message"]
 
     def test_blowup(self):
         code, out, _ = run_cli(

@@ -91,9 +91,11 @@ class TestZForm:
     def test_hyperbolic_summand_is_unimodular(self):
         zl = z_form(H)
         assert zl.is_even() and abs(zl.det()) == 1
-        # signature (2, 2): indefinite
-        with pytest.raises(ValueError):
+        # signature (2, 2): indefinite, although its first leading minor is 0
+        with pytest.raises(ValueError, match="lattice is indefinite"):
             enumerate_roots(zl)
+        with pytest.raises(ValueError, match="degenerate form"):
+            enumerate_roots(z_form(eis_lattice([[0]])))
 
     def test_rank4_is_even_unimodular_definite(self):
         zl = z_form(E4)

@@ -56,6 +56,10 @@ class TestCloseGroup:
         ([[[2]]], "determinant 2,"),
         ([DIHEDRAL_GENS[0], [[Fraction(1, 2), 0], [0, 1]]], "generator 1 has determinant 1/2,"),
         ([[[(2, 1)]]], "determinant 2 + 1*omega,"),
+        # unit determinant, infinite order
+        ([[[1, 1], [0, 1]]], "generator 0 has infinite order: M^1 is not"),
+        ([[[2, 1], [1, 1]]], "generator 0 has infinite order: an eigenvalue is not"),
+        ([[[(0, 1), (1, 0)], [(0, 0), (0, 1)]]], "generator 0 has infinite order: M^3 is not"),
     ])
     def test_rejects_generator_of_infinite_order(self, gens, det):
         with pytest.raises(ValueError, match=re.escape(det)):

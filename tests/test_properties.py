@@ -6,6 +6,7 @@ regression value elsewhere drifts.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, prod
 
 import pytest
@@ -131,12 +132,21 @@ def test_smith_normal_form_properties(rows):
 @given(matrix2)
 def test_discriminant_group_order_matches_determinant(rows):
     zl = _random_even_negdef(rows)
+    n = zl.rank
     disc = discriminant_form(zl)
     assert disc.order() == abs(zl.det())
-    for q, f in zip(disc.q_values, disc.invariant_factors):
+    for w, q, f in zip(disc.generators, disc.q_values, disc.invariant_factors):
         assert 0 <= q < 2
         # the form takes values in (2/f)Z mod 2Z on an order-f generator
         assert (q * f) % 2 == 0 or (q * f).denominator == 1
+        # w lies in the dual lattice and has order exactly f in L^*/L
+        assert all(Fraction(sum(zl.gram[i][j] * w[j] for j in range(n))).denominator == 1
+                   for i in range(n))
+        assert all(Fraction(f * x).denominator == 1 for x in w)
+        for p in range(2, f + 1):
+            if f % p == 0 and all(p % r for r in range(2, isqrt(p) + 1)):
+                assert any(Fraction(f // p * x).denominator != 1 for x in w)
+        assert q == Fraction(zl.pair(w, w)) % 2
 
 
 @settings(max_examples=15, deadline=None)
@@ -149,18 +159,18 @@ def test_enumerated_vectors_have_the_stated_norm(rows, bound):
 
 
 @settings(max_examples=15, deadline=None)
-@given(matrix2)
-def test_enumeration_matches_brute_force_in_a_box(rows):
-    zl = _random_even_negdef(rows)
-    target = -2
+@given(st.one_of(matrix2, matrix3), st.integers(1, 12), st.sampled_from((1, -1)))
+def test_enumeration_matches_brute_force_in_a_box(rows, half, sign):
+    neg = _random_even_negdef(rows)
+    n = neg.rank
+    zl = ZLattice(n, tuple(tuple(sign * x for x in row) for row in neg.gram))
+    target = -2 * sign * half
     got = set(enumerate_vectors(zl, target))
-    # brute force over a generous box
-    box = 6
-    brute = set()
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            if (x, y) != (0, 0) and zl.pair((x, y), (x, y)) == target:
-                brute.add((x, y))
+    # |(v, v)| >= 2 (n + 1) |v|^2, so every solution has |v|^2 <= 12 / 3 and
+    # lies in the box
+    box = 3
+    brute = {v for v in product(range(-box, box + 1), repeat=n)
+             if any(v) and zl.pair(v, v) == target}
     assert got == brute
 
 

@@ -25,6 +25,7 @@ Kernel data conventions
 from __future__ import annotations
 
 from math import comb, gcd
+from operator import mul
 
 BACKEND = "pure"
 
@@ -206,7 +207,7 @@ def projection_candidates(weights, rank, budget, chamber_sort):
     npts = len(pts)
     m = len(pts[0])
     kmax = min(kmax, npts)
-    dots = [[sum(a * b for a, b in zip(p, q)) for q in pts] for p in pts]
+    dots = [[sum(map(mul, p, q)) for q in pts] for p in pts]
     # coordinate pairs (a, b), consecutive within a stabilizer class, on
     # which an accepted point must have p[a] >= p[b]; empty: no reduction
     if chamber_sort and _coordinate_symmetric(pts):
@@ -247,7 +248,7 @@ def projection_candidates(weights, rank, budget, chamber_sort):
             rhs.append(ext[1])
             det, y = _solve_ldl(low, rhs)
             lam0 = det - sum(y)
-            if lam0 >= 0 and all(c >= 0 for c in y):
+            if lam0 >= 0 and min(y) >= 0:
                 key = candidate(det, [lam0] + y, idx)
                 found.add(key)
                 if key == stop:

@@ -411,13 +411,34 @@ def weyl_group(lat: EisLattice) -> FiniteMatrixGroup:
 # ---------------------------------------------------------------------------
 
 
+# Smith normal form refuses a working entry of more than
+# MAX_SMITH_GROWTH * log2(H^2) + 64 bits, H the input's Hadamard bound.
+MAX_SMITH_GROWTH = 256
+
+
 def smith_normal_form(mat):
-    """Smith normal form over Z: returns (D, U, V) with U*A*V = D."""
+    """Smith normal form over Z: returns (D, U, V) with U*A*V = D.
+
+    Every minor of A, hence every invariant factor, is at most the Hadamard
+    bound H, H^2 = the product of the squared row norms.  Elimination without
+    modular reduction can still grow its entries exponentially on dense
+    input, so an entry of A, U or V past `MAX_SMITH_GROWTH` times the bits
+    of H^2 raises ResourceCapError.
+    """
     a = [row[:] for row in mat]
     n = len(a)
     m = len(a[0])
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
+    h2_bits = math.prod(max(1, sum(x * x for x in row)) for row in a).bit_length()
+    limit = MAX_SMITH_GROWTH * h2_bits + 64
+
+    def check_growth():
+        if max(abs(x) for w in (a, u, v) for row in w for x in row).bit_length() > limit:
+            raise _pure.ResourceCapError(
+                f"Smith normal form entries passed {limit} bits "
+                f"(Hadamard bound of the input: {(h2_bits + 1) // 2} bits)"
+            )
 
     def row_op(i1, i2, c):  # row i1 += c * row i2
         for j in range(m):
@@ -443,6 +464,7 @@ def smith_normal_form(mat):
 
     t = 0
     while t < min(n, m):
+        check_growth()
         # find a nonzero pivot
         piv = None
         best = None
@@ -457,6 +479,7 @@ def smith_normal_form(mat):
         col_swap(t, piv[1])
         dirty = True
         while dirty:
+            check_growth()
             dirty = False
             for i in range(t + 1, n):
                 if a[i][t] % a[t][t] != 0:
@@ -601,6 +624,8 @@ def glue_overlattice(zl: ZLattice, glue) -> GlueResult:
     """
     glue = [tuple(Fraction(x) for x in g) for g in glue]
     n = zl.rank
+    if any(len(g) != n for g in glue):
+        raise ValueError(f"glue vector length differs from the lattice rank {n}")
     gram = zl.gram
     if not glue:
         return GlueResult(zl, 1, discriminant_form(zl),

@@ -686,7 +686,12 @@ def _op_glue(ctx, args, step):
     from . import eisenstein
 
     base = args["lattice"]
+    if not isinstance(base, eisenstein.ZLattice):
+        args.reject("lattice", "a Z-lattice", base)
     glue = _as_matrix(args, "glue", args["glue"])
+    for i, g in enumerate(args["glue"]):
+        if len(g) != base.rank:
+            args.reject(f"glue[{i}]", f"a vector of length {base.rank}, the lattice rank", g)
     res = eisenstein.glue_overlattice(base, glue)
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}

@@ -11,16 +11,21 @@ coordinate permutations (orderly generation).  It stops at the affine
 dimension a of the weights: every independent subset of a+1 weights
 projects the origin to the same point, so that level is searched only when
 no smaller subset has given that point, and only until it appears.  The
-budget still bounds the flat subset count.  The index set's own bookkeeping (rank, Weyl-invariance
-check, each candidate's support and below count, inversions) runs on the
-same scaled integer weights as the kernel; `Fraction`s appear only in the
-returned `BetaStratum` fields.
+budget still bounds the flat subset count.
+
+The index set stays in scaled Python ints from the weights to the report:
+its rank, Weyl-invariance check, each candidate's support and below count
+and inversions run on the same integer weights as the kernel, and the
+candidates are ordered by (|beta|^2, beta) over their common denominator
+before any stratum is built.  `Fraction`s appear only in the returned
+`BetaStratum` fields.
 
 `verify_strata_against_oracle` certifies each stratum without the kernel:
 beta is the closest point of conv(S) if and only if every s in S has
-<s, beta> = |beta|^2 and beta lies in conv(S).  It recomputes the support
-and n_beta from the weights and checks a nonnegative barycentric witness
-found by an exact phase-I simplex.
+<s, beta> = |beta|^2 and beta lies in conv(S).  It scales each beta to
+integers itself, from the numerators and denominators of its coordinates,
+recomputes the support and n_beta from the weights and checks a
+nonnegative barycentric witness found by an exact phase-I simplex.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from . import _exact
 from ._pure import ResourceCapError, projection_candidates
@@ -81,8 +87,8 @@ def _scaled_beta(beta, denom) -> tuple:
 def _face(scaled, nums, den) -> list:
     """(<w, beta> - |beta|^2) * (den * denom)^2 for each weight w, where
     beta = nums / (den * denom): zero on the support, negative below it."""
-    b2 = sum(c * c for c in nums)
-    return [den * sum(a * b for a, b in zip(w, nums)) - b2 for w in scaled]
+    b2 = sum(map(mul, nums, nums))
+    return [den * sum(map(mul, w, nums)) - b2 for w in scaled]
 
 
 def _inversions(nums) -> int:
@@ -99,7 +105,7 @@ def _stratum_from_beta(nums, den, denom, scaled, group: str) -> BetaStratum | No
     its expected codimension is negative."""
     side = _face(scaled, nums, den)
     below = sum(1 for x in side if x < 0)
-    b2 = sum(c * c for c in nums)
+    b2 = sum(map(mul, nums, nums))
     if group == "sym":
         dim_gp = _inversions(nums)
     elif group == "pgl2":
@@ -157,12 +163,29 @@ def _index_set(weights, group: str, budget: int) -> list:
     chamber_sort = group in ("sym", "pgl2")
     cands = projection_candidates(scaled, rank, budget, chamber_sort)
     out = []
-    for nums, den in cands:
+    for nums, den in sorted(cands, key=_order_key(cands)):
         stratum = _stratum_from_beta(nums, den, denom, scaled, group)
         if stratum is not None:
             out.append(stratum)
-    out.sort(key=lambda s: (s.norm2, s.beta))
     return out
+
+
+def _order_key(cands):
+    """Sort key putting candidates (nums, den) in the order of (|beta|^2, beta).
+
+    Over one common denominator L every beta is an integer vector c / L, so
+    |beta|^2 and beta compare as sum(c_i^2) and c do.  Candidates are
+    distinct, so no two keys tie.
+    """
+    common = reduce(lcm, (den for _, den in cands), 1)
+
+    def key(cand):
+        nums, den = cand
+        f = common // den
+        c = [x * f for x in nums]
+        return sum(map(mul, c, c)), c
+
+    return key
 
 
 def instability_index_set(
@@ -282,11 +305,13 @@ def verify_strata_against_oracle(weights, strata, max_support: int | None = None
     checked = 0
     for s in strata:
         # beta * denom = nums / den, compared with the integer weights pts
-        coords = [Fraction(c) * denom for c in s.beta]
-        den = reduce(lcm, (c.denominator for c in coords), 1)
-        nums = [c.numerator * (den // c.denominator) for c in coords]
-        b2 = sum(c * c for c in nums)
-        dots = [den * sum(a * b for a, b in zip(p, nums)) for p in pts]
+        # coordinate n/d times denom is (n * denom/g) / (d/g), g = gcd(d, denom)
+        cuts = [gcd(c.denominator, denom) for c in s.beta]
+        den = reduce(lcm, (c.denominator // g for c, g in zip(s.beta, cuts)), 1)
+        nums = [c.numerator * (denom // g) * (den * g // c.denominator)
+                for c, g in zip(s.beta, cuts)]
+        b2 = sum(map(mul, nums, nums))
+        dots = [den * sum(map(mul, p, nums)) for p in pts]
         support = tuple(i for i, x in enumerate(dots) if x == b2)
         n_beta = sum(1 for x in dots if x < b2)
         if support != tuple(s.support) or n_beta != s.n_beta:
@@ -300,8 +325,7 @@ def verify_strata_against_oracle(weights, strata, max_support: int | None = None
         hull = [[den * c for c in pts[i]] for i in support]
         lam, lam_den = _hull_witness(hull, nums)
         if not (all(x >= 0 for x in lam) and sum(lam) == lam_den and all(
-            sum(x * p[t] for x, p in zip(lam, hull)) == lam_den * nums[t]
-            for t in range(len(nums))
+            sum(map(mul, lam, col)) == lam_den * b for col, b in zip(zip(*hull), nums)
         )):
             raise AssertionError(
                 f"oracle: beta={s.beta} does not lie in the hull of its support"

@@ -136,6 +136,20 @@ class TestLatticeCommand:
         code, out, _ = run_cli("lattice", "weyl-order", str(f))
         assert code == 0 and out.strip() == "3"
 
+    def test_smith_growth_hits_the_cap(self, tmp_path):
+        # a dense theta-valued Gram: Smith elimination of its z-form grows
+        # its entries exponentially, and ran past 30 s before the cap
+        f = tmp_path / "dense.json"
+        f.write_text(json.dumps({"gram": [
+            [-396, [-291, -9], [-28, -266], [-246, -333]],
+            [[-282, 9], 567, [-52, 19], [145, 272]],
+            [[238, 266], [-71, -19], -279, [-250, -353]],
+            [[87, 333], [-127, -272], [103, 353], -558]]}))
+        t0 = time.perf_counter()
+        code, _, err = run_cli("lattice", "discriminant", str(f))
+        assert time.perf_counter() - t0 < 5
+        assert code == 4 and json.loads(err)["error"] == "resource-cap"
+
 
 class TestStrataCommand:
     def test_min_codim_line(self):

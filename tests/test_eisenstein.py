@@ -267,6 +267,11 @@ class TestGlue:
         res = glue_overlattice(zl, [])
         assert res.index == 1 and res.lattice.gram == zl.gram
 
+    @pytest.mark.parametrize("glue", [[Fraction(1, 3)], [Fraction(1, 3)] * 3])
+    def test_glue_of_wrong_length_rejected(self, glue):
+        with pytest.raises(ValueError, match="length differs from the lattice rank 2"):
+            glue_overlattice(z_form(E1), [glue])
+
     def test_non_isotropic_glue_rejected(self):
         zl = z_form(E3)
         z = find_norm_div_vector(zl, -12, 3)

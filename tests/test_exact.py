@@ -8,8 +8,8 @@ nullspace.  Entries reach past 2^63 so that nothing can hide behind machine
 integers, and no result may ever be a float.
 
 `smith_normal_form` blows up on dense matrices with large entries (a random
-4 x 4 matrix with 10-bit entries grows intermediates past 4300 digits), so the
-Smith comparisons take a matrix with entries in [-9, 9] times a scalar of up
+4 x 4 matrix with 10-bit entries grows intermediates past 4300 digits, where
+its growth cap refuses it), so the Smith comparisons take a matrix with entries in [-9, 9] times a scalar of up
 to 70 bits: its entries pass 2^63 while Smith takes the steps it takes on
 the small matrix.  Unscaled large entries are checked against cofactors.
 """
@@ -17,10 +17,12 @@ the small matrix.  Unscaled large entries are checked against cofactors.
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stratify._exact import EisInt, det, inverse, nullspace, rank
+from stratify._pure import ResourceCapError
 from stratify.eisenstein import smith_normal_form
 
 
@@ -111,6 +113,13 @@ def test_det_matches_smith_diagonal(mat):
     d = det(mat)
     assert type(d) is int
     assert abs(d) == prod(smith_diagonal(mat))
+
+
+def test_smith_growth_is_capped():
+    mat = [[-912, 467, 880, 280], [532, 711, -351, -298],
+           [-57, -80, -927, -301], [307, -313, -465, 449]]
+    with pytest.raises(ResourceCapError, match="Hadamard bound of the input: 40 bits"):
+        smith_normal_form(mat)
 
 
 @settings(max_examples=60, deadline=None)

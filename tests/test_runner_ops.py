@@ -46,6 +46,21 @@ def test_named_lattice_and_glue_ops():
     assert value_of(rep, "g")["index"] == 1
 
 
+@pytest.mark.parametrize("lattice, glue, message", [
+    ("$z", [["1/3"]], r"'glue\[0\]' must be a vector of length 2, the lattice rank"),
+    ("$z", [["1/3", "1/3", "0"]], r"'glue\[0\]' must be a vector of length 2, the lattice rank"),
+    ("$z", [[], ["1/3", "1/3"]], r"'glue\[0\]' must be a vector of length 2, the lattice rank"),
+    ("$lat", [["1/3"]], "'lattice' must be a Z-lattice"),
+])
+def test_glue_op_checks_its_arguments(lattice, glue, message):
+    with pytest.raises(ScenarioParseError, match=message) as info:
+        run_steps([
+            {"id": "lat", "op": "named_lattice", "args": {"name": "E1"}},
+            {"id": "z", "op": "z_form", "args": {"lattice": "$lat"}},
+            {"id": "g", "op": "glue_overlattice", "args": {"lattice": lattice, "glue": glue}}])
+    assert "step 'g'" in str(info.value)
+
+
 def test_unknown_lattice_is_check_error():
     with pytest.raises(ScenarioCheckError):
         run_steps([{"id": "lat", "op": "named_lattice", "args": {"name": "E99"}}])

@@ -3,12 +3,13 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hull_reference import affine_projection, closest_point
+from hull_reference import affine_projection, closest_point, fraction_index_set, fraction_oracle
 from stratify import _pure
 from stratify.orbits import normal_rep_of, parse_poly
 from stratify.strata import (
@@ -313,6 +314,41 @@ class TestHullCertificate:
                    _record(pts, closest_point([pts[0], pts[3]]))]
         assert verify_strata_against_oracle(pts, records, max_support=1) == 0
         assert verify_strata_against_oracle(pts, records, max_support=2) == 1
+
+
+small_rationals = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+def _vectors(m, min_size, max_size):
+    return st.lists(st.tuples(*[small_rationals] * m), min_size=min_size, max_size=max_size)
+
+
+# weight sets each mode accepts: a union of S_m-orbits (sym), any points
+# (torus), and a ladder +-t of a one-dimensional torus (pgl2)
+weight_sets_by_mode = st.one_of(
+    st.integers(2, 3).flatmap(lambda m: _vectors(m, 1, 3)).map(
+        lambda bases: ("sym", [p for b in bases for p in sorted(set(permutations(b)))])),
+    st.integers(1, 3).flatmap(lambda m: _vectors(m, 1, 6)).map(lambda pts: ("torus", pts)),
+    st.lists(small_rationals, min_size=1, max_size=5).filter(any).map(
+        lambda ts: ("pgl2", [(s * t,) for t in ts for s in (1, -1)])),
+)
+
+
+class TestIntegerPathAgainstFractions:
+    """The scaled-integer index set and oracle against the Fraction reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(weight_sets_by_mode, st.sampled_from([None, 1, 2, 3]))
+    def test_equal_lists_in_equal_order_and_equal_counts(self, case, max_support):
+        mode, weights = case
+        rep = SimpleNamespace(weights=tuple(weights))
+        if mode == "sym":
+            got = instability_index_set(rep, weyl="sym")
+        else:
+            got = normal_rep_strata(rep, mode)
+        assert got == fraction_index_set(weights, mode)
+        assert verify_strata_against_oracle(weights, got, max_support) == fraction_oracle(
+            weights, got, max_support)
 
 
 class TestInstabilityIndexSet:

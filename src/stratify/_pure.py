@@ -1,5 +1,6 @@
-"""The hot kernels, in pure Python (the one backend), and the input contract
-that every layer and the command line share.
+"""The hot kernels, in pure Python (the one backend), the input contract
+that every layer and the command line share, and `Record`, the base of the
+layers' value records.
 
 This module imports no other stratify module, so the command line can load
 it, and with it the error types, the truncation-order cap, the built-in
@@ -72,6 +73,88 @@ def read_input(path) -> str:
         raise ScenarioParseError(f"cannot read {path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise ScenarioParseError(f"{path} is not UTF-8 text: {e}") from e
+
+
+# ---------------------------------------------------------------------------
+# record classes
+# ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the layers' immutable value records.
+
+    A subclass lists its fields as class annotations, in order, with an
+    optional default as the class attribute.  Fields named in
+    ``_not_compared`` take no part in ``==`` and ``hash``; fields named in
+    ``_not_in_repr`` are left out of the repr.  The class is set up once, in
+    `__init_subclass__`, from its own annotations.  No method source is
+    generated and compiled, so defining a record class is cheap: every CLI
+    call is a fresh interpreter, which pays for every class it defines.
+    """
+
+    _not_compared = ()
+    _not_in_repr = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        names = tuple(own.get("__annotations__", ()))
+        cls._fields = names
+        cls._defaults = {n: own[n] for n in names if n in own}
+        cls._compared = tuple(n for n in names if n not in cls._not_compared)
+        cls._shown = tuple(n for n in names if n not in cls._not_in_repr)
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} positional "
+                            f"arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{type(self).__name__}() got an unexpected keyword "
+                                f"argument {name!r}")
+            if name in values:
+                raise TypeError(f"{type(self).__name__}() got multiple values for "
+                                f"argument {name!r}")
+            values[name] = value
+        if len(values) < len(names):
+            for name in names:
+                if name not in values:
+                    if name not in self._defaults:
+                        raise TypeError(f"{type(self).__name__}() missing required "
+                                        f"argument {name!r}")
+                    values[name] = self._defaults[name]
+        object.__setattr__(self, "__dict__", values)
+        if self._post_init is not None:
+            self._post_init()
+
+    def _values(self, names) -> tuple:
+        values = self.__dict__
+        return tuple([values[n] for n in names])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self._compared) == other._values(self._compared)
+
+    def __hash__(self):
+        return hash(self._values(self._compared))
+
+    def __repr__(self):
+        values = self.__dict__
+        fields = ", ".join(f"{n}={values[n]!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked as a new record is."""
+        return type(self)(**{**self.__dict__, **changes})
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._pure import Record
 from .series import (
     BettiTable,
     TruncatedSeries,
@@ -20,8 +20,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class StratumContribution:
+class StratumContribution(Record):
     """One unstable-stratum summand: t^(2*codim) times an equivariant series.
 
     ``weyl_share`` is the ambient-Weyl fiber count dividing the contribution;

@@ -18,7 +18,6 @@ integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -58,8 +57,7 @@ def eis_gcd(x: EisInt, y: EisInt) -> EisInt:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EisLattice:
+class EisLattice(_pure.Record):
     """Hermitian Eisenstein lattice with theta-valued Gram matrix."""
 
     rank: int
@@ -153,8 +151,7 @@ def named_lattice(name: str) -> EisLattice:
         ) from None
 
 
-@dataclass(frozen=True)
-class ZLattice:
+class ZLattice(_pure.Record):
     """Integral symmetric bilinear lattice."""
 
     rank: int
@@ -513,11 +510,11 @@ def smith_normal_form(mat):
     return a, u, v
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(_pure.Record):
     invariant_factors: tuple
     q_values: tuple
-    generators: tuple = field(repr=False, default=())
+    generators: tuple = ()
+    _not_in_repr = ("generators",)
 
     def order(self) -> int:
         out = 1
@@ -607,8 +604,7 @@ def _hnf_rows(rows):
     return basis
 
 
-@dataclass(frozen=True)
-class GlueResult:
+class GlueResult(_pure.Record):
     lattice: ZLattice
     index: int
     disc: DiscriminantGroup
@@ -682,8 +678,7 @@ def find_norm_div_vector(zl: ZLattice, norm: int, div: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CuspVectorReport:
+class CuspVectorReport(_pure.Record):
     ok: bool
     norm: int
     div_norm: int

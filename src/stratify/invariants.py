@@ -15,7 +15,6 @@ determinant from `stratify._exact`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm, prod
@@ -30,8 +29,7 @@ DEFAULT_CAP = 10**6
 _UNITS = {(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)}
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(_pure.Record):
     """Finite matrix group; elements, when listed, in canonical sorted order.
 
     ``ring`` is "Q" (rational entries) or "E" (entries in Z[omega]); matrices

@@ -9,11 +9,11 @@ hunting into rank computation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from ._exact import inverse, rank
+from ._pure import Record
 from .weights import Vector, dot, monomials_of_degree, vec
 
 
@@ -181,8 +181,7 @@ def df_matrix(f: MultiPoly, n: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class NormalRep:
+class NormalRep(Record):
     """Weight multiset of a stabilizer representation on a normal slice."""
 
     weights: tuple  # projected vectors in ambient coordinates
@@ -194,8 +193,7 @@ class NormalRep:
             raise ValueError("dim must equal the weight multiset cardinality")
 
 
-@dataclass(frozen=True)
-class TangentNormalSplit:
+class TangentNormalSplit(Record):
     tangent_weights: tuple
     tangent_pairings: tuple
     normal: NormalRep
@@ -318,8 +316,7 @@ def normal_rep_of(
     )
 
 
-@dataclass(frozen=True)
-class SemiInvariantReport:
+class SemiInvariantReport(Record):
     ok: bool
     scalar: Fraction | None = None
     message: str = ""

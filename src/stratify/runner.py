@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import serialize
@@ -41,6 +40,7 @@ from .series import (
 )
 
 _REQUIRED = object()
+_LATTICE_KINDS = {"EisLattice": "an Eisenstein lattice", "ZLattice": "a Z-lattice"}
 
 
 class StepArgs(dict):
@@ -92,6 +92,23 @@ class StepArgs(dict):
             self.reject(key, "a list", value)
         return value
 
+    def lattice(self, key, *kinds):
+        """Lattice argument ``key``: an instance of one of the `eisenstein`
+        classes ``kinds`` ("EisLattice", "ZLattice")."""
+        value = self[key]
+        if not any(_instance(value, "eisenstein", kind) for kind in kinds):
+            self.reject(key, " or ".join(_LATTICE_KINDS[kind] for kind in kinds), value)
+        return value
+
+    def strata(self, key) -> list:
+        """Strata argument ``key``: a list of `strata.BetaStratum`, as an
+        index-set step returns."""
+        value = self.listing(key)
+        for i, s in enumerate(value):
+            if not _instance(s, "strata", "BetaStratum"):
+                self.reject(f"{key}[{i}]", "a stratum", s)
+        return value
+
     def nested(self, key, value, names) -> "StepArgs":
         """The object ``value`` found under ``key``, with its own checks; a
         field outside ``names``, the fields its reader reads, is a parse error."""
@@ -108,10 +125,13 @@ class StepArgs(dict):
         return self
 
 
-@dataclass
 class Context:
-    order: int
-    values: dict = field(default_factory=dict)
+    """A running scenario: its truncation order and the values of the steps
+    run so far, by id."""
+
+    def __init__(self, order: int):
+        self.order = order
+        self.values = {}
 
     def resolve(self, obj):
         if isinstance(obj, str) and obj.startswith("$"):
@@ -196,12 +216,6 @@ def _instance(value, layer, cls) -> bool:
     return module is not None and isinstance(value, getattr(module, cls))
 
 
-def _strata_list(value):
-    if isinstance(value, list):
-        return value
-    raise ScenarioParseError("expected a list of strata")
-
-
 def _contributions(args, key, ctx) -> list:
     from .assembly import StratumContribution
 
@@ -278,7 +292,7 @@ def _op_iis(ctx, args, step):
 
 @op("min_nonzero_codim", "strata")
 def _op_min_codim(ctx, args, step):
-    vals = [s.codim_expected for s in _strata_list(args["strata"]) if not s.is_zero()]
+    vals = [s.codim_expected for s in args.strata("strata") if not s.is_zero()]
     if not vals:
         raise ScenarioCheckError("no nonzero strata")
     return min(vals)
@@ -288,7 +302,7 @@ def _op_min_codim(ctx, args, step):
 def _op_codim_census(ctx, args, step):
     census: dict = {}
     bound = args.integer("up_to", None)
-    for s in _strata_list(args["strata"]):
+    for s in args.strata("strata"):
         if s.is_zero():
             continue
         if bound is not None and s.codim_expected > bound:
@@ -304,13 +318,11 @@ def _op_mark_nonempty(ctx, args, step):
         raise ScenarioParseError(
             f"nonemptiness declaration in step {step['id']!r} carries no citation"
         )
-    from dataclasses import replace
-
     codims = set(args.get("codims", []))
     out = []
-    for s in _strata_list(args["strata"]):
+    for s in args.strata("strata"):
         if not s.is_zero() and s.codim_expected in codims:
-            out.append(replace(s, nonemptiness="declared"))
+            out.append(s.replace(nonemptiness="declared"))
         else:
             out.append(s)
     return out
@@ -320,7 +332,7 @@ def _op_mark_nonempty(ctx, args, step):
 def _op_msr(ctx, args, step):
     from . import strata
 
-    report = strata.maximal_support_report(args["weights"], args["strata"])
+    report = strata.maximal_support_report(args["weights"], args.strata("strata"))
     return [[r.r, r.codim_expected] for r in report]
 
 
@@ -334,7 +346,7 @@ def _op_vso(ctx, args, step):
     if _instance(ws, "weights", "WeightSystem") or _instance(ws, "orbits", "NormalRep"):
         ws = ws.weights
     return strata.verify_strata_against_oracle(
-        ws, args["strata"], args.integer("max_support", None)
+        ws, args.strata("strata"), args.integer("max_support", None)
     )
 
 
@@ -383,8 +395,7 @@ def _op_nrs(ctx, args, step):
 def _op_wfc(ctx, args, step):
     from . import strata
 
-    sl = _strata_list(args["strata"])
-    index_set = [s.beta for s in sl]
+    index_set = [s.beta for s in args.strata("strata")]
     beta = tuple(_as_rational(args, "beta", c) for c in args.listing("beta"))
     wr = None
     if args.get("stabilizer_weyl") == "sign":
@@ -574,14 +585,14 @@ def _op_named_lattice(ctx, args, step):
 def _op_z_form(ctx, args, step):
     from . import eisenstein
 
-    return eisenstein.z_form(args["lattice"])
+    return eisenstein.z_form(args.lattice("lattice", "EisLattice"))
 
 
 @op("root_count", "lattice")
 def _op_root_count(ctx, args, step):
     from . import eisenstein
 
-    lat = args["lattice"]
+    lat = args.lattice("lattice", "EisLattice", "ZLattice")
     if isinstance(lat, eisenstein.EisLattice):
         lat = eisenstein.z_form(lat)
     return len(eisenstein.enumerate_roots(lat))
@@ -593,8 +604,8 @@ def _op_weyl_group(ctx, args, step):
 
     lat = args["lattice"]
     if isinstance(lat, str):
-        lat = eisenstein.named_lattice(lat)
-    return eisenstein.weyl_group(lat)
+        return eisenstein.weyl_group(eisenstein.named_lattice(lat))
+    return eisenstein.weyl_group(args.lattice("lattice", "EisLattice"))
 
 
 @op("abelian_quotient_betti", "group", "rank", "form")
@@ -675,7 +686,7 @@ def _op_boundary(ctx, args, step):
 def _op_disc(ctx, args, step):
     from . import eisenstein
 
-    lat = args["lattice"]
+    lat = args.lattice("lattice", "EisLattice", "ZLattice")
     if isinstance(lat, eisenstein.EisLattice):
         lat = eisenstein.z_form(lat)
     return eisenstein.discriminant_form(lat)
@@ -685,9 +696,7 @@ def _op_disc(ctx, args, step):
 def _op_glue(ctx, args, step):
     from . import eisenstein
 
-    base = args["lattice"]
-    if not isinstance(base, eisenstein.ZLattice):
-        args.reject("lattice", "a Z-lattice", base)
+    base = args.lattice("lattice", "ZLattice")
     glue = _as_matrix(args, "glue", args["glue"])
     for i, g in enumerate(args["glue"]):
         if len(g) != base.rank:
@@ -702,7 +711,7 @@ def _op_glue_diag(ctx, args, step):
     """Glue n copies of a lattice along 1/3 of the diagonal norm-(-12) div-3 class."""
     from . import eisenstein
 
-    base = args["lattice"]
+    base = args.lattice("lattice", "ZLattice")
     copies = args.integer("copies", 3)
     n = base.rank
     z = eisenstein.find_norm_div_vector(base, -12, 3)
@@ -751,14 +760,18 @@ def _op_assert_true(ctx, args, step):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ScenarioReport:
-    name: str
-    description: str
-    steps: list
-    tables: dict
-    provenance: list
-    notes: list
+    """What `run_scenario` returns: the step values, the checked output
+    tables and the provenance ledger, with their json, latex and text forms."""
+
+    def __init__(self, name: str, description: str, steps: list, tables: dict,
+                 provenance: list, notes: list):
+        self.name = name
+        self.description = description
+        self.steps = steps
+        self.tables = tables
+        self.provenance = provenance
+        self.notes = notes
 
     def to_jsonable(self) -> dict:
         return {

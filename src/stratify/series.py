@@ -8,9 +8,10 @@ smaller order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from ._pure import Record
 
 Rational = Union[int, Fraction]
 
@@ -19,8 +20,7 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A power series known exactly modulo t^(order+1)."""
 
     coeffs: tuple
@@ -220,13 +220,13 @@ def lincomb(terms: Sequence) -> TruncatedSeries:
     return out
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Record):
     """Betti numbers of a compact space of complex dimension ``complex_dim``."""
 
     complex_dim: int
     betti: tuple
-    flags: tuple = field(default=(), compare=False)
+    flags: tuple = ()
+    _not_compared = ("flags",)
 
     def __post_init__(self):
         n = self.complex_dim
@@ -267,8 +267,7 @@ class BettiTable:
         return f"BettiTable(dim={self.complex_dim}, betti={list(self.betti)})"
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(Record):
     ok: bool
     first_offense: tuple | None = None
     message: str = ""

@@ -30,21 +30,19 @@ nonnegative barycentric witness found by an exact phase-I simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
 from . import _exact
-from ._pure import ResourceCapError, projection_candidates
+from ._pure import Record, ResourceCapError, projection_candidates
 from .weights import Vector, WeightSystem, vec
 
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class BetaStratum:
+class BetaStratum(Record):
     """One index-set element with its combinatorial stratum data."""
 
     beta: Vector
@@ -160,8 +158,10 @@ def _index_set(weights, group: str, budget: int) -> list:
     if group == "pgl2" and rank != 1:
         raise ValueError("pgl2 mode expects weights on a single line")
     _check_weyl_invariance(scaled, group)
-    chamber_sort = group in ("sym", "pgl2")
-    cands = projection_candidates(scaled, rank, budget, chamber_sort)
+    cands = projection_candidates(scaled, rank, budget, group == "sym")
+    if group == "pgl2":
+        # the Weyl group of PGL2 acts on the line by beta -> -beta
+        cands = {(max(nums, tuple(-c for c in nums)), den) for nums, den in cands}
     out = []
     for nums, den in sorted(cands, key=_order_key(cands)):
         stratum = _stratum_from_beta(nums, den, denom, scaled, group)
@@ -207,7 +207,9 @@ def normal_rep_strata(rep, group: str, budget: int = DEFAULT_BUDGET) -> list:
 
     ``group`` is "torus" (trivial Weyl group, zero parabolic contribution) or
     "pgl2" (one-dimensional torus with a single positive root; nonzero strata
-    get a one-dimensional flag-variety correction).
+    get a one-dimensional flag-variety correction).  In "pgl2" mode the
+    weights lie on one line through the origin, and of beta and -beta the
+    index set keeps the lexicographically larger.
     """
     if group not in ("torus", "pgl2"):
         raise ValueError("group must be 'torus' or 'pgl2'")
@@ -241,12 +243,12 @@ def weyl_fiber_count(beta_prime, rep_index_set, wr_action=None) -> int:
     return orbits
 
 
-@dataclass(frozen=True)
-class SupportRecord:
+class SupportRecord(Record):
     r: int
     codim_expected: int
     beta: Vector
-    support_closed: tuple = field(default=(), repr=False)
+    support_closed: tuple = ()
+    _not_in_repr = ("support_closed",)
 
 
 def maximal_support_report(ws: WeightSystem, strata) -> list:

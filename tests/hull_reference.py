@@ -90,11 +90,14 @@ def fraction_index_set(weights, group, budget=strata.DEFAULT_BUDGET) -> list:
     pts = [vec(w) for w in weights]
     denom = reduce(lcm, (c.denominator for p in pts for c in p), 1)
     scaled = [tuple(int(c * denom) for c in p) for p in pts]
-    cands = _pure.projection_candidates(scaled, _exact.rank(scaled), budget,
-                                        group in ("sym", "pgl2"))
+    cands = _pure.projection_candidates(scaled, _exact.rank(scaled), budget, group == "sym")
+    betas = {tuple(Fraction(c, den * denom) for c in nums) for nums, den in cands}
+    if group == "pgl2":
+        # the rank-1 Weyl group maps beta to -beta; the chamber keeps the
+        # lexicographically larger one
+        betas = {max(beta, tuple(-c for c in beta)) for beta in betas}
     out = []
-    for nums, den in cands:
-        beta = tuple(Fraction(c, den * denom) for c in nums)
+    for beta in betas:
         b2 = norm2(beta)
         dots = [dot(p, beta) for p in pts]
         below = sum(1 for x in dots if x < b2)

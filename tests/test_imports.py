@@ -2,7 +2,9 @@
 
 Every CLI call is a fresh interpreter, so the modules a call compiles are
 most of its cost.  These tests count modules, not time: each runs a call in a
-fresh interpreter and reads `sys.modules` after it.
+fresh interpreter and reads `sys.modules` after it.  Besides the stratify
+submodules the probe reports `dataclasses` and `inspect`, which the layers'
+records do without (`_pure.Record`): importing them costs about 10 ms.
 """
 
 import json
@@ -16,11 +18,15 @@ import stratify
 MATH_LAYERS = {"assembly", "eisenstein", "invariants", "orbits", "series", "strata",
                "weights"}
 
+# standard modules that no layer but `weights` imports
+HEAVY = {"dataclasses", "inspect"}
+
 PROBE = """
 import contextlib, io, json, sys
 {load}
-print(json.dumps(sorted(m.rpartition(".")[2] for m in sys.modules
-                        if m.startswith("stratify."))))
+print(json.dumps(sorted([m.rpartition(".")[2] for m in sys.modules
+                         if m.startswith("stratify.")]
+                        + [m for m in ("dataclasses", "inspect") if m in sys.modules])))
 """
 CLI_CALL = """
 import stratify.cli
@@ -31,8 +37,8 @@ print(code)
 
 
 def loaded(load, *argv):
-    """The stratify submodules a fresh interpreter holds after ``load``,
-    and the lines ``load`` printed."""
+    """The stratify submodules, and those of `HEAVY`, that a fresh
+    interpreter holds after ``load``, and the lines ``load`` printed."""
     proc = subprocess.run([sys.executable, "-c", PROBE.format(load=load), *argv],
                           capture_output=True, text=True, check=True)
     *printed, modules = proc.stdout.splitlines()
@@ -45,9 +51,10 @@ def test_import_loads_no_submodule():
 
 @pytest.mark.parametrize("argv, code, absent", [
     (("strata", "--n", "3", "--d", "3"), "0", {"eisenstein", "invariants", "orbits", "runner"}),
-    (("lattice", "roots", "E3"), "0", {"strata", "orbits", "runner"}),
-    (("boundary", "{not json"), "3", MATH_LAYERS | {"runner"}),
+    (("lattice", "roots", "E3"), "0", {"strata", "orbits", "runner"} | HEAVY),
+    (("boundary", "{not json"), "3", MATH_LAYERS | {"runner"} | HEAVY),
     (("scenario", "run", "cubiccurve"), "0", {"eisenstein", "invariants", "orbits"}),
+    (("scenario", "run", "no_such_scenario"), "3", MATH_LAYERS - {"series"} | HEAVY),
 ])
 def test_a_call_loads_only_its_layers(argv, code, absent):
     modules, printed = loaded(CLI_CALL, *argv)

@@ -201,6 +201,24 @@ def test_declare_kinds():
      "'facts' must be a list of objects"),
     ({"op": "declare", "args": {"kind": "int", "value": 1}, "facts": 5},
      "'facts' must be a list of objects"),
+    ({"op": "z_form", "args": {"lattice": 5}},
+     r"argument 'lattice' must be an Eisenstein lattice, got 5"),
+    ({"op": "root_count", "args": {"lattice": 5}},
+     r"argument 'lattice' must be an Eisenstein lattice or a Z-lattice, got 5"),
+    ({"op": "discriminant_form", "args": {"lattice": [[2]]}},
+     r"argument 'lattice' must be an Eisenstein lattice or a Z-lattice"),
+    ({"op": "weyl_group", "args": {"lattice": 5}},
+     r"argument 'lattice' must be an Eisenstein lattice, got 5"),
+    ({"op": "glue_diagonal_norm12", "args": {"lattice": "E3"}},
+     r"argument 'lattice' must be a Z-lattice"),
+    ({"op": "verify_strata_oracle", "args": {"weights": [[1], [-1]], "strata": [1]}},
+     r"argument 'strata\[0\]' must be a stratum, got 1"),
+    ({"op": "maximal_support_report", "args": {"weights": [[1], [-1]], "strata": [1]}},
+     r"argument 'strata\[0\]' must be a stratum, got 1"),
+    ({"op": "min_nonzero_codim", "args": {"strata": 5}},
+     r"argument 'strata' must be a list, got 5"),
+    ({"op": "mark_nonempty", "args": {"strata": [{"beta": [0]}]}, "facts": [{"cite": "unit test"}]},
+     r"argument 'strata\[0\]' must be a stratum"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:

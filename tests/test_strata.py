@@ -324,13 +324,16 @@ def _vectors(m, min_size, max_size):
 
 
 # weight sets each mode accepts: a union of S_m-orbits (sym), any points
-# (torus), and a ladder +-t of a one-dimensional torus (pgl2)
+# (torus), and a ladder +-t*d on a line through the origin of dimension 1-3
+# (pgl2)
 weight_sets_by_mode = st.one_of(
     st.integers(2, 3).flatmap(lambda m: _vectors(m, 1, 3)).map(
         lambda bases: ("sym", [p for b in bases for p in sorted(set(permutations(b)))])),
     st.integers(1, 3).flatmap(lambda m: _vectors(m, 1, 6)).map(lambda pts: ("torus", pts)),
-    st.lists(small_rationals, min_size=1, max_size=5).filter(any).map(
-        lambda ts: ("pgl2", [(s * t,) for t in ts for s in (1, -1)])),
+    st.tuples(st.integers(1, 3).flatmap(lambda m: st.tuples(*[st.integers(-2, 2)] * m)).filter(any),
+              st.lists(small_rationals, min_size=1, max_size=5).filter(any)).map(
+        lambda line: ("pgl2", [tuple(s * t * c for c in line[0])
+                               for t in line[1] for s in (1, -1)])),
 )
 
 
@@ -349,6 +352,17 @@ class TestIntegerPathAgainstFractions:
         assert got == fraction_index_set(weights, mode)
         assert verify_strata_against_oracle(weights, got, max_support) == fraction_oracle(
             weights, got, max_support)
+
+
+@pytest.mark.parametrize("weights, betas", [
+    ([(0, 1), (0, -1)], [(0, 0), (0, 1)]),
+    ([(2, 1), (-2, -1)], [(0, 0), (2, 1)]),
+    ([(1,), (-1,), (2,), (-2,)], [(0,), (1,), (2,)]),
+])
+def test_pgl2_keeps_the_larger_of_beta_and_minus_beta(weights, betas):
+    got = normal_rep_strata(SimpleNamespace(weights=tuple(weights)), "pgl2")
+    assert [s.beta for s in got] == [vec(b) for b in betas]
+    assert verify_strata_against_oracle(weights, got) == len(betas) - 1
 
 
 class TestInstabilityIndexSet:

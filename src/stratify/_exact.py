@@ -3,16 +3,21 @@
 One number class, `EisInt`, for a + b*omega (omega^2 = -1 - omega).  With
 integer a, b it is an Eisenstein integer; with `Fraction` parts it is an
 element of Q(omega).  Parts are never coerced: integer input stays integer,
-so Gram entries serialize as plain JSON ints.
+so Gram entries serialize as plain JSON ints.  An `EisInt` with zero omega
+part equals the int or `Fraction` it stands for, and hashes like it.
+
+One matrix representation: a matrix over Z[omega], Q(omega) or Q is a tuple
+of row tuples of `EisInt` (`eis_matrix`), a rational entry q as q + 0*omega,
+and `mat_mul` is its one product.
 
 One determinant, one rank, one nullspace and one inverse, each over Q (int
 or `Fraction` entries) or Q(omega) (`EisInt` entries).  Every division goes
 through `_div`, which returns an int when an integer quotient is exact and a
 `Fraction` otherwise; no result is ever a float.
 
-The kernels keep their own flat-int layout, and the closest-point
-certificate in `strata` (`verify_strata_against_oracle`) keeps its own
-integer phase-I simplex so that it stays independent of the kernel.
+The closest-point certificate in `strata` (`verify_strata_against_oracle`)
+keeps its own integer phase-I simplex so that it stays independent of the
+kernel.
 """
 
 from __future__ import annotations
@@ -70,12 +75,14 @@ class EisInt:
         return eis(o) / self
 
     def __eq__(self, o):
-        if not isinstance(o, EisInt):
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(o, EisInt):
+            return self.a == o.a and self.b == o.b
+        if isinstance(o, (int, Fraction)):
+            return self.b == 0 and self.a == o
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -120,28 +127,40 @@ def eis(value) -> EisInt:
     if isinstance(value, (int, Fraction)):
         return EisInt(value, 0)
     a, b = value
-    return EisInt(int(a), int(b))
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"{value!r} is not an integer pair [a, b]")
+    return EisInt(a, b)
 
 
-def flatten_eis_matrix(mat) -> tuple:
-    """Square matrix of Eisenstein entries to the kernels' flat int layout."""
-    k = len(mat)
-    flat = []
-    for row in mat:
-        if len(row) != k:
-            raise ValueError("matrix must be square")
-        for e in row:
-            e = eis(e)
-            flat.extend((e.a, e.b))
-    return tuple(flat)
+def eis_matrix(rows) -> tuple:
+    """A square matrix of `EisInt` from rows of anything `eis` accepts."""
+    k = len(rows)
+    if any(len(row) != k for row in rows):
+        raise ValueError("matrix must be square")
+    return tuple(tuple(eis(e) for e in row) for row in rows)
 
 
-def unflatten_eis_matrix(flat, k) -> tuple:
-    """Flat int layout back to a k x k matrix of `EisInt`."""
-    return tuple(
-        tuple(EisInt(flat[2 * (i * k + j)], flat[2 * (i * k + j) + 1]) for j in range(k))
-        for i in range(k)
-    )
+def identity(k) -> tuple:
+    """The k x k identity matrix of `EisInt`."""
+    return tuple(tuple(EisInt(int(i == j), 0) for j in range(k)) for i in range(k))
+
+
+def mat_mul(x, y) -> tuple:
+    """The product of two matrices of `EisInt` (the one Z[omega] matrix
+    product), as a tuple of row tuples."""
+    cols = tuple(zip(*y))
+    out = []
+    for row in x:
+        new = []
+        for col in cols:
+            ra = rb = 0
+            for p, q in zip(row, col):
+                bd = p.b * q.b
+                ra += p.a * q.a - bd
+                rb += p.a * q.b + p.b * q.a - bd
+            new.append(EisInt(ra, rb))
+        out.append(tuple(new))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The hot kernels, in pure Python (the one backend), the input contract
+"""The hot strata kernel, in pure Python (the one backend), the input contract
 that every layer and the command line share, and `Record`, the base of the
 layers' value records.
 
@@ -8,19 +8,12 @@ scenario names and the input-file reader, before it knows which layers a
 call needs.
 
 `projection_candidates` is the closest-point candidate search behind every
-index set; `close_eis` lists the elements of a matrix group for
-`invariants.close_group`.  `_extend_ldl`, the fraction-free LDL^T step of the
-candidate search, also decomposes Gram matrices for the short-vector
-enumeration of `eisenstein.enumerate_vectors`.  All arithmetic is exact: Python ints throughout,
-rationals as (numerator, denominator) pairs, except that a rational matrix
-group closes with `Fraction` entries.
-
-Kernel data conventions
------------------------
-* Integer weight vectors: tuples of ints.
-* Eisenstein matrices: a k x k matrix over Z[omega] is a flat tuple of
-  2*k*k ints, entry (i,j) = (flat[2*(i*k+j)] + flat[2*(i*k+j)+1] * omega);
-  a rational matrix has `Fraction` entries and zero omega parts.
+index set.  `_extend_ldl`, its fraction-free LDL^T step, also decomposes
+Gram matrices for the short-vector enumeration of
+`eisenstein.enumerate_vectors`.  All arithmetic is exact: Python ints
+throughout, weight vectors as tuples of ints and rationals as (numerator,
+denominator) pairs.  Matrices over Z[omega] and their product live in
+`stratify._exact`, which this module does not import.
 """
 
 from __future__ import annotations
@@ -373,61 +366,3 @@ def projection_candidates(weights, rank, budget, chamber_sort):
     if apex not in found:
         search(dim + 1, apex)
     return found
-
-
-# ---------------------------------------------------------------------------
-# Eisenstein matrix helpers
-# ---------------------------------------------------------------------------
-
-
-def eis_identity_flat(k):
-    flat = [0] * (2 * k * k)
-    for i in range(k):
-        flat[2 * (i * k + i)] = 1
-    return tuple(flat)
-
-
-def eis_mul_flat(x, y, k):
-    """Product of two flat Z[omega] matrices (omega^2 = -1 - omega)."""
-    out = [0] * (2 * k * k)
-    for i in range(k):
-        ik = i * k
-        for j in range(k):
-            ra = 0
-            rb = 0
-            for l in range(k):
-                a = x[2 * (ik + l)]
-                b = x[2 * (ik + l) + 1]
-                c = y[2 * (l * k + j)]
-                d = y[2 * (l * k + j) + 1]
-                # (a + b w)(c + d w) = (ac - bd) + (ad + bc - bd) w
-                bd = b * d
-                ra += a * c - bd
-                rb += a * d + b * c - bd
-            out[2 * (ik + j)] = ra
-            out[2 * (ik + j) + 1] = rb
-    return tuple(out)
-
-
-def close_eis(gens, k, cap):
-    """Breadth-first multiplicative closure of flat Z[omega] or Q matrices.
-
-    Returns the closed set as a sorted list of flat tuples (the canonical
-    element order).  Raises ResourceCapError beyond ``cap`` elements.
-    """
-    ident = eis_identity_flat(k)
-    gens = [tuple(g) for g in gens]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = eis_mul_flat(x, g, k)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise ResourceCapError(f"group closure exceeded cap {cap}")
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)

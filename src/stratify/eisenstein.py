@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import _pure
-from ._exact import EisInt, det, eis, flatten_eis_matrix, nullspace, unflatten_eis_matrix
+from ._exact import EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace
 from .invariants import (
     FiniteMatrixGroup,
     abelian_quotient_betti,
@@ -101,16 +102,9 @@ class EisLattice(_pure.Record):
                 g[self.rank + i][self.rank + j] = other.gram[i][j]
         return EisLattice(r, tuple(tuple(row) for row in g))
 
-    def flat_gram(self) -> tuple:
-        flat = []
-        for row in self.gram:
-            for e in row:
-                flat.extend((e.a, e.b))
-        return tuple(flat)
-
 
 def eis_lattice(gram_entries) -> EisLattice:
-    gram = tuple(tuple(eis(e) for e in row) for row in gram_entries)
+    gram = eis_matrix(gram_entries)
     return EisLattice(len(gram), gram)
 
 
@@ -292,78 +286,66 @@ def eisenstein_roots(lat: EisLattice) -> list:
 
 
 def triflection(lat: EisLattice, root) -> tuple:
-    """Matrix of x -> x - (1-omega) (<r, x>/<r, r>) r, acting on columns."""
+    """Matrix of x -> x - (1-omega) (<r, x>/<r, r>) r, acting on columns, as a
+    tuple of row tuples of `EisInt`."""
     r = tuple(eis(c) for c in root)
-    rr = lat.pair(r, r)
-    if not (rr.is_real() and rr.a == 3):
+    if lat.pair(r, r) != 3:
         raise ValueError("triflections require a norm-3 root")
     k = lat.rank
     # row functional rho_j = sum_l conj(r_l) G[l][j]
-    rho = [E_ZERO] * k
-    for j in range(k):
-        s = E_ZERO
-        for ll in range(k):
-            s = s + r[ll].conj() * lat.gram[ll][j]
-        rho[j] = s
+    rho = mat_mul([[x.conj() for x in r]], lat.gram)[0]
     one_minus_omega = E_ONE - OMEGA
     mat = []
     for i in range(k):
         row = []
         for j in range(k):
             corr = (one_minus_omega * r[i] * rho[j]).exact_div(EisInt(3, 0))
-            entry = (E_ONE if i == j else E_ZERO) - corr
-            row.append((entry.a, entry.b))
+            row.append((E_ONE if i == j else E_ZERO) - corr)
         mat.append(tuple(row))
     return tuple(mat)
 
 
-def _mat_order_divides_3(flat, k) -> bool:
-    m2 = _pure.eis_mul_flat(flat, flat, k)
-    m3 = _pure.eis_mul_flat(m2, flat, k)
-    return m3 == _pure.eis_identity_flat(k)
-
-
 def triflections(lat: EisLattice) -> list:
-    """All distinct triflections of a definite lattice, as sorted flat matrices.
+    """All distinct triflections of a definite lattice, in the order of the
+    first root giving each (`eisenstein_roots`).
 
     Every triflection is checked to have order 3 and preserve the form.
     """
-    k = lat.rank
-    found = set()
+    ident = identity(lat.rank)
+    found = []
+    seen = set()
     for r in eisenstein_roots(lat):
-        flat = flatten_eis_matrix(triflection(lat, r))
-        if flat in found:
+        mat = triflection(lat, r)
+        if mat in seen:
             continue
-        if not _mat_order_divides_3(flat, k) or flat == _pure.eis_identity_flat(k):
+        if mat_mul(mat_mul(mat, mat), mat) != ident or mat == ident:
             raise AssertionError("triflection does not have order 3")
-        if not is_unitary(unflatten_eis_matrix(flat, k), lat.gram):
+        if not is_unitary(mat, lat.gram):
             raise AssertionError("triflection does not preserve the form")
-        found.add(flat)
+        seen.add(mat)
+        found.append(mat)
     if not found:
         raise ValueError("lattice has no roots")
-    return sorted(found)
+    return found
 
 
-def _apply(flat, k, v) -> tuple:
-    """A flat Z[omega] matrix times a column vector in the integral layout."""
-    out = []
-    for i in range(k):
-        ra = rb = 0
-        for j in range(k):
-            a, b = flat[2 * (i * k + j)], flat[2 * (i * k + j) + 1]
-            c, d = v[2 * j], v[2 * j + 1]
-            bd = b * d
-            ra += a * c - bd
-            rb += a * d + b * c - bd
-        out += (ra, rb)
-    return tuple(out)
+def _z_matrix(mat) -> list:
+    """The 2k x 2k integer matrix by which a k x k Z[omega] matrix acts on
+    `z_form` coordinates (e_i, omega e_i): (a + b w)(c + d w) is
+    (ac - bd) + (bc + (a - b) d) w."""
+    rows = []
+    for row in mat:
+        rows.append([x for e in row for x in (e.a, -e.b)])
+        rows.append([x for e in row for x in (e.b, e.a - e.b)])
+    return rows
 
 
 def isometry_group_order(lat: EisLattice, gens) -> int:
     """Order of the group generated by isometries of a definite lattice.
 
-    ``gens`` are flat Z[omega] matrices.  Each one permutes the finitely many
-    roots, and the order is that of this permutation group, from
+    ``gens`` are square `EisInt` matrices.  Each one permutes the finitely
+    many roots, acting on their integer coordinates through its `_z_matrix`,
+    and the order is that of this permutation group, from
     `permutation_group_order` (Schreier-Sims).  The action is faithful: an
     element fixing every root fixes their span, and it fixes their orthogonal
     complement because every generator must (as triflections do).  When the
@@ -376,16 +358,20 @@ def isometry_group_order(lat: EisLattice, gens) -> int:
         raise ValueError("lattice has no roots")
     roots = [eis_vector_from_z(v, k) for v in zroots]
     # x is orthogonal to r when sum_ij conj(r_i) G_ij x_j = 0
-    perp = nullspace([[sum((r[i].conj() * lat.gram[i][j] for i in range(k)), E_ZERO)
-                       for j in range(k)] for r in roots])
+    perp = nullspace(mat_mul([[x.conj() for x in r] for r in roots], lat.gram))
     perp = [tuple(c for x in v for c in (eis(x).a, eis(x).b)) for v in perp]
-    if any(_apply(flat, k, x) != x for flat in gens for x in perp):
+    zmats = [_z_matrix(m) for m in gens]
+
+    def act(z, v):
+        return tuple([sum(map(mul, row, v)) for row in z])
+
+    if any(act(z, x) != x for z in zmats for x in perp):
         raise AssertionError("a generator moves the orthogonal complement of the roots, "
                              "so the action on the roots is not certified faithful")
     index = {v: i for i, v in enumerate(zroots)}
     perms = []
-    for flat in gens:
-        perm = tuple(index.get(_apply(flat, k, v)) for v in zroots)
+    for z in zmats:
+        perm = tuple(index.get(act(z, v)) for v in zroots)
         if None in perm or len(set(perm)) != len(perm):
             raise AssertionError("a generator does not permute the roots")
         perms.append(perm)
@@ -399,7 +385,7 @@ def weyl_group(lat: EisLattice) -> FiniteMatrixGroup:
     (`isometry_group_order`); its elements are not listed.
     """
     trifl = triflections(lat)
-    return FiniteMatrixGroup("E", lat.rank, (), tuple(trifl), form=lat.flat_gram(),
+    return FiniteMatrixGroup("E", lat.rank, (), tuple(trifl), form=lat.gram,
                              order=isometry_group_order(lat, trifl))
 
 
@@ -730,7 +716,7 @@ def verify_unimodular_complement_vector() -> CuspVectorReport:
     w[10] = THETA * OMEGA
 
     nw = big.pair(w, w)
-    if not (nw.is_real() and nw.a == 3):
+    if nw != 3:
         return CuspVectorReport(False, int(nw.a), 0, "candidate vector does not have norm 3")
 
     # spanning set of the glued-plus-hyperbolic lattice: standard basis + glue
@@ -782,8 +768,8 @@ def boundary_betti(spec: dict) -> BettiTable:
         if group_spec == "weyl":
             gens = triflections(lat)
         else:
-            gens = [flatten_eis_matrix(mat) for mat in group_spec["generators"]]
-        part = abelian_quotient_betti(gens, lat.rank, form=lat.flat_gram())
+            gens = group_spec["generators"]
+        part = abelian_quotient_betti(gens, lat.rank, form=lat.gram)
         if any(b != 0 for b in part.odd()):
             raise AssertionError("factor quotient has odd cohomology; cannot symmetrize")
         count = factor.get("count", 1)

@@ -6,11 +6,10 @@ cohomology of abelian-variety quotients as joint fixed spaces of generators
 on exterior powers, and cycle-index symmetrization of even graded Poincare
 series.
 
-Group elements of both rings are stored in the kernels' flat layout
-(`flatten_eis_matrix`), a rational entry with zero omega part; Molien
-averaging and the fixed-space computation unflatten them to `EisInt`
-matrices, so both rings share one arithmetic, one closure and one
-determinant from `stratify._exact`.
+Matrices of both rings are tuples of row tuples of `EisInt`
+(`_exact.eis_matrix`), a rational entry q as q + 0*omega, so both rings
+share one arithmetic, one matrix product (`_exact.mat_mul`), one closure
+(`close_eis`) and one determinant.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from itertools import combinations
 from math import comb, factorial, lcm, prod
 
 from . import _pure
-from ._exact import EisInt, det, eis, flatten_eis_matrix, nullspace, unflatten_eis_matrix
+from ._exact import EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace
 from .series import BettiTable, TruncatedSeries, duality_check
 
 DEFAULT_CAP = 10**6
@@ -30,15 +29,16 @@ _UNITS = {(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)}
 
 
 class FiniteMatrixGroup(_pure.Record):
-    """Finite matrix group; elements, when listed, in canonical sorted order.
+    """Finite matrix group; elements, when listed, in breadth-first order
+    from the generators (`close_eis`).
 
-    ``ring`` is "Q" (rational entries) or "E" (entries in Z[omega]); matrices
-    are stored as flat tuples in the kernel layout, a rational entry q as the
-    pair (q, 0).  ``form`` optionally carries a hermitian Gram matrix (flat
-    Eisenstein layout) the group is unitary for.  ``order`` defaults to the
-    number of listed elements; a group whose order is certified otherwise
-    (a Weyl group, by Schreier-Sims) lists none, and `molien` closes its
-    generators when it needs the elements.
+    ``ring`` is "Q" (rational entries) or "E" (entries in Z[omega]); every
+    matrix, element, generator or form, is a tuple of row tuples of `EisInt`,
+    a rational entry q as q + 0*omega.  ``form`` optionally carries a
+    hermitian Gram matrix the group is unitary for.  ``order`` defaults to
+    the number of listed elements; a group whose order is certified
+    otherwise (a Weyl group, by Schreier-Sims) lists none, and `molien`
+    closes its generators when it needs the elements.
     """
 
     ring: str
@@ -53,47 +53,58 @@ class FiniteMatrixGroup(_pure.Record):
             object.__setattr__(self, "order", len(self.elements))
 
 
-def _is_eis_entry(x) -> bool:
-    if isinstance(x, EisInt):
-        return True
-    return isinstance(x, (tuple, list)) and len(x) == 2 and all(
-        isinstance(v, int) for v in x
-    )
-
-
 def close_group(generators, cap: int = DEFAULT_CAP):
     """Breadth-first multiplicative closure with exact equality testing.
 
     Accepts rational matrices (entries int/Fraction) or Eisenstein matrices
-    (entries `EisInt` or (a, b) integer pairs); both close in the flat layout
-    of `_pure.close_eis`, a rational entry q as q + 0*omega.  Elements are
-    returned canonically ordered.  Raises ValueError, before any closure, on
-    a generator whose determinant is not a unit (+-1 over Q, the six units
-    over Z[omega]): the determinant of a matrix of finite order is a root of
-    unity.  A unit determinant does not make the order finite, so each
-    generator must also pass `_check_finite_order`.  Raises ResourceCapError
-    when the closure exceeds ``cap``.
+    (entries `EisInt` or (a, b) integer pairs); both close by `close_eis`, a
+    rational entry q as q + 0*omega.  Elements come in breadth-first order.
+    Raises ValueError, before any closure, on a generator whose determinant
+    is not a unit (+-1 over Q, the six units over Z[omega]): the determinant
+    of a matrix of finite order is a root of unity.  A unit determinant does
+    not make the order finite, so each generator must also pass
+    `_check_finite_order`.  Raises ResourceCapError when the closure exceeds
+    ``cap``.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    first = generators[0]
-    k = len(first)
-    eis = _is_eis_entry(first[0][0]) if not isinstance(first[0][0], (int, Fraction)) else False
-    if not eis:
+    k = len(generators[0])
+    ring = "Q" if isinstance(generators[0][0][0], (int, Fraction)) else "E"
+    if ring == "Q":
         generators = [[[Fraction(x) for x in row] for row in g] for g in generators]
-    flats = [flatten_eis_matrix(g) for g in generators]
-    for i, flat in enumerate(flats):
-        d = det(unflatten_eis_matrix(flat, k))
+    mats = [eis_matrix(g) for g in generators]
+    for i, mat in enumerate(mats):
+        d = det(mat)
         if not d:
             raise ValueError("generator is not invertible")
         if (d.a, d.b) not in _UNITS:
             value = d.a if d.is_real() else f"{d.a} + {d.b}*omega"
             raise ValueError(f"generator {i} has determinant {value}, not a unit, "
                              "so it has infinite order")
-        _check_finite_order(i, flat, k)
-    return FiniteMatrixGroup("E" if eis else "Q", k, tuple(_pure.close_eis(flats, k, cap)),
-                             tuple(flats))
+        _check_finite_order(i, mat)
+    return FiniteMatrixGroup(ring, k, tuple(close_eis(mats, k, cap)), tuple(mats))
+
+
+def close_eis(gens, k, cap):
+    """Breadth-first multiplicative closure of k x k `EisInt` matrices.
+
+    Returns the elements as a list: the identity, then each new product
+    x * g in the order found, x running over the list and g over ``gens``.
+    Raises ResourceCapError beyond ``cap`` elements.
+    """
+    ident = identity(k)
+    seen = {ident}
+    elements = [ident]
+    for x in elements:  # the list grows while it is read: breadth first
+        for g in gens:
+            y = mat_mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                if len(seen) > cap:
+                    raise _pure.ResourceCapError(f"group closure exceeded cap {cap}")
+                elements.append(y)
+    return elements
 
 
 def _poly_mul(p, q):
@@ -160,14 +171,15 @@ def _cyclotomic_orders(poly):
     return orders
 
 
-def _check_finite_order(i, flat, k):
-    """Refuse generator i, a flat k x k matrix M, unless it has finite order.
+def _check_finite_order(i, mat):
+    """Refuse generator i, a square matrix M, unless it has finite order.
 
     Certificate: f times its conjugate, with f = det(x - M), is a product of
     cyclotomic polynomials Phi_n, so every eigenvalue is a root of unity;
     and M^L = I for L the lcm of those n, so M is diagonalizable.
     """
-    es = _elementary_symmetric(unflatten_eis_matrix(flat, k), k)
+    k = len(mat)
+    es = _elementary_symmetric(mat)
     f = [-e if p % 2 else e for p, e in enumerate(es)]
     ff = [sum((f[j] * f[t - j].conj() for j in range(max(0, t - k), min(t, k) + 1)),
               EisInt(0, 0)) for t in range(2 * k + 1)]
@@ -177,15 +189,15 @@ def _check_finite_order(i, flat, k):
     if orders is None:
         raise ValueError(f"generator {i} has infinite order: "
                          "an eigenvalue is not a root of unity")
-    ident = _pure.eis_identity_flat(k)
+    ident = identity(k)
     order = lcm(*orders)
-    power, square, e = ident, flat, order
+    power, square, e = ident, mat, order
     while e:
         if e & 1:
-            power = _pure.eis_mul_flat(power, square, k)
+            power = mat_mul(power, square)
         e >>= 1
         if e:
-            square = _pure.eis_mul_flat(square, square, k)
+            square = mat_mul(square, square)
     if power != ident:
         raise ValueError(f"generator {i} has infinite order: "
                          f"M^{order} is not the identity")
@@ -295,20 +307,14 @@ def permutation_group_order(perms) -> int:
     return order
 
 
-def _elementary_symmetric(mat, k):
-    """e_0..e_k of the eigenvalues, via Newton's identities on trace powers."""
-    powers = []
-    cur = mat
-    for _ in range(k):
-        powers.append(cur)
-        cur = tuple(
-            tuple(
-                sum(cur[i][l] * mat[l][j] for l in range(k))
-                for j in range(k)
-            )
-            for i in range(k)
-        )
-    ps = [sum(powers[p - 1][i][i] for i in range(k)) for p in range(1, k + 1)]
+def _elementary_symmetric(mat):
+    """e_0..e_k of the eigenvalues of a k x k matrix, via Newton's identities
+    on trace powers."""
+    k = len(mat)
+    powers = [mat]
+    while len(powers) < k:
+        powers.append(mat_mul(powers[-1], mat))
+    ps = [sum(m[i][i] for i in range(k)) for m in powers]
     es = [EisInt(1, 0)]
     for p in range(1, k + 1):
         s = EisInt(0, 0)
@@ -332,15 +338,15 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     if generator_degree < 1 or generator_degree % 2 != 0:
         raise ValueError("generator degree must be a positive even integer")
     k = group.dim
-    elements = group.elements or _pure.close_eis(group.gens, k, DEFAULT_CAP)
+    elements = group.elements or close_eis(group.gens, k, DEFAULT_CAP)
     if len(elements) != group.order:
         raise AssertionError(
             f"closure has order {len(elements)}, the group declares {group.order}")
     g = generator_degree
     zero = EisInt(0, 0)
     total = [zero] * (order + 1)
-    for flat in elements:
-        es = _elementary_symmetric(unflatten_eis_matrix(flat, k), k)
+    for mat in elements:
+        es = _elementary_symmetric(mat)
         # det(1 - T M) = sum_p (-1)^p e_p T^p with T = t^g
         poly = [zero] * (order + 1)
         poly[0] = EisInt(1, 0)
@@ -373,14 +379,8 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
 
 def is_unitary(mat, gram) -> bool:
     """Whether conj(M)^T G M == G, for square matrices of `EisInt`."""
-    k = len(gram)
-    gm = [[sum((gram[i][l] * mat[l][j] for l in range(k)), EisInt(0, 0))
-           for j in range(k)] for i in range(k)]
-    return all(
-        sum((mat[l][i].conj() * gm[l][j] for l in range(k)), EisInt(0, 0)) == gram[i][j]
-        for i in range(k)
-        for j in range(k)
-    )
+    adjoint = tuple(tuple(e.conj() for e in col) for col in zip(*mat))
+    return mat_mul(adjoint, mat_mul(gram, mat)) == tuple(map(tuple, gram))
 
 
 def _is_definite(gram) -> bool:
@@ -429,10 +429,8 @@ def _invariant_dim(powers, p, q) -> int:
         if basis is None:
             basis = [_integral(v) for v in nullspace(op)]
         else:
-            images = [[sum(x * y for x, y in zip(row, v)) for row in op] for v in basis]
-            coeffs = [_integral(c) for c in nullspace(list(zip(*images)))]
-            basis = [[sum(c * v[t] for c, v in zip(cs, basis)) for t in range(n * m)]
-                     for cs in coeffs]
+            coeffs = [_integral(c) for c in nullspace(mat_mul(op, tuple(zip(*basis))))]
+            basis = mat_mul(coeffs, basis)
         if not basis:
             return 0
     return len(basis)
@@ -459,10 +457,11 @@ def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
     The variety is the k-fold product of the j-invariant-zero elliptic curve;
     the group acts through its Eisenstein matrix representation.  ``group``
     is a `FiniteMatrixGroup` over the Eisenstein integers (its generators are
-    used, or its elements if it has none) or a sequence of generators in the
-    flat layout.  h^{p,q} is the dimension of the invariants in
-    Lambda^p V (x) conj Lambda^q V, computed exactly as the joint fixed space
-    of the generators for p <= q; conjugation gives h^{q,p} = h^{p,q}.
+    used, or its elements if it has none) or a sequence of generators; a
+    generator or ``form`` may have any entries `eis` accepts.  h^{p,q} is
+    the dimension of the invariants in Lambda^p V (x) conj Lambda^q V,
+    computed exactly as the joint fixed space of the generators for p <= q;
+    conjugation gives h^{q,p} = h^{p,q}.
 
     Certificate: every generator has Z[omega] entries and is unitary for the
     hermitian form, which is definite, so the group is finite; the table must
@@ -480,14 +479,14 @@ def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
         gens, gram = tuple(group), form
     if gram is None:
         raise ValueError("no hermitian form declared for unitarity checking")
-    if len(gram) != 2 * k * k or any(len(g) != 2 * k * k for g in gens):
+    gram, *mats = (eis_matrix(m) for m in (gram, *gens))
+    if len(gram) != k or any(len(m) != k for m in mats):
         raise ValueError("rank mismatch")
-    if not all(type(x) is int for flat in (gram, *gens) for x in flat):
+    if not all(type(e.a) is int and type(e.b) is int
+               for m in (gram, *mats) for row in m for e in row):
         raise ValueError("generators and form must have Eisenstein-integer entries")
-    gram = unflatten_eis_matrix(gram, k)
     if not _is_definite(gram):
         raise ValueError("the hermitian form is not definite")
-    mats = [unflatten_eis_matrix(flat, k) for flat in gens]
     if not all(is_unitary(m, gram) for m in mats):
         raise ValueError("generator is not unitary for the declared form")
     powers = [[_compound(m, p) for p in range(k + 1)] for m in mats]

@@ -40,15 +40,25 @@ from .series import (
 )
 
 _REQUIRED = object()
-_LATTICE_KINDS = {"EisLattice": "an Eisenstein lattice", "ZLattice": "a Z-lattice"}
+_RINGS = {"Q": "the rationals", "E": "the Eisenstein integers"}
+# the classes a step argument may have to hold: name -> (layer, description)
+_KINDS = {
+    "EisLattice": ("eisenstein", "an Eisenstein lattice"),
+    "ZLattice": ("eisenstein", "a Z-lattice"),
+    "FiniteMatrixGroup": ("invariants", "a matrix group"),
+    "WeightSystem": ("weights", "a weight system"),
+    "NormalRep": ("orbits", "a normal representation"),
+    "TangentNormalSplit": ("orbits", "a tangent-normal split"),
+    "BettiTable": ("series", "a Betti table"),
+}
 
 
 class StepArgs(dict):
     """Resolved arguments of one step, or an object nested in them.
 
     A missing required argument, or a value of the wrong kind where an op
-    needs an integer, a list or an object, is a parse error naming the step
-    and the field.
+    needs an integer, a list, an object or an earlier step's value of some
+    class, is a parse error naming the step and the field.
     """
 
     def __init__(self, where, values, path=""):
@@ -92,12 +102,28 @@ class StepArgs(dict):
             self.reject(key, "a list", value)
         return value
 
-    def lattice(self, key, *kinds):
-        """Lattice argument ``key``: an instance of one of the `eisenstein`
-        classes ``kinds`` ("EisLattice", "ZLattice")."""
+    def instance(self, key, *kinds):
+        """Argument ``key``: an instance of one of the classes ``kinds``,
+        names in `_KINDS`, as an earlier step returns."""
         value = self[key]
-        if not any(_instance(value, "eisenstein", kind) for kind in kinds):
-            self.reject(key, " or ".join(_LATTICE_KINDS[kind] for kind in kinds), value)
+        if not any(_instance(value, _KINDS[kind][0], kind) for kind in kinds):
+            self.reject(key, " or ".join(_KINDS[kind][1] for kind in kinds), value)
+        return value
+
+    def weights(self, key, *kinds):
+        """Argument ``key`` of one of the classes ``kinds`` that carry
+        ``weights``; a tangent-normal split stands for its normal representation."""
+        value = self.instance(key, *kinds)
+        return value.normal if _instance(value, "orbits", "TangentNormalSplit") else value
+
+    def group(self, key, ring=None):
+        """Matrix-group argument ``key`` (`invariants.FiniteMatrixGroup`),
+        over ``ring`` ("Q" or "E") when given."""
+        value = self.instance(key, "FiniteMatrixGroup")
+        if ring is not None and value.ring != ring:
+            raise ScenarioParseError(
+                f"{self._label()}: argument {key!r} must be a matrix group over "
+                f"{_RINGS[ring]}, got one over {_RINGS[value.ring]}")
         return value
 
     def strata(self, key) -> list:
@@ -285,7 +311,7 @@ def _op_hw(ctx, args, step):
 def _op_iis(ctx, args, step):
     from . import strata
 
-    ws = args["weights"]
+    ws = args.instance("weights", "WeightSystem")
     budget = args.integer("budget", strata.DEFAULT_BUDGET)
     return strata.instability_index_set(ws, args.get("weyl", "sym"), budget)
 
@@ -318,7 +344,7 @@ def _op_mark_nonempty(ctx, args, step):
         raise ScenarioParseError(
             f"nonemptiness declaration in step {step['id']!r} carries no citation"
         )
-    codims = set(args.get("codims", []))
+    codims = set(args.listing("codims", []))
     out = []
     for s in args.strata("strata"):
         if not s.is_zero() and s.codim_expected in codims:
@@ -332,7 +358,8 @@ def _op_mark_nonempty(ctx, args, step):
 def _op_msr(ctx, args, step):
     from . import strata
 
-    report = strata.maximal_support_report(args["weights"], args.strata("strata"))
+    found = args.strata("strata")
+    report = strata.maximal_support_report(args.instance("weights", "WeightSystem"), found)
     return [[r.r, r.codim_expected] for r in report]
 
 
@@ -340,13 +367,17 @@ def _op_msr(ctx, args, step):
 def _op_vso(ctx, args, step):
     from . import strata
 
-    ws = args["weights"]
-    if _instance(ws, "orbits", "TangentNormalSplit"):
-        ws = ws.normal
-    if _instance(ws, "weights", "WeightSystem") or _instance(ws, "orbits", "NormalRep"):
-        ws = ws.weights
+    found = args.strata("strata")
+    rows = args["weights"]
+    if isinstance(rows, list):
+        weights = _as_matrix(args, "weights", rows)
+        if any(len(w) != len(weights[0]) for w in weights):
+            args.reject("weights", "a list of equally long vectors", rows)
+    else:
+        weights = args.weights("weights", "WeightSystem", "NormalRep",
+                               "TangentNormalSplit").weights
     return strata.verify_strata_against_oracle(
-        ws, args.strata("strata"), args.integer("max_support", None)
+        weights, found, args.integer("max_support", None)
     )
 
 
@@ -376,7 +407,7 @@ def _op_normal_rep(ctx, args, step):
 
 @op("split_summary", "split")
 def _op_split_summary(ctx, args, step):
-    sp = args["split"]
+    sp = args.instance("split", "TangentNormalSplit")
     return {"span_dim": sp.span_dim, "relation_count": sp.relation_count,
             "normal_dim": sp.normal.dim}
 
@@ -385,9 +416,7 @@ def _op_split_summary(ctx, args, step):
 def _op_nrs(ctx, args, step):
     from . import strata
 
-    rep = args["rep"]
-    if _instance(rep, "orbits", "TangentNormalSplit"):
-        rep = rep.normal
+    rep = args.weights("rep", "NormalRep", "TangentNormalSplit")
     return strata.normal_rep_strata(rep, args["group"])
 
 
@@ -486,14 +515,14 @@ def _op_close_group(ctx, args, step):
 
 @op("group_order", "group")
 def _op_group_order(ctx, args, step):
-    return args["group"].order
+    return args.group("group").order
 
 
 @op("molien", "group", "degree", "order")
 def _op_molien(ctx, args, step):
     from . import invariants
 
-    return invariants.molien(args["group"], args.integer("degree"),
+    return invariants.molien(args.group("group"), args.integer("degree"),
                              args.order(ctx.order))
 
 
@@ -540,7 +569,7 @@ def _op_extra_term(ctx, args, step):
 def _op_b_shift(ctx, args, step):
     from . import assembly
 
-    return assembly.b_shift(args["table"], args.order(ctx.order))
+    return assembly.b_shift(args.instance("table", "BettiTable"), args.order(ctx.order))
 
 
 @op("blowup_correction", "exceptional", "dim", "order")
@@ -548,7 +577,8 @@ def _op_blowup(ctx, args, step):
     from . import assembly
 
     return assembly.blowup_correction(
-        args["exceptional"], args.integer("dim"), args.order(ctx.order)
+        args.instance("exceptional", "BettiTable"), args.integer("dim"),
+        args.order(ctx.order)
     )
 
 
@@ -562,12 +592,17 @@ def _op_duality_complete(ctx, args, step):
 
 @op("duality_check", "table")
 def _op_duality_check(ctx, args, step):
-    return duality_check(args["table"])
+    return duality_check(args.instance("table", "BettiTable"))
 
 
 @op("betti_product", "tables")
 def _op_betti_product(ctx, args, step):
-    tables = args["tables"]
+    tables = args.listing("tables")
+    if not tables:
+        args.reject("tables", "a nonempty list", tables)
+    for i, t in enumerate(tables):
+        if not isinstance(t, BettiTable):
+            args.reject(f"tables[{i}]", "a Betti table", t)
     total = tables[0]
     for t in tables[1:]:
         total = total.kunneth(t)
@@ -578,21 +613,24 @@ def _op_betti_product(ctx, args, step):
 def _op_named_lattice(ctx, args, step):
     from . import eisenstein
 
-    return eisenstein.named_lattice(args["name"])
+    name = args["name"]
+    if not isinstance(name, str):
+        args.reject("name", "a lattice name", name)
+    return eisenstein.named_lattice(name)
 
 
 @op("z_form", "lattice")
 def _op_z_form(ctx, args, step):
     from . import eisenstein
 
-    return eisenstein.z_form(args.lattice("lattice", "EisLattice"))
+    return eisenstein.z_form(args.instance("lattice", "EisLattice"))
 
 
 @op("root_count", "lattice")
 def _op_root_count(ctx, args, step):
     from . import eisenstein
 
-    lat = args.lattice("lattice", "EisLattice", "ZLattice")
+    lat = args.instance("lattice", "EisLattice", "ZLattice")
     if isinstance(lat, eisenstein.EisLattice):
         lat = eisenstein.z_form(lat)
     return len(eisenstein.enumerate_roots(lat))
@@ -605,15 +643,19 @@ def _op_weyl_group(ctx, args, step):
     lat = args["lattice"]
     if isinstance(lat, str):
         return eisenstein.weyl_group(eisenstein.named_lattice(lat))
-    return eisenstein.weyl_group(args.lattice("lattice", "EisLattice"))
+    return eisenstein.weyl_group(args.instance("lattice", "EisLattice"))
 
 
 @op("abelian_quotient_betti", "group", "rank", "form")
 def _op_aqb(ctx, args, step):
     from . import invariants
 
-    return invariants.abelian_quotient_betti(args["group"], args.integer("rank"),
-                                             form=args.get("form"))
+    rank = args.integer("rank")
+    invariants.check_quotient_rank(rank)
+    form = args.get("form")
+    if form is not None and not (_eis_matrix(form) and len(form) == rank):
+        args.reject("form", f"a {rank} x {rank} matrix of integers or [a, b] pairs", form)
+    return invariants.abelian_quotient_betti(args.group("group", "E"), rank, form=form)
 
 
 @op("wreath_symmetrize", "value", "n", "order")
@@ -686,7 +728,7 @@ def _op_boundary(ctx, args, step):
 def _op_disc(ctx, args, step):
     from . import eisenstein
 
-    lat = args.lattice("lattice", "EisLattice", "ZLattice")
+    lat = args.instance("lattice", "EisLattice", "ZLattice")
     if isinstance(lat, eisenstein.EisLattice):
         lat = eisenstein.z_form(lat)
     return eisenstein.discriminant_form(lat)
@@ -696,7 +738,7 @@ def _op_disc(ctx, args, step):
 def _op_glue(ctx, args, step):
     from . import eisenstein
 
-    base = args.lattice("lattice", "ZLattice")
+    base = args.instance("lattice", "ZLattice")
     glue = _as_matrix(args, "glue", args["glue"])
     for i, g in enumerate(args["glue"]):
         if len(g) != base.rank:
@@ -711,7 +753,7 @@ def _op_glue_diag(ctx, args, step):
     """Glue n copies of a lattice along 1/3 of the diagonal norm-(-12) div-3 class."""
     from . import eisenstein
 
-    base = args.lattice("lattice", "ZLattice")
+    base = args.instance("lattice", "ZLattice")
     copies = args.integer("copies", 3)
     n = base.rank
     z = eisenstein.find_norm_div_vector(base, -12, 3)

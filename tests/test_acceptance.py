@@ -247,12 +247,11 @@ def test_criterion_11_property_suites(cubic3fold_report, capsys):
         assert all(num <= 0 for _, num, _ in steps[sid]["value"]["triples"])
 
     # triflections have order 3 and preserve the form
-    from stratify._pure import eis_identity_flat, eis_mul_flat
+    from stratify._exact import identity, mat_mul
     from stratify.eisenstein import eisenstein_roots, triflection
-    from stratify.invariants import flatten_eis_matrix
-    ident = eis_identity_flat(3)
+    ident = identity(3)
     for r in eisenstein_roots(E3)[:12]:
-        t = flatten_eis_matrix(triflection(E3, r))
-        assert eis_mul_flat(eis_mul_flat(t, t, 3), t, 3) == ident
+        t = triflection(E3, r)
+        assert mat_mul(mat_mul(t, t), t) == ident
     with capsys.disabled():
         report(11, "duality, integrality, oracle, multiset, nonpositivity, triflection properties")

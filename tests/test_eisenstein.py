@@ -1,10 +1,11 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratify._pure import eis_identity_flat, eis_mul_flat
+from stratify._exact import eis_matrix, identity, mat_mul
 from stratify.eisenstein import (
     E1,
     E2,
@@ -14,11 +15,13 @@ from stratify.eisenstein import (
     THETA,
     EisInt,
     ZLattice,
+    _z_matrix,
     boundary_betti,
     discriminant_form,
     divisibility,
     eis_gcd,
     eis_lattice,
+    eis_vector_from_z,
     eisenstein_roots,
     enumerate_roots,
     enumerate_vectors,
@@ -27,17 +30,12 @@ from stratify.eisenstein import (
     isometry_group_order,
     named_lattice,
     triflection,
+    triflections,
     verify_unimodular_complement_vector,
     weyl_group,
     z_form,
 )
-from stratify.invariants import (
-    FiniteMatrixGroup,
-    close_group,
-    flatten_eis_matrix,
-    molien,
-    unflatten_eis_matrix,
-)
+from stratify.invariants import FiniteMatrixGroup, close_group, molien
 
 O3E1_GENS = {
     "generators": [
@@ -147,12 +145,12 @@ class TestWeylGroups:
         assert weyl_group(E4).order == 155520
 
     def test_orders_come_without_closure(self, monkeypatch):
-        from stratify import _pure
+        from stratify import invariants
 
         def refuse(*args):
             raise AssertionError("closure called")
 
-        monkeypatch.setattr(_pure, "close_eis", refuse)
+        monkeypatch.setattr(invariants, "close_eis", refuse)
         assert weyl_group(E3).order == 648
         w4 = weyl_group(E4)
         assert w4.order == 155520 and w4.elements == () and len(w4.gens) == 40
@@ -162,17 +160,17 @@ class TestWeylGroups:
         # fixes its orthogonal complement, so the action is still faithful
         lat = eis_lattice([[3, 0], [0, 6]])
         assert weyl_group(lat).order == 3
-        sign = flatten_eis_matrix([[1, 0], [0, -1]])  # fixes every root
+        sign = eis_matrix([[1, 0], [0, -1]])  # fixes every root
         with pytest.raises(AssertionError, match="not certified faithful"):
             isometry_group_order(lat, [sign])
 
     def test_generator_must_permute_the_roots(self):
         with pytest.raises(AssertionError, match="permute the roots"):
-            isometry_group_order(E1, [flatten_eis_matrix([[2]])])
+            isometry_group_order(E1, [eis_matrix([[2]])])
 
     def test_molien_closes_a_weyl_group(self):
         w2 = weyl_group(E2)
-        closed = close_group([unflatten_eis_matrix(t, 2) for t in w2.gens])
+        closed = close_group(w2.gens)
         assert molien(w2, 2, 12) == molien(closed, 2, 12)
         wrong = FiniteMatrixGroup("E", 2, (), w2.gens, w2.form, order=12)
         with pytest.raises(AssertionError, match="order 24"):
@@ -183,12 +181,11 @@ class TestWeylGroups:
         assert 51840 % weyl_group(E3).order == 0
 
     def test_triflections_order_three_and_isometry(self):
-        k = E3.rank
-        ident = eis_identity_flat(k)
+        ident = identity(E3.rank)
         for r in eisenstein_roots(E3):
-            flat = flatten_eis_matrix(triflection(E3, r))
-            cube = eis_mul_flat(eis_mul_flat(flat, flat, k), flat, k)
-            assert cube == ident and flat != ident
+            mat = triflection(E3, r)
+            cube = mat_mul(mat_mul(mat, mat), mat)
+            assert cube == ident and mat != ident
 
     def test_triflection_requires_root(self):
         with pytest.raises(ValueError):
@@ -314,3 +311,21 @@ class TestBoundary:
 
 
 O3E1_GENS_RANK1 = {"generators": [[[(0, 1)]], [[(-1, 0)]]]}
+
+
+Z_ROOTS = {lat: enumerate_roots(z_form(lat)) for lat in (E1, E2, E3)}
+TRIFLECTIONS = {lat: triflections(lat) for lat in Z_ROOTS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([E1, E2, E3]), st.data())
+def test_z_matrix_acts_as_the_eisenstein_product(lat, data):
+    # the integer action isometry_group_order permutes the roots by
+    word = data.draw(st.lists(st.sampled_from(TRIFLECTIONS[lat]), min_size=1, max_size=4))
+    zroot = data.draw(st.sampled_from(Z_ROOTS[lat]))
+    mat = word[0]
+    for t in word[1:]:
+        mat = mat_mul(mat, t)
+    column = mat_mul(mat, [[x] for x in eis_vector_from_z(zroot, lat.rank)])
+    expected = tuple(c for (e,) in column for c in (e.a, e.b))
+    assert tuple(sum(map(mul, row, zroot)) for row in _z_matrix(mat)) == expected

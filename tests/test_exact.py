@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stratify._exact import EisInt, det, inverse, nullspace, rank
+from stratify._exact import EisInt, det, eis, inverse, nullspace, rank
 from stratify._pure import ResourceCapError
 from stratify.eisenstein import smith_normal_form
 
@@ -214,6 +214,35 @@ def test_eisenstein_operations_stay_exact(x, y, r):
     assert (x * y).norm() == x.norm() * y.norm()
     if y:
         assert (x / y) * y == x
+
+
+def test_eisint_equals_the_plain_number_it_stands_for():
+    assert EisInt(3, 0) == 3 and 3 == EisInt(3, 0)
+    assert not EisInt(0, 0) != 0
+    assert EisInt(Fraction(1, 2), 0) == Fraction(1, 2)
+    assert EisInt(3, 1) != 3 and EisInt(0, 1) != 0
+    assert EisInt(1, 0) != "1"
+    assert {EisInt(3, 0): "three"}[3] == "three"
+    assert {3: "three"}[EisInt(Fraction(3), 0)] == "three"
+
+
+def test_eis_takes_only_integer_pairs():
+    assert eis([3, 1]) == EisInt(3, 1)
+    for bad in ((Fraction(3, 2), 0), (0.5, 0), ("3", "1")):
+        with pytest.raises(ValueError, match="is not an integer pair"):
+            eis(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(big_ints, fractions), st.one_of(big_ints, fractions),
+       st.one_of(big_ints, fractions))
+def test_eisint_compares_exactly_with_plain_numbers(a, b, r):
+    x = EisInt(a, b)
+    assert (x == r) is (r == x) is (b == 0 and a == r)
+    assert (x != r) is not (x == r)
+    assert (x == a) is (b == 0)
+    if b == 0:
+        assert hash(x) == hash(a)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratify._pure import ResourceCapError
-from stratify._exact import EisInt, flatten_eis_matrix, unflatten_eis_matrix
+from stratify._exact import EisInt, eis_matrix
 from stratify.eisenstein import (
     E1,
     E2,
@@ -71,9 +71,13 @@ class TestCloseGroup:
         assert close_group([[[-1]]]).order == 2
 
     def test_canonical_ordering_deterministic(self):
+        # breadth-first from the identity: the same generators give the
+        # same list, generators in another order the same elements
         a = close_group(DIHEDRAL_GENS).elements
+        assert a == close_group(DIHEDRAL_GENS).elements
         b = close_group(list(reversed(DIHEDRAL_GENS))).elements
-        assert a == b
+        assert a[0] == b[0] == eis_matrix([[1, 0], [0, 1]])
+        assert len(b) == 6 and set(a) == set(b)
 
 
 class TestMolien:
@@ -121,14 +125,14 @@ class TestAbelianQuotients:
         ident = [[(1, 0)]]
         g = close_group([ident])
         from stratify.invariants import FiniteMatrixGroup
-        g = FiniteMatrixGroup(g.ring, g.dim, g.elements, g.gens, form=(3, 0))
+        g = FiniteMatrixGroup(g.ring, g.dim, g.elements, g.gens, form=eis_matrix([[3]]))
         t = abelian_quotient_betti(g, 1)
         assert list(t.betti) == [1, 2, 1]
 
     def test_order_six_quotient_is_projective_line(self):
         g = close_group([[[(0, 1)]], [[(-1, 0)]]])
         from stratify.invariants import FiniteMatrixGroup
-        g = FiniteMatrixGroup(g.ring, g.dim, g.elements, g.gens, form=(3, 0))
+        g = FiniteMatrixGroup(g.ring, g.dim, g.elements, g.gens, form=eis_matrix([[3]]))
         t = abelian_quotient_betti(g, 1)
         assert list(t.betti) == [1, 0, 1]
 
@@ -136,19 +140,19 @@ class TestAbelianQuotients:
         bad = [[(2, 0)]]  # not unitary for the rank-1 form
         g = close_group([[[(1, 0)]]])
         from stratify.invariants import FiniteMatrixGroup
-        g = FiniteMatrixGroup("E", 1, (tuple([2, 0]),), (), form=(3, 0))
+        g = FiniteMatrixGroup("E", 1, (eis_matrix(bad),), (), form=eis_matrix([[3]]))
         with pytest.raises(ValueError):
             abelian_quotient_betti(g, 1)
 
     def test_requires_eisenstein_ring(self):
         g = close_group(DIHEDRAL_GENS)
         with pytest.raises(ValueError):
-            abelian_quotient_betti(g, 2, form=(3, 0, 0, 0, 0, 0, 3, 0))
+            abelian_quotient_betti(g, 2, form=eis_matrix([[3, 0], [0, 3]]))
 
     def test_int64_sized_generator_is_not_unitary(self):
         # the retired compiled character sums wrapped this entry to -1
-        gen = flatten_eis_matrix([[(2**63 - 1, 0), (0, 0)], [(0, 0), (1, 0)]])
-        form = flatten_eis_matrix([[3, 0], [0, 3]])
+        gen = eis_matrix([[(2**63 - 1, 0), (0, 0)], [(0, 0), (1, 0)]])
+        form = eis_matrix([[3, 0], [0, 3]])
         with pytest.raises(ValueError):
             abelian_quotient_betti(FiniteMatrixGroup("E", 2, (gen,), (gen,), form), 2)
         with pytest.raises(ValueError):
@@ -157,7 +161,7 @@ class TestAbelianQuotients:
     def test_indefinite_form_is_rejected(self):
         g = close_group([[[(1, 0), (0, 0)], [(0, 0), (1, 0)]]])
         with pytest.raises(ValueError):
-            abelian_quotient_betti(g, 2, form=H.flat_gram())
+            abelian_quotient_betti(g, 2, form=H.gram)
 
 
 def element_average_betti(group, k):
@@ -165,8 +169,8 @@ def element_average_betti(group, k):
     numbers.  e_p comes from Newton's identities on trace powers, so this
     shares nothing with the fixed-space computation."""
     acc = [[EisInt(0, 0)] * (k + 1) for _ in range(k + 1)]
-    for flat in group.elements:
-        es = _elementary_symmetric(unflatten_eis_matrix(flat, k), k)
+    for mat in group.elements:
+        es = _elementary_symmetric(mat)
         for p in range(k + 1):
             for q in range(k + 1):
                 acc[p][q] = acc[p][q] + es[p] * es[q].conj()
@@ -190,7 +194,7 @@ def monomial(draw):
     mat = [[EisInt(0, 0)] * 3 for _ in range(3)]
     for j in range(3):
         mat[perm[j]][j] = units[j]
-    return flatten_eis_matrix(mat)
+    return eis_matrix(mat)
 
 
 small_groups = st.one_of(
@@ -206,17 +210,17 @@ small_groups = st.one_of(
 def test_fixed_spaces_match_element_average(case):
     lat, gens = case
     k = lat.rank
-    group = close_group([unflatten_eis_matrix(g, k) for g in gens], cap=1500)
+    group = close_group(gens, cap=1500)
     expected = element_average_betti(group, k)
-    assert list(abelian_quotient_betti(group, k, form=lat.flat_gram()).betti) == expected
-    assert list(abelian_quotient_betti(gens, k, form=lat.flat_gram()).betti) == expected
+    assert list(abelian_quotient_betti(group, k, form=lat.gram).betti) == expected
+    assert list(abelian_quotient_betti(gens, k, form=lat.gram).betti) == expected
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_groups)
 def test_schreier_sims_matches_closure(case):
     lat, gens = case
-    closed = close_group([unflatten_eis_matrix(g, lat.rank) for g in gens], cap=1500)
+    closed = close_group(gens, cap=1500)
     assert isometry_group_order(lat, gens) == closed.order
 
 

@@ -219,6 +219,40 @@ def test_declare_kinds():
      r"argument 'strata' must be a list, got 5"),
     ({"op": "mark_nonempty", "args": {"strata": [{"beta": [0]}]}, "facts": [{"cite": "unit test"}]},
      r"argument 'strata\[0\]' must be a stratum"),
+    ({"op": "instability_index_set", "args": {"weights": 5}},
+     r"argument 'weights' must be a weight system, got 5"),
+    ({"op": "maximal_support_report", "args": {"weights": 5, "strata": []}},
+     r"argument 'weights' must be a weight system, got 5"),
+    ({"op": "verify_strata_oracle", "args": {"weights": 5, "strata": []}},
+     r"argument 'weights' must be a weight system or a normal representation or a "
+     r"tangent-normal split, got 5"),
+    ({"op": "verify_strata_oracle", "args": {"weights": [5], "strata": []}},
+     r"argument 'weights' must be a matrix \(a list of rows\)"),
+    ({"op": "verify_strata_oracle", "args": {"weights": [[1], [1, 2]], "strata": []}},
+     r"argument 'weights' must be a list of equally long vectors"),
+    ({"op": "normal_rep_strata", "args": {"rep": 5, "group": "torus"}},
+     r"argument 'rep' must be a normal representation or a tangent-normal split, got 5"),
+    ({"op": "split_summary", "args": {"split": 5}},
+     r"argument 'split' must be a tangent-normal split, got 5"),
+    ({"op": "b_shift", "args": {"table": 5}}, r"argument 'table' must be a Betti table, got 5"),
+    ({"op": "duality_check", "args": {"table": 5}},
+     r"argument 'table' must be a Betti table, got 5"),
+    ({"op": "blowup_correction", "args": {"exceptional": 5, "dim": 2}},
+     r"argument 'exceptional' must be a Betti table, got 5"),
+    ({"op": "betti_product", "args": {"tables": []}},
+     r"argument 'tables' must be a nonempty list, got \[\]"),
+    ({"op": "betti_product", "args": {"tables": 5}}, r"argument 'tables' must be a list, got 5"),
+    ({"op": "betti_product", "args": {"tables": [5]}},
+     r"argument 'tables\[0\]' must be a Betti table, got 5"),
+    ({"op": "group_order", "args": {"group": 5}},
+     r"argument 'group' must be a matrix group, got 5"),
+    ({"op": "molien", "args": {"group": 5, "degree": 2}},
+     r"argument 'group' must be a matrix group, got 5"),
+    ({"op": "abelian_quotient_betti", "args": {"group": 5, "rank": 1}},
+     r"argument 'group' must be a matrix group, got 5"),
+    ({"op": "mark_nonempty", "args": {"strata": [], "codims": 5}, "facts": [{"cite": "unit test"}]},
+     r"argument 'codims' must be a list, got 5"),
+    ({"op": "named_lattice", "args": {"name": [1]}}, r"argument 'name' must be a lattice name"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:
@@ -266,3 +300,35 @@ def test_quotient_rank_cap(step, rank):
     from stratify.strata import ResourceCapError
     with pytest.raises(ResourceCapError, match=f"rank {rank} exceeds the cap 5"):
         run_steps([{"id": "q", **step}])
+
+
+OMEGA_GROUP = {"id": "g", "op": "close_group", "args": {"ring": "E", "generators": [[[[0, 1]]]]}}
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([{"id": "g", "op": "close_group", "args": {"generators": [[[-1]]]}},
+      {"id": "s", "op": "abelian_quotient_betti", "args": {"group": "$g", "rank": 1}}],
+     r"argument 'group' must be a matrix group over the Eisenstein integers, "
+     r"got one over the rationals"),
+    ([OMEGA_GROUP,
+      {"id": "s", "op": "abelian_quotient_betti", "args": {"group": "$g", "rank": 1,
+                                                            "form": [3, 0]}}],
+     r"argument 'form' must be a 1 x 1 matrix of integers or \[a, b\] pairs, got \[3, 0\]"),
+    ([OMEGA_GROUP,
+      {"id": "s", "op": "abelian_quotient_betti", "args": {"group": "$g", "rank": 1,
+                                                            "form": [[3, 0], [0, 3]]}}],
+     r"argument 'form' must be a 1 x 1 matrix"),
+])
+def test_abelian_quotient_group_and_form_are_checked(steps, message):
+    with pytest.raises(ScenarioParseError, match=message) as info:
+        run_steps(steps)
+    assert "step 's'" in str(info.value)
+
+
+def test_abelian_quotient_form_is_an_eisenstein_gram():
+    rep = run_steps([
+        OMEGA_GROUP,
+        {"id": "q", "op": "abelian_quotient_betti",
+         "args": {"group": "$g", "rank": 1, "form": [[[3, 0]]]},
+         "expect": {"kind": "betti_table", "complex_dim": 1, "even": [1, 1], "odd": [0]}}])
+    assert value_of(rep, "q")["even"] == [1, 1]

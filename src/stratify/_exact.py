@@ -13,7 +13,8 @@ and `mat_mul` is its one product.
 One determinant, one rank, one nullspace and one inverse, each over Q (int
 or `Fraction` entries) or Q(omega) (`EisInt` entries).  Every division goes
 through `_div`, which returns an int when an integer quotient is exact and a
-`Fraction` otherwise; no result is ever a float.
+`Fraction` otherwise; no result is ever a float.  `rational` brings an input
+value to the same form, so integral values run in plain integers.
 
 The closest-point certificate in `strata` (`verify_strata_against_oracle`)
 keeps its own integer phase-I simplex so that it stays independent of the
@@ -23,6 +24,16 @@ kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def rational(x):
+    """The rational ``x`` (an int, a `Fraction` or what `Fraction` reads) as
+    an int when it is integral, else as a `Fraction`: integral values then
+    multiply in plain integers."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _div(x, y):

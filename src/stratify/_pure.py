@@ -49,8 +49,11 @@ MAX_ORDER = 1000
 BUILTIN_SCENARIOS = ("cubic3fold", "cubicsurf", "cubiccurve", "binary12")
 
 
-def check_order(order: int) -> int:
-    """A truncation order (scenario, step or --truncate) within `MAX_ORDER`."""
+def check_order(order: int, source: str) -> int:
+    """A truncation order within 0..`MAX_ORDER`; ``source`` names where it
+    was given (``--truncate``, the scenario's or a step's ``order``)."""
+    if order < 0:
+        raise ScenarioParseError(f"{source} must be a truncation order >= 0, got {order}")
     if order > MAX_ORDER:
         raise ResourceCapError(f"truncation order {order} exceeds the cap {MAX_ORDER}")
     return order

@@ -66,11 +66,7 @@ def _cmd_scenario(args) -> int:
     elif args.format == "latex":
         sys.stdout.write(report.to_latex())
     elif args.format == "csv":
-        lines = ["table,degree,betti"]
-        for label, table in sorted(report.tables.items()):
-            for j, b in enumerate(table.betti):
-                lines.append(f"{label},{j},{b}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(report.to_csv())
     else:
         sys.stdout.write(report.to_text())
     return EXIT_OK
@@ -119,7 +115,7 @@ def _cmd_molien(args) -> int:
         spec = {"generators": spec}
     gens = group_generators(StepArgs("molien", spec).only(("generators", "ring")))
     group = invariants.close_group(gens)
-    series = invariants.molien(group, args.degree, args.truncate or 10)
+    series = invariants.molien(group, args.degree, 10 if args.truncate is None else args.truncate)
 
     def text(s):
         return f"group order {group.order}; invariant series {s}\n"
@@ -243,7 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.truncate is not None:
-            check_order(args.truncate)
+            check_order(args.truncate, "--truncate")
         return args.fn(args)
     except ResourceCapError as e:
         print(json.dumps({"error": "resource-cap", "message": str(e)}), file=sys.stderr)

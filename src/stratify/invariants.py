@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb, factorial, lcm, prod
 
 from . import _pure
-from ._exact import EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace
+from ._exact import EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace, rational
 from .series import BettiTable, TruncatedSeries, duality_check
 
 DEFAULT_CAP = 10**6
@@ -58,7 +58,8 @@ def close_group(generators, cap: int = DEFAULT_CAP):
 
     Accepts rational matrices (entries int/Fraction) or Eisenstein matrices
     (entries `EisInt` or (a, b) integer pairs); both close by `close_eis`, a
-    rational entry q as q + 0*omega.  Elements come in breadth-first order.
+    rational entry q as q + 0*omega, an integral q as an int.  Elements come
+    in breadth-first order.
     Raises ValueError, before any closure, on a generator whose determinant
     is not a unit (+-1 over Q, the six units over Z[omega]): the determinant
     of a matrix of finite order is a root of unity.  A unit determinant does
@@ -72,7 +73,7 @@ def close_group(generators, cap: int = DEFAULT_CAP):
     k = len(generators[0])
     ring = "Q" if isinstance(generators[0][0][0], (int, Fraction)) else "E"
     if ring == "Q":
-        generators = [[[Fraction(x) for x in row] for row in g] for g in generators]
+        generators = [[[rational(x) for x in row] for row in g] for g in generators]
     mats = [eis_matrix(g) for g in generators]
     for i, mat in enumerate(mats):
         d = det(mat)
@@ -184,7 +185,7 @@ def _check_finite_order(i, mat):
     ff = [sum((f[j] * f[t - j].conj() for j in range(max(0, t - k), min(t, k) + 1)),
               EisInt(0, 0)) for t in range(2 * k + 1)]
     orders = None
-    if all(c.is_real() and Fraction(c.a).denominator == 1 for c in ff):
+    if all(c.is_real() and c.a.denominator == 1 for c in ff):
         orders = _cyclotomic_orders([int(c.a) for c in ff])
     if orders is None:
         raise ValueError(f"generator {i} has infinite order: "
@@ -406,7 +407,7 @@ def _compound(mat, p):
 def _integral(v) -> list:
     """``v`` times the lcm of its denominators, so that products stay in Z[omega]."""
     v = [eis(x) for x in v]
-    d = lcm(*(Fraction(x).denominator for e in v for x in (e.a, e.b)))
+    d = lcm(*(x.denominator for e in v for x in (e.a, e.b)))
     return [EisInt(int(e.a * d), int(e.b * d)) for e in v]
 
 
@@ -420,12 +421,10 @@ def _invariant_dim(powers, p, q) -> int:
     for ext in powers:
         a = ext[p]
         b = [[x.conj() for x in row] for row in ext[q]]
-        n, m = len(a), len(b)
-        op = [
-            [a[i][r] * b[j][s] - int(i == r and j == s) for r in range(n) for s in range(m)]
-            for i in range(n)
-            for j in range(m)
-        ]
+        # A (x) conj(B) - I: row (i, j) is the Kronecker product of rows i and j
+        op = [[x * y for x in ra for y in rb] for ra in a for rb in b]
+        for i, row in enumerate(op):
+            row[i] = row[i] - 1
         if basis is None:
             basis = [_integral(v) for v in nullspace(op)]
         else:

@@ -1,24 +1,29 @@
 """Tangent-space calculus for hypersurface orbits.
 
-Polynomials are sparse maps from exponent vectors to exact rationals.  The
+Polynomials are sparse maps from exponent vectors to exact rationals, an
+integral coefficient as an int and any other as a `Fraction`.  The
 derivative matrix of a form encodes the tangent space to its linear-group
 orbit; row reduction inside torus-weight blocks turns the by-hand relation
-hunting into rank computation.
+hunting into rank computation.  Torus weights are paired with the
+cocharacters scaled to integers, so the blocks are found in plain integers.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from ._exact import inverse, rank
+from ._exact import det, inverse, rank, rational
 from ._pure import Record
-from .weights import Vector, dot, monomials_of_degree, vec
+from .weights import monomials_of_degree, vec
 
 
 class MultiPoly:
-    """Sparse polynomial in variables x0..xn over exact rationals."""
+    """Sparse polynomial in variables x0..xn over exact rationals; an
+    integral coefficient is an int, any other a `Fraction`."""
 
     __slots__ = ("nvars", "terms")
 
@@ -27,8 +32,8 @@ class MultiPoly:
         self.terms = {}
         if terms:
             for expo, c in dict(terms).items():
-                c = Fraction(c)
-                if c != 0:
+                c = rational(c)
+                if c:
                     self.terms[tuple(expo)] = c
 
     def copy(self) -> "MultiPoly":
@@ -56,14 +61,14 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + other.scale(-1)
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
+        c = rational(c)
         return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
@@ -71,7 +76,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
     def pow(self, k: int) -> "MultiPoly":
@@ -102,16 +107,13 @@ class MultiPoly:
 
     @staticmethod
     def constant(nvars: int, c) -> "MultiPoly":
-        c = Fraction(c)
-        if c == 0:
-            return MultiPoly(nvars)
         return MultiPoly(nvars, {tuple([0] * nvars): c})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
         e = [0] * nvars
         e[i] = 1
-        return MultiPoly(nvars, {tuple(e): Fraction(1)})
+        return MultiPoly(nvars, {tuple(e): 1})
 
     def __repr__(self):
         if not self.terms:
@@ -201,25 +203,6 @@ class TangentNormalSplit(Record):
     relation_count: int
 
 
-def _pairing(expo, cochars) -> tuple:
-    return tuple(
-        sum(Fraction(e) * c for e, c in zip(expo, lam)) for lam in cochars
-    )
-
-
-def _project(pairing, cochars, gram_inv) -> Vector:
-    """Vector in the span of the cocharacters realizing the given pairings."""
-    coeffs = [
-        sum(gram_inv[i][j] * pairing[j] for j in range(len(pairing)))
-        for i in range(len(pairing))
-    ]
-    m = len(cochars[0])
-    return tuple(
-        sum((c * lam[t] for c, lam in zip(coeffs, cochars)), Fraction(0))
-        for t in range(m)
-    )
-
-
 def _block_ranks(polys) -> dict:
     """Rank of the span of each torus-weight block of the given polynomials.
 
@@ -234,7 +217,7 @@ def _block_ranks(polys) -> dict:
         col = {e: j for j, e in enumerate(monos)}
         rows = []
         for p in ps:
-            row = [Fraction(0)] * len(monos)
+            row = [0] * len(monos)
             for e, c in p.terms.items():
                 row[col[e]] = c
             rows.append(row)
@@ -259,7 +242,16 @@ def normal_rep_of(
         raise ValueError("form must be a nonzero homogeneous polynomial")
     d = next(iter(f.degree_set()))
     cochars = [vec(c) for c in cochars]
-    f_pairs = {_pairing(e, cochars) for e in f.terms}
+    if not cochars or any(len(lam) != nv for lam in cochars):
+        raise ValueError("need at least one cocharacter, each with one entry per variable")
+    # each cocharacter times the lcm of its denominators: integer pairings
+    scales = [lcm(*(c.denominator for c in lam)) for lam in cochars]
+    scaled = [tuple(int(c * s) for c in lam) for lam, s in zip(cochars, scales)]
+
+    def pairing(expo):
+        return tuple([sum(map(mul, expo, mu)) for mu in scaled])
+
+    f_pairs = {pairing(e) for e in f.terms}
     if len(f_pairs) != 1:
         raise ValueError("form is not an eigenvector of the declared torus")
 
@@ -277,40 +269,51 @@ def normal_rep_of(
 
     tagged = []
     for p in gens:
-        pairs = {_pairing(e, cochars) for e in p.terms}
+        pairs = {pairing(e) for e in p.terms}
         if len(pairs) != 1:
             raise ValueError("tangent generator mixes torus weights")
         tagged.append((pairs.pop(), p))
 
     ranks = _block_ranks(tagged)
-    try:
-        gram_inv = inverse([[dot(a, b) for b in cochars] for a in cochars])
-    except ValueError:
-        raise ValueError("cocharacters are linearly dependent") from None
+    gram = [[sum(map(mul, a, b)) for b in scaled] for a in scaled]
+    den = det(gram)
+    if not den:
+        raise ValueError("cocharacters are linearly dependent")
+    # the vector in the span with pairings q is sum_i (G^-1 q)_i mu_i over the
+    # scaled cocharacters mu_i; with the integer adjugate, one division
+    adj = [[int(x * den) for x in row] for row in inverse(gram)]
+    columns = list(zip(*scaled))
 
     full: dict = {}
     for expo in monomials_of_degree(n, d):
-        full[_pairing(expo, cochars)] = full.get(_pairing(expo, cochars), 0) + 1
+        key = pairing(expo)
+        full[key] = full.get(key, 0) + 1
 
-    tangent_pairings = []
-    for pairing, rk in sorted(ranks.items()):
-        if rk > full.get(pairing, 0):
+    # blocks sort alike by scaled and by exact pairings: each coordinate is
+    # scaled by a positive integer
+    tangent = []
+    for key, rk in sorted(ranks.items()):
+        if rk > full.get(key, 0):
             raise AssertionError("tangent block exceeds ambient multiplicity")
-        tangent_pairings.extend([pairing] * rk)
-    normal_pairings = []
+        tangent.extend([key] * rk)
+    normal = []
     remaining = dict(full)
-    for pairing in tangent_pairings:
-        remaining[pairing] -= 1
-    for pairing, mult in sorted(remaining.items()):
-        normal_pairings.extend([pairing] * mult)
+    for key in tangent:
+        remaining[key] -= 1
+    for key, mult in sorted(remaining.items()):
+        normal.extend([key] * mult)
 
-    tangent_vecs = tuple(_project(p, cochars, gram_inv) for p in tangent_pairings)
-    normal_vecs = tuple(_project(p, cochars, gram_inv) for p in normal_pairings)
-    span_dim = len(tangent_pairings)
+    exact = {}  # scaled pairing -> (exact pairing, projected vector)
+    for key in full:
+        coeffs = [sum(map(mul, row, key)) for row in adj]
+        exact[key] = (tuple(Fraction(x, s) for x, s in zip(key, scales)),
+                      tuple(Fraction(sum(map(mul, coeffs, col)), den) for col in columns))
+    span_dim = len(tangent)
     return TangentNormalSplit(
-        tangent_weights=tangent_vecs,
-        tangent_pairings=tuple(tangent_pairings),
-        normal=NormalRep(normal_vecs, tuple(normal_pairings), len(normal_vecs)),
+        tangent_weights=tuple(exact[key][1] for key in tangent),
+        tangent_pairings=tuple(exact[key][0] for key in tangent),
+        normal=NormalRep(tuple(exact[key][1] for key in normal),
+                         tuple(exact[key][0] for key in normal), len(normal)),
         span_dim=span_dim,
         relation_count=len(gens) - span_dim,
     )
@@ -325,7 +328,7 @@ class SemiInvariantReport(Record):
 def check_semiinvariant(f: MultiPoly, g) -> SemiInvariantReport:
     """Check whether F(g x) = lambda F(x) for an invertible rational matrix g."""
     nv = f.nvars
-    rows = [[Fraction(x) for x in row] for row in g]
+    rows = [[rational(x) for x in row] for row in g]
     if len(rows) != nv or any(len(r) != nv for r in rows):
         raise ValueError("matrix size must match the number of variables")
     forms = [
@@ -339,7 +342,7 @@ def check_semiinvariant(f: MultiPoly, g) -> SemiInvariantReport:
     e0, c0 = next(iter(sorted(f.terms.items())))
     if e0 not in fg.terms:
         return SemiInvariantReport(False, None, "transformed form drops a monomial")
-    lam = fg.terms[e0] / c0
+    lam = Fraction(fg.terms[e0], c0)  # exact, never a float
     if fg == f.scale(lam):
         return SemiInvariantReport(True, lam)
     return SemiInvariantReport(False, None, "transformed form is not proportional")

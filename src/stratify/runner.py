@@ -47,6 +47,7 @@ _KINDS = {
     "ZLattice": ("eisenstein", "a Z-lattice"),
     "FiniteMatrixGroup": ("invariants", "a matrix group"),
     "WeightSystem": ("weights", "a weight system"),
+    "MultiPoly": ("orbits", "a polynomial"),
     "NormalRep": ("orbits", "a normal representation"),
     "TangentNormalSplit": ("orbits", "a tangent-normal split"),
     "BettiTable": ("series", "a Betti table"),
@@ -93,7 +94,17 @@ class StepArgs(dict):
 
     def order(self, default: int) -> int:
         """The step's truncation order: its own ``order`` or the scenario's."""
-        return check_order(self.integer("order", default))
+        return check_order(self.integer("order", default), f"{self._label()}: argument 'order'")
+
+    def choice(self, key, options, default=_REQUIRED, what="one of"):
+        """String argument ``key``, one of ``options``; required unless a
+        default is given (with default None, null stands for absent)."""
+        value = self._get(key, default)
+        if value is None and default is None:
+            return None
+        if not (isinstance(value, str) and value in options):
+            self.reject(key, f"{what} {', '.join(map(repr, options))}", value)
+        return value
 
     def listing(self, key, default=_REQUIRED) -> list:
         """List argument ``key``."""
@@ -192,7 +203,7 @@ def _as_series(args: StepArgs, key, value, order) -> TruncatedSeries:
         triples = value.get("triples")
         if (type(top) is int and top >= 0 and isinstance(triples, list)
                 and all(_is_term(t, (3,)) and t[0] <= top for t in triples)):
-            check_order(top)
+            check_order(top, f"{args._label()}: argument {key!r}: 'order'")
             return serialize.series_from_jsonable(value)
     elif isinstance(value, list) and all(_is_term(item) for item in value):
         coeffs = [Fraction(0)] * (order + 1)
@@ -287,17 +298,14 @@ def _op_declare(ctx, args, step):
         raise ScenarioParseError(
             f"declared value in step {step['id']!r} carries no citation"
         )
-    kind = args.get("kind", "series")
-    value = args["value"]
+    kind = args.choice("kind", ("series", "betti_table", "int", "raw"), "series")
     if kind == "series":
-        return _as_series(args, "value", value, args.order(ctx.order))
+        return _as_series(args, "value", args["value"], args.order(ctx.order))
     if kind == "betti_table":
         return betti_table(args, "value")
     if kind == "int":
-        return int(value)
-    if kind == "raw":
-        return value
-    raise ScenarioParseError(f"unknown declare kind {kind!r}")
+        return args.integer("value")
+    return args["value"]
 
 
 @op("hypersurface_weights", "n", "d")
@@ -313,7 +321,8 @@ def _op_iis(ctx, args, step):
 
     ws = args.instance("weights", "WeightSystem")
     budget = args.integer("budget", strata.DEFAULT_BUDGET)
-    return strata.instability_index_set(ws, args.get("weyl", "sym"), budget)
+    return strata.instability_index_set(ws, args.choice("weyl", ("sym", "trivial"), "sym"),
+                                        budget)
 
 
 @op("min_nonzero_codim", "strata")
@@ -381,18 +390,37 @@ def _op_vso(ctx, args, step):
     )
 
 
-@op("parse_poly", "text", "nvars")
-def _op_parse_poly(ctx, args, step):
+def _polynomial(args: StepArgs, key, value, nvars):
+    """Polynomial argument ``key`` in ``nvars`` variables: an earlier step's
+    polynomial or a text that `orbits.parse_poly` reads."""
     from . import orbits
 
-    return orbits.parse_poly(args["text"], args.integer("nvars"))
+    what = f"a polynomial in x0..x{nvars - 1}"
+    if isinstance(value, orbits.MultiPoly) and value.nvars == nvars:
+        return value
+    if isinstance(value, str):
+        try:
+            return orbits.parse_poly(value, nvars)
+        except ValueError as e:
+            what += f" ({e})"
+    args.reject(key, what, value)
+
+
+@op("parse_poly", "text", "nvars")
+def _op_parse_poly(ctx, args, step):
+    return _polynomial(args, "text", args["text"], args.integer("nvars", minimum=1))
 
 
 @op("check_semiinvariant", "form", "matrix")
 def _op_check_semi(ctx, args, step):
     from . import orbits
 
-    rep = orbits.check_semiinvariant(args["form"], _as_matrix(args, "matrix", args["matrix"]))
+    matrix = _as_matrix(args, "matrix", args["matrix"])
+    form = args.instance("form", "MultiPoly")
+    n = form.nvars
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        args.reject("matrix", f"a {n} x {n} matrix, one row per variable", args["matrix"])
+    rep = orbits.check_semiinvariant(form, matrix)
     return {"ok": rep.ok, "scalar": serialize.to_jsonable(rep.scalar) if rep.scalar is not None else None}
 
 
@@ -400,9 +428,15 @@ def _op_check_semi(ctx, args, step):
 def _op_normal_rep(ctx, args, step):
     from . import orbits
 
-    return orbits.normal_rep_of(
-        args["form"], args["cocharacters"], args.get("extra_tangents", ())
-    )
+    form = args.instance("form", "MultiPoly")
+    n = form.nvars
+    cochars = _as_matrix(args, "cocharacters", args["cocharacters"])
+    if not cochars or any(len(c) != n for c in cochars):
+        args.reject("cocharacters", f"a nonempty list of vectors of length {n}",
+                    args["cocharacters"])
+    extra = [_polynomial(args, f"extra_tangents[{i}]", t, n)
+             for i, t in enumerate(args.listing("extra_tangents", []))]
+    return orbits.normal_rep_of(form, cochars, extra)
 
 
 @op("split_summary", "split")
@@ -417,7 +451,7 @@ def _op_nrs(ctx, args, step):
     from . import strata
 
     rep = args.weights("rep", "NormalRep", "TangentNormalSplit")
-    return strata.normal_rep_strata(rep, args["group"])
+    return strata.normal_rep_strata(rep, args.choice("group", ("torus", "pgl2")))
 
 
 @op("weyl_fiber_count", "strata", "beta", "stabilizer_weyl")
@@ -427,7 +461,7 @@ def _op_wfc(ctx, args, step):
     index_set = [s.beta for s in args.strata("strata")]
     beta = tuple(_as_rational(args, "beta", c) for c in args.listing("beta"))
     wr = None
-    if args.get("stabilizer_weyl") == "sign":
+    if args.choice("stabilizer_weyl", ("sign",), None) == "sign":
         wr = [lambda v: v, lambda v: tuple(-c for c in v)]
     return strata.weyl_fiber_count(beta, index_set, wr)
 
@@ -435,7 +469,7 @@ def _op_wfc(ctx, args, step):
 @op("classifying_series", "group", "n", "order")
 def _op_classifying(ctx, args, step):
     order = args.order(ctx.order)
-    group = args["group"]
+    group = args.choice("group", ("SL", "PGL", "GL", "torus", "mu"))
     n = args.integer("n", 0)
     if group in ("SL", "PGL"):
         return gf_expand([(2 * i, 1) for i in range(2, n + 1)], order)
@@ -443,9 +477,7 @@ def _op_classifying(ctx, args, step):
         return gf_expand([(2 * i, 1) for i in range(1, n + 1)], order)
     if group == "torus":
         return gf_expand([(2, n)], order)
-    if group == "mu":
-        return TruncatedSeries.one(order)
-    raise ScenarioParseError(f"unknown classifying space {group!r}")
+    return TruncatedSeries.one(order)
 
 
 @op("gf_expand", "factors", "order")
@@ -492,9 +524,10 @@ def _op_lincomb(ctx, args, step):
 def group_generators(args: StepArgs) -> list:
     """The ``generators`` of a `close_group` step or the `molien` command:
     with ``"ring": "E"`` square matrices of integers or [a, b] pairs
-    (`_eis_matrix`), else square rational matrices."""
+    (`_eis_matrix`), with ``"ring": "Q"`` (the default) square rational
+    matrices."""
     gens = args.listing("generators")
-    if args.get("ring") != "E":
+    if args.choice("ring", tuple(_RINGS), "Q") == "Q":
         for i, m in enumerate(gens):
             if not _square(m):
                 args.reject(f"generators[{i}]", "a square matrix", m)
@@ -530,9 +563,13 @@ def _op_molien(ctx, args, step):
 def _op_semistable(ctx, args, step):
     from . import assembly
 
+    exponents = args.listing("bsl_exponents")
+    for i, e in enumerate(exponents):
+        if type(e) is not int or e < 1:
+            args.reject(f"bsl_exponents[{i}]", "an integer >= 1", e)
     return assembly.semistable_series(
         args.integer("ambient_dim"),
-        args["bsl_exponents"],
+        exponents,
         _contributions(args, "strata", ctx),
         args.order(ctx.order),
     )
@@ -613,10 +650,7 @@ def _op_betti_product(ctx, args, step):
 def _op_named_lattice(ctx, args, step):
     from . import eisenstein
 
-    name = args["name"]
-    if not isinstance(name, str):
-        args.reject("name", "a lattice name", name)
-    return eisenstein.named_lattice(name)
+    return eisenstein.named_lattice(_lattice_name(args, "name"))
 
 
 @op("z_form", "lattice")
@@ -640,9 +674,8 @@ def _op_root_count(ctx, args, step):
 def _op_weyl_group(ctx, args, step):
     from . import eisenstein
 
-    lat = args["lattice"]
-    if isinstance(lat, str):
-        return eisenstein.weyl_group(eisenstein.named_lattice(lat))
+    if isinstance(args["lattice"], str):
+        return eisenstein.weyl_group(eisenstein.named_lattice(_lattice_name(args, "lattice")))
     return eisenstein.weyl_group(args.instance("lattice", "EisLattice"))
 
 
@@ -668,6 +701,13 @@ def _op_wreath(ctx, args, step):
     return invariants.wreath_symmetrize(value, args.integer("n", minimum=1))
 
 
+def _lattice_name(args: StepArgs, key) -> str:
+    """Argument ``key``: the name of a lattice in `eisenstein.NAMED_LATTICES`."""
+    from .eisenstein import NAMED_LATTICES
+
+    return args.choice(key, NAMED_LATTICES, what="a lattice name, one of")
+
+
 def _square(value) -> bool:
     """Whether ``value`` is a nonempty list of rows as long as the list."""
     return isinstance(value, list) and bool(value) and all(
@@ -690,7 +730,9 @@ def boundary_spec(args: StepArgs) -> dict:
     for i, factor in enumerate(spec.listing("factors")):
         factor = spec.nested(f"factors[{i}]", factor, ("lattice", "group", "count"))
         lattice = factor["lattice"]
-        if not (isinstance(lattice, str) or _instance(lattice, "eisenstein", "EisLattice")):
+        if isinstance(lattice, str):
+            _lattice_name(factor, "lattice")
+        elif not _instance(lattice, "eisenstein", "EisLattice"):
             factor.reject("lattice", "a lattice or a lattice name", lattice)
         group = factor.get("group", "weyl")
         if group != "weyl":
@@ -804,7 +846,8 @@ def _op_assert_true(ctx, args, step):
 
 class ScenarioReport:
     """What `run_scenario` returns: the step values, the checked output
-    tables and the provenance ledger, with their json, latex and text forms."""
+    tables and the provenance ledger, with their json, latex, csv and text
+    forms."""
 
     def __init__(self, name: str, description: str, steps: list, tables: dict,
                  provenance: list, notes: list):
@@ -843,6 +886,13 @@ class ScenarioReport:
                 + r" \\"
             )
             lines.append(r"\end{array}")
+        return "\n".join(lines) + "\n"
+
+    def to_csv(self) -> str:
+        lines = ["table,degree,betti"]
+        for label, table in sorted(self.tables.items()):
+            for j, b in enumerate(table.betti):
+                lines.append(f"{label},{j},{b}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -889,7 +939,7 @@ def _validate(doc):
         raise ScenarioParseError("scenario 'outputs' must be an object")
     if type(doc.get("order", 10)) is not int:
         raise ScenarioParseError("scenario 'order' must be an integer")
-    check_order(doc.get("order", 10))
+    check_order(doc.get("order", 10), "scenario 'order'")
     seen = set()
     for pos, step in enumerate(doc["steps"]):
         if "id" not in step or "op" not in step:

@@ -80,6 +80,26 @@ class TestScenarioCommand:
             assert code == 4 and json.loads(err)["error"] == "resource-cap"
 
 
+    def test_negative_truncation_order_is_parse_error(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"name": "neg", "order": -1, "steps": []}))
+        step = tmp_path / "step.json"
+        step.write_text(json.dumps({"name": "neg", "steps": [
+            {"id": "g", "op": "close_group", "args": {"generators": [[[0, 1], [1, 0]]]}},
+            {"id": "m", "op": "molien", "args": {"group": "$g", "degree": 2, "order": -1}}]}))
+        for argv, source in (
+                (("molien", "--gens", "[[[0,1],[1,0]]]", "--truncate", "-1"), "--truncate"),
+                (("blowup", "--exceptional", '{"complex_dim":1,"even":[1,1]}', "--dim", "2",
+                  "--truncate", "-2"), "--truncate"),
+                (("strata", "--n", "2", "--d", "3", "--truncate", "-1"), "--truncate"),
+                (("scenario", "run", str(doc)), "scenario 'order'"),
+                (("scenario", "run", str(step)), "step 'm': argument 'order'")):
+            code, out, err = run_cli(*argv)
+            assert code == 3 and out == ""
+            err = json.loads(err)
+            assert err["error"] == "parse"
+            assert err["message"].startswith(f"{source} must be a truncation order >= 0, got -")
+
     def test_bad_literal_values_exit_code(self, tmp_path):
         for step, field in (
                 ({"op": "series_product", "args": {"factors": [[[0]]]}}, "'factors[0]'"),

@@ -300,3 +300,109 @@ def test_molien_rejects_odd_generator_degree():
     g = close_group(DIHEDRAL_GENS)
     with pytest.raises(ValueError):
         molien(g, 3, 6)
+
+
+def test_integral_rational_generators_give_int_parts():
+    # integral entries, given as ints or as integral Fractions, stay ints
+    # on every element, so the closure multiplies in plain integers
+    halves = [[Fraction(2, 2) if x == 1 else x for x in row] for row in PERM3_GENS[1]]
+    for gens in (DIHEDRAL_GENS, PERM3_GENS, [PERM3_GENS[0], halves]):
+        group = close_group(gens)
+        assert group.ring == "Q" and group.order in (6, 12)
+        assert all(type(e.a) is int and type(e.b) is int
+                   for m in group.elements for row in m for e in row)
+
+
+# --- differential test against a Fraction reference written here -----------
+
+def ref_mul(x, y):
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
+                       for col in zip(*y)) for row in x)
+
+
+def ref_det(m):
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, d = len(a), Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv], d = a[piv], a[c], -d
+        d *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return d
+
+
+def ref_inverse(m):
+    n = len(m)
+    return tuple(tuple(
+        (-1) ** (i + j) * ref_det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+        / ref_det(m) for j in range(n)) for i in range(n))
+
+
+def ref_closure(gens):
+    n = len(gens[0])
+    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        frontier = list({ref_mul(x, g) for x in frontier for g in gens} - seen)
+        seen.update(frontier)
+    return seen
+
+
+def ref_molien(elements, degree, order):
+    """(1/|G|) sum over G of 1/det(1 - t^degree M), by principal minors."""
+    from itertools import combinations
+
+    total = [Fraction(0)] * (order + 1)
+    for m in elements:
+        k = len(m)
+        poly = [Fraction(0)] * (order + 1)
+        poly[0] = Fraction(1)
+        for p in range(1, k + 1):
+            if p * degree <= order:
+                e_p = sum(ref_det([[m[i][j] for j in s] for i in s])
+                          for s in combinations(range(k), p))
+                poly[p * degree] = (-1) ** p * e_p
+        inv = [Fraction(1)] + [Fraction(0)] * order
+        for i in range(1, order + 1):
+            inv[i] = -sum(poly[t] * inv[i - t] for t in range(1, i + 1))
+        total = [a + b for a, b in zip(total, inv)]
+    return [c / len(elements) for c in total]
+
+
+@st.composite
+def signed_permutation_groups(draw):
+    """Generators of a signed-permutation group, as integer matrices or
+    conjugated by a random invertible rational matrix."""
+    n = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        gens.append(tuple(tuple(Fraction(signs[i]) if j == perm[i] else Fraction(0)
+                                for j in range(n)) for i in range(n)))
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        conj = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+                    .filter(lambda m: ref_det(m) != 0))
+        conj = tuple(map(tuple, conj))
+        gens = [ref_mul(ref_mul(conj, g), ref_inverse(conj)) for g in gens]
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_permutation_groups(), st.sampled_from((2, 4)))
+def test_closure_and_molien_match_fraction_reference(gens, degree):
+    group = close_group([[list(row) for row in g] for g in gens])
+    expected = ref_closure(gens)
+    got = {tuple(tuple(Fraction(e.a) for e in row) for row in m) for m in group.elements}
+    assert all(e.b == 0 for m in group.elements for row in m for e in row)
+    assert got == expected and group.order == len(expected)
+    if all(x.denominator == 1 for g in gens for row in g for x in row):
+        assert all(type(e.a) is int for m in group.elements for row in m for e in row)
+    assert list(molien(group, degree, 8).coeffs) == ref_molien(list(expected), degree, 8)

@@ -164,3 +164,45 @@ class TestSemiInvariant:
 def test_multipoly_drops_zero_coefficients():
     p = MultiPoly(2, {(1, 0): 1}) - MultiPoly(2, {(1, 0): 1})
     assert p.is_zero() and p.terms == {}
+
+
+def test_integral_coefficients_are_ints():
+    p = parse_poly("2*x0^2*x1 - 1/3*x2^3 + 4/2*x1*x2", 3)
+    assert {e: type(c) for e, c in p.terms.items()} == {
+        (2, 1, 0): int, (0, 0, 3): Fraction, (0, 1, 1): int}
+    q = p.scale(Fraction(3, 1)) + p.diff(2).scale(Fraction(4, 2))
+    assert all(type(c) is int for c in q.terms.values())
+
+
+def test_semiinvariant_scalar_of_an_integer_form_is_a_fraction():
+    # the scalar is an exact quotient of integers: a Fraction, never an int
+    # (it serializes as [num, den]) nor a float
+    f = parse_poly("x0*x1*x2", 3)
+    rep = check_semiinvariant(f, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    assert rep.ok and type(rep.scalar) is Fraction and rep.scalar == -1
+    rep = check_semiinvariant(parse_poly("2*x0^3", 3), [[3, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert type(rep.scalar) is Fraction and rep.scalar == 27
+
+
+@pytest.mark.parametrize("cochars", [[[2, 1, 0, -1, -2]], [[1, "1/2", 0, "-1/2", -1]],
+                                     [["2/3", "1/3", 0, "-1/3", "-2/3"]]])
+def test_split_fields_are_fractions(cochars):
+    # pairings are found with the cocharacters scaled to integers; the
+    # record keeps the exact rational pairings and projected weights
+    split = normal_rep_of(parse_poly(F_2A5_GENERIC, 5), cochars, ["x2^3"])
+    scale = Fraction(vec(cochars[0])[0], 2)
+    for pairings in (split.tangent_pairings, split.normal.pairings):
+        assert all(type(c) is Fraction for p in pairings for c in p)
+    for weights in (split.tangent_weights, split.normal.weights):
+        assert all(type(c) is Fraction for w in weights for c in w)
+    ladder = sorted(p[0] / scale for p in split.normal.pairings)
+    assert ladder == [Fraction(w) for w in (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6)]
+    for p, w in zip(split.normal.pairings, split.normal.weights):
+        assert dot(w, vec(cochars[0])) == p[0]
+
+
+def test_cocharacters_must_match_the_variables():
+    f = parse_poly(F_3D4, 5)
+    for cochars in ([], [[1, 0, -1, 0]]):
+        with pytest.raises(ValueError, match="one entry per variable"):
+            normal_rep_of(f, cochars)

@@ -61,9 +61,114 @@ def test_glue_op_checks_its_arguments(lattice, glue, message):
     assert "step 'g'" in str(info.value)
 
 
-def test_unknown_lattice_is_check_error():
-    with pytest.raises(ScenarioCheckError):
+def test_unknown_lattice_is_parse_error():
+    with pytest.raises(ScenarioParseError,
+                       match=r"step 'lat': argument 'name' must be a lattice name, one of "
+                             r"'E1', .*, got 'E99'"):
         run_steps([{"id": "lat", "op": "named_lattice", "args": {"name": "E99"}}])
+
+
+WS = {"id": "ws", "op": "hypersurface_weights", "args": {"n": 1, "d": 4}}
+SPLIT = [{"id": "f", "op": "parse_poly", "args": {"text": "x0^2*x1^2", "nvars": 2}},
+         {"id": "sp", "op": "normal_rep_of", "args": {"form": "$f", "cocharacters": [[1, -1]]}}]
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([WS, {"id": "s", "op": "instability_index_set", "args": {"weights": "$ws", "weyl": [1]}}],
+     r"argument 'weyl' must be one of 'sym', 'trivial', got \[1\]"),
+    ([WS, {"id": "s", "op": "instability_index_set", "args": {"weights": "$ws", "weyl": "x"}}],
+     r"argument 'weyl' must be one of 'sym', 'trivial', got 'x'"),
+    (SPLIT + [{"id": "s", "op": "normal_rep_strata", "args": {"rep": "$sp", "group": "sym"}}],
+     r"argument 'group' must be one of 'torus', 'pgl2', got 'sym'"),
+    (SPLIT + [{"id": "s", "op": "normal_rep_strata", "args": {"rep": "$sp"}}],
+     r"needs argument 'group'"),
+    ([{"id": "s", "op": "close_group", "args": {"ring": "X", "generators": [[[1]]]}}],
+     r"argument 'ring' must be one of 'Q', 'E', got 'X'"),
+    ([{"id": "s", "op": "weyl_fiber_count",
+       "args": {"strata": [], "beta": [0], "stabilizer_weyl": "flip"}}],
+     r"argument 'stabilizer_weyl' must be one of 'sign', got 'flip'"),
+    ([{"id": "s", "op": "weyl_group", "args": {"lattice": "E9"}}],
+     r"argument 'lattice' must be a lattice name, one of 'E1', .*, got 'E9'"),
+    ([{"id": "s", "op": "boundary_betti", "args": {"spec": {"factors": [{"lattice": "E9"}]}}}],
+     r"spec.factors\[0\]: argument 'lattice' must be a lattice name, one of 'E1'"),
+    ([{"id": "s", "op": "classifying_series", "args": {"group": "SO", "n": 2}}],
+     r"argument 'group' must be one of 'SL', 'PGL', 'GL', 'torus', 'mu', got 'SO'"),
+    ([{"id": "s", "op": "declare", "args": {"kind": "float", "value": 1},
+       "facts": [{"cite": "unit test"}]}],
+     r"argument 'kind' must be one of 'series', 'betti_table', 'int', 'raw', got 'float'"),
+    ([{"id": "s", "op": "declare", "args": {"kind": "int", "value": [1]},
+       "facts": [{"cite": "unit test"}]}],
+     r"argument 'value' must be an integer, got \[1\]"),
+])
+def test_bad_choice_values_are_parse_errors(steps, message):
+    with pytest.raises(ScenarioParseError, match=message) as info:
+        run_steps(steps)
+    assert "step 's'" in str(info.value)
+
+
+def test_choice_values_are_read():
+    rep = run_steps(SPLIT + [
+        {"id": "bt", "op": "normal_rep_strata", "args": {"rep": "$sp", "group": "torus"}},
+        {"id": "w", "op": "weyl_fiber_count",
+         "args": {"strata": "$bt", "beta": [-2, 2], "stabilizer_weyl": "sign"}, "expect": 1},
+        {"id": "w0", "op": "weyl_fiber_count",
+         "args": {"strata": "$bt", "beta": [-2, 2], "stabilizer_weyl": None}, "expect": 2},
+        {"id": "c", "op": "classifying_series", "args": {"group": "mu"}}])
+    assert value_of(rep, "w") == 1 and value_of(rep, "w0") == 2
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([{"id": "s", "op": "parse_poly", "args": {"text": 5, "nvars": 2}}],
+     r"argument 'text' must be a polynomial in x0..x1, got 5"),
+    ([{"id": "s", "op": "parse_poly", "args": {"text": "x", "nvars": 2}}],
+     r"argument 'text' must be a polynomial in x0..x1 \(cannot parse term 'x'\), got 'x'"),
+    ([{"id": "s", "op": "parse_poly", "args": {"text": "x2", "nvars": 2}}],
+     r"argument 'text' must be a polynomial in x0..x1 \(variable x2 out of range"),
+    ([{"id": "s", "op": "parse_poly", "args": {"text": "x0", "nvars": 0}}],
+     r"argument 'nvars' must be an integer >= 1, got 0"),
+    ([{"id": "s", "op": "normal_rep_of", "args": {"form": "x0", "cocharacters": [[1]]}}],
+     r"argument 'form' must be a polynomial, got 'x0'"),
+    (SPLIT[:1] + [{"id": "s", "op": "normal_rep_of", "args": {"form": "$f", "cocharacters": 5}}],
+     r"argument 'cocharacters' must be a matrix \(a list of rows\), got 5"),
+    (SPLIT[:1] + [{"id": "s", "op": "normal_rep_of", "args": {"form": "$f", "cocharacters": []}}],
+     r"argument 'cocharacters' must be a nonempty list of vectors of length 2, got \[\]"),
+    (SPLIT[:1] + [{"id": "s", "op": "normal_rep_of",
+                   "args": {"form": "$f", "cocharacters": [[1, -1, 0]]}}],
+     r"argument 'cocharacters' must be a nonempty list of vectors of length 2"),
+    (SPLIT[:1] + [{"id": "s", "op": "normal_rep_of",
+                   "args": {"form": "$f", "cocharacters": [[1, -1]], "extra_tangents": 5}}],
+     r"argument 'extra_tangents' must be a list, got 5"),
+    (SPLIT[:1] + [{"id": "s", "op": "normal_rep_of",
+                   "args": {"form": "$f", "cocharacters": [[1, -1]], "extra_tangents": [1]}}],
+     r"argument 'extra_tangents\[0\]' must be a polynomial in x0..x1, got 1"),
+    (SPLIT[:1] + [{"id": "s", "op": "check_semiinvariant", "args": {"form": 5, "matrix": [[1]]}}],
+     r"argument 'form' must be a polynomial, got 5"),
+    (SPLIT[:1] + [{"id": "s", "op": "check_semiinvariant", "args": {"form": "$f", "matrix": [[1]]}}],
+     r"argument 'matrix' must be a 2 x 2 matrix, one row per variable, got \[\[1\]\]"),
+    ([{"id": "s", "op": "semistable_series",
+       "args": {"ambient_dim": 2, "bsl_exponents": 5, "strata": []}}],
+     r"argument 'bsl_exponents' must be a list, got 5"),
+    ([{"id": "s", "op": "semistable_series",
+       "args": {"ambient_dim": 2, "bsl_exponents": [2, "x"], "strata": []}}],
+     r"argument 'bsl_exponents\[1\]' must be an integer >= 1, got 'x'"),
+    ([{"id": "s", "op": "semistable_series",
+       "args": {"ambient_dim": 2, "bsl_exponents": [0], "strata": []}}],
+     r"argument 'bsl_exponents\[0\]' must be an integer >= 1, got 0"),
+])
+def test_bad_orbit_and_semistable_arguments_are_parse_errors(steps, message):
+    with pytest.raises(ScenarioParseError, match=message) as info:
+        run_steps(steps)
+    assert "step 's'" in str(info.value)
+
+
+def test_extra_tangents_accept_text_and_polynomials():
+    rep = run_steps(SPLIT[:1] + [
+        {"id": "t", "op": "parse_poly", "args": {"text": "x0^4", "nvars": 2}},
+        {"id": "a", "op": "normal_rep_of",
+         "args": {"form": "$f", "cocharacters": [[1, -1]], "extra_tangents": ["x0^4"]}},
+        {"id": "b", "op": "normal_rep_of",
+         "args": {"form": "$f", "cocharacters": [["1/2", "-1/2"]], "extra_tangents": ["$t"]}}])
+    assert value_of(rep, "a")["span_dim"] == value_of(rep, "b")["span_dim"]
 
 
 def test_assert_true_op():

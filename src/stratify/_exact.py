@@ -13,7 +13,9 @@ and `mat_mul` is its one product.
 One determinant, one rank, one nullspace and one inverse, each over Q (int
 or `Fraction` entries) or Q(omega) (`EisInt` entries).  Every division goes
 through `_div`, which returns an int when an integer quotient is exact and a
-`Fraction` otherwise; no result is ever a float.  `rational` brings an input
+`Fraction` otherwise; no result is ever a float.  `rank` and `_div` are
+defined in `stratify._pure`, so the strata layer reaches the rank without
+loading this module, and re-exported here.  `rational` brings an input
 value to the same form, so integral values run in plain integers.
 
 The closest-point certificate in `strata` (`verify_strata_against_oracle`)
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._pure import _div, rank  # noqa: F401
+
 
 def rational(x):
     """The rational ``x`` (an int, a `Fraction` or what `Fraction` reads) as
@@ -34,14 +38,6 @@ def rational(x):
         return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def _div(x, y):
-    """Exact quotient x / y over Q or Q(omega)."""
-    if type(x) is int and type(y) is int:
-        q, r = divmod(x, y)
-        return Fraction(x, y) if r else q
-    return x / y
 
 
 class EisInt:
@@ -207,32 +203,6 @@ def det(mat):
                 row_i[j] = _div(row_i[j] * p - f * row_k[j], prev)
         prev = p
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
-
-
-def rank(rows) -> int:
-    """Rank of a list of rows by fraction-free (Bareiss) elimination.
-
-    As in `det`, every intermediate entry is a minor of the input, so integer
-    rows stay integer throughout.
-    """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rk = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        head = rows[rk]
-        p = head[col]
-        for r in rows[rk + 1:]:
-            f = r[col]
-            for j in range(col + 1, ncols):
-                r[j] = _div(r[j] * p - f * head[j], prev)
-        prev = p
-        rk += 1
-    return rk
 
 
 def nullspace(rows) -> list:

@@ -3,21 +3,27 @@ that every layer and the command line share, and `Record`, the base of the
 layers' value records.
 
 This module imports no other stratify module, so the command line can load
-it, and with it the error types, the truncation-order cap, the built-in
-scenario names and the input-file reader, before it knows which layers a
-call needs.
+it, and with it the error types, the truncation-order and digit caps, the
+built-in scenario names and the input-file reader, before it knows which
+layers a call needs.
 
 `projection_candidates` is the closest-point candidate search behind every
 index set.  `_extend_ldl`, its fraction-free LDL^T step, also decomposes
 Gram matrices for the short-vector enumeration of
-`eisenstein.enumerate_vectors`.  All arithmetic is exact: Python ints
-throughout, weight vectors as tuples of ints and rationals as (numerator,
-denominator) pairs.  Matrices over Z[omega] and their product live in
+`eisenstein.enumerate_vectors`.  The search's arithmetic is exact: Python
+ints throughout, weight vectors as tuples of ints and rationals as
+(numerator, denominator) pairs.  Matrices over Z[omega] and their product live in
 `stratify._exact`, which this module does not import.
+
+`rank` and its exact quotient `_div` live here rather than in `_exact`, which
+re-exports them: the index set needs the rank of its scaled weights, and the
+strata path then loads no Eisenstein arithmetic.
 """
 
 from __future__ import annotations
 
+import sys
+from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
@@ -57,6 +63,20 @@ def check_order(order: int, source: str) -> int:
     if order > MAX_ORDER:
         raise ResourceCapError(f"truncation order {order} exceeds the cap {MAX_ORDER}")
     return order
+
+
+def check_printable(ints) -> None:
+    """Raise `ResourceCapError` when one of the integers ``ints`` has more
+    decimal digits than the interpreter converts to text
+    (`sys.get_int_max_str_digits`): no report could print it.  A no-op where
+    the interpreter sets no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bits = max(map(int.bit_length, ints), default=0)
+    # 2^(3 * limit) < 10^limit: a shorter integer has at most `limit` digits
+    if limit and bits > 3 * limit and max(map(abs, ints)) >= 10**limit:
+        raise ResourceCapError(
+            f"a result has an integer of more than {limit} digits, "
+            f"which cannot be written as text")
 
 
 def read_input(path) -> str:
@@ -151,6 +171,46 @@ class Record:
     def replace(self, **changes):
         """A copy with the given fields changed, checked as a new record is."""
         return type(self)(**{**self.__dict__, **changes})
+
+
+# ---------------------------------------------------------------------------
+# exact rank over Q or Q(omega)
+# ---------------------------------------------------------------------------
+
+
+def _div(x, y):
+    """Exact quotient x / y over Q or Q(omega): an int when both are ints and
+    the quotient is integral, a `Fraction` when it is not."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return x / y
+
+
+def rank(rows) -> int:
+    """Rank of a list of rows by fraction-free (Bareiss) elimination.
+
+    Every intermediate entry is a minor of the input, so integer rows stay
+    integer throughout.
+    """
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rk = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        head = rows[rk]
+        p = head[col]
+        for r in rows[rk + 1:]:
+            f = r[col]
+            for j in range(col + 1, ncols):
+                r[j] = _div(r[j] * p - f * head[j], prev)
+        prev = p
+        rk += 1
+    return rk
 
 
 # ---------------------------------------------------------------------------

@@ -471,10 +471,12 @@ def _op_classifying(ctx, args, step):
     order = args.order(ctx.order)
     group = args.choice("group", ("SL", "PGL", "GL", "torus", "mu"))
     n = args.integer("n", 0)
+    # a factor of period 2i above the order is 1 in the truncation
+    top = min(n, order // 2)
     if group in ("SL", "PGL"):
-        return gf_expand([(2 * i, 1) for i in range(2, n + 1)], order)
+        return gf_expand([(2 * i, 1) for i in range(2, top + 1)], order)
     if group == "GL":
-        return gf_expand([(2 * i, 1) for i in range(1, n + 1)], order)
+        return gf_expand([(2 * i, 1) for i in range(1, top + 1)], order)
     if group == "torus":
         return gf_expand([(2, n)], order)
     return TruncatedSeries.one(order)

@@ -4,6 +4,9 @@ Series serialize as ordered (degree, numerator, denominator) triples;
 Betti tables as (complex_dim, even list, odd list); strata as records with
 rational tuples; groups as ring, dimension and order; lattices as Gram entries.
 All emitted structures are deterministic (sorted, no environment data).
+A series or table holding an integer with more decimal digits than Python
+writes as text (`sys.get_int_max_str_digits`) is refused with
+`ResourceCapError` (exit code 4): no report could print it.
 
 This module imports no layer at load: `to_jsonable` finds a class's encoder
 by the class's module and name, and the readers import the series layer when
@@ -13,6 +16,8 @@ first called.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from ._pure import check_printable
 
 
 def frac_pair(x: Fraction) -> list:
@@ -25,6 +30,7 @@ def series_to_jsonable(s: TruncatedSeries) -> dict:
         for d, c in enumerate(s.coeffs)
         if c != 0
     ]
+    check_printable([x for t in triples for x in t[1:]])
     return {"kind": "series", "order": s.order, "triples": triples}
 
 
@@ -38,6 +44,7 @@ def series_from_jsonable(obj) -> TruncatedSeries:
 
 
 def table_to_jsonable(t: BettiTable) -> dict:
+    check_printable(t.betti)
     return {
         "kind": "betti_table",
         "complex_dim": t.complex_dim,

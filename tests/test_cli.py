@@ -113,6 +113,44 @@ class TestScenarioCommand:
             assert err["error"] == "parse"
             assert "step 's'" in err["message"] and field in err["message"]
 
+    def test_huge_multiplicity_and_rank_answer_at_once(self, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({"name": "huge", "steps": [
+            {"id": "g", "op": "gf_expand", "args": {"factors": [[2, 100000000]]}},
+            {"id": "s", "op": "classifying_series", "args": {"group": "SL", "n": 100000000}},
+            {"id": "l", "op": "classifying_series", "args": {"group": "GL", "n": 100000000}}]}))
+        t0 = time.perf_counter()
+        code, out, _ = run_cli("--format", "json", "scenario", "run", str(doc))
+        assert time.perf_counter() - t0 < 1
+        assert code == 0
+        values = {s["id"]: s["value"]["triples"] for s in json.loads(out)["steps"]}
+        # C(10^8 - 1 + j, j) at t^(2j); prod over i >= 2 of 1/(1 - t^(2i)) to order 10
+        assert values["g"][1] == [2, 100000000, 1]
+        assert values["s"] == [[0, 1, 1], [4, 1, 1], [6, 1, 1], [8, 2, 1], [10, 2, 1]]
+        assert values["l"] == [[0, 1, 1], [2, 1, 1], [4, 2, 1], [6, 3, 1], [8, 5, 1],
+                               [10, 7, 1]]
+
+    @pytest.mark.parametrize("step", [
+        # C(10^8 + 999, 1000) has about 5,400 digits; Python writes at most
+        # 4,300 of them by default
+        {"op": "gf_expand", "args": {"factors": [[1, 10**8]]}},
+        {"op": "gf_expand", "args": {"factors": [[1, 10**8]] * 3}},
+        # C(10^1000 + 4, 5) already has about 5,000 digits
+        {"op": "gf_expand", "args": {"factors": [[1, 10**1000]]}},
+        # every input is printable, the product is not: the writer refuses it
+        {"op": "lincomb", "args": {"terms": [[10**3000, 0, [[0, 10**2000]]]]}},
+    ], ids=["multiplicity-1e8", "three-factors-1e8", "multiplicity-1e1000", "lincomb"])
+    def test_integer_beyond_the_digit_limit_hits_the_cap(self, tmp_path, step):
+        doc = tmp_path / "digits.json"
+        doc.write_text(json.dumps({"name": "digits", "order": 1000,
+                                   "steps": [{"id": "g", **step}]}))
+        for fmt in ("json", "text"):
+            t0 = time.perf_counter()
+            code, out, err = run_cli("--format", fmt, "scenario", "run", str(doc))
+            assert time.perf_counter() - t0 < 1
+            assert code == 4 and out == ""
+            assert json.loads(err)["error"] == "resource-cap"
+
     def test_huge_wreath_count_hits_the_cap(self, tmp_path):
         doc = tmp_path / "wreath.json"
         doc.write_text(json.dumps({"name": "wreath", "steps": [

@@ -50,11 +50,14 @@ def test_import_loads_no_submodule():
 
 
 @pytest.mark.parametrize("argv, code, absent", [
-    (("strata", "--n", "3", "--d", "3"), "0", {"eisenstein", "invariants", "orbits", "runner"}),
+    (("strata", "--n", "3", "--d", "3"), "0",
+     {"eisenstein", "invariants", "orbits", "runner", "_exact"}),
     (("lattice", "roots", "E3"), "0", {"strata", "orbits", "runner"} | HEAVY),
     (("boundary", "{not json"), "3", MATH_LAYERS | {"runner"} | HEAVY),
     (("scenario", "run", "cubiccurve"), "0", {"eisenstein", "invariants", "orbits"}),
     (("scenario", "run", "no_such_scenario"), "3", MATH_LAYERS - {"series"} | HEAVY),
+    (("strata", "--n", "3", "--d", "3", "--group", "torus"), "0",
+     {"eisenstein", "invariants", "orbits", "runner", "_exact"}),
 ])
 def test_a_call_loads_only_its_layers(argv, code, absent):
     modules, printed = loaded(CLI_CALL, *argv)

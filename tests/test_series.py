@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -52,6 +54,21 @@ class TestGfExpand:
             gf_expand([(0, 1)], 4)
         with pytest.raises(ValueError):
             gf_expand([(2, 0)], 4)
+
+    @given(st.lists(st.tuples(st.integers(1, 14), st.integers(1, 5)), max_size=4),
+           st.integers(0, 12))
+    def test_closed_form_equals_repeated_multiplication(self, factors, order):
+        # periods above the order included: such a factor is 1
+        assert gf_expand(factors, order).integer_coeffs() == naive_product_expansion(
+            factors, order)
+
+    def test_huge_multiplicity_at_once(self):
+        # C(e - 1 + j, j) for (1 - t^2)^(-e); the factor t^12 is beyond the order
+        e = 10**8
+        t0 = time.perf_counter()
+        got = gf_expand([(2, e), (12, e)], 10).integer_coeffs()
+        assert time.perf_counter() - t0 < 1
+        assert got == [comb(e - 1 + j // 2, j // 2) if j % 2 == 0 else 0 for j in range(11)]
 
     @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=4),
            st.integers(0, 12), st.integers(0, 12))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from hull_reference import affine_projection, closest_point, fraction_index_set, fraction_oracle
 from stratify import _pure
+from stratify import strata as strata_module
 from stratify.orbits import normal_rep_of, parse_poly
 from stratify.strata import (
     BetaStratum,
@@ -323,13 +326,28 @@ def _vectors(m, min_size, max_size):
     return st.lists(st.tuples(*[small_rationals] * m), min_size=min_size, max_size=max_size)
 
 
-# weight sets each mode accepts: a union of S_m-orbits (sym), any points
-# (torus), and a ladder +-t*d on a line through the origin of dimension 1-3
-# (pgl2)
+@st.composite
+def torus_orbit_unions(draw):
+    """Unions of S_m-orbits of rational vectors with repeats, in random order:
+    a whole orbit repeated keeps the multiset permutation-invariant (the
+    index set goes by orbits), a single point repeated keeps only the point
+    set invariant (it does not)."""
+    m = draw(st.integers(2, 3))
+    orbits = [sorted(set(permutations(b))) for b in draw(_vectors(m, 1, 2))]
+    pts = [p for orbit in orbits for p in orbit]
+    pts += [p for orbit in draw(st.lists(st.sampled_from(orbits), max_size=2)) for p in orbit]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    return draw(st.permutations(pts))
+
+
+# weight sets each mode accepts: a union of S_m-orbits (sym), any points or
+# unions of S_m-orbits with repeats (torus), and a ladder +-t*d on a line
+# through the origin of dimension 1-3 (pgl2)
 weight_sets_by_mode = st.one_of(
     st.integers(2, 3).flatmap(lambda m: _vectors(m, 1, 3)).map(
         lambda bases: ("sym", [p for b in bases for p in sorted(set(permutations(b)))])),
     st.integers(1, 3).flatmap(lambda m: _vectors(m, 1, 6)).map(lambda pts: ("torus", pts)),
+    torus_orbit_unions().map(lambda pts: ("torus", pts)),
     st.tuples(st.integers(1, 3).flatmap(lambda m: st.tuples(*[st.integers(-2, 2)] * m)).filter(any),
               st.lists(small_rationals, min_size=1, max_size=5).filter(any)).map(
         lambda line: ("pgl2", [tuple(s * t * c for c in line[0])
@@ -352,6 +370,63 @@ class TestIntegerPathAgainstFractions:
         assert got == fraction_index_set(weights, mode)
         assert verify_strata_against_oracle(weights, got, max_support) == fraction_oracle(
             weights, got, max_support)
+
+
+class TestTorusByOrbits:
+    """The torus index set of permutation-invariant weights, built from one
+    stratum per S_m-orbit."""
+
+    @staticmethod
+    def _chamber_flags(monkeypatch):
+        flags = []
+
+        def spy(weights, rank, budget, chamber_sort):
+            flags.append(chamber_sort)
+            return _pure.projection_candidates(weights, rank, budget, chamber_sort)
+
+        monkeypatch.setattr(strata_module, "projection_candidates", spy)
+        return flags
+
+    @pytest.mark.parametrize("weights, by_orbits", [
+        # the orbit of (2, 1, -2) and (0, 0, 0): every multiplicity invariant
+        (sorted(set(permutations((2, 1, -2)))) * 2 + [(0, 0, 0)], True),
+        # the same point set with (1, 2, -2) once more: only the set is
+        # invariant, and the strata of (2, 1, -2) and (1, 2, -2) differ in n_beta
+        (sorted(set(permutations((2, 1, -2)))) + [(1, 2, -2)] * 2, False),
+    ], ids=["invariant-multiset", "invariant-set-only"])
+    def test_multiplicities_decide_the_path(self, monkeypatch, weights, by_orbits):
+        flags = self._chamber_flags(monkeypatch)
+        got = normal_rep_strata(SimpleNamespace(weights=tuple(weights)), "torus")
+        assert flags == [by_orbits]
+        assert got == fraction_index_set(weights, "torus")
+        assert verify_strata_against_oracle(weights, got) == sum(
+            1 for s in got if not s.is_zero())
+
+    @pytest.mark.parametrize("n, d", [(9, 1), (2, 8)])
+    def test_equal_to_the_plain_search(self, n, d):
+        # (9, 1) has ten coordinates: each distinct rearrangement of a beta is
+        # generated once, not one per each of the 10! permutations
+        ws = hypersurface_weights(n, d)
+        assert instability_index_set(ws, weyl="trivial") == fraction_index_set(
+            ws.weights, "torus")
+
+    # the torus censuses at the parent of the orbit construction: the count
+    # and a sha256 of (beta, support, n_beta) in index-set order
+    @pytest.mark.parametrize("n, d, count, digest, certified", [
+        (3, 4, 1289, "a098cbcbb6775da5873e71f44d93230137cfe67bbf84c447f54b32b35babdee1", 968),
+        (4, 3, 4501, "a923b32a7033f04c5dbe436a29cad7c6e66a5a912e7b7d0ed48c60623c020554", 1455),
+    ], ids=["3-4", "4-3"])
+    def test_hypersurface_censuses(self, monkeypatch, n, d, count, digest, certified):
+        flags = self._chamber_flags(monkeypatch)
+        ws = hypersurface_weights(n, d)
+        got = instability_index_set(ws, weyl="trivial")
+        assert flags == [True]
+        text = json.dumps([[[str(c) for c in s.beta], list(s.support), s.n_beta]
+                           for s in got])
+        assert len(got) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert all(s.dim_g_mod_p == 0 and s.codim_expected == s.n_beta for s in got)
+        assert verify_strata_against_oracle(ws.weights, got, max_support=3) == certified
 
 
 @pytest.mark.parametrize("weights, betas", [

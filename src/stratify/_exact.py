@@ -123,6 +123,11 @@ class EisInt:
         return f"Eis({self.a},{self.b})"
 
 
+# the units of Z[omega]: +-1, +-omega, +-omega^2
+UNITS = (EisInt(1, 0), EisInt(-1, 0), EisInt(0, 1),
+         EisInt(0, -1), EisInt(-1, -1), EisInt(1, 1))
+
+
 def _round_div(a: int, n: int) -> int:
     return (2 * a + n) // (2 * n)
 

@@ -109,11 +109,11 @@ def _cmd_strata(args) -> int:
 def _cmd_molien(args) -> int:
     spec = _load_json_arg(args.gens)
     from . import invariants
-    from .runner import StepArgs, group_generators
+    from .runner import StepArgs
 
     if not isinstance(spec, dict):
         spec = {"generators": spec}
-    gens = group_generators(StepArgs("molien", spec).only(("generators", "ring")))
+    gens = StepArgs("molien", spec).only(("generators", "ring")).generators()
     group = invariants.close_group(gens)
     series = invariants.molien(group, args.degree, 10 if args.truncate is None else args.truncate)
 
@@ -131,10 +131,10 @@ def _cmd_lattice(args) -> int:
         lat = eisenstein.named_lattice(args.lattice)
     else:
         doc = _load_json_arg(args.lattice)
-        from .runner import StepArgs, lattice_gram
+        from .runner import StepArgs
 
-        gram = lattice_gram(StepArgs(f"lattice {args.action}", {"lattice": doc}))
-        lat = eisenstein.eis_lattice(gram)
+        fields = StepArgs(f"lattice {args.action}", {"lattice": doc}).nested("lattice", ("gram",))
+        lat = eisenstein.eis_lattice(fields.eis_matrix("gram"))
     if args.action == "roots":
         roots = eisenstein.enumerate_roots(eisenstein.z_form(lat))
         _emit({"count": len(roots)}, args.format,
@@ -163,9 +163,9 @@ def _cmd_lattice(args) -> int:
 def _cmd_boundary(args) -> int:
     doc = _load_json_arg(args.spec)
     from . import eisenstein
-    from .runner import StepArgs, boundary_spec
+    from .runner import StepArgs
 
-    spec = boundary_spec(StepArgs("boundary", {"spec": doc}))
+    spec = StepArgs("boundary", {"spec": doc}).boundary_spec("spec")
     table = eisenstein.boundary_betti(spec)
 
     def text(t):
@@ -178,9 +178,9 @@ def _cmd_boundary(args) -> int:
 def _cmd_blowup(args) -> int:
     doc = _load_json_arg(args.exceptional)
     from .assembly import blowup_correction
-    from .runner import StepArgs, betti_table
+    from .runner import StepArgs
 
-    table = betti_table(StepArgs("blowup", {"exceptional": doc}), "exceptional")
+    table = StepArgs("blowup", {"exceptional": doc}).table("exceptional")
     corr = blowup_correction(table, args.dim, order=args.truncate)
     _emit(corr, args.format, lambda s: f"{s}\n")
     return EXIT_OK

@@ -39,10 +39,6 @@ E_ZERO = EisInt(0, 0)
 E_ONE = EisInt(1, 0)
 OMEGA = EisInt(0, 1)
 THETA = EisInt(1, 2)  # omega - omega^2
-UNITS = (
-    EisInt(1, 0), EisInt(-1, 0), EisInt(0, 1),
-    EisInt(0, -1), EisInt(-1, -1), EisInt(1, 1),
-)
 
 
 def eis_gcd(x: EisInt, y: EisInt) -> EisInt:

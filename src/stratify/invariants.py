@@ -19,13 +19,10 @@ from itertools import combinations
 from math import comb, factorial, lcm, prod
 
 from . import _pure
-from ._exact import EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace, rational
+from ._exact import UNITS, EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace, rational
 from .series import BettiTable, TruncatedSeries, duality_check
 
 DEFAULT_CAP = 10**6
-
-# the units of Z[omega] as (a, b) for a + b*omega: +-1, +-omega, +-omega^2
-_UNITS = {(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)}
 
 
 class FiniteMatrixGroup(_pure.Record):
@@ -79,7 +76,7 @@ def close_group(generators, cap: int = DEFAULT_CAP):
         d = det(mat)
         if not d:
             raise ValueError("generator is not invertible")
-        if (d.a, d.b) not in _UNITS:
+        if d not in UNITS:
             value = d.a if d.is_real() else f"{d.a} + {d.b}*omega"
             raise ValueError(f"generator {i} has determinant {value}, not a unit, "
                              "so it has infinite order")

@@ -51,11 +51,14 @@ _KINDS = {
     "NormalRep": ("orbits", "a normal representation"),
     "TangentNormalSplit": ("orbits", "a tangent-normal split"),
     "BettiTable": ("series", "a Betti table"),
+    "BetaStratum": ("strata", "a stratum"),
 }
 
 
 class StepArgs(dict):
-    """Resolved arguments of one step, or an object nested in them.
+    """Resolved arguments of one step, an object nested in them, or the items
+    of a list argument; the one reader of step input and of the JSON
+    arguments of the CLI.
 
     A missing required argument, or a value of the wrong kind where an op
     needs an integer, a list, an object or an earlier step's value of some
@@ -106,12 +109,25 @@ class StepArgs(dict):
             self.reject(key, f"{what} {', '.join(map(repr, options))}", value)
         return value
 
+    def lattice_name(self, key) -> str:
+        """Argument ``key``: the name of a lattice in `eisenstein.NAMED_LATTICES`."""
+        from .eisenstein import NAMED_LATTICES
+
+        return self.choice(key, NAMED_LATTICES, what="a lattice name, one of")
+
     def listing(self, key, default=_REQUIRED) -> list:
         """List argument ``key``."""
         value = self._get(key, default)
         if not isinstance(value, list):
             self.reject(key, "a list", value)
         return value
+
+    def each(self, key, default=_REQUIRED) -> list:
+        """The items of list argument ``key`` as pairs (reader, "key[i]"): the
+        reader holds each item under its name, for the other readers."""
+        items = StepArgs(self.where, {f"{key}[{i}]": x for i, x in
+                                      enumerate(self.listing(key, default))}, self.path)
+        return [(items, name) for name in items]
 
     def instance(self, key, *kinds):
         """Argument ``key``: an instance of one of the classes ``kinds``,
@@ -137,18 +153,25 @@ class StepArgs(dict):
                 f"{_RINGS[ring]}, got one over {_RINGS[value.ring]}")
         return value
 
+    def z_lattice(self, key):
+        """Argument ``key``: a Z-lattice, or an Eisenstein lattice standing
+        for its `eisenstein.z_form`."""
+        lat = self.instance(key, "EisLattice", "ZLattice")
+        if _instance(lat, "eisenstein", "EisLattice"):
+            from .eisenstein import z_form
+
+            lat = z_form(lat)
+        return lat
+
     def strata(self, key) -> list:
         """Strata argument ``key``: a list of `strata.BetaStratum`, as an
         index-set step returns."""
-        value = self.listing(key)
-        for i, s in enumerate(value):
-            if not _instance(s, "strata", "BetaStratum"):
-                self.reject(f"{key}[{i}]", "a stratum", s)
-        return value
+        return [items.instance(name, "BetaStratum") for items, name in self.each(key)]
 
-    def nested(self, key, value, names) -> "StepArgs":
-        """The object ``value`` found under ``key``, with its own checks; a
-        field outside ``names``, the fields its reader reads, is a parse error."""
+    def nested(self, key, names) -> "StepArgs":
+        """The object argument ``key``, with its own checks; a field outside
+        ``names``, the fields its reader reads, is a parse error."""
+        value = self[key]
         if not isinstance(value, dict):
             self.reject(key, "an object", value)
         nested = StepArgs(self.where, value, f"{self.path}.{key}" if self.path else key)
@@ -160,6 +183,158 @@ class StepArgs(dict):
         if unknown:
             raise ScenarioParseError(f"{self._label()} has no field {unknown[0]!r}")
         return self
+
+    def rational(self, key, value) -> Fraction:
+        """``value``, a part of argument ``key``, as a rational: an integer,
+        a string such as "1/3", or [num, den]."""
+        try:
+            if isinstance(value, (int, Fraction, str)):
+                return Fraction(value)
+            if isinstance(value, list) and len(value) == 2:
+                return Fraction(*value)
+        except (ValueError, TypeError, ZeroDivisionError):
+            pass
+        self.reject(key, "a rational: an integer, a string like \"1/3\" or [num, den]", value)
+
+    @staticmethod
+    def _square(value) -> bool:
+        """Whether ``value`` is a nonempty list of rows as long as the list."""
+        return isinstance(value, list) and bool(value) and all(
+            isinstance(row, list) and len(row) == len(value) for row in value)
+
+    def matrix(self, key, square=False) -> list:
+        """Argument ``key``: a (``square``) matrix of rationals, a list of rows."""
+        rows = self[key]
+        if square and not self._square(rows):
+            self.reject(key, "a square matrix", rows)
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            self.reject(key, "a matrix (a list of rows)", rows)
+        return [[self.rational(key, x) for x in row] for row in rows]
+
+    def eis_matrix(self, key, size=None) -> list:
+        """Argument ``key``: a square matrix, ``size`` x ``size`` when given,
+        of integers or [a, b] integer pairs (a + b*omega)."""
+        rows = self[key]
+        if not (self._square(rows) and (size is None or len(rows) == size) and all(
+                type(e) is int or (isinstance(e, list) and len(e) == 2
+                                   and all(type(x) is int for x in e))
+                for row in rows for e in row)):
+            shape = "a square matrix" if size is None else f"a {size} x {size} matrix"
+            self.reject(key, f"{shape} of integers or [a, b] pairs", rows)
+        return rows
+
+    def generators(self) -> list:
+        """The ``generators`` of a `close_group` step or the `molien` command:
+        with ``"ring": "E"`` square matrices of integers or [a, b] pairs,
+        with ``"ring": "Q"`` (the default) square rational matrices."""
+        gens = self.each("generators")
+        if self.choice("ring", tuple(_RINGS), "Q") == "Q":
+            return [items.matrix(name, square=True) for items, name in gens]
+        return [[[eis(e) for e in row] for row in items.eis_matrix(name)]
+                for items, name in gens]
+
+    def polynomial(self, key, nvars):
+        """Polynomial argument ``key`` in ``nvars`` variables: an earlier
+        step's polynomial or a text that `orbits.parse_poly` reads."""
+        from . import orbits
+
+        value = self[key]
+        what = f"a polynomial in x0..x{nvars - 1}"
+        if isinstance(value, orbits.MultiPoly) and value.nvars == nvars:
+            return value
+        if isinstance(value, str):
+            try:
+                return orbits.parse_poly(value, nvars)
+            except ValueError as e:
+                what += f" ({e})"
+        self.reject(key, what, value)
+
+    def series(self, key, order, value=_REQUIRED) -> TruncatedSeries:
+        """Series argument ``key``, or ``value`` reported under ``key``: a
+        series, an integer constant, a serialized series {"kind": "series",
+        "order": k, "triples": [[degree <= k, num, den], ...]} of order k, or
+        a literal list [[degree, num(, den)], ...] of order ``order``."""
+        if value is _REQUIRED:
+            value = self[key]
+        if isinstance(value, TruncatedSeries):
+            return value.truncate(min(order, value.order))
+        if isinstance(value, int):
+            return TruncatedSeries.one(order).scale(value)
+        terms, lengths = value, (2, 3)
+        serialized = isinstance(value, dict) and value.get("kind") == "series"
+        if serialized:
+            order, terms, lengths = value.get("order"), value.get("triples"), (3,)
+        coeffs = {}
+        if type(order) is int and order >= 0 and isinstance(terms, list):
+            for term in terms:
+                if not (isinstance(term, list) and len(term) in lengths
+                        and all(type(x) is int for x in term) and term[0] >= 0
+                        and (len(term) == 2 or term[2] != 0)
+                        and not (serialized and term[0] > order)):
+                    break
+                if term[0] <= order:
+                    coeffs[term[0]] = Fraction(*term[1:])
+            else:
+                if serialized:
+                    check_order(order, f"{self._label()}: argument {key!r}: 'order'")
+                return TruncatedSeries.from_coeffs(
+                    [coeffs.get(d, 0) for d in range(order + 1)], order)
+        self.reject(key, "a series: an integer, a serialized series or a list of "
+                    "[degree >= 0, num] or [degree, num, den != 0] integer terms", value)
+
+    def table(self, key) -> BettiTable:
+        """Betti-table argument ``key``: {"complex_dim": n, "even": [...], "odd": [...]}
+        (a serialized table) with n >= 0 and at most n + 1 even and n odd
+        integer Betti numbers; missing ones are 0."""
+        table = self.nested(key, ("kind", "complex_dim", "even", "odd"))
+        n = table.integer("complex_dim", minimum=0)
+        parts = []
+        for part, most, default in (("even", n + 1, _REQUIRED), ("odd", n, [])):
+            values = table.listing(part, default)
+            if len(values) > most or any(type(b) is not int for b in values):
+                table.reject(part, f"a list of at most {most} integers", values)
+            parts.append(values)
+        betti = [0] * (2 * n + 1)
+        for start, values in enumerate(parts):
+            betti[start:2 * len(values):2] = values
+        return BettiTable.from_list(betti, n)
+
+    def contributions(self, key, order) -> list:
+        """Argument ``key``: a list of stratum contributions {"codim": c,
+        "series": s, "weyl_share": w, "provenance": text}."""
+        from .assembly import StratumContribution
+
+        out = []
+        for items, name in self.each(key, []):
+            spec = items.nested(name, ("codim", "series", "weyl_share", "provenance"))
+            out.append(StratumContribution(
+                series=spec.series("series", order, spec.get("series", 1)),
+                codim=spec.integer("codim"),
+                weyl_share=spec.integer("weyl_share", 1),
+                provenance=spec.get("provenance", ""),
+            ))
+        return out
+
+    def boundary_spec(self, key) -> dict:
+        """Argument ``key``: the spec of `eisenstein.boundary_betti`, every
+        field checked."""
+        spec = self.nested(key, ("factors", "extra_projective_lines"))
+        factors = []
+        for items, name in spec.each("factors"):
+            factor = items.nested(name, ("lattice", "group", "count"))
+            lattice = factor["lattice"]
+            if isinstance(lattice, str):
+                factor.lattice_name("lattice")
+            elif not _instance(lattice, "eisenstein", "EisLattice"):
+                factor.reject("lattice", "a lattice or a lattice name", lattice)
+            group = factor.get("group", "weyl")
+            if group != "weyl":
+                gens = factor.nested("group", ("generators",)).each("generators")
+                group = {"generators": [g.eis_matrix(n) for g, n in gens]}
+            factors.append({"lattice": lattice, "group": group,
+                            "count": factor.integer("count", 1, minimum=1)})
+        return {"factors": factors,
+                "extra_projective_lines": spec.integer("extra_projective_lines", 0, minimum=0)}
 
 
 class Context:
@@ -183,93 +358,11 @@ class Context:
         return obj
 
 
-def _is_term(item, lengths=(2, 3)) -> bool:
-    """Whether ``item`` is a series term [degree, num] or [degree, num, den]
-    of integers with degree >= 0 and den != 0."""
-    return (isinstance(item, list) and len(item) in lengths
-            and all(type(x) is int for x in item) and item[0] >= 0
-            and (len(item) == 2 or item[2] != 0))
-
-
-def _as_series(args: StepArgs, key, value, order) -> TruncatedSeries:
-    """Series argument ``key`` of a step: a series, an integer constant, a
-    serialized series, or a literal list [[degree, num(, den)], ...]."""
-    if isinstance(value, TruncatedSeries):
-        return value.truncate(min(order, value.order))
-    if isinstance(value, int):
-        return TruncatedSeries.one(order).scale(value)
-    if isinstance(value, dict) and value.get("kind") == "series":
-        top = value.get("order")
-        triples = value.get("triples")
-        if (type(top) is int and top >= 0 and isinstance(triples, list)
-                and all(_is_term(t, (3,)) and t[0] <= top for t in triples)):
-            check_order(top, f"{args._label()}: argument {key!r}: 'order'")
-            return serialize.series_from_jsonable(value)
-    elif isinstance(value, list) and all(_is_term(item) for item in value):
-        coeffs = [Fraction(0)] * (order + 1)
-        for d, num, *den in value:
-            if d <= order:
-                coeffs[d] = Fraction(num, *den)
-        return TruncatedSeries.from_coeffs(coeffs, order)
-    args.reject(key, "a series: an integer, a serialized series or a list of "
-                "[degree >= 0, num] or [degree, num, den != 0] integer terms", value)
-
-
-def betti_table(args: StepArgs, key) -> BettiTable:
-    """Betti-table argument ``key``: {"complex_dim": n, "even": [...], "odd": [...]}
-    (a serialized table) with n >= 0 and at most n + 1 even and n odd integer
-    Betti numbers; missing ones are 0."""
-    table = args.nested(key, args[key], ("kind", "complex_dim", "even", "odd"))
-    n = table.integer("complex_dim", minimum=0)
-    for part, betti, most in (("even", table.listing("even"), n + 1),
-                              ("odd", table.listing("odd", []), n)):
-        if len(betti) > most or any(type(b) is not int for b in betti):
-            table.reject(part, f"a list of at most {most} integers", betti)
-    return serialize.table_from_jsonable(table)
-
-
-def _as_rational(args: StepArgs, key, value) -> Fraction:
-    """Rational argument ``key``: an integer, a string such as "1/3", or [num, den]."""
-    try:
-        if isinstance(value, (int, Fraction, str)):
-            return Fraction(value)
-        if isinstance(value, list) and len(value) == 2:
-            return Fraction(*value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        pass
-    args.reject(key, "a rational: an integer, a string like \"1/3\" or [num, den]", value)
-
-
-def _as_matrix(args: StepArgs, key, rows):
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-        args.reject(key, "a matrix (a list of rows)", rows)
-    return [[_as_rational(args, key, x) for x in row] for row in rows]
-
-
 def _instance(value, layer, cls) -> bool:
     """isinstance(value, stratify.<layer>.<cls>), without loading the layer:
     no value of a class whose module was never imported can exist."""
     module = sys.modules.get(f"{__package__}.{layer}")
     return module is not None and isinstance(value, getattr(module, cls))
-
-
-def _contributions(args, key, ctx) -> list:
-    from .assembly import StratumContribution
-
-    out = []
-    for i, spec in enumerate(args.listing(key, [])):
-        spec = args.nested(f"{key}[{i}]", spec,
-                           ("codim", "series", "weyl_share", "provenance"))
-        series = _as_series(spec, "series", spec.get("series", 1), ctx.order)
-        out.append(
-            StratumContribution(
-                codim=spec.integer("codim"),
-                series=series,
-                weyl_share=spec.integer("weyl_share", 1),
-                provenance=spec.get("provenance", ""),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +393,9 @@ def _op_declare(ctx, args, step):
         )
     kind = args.choice("kind", ("series", "betti_table", "int", "raw"), "series")
     if kind == "series":
-        return _as_series(args, "value", args["value"], args.order(ctx.order))
+        return args.series("value", args.order(ctx.order))
     if kind == "betti_table":
-        return betti_table(args, "value")
+        return args.table("value")
     if kind == "int":
         return args.integer("value")
     return args["value"]
@@ -353,7 +446,7 @@ def _op_mark_nonempty(ctx, args, step):
         raise ScenarioParseError(
             f"nonemptiness declaration in step {step['id']!r} carries no citation"
         )
-    codims = set(args.listing("codims", []))
+    codims = {items.integer(name) for items, name in args.each("codims", [])}
     out = []
     for s in args.strata("strata"):
         if not s.is_zero() and s.codim_expected in codims:
@@ -379,7 +472,7 @@ def _op_vso(ctx, args, step):
     found = args.strata("strata")
     rows = args["weights"]
     if isinstance(rows, list):
-        weights = _as_matrix(args, "weights", rows)
+        weights = args.matrix("weights")
         if any(len(w) != len(weights[0]) for w in weights):
             args.reject("weights", "a list of equally long vectors", rows)
     else:
@@ -390,32 +483,16 @@ def _op_vso(ctx, args, step):
     )
 
 
-def _polynomial(args: StepArgs, key, value, nvars):
-    """Polynomial argument ``key`` in ``nvars`` variables: an earlier step's
-    polynomial or a text that `orbits.parse_poly` reads."""
-    from . import orbits
-
-    what = f"a polynomial in x0..x{nvars - 1}"
-    if isinstance(value, orbits.MultiPoly) and value.nvars == nvars:
-        return value
-    if isinstance(value, str):
-        try:
-            return orbits.parse_poly(value, nvars)
-        except ValueError as e:
-            what += f" ({e})"
-    args.reject(key, what, value)
-
-
 @op("parse_poly", "text", "nvars")
 def _op_parse_poly(ctx, args, step):
-    return _polynomial(args, "text", args["text"], args.integer("nvars", minimum=1))
+    return args.polynomial("text", args.integer("nvars", minimum=1))
 
 
 @op("check_semiinvariant", "form", "matrix")
 def _op_check_semi(ctx, args, step):
     from . import orbits
 
-    matrix = _as_matrix(args, "matrix", args["matrix"])
+    matrix = args.matrix("matrix")
     form = args.instance("form", "MultiPoly")
     n = form.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -430,12 +507,11 @@ def _op_normal_rep(ctx, args, step):
 
     form = args.instance("form", "MultiPoly")
     n = form.nvars
-    cochars = _as_matrix(args, "cocharacters", args["cocharacters"])
+    cochars = args.matrix("cocharacters")
     if not cochars or any(len(c) != n for c in cochars):
         args.reject("cocharacters", f"a nonempty list of vectors of length {n}",
                     args["cocharacters"])
-    extra = [_polynomial(args, f"extra_tangents[{i}]", t, n)
-             for i, t in enumerate(args.listing("extra_tangents", []))]
+    extra = [items.polynomial(name, n) for items, name in args.each("extra_tangents", [])]
     return orbits.normal_rep_of(form, cochars, extra)
 
 
@@ -459,7 +535,7 @@ def _op_wfc(ctx, args, step):
     from . import strata
 
     index_set = [s.beta for s in args.strata("strata")]
-    beta = tuple(_as_rational(args, "beta", c) for c in args.listing("beta"))
+    beta = tuple(args.rational("beta", c) for c in args.listing("beta"))
     wr = None
     if args.choice("stabilizer_weyl", ("sign",), None) == "sign":
         wr = [lambda v: v, lambda v: tuple(-c for c in v)]
@@ -484,11 +560,13 @@ def _op_classifying(ctx, args, step):
 
 @op("gf_expand", "factors", "order")
 def _op_gf(ctx, args, step):
-    factors = args.listing("factors")
-    for i, f in enumerate(factors):
+    factors = []
+    for items, name in args.each("factors"):
+        f = items[name]
         if not (isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)):
-            args.reject(f"factors[{i}]", "an integer pair [period, multiplicity]", f)
-    return gf_expand([tuple(f) for f in factors], args.order(ctx.order))
+            items.reject(name, "an integer pair [period, multiplicity]", f)
+        factors.append(tuple(f))
+    return gf_expand(factors, args.order(ctx.order))
 
 
 @op("projective_series", "dim", "order")
@@ -505,8 +583,8 @@ def _op_proj_table(ctx, args, step):
 def _op_series_product(ctx, args, step):
     order = args.order(ctx.order)
     total = TruncatedSeries.one(order)
-    for i, f in enumerate(args.listing("factors")):
-        total = total * _as_series(args, f"factors[{i}]", f, order)
+    for items, name in args.each("factors"):
+        total = total * items.series(name, order)
     return total
 
 
@@ -514,37 +592,22 @@ def _op_series_product(ctx, args, step):
 def _op_lincomb(ctx, args, step):
     order = args.order(ctx.order)
     terms = []
-    for i, term in enumerate(args.listing("terms")):
+    for items, name in args.each("terms"):
+        term = items[name]
         if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
-            args.reject(f"terms[{i}]", "a list [coefficient, integer shift, series]", term)
+            items.reject(name, "a list [coefficient, integer shift, series]", term)
         coeff, shift, ref = term
-        terms.append((_as_rational(args, f"terms[{i}]", coeff), shift,
-                      _as_series(args, f"terms[{i}]", ref, order)))
+        if shift < 0:
+            items.reject(name, "a list [coefficient, integer shift >= 0, series]", term)
+        terms.append((items.rational(name, coeff), shift, items.series(name, order, ref)))
     return lincomb(terms)
-
-
-def group_generators(args: StepArgs) -> list:
-    """The ``generators`` of a `close_group` step or the `molien` command:
-    with ``"ring": "E"`` square matrices of integers or [a, b] pairs
-    (`_eis_matrix`), with ``"ring": "Q"`` (the default) square rational
-    matrices."""
-    gens = args.listing("generators")
-    if args.choice("ring", tuple(_RINGS), "Q") == "Q":
-        for i, m in enumerate(gens):
-            if not _square(m):
-                args.reject(f"generators[{i}]", "a square matrix", m)
-        return [_as_matrix(args, f"generators[{i}]", m) for i, m in enumerate(gens)]
-    for i, m in enumerate(gens):
-        if not _eis_matrix(m):
-            args.reject(f"generators[{i}]", "a square matrix of integers or [a, b] pairs", m)
-    return [[[eis(e) for e in row] for row in m] for m in gens]
 
 
 @op("close_group", "generators", "ring", "cap")
 def _op_close_group(ctx, args, step):
     from . import invariants
 
-    return invariants.close_group(group_generators(args),
+    return invariants.close_group(args.generators(),
                                   args.integer("cap", invariants.DEFAULT_CAP))
 
 
@@ -565,14 +628,11 @@ def _op_molien(ctx, args, step):
 def _op_semistable(ctx, args, step):
     from . import assembly
 
-    exponents = args.listing("bsl_exponents")
-    for i, e in enumerate(exponents):
-        if type(e) is not int or e < 1:
-            args.reject(f"bsl_exponents[{i}]", "an integer >= 1", e)
+    exponents = [items.integer(name, minimum=1) for items, name in args.each("bsl_exponents")]
     return assembly.semistable_series(
         args.integer("ambient_dim"),
         exponents,
-        _contributions(args, "strata", ctx),
+        args.contributions("strata", ctx.order),
         args.order(ctx.order),
     )
 
@@ -589,7 +649,7 @@ def _op_main_term(ctx, args, step):
     else:
         rank = args.integer("normal_rank")
     return assembly.main_term(
-        _as_series(args, "center_series", args["center_series"], args.order(ctx.order)),
+        args.series("center_series", args.order(ctx.order)),
         rank,
         args.order(ctx.order),
     )
@@ -600,7 +660,7 @@ def _op_extra_term(ctx, args, step):
     from . import assembly
 
     return assembly.extra_term(
-        _contributions(args, "items", ctx), args.order(ctx.order)
+        args.contributions("items", ctx.order), args.order(ctx.order)
     )
 
 
@@ -624,8 +684,7 @@ def _op_blowup(ctx, args, step):
 @op("duality_complete", "series", "dim", "order")
 def _op_duality_complete(ctx, args, step):
     return duality_complete(
-        _as_series(args, "series", args["series"], args.order(ctx.order)),
-        args.integer("dim")
+        args.series("series", args.order(ctx.order)), args.integer("dim")
     )
 
 
@@ -636,12 +695,9 @@ def _op_duality_check(ctx, args, step):
 
 @op("betti_product", "tables")
 def _op_betti_product(ctx, args, step):
-    tables = args.listing("tables")
+    tables = [items.instance(name, "BettiTable") for items, name in args.each("tables")]
     if not tables:
         args.reject("tables", "a nonempty list", tables)
-    for i, t in enumerate(tables):
-        if not isinstance(t, BettiTable):
-            args.reject(f"tables[{i}]", "a Betti table", t)
     total = tables[0]
     for t in tables[1:]:
         total = total.kunneth(t)
@@ -652,7 +708,7 @@ def _op_betti_product(ctx, args, step):
 def _op_named_lattice(ctx, args, step):
     from . import eisenstein
 
-    return eisenstein.named_lattice(_lattice_name(args, "name"))
+    return eisenstein.named_lattice(args.lattice_name("name"))
 
 
 @op("z_form", "lattice")
@@ -666,10 +722,7 @@ def _op_z_form(ctx, args, step):
 def _op_root_count(ctx, args, step):
     from . import eisenstein
 
-    lat = args.instance("lattice", "EisLattice", "ZLattice")
-    if isinstance(lat, eisenstein.EisLattice):
-        lat = eisenstein.z_form(lat)
-    return len(eisenstein.enumerate_roots(lat))
+    return len(eisenstein.enumerate_roots(args.z_lattice("lattice")))
 
 
 @op("weyl_group", "lattice")
@@ -677,7 +730,7 @@ def _op_weyl_group(ctx, args, step):
     from . import eisenstein
 
     if isinstance(args["lattice"], str):
-        return eisenstein.weyl_group(eisenstein.named_lattice(_lattice_name(args, "lattice")))
+        return eisenstein.weyl_group(eisenstein.named_lattice(args.lattice_name("lattice")))
     return eisenstein.weyl_group(args.instance("lattice", "EisLattice"))
 
 
@@ -687,9 +740,7 @@ def _op_aqb(ctx, args, step):
 
     rank = args.integer("rank")
     invariants.check_quotient_rank(rank)
-    form = args.get("form")
-    if form is not None and not (_eis_matrix(form) and len(form) == rank):
-        args.reject("form", f"a {rank} x {rank} matrix of integers or [a, b] pairs", form)
+    form = None if args.get("form") is None else args.eis_matrix("form", rank)
     return invariants.abelian_quotient_betti(args.group("group", "E"), rank, form=form)
 
 
@@ -699,83 +750,22 @@ def _op_wreath(ctx, args, step):
 
     value = args["value"]
     if not isinstance(value, (BettiTable, TruncatedSeries)):
-        value = _as_series(args, "value", value, args.order(ctx.order))
+        value = args.series("value", args.order(ctx.order))
     return invariants.wreath_symmetrize(value, args.integer("n", minimum=1))
-
-
-def _lattice_name(args: StepArgs, key) -> str:
-    """Argument ``key``: the name of a lattice in `eisenstein.NAMED_LATTICES`."""
-    from .eisenstein import NAMED_LATTICES
-
-    return args.choice(key, NAMED_LATTICES, what="a lattice name, one of")
-
-
-def _square(value) -> bool:
-    """Whether ``value`` is a nonempty list of rows as long as the list."""
-    return isinstance(value, list) and bool(value) and all(
-        isinstance(row, list) and len(row) == len(value) for row in value)
-
-
-def _eis_matrix(value) -> bool:
-    """Whether ``value`` is a square matrix of integers or [a, b] integer pairs."""
-    return _square(value) and all(
-        type(e) is int or (isinstance(e, list) and len(e) == 2
-                           and all(type(x) is int for x in e))
-        for row in value for e in row
-    )
-
-
-def boundary_spec(args: StepArgs) -> dict:
-    """The ``spec`` argument of `eisenstein.boundary_betti`, every field checked."""
-    spec = args.nested("spec", args["spec"], ("factors", "extra_projective_lines"))
-    factors = []
-    for i, factor in enumerate(spec.listing("factors")):
-        factor = spec.nested(f"factors[{i}]", factor, ("lattice", "group", "count"))
-        lattice = factor["lattice"]
-        if isinstance(lattice, str):
-            _lattice_name(factor, "lattice")
-        elif not _instance(lattice, "eisenstein", "EisLattice"):
-            factor.reject("lattice", "a lattice or a lattice name", lattice)
-        group = factor.get("group", "weyl")
-        if group != "weyl":
-            group = factor.nested("group", group, ("generators",))
-            gens = group.listing("generators")
-            for j, mat in enumerate(gens):
-                if not _eis_matrix(mat):
-                    group.reject(f"generators[{j}]",
-                                 "a square matrix of integers or [a, b] pairs", mat)
-            group = {"generators": gens}
-        factors.append({"lattice": lattice, "group": group,
-                        "count": factor.integer("count", 1, minimum=1)})
-    return {"factors": factors,
-            "extra_projective_lines": spec.integer("extra_projective_lines", 0, minimum=0)}
-
-
-def lattice_gram(args: StepArgs) -> list:
-    """The Gram matrix of a ``lattice`` document {"gram": [[entry, ...], ...]}
-    (`eisenstein.eis_lattice`): square, each entry an integer or an [a, b] pair."""
-    doc = args.nested("lattice", args["lattice"], ("gram",))
-    gram = doc["gram"]
-    if not _eis_matrix(gram):
-        doc.reject("gram", "a square matrix of integers or [a, b] pairs", gram)
-    return gram
 
 
 @op("boundary_betti", "spec")
 def _op_boundary(ctx, args, step):
     from . import eisenstein
 
-    return eisenstein.boundary_betti(boundary_spec(args))
+    return eisenstein.boundary_betti(args.boundary_spec("spec"))
 
 
 @op("discriminant_form", "lattice")
 def _op_disc(ctx, args, step):
     from . import eisenstein
 
-    lat = args.instance("lattice", "EisLattice", "ZLattice")
-    if isinstance(lat, eisenstein.EisLattice):
-        lat = eisenstein.z_form(lat)
-    return eisenstein.discriminant_form(lat)
+    return eisenstein.discriminant_form(args.z_lattice("lattice"))
 
 
 @op("glue_overlattice", "lattice", "glue")
@@ -783,10 +773,10 @@ def _op_glue(ctx, args, step):
     from . import eisenstein
 
     base = args.instance("lattice", "ZLattice")
-    glue = _as_matrix(args, "glue", args["glue"])
-    for i, g in enumerate(args["glue"]):
-        if len(g) != base.rank:
-            args.reject(f"glue[{i}]", f"a vector of length {base.rank}, the lattice rank", g)
+    glue = args.matrix("glue")
+    for items, name in args.each("glue"):
+        if len(items[name]) != base.rank:
+            items.reject(name, f"a vector of length {base.rank}, the lattice rank", items[name])
     res = eisenstein.glue_overlattice(base, glue)
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}
@@ -825,7 +815,7 @@ def _op_cusp_vector(ctx, args, step):
 
 @op("assert_nonpositive", "series", "order")
 def _op_assert_nonpos(ctx, args, step):
-    s = _as_series(args, "series", args["series"], args.order(ctx.order))
+    s = args.series("series", args.order(ctx.order))
     if any(c > 0 for c in s.coeffs):
         raise ScenarioCheckError(f"series has a positive coefficient: {s}")
     return True
@@ -935,6 +925,11 @@ def load_scenario(source) -> dict:
 def _validate(doc):
     if not isinstance(doc, dict) or "name" not in doc or "steps" not in doc:
         raise ScenarioParseError("scenario needs 'name' and 'steps'")
+    if not (isinstance(doc["name"], str) and isinstance(doc.get("description", ""), str)):
+        raise ScenarioParseError("scenario 'name' and 'description' must be strings")
+    notes = doc.get("notes", [])
+    if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
+        raise ScenarioParseError("scenario 'notes' must be a list of strings")
     if not (isinstance(doc["steps"], list) and all(isinstance(s, dict) for s in doc["steps"])):
         raise ScenarioParseError("scenario 'steps' must be a list of objects")
     if not isinstance(doc.get("outputs", {}), dict):

@@ -8,9 +8,9 @@ A series or table holding an integer with more decimal digits than Python
 writes as text (`sys.get_int_max_str_digits`) is refused with
 `ResourceCapError` (exit code 4): no report could print it.
 
-This module imports no layer at load: `to_jsonable` finds a class's encoder
-by the class's module and name, and the readers import the series layer when
-first called.
+This module holds only encoders; input is read and decoded by
+`runner.StepArgs`.  It imports no layer: `to_jsonable` finds a class's
+encoder by the class's module and name.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ def series_to_jsonable(s: TruncatedSeries) -> dict:
     return {"kind": "series", "order": s.order, "triples": triples}
 
 
-def series_from_jsonable(obj) -> TruncatedSeries:
-    from .series import TruncatedSeries
-
-    coeffs = [Fraction(0)] * (obj["order"] + 1)
-    for d, num, den in obj["triples"]:
-        coeffs[d] = Fraction(num, den)
-    return TruncatedSeries.from_coeffs(coeffs, obj["order"])
-
-
 def table_to_jsonable(t: BettiTable) -> dict:
     check_printable(t.betti)
     return {
@@ -51,18 +42,6 @@ def table_to_jsonable(t: BettiTable) -> dict:
         "even": t.even(),
         "odd": t.odd(),
     }
-
-
-def table_from_jsonable(obj) -> BettiTable:
-    from .series import BettiTable
-
-    n = obj["complex_dim"]
-    betti = [0] * (2 * n + 1)
-    for j, b in enumerate(obj["even"]):
-        betti[2 * j] = b
-    for j, b in enumerate(obj.get("odd", [])):
-        betti[2 * j + 1] = b
-    return BettiTable.from_list(betti, n)
 
 
 def stratum_to_jsonable(s: BetaStratum) -> dict:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from ._pure import Record, check_printable
+from ._pure import Record, check_order, check_printable
 
 Rational = Union[int, Fraction]
 
@@ -203,12 +203,16 @@ def lincomb(terms: Sequence) -> TruncatedSeries:
     """Exact linear combination sum c_i * t^(shift_i) * series_i.
 
     Truncates to the minimum effective order over the terms: a term shifted
-    by t^k is known exactly up to its series order plus k.
+    by t^k is known exactly up to its series order plus k.  Raises
+    ValueError on a shift below 0, and ResourceCapError when that order is
+    above `_pure.MAX_ORDER`.
     """
     terms = list(terms)
     if not terms:
         raise ValueError("lincomb requires at least one term")
-    order = min(s.order + shift for _, shift, s in terms)
+    if any(shift < 0 for _, shift, _ in terms):
+        raise ValueError("lincomb shifts must be >= 0")
+    order = check_order(min(s.order + shift for _, shift, s in terms), "the lincomb order")
     out = TruncatedSeries.zero(order)
     for c, shift, s in terms:
         cs = [Fraction(0)] * (order + 1)

@@ -9,10 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import combinations
 from typing import Sequence, Tuple
 
+from ._pure import ResourceCapError
+
 Vector = Tuple[Fraction, ...]
+# the most monomials a weight system may have: the largest census, (4,5)
+# or (5,4), has 126, and the default index-set budget refuses any system
+# of more than about 4,500
+MAX_WEIGHTS = 10**4
 
 
 def vec(entries: Sequence) -> Vector:
@@ -30,20 +36,14 @@ def norm2(x: Vector) -> Fraction:
 
 
 def monomials_of_degree(n: int, d: int) -> list:
-    """Exponent vectors of length n+1 summing to d, in lexicographic order."""
-    out = []
+    """Exponent vectors of length n+1 summing to d, in lexicographic order.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for i in range(remaining, -1, -1):
-            rec(prefix + [i], remaining - i, slots - 1)
-
-    rec([], d, n + 1)
-    # rec emits in reverse-lex on the first coordinate; normalize to lex order
-    out.sort()
-    return out
+    Stars and bars: the n bars among n+d slots cut d stars into n+1 runs.
+    The partial sums of a vector fix its bar positions, so combinations in
+    lexicographic order give vectors in lexicographic order.
+    """
+    return [tuple(e - s - 1 for s, e in zip((-1, *bars), (*bars, n + d)))
+            for bars in combinations(range(n + d), n)]
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,21 @@ def hypersurface_weights(n: int, d: int) -> WeightSystem:
     """Weight system for degree-d forms in n+1 variables.
 
     The monomial x^I maps to I - (d/(n+1)) * (1,...,1), a sum-zero vector.
+    Raises ResourceCapError, before enumerating, when there are more than
+    `MAX_WEIGHTS` monomials.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    # count them as C(m+i, i), m = max(n, d), for i up to min(n, d): each
+    # step at least doubles the count, so few are taken however large n, d are
+    m, count = max(n, d), 1
+    for i in range(1, min(n, d) + 1):
+        count = count * (m + i) // i
+        if count > MAX_WEIGHTS:
+            raise ResourceCapError(f"forms of degree {d} in {n} + 1 variables have more "
+                                   f"than {MAX_WEIGHTS} monomials, the cap")
     mons = monomials_of_degree(n, d)
-    if len(mons) != comb(n + d, d):
+    if len(mons) != count:
         raise AssertionError("monomial count mismatch")
     shift = Fraction(d, n + 1)
     weights = tuple(tuple(Fraction(i) - shift for i in I) for I in mons)

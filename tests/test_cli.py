@@ -228,6 +228,14 @@ class TestStrataCommand:
             assert time.perf_counter() - t0 < 1
             assert code == 4 and json.loads(err)["error"] == "resource-cap"
 
+    def test_too_many_monomials_exit_at_once(self):
+        # the monomials are counted before any is enumerated
+        for n, d in (("2000", "2"), ("2", "1000000000000")):
+            t0 = time.perf_counter()
+            code, _, err = run_cli("strata", "--n", n, "--d", d)
+            assert time.perf_counter() - t0 < 1
+            assert code == 4 and json.loads(err)["error"] == "resource-cap"
+
 
 class TestOtherCommands:
     def test_molien_inline(self):

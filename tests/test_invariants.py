@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratify._pure import ResourceCapError
-from stratify._exact import EisInt, eis_matrix
+from stratify._exact import UNITS, EisInt, eis_matrix
 from stratify.eisenstein import (
     E1,
     E2,
     E3,
     H,
     NAMED_LATTICES,
-    UNITS,
     isometry_group_order,
     triflections,
     weyl_group,

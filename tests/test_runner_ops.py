@@ -358,11 +358,38 @@ def test_declare_kinds():
     ({"op": "mark_nonempty", "args": {"strata": [], "codims": 5}, "facts": [{"cite": "unit test"}]},
      r"argument 'codims' must be a list, got 5"),
     ({"op": "named_lattice", "args": {"name": [1]}}, r"argument 'name' must be a lattice name"),
+    ({"op": "mark_nonempty", "args": {"strata": [], "codims": [[1]]},
+      "facts": [{"cite": "unit test"}]},
+     r"argument 'codims\[0\]' must be an integer, got \[1\]"),
+    ({"op": "mark_nonempty", "args": {"strata": [], "codims": [2, {"a": 1}]},
+      "facts": [{"cite": "unit test"}]},
+     r"argument 'codims\[1\]' must be an integer, got \{'a': 1\}"),
+    ({"op": "lincomb", "args": {"terms": [[1, -1, [[0, 2], [2, 1]]]], "order": 6}},
+     r"argument 'terms\[0\]' must be a list \[coefficient, integer shift >= 0, series\], "
+     r"got \[1, -1, "),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:
         run_steps([{"id": "s", **step}])
     assert "step 's'" in str(info.value)
+
+
+def test_lincomb_order_above_the_cap_is_a_resource_cap():
+    from stratify.strata import ResourceCapError
+    with pytest.raises(ResourceCapError, match="exceeds the cap 1000"):
+        run_steps([{"id": "s", "op": "lincomb", "args": {"terms": [[1, 10**12, [[0, 1]]]]}}])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"name": "x", "notes": "abc"}, "scenario 'notes' must be a list of strings"),
+    ({"name": "x", "notes": ["a", 1]}, "scenario 'notes' must be a list of strings"),
+    ({"name": ["x"]}, "scenario 'name' and 'description' must be strings"),
+    ({"name": "x", "description": 5}, "scenario 'name' and 'description' must be strings"),
+])
+def test_scenario_name_description_and_notes_are_typed(doc, message):
+    steps = [{"id": "s", "op": "projective_series", "args": {"dim": 1}}]
+    with pytest.raises(ScenarioParseError, match=message):
+        run_scenario({**doc, "steps": steps})
 
 
 def test_series_literal_forms():

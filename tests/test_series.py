@@ -200,3 +200,8 @@ class TestLincombEffectiveOrder:
         out = lincomb([(1, 0, a), (-1, 3, b)])
         assert out.order == 5
         assert out.integer_coeffs() == [1, 0, 1, -1, 1, 0]
+
+    def test_negative_shift_rejected(self):
+        # a shift below 0 would drop terms and wrap an index onto the top
+        with pytest.raises(ValueError, match="shifts must be >= 0"):
+            lincomb([(1, -1, TruncatedSeries.from_coeffs([2, 0, 1], 6))])

@@ -1,12 +1,13 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratify.weights import dot, hypersurface_weights, monomials_of_degree
+from stratify._pure import ResourceCapError
+from stratify.weights import MAX_WEIGHTS, dot, hypersurface_weights, monomials_of_degree
 
 
 class TestHypersurfaceWeights:
@@ -38,6 +39,18 @@ class TestHypersurfaceWeights:
         mons = monomials_of_degree(2, 2)
         assert mons == sorted(mons)
         assert len(mons) == comb(4, 2)
+
+    def test_monomials_against_a_filtered_product(self):
+        for n in range(4):
+            for d in range(5):
+                expected = [e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d]
+                assert monomials_of_degree(n, d) == expected
+
+    def test_too_many_monomials_hit_the_cap(self):
+        assert len(hypersurface_weights(1, MAX_WEIGHTS - 1).monomials) == MAX_WEIGHTS
+        for n, d in ((1, MAX_WEIGHTS), (2000, 2), (2, 10**12), (10**12, 10**12)):
+            with pytest.raises(ResourceCapError, match="the cap"):
+                hypersurface_weights(n, d)
 
 
 @settings(max_examples=25, deadline=None)

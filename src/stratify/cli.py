@@ -46,12 +46,19 @@ def _emit(payload, fmt: str, text_fn=None, csv_fn=None, latex_fn=None):
 
 
 def _load_json_arg(value: str):
-    """Parse an argument that is either inline JSON or a path to a JSON file."""
+    """Parse an argument that is either inline JSON or a path to a JSON file.
+
+    Malformed JSON and an integer beyond the interpreter's digit limit (a
+    plain `ValueError` from `json.loads`) are parse errors."""
     if os.path.exists(value):
-        return json.loads(read_input(value))
+        text = read_input(value)
+        try:
+            return json.loads(text)
+        except ValueError as e:
+            raise ScenarioParseError(f"{value} is not valid JSON: {e}") from e
     try:
         return json.loads(value)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ScenarioParseError(f"argument is neither a file nor JSON: {e}") from e
 
 

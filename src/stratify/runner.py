@@ -285,9 +285,12 @@ class StepArgs(dict):
     def table(self, key) -> BettiTable:
         """Betti-table argument ``key``: {"complex_dim": n, "even": [...], "odd": [...]}
         (a serialized table) with n >= 0 and at most n + 1 even and n odd
-        integer Betti numbers; missing ones are 0."""
+        integer Betti numbers; missing ones are 0.  The table's Poincare
+        series has order 2n, so 2n is held to the truncation-order cap before
+        the 2n + 1 numbers are allocated."""
         table = self.nested(key, ("kind", "complex_dim", "even", "odd"))
         n = table.integer("complex_dim", minimum=0)
+        check_order(2 * n, f"{table._label()}: twice 'complex_dim'")
         parts = []
         for part, most, default in (("even", n + 1, _REQUIRED), ("odd", n, [])):
             values = table.listing(part, default)
@@ -917,7 +920,7 @@ def load_scenario(source) -> dict:
         )
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed, or an integer beyond the digit limit
         raise ScenarioParseError(f"scenario is not valid JSON: {e}") from e
     return doc
 

@@ -248,6 +248,12 @@ class BettiTable(Record):
 
     @staticmethod
     def of_projective_space(dim: int) -> "BettiTable":
+        """The table of P^dim.  Its Poincare series has order 2 * dim, so a
+        dimension above half of `_pure.MAX_ORDER` raises `ResourceCapError`
+        before any Betti number is built."""
+        if dim < 0:
+            raise ValueError("dimension must be nonnegative")
+        check_order(2 * dim, "twice the dimension")
         betti = [1 if j % 2 == 0 else 0 for j in range(2 * dim + 1)]
         return BettiTable.from_list(betti, dim)
 

@@ -300,6 +300,39 @@ class TestOtherCommands:
             assert time.perf_counter() - t0 < 1
             assert code == 4 and json.loads(err)["error"] == "resource-cap"
 
+    def test_huge_table_dimension_exits_at_once(self, tmp_path):
+        # a table of complex dimension n has a Poincare series of order 2n,
+        # held to the truncation-order cap before 2n + 1 numbers are allocated
+        doc = tmp_path / "table.json"
+        doc.write_text(json.dumps({"name": "table", "steps": [
+            {"id": "t", "op": "projective_table", "args": {"dim": 10**12}}]}))
+        for argv in (("blowup", "--exceptional", '{"complex_dim": 1000000000000, "even": [1]}',
+                      "--dim", "4"),
+                     ("scenario", "run", str(doc))):
+            t0 = time.perf_counter()
+            code, out, err = run_cli(*argv)
+            assert time.perf_counter() - t0 < 1
+            assert code == 4 and out == ""
+            assert json.loads(err)["error"] == "resource-cap"
+
+    def test_integer_beyond_the_digit_limit_is_parse_error(self, tmp_path):
+        # json.loads refuses an integer of more than 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        count = "1" * 4301
+        spec = '{"factors":[{"lattice":"E3","group":"weyl","count":%s}]}' % count
+        (tmp_path / "spec.json").write_text(spec)
+        (tmp_path / "doc.json").write_text('{"name": "x", "order": %s, "steps": []}' % count)
+        for argv, message in ((("boundary", str(tmp_path / "spec.json")), "is not valid JSON"),
+                              (("boundary", spec), "argument is neither a file nor JSON"),
+                              (("scenario", "run", str(tmp_path / "doc.json")),
+                               "scenario is not valid JSON")):
+            t0 = time.perf_counter()
+            code, out, err = run_cli(*argv)
+            assert time.perf_counter() - t0 < 1
+            assert code == 3 and out == ""
+            err = json.loads(err)
+            assert err["error"] == "parse" and message in err["message"]
+
 
 class TestBadInput:
     """Malformed input exits 3 naming the problem, never with a traceback.

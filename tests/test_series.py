@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stratify._pure import MAX_ORDER, ResourceCapError
 from stratify.series import (
     BettiTable,
     TruncatedSeries,
@@ -164,6 +165,16 @@ class TestProjectiveSeries:
 
     def test_large_dimension_saturates(self):
         assert projective_space_series(34, 4).integer_coeffs() == [1, 0, 1, 0, 1]
+
+    def test_table_dimension_is_capped_before_allocating(self):
+        # the table of P^n has a Poincare series of order 2n
+        assert BettiTable.of_projective_space(MAX_ORDER // 2).betti[-1] == 1
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            BettiTable.of_projective_space(10**12)
+        assert time.perf_counter() - t0 < 1
+        with pytest.raises(ValueError):
+            BettiTable.of_projective_space(-1)
 
 
 class TestSeriesArithmetic:

@@ -359,8 +359,8 @@ class TestIntegerPathAgainstFractions:
     """The scaled-integer index set and oracle against the Fraction reference."""
 
     @settings(max_examples=120, deadline=None)
-    @given(weight_sets_by_mode, st.sampled_from([None, 1, 2, 3]))
-    def test_equal_lists_in_equal_order_and_equal_counts(self, case, max_support):
+    @given(weight_sets_by_mode, st.sampled_from([None, 1, 2, 3]), st.randoms())
+    def test_equal_lists_in_equal_order_and_equal_counts(self, case, max_support, rng):
         mode, weights = case
         rep = SimpleNamespace(weights=tuple(weights))
         if mode == "sym":
@@ -368,8 +368,13 @@ class TestIntegerPathAgainstFractions:
         else:
             got = normal_rep_strata(rep, mode)
         assert got == fraction_index_set(weights, mode)
-        assert verify_strata_against_oracle(weights, got, max_support) == fraction_oracle(
-            weights, got, max_support)
+        count = fraction_oracle(weights, got, max_support)
+        assert verify_strata_against_oracle(weights, got, max_support) == count
+        # shuffled, the first stratum of a class of permuted betas, the one
+        # the oracle certifies in full, is not the one sorted first
+        shuffled = list(got)
+        rng.shuffle(shuffled)
+        assert verify_strata_against_oracle(weights, shuffled, max_support) == count
 
 
 class TestTorusByOrbits:
@@ -427,6 +432,111 @@ class TestTorusByOrbits:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert all(s.dim_g_mod_p == 0 and s.codim_expected == s.n_beta for s in got)
         assert verify_strata_against_oracle(ws.weights, got, max_support=3) == certified
+
+
+def _with(s, **changes):
+    """The stratum record ``s`` with some fields replaced."""
+    fields = dict(beta=s.beta, norm2=s.norm2, support=s.support, n_beta=s.n_beta,
+                  dim_g_mod_p=s.dim_g_mod_p, codim_expected=s.codim_expected)
+    fields.update(changes)
+    return BetaStratum(**fields)
+
+
+class TestOracleByOrbits:
+    """The oracle certifies the first stratum of each class of betas equal up
+    to a coordinate permutation and carries that certificate to the rest."""
+
+    @pytest.fixture(scope="class")
+    def torus_3_3(self):
+        ws = hypersurface_weights(3, 3)
+        return ws.weights, instability_index_set(ws, weyl="trivial")
+
+    @staticmethod
+    def _later_member(got):
+        """Position of a stratum that is not the first of its class, and the
+        first member, chosen so that their supports differ."""
+        firsts = {}
+        for at, s in enumerate(got):
+            first = firsts.setdefault(tuple(sorted(s.beta)), s)
+            if first is not s and first.support != s.support and not s.is_zero():
+                return at, first
+        raise AssertionError("no later member with a moved support")
+
+    def test_rejects_the_first_members_support_unpermuted(self, torus_3_3):
+        weights, got = torus_3_3
+        at, first = self._later_member(got)
+        bad = list(got)
+        bad[at] = _with(got[at], support=first.support)
+        with pytest.raises(AssertionError):
+            verify_strata_against_oracle(weights, bad)
+
+    def test_rejects_one_index_swapped_off_the_face(self, torus_3_3):
+        weights, got = torus_3_3
+        at, _ = self._later_member(got)
+        support = got[at].support
+        outside = next(i for i in range(len(weights)) if i not in support)
+        for j in range(len(support)):
+            bad = list(got)
+            swapped = tuple(sorted(support[:j] + (outside,) + support[j + 1:]))
+            bad[at] = _with(got[at], support=swapped)
+            with pytest.raises(AssertionError):
+                verify_strata_against_oracle(weights, bad)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_rejects_a_wrong_n_beta(self, torus_3_3, delta):
+        weights, got = torus_3_3
+        at, _ = self._later_member(got)
+        bad = list(got)
+        bad[at] = _with(got[at], n_beta=got[at].n_beta + delta)
+        with pytest.raises(AssertionError):
+            verify_strata_against_oracle(weights, bad)
+
+    @staticmethod
+    def _witness_calls(monkeypatch):
+        calls = []
+
+        def spy(points, target):
+            calls.append(len(points))
+            return hull_witness(points, target)
+
+        hull_witness = strata_module._hull_witness
+        monkeypatch.setattr(strata_module, "_hull_witness", spy)
+        return calls
+
+    def test_one_witness_per_class(self, monkeypatch, torus_3_3):
+        weights, got = torus_3_3
+        calls = self._witness_calls(monkeypatch)
+        assert verify_strata_against_oracle(weights, got, max_support=4) == 242
+        # 281 strata in 21 classes, 16 of them zero or within the support bound
+        classes = {}
+        for s in got:
+            classes.setdefault(tuple(sorted(s.beta)), s)
+        assert len(got) == 281 and len(classes) == 21
+        assert len(calls) == 16 == sum(
+            1 for s in classes.values() if s.is_zero() or len(s.support) <= 4)
+
+    def test_one_witness_per_stratum_without_invariance(self, monkeypatch):
+        # the invariant-set-only weights of TestTorusByOrbits: pi must
+        # preserve multiplicities, so no certificate is carried over
+        weights = sorted(set(permutations((2, 1, -2)))) + [(1, 2, -2)] * 2
+        got = normal_rep_strata(SimpleNamespace(weights=tuple(weights)), "torus")
+        assert len({tuple(sorted(s.beta)) for s in got}) < len(got)
+        calls = self._witness_calls(monkeypatch)
+        assert verify_strata_against_oracle(weights, got) == sum(
+            1 for s in got if not s.is_zero())
+        assert len(calls) == len(got)
+
+    def test_uses_no_index_set_helper(self, monkeypatch, torus_3_3):
+        weights, got = torus_3_3
+        expected = verify_strata_against_oracle(weights, got, max_support=4)
+
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("the oracle called an index-set helper")
+
+        for name in ("projection_candidates", "_permutation_invariant", "_rearrangements",
+                     "_torus_by_orbits", "_face", "_scaled_beta", "_stratum_from_beta"):
+            monkeypatch.setattr(strata_module, name, forbidden)
+        assert verify_strata_against_oracle(weights, got, max_support=4) == expected == 242
 
 
 @pytest.mark.parametrize("weights, betas", [

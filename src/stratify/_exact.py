@@ -10,13 +10,15 @@ One matrix representation: a matrix over Z[omega], Q(omega) or Q is a tuple
 of row tuples of `EisInt` (`eis_matrix`), a rational entry q as q + 0*omega,
 and `mat_mul` is its one product.
 
-One determinant, one rank, one nullspace and one inverse, each over Q (int
-or `Fraction` entries) or Q(omega) (`EisInt` entries).  Every division goes
-through `_div`, which returns an int when an integer quotient is exact and a
-`Fraction` otherwise; no result is ever a float.  `rank` and `_div` are
-defined in `stratify._pure`, so the strata layer reaches the rank without
-loading this module, and re-exported here.  `rational` brings an input
-value to the same form, so integral values run in plain integers.
+One elimination, `echelon` (fraction-free, Bareiss), behind `det`, `rank`,
+`nullspace` and `adjugate`, over Z or Q (int or `Fraction` entries) and
+Z[omega] or Q(omega) (`EisInt` entries).  Its divisions are exact and go
+through `_div`, so integral input stays integral throughout, and `nullspace`
+returns primitive integral vectors; no result is ever a float.  `echelon`,
+`rank` and `_div` are defined in `stratify._pure`, so the strata layer
+reaches the rank without loading this module, and re-exported here.
+`rational` brings an input value to the same form, so integral values run in
+plain integers.
 
 The closest-point certificate in `strata` (`verify_strata_against_oracle`)
 keeps its own integer phase-I simplex so that it stays independent of the
@@ -26,8 +28,9 @@ kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from ._pure import _div, rank  # noqa: F401
+from ._pure import _div, echelon, rank  # noqa: F401
 
 
 def rational(x):
@@ -176,84 +179,62 @@ def mat_mul(x, y) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over Q or Q(omega)
+# linear algebra over Z, Q, Z[omega] or Q(omega), all by `echelon`
 # ---------------------------------------------------------------------------
 
 
 def det(mat):
-    """Determinant by fraction-free (Bareiss) elimination.
+    """Determinant: the sign of the row swaps times the last pivot of
+    `echelon`.  A singular matrix gives the zero of its entry type."""
+    _, rows, sign = echelon(mat)
+    return sign * rows[-1][-1] if rows else 1  # the last pivot, or zero
 
-    Every intermediate entry is a minor of the input, so integer and
-    Z[omega]-integral matrices stay integral throughout; a singular matrix
-    gives the zero of its entry type.
-    """
-    a = [list(row) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return a[k][k]
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            f = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _div(row_i[j] * p - f * row_k[j], prev)
-        prev = p
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+def _back_substitute(pivots, rows, value, free_columns):
+    """Per free column, the x with ``rows`` x = 0 (an `echelon` form), x =
+    ``value`` there and 0 at the other non-pivot columns.  With ``value`` a
+    multiple of the last pivot, x is integral (Cramer): every division is exact."""
+    zero = 0 * value
+    steps = [(col, row[col], [(j, u) for j, u in enumerate(row) if j > col and u])
+             for row, col in reversed(list(zip(rows, pivots)))]
+    for free in free_columns:
+        x = [zero] * len(rows[0])
+        x[free] = value
+        for col, p, tail in steps:
+            acc = sum([u * x[j] for j, u in tail if x[j]], zero)
+            if acc:
+                x[col] = _div(-acc, p)
+        yield x
+
+
+def _primitive(v) -> list:
+    """``v`` over the content of its parts (the a and b of every entry): an
+    integral vector whose parts are coprime."""
+    parts = [x for e in v for x in ((e.a, e.b) if isinstance(e, EisInt) else (e,))]
+    den = lcm(*(x.denominator for x in parts))
+    num = gcd(*(x.numerator for x in parts))
+    return [EisInt(e.a * den // num, e.b * den // num) if isinstance(e, EisInt)
+            else e * den // num for e in v]
 
 
 def nullspace(rows) -> list:
-    """Basis of {x : rows x = 0} by reduced row echelon form.
-
-    Returns one vector per free column: 1 there, 0 at the other free columns.
-    """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    pivots = []
-    for col in range(ncols):
-        rk = len(pivots)
-        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        f = rows[rk][col]
-        head = rows[rk] = [_div(x, f) for x in rows[rk]]
-        for i, r in enumerate(rows):
-            if i != rk and r[col]:
-                fi = r[col]
-                rows[i] = [x - fi * y for x, y in zip(r, head)]
-        pivots.append(col)
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        x = [0] * ncols
-        x[free] = 1
-        for r, col in enumerate(pivots):
-            x[col] = -rows[r][free]
-        basis.append(x)
-    return basis
+    """Basis of {x : rows x = 0}, one vector per free column of `echelon`,
+    each primitive (`_primitive`): integral, no `Fraction` parts."""
+    pivots, ech, _ = echelon(rows)
+    free = sorted(set(range(len(ech[0]))) - set(pivots))
+    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 0 * ech[0][0] + 1
+    return [_primitive(v) for v in _back_substitute(pivots, ech, d, free)]
 
 
-def inverse(mat) -> list:
-    """Inverse by Gauss-Jordan elimination; raises ValueError when singular."""
+def adjugate(mat) -> tuple:
+    """``(det, adj)`` with adj * mat = mat * adj = det * I; raises ValueError
+    when singular.  Column c of adj, then -det e_c, is the kernel vector of
+    [mat | I] that is -det at column n + c, since mat adj = det I."""
     n = len(mat)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [_div(x, f) for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                fi = aug[i][c]
-                aug[i] = [x - fi * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    pivots, rows, sign = echelon(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    d = sign * rows[n - 1][n - 1]
+    cols = list(_back_substitute(pivots, rows, -d, range(n, 2 * n)))
+    return d, [[cols[c][i] for c in range(n)] for i in range(n)]

@@ -15,9 +15,10 @@ ints throughout, weight vectors as tuples of ints and rationals as
 (numerator, denominator) pairs.  Matrices over Z[omega] and their product live in
 `stratify._exact`, which this module does not import.
 
-`rank` and its exact quotient `_div` live here rather than in `_exact`, which
-re-exports them: the index set needs the rank of its scaled weights, and the
-strata path then loads no Eisenstein arithmetic.
+`echelon`, the one fraction-free elimination behind rank, det, nullspace and
+adjugate, `rank` and the exact quotient `_div` live here rather than in
+`_exact`, which re-exports them: the index set needs the rank of its scaled
+weights, and the strata path then loads no Eisenstein arithmetic.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class Record:
 
 
 # ---------------------------------------------------------------------------
-# exact rank over Q or Q(omega)
+# fraction-free elimination over Z, Q, Z[omega] or Q(omega)
 # ---------------------------------------------------------------------------
 
 
@@ -187,30 +188,54 @@ def _div(x, y):
     return x / y
 
 
-def rank(rows) -> int:
-    """Rank of a list of rows by fraction-free (Bareiss) elimination.
-
-    Every intermediate entry is a minor of the input, so integer rows stay
-    integer throughout.
+def echelon(rows):
+    """Fraction-free (Bareiss, 1968) forward elimination over Z, Q, Z[omega]
+    or Q(omega): ``(pivots, rows, sign)``, the pivot column of each leading
+    row, a row-echelon form (zero below and left of the pivots) and the sign
+    of the row swaps.  Every entry is a minor of the row-permuted input, so
+    integral rows stay integral; the last pivot is the minor on the pivot rows
+    and columns.  Only nonzero entries are touched: a row with zero in the
+    pivot column is left alone, and since the rescalings by p / prev it skips
+    telescope, its next update divides by the pivot it last saw (its level).
     """
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
-    rk = 0
-    prev = 1
+    levels = [1] * len(rows)
+    pivots = []
+    sign = prev = 1
     for col in range(ncols):
+        rk = len(pivots)
         piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        head = rows[rk]
+        if piv != rk:
+            rows[rk], rows[piv], sign = rows[piv], rows[rk], -sign
+            levels[rk], levels[piv] = levels[piv], levels[rk]
+        head, lev = rows[rk], levels[rk]
+        if lev != prev:  # skipped since its last update: bring it up to date
+            head = rows[rk] = [_div(x * prev, lev) if x else x for x in head]
         p = head[col]
-        for r in rows[rk + 1:]:
+        for i in range(rk + 1, len(rows)):
+            r, lev = rows[i], levels[i]
             f = r[col]
+            if not f:
+                continue
+            r[col] = 0 * f
             for j in range(col + 1, ncols):
-                r[j] = _div(r[j] * p - f * head[j], prev)
+                x, h = r[j], head[j]
+                if h:
+                    r[j] = _div(x * p - f * h, lev)
+                elif x:
+                    r[j] = _div(x * p, lev)
+            levels[i] = p
         prev = p
-        rk += 1
-    return rk
+        pivots.append(col)
+    return pivots, rows, sign
+
+
+def rank(rows) -> int:
+    """Rank of a list of rows, the number of pivots of `echelon`."""
+    return len(echelon(rows)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,7 @@ def isometry_group_order(lat: EisLattice, gens) -> int:
     roots = [eis_vector_from_z(v, k) for v in zroots]
     # x is orthogonal to r when sum_ij conj(r_i) G_ij x_j = 0
     perp = nullspace(mat_mul([[x.conj() for x in r] for r in roots], lat.gram))
-    perp = [tuple(c for x in v for c in (eis(x).a, eis(x).b)) for v in perp]
+    perp = [tuple(c for x in v for c in (x.a, x.b)) for v in perp]
     zmats = [_z_matrix(m) for m in gens]
 
     def act(z, v):

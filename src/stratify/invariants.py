@@ -401,13 +401,6 @@ def _compound(mat, p):
     ]
 
 
-def _integral(v) -> list:
-    """``v`` times the lcm of its denominators, so that products stay in Z[omega]."""
-    v = [eis(x) for x in v]
-    d = lcm(*(x.denominator for e in v for x in (e.a, e.b)))
-    return [EisInt(int(e.a * d), int(e.b * d)) for e in v]
-
-
 def _invariant_dim(powers, p, q) -> int:
     """dim (Lambda^p V (x) conj Lambda^q V)^G, narrowed one generator at a time.
 
@@ -423,9 +416,9 @@ def _invariant_dim(powers, p, q) -> int:
         for i, row in enumerate(op):
             row[i] = row[i] - 1
         if basis is None:
-            basis = [_integral(v) for v in nullspace(op)]
+            basis = nullspace(op)
         else:
-            coeffs = [_integral(c) for c in nullspace(mat_mul(op, tuple(zip(*basis))))]
+            coeffs = nullspace(mat_mul(op, tuple(zip(*basis))))
             basis = mat_mul(coeffs, basis)
         if not basis:
             return 0
@@ -434,8 +427,8 @@ def _invariant_dim(powers, p, q) -> int:
 
 # Cap on the rank of an abelian quotient: the fixed spaces live in
 # Lambda^p V (x) conj Lambda^q V, of dimension C(k, p) C(k, q), up to 400 at
-# rank 6 against 100 at rank 5 (E1+E4 took 7.8 s, 2E3 and E2+E4 did not finish
-# in 150 s).  The pinned boundaries use at most rank 4.
+# rank 6 against 100 at rank 5 (E1+E4 takes 2-3 s, 2E3 about 60 s, mostly in
+# products with the 400 x 400 operators).  The pinned boundaries use rank <= 4.
 MAX_QUOTIENT_RANK = 5
 
 

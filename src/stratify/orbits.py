@@ -16,7 +16,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from ._exact import det, inverse, rank, rational
+from ._exact import adjugate, rank, rational
 from ._pure import Record
 from .weights import monomials_of_degree, vec
 
@@ -276,12 +276,12 @@ def normal_rep_of(
 
     ranks = _block_ranks(tagged)
     gram = [[sum(map(mul, a, b)) for b in scaled] for a in scaled]
-    den = det(gram)
-    if not den:
-        raise ValueError("cocharacters are linearly dependent")
     # the vector in the span with pairings q is sum_i (G^-1 q)_i mu_i over the
     # scaled cocharacters mu_i; with the integer adjugate, one division
-    adj = [[int(x * den) for x in row] for row in inverse(gram)]
+    try:
+        den, adj = adjugate(gram)
+    except ValueError:
+        raise ValueError("cocharacters are linearly dependent") from None
     columns = list(zip(*scaled))
 
     full: dict = {}

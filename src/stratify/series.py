@@ -270,6 +270,7 @@ class BettiTable(Record):
 
     def kunneth(self, other: "BettiTable") -> "BettiTable":
         n = self.complex_dim + other.complex_dim
+        check_order(2 * n, "twice the product's dimension")
         prod = self.poincare_series(2 * n) * other.poincare_series(2 * n)
         return BettiTable.from_list(prod.integer_coeffs(), n)
 

@@ -315,6 +315,19 @@ class TestOtherCommands:
             assert code == 4 and out == ""
             assert json.loads(err)["error"] == "resource-cap"
 
+    def test_huge_table_product_exits_at_once(self, tmp_path):
+        # each factor is within the cap, their product is not: the Kunneth
+        # product is held to the cap before its series is multiplied
+        doc = tmp_path / "product.json"
+        doc.write_text(json.dumps({"name": "product", "steps": [
+            {"id": "p", "op": "projective_table", "args": {"dim": 500}},
+            {"id": "t", "op": "betti_product", "args": {"tables": ["$p", "$p", "$p"]}}]}))
+        t0 = time.perf_counter()
+        code, out, err = run_cli("scenario", "run", str(doc))
+        assert time.perf_counter() - t0 < 1
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "resource-cap"
+
     def test_integer_beyond_the_digit_limit_is_parse_error(self, tmp_path):
         # json.loads refuses an integer of more than 4,300 digits with a
         # plain ValueError, not a JSONDecodeError

@@ -3,9 +3,12 @@
 Each helper is checked against an independent computation of the same
 quantity: Smith normal form for |det| and rank over Q, cofactor expansion on
 (a, b) integer pairs (`minor_det` below) for det over Z and Q(omega), the
-product with the input for the inverse, and rank for the dimension of the
-nullspace.  Entries reach past 2^63 so that nothing can hide behind machine
-integers, and no result may ever be a float.
+products with the input for the adjugate, and a reduced row echelon form
+over Q and Q(omega) (`rref_nullspace` below) for the nullspace.  All four
+come from one fraction-free elimination, `_pure.echelon`; sparse matrices
+with zero rows and columns run its zero-skipping branches.  Entries reach
+past 2^63 so that nothing can hide behind machine integers, and no result
+may ever be a float.
 
 `smith_normal_form` blows up on dense matrices with large entries (a random
 4 x 4 matrix with 10-bit entries grows intermediates past 4300 digits, where
@@ -15,13 +18,13 @@ the small matrix.  Unscaled large entries are checked against cofactors.
 """
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stratify._exact import EisInt, det, eis, inverse, nullspace, rank
+from stratify._exact import EisInt, adjugate, det, eis, nullspace, rank
 from stratify._pure import ResourceCapError
 from stratify.eisenstein import smith_normal_form
 
@@ -41,6 +44,36 @@ def minor_det(mat, rows, cols):
             rb += sign * (a * d + b * c - bd)
         sign = -sign
     return ra, rb
+
+
+def rref_nullspace(rows):
+    """Kernel basis by reduced row echelon form over Q or Q(omega), dividing
+    through `Fraction`: one vector per free column, 1 there and 0 at the
+    other free columns.  The reference for `nullspace`."""
+    rows = [[Fraction(x) if type(x) is int else x for x in r] for r in rows]
+    ncols = len(rows[0])
+    pivots = []
+    for col in range(ncols):
+        rk = len(pivots)
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        f = rows[rk][col]
+        head = rows[rk] = [x / f for x in rows[rk]]
+        for i, r in enumerate(rows):
+            if i != rk and r[col]:
+                fi = r[col]
+                rows[i] = [x - fi * y for x, y in zip(r, head)]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        x = [0] * ncols
+        x[free] = 1
+        for r, col in enumerate(pivots):
+            x[col] = -rows[r][free]
+        basis.append(x)
+    return basis
 
 
 BIG = 2**70
@@ -70,6 +103,19 @@ def scaled(draw, matrices):
     """A matrix times a nonzero scalar of up to 70 bits."""
     c = draw(big_ints.filter(bool))
     return [[c * x for x in row] for row in draw(matrices)]
+
+
+@st.composite
+def sparse(draw, entries, square=False):
+    """An up to 8 x 8 matrix, about three entries in four zero, with some
+    rows and columns zero throughout."""
+    n = draw(st.integers(1, 8))
+    m = n if square else draw(st.integers(1, 8))
+    zero_rows = draw(st.sets(st.integers(0, n - 1)))
+    zero_cols = draw(st.sets(st.integers(0, m - 1)))
+    return [[draw(entries) if i not in zero_rows and j not in zero_cols
+             and draw(st.integers(0, 3)) == 0 else 0 * draw(entries)
+             for j in range(m)] for i in range(n)]
 
 
 def assert_exact(x):
@@ -143,6 +189,18 @@ def test_eisenstein_det_matches_cofactor_expansion(mat):
     assert (d.a, d.b) == minor_det(pairs, list(range(n)), list(range(n)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse(big_ints, square=True), sparse(eis_ints, square=True)))
+def test_sparse_det_matches_cofactor_expansion(mat):
+    d = det(mat)
+    assert_exact(d)
+    pairs = [[(e.a, e.b) if isinstance(e, EisInt) else (e, 0) for e in row] for row in mat]
+    n = len(mat)
+    got = (d.a, d.b) if isinstance(d, EisInt) else (d, 0)
+    assert all(type(x) is int for x in got)
+    assert got == minor_det(pairs, list(range(n)), list(range(n)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(square(eis_ints, max_size=3))
 def test_eisenstein_det_is_multiplicative(mat):
@@ -167,38 +225,81 @@ def test_eisenstein_rank_is_half_the_rational_rank(re, im):
     assert 2 * rank(mat) == rank(realify(mat))
 
 
+def parts(v):
+    return [x for e in v for x in ((e.a, e.b) if isinstance(e, EisInt) else (e,))]
+
+
+def assert_kernel_basis(mat, basis):
+    """``basis`` spans the kernel of ``mat`` computed by `rref_nullspace`; its
+    vectors have int parts with gcd 1."""
+    ref = rref_nullspace(mat)
+    assert len(basis) == len(ref) == len(mat[0]) - rank(mat)
+    assert all(not sum(x * y for x, y in zip(row, v)) for row in mat for v in basis)
+    if basis:
+        assert rank(basis) == rank(ref) == rank(basis + ref) == len(basis)
+    for v in basis:
+        assert all(type(x) is int for x in parts(v))
+        assert gcd(*parts(v)) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(low_rank(), low_rank())
 def test_nullspace_is_the_kernel(re, im):
     rows, cols = min(len(re), len(im)), min(len(re[0]), len(im[0]))
     for mat in ([row[:cols] for row in re[:rows]],
-                [[EisInt(re[i][j], im[i][j]) for j in range(cols)] for i in range(rows)]):
+                [[EisInt(re[i][j], im[i][j]) for j in range(cols)] for i in range(rows)],
+                [[Fraction(re[i][j], 1 + abs(im[i][j])) for j in range(cols)]
+                 for i in range(rows)]):
         basis = nullspace(mat)
         assert_exact(basis)
-        assert len(basis) == cols - rank(mat)
-        assert all(not sum(x * y for x, y in zip(row, v)) for row in mat for v in basis)
-        if basis:
-            assert rank(basis) == len(basis)
+        assert_kernel_basis(mat, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse(st.integers(-9, 9)), sparse(big_ints), sparse(fractions),
+                 sparse(st.builds(EisInt, small_ints, small_ints)), sparse(eis_ints),
+                 sparse(eis_fractions)))
+def test_sparse_nullspace_is_the_kernel(mat):
+    basis = nullspace(mat)
+    assert_exact(basis)
+    assert_kernel_basis(mat, basis)
+    if all(isinstance(e, EisInt) for row in mat for e in row):
+        assert all(isinstance(e, EisInt) for v in basis for e in v)
+
+
+def assert_adjugate(mat):
+    d, adj = adjugate(mat)
+    assert_exact(adj)
+    assert d == det(mat)
+    scalar = [[d * x for x in row] for row in identity_like(len(mat), 1, 0)]
+    assert matmul(adj, mat) == scalar
+    assert matmul(mat, adj) == scalar
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(square(big_ints), square(fractions)))
-def test_rational_inverse(mat):
+def test_rational_adjugate(mat):
     assume(det(mat) != 0)
-    inv = inverse(mat)
-    assert_exact(inv)
-    assert matmul(inv, mat) == identity_like(len(mat), 1, 0)
+    assert_adjugate(mat)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(square(eis_ints, max_size=3), square(eis_fractions, max_size=3)))
-def test_eisenstein_inverse(mat):
+def test_eisenstein_adjugate(mat):
     assume(det(mat))
-    inv = inverse(mat)
-    assert_exact(inv)
-    one, zero = EisInt(1, 0), EisInt(0, 0)
-    assert matmul(inv, mat) == identity_like(len(mat), one, zero)
-    assert matmul(mat, inv) == identity_like(len(mat), one, zero)
+    assert_adjugate(mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(square(big_ints), square(fractions), square(eis_ints, max_size=3)),
+       st.lists(small_ints, min_size=4, max_size=4))
+def test_adjugate_of_a_singular_matrix_raises(mat, coeffs):
+    # the first row becomes a combination of the others (zero when n = 1)
+    mat[0] = [sum((c * row[j] for c, row in zip(coeffs, mat[1:])), 0 * mat[0][j])
+              for j in range(len(mat))]
+    assert not det(mat)
+    with pytest.raises(ValueError, match="singular"):
+        adjugate(mat)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,4 @@
-"""The package loads its layers on first use.
+"""The package loads its layers on first use, and imports nothing it does not use.
 
 Every CLI call is a fresh interpreter, so the modules a call compiles are
 most of its cost.  These tests count modules, not time: each runs a call in a
@@ -7,9 +7,11 @@ submodules the probe reports `dataclasses` and `inspect`, which the layers'
 records do without (`_pure.Record`): importing them costs about 10 ms.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +92,45 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         stratify.no_such_name
     assert not hasattr(stratify, "__no_such_dunder__")
+
+
+def unused_imports(path):
+    """Names that a module imports and never uses, as "module:line name".
+
+    A name counts as used when it is read anywhere in the module.  A name
+    listed in the module's `__all__` (its string items) or imported on a line
+    marked ``# noqa: F401`` is a re-export."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    exported = {node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                for node in ast.walk(stmt.value)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).partition(".")[0]
+            if name in used or name in exported or "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            unused.append(f"{path.stem}:{alias.lineno} {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    modules = sorted((Path(stratify.__file__).parent).glob("*.py"))
+    assert modules
+    assert [name for path in modules for name in unused_imports(path)] == []
+
+
+def test_unused_import_check_finds_an_unused_name(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from math import gcd, lcm\nimport os  # noqa: F401\n"
+                      "from json import dumps, loads\n__all__ = ['dumps']\n"
+                      "print(lcm(2, 3))\n")
+    assert unused_imports(module) == ["module:1 gcd", "module:3 loads"]

@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from stratify.eisenstein import (
     E1,
     E2,
     E3,
+    E4,
     H,
     NAMED_LATTICES,
     isometry_group_order,
@@ -119,6 +121,19 @@ class TestAbelianQuotients:
         w3 = weyl_group(E3)
         t = abelian_quotient_betti(w3, 3)
         assert t.even() == [1, 1, 1, 1] and t.odd() == [0, 0, 0]
+
+    def test_rank5_quotient_is_the_kunneth_product(self):
+        # rank 5 is MAX_QUOTIENT_RANK: fixed spaces in Lambda^p V (x) conj
+        # Lambda^q V of dimension up to 100, where an elimination that does
+        # not reduce its vectors or touches every zero entry blows up
+        lat = E1.direct_sum(E4)
+        t0 = time.perf_counter()
+        t = abelian_quotient_betti(triflections(lat), 5, lat.gram)
+        assert time.perf_counter() - t0 < 20
+        e1 = abelian_quotient_betti(triflections(E1), 1, E1.gram)
+        e4 = abelian_quotient_betti(weyl_group(E4), 4)
+        assert t == e1.kunneth(e4)
+        assert list(t.betti) == [1, 0, 2, 0, 2, 0, 2, 0, 2, 0, 1]
 
     def test_trivial_group_elliptic_curve(self):
         ident = [[(1, 0)]]

@@ -4,8 +4,10 @@ Subcommands: `scenario run`, `strata`, `molien`, `lattice`, `boundary`,
 `blowup`.  Output formats: text, json, csv, latex.  Exit codes: 0 success,
 2 check failure, 3 parse error, 4 resource cap exceeded.
 
-Each subcommand imports only the layers it runs, after its input has
-parsed: a fresh interpreter per call pays to compile just those modules.
+At load this module imports only `_pure`.  Each subcommand imports the
+layers it runs, after its input has parsed, the JSON argument reader
+(`stepargs`) when it has a JSON argument, and `serialize` only to print
+JSON: a fresh interpreter per call pays to compile just those modules.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import os
 import sys
 
-from . import serialize
 from ._pure import (
     BACKEND,
     BUILTIN_SCENARIOS,
@@ -33,16 +34,16 @@ EXIT_CAP = 4
 
 
 def _emit(payload, fmt: str, text_fn=None, csv_fn=None, latex_fn=None):
-    if fmt == "json":
-        print(json.dumps(serialize.to_jsonable(payload), sort_keys=True, indent=2))
-    elif fmt == "csv" and csv_fn:
+    if fmt == "csv" and csv_fn:
         print(csv_fn(payload), end="")
     elif fmt == "latex" and latex_fn:
         print(latex_fn(payload), end="")
-    elif text_fn:
+    elif fmt != "json" and text_fn:
         print(text_fn(payload), end="")
     else:
-        print(json.dumps(serialize.to_jsonable(payload), sort_keys=True, indent=2))
+        from .serialize import to_jsonable
+
+        print(json.dumps(to_jsonable(payload), sort_keys=True, indent=2))
 
 
 def _load_json_arg(value: str):
@@ -115,12 +116,13 @@ def _cmd_strata(args) -> int:
 
 def _cmd_molien(args) -> int:
     spec = _load_json_arg(args.gens)
-    from . import invariants
-    from .runner import StepArgs
+    from .stepargs import StepArgs
 
     if not isinstance(spec, dict):
         spec = {"generators": spec}
     gens = StepArgs("molien", spec).only(("generators", "ring")).generators()
+    from . import invariants
+
     group = invariants.close_group(gens)
     series = invariants.molien(group, args.degree, 10 if args.truncate is None else args.truncate)
 
@@ -138,7 +140,7 @@ def _cmd_lattice(args) -> int:
         lat = eisenstein.named_lattice(args.lattice)
     else:
         doc = _load_json_arg(args.lattice)
-        from .runner import StepArgs
+        from .stepargs import StepArgs
 
         fields = StepArgs(f"lattice {args.action}", {"lattice": doc}).nested("lattice", ("gram",))
         lat = eisenstein.eis_lattice(fields.eis_matrix("gram"))
@@ -169,10 +171,11 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_boundary(args) -> int:
     doc = _load_json_arg(args.spec)
-    from . import eisenstein
-    from .runner import StepArgs
+    from .stepargs import StepArgs
 
     spec = StepArgs("boundary", {"spec": doc}).boundary_spec("spec")
+    from . import eisenstein
+
     table = eisenstein.boundary_betti(spec)
 
     def text(t):
@@ -184,10 +187,11 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_blowup(args) -> int:
     doc = _load_json_arg(args.exceptional)
-    from .assembly import blowup_correction
-    from .runner import StepArgs
+    from .stepargs import StepArgs
 
     table = StepArgs("blowup", {"exceptional": doc}).table("exceptional")
+    from .assembly import blowup_correction
+
     corr = blowup_correction(table, args.dim, order=args.truncate)
     _emit(corr, args.format, lambda s: f"{s}\n")
     return EXIT_OK

@@ -13,6 +13,11 @@ vectors by Fincke-Pohst enumeration on the fraction-free LDL^T of
 forms, Hermite-normal-form overlattices and boundary divisors.  Short
 vectors, overlattice Grams and discriminant q values are computed in
 integers.
+
+At load this module imports only `_pure` and `_exact`: the roots, Z-forms
+and discriminant forms need nothing more.  The Weyl groups and boundary
+divisors import `invariants` (groups, quotients) and `series` (Betti tables)
+when they run.
 """
 
 from __future__ import annotations
@@ -23,17 +28,7 @@ from itertools import combinations
 from operator import mul
 
 from . import _pure
-from ._exact import EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace
-from .invariants import (
-    FiniteMatrixGroup,
-    abelian_quotient_betti,
-    check_quotient_rank,
-    check_wreath_count,
-    is_unitary,
-    permutation_group_order,
-    wreath_symmetrize,
-)
-from .series import BettiTable
+from ._exact import UNITS, EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace
 
 E_ZERO = EisInt(0, 0)
 E_ONE = EisInt(1, 0)
@@ -305,12 +300,20 @@ def triflections(lat: EisLattice) -> list:
     """All distinct triflections of a definite lattice, in the order of the
     first root giving each (`eisenstein_roots`).
 
-    Every triflection is checked to have order 3 and preserve the form.
+    The six unit multiples of a root give the same triflection, so a root on
+    the line of one already used is skipped.  Every triflection is checked
+    to have order 3 and preserve the form.
     """
+    from .invariants import is_unitary
+
     ident = identity(lat.rank)
     found = []
     seen = set()
+    lines = set()
     for r in eisenstein_roots(lat):
+        if r in lines:
+            continue
+        lines.update(tuple(u * c for c in r) for u in UNITS)
         mat = triflection(lat, r)
         if mat in seen:
             continue
@@ -348,6 +351,8 @@ def isometry_group_order(lat: EisLattice, gens) -> int:
     roots span the lattice, as for every named lattice, the complement is
     zero and this check is vacuous.
     """
+    from .invariants import permutation_group_order
+
     k = lat.rank
     zroots = enumerate_roots(z_form(lat))
     if not zroots:
@@ -380,6 +385,8 @@ def weyl_group(lat: EisLattice) -> FiniteMatrixGroup:
     Its order is certified by Schreier-Sims on the roots
     (`isometry_group_order`); its elements are not listed.
     """
+    from .invariants import FiniteMatrixGroup
+
     trifl = triflections(lat)
     return FiniteMatrixGroup("E", lat.rank, (), tuple(trifl), form=lat.gram,
                              order=isometry_group_order(lat, trifl))
@@ -752,6 +759,14 @@ def boundary_betti(spec: dict) -> BettiTable:
     Declared extra symmetries that act trivially are recorded by the caller
     and do not change the table.
     """
+    from .invariants import (
+        abelian_quotient_betti,
+        check_quotient_rank,
+        check_wreath_count,
+        wreath_symmetrize,
+    )
+    from .series import BettiTable
+
     lattices = []
     for factor in spec["factors"]:
         lat = factor["lattice"]

@@ -10,6 +10,9 @@ Matrices of both rings are tuples of row tuples of `EisInt`
 (`_exact.eis_matrix`), a rational entry q as q + 0*omega, so both rings
 share one arithmetic, one matrix product (`_exact.mat_mul`), one closure
 (`close_eis`) and one determinant.
+
+At load this module imports only `_pure` and `_exact`; the functions that
+return a series or a Betti table import `series` when they run.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from math import comb, factorial, lcm, prod
 
 from . import _pure
 from ._exact import UNITS, EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace, rational
-from .series import BettiTable, TruncatedSeries, duality_check
 
 DEFAULT_CAP = 10**6
 
@@ -61,8 +63,9 @@ def close_group(generators, cap: int = DEFAULT_CAP):
     is not a unit (+-1 over Q, the six units over Z[omega]): the determinant
     of a matrix of finite order is a root of unity.  A unit determinant does
     not make the order finite, so each generator must also pass
-    `_check_finite_order`.  Raises ResourceCapError when the closure exceeds
-    ``cap``.
+    `_check_finite_order`; finite orders do not make the group finite, and
+    `close_eis` refuses the first product whose trace shows infinite order.
+    Raises ResourceCapError when the closure exceeds ``cap``.
     """
     generators = list(generators)
     if not generators:
@@ -77,8 +80,7 @@ def close_group(generators, cap: int = DEFAULT_CAP):
         if not d:
             raise ValueError("generator is not invertible")
         if d not in UNITS:
-            value = d.a if d.is_real() else f"{d.a} + {d.b}*omega"
-            raise ValueError(f"generator {i} has determinant {value}, not a unit, "
+            raise ValueError(f"generator {i} has determinant {_show(d)}, not a unit, "
                              "so it has infinite order")
         _check_finite_order(i, mat)
     return FiniteMatrixGroup(ring, k, tuple(close_eis(mats, k, cap)), tuple(mats))
@@ -89,7 +91,8 @@ def close_eis(gens, k, cap):
 
     Returns the elements as a list: the identity, then each new product
     x * g in the order found, x running over the list and g over ``gens``.
-    Raises ResourceCapError beyond ``cap`` elements.
+    Raises ValueError at the first element whose trace shows it has infinite
+    order (`_check_trace`), and ResourceCapError beyond ``cap`` elements.
     """
     ident = identity(k)
     seen = {ident}
@@ -99,10 +102,38 @@ def close_eis(gens, k, cap):
             y = mat_mul(x, g)
             if y not in seen:
                 seen.add(y)
+                _check_trace(y, k)
                 if len(seen) > cap:
                     raise _pure.ResourceCapError(f"group closure exceeded cap {cap}")
                 elements.append(y)
     return elements
+
+
+def _show(x: EisInt) -> str:
+    return str(x.a) if x.is_real() else f"{x.a} + {x.b}*omega"
+
+
+def _check_trace(mat, k):
+    """Refuse a k x k matrix M of a closure when its trace shows it has
+    infinite order, so the group it lies in is infinite.
+
+    A matrix of finite order is diagonalizable with roots of unity as
+    eigenvalues, so its trace, a sum of k of them, is an algebraic integer
+    (in Z[omega]) with |tr M| <= k, and equality only when M is a root of
+    unity (one of `UNITS`) times the identity.  |tr M|^2 is the norm of tr M.
+    """
+    tr = sum((mat[i][i] for i in range(k)), EisInt(0, 0))
+    n = tr.norm()
+    if tr.a.denominator != 1 or tr.b.denominator != 1:
+        why = "it is not an algebraic integer"
+    elif n > k * k:
+        why = f"|trace| > {k}, the dimension"
+    elif n == k * k and not (mat[0][0] in UNITS and all(
+            mat[i][j] == (mat[0][0] if i == j else 0) for i in range(k) for j in range(k))):
+        why = f"|trace| = {k}, the dimension, but it is not a root of unity times the identity"
+    else:
+        return
+    raise ValueError(f"the group is infinite: an element has trace {_show(tr)} and {why}")
 
 
 def _poly_mul(p, q):
@@ -333,6 +364,8 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     constant term 1.  A group given without its elements is closed first, and
     the closure must have the declared order.
     """
+    from .series import TruncatedSeries
+
     if generator_degree < 1 or generator_degree % 2 != 0:
         raise ValueError("generator degree must be a positive even integer")
     k = group.dim
@@ -456,6 +489,8 @@ def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
     hermitian form, which is definite, so the group is finite; the table must
     satisfy Poincare duality.  Ranks above `MAX_QUOTIENT_RANK` are refused.
     """
+    from .series import BettiTable, duality_check
+
     check_quotient_rank(k)
     if isinstance(group, FiniteMatrixGroup):
         if group.ring != "E":
@@ -527,6 +562,8 @@ def wreath_symmetrize(p, n: int):
     Input must have vanishing odd part (so no sign issues arise); accepts a
     TruncatedSeries or a BettiTable and returns the same kind.
     """
+    from .series import BettiTable, TruncatedSeries
+
     if n < 1:
         raise ValueError("n must be positive")
     check_wreath_count(n)

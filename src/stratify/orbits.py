@@ -14,7 +14,6 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
 
 from ._exact import adjugate, rank, rational
 from ._pure import Record
@@ -94,7 +93,7 @@ class MultiPoly:
                 out[tuple(e2)] = c * e[i]
         return MultiPoly(self.nvars, out)
 
-    def substitute(self, linear_forms: Sequence["MultiPoly"]) -> "MultiPoly":
+    def substitute(self, linear_forms: list) -> "MultiPoly":
         """Evaluate at x_i = linear_forms[i]."""
         out = MultiPoly(self.nvars)
         for e, c in self.terms.items():
@@ -226,7 +225,7 @@ def _block_ranks(polys) -> dict:
 
 
 def normal_rep_of(
-    f: MultiPoly, cochars: Sequence, extra_tangents: Sequence = ()
+    f: MultiPoly, cochars: list, extra_tangents=()
 ) -> TangentNormalSplit:
     """Split the degree-d monomial weight multiset into tangent and normal parts.
 

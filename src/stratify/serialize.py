@@ -9,7 +9,7 @@ writes as text (`sys.get_int_max_str_digits`) is refused with
 `ResourceCapError` (exit code 4): no report could print it.
 
 This module holds only encoders; input is read and decoded by
-`runner.StepArgs`.  It imports no layer: `to_jsonable` finds a class's
+`stepargs.StepArgs`.  It imports no layer: `to_jsonable` finds a class's
 encoder by the class's module and name.
 """
 

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
 
 from ._pure import Record, check_order, check_printable
 
-Rational = Union[int, Fraction]
 
-
-def _frac(x: Rational) -> Fraction:
+def _frac(x: int | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -34,7 +31,7 @@ class TruncatedSeries(Record):
             raise ValueError("coeffs length must equal order+1")
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence[Rational], order: int) -> "TruncatedSeries":
+    def from_coeffs(coeffs: list, order: int) -> "TruncatedSeries":
         cs = [_frac(c) for c in coeffs[: order + 1]]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         return TruncatedSeries(tuple(cs), order)
@@ -48,7 +45,7 @@ class TruncatedSeries(Record):
         return TruncatedSeries.from_coeffs([1], order)
 
     @staticmethod
-    def monomial(degree: int, order: int, coeff: Rational = 1) -> "TruncatedSeries":
+    def monomial(degree: int, order: int, coeff: int | Fraction = 1) -> "TruncatedSeries":
         cs = [Fraction(0)] * (order + 1)
         if degree <= order:
             cs[degree] = _frac(coeff)
@@ -81,7 +78,7 @@ class TruncatedSeries(Record):
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(tuple(-c for c in self.coeffs), self.order)
 
-    def scale(self, c: Rational) -> "TruncatedSeries":
+    def scale(self, c: int | Fraction) -> "TruncatedSeries":
         c = _frac(c)
         return TruncatedSeries(tuple(c * a for a in self.coeffs), self.order)
 
@@ -160,7 +157,7 @@ class TruncatedSeries(Record):
         return f"({body} + O(t^{self.order + 1}))"
 
 
-def gf_expand(factors: Iterable, order: int) -> TruncatedSeries:
+def gf_expand(factors: list, order: int) -> TruncatedSeries:
     """Expand prod (1 - t^k)^(-e) over the given (k, e) factors.
 
     An empty factor list yields the constant series 1.  Factors of one
@@ -199,7 +196,7 @@ def projective_space_series(dim: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(cs), order)
 
 
-def lincomb(terms: Sequence) -> TruncatedSeries:
+def lincomb(terms: list) -> TruncatedSeries:
     """Exact linear combination sum c_i * t^(shift_i) * series_i.
 
     Truncates to the minimum effective order over the terms: a term shifted
@@ -240,7 +237,7 @@ class BettiTable(Record):
             raise ValueError("betti numbers must be nonnegative integers")
 
     @staticmethod
-    def from_list(betti: Sequence[int], complex_dim: int) -> "BettiTable":
+    def from_list(betti: list, complex_dim: int) -> "BettiTable":
         flags = ()
         if betti and betti[0] != 1:
             flags = ("b0 != 1: space not connected?",)

@@ -54,7 +54,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ._pure import Record, ResourceCapError, projection_candidates, rank
-from .weights import Vector, WeightSystem, vec
+from .weights import WeightSystem, vec
 
 DEFAULT_BUDGET = 10**7
 
@@ -62,7 +62,7 @@ DEFAULT_BUDGET = 10**7
 class BetaStratum(Record):
     """One index-set element with its combinatorial stratum data."""
 
-    beta: Vector
+    beta: tuple
     norm2: Fraction
     support: tuple
     n_beta: int
@@ -319,7 +319,7 @@ def weyl_fiber_count(beta_prime, rep_index_set, wr_action=None) -> int:
 class SupportRecord(Record):
     r: int
     codim_expected: int
-    beta: Vector
+    beta: tuple
     support_closed: tuple = ()
     _not_in_repr = ("support_closed",)
 

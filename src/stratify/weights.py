@@ -10,28 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence, Tuple
 
 from ._pure import ResourceCapError
 
-Vector = Tuple[Fraction, ...]
 # the most monomials a weight system may have: the largest census, (4,5)
 # or (5,4), has 126, and the default index-set budget refuses any system
 # of more than about 4,500
 MAX_WEIGHTS = 10**4
 
 
-def vec(entries: Sequence) -> Vector:
+def vec(entries) -> tuple:
     return tuple(Fraction(e) for e in entries)
 
 
-def dot(x: Vector, y: Vector) -> Fraction:
+def dot(x: tuple, y: tuple) -> Fraction:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
-def norm2(x: Vector) -> Fraction:
+def norm2(x: tuple) -> Fraction:
     return dot(x, x)
 
 

@@ -21,10 +21,10 @@ from itertools import combinations
 from math import lcm
 
 from stratify import _exact, _pure, strata
-from stratify.weights import Vector, dot, norm2, vec
+from stratify.weights import dot, norm2, vec
 
 
-def closest_point(points) -> Vector:
+def closest_point(points) -> tuple:
     """Exact closest point of the convex hull to the origin."""
     pts = tuple(vec(p) for p in points)
     if not pts:
@@ -71,7 +71,7 @@ def affine_projection(points):
     )
 
 
-def _project_origin_fraction(points) -> Vector | None:
+def _project_origin_fraction(points) -> tuple | None:
     """Projection of the origin onto the affine span, or None.
 
     Returns the projection only when it has nonnegative barycentric

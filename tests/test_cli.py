@@ -263,6 +263,14 @@ class TestOtherCommands:
             assert time.perf_counter() - start < 1.0
             assert code == 2 and message in json.loads(err)["message"]
 
+    def test_molien_infinite_group_of_finite_order_generators_fails_at_once(self):
+        # each generator has finite order; their product [[1, 0], [2, 1]] has not
+        start = time.perf_counter()
+        code, _, err = run_cli("molien", "--gens", "[[[0,1],[-1,1]],[[-1,-1],[1,0]]]")
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(err)
+        assert code == 2 and err["error"] == "check" and "trace 2" in err["message"]
+
     def test_blowup(self):
         code, out, _ = run_cli(
             "blowup", "--exceptional",

@@ -187,6 +187,17 @@ class TestWeylGroups:
             cube = mat_mul(mat_mul(mat, mat), mat)
             assert cube == ident and mat != ident
 
+    @pytest.mark.parametrize("name, count", [("E1", 1), ("E2", 4), ("E3", 12), ("E4", 40),
+                                             ("3E1", 3)])
+    def test_one_root_per_line_gives_the_all_roots_list(self, name, count):
+        lat = named_lattice(name)
+        everyone = []
+        for r in eisenstein_roots(lat):
+            mat = triflection(lat, r)
+            if mat not in everyone:
+                everyone.append(mat)
+        assert triflections(lat) == everyone and len(everyone) == count
+
     def test_triflection_requires_root(self):
         with pytest.raises(ValueError):
             triflection(E3, [EisInt(1, 0), EisInt(1, 0), EisInt(0, 0)])

@@ -3,12 +3,13 @@
 Every CLI call is a fresh interpreter, so the modules a call compiles are
 most of its cost.  These tests count modules, not time: each runs a call in a
 fresh interpreter and reads `sys.modules` after it.  Besides the stratify
-submodules the probe reports `dataclasses` and `inspect`, which the layers'
-records do without (`_pure.Record`): importing them costs about 10 ms.
+submodules the probe reports the standard modules of `HEAVY`.  It runs with
+`-S`, so that no site hook has loaded any of them before the package does.
 """
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,16 +21,20 @@ import stratify
 MATH_LAYERS = {"assembly", "eisenstein", "invariants", "orbits", "series", "strata",
                "weights"}
 
-# standard modules that no layer but `weights` imports
-HEAVY = {"dataclasses", "inspect"}
+# standard modules that cost milliseconds to load: no layer but `weights`
+# imports `dataclasses` (which loads `inspect`), and none imports `typing` or
+# `importlib.resources`
+HEAVY = {"dataclasses", "inspect", "typing", "importlib.resources"}
+# the modules a call that loads `weights` holds besides the stratify ones
+WEIGHTS_STDLIB = {"dataclasses", "inspect"}
 
 PROBE = """
 import contextlib, io, json, sys
 {load}
 print(json.dumps(sorted([m.rpartition(".")[2] for m in sys.modules
                          if m.startswith("stratify.")]
-                        + [m for m in ("dataclasses", "inspect") if m in sys.modules])))
-"""
+                        + [m for m in %r if m in sys.modules])))
+""" % sorted(HEAVY)
 CLI_CALL = """
 import stratify.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -41,8 +46,9 @@ print(code)
 def loaded(load, *argv):
     """The stratify submodules, and those of `HEAVY`, that a fresh
     interpreter holds after ``load``, and the lines ``load`` printed."""
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(load=load), *argv],
-                          capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(stratify.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE.format(load=load), *argv],
+                          capture_output=True, text=True, check=True, env=env)
     *printed, modules = proc.stdout.splitlines()
     return set(json.loads(modules)), printed
 
@@ -65,6 +71,75 @@ def test_a_call_loads_only_its_layers(argv, code, absent):
     modules, printed = loaded(CLI_CALL, *argv)
     assert printed == [code]
     assert not modules & absent, sorted(modules & absent)
+
+
+def _bad_scenario(steps):
+    return {"name": "bad", "order": 6, "steps": steps, "outputs": {}}
+
+
+# malformed scenarios of the benchmark's CLI mix
+BAD_SCENARIOS = {
+    "unknown-op": _bad_scenario([{"id": "x", "op": "no_such_op", "args": {}}]),
+    "wrong-pin": _bad_scenario([
+        {"id": "ws", "op": "hypersurface_weights", "args": {"n": 2, "d": 3}},
+        {"id": "bset", "op": "instability_index_set", "args": {"weights": "$ws"}},
+        {"id": "min", "op": "min_nonzero_codim", "args": {"strata": "$bset"}, "expect": 99}]),
+    "string-n": _bad_scenario([
+        {"id": "ws", "op": "hypersurface_weights", "args": {"n": "4", "d": 3}}]),
+    "missing-d": _bad_scenario([{"id": "ws", "op": "hypersurface_weights", "args": {"n": 4}}]),
+}
+ALL_LAYERS = MATH_LAYERS | {"_exact", "_pure", "cli", "runner", "serialize", "stepargs"}
+LATTICE = {"_exact", "_pure", "cli", "eisenstein", "serialize"}
+SCENARIO_BASE = {"_pure", "cli", "runner", "stepargs"}
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (("scenario", "run", "cubicsurf", "--format", "json"), "0", ALL_LAYERS | WEIGHTS_STDLIB),
+    (("scenario", "run", "cubiccurve", "--format", "latex"), "0",
+     SCENARIO_BASE | {"assembly", "serialize", "series", "strata", "weights"} | WEIGHTS_STDLIB),
+    (("lattice", "roots", "E3", "--format", "json"), "0", LATTICE),
+    (("lattice", "weyl-order", "E3", "--format", "json"), "0", LATTICE | {"invariants"}),
+    (("lattice", "discriminant", "H", "--format", "json"), "0", LATTICE),
+    (("lattice", "z-form", "E4", "--format", "csv"), "0", LATTICE - {"serialize"}),
+    (("molien", "--gens", "[[[0,1],[1,0]],[[-1,1],[-1,0]]]", "--truncate", "8",
+      "--format", "json"), "0",
+     {"_exact", "_pure", "cli", "invariants", "serialize", "series", "stepargs"}),
+    (("boundary", '{"factors":[{"lattice":"E3","group":"weyl","count":2}]}', "--format",
+      "json"), "0", LATTICE | {"invariants", "series", "stepargs"}),
+    (("blowup", "--exceptional", '{"complex_dim":2,"even":[1,2,1],"odd":[0,0]}', "--dim",
+      "3", "--format", "json"), "0",
+     {"_pure", "assembly", "cli", "serialize", "series", "stepargs"}),
+    (("strata", "--n", "3", "--d", "3", "--format", "json"), "0",
+     {"_pure", "cli", "serialize", "strata", "weights"} | WEIGHTS_STDLIB),
+    (("strata", "--n", "3", "--d", "3", "--group", "torus", "--format", "csv"), "0",
+     {"_pure", "cli", "strata", "weights"} | WEIGHTS_STDLIB),
+    (("scenario", "run", "no_such_scenario", "--format", "json"), "3", SCENARIO_BASE),
+    (("boundary", "{not json", "--format", "json"), "3", {"_pure", "cli"}),
+    (("blowup", "--exceptional", "[1,", "--dim", "4", "--format", "json"), "3",
+     {"_pure", "cli"}),
+    (("scenario", "run", "{unknown-op}", "--format", "json"), "3", SCENARIO_BASE),
+    (("scenario", "run", "{wrong-pin}", "--format", "json"), "2",
+     SCENARIO_BASE | {"serialize", "strata", "weights"} | WEIGHTS_STDLIB),
+    (("scenario", "run", "{string-n}", "--format", "json"), "3", SCENARIO_BASE),
+    (("scenario", "run", "{missing-d}", "--format", "json"), "3", SCENARIO_BASE),
+])
+def test_a_call_loads_exactly_its_modules(tmp_path, argv, code, expected):
+    files = {}
+    for name, doc in BAD_SCENARIOS.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    argv = [str(files[arg[1:-1]]) if arg[1:-1] in files else arg for arg in argv]
+    modules, printed = loaded(CLI_CALL, *argv)
+    assert printed == [code]
+    assert modules == expected, (sorted(modules - expected), sorted(expected - modules))
+
+
+def test_a_lattice_file_compiles_the_reader_but_not_the_runner(tmp_path):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"gram": [[3, 0], [0, 3]]}))
+    modules, printed = loaded(CLI_CALL, "lattice", "roots", str(lattice), "--format", "json")
+    assert printed == ["0"]
+    assert modules == LATTICE | {"stepargs"}
 
 
 def test_runner_reachable_after_importing_the_cli():

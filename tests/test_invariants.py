@@ -66,6 +66,31 @@ class TestCloseGroup:
         with pytest.raises(ValueError, match=re.escape(det)):
             close_group(gens)
 
+    @pytest.mark.parametrize("gens, trace", [
+        # orders 6 and 3; the product [[1, 0], [2, 1]] has trace 2 and is not scalar
+        ([[[0, 1], [-1, 1]], [[-1, -1], [1, 0]]],
+         "trace 2 and |trace| = 2, the dimension, but it is not a root of unity"),
+        # two reflections whose product has trace 4
+        ([[[1, 0], [0, -1]], [[2, 3], [-1, -2]]], "trace 4 and |trace| > 2"),
+        # diag(omega, 1) and that reflection: trace 2*omega - 2, of norm 12 > 2^2
+        ([[[(0, 1), (0, 0)], [(0, 0), (1, 0)]], [[(2, 0), (3, 0)], [(-1, 0), (-2, 0)]]],
+         "trace -2 + 2*omega and |trace| > 2"),
+        # a quarter turn and a half turn about (1, 2, 2): a rational trace
+        ([[[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+          [[Fraction(a, 9) for a in row] for row in ((-7, 4, 4), (4, -1, 8), (4, 8, -1))]],
+         "trace -1/9 and it is not an algebraic integer"),
+    ])
+    def test_rejects_infinite_group_of_finite_order_generators(self, gens, trace):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(trace)):
+            close_group(gens)
+        assert time.perf_counter() - start < 1.0
+
+    def test_scalar_elements_pass_the_trace_check(self):
+        # -I and omega * I have |trace| = k and are roots of unity times I
+        assert close_group([[[-1, 0], [0, -1]]]).order == 2
+        assert close_group([[[(0, 1), (0, 0)], [(0, 0), (0, 1)]], DIHEDRAL_GENS[0]]).order == 6
+
     def test_accepts_every_unit_determinant(self):
         # -omega^2 = 1 + omega is a unit of order 6
         assert close_group([[[(1, 1)]]]).order == 6

@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines; the one source of `__all__`
 _EXPORTS = {
+    "_exact": ("EisInt",),
     "_pure": ("BACKEND",),
     "assembly": ("StratumContribution", "b_shift", "blowup_correction", "extra_term",
                  "main_term", "semistable_series"),
-    "eisenstein": ("EisInt", "EisLattice", "ZLattice", "boundary_betti",
-                   "discriminant_form", "divisibility", "enumerate_roots",
-                   "glue_overlattice", "named_lattice", "weyl_group", "z_form"),
+    "discriminant": ("discriminant_form", "divisibility", "glue_overlattice"),
+    "eisenstein": ("EisLattice", "boundary_betti", "named_lattice"),
     "invariants": ("FiniteMatrixGroup", "abelian_quotient_betti", "close_group", "molien",
                    "wreath_symmetrize"),
     "orbits": ("MultiPoly", "NormalRep", "check_semiinvariant", "df_matrix",
@@ -30,6 +30,7 @@ _EXPORTS = {
     "strata": ("BetaStratum", "instability_index_set", "maximal_support_report",
                "normal_rep_strata", "weyl_fiber_count"),
     "weights": ("WeightSystem", "hypersurface_weights"),
+    "weyl": ("ZLattice", "enumerate_roots", "weyl_group", "z_form"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,19 +1,19 @@
-"""The hot strata kernel, in pure Python (the one backend), the input contract
-that every layer and the command line share, and `Record`, the base of the
-layers' value records.
+"""The input contract that every layer and the command line share, `Record`,
+the base of the layers' value records, and the fraction-free eliminations
+that both the strata path and the lattice layer use.
 
 This module imports no other stratify module, so the command line can load
 it, and with it the error types, the truncation-order and digit caps, the
 built-in scenario names and the input-file reader, before it knows which
-layers a call needs.
+layers a call needs.  It holds only what callers of more than one layer
+share: every call compiles it.
 
-`projection_candidates` is the closest-point candidate search behind every
-index set.  `_extend_ldl`, its fraction-free LDL^T step, also decomposes
-Gram matrices for the short-vector enumeration of
-`eisenstein.enumerate_vectors`.  The search's arithmetic is exact: Python
-ints throughout, weight vectors as tuples of ints and rationals as
-(numerator, denominator) pairs.  Matrices over Z[omega] and their product live in
-`stratify._exact`, which this module does not import.
+`_extend_ldl` adds one row to a fraction-free LDL^T elimination in Python
+ints.  It is the step of the closest-point candidate search
+(`strata.projection_candidates`), and it decomposes Gram matrices for the
+short-vector enumeration of `weyl.enumerate_vectors`.  Matrices over
+Z[omega] and their product live in `stratify._exact`, which this module
+does not import.
 
 `echelon`, the one fraction-free elimination behind rank, det, nullspace and
 adjugate, `rank` and the exact quotient `_div` live here rather than in
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, gcd
-from operator import mul
 
 BACKEND = "pure"
 
@@ -239,7 +237,7 @@ def rank(rows) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closest-point candidate enumeration
+# fraction-free LDL^T of a symmetric system
 # ---------------------------------------------------------------------------
 
 
@@ -255,8 +253,8 @@ def _extend_ldl(low, rhs, row, b):
     new row's entry (s, t) before step t, so no earlier row changes.  Returns
     the eliminated row and right-hand side; None when the new pivot is zero.
 
-    Two callers: `projection_candidates` grows one row per search node, and
-    `eisenstein._definite_ldl` eliminates a Gram matrix row by row with
+    Two callers: `strata.projection_candidates` grows one row per search
+    node, and `weyl._definite_ldl` eliminates a Gram matrix row by row with
     right-hand side 0 for Fincke-Pohst enumeration.
     """
     s = len(low)
@@ -272,185 +270,3 @@ def _extend_ldl(low, rhs, row, b):
     if row[s] == 0:
         return None
     return row, b
-
-
-def _solve_ldl(low, rhs):
-    """Integer y = det(D) * c for the eliminated system (back substitution).
-
-    Every division is exact: by Cramer, det(D) * c is integral.
-    """
-    n = len(low)
-    det = low[-1][-1]
-    y = [0] * n
-    for t in range(n - 1, -1, -1):
-        acc = det * rhs[t]
-        for j in range(t + 1, n):
-            acc -= low[j][t] * y[j]
-        y[t] = acc // low[t][t]
-    return det, y
-
-
-def _coordinate_symmetric(pts):
-    """Whether the point set is invariant under every coordinate permutation.
-
-    Checked on the adjacent transpositions, which generate S_m.
-    """
-    pset = set(pts)
-    return all(
-        p[:j] + (p[j + 1], p[j]) + p[j + 2:] in pset
-        for j in range(len(pts[0]) - 1)
-        for p in pts
-    )
-
-
-def _equation(dots, idx, i):
-    """The row and right-hand side that add point i to the system of the
-    points idx, given the matrix ``dots`` of their inner products.
-
-    The affine span of pts[idx] is that of p0 + span(pts[j] - p0), so the
-    projection of the origin solves D c = b with D the Gram matrix of the
-    differences and b_s = -<p0, pts[j_s] - p0>.
-    """
-    i0 = idx[0]
-    d0 = dots[i0]
-    di = dots[i]
-    c0 = d0[i0] - di[i0]
-    row = [di[j] - d0[j] + c0 for j in idx[1:]]
-    row.append(di[i] - 2 * di[i0] + d0[i0])
-    return row, d0[i0] - d0[i]
-
-
-def projection_candidates(weights, rank, budget, chamber_sort):
-    """Closest-point candidates for hulls of subsets of integer weight vectors.
-
-    For every affinely independent subset of at most rank+1 weights, the
-    origin is projected onto the affine span; the projection is kept when it
-    lies in the convex hull (all barycentric coordinates nonnegative).
-    Returns the deduplicated set of candidates as (nums, den) pairs with
-    den > 0 and gcd 1; nums are sorted descending when chamber_sort is set.
-
-    The subsets are visited by a depth-first search over index-increasing
-    subsets of the distinct weights, sorted lex-descending (a repeated weight
-    only ever gives singular subsets).  Each step extends an exact
-    fraction-free elimination of the prefix's system by one row
-    (`_extend_ldl`), so a node costs one row, not a whole solve:
-
-    * an affinely dependent prefix (zero pivot) cuts its whole subtree, since
-      every superset is dependent too;
-    * with chamber_sort, on a point set invariant under coordinate
-      permutations, only one subset per S_m-orbit is needed, because sorting
-      makes the candidate an orbit invariant.  The coordinates on which every
-      chosen point agrees form the classes of the prefix's pointwise
-      stabilizer, a Young subgroup; a next point is accepted only if its
-      coordinates do not increase within each class, i.e. it is the first
-      index of its orbit under that subgroup (orderly generation, McKay,
-      "Isomorph-free exhaustive generation", 1998).  The lex-least subset of
-      every orbit passes the test at each level, so no candidate is lost;
-    * the search stops at the affine dimension a of the weights.  Every
-      affinely independent subset of a+1 weights spans their whole affine
-      hull, so the origin projects to one point, the apex, and that level
-      adds at most the apex.  The search runs to depth a; only when the apex
-      is not yet a candidate does it search depth a+1, and it stops when the
-      apex is recorded there.  If it never is, the apex lies outside the
-      hull and the level has been searched in full.  Larger subsets are
-      all dependent.  When rank+1 <= a the cut does not apply.
-
-    The budget bounds the flat count, sum of C(n, k) over k <= rank+1, before
-    any work is done.
-    """
-    pts = [tuple(w) for w in weights]
-    if not pts:
-        raise ValueError("empty weight list")
-    kmax = min(rank + 1, len(pts))
-    total = sum(comb(len(pts), k) for k in range(1, kmax + 1))
-    if total > budget:
-        raise ResourceCapError(
-            f"candidate subsets {total} exceed budget {budget}"
-        )
-    pts = sorted(set(pts), reverse=True)
-    npts = len(pts)
-    m = len(pts[0])
-    kmax = min(kmax, npts)
-    dots = [[sum(map(mul, p, q)) for q in pts] for p in pts]
-    # coordinate pairs (a, b), consecutive within a stabilizer class, on
-    # which an accepted point must have p[a] >= p[b]; empty: no reduction
-    if chamber_sort and _coordinate_symmetric(pts):
-        chain = [(j, j + 1) for j in range(m - 1)]
-    else:
-        chain = []
-    found = set()
-
-    def candidate(det, lam, idx):
-        """The point sum(lam_j * pts[j]) / det as a key of `found`."""
-        beta = [0] * m
-        for c, j in zip(lam, idx):
-            if c:
-                q = pts[j]
-                for t in range(m):
-                    beta[t] += c * q[t]
-        g = det
-        for x in beta:
-            g = gcd(g, x)
-        if g > 1:
-            beta = [x // g for x in beta]
-        if chamber_sort:
-            beta.sort(reverse=True)
-        return tuple(beta), det // g
-
-    def visit(start, chain, idx, low, rhs, limit, stop):
-        """Extend the prefix idx by every later point, up to `limit` points;
-        True as soon as the candidate `stop` is recorded."""
-        for i in range(start, npts):
-            p = pts[i]
-            if chain and any(p[a] < p[b] for a, b in chain):
-                continue
-            ext = _extend_ldl(low, rhs, *_equation(dots, idx, i))
-            if ext is None:
-                continue  # affinely dependent prefix: so is every superset
-            idx.append(i)
-            low.append(ext[0])
-            rhs.append(ext[1])
-            det, y = _solve_ldl(low, rhs)
-            lam0 = det - sum(y)
-            if lam0 >= 0 and min(y) >= 0:
-                key = candidate(det, [lam0] + y, idx)
-                found.add(key)
-                if key == stop:
-                    return True
-            if len(idx) < limit and visit(
-                    i + 1, [(a, b) for a, b in chain if p[a] == p[b]],
-                    idx, low, rhs, limit, stop):
-                return True
-            idx.pop()
-            low.pop()
-            rhs.pop()
-        return False
-
-    def search(limit, stop=None):
-        """Subsets of at most `limit` points; stops once `stop` is recorded."""
-        for i, p in enumerate(pts):
-            if chain and any(p[a] < p[b] for a, b in chain):
-                continue
-            found.add(candidate(1, [1], [i]))
-            if limit > 1 and visit(i + 1, [(a, b) for a, b in chain if p[a] == p[b]],
-                                   [i], [], [], limit, stop):
-                return
-
-    # an affine basis of the weights, greedily from pts[0]
-    basis, low, rhs = [0], [], []
-    for i in range(1, npts):
-        ext = _extend_ldl(low, rhs, *_equation(dots, basis, i))
-        if ext is not None:
-            basis.append(i)
-            low.append(ext[0])
-            rhs.append(ext[1])
-    dim = len(basis) - 1  # the affine dimension a
-    if dim == 0 or kmax <= dim:
-        search(kmax)
-        return found
-    det, y = _solve_ldl(low, rhs)
-    apex = candidate(det, [det - sum(y)] + y, basis)
-    search(dim)
-    if apex not in found:
-        search(dim + 1, apex)
-    return found

@@ -138,26 +138,34 @@ def _cmd_lattice(args) -> int:
 
     if args.lattice in eisenstein.NAMED_LATTICES:
         lat = eisenstein.named_lattice(args.lattice)
-    else:
+    elif os.path.exists(args.lattice) or args.lattice.lstrip()[:1] in ("{", "["):
         doc = _load_json_arg(args.lattice)
         from .stepargs import StepArgs
 
         fields = StepArgs(f"lattice {args.action}", {"lattice": doc}).nested("lattice", ("gram",))
         lat = eisenstein.eis_lattice(fields.eis_matrix("gram"))
+    else:
+        raise ScenarioParseError(
+            f"no lattice named {args.lattice!r} and no such file; named lattices: "
+            f"{', '.join(eisenstein.NAMED_LATTICES)}")
+    from . import weyl
+
     if args.action == "roots":
-        roots = eisenstein.enumerate_roots(eisenstein.z_form(lat))
+        roots = weyl.enumerate_roots(weyl.z_form(lat))
         _emit({"count": len(roots)}, args.format,
               lambda p: f"{p['count']} roots\n")
     elif args.action == "weyl-order":
-        grp = eisenstein.weyl_group(lat)
+        grp = weyl.weyl_group(lat)
         _emit({"order": grp.order}, args.format, lambda p: f"{p['order']}\n")
     elif args.action == "discriminant":
-        disc = eisenstein.discriminant_form(eisenstein.z_form(lat))
+        from .discriminant import discriminant_form
+
+        disc = discriminant_form(weyl.z_form(lat))
         _emit(disc, args.format,
               lambda d: f"invariant factors {list(d.invariant_factors)}, "
               f"q = {[str(q) for q in d.q_values]} mod 2Z\n")
     elif args.action == "z-form":
-        zl = eisenstein.z_form(lat)
+        zl = weyl.z_form(lat)
 
         def csv(z):
             return "\n".join(",".join(str(x) for x in row) for row in z.gram) + "\n"

@@ -1,0 +1,399 @@
+"""Discriminant forms, divisibility and overlattices of integral lattices.
+
+The discriminant group of an even lattice L is L^dual / L with its Q/2Z
+quadratic form; its invariant factors come from the Smith normal form of the
+Gram matrix, and its generators are the columns of Smith's V over the
+invariant factors, so no inverse is taken.  Overlattices glued along
+isotropic vectors of the dual are found by a Hermite normal form.  The cusp
+check verifies the norm-3, divisibility-3 vector of the glued model of the
+paper's Eisenstein cusp lattice.  Overlattice Grams and q values are
+computed in integers; `Fraction`s are built only for the returned
+generators, bases and q values.
+
+At load this module imports only `_pure`.  The functions that build a
+Z-lattice or enumerate short vectors import `weyl` when they run, and the
+cusp check imports `eisenstein` for its lattices.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations
+
+from . import _pure
+
+# Smith normal form refuses a working entry of more than
+# MAX_SMITH_GROWTH * log2(H^2) + 64 bits, H the input's Hadamard bound.
+MAX_SMITH_GROWTH = 256
+
+
+def smith_normal_form(mat):
+    """Smith normal form over Z: returns (D, U, V) with U*A*V = D.
+
+    Every minor of A, hence every invariant factor, is at most the Hadamard
+    bound H, H^2 = the product of the squared row norms.  Elimination without
+    modular reduction can still grow its entries exponentially on dense
+    input, so an entry of A, U or V past `MAX_SMITH_GROWTH` times the bits
+    of H^2 raises ResourceCapError.
+    """
+    a = [row[:] for row in mat]
+    n = len(a)
+    m = len(a[0])
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
+    h2_bits = math.prod(max(1, sum(x * x for x in row)) for row in a).bit_length()
+    limit = MAX_SMITH_GROWTH * h2_bits + 64
+
+    def check_growth():
+        if max(abs(x) for w in (a, u, v) for row in w for x in row).bit_length() > limit:
+            raise _pure.ResourceCapError(
+                f"Smith normal form entries passed {limit} bits "
+                f"(Hadamard bound of the input: {(h2_bits + 1) // 2} bits)"
+            )
+
+    def row_op(i1, i2, c):  # row i1 += c * row i2
+        for j in range(m):
+            a[i1][j] += c * a[i2][j]
+        for j in range(n):
+            u[i1][j] += c * u[i2][j]
+
+    def col_op(j1, j2, c):  # col j1 += c * col j2
+        for i in range(n):
+            a[i][j1] += c * a[i][j2]
+        for i in range(m):
+            v[i][j1] += c * v[i][j2]
+
+    def row_swap(i1, i2):
+        a[i1], a[i2] = a[i2], a[i1]
+        u[i1], u[i2] = u[i2], u[i1]
+
+    def col_swap(j1, j2):
+        for row in a:
+            row[j1], row[j2] = row[j2], row[j1]
+        for row in v:
+            row[j1], row[j2] = row[j2], row[j1]
+
+    t = 0
+    while t < min(n, m):
+        check_growth()
+        # find a nonzero pivot
+        piv = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best = abs(a[i][j])
+                    piv = (i, j)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        dirty = True
+        while dirty:
+            check_growth()
+            dirty = False
+            for i in range(t + 1, n):
+                if a[i][t] % a[t][t] != 0:
+                    row_op(i, t, -(a[i][t] // a[t][t]))
+                    row_swap(t, i)
+                    dirty = True
+                elif a[i][t] != 0:
+                    row_op(i, t, -(a[i][t] // a[t][t]))
+            for j in range(t + 1, m):
+                if a[t][j] % a[t][t] != 0:
+                    col_op(j, t, -(a[t][j] // a[t][t]))
+                    col_swap(t, j)
+                    dirty = True
+                elif a[t][j] != 0:
+                    col_op(j, t, -(a[t][j] // a[t][t]))
+        # divisibility chain: a[t][t] must divide everything below-right
+        fixed = False
+        for i in range(t + 1, n):
+            for j in range(t + 1, m):
+                if a[i][j] % a[t][t] != 0:
+                    row_op(t, i, 1)
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        if a[t][t] < 0:
+            row_op(t, t, -2)  # negate row via row_op: r_t += -2 r_t
+        t += 1
+    return a, u, v
+
+
+class DiscriminantGroup(_pure.Record):
+    invariant_factors: tuple
+    q_values: tuple
+    generators: tuple = ()
+    _not_in_repr = ("generators",)
+
+    def order(self) -> int:
+        out = 1
+        for f in self.invariant_factors:
+            out *= f
+        return out
+
+
+def discriminant_form(zl: ZLattice) -> DiscriminantGroup:
+    """Discriminant group with its Q/2Z quadratic form on chosen generators."""
+    g = [list(r) for r in zl.gram]
+    d, _, v = smith_normal_form(g)
+    n = zl.rank
+    dets = [d[i][i] for i in range(n)]
+    if any(x == 0 for x in dets):
+        raise ValueError("degenerate gram")
+    prod = 1
+    for x in dets:
+        prod *= abs(x)
+    if prod != abs(zl.det()):
+        raise AssertionError("invariant factor product must match |det|")
+    # U G V = D gives G^-1 U^-1 = V D^-1: the generator dual to column t of
+    # U^-1 is column t of V over d_t
+    factors = []
+    qvals = []
+    gens = []
+    for t in range(n):
+        dt = dets[t]
+        if abs(dt) == 1:
+            continue
+        factors.append(abs(dt))
+        col = [v[i][t] for i in range(n)]
+        num = sum(col[i] * zl.gram[i][j] * col[j] for i in range(n) for j in range(n))
+        qvals.append(Fraction(num % (2 * dt * dt), dt * dt))
+        gens.append(tuple(Fraction(c, dt) for c in col))
+    return DiscriminantGroup(tuple(factors), tuple(qvals), tuple(gens))
+
+
+def divisibility(v, zl: ZLattice) -> int:
+    """Positive generator of the pairing ideal (v, L) in Z."""
+    if all(x == 0 for x in v):
+        raise ValueError("divisibility of the zero vector is undefined")
+    vals = [
+        abs(sum(zl.gram[i][j] * v[j] for j in range(zl.rank)))
+        for i in range(zl.rank)
+    ]
+    return math.gcd(*vals)
+
+
+def _hnf_rows(rows):
+    """Row Hermite normal form of an integer matrix of full column rank."""
+    rows = [list(r) for r in rows]
+    m = len(rows[0])
+    basis = []
+    col = 0
+    while col < m and rows:
+        nz = [r for r in rows if r[col] != 0]
+        rest = [r for r in rows if r[col] == 0]
+        if not nz:
+            raise ValueError("generators do not have full rank")
+        while len(nz) > 1:
+            nz.sort(key=lambda r: abs(r[col]))
+            piv = nz[0]
+            out = [piv]
+            for r in nz[1:]:
+                q = r[col] // piv[col]
+                r2 = [x - q * y for x, y in zip(r, piv)]
+                if r2[col] != 0:
+                    out.append(r2)
+                elif any(r2):
+                    rest.append(r2)
+            nz = out
+        piv = nz[0]
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        basis.append(piv)
+        rows = rest
+        col += 1
+    if len(basis) != m:
+        raise ValueError("generators do not have full rank")
+    # reduce above-pivot entries for a canonical basis
+    for i in range(m - 1, -1, -1):
+        for t in range(i):
+            q = basis[t][i] // basis[i][i]
+            if q:
+                basis[t] = [x - q * y for x, y in zip(basis[t], basis[i])]
+    return basis
+
+
+class GlueResult(_pure.Record):
+    lattice: ZLattice
+    index: int
+    disc: DiscriminantGroup
+    basis: tuple  # rows, rational coordinates in the original basis
+
+
+def glue_overlattice(zl: ZLattice, glue) -> GlueResult:
+    """Even overlattice generated by isotropic glue vectors in the dual.
+
+    Glue vectors are rational vectors in the original basis; each must pair
+    integrally with the lattice and with the others, and have even square
+    (isotropic image in the discriminant).  Raises otherwise.
+    """
+    from .weyl import ZLattice
+
+    glue = [tuple(Fraction(x) for x in g) for g in glue]
+    n = zl.rank
+    if any(len(g) != n for g in glue):
+        raise ValueError(f"glue vector length differs from the lattice rank {n}")
+    gram = zl.gram
+    if not glue:
+        return GlueResult(zl, 1, discriminant_form(zl),
+                          tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                                for i in range(n)))
+    denom = 1
+    for g in glue:
+        for x in g:
+            denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    # each glue vector scaled once to integers, h = denom * g
+    scaled = [[x.numerator * (denom // x.denominator) for x in g] for g in glue]
+    gh = [[sum(gram[i][j] * h[j] for j in range(n)) for i in range(n)] for h in scaled]
+    d2 = denom * denom
+    for h, pairings in zip(scaled, gh):
+        if any(p % denom for p in pairings):
+            raise ValueError("glue vector is not in the dual lattice")
+        q = sum(h[i] * pairings[i] for i in range(n))
+        if q % (2 * d2):
+            raise ValueError(f"glue vector is not isotropic: q = {Fraction(q, d2)} mod 2Z")
+    for (h1, _), (_, p2) in combinations(zip(scaled, gh), 2):
+        if sum(h1[i] * p2[i] for i in range(n)) % d2:
+            raise ValueError("glue vectors do not pair integrally")
+    rows = [[denom * int(i == j) for j in range(n)] for i in range(n)] + scaled
+    basis = _hnf_rows(rows)
+    bg = [[sum(row[i] * gram[i][j] for i in range(n)) for j in range(n)] for row in basis]
+    new_gram = [[sum(x * y for x, y in zip(r, s)) for s in basis] for r in bg]
+    if any(x % d2 for row in new_gram for x in row):
+        raise AssertionError("overlattice gram is not integral")
+    new = ZLattice(n, tuple(tuple(x // d2 for x in row) for row in new_gram))
+    if not new.is_even():
+        raise ValueError("glue produces a non-even lattice")
+    det_old = abs(zl.det())
+    det_new = abs(new.det())
+    index2, rem = divmod(det_old, det_new)
+    if rem:
+        raise AssertionError("determinant ratio is not integral")
+    index = math.isqrt(index2)
+    if index * index != index2:
+        raise AssertionError("determinant ratio is not a perfect square")
+    return GlueResult(new, index, discriminant_form(new),
+                      tuple(tuple(Fraction(x, denom) for x in row) for row in basis))
+
+
+def find_norm_div_vector(zl: ZLattice, norm: int, div: int):
+    """Search for a vector of the given square and divisibility; None if absent."""
+    from .weyl import enumerate_vectors
+
+    for v in enumerate_vectors(zl, norm):
+        if divisibility(v, zl) == div:
+            return v
+    return None
+
+
+def glue_diagonal(zl: ZLattice, copies: int) -> GlueResult:
+    """The overlattice of ``copies`` orthogonal copies of ``zl`` glued along
+    one third of the diagonal class of a norm -12, divisibility-3 vector z:
+    the glue vector is (z/3, ..., z/3).  Raises ValueError when ``zl`` has
+    no such vector."""
+    from .weyl import ZLattice
+
+    n = zl.rank
+    z = find_norm_div_vector(zl, -12, 3)
+    if z is None:
+        raise ValueError("no norm -12 divisibility-3 vector found")
+    big = [[0] * (n * copies) for _ in range(n * copies)]
+    for c in range(copies):
+        for i in range(n):
+            for j in range(n):
+                big[c * n + i][c * n + j] = zl.gram[i][j]
+    biglat = ZLattice(n * copies, tuple(tuple(r) for r in big))
+    g = [Fraction(x, 3) for _ in range(copies) for x in z]
+    return glue_overlattice(biglat, [g])
+
+
+# ---------------------------------------------------------------------------
+# cusp verification: a norm-3, divisibility-3 vector in the glued model
+# ---------------------------------------------------------------------------
+
+
+class CuspVectorReport(_pure.Record):
+    ok: bool
+    norm: int
+    div_norm: int
+    message: str = ""
+
+
+def verify_unimodular_complement_vector() -> CuspVectorReport:
+    """Verify the explicit norm-3, divisibility-3 vector in the glued model.
+
+    In the overlattice of three copies of the rank-3 lattice glued along the
+    diagonal discriminant class, summed with the hyperbolic plane, the vector
+    w = (v1 - v2) + theta*u (u of norm -3 in the hyperbolic plane, v_i the
+    norm-6 vectors whose theta-multiples generate the discriminant classes)
+    must have hermitian norm 3 and Eisenstein divisibility 3.
+    """
+    from ._exact import EisInt
+    from .eisenstein import E3, E_ONE, E_ZERO, NAMED_LATTICES, OMEGA, THETA, H, eis_gcd
+    from .weyl import eis_vector_from_z, enumerate_vectors, z_form
+
+    # find v in E3 with |v|^2 = 6 whose theta-multiple has Z-divisibility 3
+    zl3 = z_form(E3)
+    v_sought = None
+    for vz in enumerate_vectors(zl3, -4):  # |v|^2 = 6 <-> (v, v) = -4
+        v = eis_vector_from_z(vz, 3)
+        ok = True
+        for j in range(3):
+            basis = [E_ZERO] * 3
+            basis[j] = E_ONE
+            c = E3.pair(basis, v).exact_div(THETA)
+            if (c.a + c.b) % 3 != 0:
+                ok = False
+                break
+        if ok:
+            v_sought = v
+            break
+    if v_sought is None:
+        return CuspVectorReport(False, 0, 0, "no norm-6 vector with the divisibility property")
+
+    big = NAMED_LATTICES["3E3"].direct_sum(H)  # rank 11
+    rank = big.rank
+
+    def embed(vec3, copy):
+        out = [E_ZERO] * rank
+        out[3 * copy:3 * copy + 3] = vec3
+        return out
+
+    v1 = embed(v_sought, 0)
+    v2 = embed(v_sought, 1)
+    v3 = embed(v_sought, 2)
+    # w = (v1 - v2) + theta*u with u = e + omega*f of norm -3 in the hyperbolic summand
+    w = [a - b for a, b in zip(v1, v2)]
+    w[9] = THETA * E_ONE
+    w[10] = THETA * OMEGA
+
+    nw = big.pair(w, w)
+    if nw != 3:
+        return CuspVectorReport(False, int(nw.a), 0, "candidate vector does not have norm 3")
+
+    # spanning set of the glued-plus-hyperbolic lattice: standard basis + glue
+    gens = []
+    for i in range(rank):
+        e = [E_ZERO] * rank
+        e[i] = E_ONE
+        gens.append(e)
+    # glue z/3 with z_i = -theta (v1 + v2 + v3)_i
+    gens.append([-THETA * (a + b + c) / 3 for a, b, c in zip(v1, v2, v3)])
+
+    pairings = []
+    for x in gens:
+        p = big.pair(x, w)
+        if p.a.denominator != 1 or p.b.denominator != 1:
+            return CuspVectorReport(False, 3, 0, "pairing with the glued lattice is not integral")
+        pairings.append(EisInt(int(p.a), int(p.b)))
+    g = E_ZERO
+    for p in pairings:
+        g = eis_gcd(g, p)
+    return CuspVectorReport(g.norm() == 9, 3, g.norm(),
+                            "" if g.norm() == 9 else f"divisibility ideal has norm {g.norm()}")

@@ -1,10 +1,12 @@
 """Finite matrix groups over the rationals or the Eisenstein integers.
 
-Provides multiplicative closure from generators, orders of permutation
-groups by Schreier-Sims, Molien series of invariant rings, invariant
-cohomology of abelian-variety quotients as joint fixed spaces of generators
-on exterior powers, and cycle-index symmetrization of even graded Poincare
-series.
+Provides multiplicative closure from generators, with certificates that
+each generator and each element has finite order, Molien series of
+invariant rings, invariant cohomology of abelian-variety quotients as joint
+fixed spaces of generators on exterior powers, and cycle-index
+symmetrization of even graded Poincare series.  Orders certified without
+listing elements (Schreier-Sims on the roots of a lattice) are in
+`stratify.weyl`.
 
 Matrices of both rings are tuples of row tuples of `EisInt`
 (`_exact.eis_matrix`), a rational entry q as q + 0*omega, so both rings
@@ -230,110 +232,6 @@ def _check_finite_order(i, mat):
     if power != ident:
         raise ValueError(f"generator {i} has infinite order: "
                          f"M^{order} is not the identity")
-
-
-def _then(p, q):
-    """The permutation 'first p, then q'; a permutation is the tuple of images."""
-    return tuple(map(q.__getitem__, p))
-
-
-def _inverse(p):
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
-class _Level:
-    """One level of a stabilizer chain: a base point, the strong generators
-    fixing the earlier base points, the basic orbit with a transversal
-    (orbit point y -> (u, u^-1) with u mapping the base point to y), and the
-    Schreier generators (y, generator index) already sifted."""
-
-    def __init__(self, point, ident):
-        self.point = point
-        self.gens = []
-        self.trans = {point: (ident, ident)}
-        self.sifted = set()
-
-    def add(self, gen):
-        """Add a strong generator and extend the orbit; old entries stay."""
-        self.gens.append(gen)
-        trans = self.trans
-        queue = list(trans)
-        for y in queue:
-            u = trans[y][0]
-            for s in self.gens:
-                z = s[y]
-                if z not in trans:
-                    v = _then(u, s)
-                    trans[z] = (v, _inverse(v))
-                    queue.append(z)
-
-
-def _sift(levels, g, start):
-    """Strip g through the levels from ``start``: the residue and the level
-    where it left the basic orbit (``len(levels)`` if it fixes every base point)."""
-    for i in range(start, len(levels)):
-        t = levels[i].trans.get(g[levels[i].point])
-        if t is None:
-            return g, i
-        g = _then(g, t[1])
-    return g, len(levels)
-
-
-def permutation_group_order(perms) -> int:
-    """Order of the group generated by permutations of 0..n-1.
-
-    Deterministic Schreier-Sims (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 4.4; Seress, *Permutation Group
-    Algorithms*, 2003, section 4.2).  Generators are added one at a time and
-    one that sifts to the identity through the chain built so far is already
-    in the group.  Every Schreier generator u_y s u_{y^s}^-1 of every level is
-    sifted through the levels below it; a nonidentity residue becomes a new
-    strong generator and the levels from there down are checked again.  With
-    no residue left the chain is complete, and the order is the product of the
-    basic orbit lengths.
-    """
-    perms = [tuple(p) for p in perms]
-    if not perms:
-        return 1
-    ident = tuple(range(len(perms[0])))
-    levels = []
-
-    def insert(h, lo, hi):
-        # h fixes the base points of the levels before hi; hi may be a new level
-        if hi == len(levels):
-            levels.append(_Level(next(x for x, y in enumerate(h) if x != y), ident))
-        for level in levels[lo:hi + 1]:
-            level.add(h)
-
-    for g in perms:
-        h, j = _sift(levels, g, 0)
-        if h == ident:
-            continue
-        insert(h, 0, j)
-        i = j
-        while i >= 0:
-            level = levels[i]
-            restart = None
-            for y, (u, _) in list(level.trans.items()):
-                for si, s in enumerate(level.gens):
-                    if (y, si) in level.sifted:
-                        continue
-                    level.sifted.add((y, si))
-                    h, j = _sift(levels, _then(_then(u, s), level.trans[s[y]][1]), i + 1)
-                    if h != ident:
-                        insert(h, i + 1, j)
-                        restart = j
-                        break
-                if restart is not None:
-                    break
-            i = i - 1 if restart is None else restart
-    order = 1
-    for level in levels:
-        order *= len(level.trans)
-    return order
 
 
 def _elementary_symmetric(mat):

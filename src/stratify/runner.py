@@ -7,18 +7,18 @@ any step may pin an expected output; mismatches fail the run with a diff.
 The emitted report is deterministic, so identical invocations are
 byte-identical.
 
-At load this module imports only `_pure` and `stepargs` (the argument
-reader).  Each op imports the layers it calls when it runs, `run_scenario`
-imports `serialize` once a step has a value to report and `series` just
-before its output duality check, so a scenario loads only the layers its
-steps use, and a scenario that fails validation loads none.
+At load this module imports only `_pure`.  `run_scenario` imports the
+argument reader (`stepargs`) once the document has validated, `serialize`
+once a step has a value to report and `series` just before its output
+duality check, and each op imports the layers it calls when it runs, so a
+scenario loads only the layers its steps use, and a scenario that fails
+validation loads no other module.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 from ._pure import (
     BACKEND,
@@ -29,7 +29,6 @@ from ._pure import (
     check_order,
     read_input,
 )
-from .stepargs import StepArgs, _instance
 
 
 class Context:
@@ -342,6 +341,7 @@ def _op_semistable(ctx, args, step):
 @op("main_term", "center_series", "normal_rank", "order")
 def _op_main_term(ctx, args, step):
     from . import assembly
+    from .stepargs import _instance
 
     rank = args["normal_rank"]
     if _instance(rank, "orbits", "TangentNormalSplit"):
@@ -419,25 +419,27 @@ def _op_named_lattice(ctx, args, step):
 
 @op("z_form", "lattice")
 def _op_z_form(ctx, args, step):
-    from . import eisenstein
+    from . import weyl
 
-    return eisenstein.z_form(args.instance("lattice", "EisLattice"))
+    return weyl.z_form(args.instance("lattice", "EisLattice"))
 
 
 @op("root_count", "lattice")
 def _op_root_count(ctx, args, step):
-    from . import eisenstein
+    from . import weyl
 
-    return len(eisenstein.enumerate_roots(args.z_lattice("lattice")))
+    return len(weyl.enumerate_roots(args.z_lattice("lattice")))
 
 
 @op("weyl_group", "lattice")
 def _op_weyl_group(ctx, args, step):
-    from . import eisenstein
+    from . import weyl
 
     if isinstance(args["lattice"], str):
-        return eisenstein.weyl_group(eisenstein.named_lattice(args.lattice_name("lattice")))
-    return eisenstein.weyl_group(args.instance("lattice", "EisLattice"))
+        from .eisenstein import named_lattice
+
+        return weyl.weyl_group(named_lattice(args.lattice_name("lattice")))
+    return weyl.weyl_group(args.instance("lattice", "EisLattice"))
 
 
 @op("abelian_quotient_betti", "group", "rank", "form")
@@ -470,21 +472,21 @@ def _op_boundary(ctx, args, step):
 
 @op("discriminant_form", "lattice")
 def _op_disc(ctx, args, step):
-    from . import eisenstein
+    from . import discriminant
 
-    return eisenstein.discriminant_form(args.z_lattice("lattice"))
+    return discriminant.discriminant_form(args.z_lattice("lattice"))
 
 
 @op("glue_overlattice", "lattice", "glue")
 def _op_glue(ctx, args, step):
-    from . import eisenstein
+    from . import discriminant
 
     base = args.instance("lattice", "ZLattice")
     glue = args.matrix("glue")
     for items, name in args.each("glue"):
         if len(items[name]) != base.rank:
             items.reject(name, f"a vector of length {base.rank}, the lattice rank", items[name])
-    res = eisenstein.glue_overlattice(base, glue)
+    res = discriminant.glue_overlattice(base, glue)
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}
 
@@ -492,31 +494,19 @@ def _op_glue(ctx, args, step):
 @op("glue_diagonal_norm12", "lattice", "copies")
 def _op_glue_diag(ctx, args, step):
     """Glue n copies of a lattice along 1/3 of the diagonal norm-(-12) div-3 class."""
-    from . import eisenstein
+    from . import discriminant
 
-    base = args.instance("lattice", "ZLattice")
-    copies = args.integer("copies", 3)
-    n = base.rank
-    z = eisenstein.find_norm_div_vector(base, -12, 3)
-    if z is None:
-        raise ScenarioCheckError("no norm -12 divisibility-3 vector found")
-    big = [[0] * (n * copies) for _ in range(n * copies)]
-    for c in range(copies):
-        for i in range(n):
-            for j in range(n):
-                big[c * n + i][c * n + j] = base.gram[i][j]
-    biglat = eisenstein.ZLattice(n * copies, tuple(tuple(r) for r in big))
-    g = [Fraction(x, 3) for _ in range(copies) for x in z]
-    res = eisenstein.glue_overlattice(biglat, [g])
+    res = discriminant.glue_diagonal(args.instance("lattice", "ZLattice"),
+                                     args.integer("copies", 3, minimum=1))
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}
 
 
 @op("verify_cusp_vector")
 def _op_cusp_vector(ctx, args, step):
-    from . import eisenstein
+    from . import discriminant
 
-    rep = eisenstein.verify_unimodular_complement_vector()
+    rep = discriminant.verify_unimodular_complement_vector()
     return {"ok": rep.ok, "norm": rep.norm, "div_ideal_norm": rep.div_norm}
 
 
@@ -678,6 +668,8 @@ def _validate(doc):
 def run_scenario(source) -> ScenarioReport:
     doc = load_scenario(source)
     _validate(doc)
+    from .stepargs import StepArgs, _instance
+
     ctx = Context(order=doc.get("order", 10))
     step_reports = []
     provenance = []

@@ -138,8 +138,8 @@ _ENCODERS = {
     "stratify.orbits.TangentNormalSplit": _tangent_normal_split,
     "stratify.invariants.FiniteMatrixGroup": _matrix_group,
     "stratify.eisenstein.EisLattice": _eis_lattice,
-    "stratify.eisenstein.ZLattice": _z_lattice,
-    "stratify.eisenstein.DiscriminantGroup": _discriminant,
+    "stratify.weyl.ZLattice": _z_lattice,
+    "stratify.discriminant.DiscriminantGroup": _discriminant,
     "stratify.series.DualityReport": _duality,
     "stratify.orbits.MultiPoly": _poly,
     "stratify._exact.EisInt": _eis_int,

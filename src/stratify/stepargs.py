@@ -9,9 +9,9 @@ a `ScenarioParseError` naming the step and the field.
 
 At load it imports only `_pure`: the CLI reads its JSON arguments without
 compiling the scenario runner, and a reader imports the layer it builds a
-value of (`series`, `_exact`, `orbits`, `assembly`, `eisenstein`) when it
-is called.  `_instance` answers isinstance for a layer's class without
-loading the layer.
+value of (`series`, `_exact`, `orbits`, `assembly`, `eisenstein`, `weyl`)
+when it is called.  `_instance` answers isinstance for a layer's class
+without loading the layer.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _RINGS = {"Q": "the rationals", "E": "the Eisenstein integers"}
 # the classes a step argument may have to hold: name -> (layer, description)
 _KINDS = {
     "EisLattice": ("eisenstein", "an Eisenstein lattice"),
-    "ZLattice": ("eisenstein", "a Z-lattice"),
+    "ZLattice": ("weyl", "a Z-lattice"),
     "FiniteMatrixGroup": ("invariants", "a matrix group"),
     "WeightSystem": ("weights", "a weight system"),
     "MultiPoly": ("orbits", "a polynomial"),
@@ -137,10 +137,10 @@ class StepArgs(dict):
 
     def z_lattice(self, key):
         """Argument ``key``: a Z-lattice, or an Eisenstein lattice standing
-        for its `eisenstein.z_form`."""
+        for its `weyl.z_form`."""
         lat = self.instance(key, "EisLattice", "ZLattice")
         if _instance(lat, "eisenstein", "EisLattice"):
-            from .eisenstein import z_form
+            from .weyl import z_form
 
             lat = z_form(lat)
         return lat

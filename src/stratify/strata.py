@@ -4,14 +4,16 @@ The index set consists of the closest points to the origin of convex hulls
 of nonempty weight subsets, reduced to the closed positive Weyl chamber.
 Candidates are generated from affinely independent subsets of at most
 rank+1 weights (Caratheodory), solved exactly, and filtered by hull
-membership.  The kernel (`_pure.projection_candidates`) finds them by a
+membership.  The kernel, `projection_candidates`, finds them by a
 depth-first search that cuts every subtree below an affinely dependent
 prefix and, for the symmetric Weyl group, visits one subset per orbit of the
 coordinate permutations (orderly generation).  It stops at the affine
 dimension a of the weights: every independent subset of a+1 weights
 projects the origin to the same point, so that level is searched only when
 no smaller subset has given that point, and only until it appears.  The
-budget still bounds the flat subset count.
+budget still bounds the flat subset count.  Each search node extends an
+exact fraction-free LDL^T elimination by one row (`_pure._extend_ldl`,
+which the lattice layer's short-vector enumeration shares).
 
 The torus index set goes by orbits too when every coordinate permutation
 preserves the weight multiset, multiplicities counted.  The kernel then
@@ -50,10 +52,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
-from ._pure import Record, ResourceCapError, projection_candidates, rank
+from ._pure import Record, ResourceCapError, _extend_ldl, rank
 from .weights import WeightSystem, vec
 
 DEFAULT_BUDGET = 10**7
@@ -76,6 +78,198 @@ class BetaStratum(Record):
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.beta)
+
+
+# ---------------------------------------------------------------------------
+# closest-point candidate search
+# ---------------------------------------------------------------------------
+
+
+def _solve_ldl(low, rhs):
+    """Integer y = det(D) * c for the eliminated system (back substitution).
+
+    Every division is exact: by Cramer, det(D) * c is integral.
+    """
+    n = len(low)
+    det = low[-1][-1]
+    y = [0] * n
+    for t in range(n - 1, -1, -1):
+        acc = det * rhs[t]
+        for j in range(t + 1, n):
+            acc -= low[j][t] * y[j]
+        y[t] = acc // low[t][t]
+    return det, y
+
+
+def _coordinate_symmetric(pts):
+    """Whether the point set is invariant under every coordinate permutation.
+
+    Checked on the adjacent transpositions, which generate S_m.
+    """
+    pset = set(pts)
+    return all(
+        p[:j] + (p[j + 1], p[j]) + p[j + 2:] in pset
+        for j in range(len(pts[0]) - 1)
+        for p in pts
+    )
+
+
+def _equation(dots, idx, i):
+    """The row and right-hand side that add point i to the system of the
+    points idx, given the matrix ``dots`` of their inner products.
+
+    The affine span of pts[idx] is that of p0 + span(pts[j] - p0), so the
+    projection of the origin solves D c = b with D the Gram matrix of the
+    differences and b_s = -<p0, pts[j_s] - p0>.
+    """
+    i0 = idx[0]
+    d0 = dots[i0]
+    di = dots[i]
+    c0 = d0[i0] - di[i0]
+    row = [di[j] - d0[j] + c0 for j in idx[1:]]
+    row.append(di[i] - 2 * di[i0] + d0[i0])
+    return row, d0[i0] - d0[i]
+
+
+def projection_candidates(weights, rank, budget, chamber_sort):
+    """Closest-point candidates for hulls of subsets of integer weight vectors.
+
+    For every affinely independent subset of at most rank+1 weights, the
+    origin is projected onto the affine span; the projection is kept when it
+    lies in the convex hull (all barycentric coordinates nonnegative).
+    Returns the deduplicated set of candidates as (nums, den) pairs with
+    den > 0 and gcd 1; nums are sorted descending when chamber_sort is set.
+
+    The subsets are visited by a depth-first search over index-increasing
+    subsets of the distinct weights, sorted lex-descending (a repeated weight
+    only ever gives singular subsets).  Each step extends an exact
+    fraction-free elimination of the prefix's system by one row
+    (`_extend_ldl`), so a node costs one row, not a whole solve:
+
+    * an affinely dependent prefix (zero pivot) cuts its whole subtree, since
+      every superset is dependent too;
+    * with chamber_sort, on a point set invariant under coordinate
+      permutations, only one subset per S_m-orbit is needed, because sorting
+      makes the candidate an orbit invariant.  The coordinates on which every
+      chosen point agrees form the classes of the prefix's pointwise
+      stabilizer, a Young subgroup; a next point is accepted only if its
+      coordinates do not increase within each class, i.e. it is the first
+      index of its orbit under that subgroup (orderly generation, McKay,
+      "Isomorph-free exhaustive generation", 1998).  The lex-least subset of
+      every orbit passes the test at each level, so no candidate is lost;
+    * the search stops at the affine dimension a of the weights.  Every
+      affinely independent subset of a+1 weights spans their whole affine
+      hull, so the origin projects to one point, the apex, and that level
+      adds at most the apex.  The search runs to depth a; only when the apex
+      is not yet a candidate does it search depth a+1, and it stops when the
+      apex is recorded there.  If it never is, the apex lies outside the
+      hull and the level has been searched in full.  Larger subsets are
+      all dependent.  When rank+1 <= a the cut does not apply.
+
+    The budget bounds the flat count, sum of C(n, k) over k <= rank+1, before
+    any work is done.
+    """
+    pts = [tuple(w) for w in weights]
+    if not pts:
+        raise ValueError("empty weight list")
+    kmax = min(rank + 1, len(pts))
+    total = sum(comb(len(pts), k) for k in range(1, kmax + 1))
+    if total > budget:
+        raise ResourceCapError(
+            f"candidate subsets {total} exceed budget {budget}"
+        )
+    pts = sorted(set(pts), reverse=True)
+    npts = len(pts)
+    m = len(pts[0])
+    kmax = min(kmax, npts)
+    dots = [[sum(map(mul, p, q)) for q in pts] for p in pts]
+    # coordinate pairs (a, b), consecutive within a stabilizer class, on
+    # which an accepted point must have p[a] >= p[b]; empty: no reduction
+    if chamber_sort and _coordinate_symmetric(pts):
+        chain = [(j, j + 1) for j in range(m - 1)]
+    else:
+        chain = []
+    found = set()
+
+    def candidate(det, lam, idx):
+        """The point sum(lam_j * pts[j]) / det as a key of `found`."""
+        beta = [0] * m
+        for c, j in zip(lam, idx):
+            if c:
+                q = pts[j]
+                for t in range(m):
+                    beta[t] += c * q[t]
+        g = det
+        for x in beta:
+            g = gcd(g, x)
+        if g > 1:
+            beta = [x // g for x in beta]
+        if chamber_sort:
+            beta.sort(reverse=True)
+        return tuple(beta), det // g
+
+    def visit(start, chain, idx, low, rhs, limit, stop):
+        """Extend the prefix idx by every later point, up to `limit` points;
+        True as soon as the candidate `stop` is recorded."""
+        for i in range(start, npts):
+            p = pts[i]
+            if chain and any(p[a] < p[b] for a, b in chain):
+                continue
+            ext = _extend_ldl(low, rhs, *_equation(dots, idx, i))
+            if ext is None:
+                continue  # affinely dependent prefix: so is every superset
+            idx.append(i)
+            low.append(ext[0])
+            rhs.append(ext[1])
+            det, y = _solve_ldl(low, rhs)
+            lam0 = det - sum(y)
+            if lam0 >= 0 and min(y) >= 0:
+                key = candidate(det, [lam0] + y, idx)
+                found.add(key)
+                if key == stop:
+                    return True
+            if len(idx) < limit and visit(
+                    i + 1, [(a, b) for a, b in chain if p[a] == p[b]],
+                    idx, low, rhs, limit, stop):
+                return True
+            idx.pop()
+            low.pop()
+            rhs.pop()
+        return False
+
+    def search(limit, stop=None):
+        """Subsets of at most `limit` points; stops once `stop` is recorded."""
+        for i, p in enumerate(pts):
+            if chain and any(p[a] < p[b] for a, b in chain):
+                continue
+            found.add(candidate(1, [1], [i]))
+            if limit > 1 and visit(i + 1, [(a, b) for a, b in chain if p[a] == p[b]],
+                                   [i], [], [], limit, stop):
+                return
+
+    # an affine basis of the weights, greedily from pts[0]
+    basis, low, rhs = [0], [], []
+    for i in range(1, npts):
+        ext = _extend_ldl(low, rhs, *_equation(dots, basis, i))
+        if ext is not None:
+            basis.append(i)
+            low.append(ext[0])
+            rhs.append(ext[1])
+    dim = len(basis) - 1  # the affine dimension a
+    if dim == 0 or kmax <= dim:
+        search(kmax)
+        return found
+    det, y = _solve_ldl(low, rhs)
+    apex = candidate(det, [det - sum(y)] + y, basis)
+    search(dim)
+    if apex not in found:
+        search(dim + 1, apex)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# index sets
+# ---------------------------------------------------------------------------
 
 
 def _scaled_weights(weights) -> tuple:

@@ -9,7 +9,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from stratify.eisenstein import E1, E2, E3, E4, weyl_group, z_form
+from stratify.eisenstein import E1, E2, E3, E4
 from stratify.invariants import abelian_quotient_betti, close_group, molien
 from stratify.orbits import normal_rep_of, parse_poly
 from stratify.runner import run_scenario
@@ -22,6 +22,7 @@ from stratify.strata import (
     weyl_fiber_count,
 )
 from stratify.weights import hypersurface_weights
+from stratify.weyl import weyl_group, z_form
 
 
 def report(n, label):
@@ -167,13 +168,15 @@ def test_criterion_07_lattice_facts(capsys):
     assert w4.order == 155520
     assert closure_time < 300, f"rank-4 closure took {closure_time:.1f}s, budget 300s"
 
-    from stratify.eisenstein import discriminant_form, enumerate_roots
+    from stratify.discriminant import discriminant_form
+    from stratify.weyl import enumerate_roots
     d = discriminant_form(z_form(E3))
     assert d.invariant_factors == (3,)
     assert d.q_values[0] % 2 == Fraction(-4, 3) % 2
     assert [len(enumerate_roots(z_form(L))) for L in (E1, E2, E3, E4)] == [6, 24, 72, 240]
 
-    from stratify.eisenstein import ZLattice, find_norm_div_vector, glue_overlattice
+    from stratify.discriminant import find_norm_div_vector, glue_overlattice
+    from stratify.weyl import ZLattice
     zl = z_form(E3)
     z = find_norm_div_vector(zl, -12, 3)
     big = [[0] * 18 for _ in range(18)]
@@ -248,7 +251,7 @@ def test_criterion_11_property_suites(cubic3fold_report, capsys):
 
     # triflections have order 3 and preserve the form
     from stratify._exact import identity, mat_mul
-    from stratify.eisenstein import eisenstein_roots, triflection
+    from stratify.weyl import eisenstein_roots, triflection
     ident = identity(3)
     for r in eisenstein_roots(E3)[:12]:
         t = triflection(E3, r)

@@ -23,7 +23,7 @@ from stratify.runner import (
     run_scenario,
 )
 
-VALUES = (5, [1], "x", {"a": 1}, None, -1, [[1]], [{"a": 1}])
+VALUES = (5, [1], "x", {"a": 1}, None, -1, 0, [[1]], [{"a": 1}])
 
 # bases for the ops that no built-in scenario uses; the last step is probed
 OWN_BASES = {

@@ -382,6 +382,8 @@ class TestBadInput:
           "--dim", "3"), "argument 'odd' must be a list of at most 1 integers"),
         (("scenario", "run", "@list-id"), "steps[0]: 'id' must not be a list or an object"),
         (("scenario", "run", "@object-id"), "steps[0]: 'id' must not be a list or an object"),
+        (("lattice", "roots", "E9"), "no lattice named 'E9' and no such file; named "
+         "lattices: E1, E2, E3, E4, H, 3E1, 3E3, E1+2E4"),
     ])
     def test_bad_input_is_parse_error(self, tmp_path, argv, message):
         latin1 = tmp_path / "latin1.json"

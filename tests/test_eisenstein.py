@@ -6,6 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratify._exact import eis_matrix, identity, mat_mul
+from stratify.discriminant import (
+    discriminant_form,
+    divisibility,
+    find_norm_div_vector,
+    glue_overlattice,
+    verify_unimodular_complement_vector,
+)
 from stratify.eisenstein import (
     E1,
     E2,
@@ -14,28 +21,25 @@ from stratify.eisenstein import (
     H,
     THETA,
     EisInt,
-    ZLattice,
-    _z_matrix,
     boundary_betti,
-    discriminant_form,
-    divisibility,
     eis_gcd,
     eis_lattice,
+    named_lattice,
+)
+from stratify.invariants import FiniteMatrixGroup, close_group, molien
+from stratify.weyl import (
+    ZLattice,
+    _z_matrix,
     eis_vector_from_z,
     eisenstein_roots,
     enumerate_roots,
     enumerate_vectors,
-    find_norm_div_vector,
-    glue_overlattice,
     isometry_group_order,
-    named_lattice,
     triflection,
     triflections,
-    verify_unimodular_complement_vector,
     weyl_group,
     z_form,
 )
-from stratify.invariants import FiniteMatrixGroup, close_group, molien
 
 O3E1_GENS = {
     "generators": [

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from stratify._exact import EisInt, adjugate, det, eis, nullspace, rank
 from stratify._pure import ResourceCapError
-from stratify.eisenstein import smith_normal_form
+from stratify.discriminant import smith_normal_form
 
 
 def minor_det(mat, rows, cols):

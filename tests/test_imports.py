@@ -8,6 +8,7 @@ submodules the probe reports the standard modules of `HEAVY`.  It runs with
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -18,8 +19,8 @@ import pytest
 
 import stratify
 
-MATH_LAYERS = {"assembly", "eisenstein", "invariants", "orbits", "series", "strata",
-               "weights"}
+MATH_LAYERS = {"assembly", "discriminant", "eisenstein", "invariants", "orbits", "series",
+               "strata", "weights", "weyl"}
 
 # standard modules that cost milliseconds to load: no layer but `weights`
 # imports `dataclasses` (which loads `inspect`), and none imports `typing` or
@@ -60,9 +61,10 @@ def test_import_loads_no_submodule():
 @pytest.mark.parametrize("argv, code, absent", [
     (("strata", "--n", "3", "--d", "3"), "0",
      {"eisenstein", "invariants", "orbits", "runner", "_exact"}),
-    (("lattice", "roots", "E3"), "0", {"strata", "orbits", "runner"} | HEAVY),
+    (("lattice", "roots", "E3"), "0", {"discriminant", "strata", "orbits", "runner"} | HEAVY),
     (("boundary", "{not json"), "3", MATH_LAYERS | {"runner"} | HEAVY),
-    (("scenario", "run", "cubiccurve"), "0", {"eisenstein", "invariants", "orbits"}),
+    (("scenario", "run", "cubiccurve"), "0",
+     {"discriminant", "eisenstein", "invariants", "orbits", "weyl"}),
     (("scenario", "run", "no_such_scenario"), "3", MATH_LAYERS - {"series"} | HEAVY),
     (("strata", "--n", "3", "--d", "3", "--group", "torus"), "0",
      {"eisenstein", "invariants", "orbits", "runner", "_exact"}),
@@ -89,17 +91,21 @@ BAD_SCENARIOS = {
     "missing-d": _bad_scenario([{"id": "ws", "op": "hypersurface_weights", "args": {"n": 4}}]),
 }
 ALL_LAYERS = MATH_LAYERS | {"_exact", "_pure", "cli", "runner", "serialize", "stepargs"}
-LATTICE = {"_exact", "_pure", "cli", "eisenstein", "serialize"}
-SCENARIO_BASE = {"_pure", "cli", "runner", "stepargs"}
+LATTICE = {"_exact", "_pure", "cli", "eisenstein", "serialize", "weyl"}
+# a scenario that fails validation loads neither the argument reader nor a layer
+SCENARIO_INVALID = {"_pure", "cli", "runner"}
+SCENARIO_BASE = SCENARIO_INVALID | {"stepargs"}
 
 
 @pytest.mark.parametrize("argv, code, expected", [
-    (("scenario", "run", "cubicsurf", "--format", "json"), "0", ALL_LAYERS | WEIGHTS_STDLIB),
+    # the cusp lattice's boundary has explicit generators: no roots, no discriminant
+    (("scenario", "run", "cubicsurf", "--format", "json"), "0",
+     ALL_LAYERS - {"discriminant", "weyl"} | WEIGHTS_STDLIB),
     (("scenario", "run", "cubiccurve", "--format", "latex"), "0",
      SCENARIO_BASE | {"assembly", "serialize", "series", "strata", "weights"} | WEIGHTS_STDLIB),
     (("lattice", "roots", "E3", "--format", "json"), "0", LATTICE),
     (("lattice", "weyl-order", "E3", "--format", "json"), "0", LATTICE | {"invariants"}),
-    (("lattice", "discriminant", "H", "--format", "json"), "0", LATTICE),
+    (("lattice", "discriminant", "H", "--format", "json"), "0", LATTICE | {"discriminant"}),
     (("lattice", "z-form", "E4", "--format", "csv"), "0", LATTICE - {"serialize"}),
     (("molien", "--gens", "[[[0,1],[1,0]],[[-1,1],[-1,0]]]", "--truncate", "8",
       "--format", "json"), "0",
@@ -113,11 +119,11 @@ SCENARIO_BASE = {"_pure", "cli", "runner", "stepargs"}
      {"_pure", "cli", "serialize", "strata", "weights"} | WEIGHTS_STDLIB),
     (("strata", "--n", "3", "--d", "3", "--group", "torus", "--format", "csv"), "0",
      {"_pure", "cli", "strata", "weights"} | WEIGHTS_STDLIB),
-    (("scenario", "run", "no_such_scenario", "--format", "json"), "3", SCENARIO_BASE),
+    (("scenario", "run", "no_such_scenario", "--format", "json"), "3", SCENARIO_INVALID),
     (("boundary", "{not json", "--format", "json"), "3", {"_pure", "cli"}),
     (("blowup", "--exceptional", "[1,", "--dim", "4", "--format", "json"), "3",
      {"_pure", "cli"}),
-    (("scenario", "run", "{unknown-op}", "--format", "json"), "3", SCENARIO_BASE),
+    (("scenario", "run", "{unknown-op}", "--format", "json"), "3", SCENARIO_INVALID),
     (("scenario", "run", "{wrong-pin}", "--format", "json"), "2",
      SCENARIO_BASE | {"serialize", "strata", "weights"} | WEIGHTS_STDLIB),
     (("scenario", "run", "{string-n}", "--format", "json"), "3", SCENARIO_BASE),
@@ -148,6 +154,24 @@ def test_runner_reachable_after_importing_the_cli():
                               "print(stratify.runner.load_scenario('cubicsurf')['name'])\n"
                               "from stratify import _backend, runner")
     assert printed == ["cubicsurf"] and {"runner", "_backend"} <= modules
+
+
+def test_every_encoder_key_names_a_live_class():
+    # `serialize` finds an encoder by the module and name of a value's class:
+    # a key left behind when a class moves would silently stop matching
+    from stratify import serialize
+
+    for key in serialize._ENCODERS:
+        module, _, qualname = key.rpartition(".")
+        if key == "builtins.NoneType":  # not a name in `builtins`
+            cls = type(None)
+        else:
+            cls = importlib.import_module(module)
+            for part in qualname.split("."):
+                cls = getattr(cls, part, None)
+        assert isinstance(cls, type), key
+        assert f"{cls.__module__}.{cls.__qualname__}" == key
+        assert serialize._encoder(cls) is serialize._ENCODERS[key]
 
 
 def test_public_names_resolve():

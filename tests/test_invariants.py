@@ -15,9 +15,6 @@ from stratify.eisenstein import (
     E4,
     H,
     NAMED_LATTICES,
-    isometry_group_order,
-    triflections,
-    weyl_group,
 )
 from stratify.invariants import (
     FiniteMatrixGroup,
@@ -25,10 +22,15 @@ from stratify.invariants import (
     abelian_quotient_betti,
     close_group,
     molien,
-    permutation_group_order,
     wreath_symmetrize,
 )
 from stratify.series import BettiTable, TruncatedSeries, gf_expand
+from stratify.weyl import (
+    isometry_group_order,
+    permutation_group_order,
+    triflections,
+    weyl_group,
+)
 
 DIHEDRAL_GENS = [[[0, 1], [1, 0]], [[-1, 1], [-1, 0]]]
 PERM3_GENS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 1, 0], [-1, 0, 0], [3, 0, 1]]]

@@ -13,18 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratify.eisenstein import (
-    EisInt,
-    ZLattice,
-    discriminant_form,
-    eis_lattice,
-    enumerate_vectors,
-    smith_normal_form,
-    z_form,
-)
+from stratify.discriminant import discriminant_form, smith_normal_form
+from stratify.eisenstein import EisInt, eis_lattice
 from hull_reference import closest_point
 from stratify.strata import instability_index_set
 from stratify.weights import WeightSystem, dot, norm2, vec
+from stratify.weyl import ZLattice, enumerate_vectors, z_form
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +175,7 @@ def test_enumeration_matches_brute_force_in_a_box(rows, half, sign):
 def test_positive_definite_enumeration():
     one_dim = ZLattice(1, ((2,),))
     assert enumerate_vectors(one_dim, 2) == [(-1,), (1,)]
-    from stratify.eisenstein import enumerate_roots
+    from stratify.weyl import enumerate_roots
 
     assert len(enumerate_roots(one_dim)) == 2
 

@@ -7,17 +7,13 @@ import pytest
 
 from stratify._exact import EisInt
 from stratify.assembly import StratumContribution
-from stratify.eisenstein import (
-    CuspVectorReport,
-    DiscriminantGroup,
-    EisLattice,
-    GlueResult,
-    ZLattice,
-)
+from stratify.discriminant import CuspVectorReport, DiscriminantGroup, GlueResult
+from stratify.eisenstein import EisLattice
 from stratify.invariants import FiniteMatrixGroup
 from stratify.orbits import NormalRep, SemiInvariantReport, TangentNormalSplit
 from stratify.series import BettiTable, DualityReport, TruncatedSeries
 from stratify.strata import BetaStratum, SupportRecord
+from stratify.weyl import ZLattice
 
 F = Fraction
 SERIES = TruncatedSeries((F(1), F(0), F(2)), 2)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hull_reference import affine_projection, closest_point, fraction_index_set, fraction_oracle
-from stratify import _pure
 from stratify import strata as strata_module
 from stratify.orbits import normal_rep_of, parse_poly
 from stratify.strata import (
@@ -21,6 +20,7 @@ from stratify.strata import (
     instability_index_set,
     maximal_support_report,
     normal_rep_strata,
+    projection_candidates,
     verify_strata_against_oracle,
     weyl_fiber_count,
 )
@@ -75,7 +75,7 @@ def _solve_bordered(gram, k):
 
 
 def flat_candidates(pts, rank, chamber_sort):
-    """Reference for `_pure.projection_candidates`: every subset, no pruning."""
+    """Reference for `strata.projection_candidates`: every subset, no pruning."""
     dots = [[sum(a * b for a, b in zip(p, q)) for q in pts] for p in pts]
     found = set()
     for k in range(1, min(rank + 1, len(pts)) + 1):
@@ -128,7 +128,7 @@ class TestProjectionCandidates:
     @given(invariant_point_sets(), st.integers(0, 4), st.booleans())
     def test_invariant_sets(self, pts, rank, chamber_sort):
         rank = self._rank(rank, pts)
-        got = _pure.projection_candidates(pts, rank, 10**7, chamber_sort)
+        got = projection_candidates(pts, rank, 10**7, chamber_sort)
         assert got == flat_candidates(pts, rank, chamber_sort)
 
     @settings(max_examples=80, deadline=None)
@@ -138,7 +138,7 @@ class TestProjectionCandidates:
     def test_random_sets(self, pts, rank, chamber_sort):
         # mostly not permutation-invariant: the kernel must see that itself
         rank = self._rank(rank, pts)
-        got = _pure.projection_candidates(pts, rank, 10**7, chamber_sort)
+        got = projection_candidates(pts, rank, 10**7, chamber_sort)
         assert got == flat_candidates(pts, rank, chamber_sort)
 
     @pytest.mark.parametrize("n,d", [(1, 12), (2, 3), (3, 3), (4, 3)])
@@ -146,10 +146,10 @@ class TestProjectionCandidates:
         pts = [tuple(int(c * (n + 1)) for c in w)
                for w in hypersurface_weights(n, d).weights]
         random.Random(n * 100 + d).shuffle(pts)
-        got = _pure.projection_candidates(pts, n, 10**7, True)
+        got = projection_candidates(pts, n, 10**7, True)
         assert got == flat_candidates(pts, n, True)
         # a rank below the true rank truncates both searches alike
-        assert (_pure.projection_candidates(pts, n - 1, 10**7, True)
+        assert (projection_candidates(pts, n - 1, 10**7, True)
                 == flat_candidates(pts, n - 1, True))
 
     @staticmethod
@@ -165,7 +165,7 @@ class TestProjectionCandidates:
     ])
     @pytest.mark.parametrize("chamber_sort", [False, True])
     def test_apex_only_in_the_interior(self, pts, apex, chamber_sort):
-        got = _pure.projection_candidates(pts, len(pts), 10**7, chamber_sort)
+        got = projection_candidates(pts, len(pts), 10**7, chamber_sort)
         assert self._key(apex, chamber_sort) in got
         assert got == flat_candidates(pts, len(pts), chamber_sort)
 
@@ -173,7 +173,7 @@ class TestProjectionCandidates:
     def test_apex_outside_the_hull(self, chamber_sort):
         # 0 is not in the plane z = 1, and (0, 0, 1) is not in the hull
         pts = [(1, 0, 1), (3, 1, 1), (1, 2, 1), (4, 4, 1), (2, 5, 1)]
-        got = _pure.projection_candidates(pts, 3, 10**7, chamber_sort)
+        got = projection_candidates(pts, 3, 10**7, chamber_sort)
         assert self._key((0, 0, 1), chamber_sort) not in got
         assert got == flat_candidates(pts, 3, chamber_sort)
 
@@ -185,14 +185,14 @@ class TestProjectionCandidates:
         pts = sorted({p for b in [(2, 0, -1, -1), (1, 1, -1, -1), (3, -1, -1, -1)]
                       for p in permutations(b)})
         random.Random(rank).shuffle(pts)
-        assert (_pure.projection_candidates(pts, rank, 10**7, chamber_sort)
+        assert (projection_candidates(pts, rank, 10**7, chamber_sort)
                 == flat_candidates(pts, rank, chamber_sort))
 
     def test_budget_counts_flat_subsets(self):
         pts = [(1, 0), (0, 1), (1, 0)]
-        assert _pure.projection_candidates(pts, 1, _flat_count(3, 1), True)
+        assert projection_candidates(pts, 1, _flat_count(3, 1), True)
         with pytest.raises(ResourceCapError):
-            _pure.projection_candidates(pts, 1, _flat_count(3, 1) - 1, True)
+            projection_candidates(pts, 1, _flat_count(3, 1) - 1, True)
 
 
 class TestClosestPoint:
@@ -384,10 +384,11 @@ class TestTorusByOrbits:
     @staticmethod
     def _chamber_flags(monkeypatch):
         flags = []
+        original = strata_module.projection_candidates
 
         def spy(weights, rank, budget, chamber_sort):
             flags.append(chamber_sort)
-            return _pure.projection_candidates(weights, rank, budget, chamber_sort)
+            return original(weights, rank, budget, chamber_sort)
 
         monkeypatch.setattr(strata_module, "projection_candidates", spy)
         return flags

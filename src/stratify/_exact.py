@@ -14,11 +14,11 @@ One elimination, `echelon` (fraction-free, Bareiss), behind `det`, `rank`,
 `nullspace` and `adjugate`, over Z or Q (int or `Fraction` entries) and
 Z[omega] or Q(omega) (`EisInt` entries).  Its divisions are exact and go
 through `_div`, so integral input stays integral throughout, and `nullspace`
-returns primitive integral vectors; no result is ever a float.  `echelon`,
-`rank` and `_div` are defined in `stratify._pure`, so the strata layer
-reaches the rank without loading this module, and re-exported here.
-`rational` brings an input value to the same form, so integral values run in
-plain integers.
+returns primitive integral vectors; no result is ever a float.  `rational`
+brings an input value to the same form, so integral values run in plain
+integers.  `echelon`, `rank`, `_div` and `rational` are defined in
+`stratify._pure`, so the strata and series layers reach them without
+loading this module, and re-exported here.
 
 The closest-point certificate in `strata` (`verify_strata_against_oracle`)
 keeps its own integer phase-I simplex so that it stays independent of the
@@ -30,17 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._pure import _div, echelon, rank  # noqa: F401
-
-
-def rational(x):
-    """The rational ``x`` (an int, a `Fraction` or what `Fraction` reads) as
-    an int when it is integral, else as a `Fraction`: integral values then
-    multiply in plain integers."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+from ._pure import _div, echelon, rank, rational  # noqa: F401
 
 
 class EisInt:

@@ -16,9 +16,10 @@ Z[omega] and their product live in `stratify._exact`, which this module
 does not import.
 
 `echelon`, the one fraction-free elimination behind rank, det, nullspace and
-adjugate, `rank` and the exact quotient `_div` live here rather than in
-`_exact`, which re-exports them: the index set needs the rank of its scaled
-weights, and the strata path then loads no Eisenstein arithmetic.
+adjugate, `rank`, the exact quotient `_div` and `rational`, the rule that a
+rational is an int where it is integral, live here rather than in `_exact`,
+which re-exports them: the index set needs the rank of its scaled weights,
+and neither the strata path nor the series layer loads Eisenstein arithmetic.
 """
 
 from __future__ import annotations
@@ -173,8 +174,18 @@ class Record:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination over Z, Q, Z[omega] or Q(omega)
+# exact rationals, and fraction-free elimination over Z, Q, Z[omega] or Q(omega)
 # ---------------------------------------------------------------------------
+
+
+def rational(x):
+    """The rational ``x`` (an int, a `Fraction` or what `Fraction` reads) as
+    an int when it is integral, else as a `Fraction`: integral values then
+    multiply in plain integers."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _div(x, y):

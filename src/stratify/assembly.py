@@ -2,7 +2,8 @@
 intersection-cohomology shifts, and the point-blowup bookkeeping.
 
 Everything is a statement about truncated series with exact rational
-coefficients; geometric inputs (connectedness, transitivity, quotient
+coefficients (ints where integral, `series.TruncatedSeries.from_coeffs`);
+geometric inputs (connectedness, transitivity, quotient
 identifications) arrive as declared stratum contributions carrying their own
 provenance.
 """
@@ -63,11 +64,9 @@ def main_term(p_n_z: TruncatedSeries, normal_rank: int, order: int) -> Truncated
     t^(2*(normal_rank - 1))."""
     if normal_rank < 2:
         raise ValueError("normal rank must be at least 2")
-    fiber = TruncatedSeries.zero(order)
-    for j in range(1, normal_rank):
-        if 2 * j > order:
-            break
-        fiber = fiber + TruncatedSeries.monomial(2 * j, order)
+    # a rank beyond the order only adds terms that the truncation drops
+    ones = min(normal_rank - 2, order // 2)
+    fiber = TruncatedSeries.from_coeffs([0, 0] + [1, 0] * ones + [1], order)
     return p_n_z.truncate(order) * fiber
 
 
@@ -83,7 +82,7 @@ def extra_term(items, order: int) -> TruncatedSeries:
             Fraction(1, it.weyl_share)
         )
     for c in total.coeffs:
-        if c.denominator != 1:
+        if type(c) is not int:
             raise ValueError(
                 f"extra term has non-integral coefficient {c}; incomplete Weyl orbit?"
             )
@@ -101,14 +100,9 @@ def b_shift(ip: BettiTable, order: int) -> TruncatedSeries:
     rep = duality_check(ip)
     if not rep.ok:
         raise ValueError(f"shift input must be duality-symmetric: {rep.message}")
-    c = ip.complex_dim
-    coeffs = [Fraction(0)] * (order + 1)
-    for q in range(2, order + 1):
-        if q <= c:
-            coeffs[q] = Fraction(ip.betti[q - 2])
-        elif q <= 2 * c:
-            coeffs[q] = Fraction(ip.betti[q])
-    return TruncatedSeries.from_coeffs(coeffs, order)
+    c, b = ip.complex_dim, ip.betti
+    return TruncatedSeries.from_coeffs(
+        [0, 0] + [b[q - 2] if q <= c else b[q] for q in range(2, 2 * c + 1)], order)
 
 
 def blowup_correction(exceptional: BettiTable, n: int, order: int | None = None) -> TruncatedSeries:
@@ -123,7 +117,5 @@ def blowup_correction(exceptional: BettiTable, n: int, order: int | None = None)
     if order is None:
         order = 2 * n - 2
     e = exceptional.betti
-    coeffs = [Fraction(0)] * (order + 1)
-    for q in range(2, min(order, 2 * n - 2) + 1):
-        coeffs[q] = Fraction(e[2 * n - q] if q <= n else e[q])
-    return TruncatedSeries.from_coeffs(coeffs, order)
+    return TruncatedSeries.from_coeffs(
+        [0, 0] + [e[2 * n - q] if q <= n else e[q] for q in range(2, 2 * n - 1)], order)

@@ -167,8 +167,6 @@ def boundary_betti(spec: dict) -> BettiTable:
         else:
             gens = group_spec["generators"]
         part = abelian_quotient_betti(gens, lat.rank, form=lat.gram)
-        if any(b != 0 for b in part.odd()):
-            raise AssertionError("factor quotient has odd cohomology; cannot symmetrize")
         count = factor.get("count", 1)
         if count > 1:
             part = wreath_symmetrize(part, count)

@@ -276,19 +276,17 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     total = [zero] * (order + 1)
     for mat in elements:
         es = _elementary_symmetric(mat)
-        # det(1 - T M) = sum_p (-1)^p e_p T^p with T = t^g
-        poly = [zero] * (order + 1)
-        poly[0] = EisInt(1, 0)
-        for p in range(1, k + 1):
-            if p * g > order:
-                break
-            poly[p * g] = -es[p] if p % 2 else es[p]
+        # det(1 - T M) = 1 + sum_p (-1)^p e_p T^p with T = t^g: its nonzero
+        # terms past the constant, as (degree, coefficient), degrees ascending
+        terms = [(p * g, -es[p] if p % 2 else es[p])
+                 for p in range(1, min(k, order // g) + 1) if es[p]]
         inv = [EisInt(1, 0)] + [zero] * order
         for m in range(1, order + 1):
             s = zero
-            for t in range(1, m + 1):
-                if poly[t]:
-                    s = s + poly[t] * inv[m - t]
+            for t, c in terms:
+                if t > m:
+                    break
+                s = s + c * inv[m - t]
             inv[m] = -s
         for i in range(order + 1):
             total[i] = total[i] + inv[i]

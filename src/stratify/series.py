@@ -1,25 +1,25 @@
 """Truncated power series and Betti tables over exact rationals.
 
 Every generating function in the pipeline lives here: series are truncated
-at an explicit order, coefficients are ``Fraction`` values, and no operation
-ever extends an order silently.  Combining two series truncates to the
-smaller order.
+at an explicit order, and no operation ever extends an order silently.
+Combining two series truncates to the smaller order.  A coefficient is an
+int where it is integral and a `Fraction` where it is not (`_pure.rational`),
+the rule of the group and orbit layers, so Poincare series, which are
+integral, multiply and invert in plain ints.  `TruncatedSeries.from_coeffs`
+applies the rule, and every operation that makes new coefficients builds its
+result through it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
-from ._pure import Record, check_order, check_printable
-
-
-def _frac(x: int | Fraction) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from ._pure import Record, _div, check_order, check_printable, rational
 
 
 class TruncatedSeries(Record):
-    """A power series known exactly modulo t^(order+1)."""
+    """A power series known exactly modulo t^(order+1), its coefficients
+    ints where integral: build one with `from_coeffs`."""
 
     coeffs: tuple
     order: int
@@ -31,9 +31,11 @@ class TruncatedSeries(Record):
             raise ValueError("coeffs length must equal order+1")
 
     @staticmethod
-    def from_coeffs(coeffs: list, order: int) -> "TruncatedSeries":
-        cs = [_frac(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
+    def from_coeffs(coeffs, order: int) -> "TruncatedSeries":
+        """The series of ``coeffs`` (a sequence of rationals), cut or padded
+        with zeros to ``order``, each coefficient by `_pure.rational`."""
+        cs = [rational(c) for c in coeffs[: order + 1]]
+        cs += [0] * (order + 1 - len(cs))
         return TruncatedSeries(tuple(cs), order)
 
     @staticmethod
@@ -44,16 +46,9 @@ class TruncatedSeries(Record):
     def one(order: int) -> "TruncatedSeries":
         return TruncatedSeries.from_coeffs([1], order)
 
-    @staticmethod
-    def monomial(degree: int, order: int, coeff: int | Fraction = 1) -> "TruncatedSeries":
-        cs = [Fraction(0)] * (order + 1)
-        if degree <= order:
-            cs[degree] = _frac(coeff)
-        return TruncatedSeries(tuple(cs), order)
-
-    def __getitem__(self, degree: int) -> Fraction:
+    def __getitem__(self, degree: int):
         if degree < 0:
-            return Fraction(0)
+            return 0
         if degree > self.order:
             raise IndexError(f"degree {degree} beyond truncation order {self.order}")
         return self.coeffs[degree]
@@ -64,57 +59,41 @@ class TruncatedSeries(Record):
         return TruncatedSeries(self.coeffs[: order + 1], order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(m + 1)), m
-        )
+        return TruncatedSeries.from_coeffs(
+            [a + b for a, b in zip(self.coeffs, other.coeffs)], min(self.order, other.order))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(m + 1)), m
-        )
+        return self + -other
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(tuple(-c for c in self.coeffs), self.order)
 
-    def scale(self, c: int | Fraction) -> "TruncatedSeries":
-        c = _frac(c)
-        return TruncatedSeries(tuple(c * a for a in self.coeffs), self.order)
+    def scale(self, c) -> "TruncatedSeries":
+        c = rational(c)
+        return TruncatedSeries.from_coeffs([c * a for a in self.coeffs], self.order)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k, keeping the truncation order."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        cs = [Fraction(0)] * (self.order + 1)
-        for i in range(self.order + 1 - k):
-            cs[i + k] = self.coeffs[i]
-        return TruncatedSeries(tuple(cs), self.order)
+        return TruncatedSeries.from_coeffs(
+            [0] * min(k, self.order + 1) + list(self.coeffs), self.order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(self.order, other.order)
-        cs = [Fraction(0)] * (m + 1)
-        for i, a in enumerate(self.coeffs[: m + 1]):
-            if a == 0:
-                continue
-            for j in range(m + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    cs[i + j] += a * b
-        return TruncatedSeries(tuple(cs), m)
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries.from_coeffs(
+            [sum(map(mul, a[: i + 1], b[i::-1])) for i in range(m + 1)], m)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires an invertible constant term."""
-        if self.coeffs[0] == 0:
+        a = self.coeffs
+        if a[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        a0 = self.coeffs[0]
-        inv = [Fraction(1) / a0]
+        inv = [_div(1, a[0])]
         for m in range(1, self.order + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                s += self.coeffs[k] * inv[m - k]
-            inv.append(-s / a0)
-        return TruncatedSeries(tuple(inv), self.order)
+            inv.append(_div(-sum(map(mul, a[1: m + 1], inv[::-1])), a[0]))
+        return TruncatedSeries.from_coeffs(inv, self.order)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(self.order, other.order)
@@ -124,24 +103,19 @@ class TruncatedSeries(Record):
         """Return P(t^k) at the same truncation order."""
         if k < 1:
             raise ValueError("power must be positive")
-        cs = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if i * k > self.order:
-                break
-            cs[i * k] = a
+        cs = [0] * (self.order + 1)
+        cs[::k] = self.coeffs[: self.order // k + 1]
         return TruncatedSeries(tuple(cs), self.order)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def integer_coeffs(self) -> list:
         """Coefficient list as ints; raises if any coefficient is not integral."""
-        out = []
         for c in self.coeffs:
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise ValueError(f"non-integral coefficient {c}")
-            out.append(int(c))
-        return out
+        return list(self.coeffs)
 
     def __repr__(self):
         terms = []
@@ -190,10 +164,7 @@ def projective_space_series(dim: int, order: int) -> TruncatedSeries:
     """Poincare series 1 + t^2 + ... + t^(2*dim) of complex projective space."""
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    cs = [Fraction(0)] * (order + 1)
-    for j in range(0, min(dim, order // 2) + 1):
-        cs[2 * j] = Fraction(1)
-    return TruncatedSeries(tuple(cs), order)
+    return TruncatedSeries.from_coeffs([1, 0] * min(dim, order // 2) + [1], order)
 
 
 def lincomb(terms: list) -> TruncatedSeries:
@@ -212,12 +183,9 @@ def lincomb(terms: list) -> TruncatedSeries:
     order = check_order(min(s.order + shift for _, shift, s in terms), "the lincomb order")
     out = TruncatedSeries.zero(order)
     for c, shift, s in terms:
-        cs = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(s.coeffs):
-            if i + shift > order:
-                break
-            cs[i + shift] = a
-        out = out + TruncatedSeries(tuple(cs), order).scale(c)
+        # a shift beyond the order leaves nothing of the term
+        cs = [0] * min(shift, order + 1) + list(s.coeffs)
+        out = out + TruncatedSeries.from_coeffs(cs, order).scale(c)
     return out
 
 
@@ -306,10 +274,9 @@ def duality_complete(prefix: TruncatedSeries, complex_dim: int) -> BettiTable:
     betti = [0] * (2 * n + 1)
     for j in range(n + 1):
         c = prefix[j]
-        if c.denominator != 1 or c < 0:
+        if type(c) is not int or c < 0:
             raise ValueError(f"coefficient at degree {j} is not a nonnegative integer: {c}")
-        betti[j] = int(c)
-        betti[2 * n - j] = int(c)
+        betti[j] = betti[2 * n - j] = c
     for j in range(n + 1, min(prefix.order, 2 * n) + 1):
         if prefix[j] != betti[j]:
             raise ValueError(

@@ -101,19 +101,6 @@ def _solve_ldl(low, rhs):
     return det, y
 
 
-def _coordinate_symmetric(pts):
-    """Whether the point set is invariant under every coordinate permutation.
-
-    Checked on the adjacent transpositions, which generate S_m.
-    """
-    pset = set(pts)
-    return all(
-        p[:j] + (p[j + 1], p[j]) + p[j + 2:] in pset
-        for j in range(len(pts[0]) - 1)
-        for p in pts
-    )
-
-
 def _equation(dots, idx, i):
     """The row and right-hand side that add point i to the system of the
     points idx, given the matrix ``dots`` of their inner products.
@@ -185,7 +172,7 @@ def projection_candidates(weights, rank, budget, chamber_sort):
     dots = [[sum(map(mul, p, q)) for q in pts] for p in pts]
     # coordinate pairs (a, b), consecutive within a stabilizer class, on
     # which an accepted point must have p[a] >= p[b]; empty: no reduction
-    if chamber_sort and _coordinate_symmetric(pts):
+    if chamber_sort and _permutation_invariant(pts):
         chain = [(j, j + 1) for j in range(m - 1)]
     else:
         chain = []

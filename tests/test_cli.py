@@ -282,6 +282,19 @@ class TestOtherCommands:
             "boundary", '{"factors":[{"lattice":"E3","group":"weyl","count":3}]}')
         assert code == 0 and "[1, 1, 2, 3, 3, 3, 3, 2, 1, 1]" in out
 
+    def test_boundary_single_factor_may_have_odd_cohomology(self):
+        # E1 by the trivial group is an elliptic curve; one copy symmetrizes nothing
+        code, out, _ = run_cli(
+            "boundary", '{"factors":[{"lattice":"E1","group":{"generators":[]}}]}')
+        assert code == 0 and out == "even Betti [1, 1], odd [2]\n"
+
+    def test_boundary_symmetrizing_odd_cohomology_is_refused(self):
+        code, _, err = run_cli(
+            "boundary", '{"factors":[{"lattice":"E1","group":{"generators":[]},"count":2}]}')
+        assert code == 2
+        err = json.loads(err)
+        assert err["error"] == "check" and "odd coefficients" in err["message"]
+
     def test_boundary_bad_spec_is_parse_error(self):
         code, _, err = run_cli("boundary", '{"factors":[{"group":"weyl","count":2}]}')
         assert code == 3

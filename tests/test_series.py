@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stratify._pure import MAX_ORDER, ResourceCapError
+from stratify.assembly import StratumContribution, semistable_series
 from stratify.series import (
     BettiTable,
     TruncatedSeries,
@@ -82,7 +83,7 @@ class TestGfExpand:
            st.integers(0, 10))
     def test_nonnegative_integer_coefficients(self, factors, order):
         for c in gf_expand(factors, order).coeffs:
-            assert c.denominator == 1 and c >= 0
+            assert type(c) is int and c >= 0
 
 
 class TestLincomb:
@@ -216,3 +217,154 @@ class TestLincombEffectiveOrder:
         # a shift below 0 would drop terms and wrap an index onto the top
         with pytest.raises(ValueError, match="shifts must be >= 0"):
             lincomb([(1, -1, TruncatedSeries.from_coeffs([2, 0, 1], 6))])
+
+
+# ---------------------------------------------------------------------------
+# the coefficient rule: an int where integral, a Fraction where not
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(a, b):
+    """Plain-`Fraction` reference of the truncated product of two
+    coefficient lists."""
+    return [sum((Fraction(a[i]) * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(min(len(a), len(b)))]
+
+
+def ref_inverse(a):
+    inv = [1 / Fraction(a[0])]
+    for k in range(1, len(a)):
+        inv.append(-sum((Fraction(a[j]) * inv[k - j] for j in range(1, k + 1)), Fraction(0))
+                   / a[0])
+    return inv
+
+
+def ref_lincomb(terms):
+    order = min(len(cs) - 1 + shift for _, shift, cs in terms)
+    out = [Fraction(0)] * (order + 1)
+    for c, shift, cs in terms:
+        for i, x in enumerate(cs[: max(order + 1 - shift, 0)]):
+            out[i + shift] += Fraction(c) * x
+    return out
+
+
+def ref_substitute_power(a, k):
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        if i * k < len(a):
+            out[i * k] = Fraction(x)
+    return out
+
+
+def assert_rule(s):
+    """``s`` holds an int exactly where its coefficient is integral."""
+    for c in s.coeffs:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), repr(c)
+
+
+rationals = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=4, min_value=-6,
+                                                      max_value=6))
+coeff_lists = st.integers(0, 7).flatmap(lambda n: st.lists(rationals, min_size=n + 1,
+                                                           max_size=n + 1))
+units = coeff_lists.filter(lambda cs: cs[0] != 0)
+
+
+def series_of(cs):
+    return TruncatedSeries.from_coeffs(cs, len(cs) - 1)
+
+
+class TestAgainstFractionReference:
+    @given(coeff_lists)
+    def test_from_coeffs(self, cs):
+        s = series_of(cs)
+        assert_rule(s)
+        assert list(s.coeffs) == [Fraction(c) for c in cs]
+
+    @given(coeff_lists, coeff_lists)
+    def test_product(self, a, b):
+        s = series_of(a) * series_of(b)
+        assert_rule(s)
+        assert list(s.coeffs) == ref_mul(a, b)
+
+    @given(units)
+    def test_inverse(self, a):
+        s = series_of(a).inverse()
+        assert_rule(s)
+        assert list(s.coeffs) == ref_inverse(a)
+
+    @given(coeff_lists, units)
+    def test_quotient(self, a, b):
+        m = min(len(a), len(b))
+        s = series_of(a) / series_of(b)
+        assert_rule(s)
+        assert list(s.coeffs) == ref_mul(a[:m], ref_inverse(b[:m]))
+
+    @given(coeff_lists, rationals)
+    def test_scale_add_sub(self, a, c):
+        s = series_of(a)
+        scaled = s.scale(c)
+        assert_rule(scaled)
+        assert list(scaled.coeffs) == [Fraction(c) * x for x in a]
+        for got, want in ((s + scaled, [x + Fraction(c) * x for x in a]),
+                          (s - scaled, [x - Fraction(c) * x for x in a])):
+            assert_rule(got)
+            assert list(got.coeffs) == want
+
+    @given(st.lists(st.tuples(rationals, st.integers(0, 4), coeff_lists), min_size=1,
+                    max_size=4))
+    def test_lincomb(self, raw):
+        s = lincomb([(c, shift, series_of(cs)) for c, shift, cs in raw])
+        assert_rule(s)
+        assert list(s.coeffs) == ref_lincomb(raw)
+
+    @given(coeff_lists, st.integers(1, 4))
+    def test_substitute_power(self, a, k):
+        s = series_of(a).substitute_power(k)
+        assert_rule(s)
+        assert list(s.coeffs) == ref_substitute_power(a, k)
+
+
+class TestIntegralCoefficientsAreInts:
+    """Integral coefficients are ints; `TestGfExpand` checks those of
+    gf_expand (`test_nonnegative_integer_coefficients`)."""
+
+    @given(st.lists(st.integers(0, 5), min_size=3, max_size=3),
+           st.lists(st.integers(0, 5), min_size=5, max_size=5))
+    def test_kunneth(self, a, b):
+        x, y = BettiTable.from_list(a, 1), BettiTable.from_list(b, 2)
+        product = x.poincare_series(6) * y.poincare_series(6)
+        assert all(type(c) is int for c in product.coeffs)
+        assert all(type(c) is int for c in x.kunneth(y).betti)
+
+    def test_semistable_series(self):
+        # two strata with half-integral series at one codimension remove an
+        # integral series: a Fraction only where one stratum is left
+        half = TruncatedSeries.from_coeffs([Fraction(1, 2), 0, Fraction(3, 2)], 10)
+        strata = [StratumContribution(codim=1, series=half)] * 2
+        s = semistable_series(5, [2, 3], strata, 10)
+        assert all(type(c) is int for c in s.coeffs)
+        ambient = ref_mul([1, 0] * 5 + [1], naive_product_expansion([(4, 1), (6, 1)], 10))
+        assert s.integer_coeffs() == [x - y for x, y in zip(ambient, [0, 0, 1, 0, 3] + [0] * 6)]
+        odd = semistable_series(5, [2, 3], strata[:1], 10)
+        assert_rule(odd)
+        assert odd[2] == Fraction(1, 2)
+
+
+class TestOrderCapSpeed:
+    """At the order cap a product and an inverse run in plain ints."""
+
+    def test_product(self):
+        s = gf_expand([(1, 3)], MAX_ORDER)
+        t0 = time.perf_counter()
+        square = s * s
+        assert time.perf_counter() - t0 < 0.5
+        # (1 - t)^(-6)
+        assert square.integer_coeffs() == [comb(5 + j, 5) for j in range(MAX_ORDER + 1)]
+
+    def test_inverse(self):
+        s = gf_expand([(1, 3)], MAX_ORDER)
+        t0 = time.perf_counter()
+        inv = s.inverse()
+        assert time.perf_counter() - t0 < 0.5
+        # (1 - t)^3
+        assert inv.integer_coeffs() == [1, -3, 3, -1] + [0] * (MAX_ORDER - 3)

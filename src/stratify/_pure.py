@@ -99,15 +99,14 @@ class Record:
     """Base of the layers' immutable value records.
 
     A subclass lists its fields as class annotations, in order, with an
-    optional default as the class attribute.  Fields named in
-    ``_not_compared`` take no part in ``==`` and ``hash``; fields named in
-    ``_not_in_repr`` are left out of the repr.  The class is set up once, in
-    `__init_subclass__`, from its own annotations.  No method source is
-    generated and compiled, so defining a record class is cheap: every CLI
-    call is a fresh interpreter, which pays for every class it defines.
+    optional default as the class attribute.  Every field takes part in
+    ``==`` and ``hash``; fields named in ``_not_in_repr`` are left out of the
+    repr.  The class is set up once, in `__init_subclass__`, from its own
+    annotations.  No method source is generated and compiled, so defining a
+    record class is cheap: every CLI call is a fresh interpreter, which pays
+    for every class it defines.
     """
 
-    _not_compared = ()
     _not_in_repr = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -116,7 +115,6 @@ class Record:
         names = tuple(own.get("__annotations__", ()))
         cls._fields = names
         cls._defaults = {n: own[n] for n in names if n in own}
-        cls._compared = tuple(n for n in names if n not in cls._not_compared)
         cls._shown = tuple(n for n in names if n not in cls._not_in_repr)
         cls._post_init = getattr(cls, "__post_init__", None)
 
@@ -152,10 +150,10 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values(self._compared) == other._values(self._compared)
+        return self._values(self._fields) == other._values(self._fields)
 
     def __hash__(self):
-        return hash(self._values(self._compared))
+        return hash(self._values(self._fields))
 
     def __repr__(self):
         values = self.__dict__

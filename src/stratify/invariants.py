@@ -1,12 +1,12 @@
 """Finite matrix groups over the rationals or the Eisenstein integers.
 
-Provides multiplicative closure from generators, with certificates that
-each generator and each element has finite order, Molien series of
-invariant rings, invariant cohomology of abelian-variety quotients as joint
-fixed spaces of generators on exterior powers, and cycle-index
-symmetrization of even graded Poincare series.  Orders certified without
-listing elements (Schreier-Sims on the roots of a lattice) are in
-`stratify.weyl`.
+Provides multiplicative closure from generators, with one certificate (a
+trace bound) that each generator and each element has finite order,
+Molien series of invariant rings, invariant cohomology of abelian-variety
+quotients as joint fixed spaces of generators on exterior powers, and
+cycle-index symmetrization of even graded Poincare series.  Orders
+certified without listing elements (Schreier-Sims on the roots of a
+lattice) are in `stratify.weyl`.
 
 Matrices of both rings are tuples of row tuples of `EisInt`
 (`_exact.eis_matrix`), a rational entry q as q + 0*omega, so both rings
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm, prod
+from math import comb, factorial
 
 from . import _pure
 from ._exact import UNITS, EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace, rational
@@ -58,21 +58,28 @@ def close_group(generators, cap: int = DEFAULT_CAP):
     """Breadth-first multiplicative closure with exact equality testing.
 
     Accepts rational matrices (entries int/Fraction) or Eisenstein matrices
-    (entries `EisInt` or (a, b) integer pairs); both close by `close_eis`, a
-    rational entry q as q + 0*omega, an integral q as an int.  Elements come
-    in breadth-first order.
-    Raises ValueError, before any closure, on a generator whose determinant
-    is not a unit (+-1 over Q, the six units over Z[omega]): the determinant
-    of a matrix of finite order is a root of unity.  A unit determinant does
-    not make the order finite, so each generator must also pass
-    `_check_finite_order`; finite orders do not make the group finite, and
-    `close_eis` refuses the first product whose trace shows infinite order.
-    Raises ResourceCapError when the closure exceeds ``cap``.
+    (entries `EisInt` or (a, b) integer pairs), all k x k; both close by
+    `close_eis`, a rational entry q as q + 0*omega, an integral q as an int.
+    Elements come in breadth-first order.
+
+    One certificate proves the group finite: the trace test `_check_trace`,
+    which every matrix of finite order passes.  Before any closure each
+    generator must be invertible with a unit determinant (+-1 over Q, the
+    six units over Z[omega]), and `_check_finite_order` walks its powers to
+    the identity, each one held to the trace test; the walk always ends.
+    Finite orders do not make the group finite, so `close_eis` holds every
+    product to the same test.  Raises ValueError on generators of different
+    sizes and on the first matrix refused, and ResourceCapError when a
+    generator's order or the closure exceeds ``cap``.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
     k = len(generators[0])
+    for i, g in enumerate(generators):
+        if not k or len(g) != k or any(len(row) != k for row in g):
+            raise ValueError("generators must be nonempty square matrices of one size: "
+                             f"generator {i} is not {k} x {k}")
     ring = "Q" if isinstance(generators[0][0][0], (int, Fraction)) else "E"
     if ring == "Q":
         generators = [[[rational(x) for x in row] for row in g] for g in generators]
@@ -84,7 +91,7 @@ def close_group(generators, cap: int = DEFAULT_CAP):
         if d not in UNITS:
             raise ValueError(f"generator {i} has determinant {_show(d)}, not a unit, "
                              "so it has infinite order")
-        _check_finite_order(i, mat)
+        _check_finite_order(i, mat, cap)
     return FiniteMatrixGroup(ring, k, tuple(close_eis(mats, k, cap)), tuple(mats))
 
 
@@ -104,7 +111,7 @@ def close_eis(gens, k, cap):
             y = mat_mul(x, g)
             if y not in seen:
                 seen.add(y)
-                _check_trace(y, k)
+                _check_trace(y, k, "the group is infinite: an element")
                 if len(seen) > cap:
                     raise _pure.ResourceCapError(f"group closure exceeded cap {cap}")
                 elements.append(y)
@@ -115,9 +122,9 @@ def _show(x: EisInt) -> str:
     return str(x.a) if x.is_real() else f"{x.a} + {x.b}*omega"
 
 
-def _check_trace(mat, k):
-    """Refuse a k x k matrix M of a closure when its trace shows it has
-    infinite order, so the group it lies in is infinite.
+def _check_trace(mat, k, what):
+    """Refuse a k x k matrix M when its trace shows it has infinite order;
+    the message reads "{what} has trace ... and {the reason}".
 
     A matrix of finite order is diagonalizable with roots of unity as
     eigenvalues, so its trace, a sum of k of them, is an algebraic integer
@@ -135,103 +142,30 @@ def _check_trace(mat, k):
         why = f"|trace| = {k}, the dimension, but it is not a root of unity times the identity"
     else:
         return
-    raise ValueError(f"the group is infinite: an element has trace {_show(tr)} and {why}")
+    raise ValueError(f"{what} has trace {_show(tr)} and {why}")
 
 
-def _poly_mul(p, q):
-    """Product of two integer polynomials, coefficient lists leading first."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _check_finite_order(i, mat, cap):
+    """Refuse generator i, a k x k matrix M, unless it has finite order.
 
-
-def _divide_monic(p, m):
-    """The quotient p / m by a monic m, or None when m does not divide p."""
-    p = list(p)
-    top = len(p) - len(m) + 1
-    for i in range(top):
-        if p[i]:
-            for j in range(1, len(m)):
-                p[i + j] -= p[i] * m[j]
-    return None if any(p[top:]) else p[:top]
-
-
-def _prime_factors(n):
-    """The distinct primes dividing n, by trial division."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out + [n] if n > 1 else out
-
-
-def _cyclotomic_orders(poly):
-    """The n whose Phi_n divide the monic integer polynomial ``poly`` when it
-    is a product of cyclotomic polynomials, else None.
-
-    Phi_n is the product over squarefree e | n of (x^(n/e) - 1)^mu(e).  It
-    has degree phi(n) >= sqrt(n/2), so only n <= 2 deg^2 can divide.
-    """
-    orders = set()
-    n = 0
-    while len(poly) > 1:
-        n += 1
-        if n > 2 * (len(poly) - 1) ** 2:
-            return None
-        primes = _prime_factors(n)
-        if n // prod(primes) * prod(p - 1 for p in primes) >= len(poly):
-            continue  # phi(n) exceeds the degree left
-        num, den = [1], [1]
-        for r in range(len(primes) + 1):
-            for sub in combinations(primes, r):
-                d = n // prod(sub)
-                factor = [1] + [0] * (d - 1) + [-1]
-                if r % 2:
-                    den = _poly_mul(den, factor)
-                else:
-                    num = _poly_mul(num, factor)
-        phi_n = _divide_monic(num, den)
-        while (rest := _divide_monic(poly, phi_n)) is not None:
-            poly = rest
-            orders.add(n)
-    return orders
-
-
-def _check_finite_order(i, mat):
-    """Refuse generator i, a square matrix M, unless it has finite order.
-
-    Certificate: f times its conjugate, with f = det(x - M), is a product of
-    cyclotomic polynomials Phi_n, so every eigenvalue is a root of unity;
-    and M^L = I for L the lcm of those n, so M is diagonalizable.
+    Certificate: the powers M, M^2, ... reach the identity, and each power
+    before it passes `_check_trace`, the test `close_eis` holds every element
+    to.  The walk ends.  An eigenvalue off the unit circle makes |tr M^j|
+    unbounded, and a non-integral eigenvalue gives some power a non-integral
+    trace.  Otherwise every eigenvalue is a root of unity (Kronecker), so for
+    L the lcm of their orders M^L is unipotent: the identity, or of trace k
+    without being scalar.  A power beyond ``cap`` raises ResourceCapError,
+    since then M alone generates more than ``cap`` elements.
     """
     k = len(mat)
-    es = _elementary_symmetric(mat)
-    f = [-e if p % 2 else e for p, e in enumerate(es)]
-    ff = [sum((f[j] * f[t - j].conj() for j in range(max(0, t - k), min(t, k) + 1)),
-              EisInt(0, 0)) for t in range(2 * k + 1)]
-    orders = None
-    if all(c.is_real() and c.a.denominator == 1 for c in ff):
-        orders = _cyclotomic_orders([int(c.a) for c in ff])
-    if orders is None:
-        raise ValueError(f"generator {i} has infinite order: "
-                         "an eigenvalue is not a root of unity")
     ident = identity(k)
-    order = lcm(*orders)
-    power, square, e = ident, mat, order
-    while e:
-        if e & 1:
-            power = mat_mul(power, square)
-        e >>= 1
-        if e:
-            square = mat_mul(square, square)
-    if power != ident:
-        raise ValueError(f"generator {i} has infinite order: "
-                         f"M^{order} is not the identity")
+    power, j = mat, 1
+    while power != ident:
+        _check_trace(power, k, f"generator {i} has infinite order: M^{j}")
+        if j >= cap:
+            raise _pure.ResourceCapError(f"generator {i} has order above the cap {cap}")
+        power = mat_mul(power, mat)
+        j += 1
 
 
 def _elementary_symmetric(mat):

@@ -194,8 +194,6 @@ class BettiTable(Record):
 
     complex_dim: int
     betti: tuple
-    flags: tuple = ()
-    _not_compared = ("flags",)
 
     def __post_init__(self):
         n = self.complex_dim
@@ -206,10 +204,7 @@ class BettiTable(Record):
 
     @staticmethod
     def from_list(betti: list, complex_dim: int) -> "BettiTable":
-        flags = ()
-        if betti and betti[0] != 1:
-            flags = ("b0 != 1: space not connected?",)
-        return BettiTable(complex_dim, tuple(int(b) for b in betti), flags)
+        return BettiTable(complex_dim, tuple(int(b) for b in betti))
 
     @staticmethod
     def of_projective_space(dim: int) -> "BettiTable":

@@ -208,14 +208,21 @@ class StepArgs(dict):
     def generators(self) -> list:
         """The ``generators`` of a `close_group` step or the `molien` command:
         with ``"ring": "E"`` square matrices of integers or [a, b] pairs,
-        with ``"ring": "Q"`` (the default) square rational matrices."""
+        with ``"ring": "Q"`` (the default) square rational matrices, all of
+        the size of the first."""
         gens = self.each("generators")
         if self.choice("ring", tuple(_RINGS), "Q") == "Q":
-            return [items.matrix(name, square=True) for items, name in gens]
-        from ._exact import eis
+            mats = [items.matrix(name, square=True) for items, name in gens]
+        else:
+            from ._exact import eis
 
-        return [[[eis(e) for e in row] for row in items.eis_matrix(name)]
-                for items, name in gens]
+            mats = [[[eis(e) for e in row] for row in items.eis_matrix(name)]
+                    for items, name in gens]
+        for (items, name), mat in zip(gens, mats):
+            if len(mat) != len(mats[0]):
+                k = len(mats[0])
+                items.reject(name, f"a {k} x {k} matrix like generators[0]", items[name])
+        return mats
 
     def polynomial(self, key, nvars):
         """Polynomial argument ``key`` in ``nvars`` variables: an earlier

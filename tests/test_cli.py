@@ -4,6 +4,7 @@ import sys
 import time
 
 import pytest
+from test_invariants import LEHMER, S7_GENS, SALEM, UNIPOTENT7
 
 
 def run_cli(*args):
@@ -253,11 +254,22 @@ class TestOtherCommands:
             assert code == 3
             err = json.loads(err)
             assert err["error"] == "parse" and "'generators[0]'" in err["message"]
+        for gens in ("[[[1,0],[0,1]],[[1]]]", '{"ring":"E","generators":[[[1,0],[0,1]],[[1]]]}'):
+            code, _, err = run_cli("molien", "--gens", gens)
+            assert code == 3
+            err = json.loads(err)
+            assert err["error"] == "parse" and (
+                "'generators[1]' must be a 2 x 2 matrix like generators[0]" in err["message"])
 
     def test_molien_generator_of_infinite_order_fails_at_once(self):
         for gens, message in (("[[[2]]]", "not a unit"),
                               ("[[[1,1],[0,1]]]", "infinite order"),  # unipotent
-                              ("[[[2,1],[1,1]]]", "infinite order")):  # hyperbolic, det 1
+                              ("[[[2,1],[1,1]]]", "infinite order"),  # hyperbolic, det 1
+                              (json.dumps([LEHMER]), "M^11 has trace 10"),
+                              (json.dumps([SALEM]), "M^3 has trace 7"),
+                              # refused before S_7's 5040 elements are closed
+                              (json.dumps([*S7_GENS, UNIPOTENT7]),
+                               "generator 2 has infinite order")):
             start = time.perf_counter()
             code, _, err = run_cli("molien", "--gens", gens, "--degree", "2")
             assert time.perf_counter() - start < 1.0

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -233,3 +234,50 @@ def test_unused_import_check_finds_an_unused_name(tmp_path):
                       "from json import dumps, loads\n__all__ = ['dumps']\n"
                       "print(lcm(2, 3))\n")
     assert unused_imports(module) == ["module:1 gcd", "module:3 loads"]
+
+
+def _names(node):
+    """The identifiers under ``node`` that read a name, read an attribute or
+    import a name."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def dead_definitions(package):
+    """Module-level functions and classes of the modules in directory
+    ``package`` whose names begin with a single underscore and which no
+    module there names outside their own definition, as "module:line name".
+
+    A decorated function is exempt: its decorator registers it (the
+    runner's `@op` table)."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    return [f"{stem}:{node.lineno} {node.name}" for stem, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not node.decorator_list
+            and named[node.name] == Counter(_names(node))[node.name]]
+
+
+def test_no_dead_definitions():
+    assert dead_definitions(Path(stratify.__file__).parent) == []
+
+
+def test_dead_definition_check_finds_an_unnamed_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    pass\n\n\ndef _dead():\n    return _dead\n\n\n"
+        "@register\ndef _op():\n    pass\n\n\nclass _Unused:\n    pass\n\n\n"
+        "def public():\n    return _used()\n")
+    (tmp_path / "b.py").write_text(
+        "from a import _imported\n\n\ndef _imported():\n    pass\n\n\n"
+        "def _by_attribute():\n    pass\n\n\nx = a._by_attribute\n"
+        "'_in_a_string'\n\n\ndef _in_a_string():\n    pass\n")
+    # _dead names only itself, and a string does not name _in_a_string
+    assert dead_definitions(tmp_path) == ["a:5 _dead", "a:14 _Unused", "b:16 _in_a_string"]

@@ -34,6 +34,25 @@ from stratify.weyl import (
 
 DIHEDRAL_GENS = [[[0, 1], [1, 0]], [[-1, 1], [-1, 0]]]
 PERM3_GENS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 1, 0], [-1, 0, 0], [3, 0, 1]]]
+# a 7-cycle and a transposition, as permutation matrices
+S7_GENS = [[[int(j == (i + 1) % 7) for j in range(7)] for i in range(7)],
+           [[int(j == (1, 0, 2, 3, 4, 5, 6)[i]) for j in range(7)] for i in range(7)]]
+UNIPOTENT7 = [[int(i == j or (i, j) == (0, 1)) for j in range(7)] for i in range(7)]
+
+
+def _companion(coeffs):
+    """The companion matrix of a monic integer polynomial, coefficients
+    leading first."""
+    n = len(coeffs) - 1
+    return [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[n - i]] for i in range(n)]
+
+
+# unit determinant, infinite order: the companions of Lehmer's polynomial
+# x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1, whose Salem root
+# 1.17628... has the least Mahler measure known, and of the Salem
+# polynomial x^4 - x^3 - x^2 - x + 1, root 1.72208...
+LEHMER = _companion([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+SALEM = _companion([1, -1, -1, -1, 1])
 
 
 class TestCloseGroup:
@@ -60,12 +79,45 @@ class TestCloseGroup:
         ([DIHEDRAL_GENS[0], [[Fraction(1, 2), 0], [0, 1]]], "generator 1 has determinant 1/2,"),
         ([[[(2, 1)]]], "determinant 2 + 1*omega,"),
         # unit determinant, infinite order
-        ([[[1, 1], [0, 1]]], "generator 0 has infinite order: M^1 is not"),
-        ([[[2, 1], [1, 1]]], "generator 0 has infinite order: an eigenvalue is not"),
-        ([[[(0, 1), (1, 0)], [(0, 0), (0, 1)]]], "generator 0 has infinite order: M^3 is not"),
+        ([[[1, 1], [0, 1]]], "generator 0 has infinite order: M^1 has trace 2 and |trace| = 2, "
+                             "the dimension, but it is not a root of unity times the identity"),
+        ([[[2, 1], [1, 1]]],
+         "generator 0 has infinite order: M^1 has trace 3 and |trace| > 2, the dimension"),
+        ([[[(0, 1), (1, 0)], [(0, 0), (0, 1)]]],
+         "generator 0 has infinite order: M^1 has trace 0 + 2*omega and |trace| = 2, "
+         "the dimension, but it is not a root of unity times the identity"),
+        ([LEHMER], "generator 0 has infinite order: M^11 has trace 10 and |trace| = 10"),
+        ([SALEM], "generator 0 has infinite order: M^3 has trace 7 and |trace| > 4"),
+        # S_7 closes to 5040 elements; the unipotent generator after it is refused first
+        ([*S7_GENS, UNIPOTENT7], "generator 2 has infinite order: M^1 has trace 7 and |trace| = 7"),
     ])
     def test_rejects_generator_of_infinite_order(self, gens, det):
+        start = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(det)):
+            close_group(gens)
+        assert time.perf_counter() - start < 1.0
+
+    def test_accepts_an_involution_with_huge_entries(self):
+        # diag(-1, 1) conjugated by [[1, 10^30], [0, 1]]
+        n = 10**30
+        assert close_group([[[-1, 2 * n], [0, 1]]]).order == 2
+
+    def test_generator_order_above_the_cap(self):
+        # a transposition times a 3-cycle has order 6, and is refused before any closure
+        perm = (1, 0, 3, 4, 2)
+        gen = [[int(perm[j] == i) for j in range(5)] for i in range(5)]
+        assert close_group([gen], cap=6).order == 6
+        with pytest.raises(ResourceCapError, match="generator 0 has order above the cap 5"):
+            close_group([gen], cap=5)
+
+    @pytest.mark.parametrize("gens", [
+        [[[1, 0], [0, 1]], [[1]]],
+        [[[(1, 0), (0, 0)], [(0, 0), (1, 0)]], [[(1, 0)]]],
+        [[[1, 0]]],
+        [[]],
+    ])
+    def test_rejects_generators_of_different_sizes(self, gens):
+        with pytest.raises(ValueError, match="must be nonempty square matrices of one size"):
             close_group(gens)
 
     @pytest.mark.parametrize("gens, trace", [

@@ -25,7 +25,7 @@ DISC = DiscriminantGroup((3,), (F(2, 3),), ((F(1, 3), F(2, 3)),))
 # out, and one field value that the class refuses with ValueError (or None)
 RECORDS = [
     (TruncatedSeries, {"coeffs": (F(1), F(1)), "order": 1}, {}, {"order": 2}),
-    (BettiTable, {"complex_dim": 1, "betti": (1, 0, 1)}, {"flags": ()}, {"betti": (1, -1, 1)}),
+    (BettiTable, {"complex_dim": 1, "betti": (1, 0, 1)}, {}, {"betti": (1, -1, 1)}),
     (DualityReport, {"ok": True}, {"first_offense": None, "message": ""}, None),
     (BetaStratum, {"beta": (F(1, 2), F(-1, 2)), "norm2": F(1, 2), "support": (0,),
                    "n_beta": 2, "dim_g_mod_p": 1, "codim_expected": 1},
@@ -83,13 +83,6 @@ def test_record(cls, fields, defaults, bad):
             cls(**{**fields, **bad})
         with pytest.raises(ValueError):
             record.replace(**bad)
-
-
-def test_betti_table_flags_are_not_compared():
-    plain = BettiTable(1, (1, 0, 1))
-    flagged = BettiTable(1, (1, 0, 1), ("b0 != 1: space not connected?",))
-    assert plain == flagged and hash(plain) == hash(flagged)
-    assert plain != BettiTable(1, (1, 1, 1))
 
 
 def test_group_order_defaults_to_the_listed_elements():

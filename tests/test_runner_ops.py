@@ -367,6 +367,11 @@ def test_declare_kinds():
     ({"op": "lincomb", "args": {"terms": [[1, -1, [[0, 2], [2, 1]]]], "order": 6}},
      r"argument 'terms\[0\]' must be a list \[coefficient, integer shift >= 0, series\], "
      r"got \[1, -1, "),
+    # generators of different sizes
+    ({"op": "close_group", "args": {"generators": [[[1, 0], [0, 1]], [[1]]]}},
+     r"argument 'generators\[1\]' must be a 2 x 2 matrix like generators\[0\], got \[\[1\]\]"),
+    ({"op": "close_group", "args": {"ring": "E", "generators": [[[1, 0], [0, 1]], [[1]]]}},
+     r"argument 'generators\[1\]' must be a 2 x 2 matrix like generators\[0\], got \[\[1\]\]"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:

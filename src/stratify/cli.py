@@ -4,6 +4,14 @@ Subcommands: `scenario run`, `strata`, `molien`, `lattice`, `boundary`,
 `blowup`.  Output formats: text, json, csv, latex.  Exit codes: 0 success,
 2 check failure, 3 parse error, 4 resource cap exceeded.
 
+`COMMANDS` and `COMMON` are the one place that says what each command
+accepts: its handler, positionals and options, and the options every
+command takes.  `parse_args` reads the command line from them and
+`--help` prints them, and a malformed command line (an unknown word, a
+missing or ill-typed value, a value outside its choices) is a parse error
+like any other.  The parser is the table and one loop, not `argparse`, so
+that no call loads `argparse`, `gettext` or `locale`.
+
 At load this module imports only `_pure`.  Each subcommand imports the
 layers it runs, after its input has parsed, the JSON argument reader
 (`stepargs`) when it has a JSON argument, and `serialize` only to print
@@ -12,10 +20,10 @@ JSON: a fresh interpreter per call pays to compile just those modules.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from ._pure import (
     BACKEND,
@@ -66,8 +74,6 @@ def _load_json_arg(value: str):
 def _cmd_scenario(args) -> int:
     from .runner import run_scenario
 
-    if args.action != "run":
-        raise ScenarioParseError("only 'scenario run' is supported")
     report = run_scenario(args.source)
     if args.format == "json":
         sys.stdout.write(report.to_json())
@@ -164,7 +170,7 @@ def _cmd_lattice(args) -> int:
         _emit(disc, args.format,
               lambda d: f"invariant factors {list(d.invariant_factors)}, "
               f"q = {[str(q) for q in d.q_values]} mod 2Z\n")
-    elif args.action == "z-form":
+    else:
         zl = weyl.z_form(lat)
 
         def csv(z):
@@ -172,8 +178,6 @@ def _cmd_lattice(args) -> int:
 
         _emit(zl, args.format,
               lambda z: "\n".join(str(list(r)) for r in z.gram) + "\n", csv)
-    else:
-        raise ScenarioParseError(f"unknown lattice action {args.action!r}")
     return EXIT_OK
 
 
@@ -205,58 +209,162 @@ def _cmd_blowup(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "json", "csv", "latex"],
-                        default=argparse.SUPPRESS)
-    common.add_argument("--truncate", type=int, default=argparse.SUPPRESS, metavar="K",
-                        help="truncation degree (series) or codimension bound (strata)")
-    p = argparse.ArgumentParser(
-        prog="stratify",
-        description="exact cohomology workbench for GIT quotients and ball-quotient boundaries",
-    )
-    p.add_argument("--format", choices=["text", "json", "csv", "latex"], default="text")
-    p.add_argument("--truncate", type=int, default=None, metavar="K",
-                   help="truncation degree (series) or codimension bound (strata)")
-    sub = p.add_subparsers(dest="command", required=True)
+DESCRIPTION = ("exact cohomology workbench for GIT quotients and ball-quotient boundaries;\n"
+               "stratify COMMAND --help lists the arguments of a command")
 
-    ps = sub.add_parser("scenario", help="run a scenario pipeline", parents=[common])
-    ps.add_argument("action", choices=["run"])
-    ps.add_argument("source", help=f"file path or one of: {', '.join(BUILTIN_SCENARIOS)}")
-    ps.set_defaults(fn=_cmd_scenario)
 
-    pt = sub.add_parser("strata", help="instability index set of a hypersurface action", parents=[common])
-    pt.add_argument("--n", type=int, required=True)
-    pt.add_argument("--d", type=int, required=True)
-    pt.add_argument("--group", choices=["sl", "torus"], default="sl")
-    pt.set_defaults(fn=_cmd_strata)
+def _option(kind=str, choices=None, required=False, default=None, text=""):
+    """An option of the table: the type of its value (`int` or `str`), the
+    values allowed (None: any), whether it must be given, its value when it
+    is not, and its help line."""
+    return kind, choices, required, default, text
 
-    pm = sub.add_parser("molien", help="Molien series of a finite matrix group", parents=[common])
-    pm.add_argument("--gens", required=True, help="JSON file or inline JSON with generators")
-    pm.add_argument("--degree", type=int, default=2)
-    pm.set_defaults(fn=_cmd_molien)
 
-    pl = sub.add_parser("lattice", help="Eisenstein lattice computations", parents=[common])
-    pl.add_argument("action", choices=["roots", "weyl-order", "discriminant", "z-form"])
-    pl.add_argument("lattice", help="named lattice (E1..E4, H, 3E1, 3E3, E1+2E4) or JSON file")
-    pl.set_defaults(fn=_cmd_lattice)
+# accepted before or after the command; the last one given wins
+COMMON = {
+    "--format": _option(choices=("text", "json", "csv", "latex"), default="text",
+                        text="output format"),
+    "--truncate": _option(int, text="truncation degree (series) or codimension bound (strata)"),
+}
 
-    pb = sub.add_parser("boundary", help="toroidal boundary divisor Betti table", parents=[common])
-    pb.add_argument("spec", help="JSON file or inline JSON boundary spec")
-    pb.set_defaults(fn=_cmd_boundary)
+# What each command accepts: its handler, its help line, its positionals as
+# (name, choices, help line) and its options by flag.  A value is stored
+# under the positional's name or the flag without its dashes.
+COMMANDS = {
+    "scenario": (_cmd_scenario, "run a scenario pipeline",
+                 (("action", ("run",), ""),
+                  ("source", None, f"file path or one of: {', '.join(BUILTIN_SCENARIOS)}")),
+                 {}),
+    "strata": (_cmd_strata, "instability index set of a hypersurface action", (),
+               {"--n": _option(int, required=True),
+                "--d": _option(int, required=True),
+                "--group": _option(choices=("sl", "torus"), default="sl")}),
+    "molien": (_cmd_molien, "Molien series of a finite matrix group", (),
+               {"--gens": _option(required=True, text="JSON file or inline JSON with generators"),
+                "--degree": _option(int, default=2)}),
+    "lattice": (_cmd_lattice, "Eisenstein lattice computations",
+                (("action", ("roots", "weyl-order", "discriminant", "z-form"), ""),
+                 ("lattice", None, "named lattice (E1..E4, H, 3E1, 3E3, E1+2E4) or JSON file")),
+                {}),
+    "boundary": (_cmd_boundary, "toroidal boundary divisor Betti table",
+                 (("spec", None, "JSON file or inline JSON boundary spec"),), {}),
+    "blowup": (_cmd_blowup, "point-blowup correction polynomial", (),
+               {"--exceptional": _option(required=True,
+                                         text="JSON Betti table of the exceptional divisor"),
+                "--dim": _option(int, required=True, text="complex dimension of the target")}),
+}
 
-    pw = sub.add_parser("blowup", help="point-blowup correction polynomial", parents=[common])
-    pw.add_argument("--exceptional", required=True,
-                    help="JSON Betti table of the exceptional divisor")
-    pw.add_argument("--dim", type=int, required=True, help="complex dimension of the target")
-    pw.set_defaults(fn=_cmd_blowup)
-    return p
+
+def _metavar(name, choices):
+    return "{" + ",".join(choices) + "}" if choices else name.upper()
+
+
+def _usage(command) -> str:
+    """Help built from the table: the commands, or the arguments of one, and
+    the common options."""
+    if command is None:
+        text, options = DESCRIPTION, COMMON
+        synopsis, rows = ["COMMAND ..."], [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        _, text, positionals, options = COMMANDS[command]
+        options = {**options, **COMMON}
+        rows = [(_metavar(name, choices), help_) for name, choices, help_ in positionals]
+        synopsis = [command] + [word for word, _ in rows]
+    for flag, (_, choices, required, default, help_) in options.items():
+        word = f"{flag} {_metavar(flag[2:], choices)}"
+        synopsis.append(word if required else f"[{word}]")
+        rows.append((word, help_ if default is None else f"{help_} (default {default})".lstrip()))
+    width = max(len(word) for word, _ in rows) + 2
+    return "\n".join([f"usage: stratify [-h] {' '.join(synopsis)}", "", text, ""]
+                     + [f"  {word:<{width}}{help_}".rstrip() for word, help_ in rows]) + "\n"
+
+
+def _cmd_help(args) -> int:
+    sys.stdout.write(_usage(args.command))
+    return EXIT_OK
+
+
+def _is_option(word: str) -> bool:
+    # a negative number is a value, as in `--truncate -1`
+    return word[:1] == "-" and len(word) > 1 and not word[1].isdigit()
+
+
+def _flag(word: str, options, command) -> str:
+    """The option ``word`` names: itself, or the one option it is a prefix of."""
+    if word == "-h":
+        return "--help"
+    flags = (*options, "--help")
+    if word in flags:
+        return word
+    found = [flag for flag in flags if flag.startswith(word)] if len(word) > 2 else []
+    if len(found) == 1:
+        return found[0]
+    where = f" for {command}" if command else ""
+    raise ScenarioParseError(f"unknown option {word}{where}; options: {', '.join(flags)}")
+
+
+def _value(name: str, word: str, kind, choices):
+    if kind is int:
+        try:
+            word = int(word)
+        except ValueError:
+            raise ScenarioParseError(f"{name} must be an integer, got {word!r}") from None
+    if choices is not None and word not in choices:
+        raise ScenarioParseError(f"{name} must be one of {', '.join(choices)}, got {word!r}")
+    return word
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The command line ``argv`` (default: the process's), read by the table:
+    `fn`, the handler, `command`, `format`, `truncate` and the command's
+    positionals and options as attributes.  ``-h`` or ``--help`` makes `fn`
+    print the help.  A malformed command line raises `ScenarioParseError`
+    naming the word or flag at fault."""
+    words = iter(sys.argv[1:] if argv is None else argv)
+    values = {flag[2:]: spec[3] for flag, spec in COMMON.items()}
+    command, options, given = None, COMMON, []
+    for word in words:
+        if _is_option(word):
+            flag, inline, value = word.partition("=")
+            flag = _flag(flag, options, command)
+            if flag == "--help":
+                return SimpleNamespace(fn=_cmd_help, command=command, truncate=None)
+            if not inline:
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    raise ScenarioParseError(f"{flag} needs a value")
+            values[flag[2:]] = _value(flag, value, *options[flag][:2])
+        elif command is not None:
+            given.append(word)
+        elif word in COMMANDS:
+            command, options = word, {**COMMANDS[word][3], **COMMON}
+        else:
+            raise ScenarioParseError(f"unknown command {word!r}; commands: {', '.join(COMMANDS)}")
+    if command is None:
+        raise ScenarioParseError(f"no command given; commands: {', '.join(COMMANDS)}")
+    fn, _, positionals, command_options = COMMANDS[command]
+    if len(given) != len(positionals):
+        wanted = " ".join(_metavar(name, choices) for name, choices, _ in positionals)
+        raise ScenarioParseError(f"{command} takes {wanted or 'no positional argument'}, "
+                                 f"got {' '.join(map(repr, given)) or 'none'}")
+    for (name, choices, _), word in zip(positionals, given):
+        values[name] = _value(f"{command} {name}", word, str, choices)
+    for flag, (_, _, required, default, _) in command_options.items():
+        if required and flag[2:] not in values:
+            raise ScenarioParseError(f"{command} needs {flag}")
+        values.setdefault(flag[2:], default)
+    return SimpleNamespace(fn=fn, command=command, **values)
+
+
+def build_parser() -> SimpleNamespace:
+    """The parser in the shape callers of `argparse` know:
+    ``build_parser().parse_args(argv)`` is `parse_args`."""
+    return SimpleNamespace(parse_args=parse_args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         if args.truncate is not None:
             check_order(args.truncate, "--truncate")
         return args.fn(args)

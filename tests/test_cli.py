@@ -421,3 +421,68 @@ class TestBadInput:
         assert code == 3
         err = json.loads(err)
         assert err["error"] == "parse" and message in err["message"]
+
+
+class TestCommandLine:
+    """The command line is read from `cli.COMMANDS` and `cli.COMMON`."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (("strata", "--n", "abc", "--d", "3"), "--n must be an integer, got 'abc'"),
+        (("strata", "--n", "3"), "--d"),
+        (("nosuch",), "'nosuch'"),
+        (("lattice", "roots"), "LATTICE, got 'roots'"),
+        (("lattice", "frobnicate", "E1"), "'frobnicate'"),
+        (("--format", "yaml", "scenario", "run", "cubicsurf"), "--format must be one of"),
+        (("molien", "--gens"), "--gens needs a value"),
+        ((), "no command"),
+        (("strata", "--n", "3", "--d", "3", "--nn", "3"), "unknown option --nn"),
+        (("lattice", "roots", "E1", "E2"), "'E2'"),
+        (("--n", "3", "strata", "--d", "3"), "unknown option --n"),
+    ])
+    def test_malformed_command_line_is_parse_error(self, argv, named):
+        code, out, err = run_cli(*argv)
+        assert code == 3 and out == ""
+        err = json.loads(err)
+        assert err["error"] == "parse" and named in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--format", "json", "lattice", "weyl-order", "E2"),
+        ("lattice", "weyl-order", "E2", "--format", "json"),
+        ("lattice", "--format", "json", "weyl-order", "E2"),
+        ("--format", "csv", "lattice", "weyl-order", "E2", "--format", "json"),
+        ("lattice", "weyl-order", "E2", "--format=json"),
+        ("--form", "json", "lattice", "weyl-order", "E2"),
+    ])
+    def test_common_flags_anywhere_and_the_last_wins(self, argv):
+        code, out, _ = run_cli(*argv)
+        assert code == 0 and json.loads(out) == {"order": 24}
+
+    def test_option_prefix(self):
+        gens = "[[[0,1],[1,0]],[[-1,1],[-1,0]]]"
+        full = run_cli("molien", "--gens", gens, "--degree", "2", "--truncate", "8")
+        assert full[0] == 0 and "group order 6" in full[1]
+        assert run_cli("molien", "--gens", gens, "--deg", "2", "--trunc=8") == full
+
+    @pytest.mark.parametrize("argv, words", [
+        (("--help",), ("scenario", "strata", "molien", "lattice", "boundary", "blowup",
+                       "--format", "--truncate")),
+        (("-h",), ("scenario", "strata", "molien", "lattice", "boundary", "blowup")),
+        (("strata", "-h"), ("--n N", "--d D", "--group {sl,torus}", "--format", "--truncate")),
+        (("molien", "--gens", "[[[1]]]", "--help"), ("--gens GENS", "--degree DEGREE")),
+        (("lattice", "--help"), ("{roots,weyl-order,discriminant,z-form}", "LATTICE")),
+    ])
+    def test_help_prints_usage_from_the_table(self, argv, words):
+        code, out, err = run_cli(*argv)
+        assert code == 0 and err == "" and out.startswith("usage: stratify")
+        for word in words:
+            assert word in out, word
+
+    def test_parser_of_the_benchmark_set_up_probe(self):
+        from stratify.cli import build_parser
+
+        args = build_parser().parse_args(["scenario", "run", "cubicsurf", "--format", "json"])
+        assert (args.action, args.source, args.format, args.truncate) == (
+            "run", "cubicsurf", "json", None)
+        assert callable(args.fn)
+        args = build_parser().parse_args(["strata", "--n", "3", "--d", "2"])
+        assert (args.n, args.d, args.group, args.format) == (3, 2, "sl", "text")

@@ -24,9 +24,11 @@ MATH_LAYERS = {"assembly", "discriminant", "eisenstein", "invariants", "orbits",
                "strata", "weights", "weyl"}
 
 # standard modules that cost milliseconds to load: no layer but `weights`
-# imports `dataclasses` (which loads `inspect`), and none imports `typing` or
-# `importlib.resources`
-HEAVY = {"dataclasses", "inspect", "typing", "importlib.resources"}
+# imports `dataclasses` (which loads `inspect`), none imports `typing` or
+# `importlib.resources`, and the CLI reads its command line without
+# `argparse` (which loads `gettext`, and on its first message `locale`)
+HEAVY = {"dataclasses", "inspect", "typing", "importlib.resources", "argparse", "gettext",
+         "locale"}
 # the modules a call that loads `weights` holds besides the stratify ones
 WEIGHTS_STDLIB = {"dataclasses", "inspect"}
 
@@ -129,6 +131,9 @@ SCENARIO_BASE = SCENARIO_INVALID | {"stepargs"}
      SCENARIO_BASE | {"serialize", "strata", "weights"} | WEIGHTS_STDLIB),
     (("scenario", "run", "{string-n}", "--format", "json"), "3", SCENARIO_BASE),
     (("scenario", "run", "{missing-d}", "--format", "json"), "3", SCENARIO_BASE),
+    # help and a malformed command line load no layer
+    (("strata", "--help"), "0", {"_pure", "cli"}),
+    (("strata", "--n", "abc", "--d", "3", "--format", "json"), "3", {"_pure", "cli"}),
 ])
 def test_a_call_loads_exactly_its_modules(tmp_path, argv, code, expected):
     files = {}

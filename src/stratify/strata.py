@@ -13,7 +13,9 @@ projects the origin to the same point, so that level is searched only when
 no smaller subset has given that point, and only until it appears.  The
 budget still bounds the flat subset count.  Each search node extends an
 exact fraction-free LDL^T elimination by one row (`_pure._extend_ldl`,
-which the lattice layer's short-vector enumeration shares).
+which the lattice layer's short-vector enumeration shares), 2,326 rows for
+(n, d) = (4, 3), and builds its candidate only when the projection has
+positive barycentric coordinates.
 
 The torus index set goes by orbits too when every coordinate permutation
 preserves the weight multiset, multiplicities counted.  The kernel then
@@ -24,34 +26,34 @@ the support moved by the permutation.  For hypersurface weights this cuts
 the kernel's LDL^T extensions from 1,349 to 177 for (n, d) = (3, 3) and
 from 405 to 133 for (2, 6).
 
-The index set stays in scaled Python ints from the weights to the report:
-its rank (`_pure.rank`), Weyl-invariance check, each candidate's support
-and below count and inversions run on the same integer weights as the
-kernel, and the candidates are ordered by (|beta|^2, beta) over their
-common denominator before any stratum is built.  `Fraction`s appear only in
-the returned `BetaStratum` fields.  The module does not load `stratify._exact`.
+The index set stays in scaled Python ints from the weights, read by
+`as_integer_ratio`, to the report: its rank (`_pure.rank`), Weyl-invariance
+check, each candidate's support and below count (one pass over the weights)
+and inversions run on the same integer weights as the kernel, and the
+candidates are ordered by (|beta|^2, beta) over their common denominator
+before any stratum is built.  `Fraction`s appear only in the returned
+`BetaStratum` fields.  The module does not load `stratify._exact`.
 
 `verify_strata_against_oracle` certifies each stratum without the kernel:
 beta is the closest point of conv(S) if and only if every s in S has
 <s, beta> = |beta|^2 and beta lies in conv(S).  It scales each beta to
-integers itself, from the numerators and denominators of its coordinates.
-For the first stratum of each class of betas equal up to a coordinate
-permutation it recomputes the support and n_beta from the weights and
-checks a nonnegative barycentric witness found by an exact phase-I simplex.
-It carries that certificate to the rest of the class through the
-permutation pi with pi(first beta) = beta, after checking with its own code
-that every coordinate permutation preserves the weight multiset: pi is then
-an isometry mapping the first face onto this one, so the record's support
-must be the indices of the permuted first support and its n_beta the first
-one's, an O(n) check.  For (n, d) = (3, 3) on the torus the 281 strata fall
-into 21 classes.
+integers itself, from one `as_integer_ratio` per coordinate.  For the first
+stratum of each class of betas equal up to a coordinate permutation it
+recomputes the support and n_beta from the weights and checks a nonnegative
+barycentric witness found by an exact phase-I simplex.  It carries that
+certificate to the rest of the class through a permutation pi with
+pi(first beta) = beta, matched in sorted order, after checking with its own
+code that every coordinate permutation preserves the weight multiset: pi is
+then an isometry mapping the first face onto this one, so the record's
+support must be the indices of the permuted first support and its n_beta
+the first one's, an O(n) check.  For (n, d) = (3, 3) on the torus the 281
+strata fall into 21 classes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -135,6 +137,9 @@ def projection_candidates(weights, rank, budget, chamber_sort):
 
     * an affinely dependent prefix (zero pivot) cuts its whole subtree, since
       every superset is dependent too;
+    * a node records its candidate only when every barycentric coordinate is
+      positive: with a zero coordinate the projection is that of the smaller
+      subset without that point, which the search records elsewhere;
     * with chamber_sort, on a point set invariant under coordinate
       permutations, only one subset per S_m-orbit is needed, because sorting
       makes the candidate an orbit invariant.  The coordinates on which every
@@ -143,7 +148,11 @@ def projection_candidates(weights, rank, budget, chamber_sort):
       coordinates do not increase within each class, i.e. it is the first
       index of its orbit under that subgroup (orderly generation, McKay,
       "Isomorph-free exhaustive generation", 1998).  The lex-least subset of
-      every orbit passes the test at each level, so no candidate is lost;
+      every orbit passes the test at each level, so no candidate is lost.
+      The classes are runs of adjacent coordinates, so the test is one AND:
+      bit j of the prefix's chain stands for the pair (j, j+1) in one class,
+      a point with an increasing pair in the chain is rejected, and its
+      child's chain keeps the pairs on which it is constant;
     * the search stops at the affine dimension a of the weights.  Every
       affinely independent subset of a+1 weights spans their whole affine
       hull, so the origin projects to one point, the apex, and that level
@@ -169,26 +178,26 @@ def projection_candidates(weights, rank, budget, chamber_sort):
     npts = len(pts)
     m = len(pts[0])
     kmax = min(kmax, npts)
-    dots = [[sum(map(mul, p, q)) for q in pts] for p in pts]
-    # coordinate pairs (a, b), consecutive within a stabilizer class, on
-    # which an accepted point must have p[a] >= p[b]; empty: no reduction
-    if chamber_sort and _permutation_invariant(pts):
-        chain = [(j, j + 1) for j in range(m - 1)]
-    else:
-        chain = []
+    dots = [[0] * npts for _ in pts]
+    for i, p in enumerate(pts):
+        row = dots[i]
+        for j in range(i, npts):
+            row[j] = dots[j][i] = sum(map(mul, p, pts[j]))
+    # the pairs (j, j + 1), as bits j, on which point i increases and on
+    # which it is constant; chain 0: no reduction
+    chain = (1 << m - 1) - 1 if chamber_sort and _permutation_invariant(pts) else 0
+    desc = [sum(1 << j for j in range(m - 1) if p[j] < p[j + 1]) for p in pts]
+    same = [sum(1 << j for j in range(m - 1) if p[j] == p[j + 1]) for p in pts]
     found = set()
 
     def candidate(det, lam, idx):
         """The point sum(lam_j * pts[j]) / det as a key of `found`."""
         beta = [0] * m
         for c, j in zip(lam, idx):
-            if c:
-                q = pts[j]
-                for t in range(m):
-                    beta[t] += c * q[t]
-        g = det
-        for x in beta:
-            g = gcd(g, x)
+            q = pts[j]
+            for t in range(m):
+                beta[t] += c * q[t]
+        g = gcd(det, *beta)
         if g > 1:
             beta = [x // g for x in beta]
         if chamber_sort:
@@ -199,8 +208,7 @@ def projection_candidates(weights, rank, budget, chamber_sort):
         """Extend the prefix idx by every later point, up to `limit` points;
         True as soon as the candidate `stop` is recorded."""
         for i in range(start, npts):
-            p = pts[i]
-            if chain and any(p[a] < p[b] for a, b in chain):
+            if desc[i] & chain:
                 continue
             ext = _extend_ldl(low, rhs, *_equation(dots, idx, i))
             if ext is None:
@@ -210,14 +218,13 @@ def projection_candidates(weights, rank, budget, chamber_sort):
             rhs.append(ext[1])
             det, y = _solve_ldl(low, rhs)
             lam0 = det - sum(y)
-            if lam0 >= 0 and min(y) >= 0:
+            if lam0 > 0 and min(y) > 0:
                 key = candidate(det, [lam0] + y, idx)
                 found.add(key)
                 if key == stop:
                     return True
             if len(idx) < limit and visit(
-                    i + 1, [(a, b) for a, b in chain if p[a] == p[b]],
-                    idx, low, rhs, limit, stop):
+                    i + 1, chain & same[i], idx, low, rhs, limit, stop):
                 return True
             idx.pop()
             low.pop()
@@ -226,12 +233,11 @@ def projection_candidates(weights, rank, budget, chamber_sort):
 
     def search(limit, stop=None):
         """Subsets of at most `limit` points; stops once `stop` is recorded."""
-        for i, p in enumerate(pts):
-            if chain and any(p[a] < p[b] for a, b in chain):
+        for i in range(npts):
+            if desc[i] & chain:
                 continue
             found.add(candidate(1, [1], [i]))
-            if limit > 1 and visit(i + 1, [(a, b) for a, b in chain if p[a] == p[b]],
-                                   [i], [], [], limit, stop):
+            if limit > 1 and visit(i + 1, chain & same[i], [i], [], [], limit, stop):
                 return
 
     # an affine basis of the weights, greedily from pts[0]
@@ -265,45 +271,30 @@ def _scaled_weights(weights) -> tuple:
     Returns (scaled, denom): weight i is scaled[i] / denom.  The kernel and
     the index set's bookkeeping both work on ``scaled``.
     """
-    weights = [vec(w) for w in weights]
-    if not weights:
+    ratios = [[c.as_integer_ratio() for c in w] for w in weights]
+    if not ratios:
         raise ValueError("empty weight list")
-    denom = reduce(lcm, (c.denominator for w in weights for c in w), 1)
-    return [tuple(c.numerator * (denom // c.denominator) for c in w) for w in weights], denom
-
-
-def _scaled_beta(beta, denom) -> tuple:
-    """A rational beta as (nums, den) in the scaled coordinates: beta * denom
-    == nums / den."""
-    coords = [Fraction(c) * denom for c in beta]
-    den = reduce(lcm, (c.denominator for c in coords), 1)
-    return [c.numerator * (den // c.denominator) for c in coords], den
-
-
-def _face(scaled, nums, den) -> list:
-    """(<w, beta> - |beta|^2) * (den * denom)^2 for each weight w, where
-    beta = nums / (den * denom): zero on the support, negative below it."""
-    b2 = sum(map(mul, nums, nums))
-    return [den * sum(map(mul, w, nums)) - b2 for w in scaled]
-
-
-def _inversions(nums) -> int:
-    return sum(
-        1
-        for i in range(len(nums))
-        for j in range(i + 1, len(nums))
-        if nums[i] > nums[j]
-    )
+    denom = lcm(*{d for w in ratios for _, d in w})
+    return [tuple([n * (denom // d) for n, d in w]) for w in ratios], denom
 
 
 def _stratum_from_beta(nums, den, denom, scaled, group: str) -> BetaStratum | None:
     """The stratum of the candidate beta = nums / (den * denom), or None when
-    its expected codimension is negative."""
-    side = _face(scaled, nums, den)
-    below = sum(1 for x in side if x < 0)
+    its expected codimension is negative.  One pass over the weights gives
+    the support, <w, beta> = |beta|^2, and the count below it."""
     b2 = sum(map(mul, nums, nums))
+    den_nums = [den * c for c in nums]
+    support, below = [], 0
+    for i, w in enumerate(scaled):
+        x = sum(map(mul, w, den_nums))
+        if x < b2:
+            below += 1
+        elif x == b2:
+            support.append(i)
     if group == "sym":
-        dim_gp = _inversions(nums)
+        # the inversions of the weakly decreasing beta: before each entry,
+        # the entries above it, which end at its first index
+        dim_gp = sum(map(nums.index, nums))
     elif group == "pgl2":
         dim_gp = 0 if b2 == 0 else 1
     elif group == "torus":
@@ -315,14 +306,8 @@ def _stratum_from_beta(nums, den, denom, scaled, group: str) -> BetaStratum | No
         # is empty; such index elements are dropped from the report
         return None
     scale = den * denom
-    return BetaStratum(
-        beta=tuple(Fraction(c, scale) for c in nums),
-        norm2=Fraction(b2, scale * scale),
-        support=tuple(i for i, x in enumerate(side) if x == 0),
-        n_beta=below,
-        dim_g_mod_p=dim_gp,
-        codim_expected=below - dim_gp,
-    )
+    return BetaStratum(tuple([Fraction(c, scale) for c in nums]), Fraction(b2, scale * scale),
+                       tuple(support), below, dim_gp, below - dim_gp)
 
 
 def _permutation_invariant(weights) -> bool:
@@ -358,24 +343,25 @@ def _check_weyl_invariance(weights, group: str):
 def _rearrangements(nums):
     """Each distinct rearrangement of the weakly decreasing ``nums`` once, as
     a coordinate permutation perm: the rearrangement is [nums[t] for t in
-    perm].  Equal entries are placed in index order, so no two permutations
-    give the same rearrangement."""
+    perm].  The rearrangements are the lexicographic successors of the
+    increasing one (Narayana's next permutation, which skips repeats), and
+    every swap and reversal of the values is made on perm too."""
     m = len(nums)
-    perm, used = [], [False] * m
-
-    def extend():
-        if len(perm) == m:
-            yield tuple(perm)
+    vals, perm = list(reversed(nums)), list(reversed(range(m)))
+    while True:
+        yield tuple(perm)
+        k = m - 2
+        while k >= 0 and vals[k] >= vals[k + 1]:
+            k -= 1
+        if k < 0:
             return
-        for i in range(m):
-            if not used[i] and (i == 0 or used[i - 1] or nums[i] != nums[i - 1]):
-                used[i] = True
-                perm.append(i)
-                yield from extend()
-                perm.pop()
-                used[i] = False
-
-    return extend()
+        j = m - 1
+        while vals[k] >= vals[j]:
+            j -= 1
+        vals[k], vals[j] = vals[j], vals[k]
+        perm[k], perm[j] = perm[j], perm[k]
+        vals[k + 1:] = vals[:k:-1]
+        perm[k + 1:] = perm[:k:-1]
 
 
 def _torus_by_orbits(scaled, denom, rk, budget) -> list:
@@ -431,7 +417,7 @@ def _order_key(cands):
     |beta|^2 and beta compare as sum(c_i^2) and c do.  Candidates are
     distinct, so no two keys tie.
     """
-    common = reduce(lcm, (den for _, den in cands), 1)
+    common = lcm(*[den for _, den in cands])
 
     def key(cand):
         nums, den = cand
@@ -517,8 +503,13 @@ def maximal_support_report(ws: WeightSystem, strata) -> list:
     for s in strata:
         if s.is_zero():
             continue
-        side = _face(scaled, *_scaled_beta(s.beta, denom))
-        sides.append((frozenset(i for i, x in enumerate(side) if x >= 0), s))
+        # beta * denom = nums / den, over the common denominator of its coordinates
+        ratios = [(c * denom).as_integer_ratio() for c in s.beta]
+        den = lcm(*[d for _, d in ratios])
+        nums = [n * (den // d) for n, d in ratios]
+        b2 = sum(map(mul, nums, nums))
+        sides.append((frozenset(i for i, w in enumerate(scaled)
+                                if den * sum(map(mul, w, nums)) >= b2), s))
     records = []
     for closed, s in sides:
         if any(closed < other for other, _ in sides):
@@ -528,14 +519,10 @@ def maximal_support_report(ws: WeightSystem, strata) -> list:
         )
     records.sort(key=lambda r: (r.r, r.codim_expected, r.beta))
     # distinct strata can share a closed side only if they are equal; dedup
-    seen = set()
-    out = []
+    out = {}
     for r in records:
-        key = r.support_closed
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
+        out.setdefault(r.support_closed, r)
+    return list(out.values())
 
 
 def verify_strata_against_oracle(weights, strata, max_support: int | None = None):
@@ -568,9 +555,9 @@ def verify_strata_against_oracle(weights, strata, max_support: int | None = None
     hull of all the weights, but not counted: the return value is the number
     of nonzero strata certified.
     """
-    pts = [vec(w) for w in weights]
-    denom = reduce(lcm, (c.denominator for p in pts for c in p), 1)
-    pts = [tuple(c.numerator * (denom // c.denominator) for c in p) for p in pts]
+    ratios = [[c.as_integer_ratio() for c in w] for w in weights]
+    denom = lcm(*{d for w in ratios for _, d in w})
+    pts = [tuple([n * (denom // d) for n, d in w]) for w in ratios]
     where = {}
     for i, p in enumerate(pts):
         where.setdefault(p, []).append(i)
@@ -584,26 +571,36 @@ def verify_strata_against_oracle(weights, strata, max_support: int | None = None
     firsts = {}
     checked = 0
     for s in strata:
-        # beta * denom = nums / den, compared with the integer weights pts
-        # coordinate n/d times denom is (n * denom/g) / (d/g), g = gcd(d, denom)
-        cuts = [gcd(c.denominator, denom) for c in s.beta]
-        den = reduce(lcm, (c.denominator // g for c, g in zip(s.beta, cuts)), 1)
-        nums = [c.numerator * (denom // g) * (den * g // c.denominator)
-                for c, g in zip(s.beta, cuts)]
-        key = tuple(sorted(nums) if invariant else nums), den
+        # beta * denom = nums / den in lowest terms: over beta's common
+        # denominator L, only gcd(L, denom) cancels
+        ratios = [c.as_integer_ratio() for c in s.beta]
+        den = lcm(*[d for _, d in ratios])
+        g = gcd(den, denom)
+        nums = [n * (den // d) * (denom // g) for n, d in ratios]
+        den //= g
+        order = range(len(nums))
+        if invariant:
+            order = sorted(order, key=nums.__getitem__)
+        key = tuple([nums[t] for t in order]), den
         first = firsts.get(key)
         if first is None:
             b2 = sum(map(mul, nums, nums))
-            dots = [den * sum(map(mul, p, nums)) for p in pts]
-            support = tuple(i for i, x in enumerate(dots) if x == b2)
-            n_beta = sum(1 for x in dots if x < b2)
+            den_nums = [den * c for c in nums]
+            support, n_beta = [], 0
+            for i, p in enumerate(pts):
+                x = sum(map(mul, p, den_nums))
+                if x < b2:
+                    n_beta += 1
+                elif x == b2:
+                    support.append(i)
+            support = tuple(support)
         else:
-            rep, face, n_beta, counted = first
-            # pi with nums[t] = rep[pi[t]] maps a weight w to w o pi
-            slots = {}
-            for t in reversed(range(len(rep))):
-                slots.setdefault(rep[t], []).append(t)
-            pi = [slots[c].pop() for c in nums]
+            rep_order, face, n_beta, counted = first
+            # pi with nums[t] = rep[pi[t]], matching the two in sorted order,
+            # maps a weight w to w o pi
+            pi = [0] * len(nums)
+            for t, r in zip(order, rep_order):
+                pi[t] = r
             support = tuple(sorted(
                 i for p in face for i in where[tuple([p[t] for t in pi])]))
         if support != tuple(s.support) or n_beta != s.n_beta:
@@ -620,14 +617,14 @@ def verify_strata_against_oracle(weights, strata, max_support: int | None = None
         if not (nonzero and max_support is not None and len(support) > max_support):
             hull = [[den * c for c in pts[i]] for i in support]
             lam, lam_den = _hull_witness(hull, nums)
-            if not (all(x >= 0 for x in lam) and sum(lam) == lam_den and all(
-                sum(map(mul, lam, col)) == lam_den * b for col, b in zip(zip(*hull), nums)
-            )):
+            if not (min(lam, default=0) >= 0 and sum(lam) == lam_den and [
+                sum(map(mul, lam, col)) for col in zip(*hull)] == [lam_den * b for b in nums]
+            ):
                 raise AssertionError(
                     f"oracle: beta={s.beta} does not lie in the hull of its support"
                 )
             counted = nonzero
-        firsts[key] = nums, {pts[i] for i in support}, n_beta, counted
+        firsts[key] = order, {pts[i] for i in support}, n_beta, counted
         checked += counted
     return checked
 
@@ -641,48 +638,49 @@ def _hull_witness(points, target) -> tuple:
     Bland's rule (smallest entering column, ties in the ratio test to the
     smallest basic variable), which cannot cycle (Chvatal, *Linear
     Programming*, ch. 3).  The tableau rows are integer, each reduced by its
-    gcd; an artificial that leaves the basis is dropped.  Returns (nums, den)
-    with lambda_i = nums[i] / den, read off the last basis whether or not it
-    is feasible: the caller checks the witness.
+    gcd; an artificial that leaves the basis is dropped.  When the points and
+    the target all have one coordinate sum, as traceless weights do, the last
+    coordinate's equation follows from the others and sum(lambda) = 1, and is
+    left out.  Returns (nums, den) with lambda_i = nums[i] / den, read off the
+    last basis whether or not it is feasible: the caller checks the witness.
     """
     k = len(points)
     rows = [[p[t] for p in points] + [b] for t, b in enumerate(target)]
+    if len({sum(p) for p in points} | {sum(target)}) == 1:
+        rows.pop()
     rows.append([1] * (k + 1))
     rows = [r if r[-1] >= 0 else [-x for x in r] for r in rows if any(r)]
     # basic variable of each row: a column, or k + row for its artificial
-    basis = [k + r for r in range(len(rows))]
+    basis = list(range(k, k + len(rows)))
     # phase-I objective as an equation w*s + sum(obj[j] x_j) = obj[k], s > 0
     obj = [sum(col) for col in zip(*rows)]
     while obj[k]:
         c = next((j for j in range(k) if obj[j] > 0), None)
         if c is None:
             break  # optimal with a positive artificial: infeasible
+        # ratio test: the least rhs / entry, ties to the least basic variable
         best = None
         for i, row in enumerate(rows):
-            if row[c] > 0 and (
-                best is None or _ratio_before(row, rows[best], c, basis[i], basis[best])
-            ):
-                best = i
-        piv = rows[best]
+            a = row[c]
+            if a > 0:
+                if best is not None:
+                    lhs, rhs = row[k] * piv[c], piv[k] * a
+                    if lhs > rhs or lhs == rhs and basis[i] > basis[best]:
+                        continue
+                best, piv = i, row
         p = piv[c]
         for i, row in enumerate(rows):
-            if i != best and row[c]:
-                rows[i] = _reduce([p * x - row[c] * y for x, y in zip(row, piv)])
+            f = row[c]
+            if f and i != best:
+                rows[i] = _reduce([p * x - f * y for x, y in zip(row, piv)])
         obj = _reduce([p * x - obj[c] * y for x, y in zip(obj, piv)])
         basis[best] = c
-    lam_den = reduce(lcm, (rows[i][j] for i, j in enumerate(basis) if j < k), 1)
+    lam_den = lcm(*[row[j] for row, j in zip(rows, basis) if j < k])
     lam = [0] * k
     for row, j in zip(rows, basis):
         if j < k:
             lam[j] = row[k] * (lam_den // row[j])
     return lam, lam_den
-
-
-def _ratio_before(row, other, c, var, other_var) -> bool:
-    """Whether ``row`` wins the ratio test in column c against ``other``:
-    a smaller rhs / entry, or an equal one with a smaller basic variable."""
-    lhs, rhs = row[-1] * other[c], other[-1] * row[c]
-    return lhs < rhs or (lhs == rhs and var < other_var)
 
 
 def _reduce(row) -> list:

@@ -78,6 +78,7 @@ def hypersurface_weights(n: int, d: int) -> WeightSystem:
     mons = monomials_of_degree(n, d)
     if len(mons) != count:
         raise AssertionError("monomial count mismatch")
-    shift = Fraction(d, n + 1)
-    weights = tuple(tuple(Fraction(i) - shift for i in I) for I in mons)
+    # exponent i gives the coordinate i - d/(n+1); one Fraction per exponent
+    coords = [Fraction((n + 1) * i - d, n + 1) for i in range(d + 1)]
+    weights = tuple(tuple([coords[i] for i in I]) for I in mons)
     return WeightSystem(n, d, tuple(mons), weights)

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, gcd
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -75,26 +76,67 @@ def _solve_bordered(gram, k):
 
 
 def flat_candidates(pts, rank, chamber_sort):
-    """Reference for `strata.projection_candidates`: every subset, no pruning."""
+    """Reference for `strata.projection_candidates`: every subset, no pruning.
+
+    A subset S solves the bordered system M_S (mu, c) = (1, 0), M_S =
+    [[0, 1], [1, G_S]] with G_S the Gram matrix of its points, so its
+    barycentric coordinates are c_j = adj(M_S)[j][0] / det(M_S).  The subsets
+    are visited depth first in lex order, and adding a point to S borders M_S
+    by one row and column v, a: then det = a det(M_S) - v adj(M_S) v and the
+    adjugate follows from the Schur complement, exactly in integers.  Below a
+    singular subset every subset is solved from scratch by `_solve_bordered`.
+    """
     dots = [[sum(a * b for a, b in zip(p, q)) for q in pts] for p in pts]
+    npts = len(pts)
+    kmax = min(rank + 1, npts)
     found = set()
-    for k in range(1, min(rank + 1, len(pts)) + 1):
-        for idx in combinations(range(len(pts)), k):
-            sol = _solve_bordered([[dots[i][j] for j in idx] for i in idx], k)
-            if sol is None:
+
+    def record(det, nums, idx):
+        if det < 0:
+            det, nums = -det, [-c for c in nums]
+        if min(nums) < 0:
+            return
+        beta = [sum(map(mul, nums, col)) for col in zip(*[pts[i] for i in idx])]
+        g = gcd(det, *beta)
+        beta = [b // g for b in beta]
+        if chamber_sort:
+            beta.sort(reverse=True)
+        found.add((tuple(beta), det // g))
+
+    def visit(idx, det, adj):
+        """Every extension of the subset idx, whose bordered matrix has
+        determinant det and adjugate adj (det 0: singular)."""
+        for i in range(idx[-1] + 1, npts):
+            sub = idx + [i]
+            deeper = len(sub) < kmax
+            if not det:
+                sol = _solve_bordered([[dots[a][b] for b in sub] for a in sub], len(sub))
+                if sol is not None:
+                    record(*sol, sub)
+                if deeper:
+                    visit(sub, 0, None)
                 continue
-            det, nums = sol
-            if det < 0:
-                det, nums = -det, [-c for c in nums]
-            if any(c < 0 for c in nums):
+            di = dots[i]
+            v = [1] + [di[j] for j in idx]
+            av = [sum(map(mul, row, v)) for row in adj]
+            new = di[i] * det - sum(map(mul, v, av))
+            if not new:
+                if deeper:
+                    visit(sub, 0, None)
                 continue
-            beta = [sum(c * pts[i][t] for c, i in zip(nums, idx))
-                    for t in range(len(pts[0]))]
-            g = gcd(det, *beta)
-            beta = [b // g for b in beta]
-            if chamber_sort:
-                beta.sort(reverse=True)
-            found.add((tuple(beta), det // g))
+            a0 = av[0]
+            record(new, [(new * row[0] + p * a0) // det
+                         for row, p in zip(adj[1:], av[1:])] + [-a0], sub)
+            if deeper:
+                bigger = [[(new * x + p * q) // det for x, q in zip(row, av)] + [-p]
+                          for row, p in zip(adj, av)]
+                bigger.append([-q for q in av] + [det])
+                visit(sub, new, bigger)
+
+    for i in range(npts):
+        record(1, [1], [i])
+        if kmax > 1:
+            visit([i], -1, [[dots[i][i], -1], [-1, 0]])
     return found
 
 
@@ -187,6 +229,22 @@ class TestProjectionCandidates:
         random.Random(rank).shuffle(pts)
         assert (projection_candidates(pts, rank, 10**7, chamber_sort)
                 == flat_candidates(pts, rank, chamber_sort))
+
+    # the rows the kernel eliminates (README and the strata docstring quote
+    # them): a broken cut or orderly test would otherwise show only as time
+    @pytest.mark.parametrize("n, d, weyl, rows", [
+        (4, 3, "sym", 2326), (3, 3, "trivial", 177), (2, 6, "trivial", 133)])
+    def test_ldl_extension_counts(self, monkeypatch, n, d, weyl, rows):
+        calls = []
+        extend = strata_module._extend_ldl
+
+        def spy(*args):
+            calls.append(args)
+            return extend(*args)
+
+        monkeypatch.setattr(strata_module, "_extend_ldl", spy)
+        instability_index_set(hypersurface_weights(n, d), weyl=weyl)
+        assert len(calls) == rows
 
     def test_budget_counts_flat_subsets(self):
         pts = [(1, 0), (0, 1), (1, 0)]
@@ -526,6 +584,11 @@ class TestOracleByOrbits:
         assert verify_strata_against_oracle(weights, got) == sum(
             1 for s in got if not s.is_zero())
         assert len(calls) == len(got)
+        # a repeated record is a later member of its own class, pi the identity
+        calls.clear()
+        assert verify_strata_against_oracle(weights, got + got) == 2 * sum(
+            1 for s in got if not s.is_zero())
+        assert len(calls) == len(got)
 
     def test_uses_no_index_set_helper(self, monkeypatch, torus_3_3):
         weights, got = torus_3_3
@@ -535,7 +598,9 @@ class TestOracleByOrbits:
             raise RuntimeError("the oracle called an index-set helper")
 
         for name in ("projection_candidates", "_permutation_invariant", "_rearrangements",
-                     "_torus_by_orbits", "_face", "_scaled_beta", "_stratum_from_beta"):
+                     "_torus_by_orbits", "_stratum_from_beta", "_scaled_weights",
+                     "_order_key", "_index_set", "_check_weyl_invariance", "_solve_ldl",
+                     "_equation", "_extend_ldl"):
             monkeypatch.setattr(strata_module, name, forbidden)
         assert verify_strata_against_oracle(weights, got, max_support=4) == expected == 242
 

@@ -91,6 +91,13 @@ def read_input(path) -> str:
         raise ScenarioParseError(f"{path} is not UTF-8 text: {e}") from e
 
 
+def no_float(text):
+    """The `parse_float` and `parse_constant` of every `json.loads` of input:
+    a number with a fraction or an exponent, NaN or Infinity is not exact."""
+    raise ScenarioParseError(f"the number {text} is a float; input numbers are "
+                             "integers, and rationals are written \"p/q\" or [p, q]")
+
+
 # ---------------------------------------------------------------------------
 # record classes
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from ._pure import (
     ScenarioCheckError,
     ScenarioParseError,
     check_order,
+    no_float,
     read_input,
 )
 
@@ -41,11 +42,9 @@ EXIT_PARSE = 3
 EXIT_CAP = 4
 
 
-def _emit(payload, fmt: str, text_fn=None, csv_fn=None, latex_fn=None):
+def _emit(payload, fmt: str, text_fn=None, csv_fn=None):
     if fmt == "csv" and csv_fn:
         print(csv_fn(payload), end="")
-    elif fmt == "latex" and latex_fn:
-        print(latex_fn(payload), end="")
     elif fmt != "json" and text_fn:
         print(text_fn(payload), end="")
     else:
@@ -57,18 +56,17 @@ def _emit(payload, fmt: str, text_fn=None, csv_fn=None, latex_fn=None):
 def _load_json_arg(value: str):
     """Parse an argument that is either inline JSON or a path to a JSON file.
 
-    Malformed JSON and an integer beyond the interpreter's digit limit (a
-    plain `ValueError` from `json.loads`) are parse errors."""
-    if os.path.exists(value):
-        text = read_input(value)
-        try:
-            return json.loads(text)
-        except ValueError as e:
-            raise ScenarioParseError(f"{value} is not valid JSON: {e}") from e
+    Malformed JSON, a float and an integer beyond the interpreter's digit
+    limit (a plain `ValueError` from `json.loads`) are parse errors."""
+    is_file = os.path.exists(value)
+    text = read_input(value) if is_file else value
     try:
-        return json.loads(value)
+        return json.loads(text, parse_float=no_float, parse_constant=no_float)
+    except ScenarioParseError:
+        raise
     except ValueError as e:
-        raise ScenarioParseError(f"argument is neither a file nor JSON: {e}") from e
+        where = f"{value} is not valid JSON" if is_file else "argument is neither a file nor JSON"
+        raise ScenarioParseError(f"{where}: {e}") from e
 
 
 def _cmd_scenario(args) -> int:

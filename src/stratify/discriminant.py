@@ -4,11 +4,11 @@ The discriminant group of an even lattice L is L^dual / L with its Q/2Z
 quadratic form; its invariant factors come from the Smith normal form of the
 Gram matrix, and its generators are the columns of Smith's V over the
 invariant factors, so no inverse is taken.  Overlattices glued along
-isotropic vectors of the dual are found by a Hermite normal form.  The cusp
-check verifies the norm-3, divisibility-3 vector of the glued model of the
-paper's Eisenstein cusp lattice.  Overlattice Grams and q values are
-computed in integers; `Fraction`s are built only for the returned
-generators, bases and q values.
+isotropic vectors of the dual read their basis off the same Smith form,
+applied to their generators.  The cusp check verifies the norm-3,
+divisibility-3 vector of the glued model of the paper's Eisenstein cusp
+lattice.  Overlattice Grams and q values are computed in integers;
+`Fraction`s are built only for the returned generators, bases and q values.
 
 At load this module imports only `_pure`.  The functions that build a
 Z-lattice or enumerate short vectors import `weyl` when they run, and the
@@ -179,46 +179,6 @@ def divisibility(v, zl: ZLattice) -> int:
     return math.gcd(*vals)
 
 
-def _hnf_rows(rows):
-    """Row Hermite normal form of an integer matrix of full column rank."""
-    rows = [list(r) for r in rows]
-    m = len(rows[0])
-    basis = []
-    col = 0
-    while col < m and rows:
-        nz = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not nz:
-            raise ValueError("generators do not have full rank")
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(r[col]))
-            piv = nz[0]
-            out = [piv]
-            for r in nz[1:]:
-                q = r[col] // piv[col]
-                r2 = [x - q * y for x, y in zip(r, piv)]
-                if r2[col] != 0:
-                    out.append(r2)
-                elif any(r2):
-                    rest.append(r2)
-            nz = out
-        piv = nz[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        rows = rest
-        col += 1
-    if len(basis) != m:
-        raise ValueError("generators do not have full rank")
-    # reduce above-pivot entries for a canonical basis
-    for i in range(m - 1, -1, -1):
-        for t in range(i):
-            q = basis[t][i] // basis[i][i]
-            if q:
-                basis[t] = [x - q * y for x, y in zip(basis[t], basis[i])]
-    return basis
-
-
 class GlueResult(_pure.Record):
     lattice: ZLattice
     index: int
@@ -232,6 +192,11 @@ def glue_overlattice(zl: ZLattice, glue) -> GlueResult:
     Glue vectors are rational vectors in the original basis; each must pair
     integrally with the lattice and with the others, and have even square
     (isotropic image in the discriminant).  Raises otherwise.
+
+    The basis is the nonzero rows of U R, U R V = D the Smith form of the
+    generators R = [denom I ; denom * glue].  It is not canonical: the Gram,
+    basis and q values are fixed only up to a change of basis, the index,
+    evenness and invariant factors are not.
     """
     from .weyl import ZLattice
 
@@ -261,8 +226,11 @@ def glue_overlattice(zl: ZLattice, glue) -> GlueResult:
     for (h1, _), (_, p2) in combinations(zip(scaled, gh), 2):
         if sum(h1[i] * p2[i] for i in range(n)) % d2:
             raise ValueError("glue vectors do not pair integrally")
+    # U R = D V^-1: its first n rows, d_i times the rows of V^-1, are a basis
+    # of R's row lattice and the others vanish.  The glue basis reads Smith's U.
     rows = [[denom * int(i == j) for j in range(n)] for i in range(n)] + scaled
-    basis = _hnf_rows(rows)
+    _, u, _ = smith_normal_form(rows)
+    basis = [[sum(x * y for x, y in zip(row, col)) for col in zip(*rows)] for row in u[:n]]
     bg = [[sum(row[i] * gram[i][j] for i in range(n)) for j in range(n)] for row in basis]
     new_gram = [[sum(x * y for x, y in zip(r, s)) for s in basis] for r in bg]
     if any(x % d2 for row in new_gram for x in row):

@@ -151,12 +151,16 @@ def boundary_betti(spec: dict) -> BettiTable:
     )
     from .series import BettiTable
 
+    # the product's complex dimension, held to the cap before any factor runs
+    dim = spec.get("extra_projective_lines", 0)
     lattices = []
     for factor in spec["factors"]:
         lat = factor["lattice"]
         lattices.append(named_lattice(lat) if isinstance(lat, str) else lat)
         check_quotient_rank(lattices[-1].rank)
         check_wreath_count(factor.get("count", 1))
+        dim += lattices[-1].rank * factor.get("count", 1)
+    _pure.check_order(2 * dim, "twice the product's dimension")
     table = None
     for factor, lat in zip(spec["factors"], lattices):
         group_spec = factor.get("group", "weyl")

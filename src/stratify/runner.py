@@ -27,6 +27,7 @@ from ._pure import (
     ScenarioCheckError,
     ScenarioParseError,
     check_order,
+    no_float,
     read_input,
 )
 
@@ -614,10 +615,11 @@ def load_scenario(source) -> dict:
             f"no such scenario {name!r}; built-ins: {', '.join(BUILTIN_SCENARIOS)}"
         )
     try:
-        doc = json.loads(text)
+        return json.loads(text, parse_float=no_float, parse_constant=no_float)
+    except ScenarioParseError:
+        raise
     except ValueError as e:  # malformed, or an integer beyond the digit limit
         raise ScenarioParseError(f"scenario is not valid JSON: {e}") from e
-    return doc
 
 
 def _validate(doc):
@@ -684,19 +686,19 @@ def run_scenario(source) -> ScenarioReport:
         ctx.values[step["id"]] = value
         from . import serialize
 
+        try:
+            got = serialize.to_jsonable(value)
+        except TypeError as e:  # a non-JSON value in a dict document
+            raise ScenarioParseError(f"step {step['id']!r}: value is not JSON: {e}") from e
         rep = {"id": step["id"], "op": step["op"]}
         jexpect = step.get("expect")
         if jexpect is not None:
-            got = serialize.to_jsonable(value)
             if got != jexpect:
                 raise ScenarioCheckError(
                     f"step {step['id']!r} mismatch:\n  expected {jexpect}\n  got      {got}"
                 )
             rep["checked"] = True
-        try:
-            rep["value"] = serialize.to_jsonable(value)
-        except TypeError:
-            rep["value"] = repr(value)
+        rep["value"] = got
         step_reports.append(rep)
         for fact in step.get("facts", []):
             provenance.append({"step": step["id"], **fact})

@@ -168,11 +168,12 @@ class StepArgs(dict):
 
     def rational(self, key, value) -> Fraction:
         """``value``, a part of argument ``key``, as a rational: an integer,
-        a string such as "1/3", or [num, den]."""
+        a string such as "1/3", or [num, den].  A JSON boolean is not one."""
         try:
-            if isinstance(value, (int, Fraction, str)):
+            if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
                 return Fraction(value)
-            if isinstance(value, list) and len(value) == 2:
+            if (isinstance(value, list) and len(value) == 2
+                    and not any(isinstance(x, bool) for x in value)):
                 return Fraction(*value)
         except (ValueError, TypeError, ZeroDivisionError):
             pass

@@ -327,9 +327,14 @@ class TestOtherCommands:
         assert err["error"] == "parse" and field in err["message"]
 
     def test_high_rank_boundary_hits_the_cap(self):
-        for lattice in ("3E3", "E1+2E4"):
+        # a factor of rank 9, then products whose twice complex dimension is
+        # above the truncation-order cap, refused before any quotient
+        specs = [{"factors": [{"lattice": "3E3"}]}, {"factors": [{"lattice": "E1+2E4"}]},
+                 {"factors": [{"lattice": "E1"}] * 600},
+                 {"factors": [{"lattice": "E1"}], "extra_projective_lines": 100000}]
+        for spec in specs:
             t0 = time.perf_counter()
-            code, _, err = run_cli("boundary", f'{{"factors":[{{"lattice":"{lattice}"}}]}}')
+            code, _, err = run_cli("boundary", json.dumps(spec))
             assert time.perf_counter() - t0 < 1
             assert code == 4 and json.loads(err)["error"] == "resource-cap"
 
@@ -389,6 +394,9 @@ class TestBadInput:
         "@number": "5",
         "@list-id": '{"name": "x", "steps": [{"id": ["s"], "op": "declare"}]}',
         "@object-id": '{"name": "x", "steps": [{"id": {"s": 1}, "op": "declare"}]}',
+        "@float": '{"name": "x", "steps": [{"id": "v", "op": "declare", "args": '
+                  '{"kind": "raw", "value": 1.5}, "facts": [{"cite": "c"}], "expect": 1.5}]}',
+        "@float-spec": '{"factors": [{"lattice": "E1", "count": 1e0}]}',
     }
 
     @pytest.mark.parametrize("argv, message", [
@@ -409,6 +417,13 @@ class TestBadInput:
         (("scenario", "run", "@object-id"), "steps[0]: 'id' must not be a list or an object"),
         (("lattice", "roots", "E9"), "no lattice named 'E9' and no such file; named "
          "lattices: E1, E2, E3, E4, H, 3E1, 3E3, E1+2E4"),
+        # a float is not exact, in a file or inline
+        (("scenario", "run", "@float"), "the number 1.5 is a float"),
+        (("boundary", "@float-spec"), "the number 1e0 is a float"),
+        (("boundary", '{"factors": [{"lattice": "E1", "count": 1.0}]}'),
+         "the number 1.0 is a float"),
+        (("molien", "--gens", '{"generators": [[[NaN]]]}'), "the number NaN is a float"),
+        (("lattice", "roots", '{"gram": [[-Infinity]]}'), "the number -Infinity is a float"),
     ])
     def test_bad_input_is_parse_error(self, tmp_path, argv, message):
         latin1 = tmp_path / "latin1.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratify._exact import eis_matrix, identity, mat_mul
+from stratify._exact import adjugate, eis_matrix, identity, mat_mul
 from stratify.discriminant import (
     discriminant_form,
     divisibility,
@@ -273,6 +273,30 @@ class TestGlue:
         assert all(v.denominator == 1 for v in vals)
         from math import gcd
         assert gcd(*[int(v) for v in vals]) == 3
+
+    @pytest.mark.parametrize("zl, piece, index", [
+        (z_form(E3), None, 3),  # the cubic3fold glue: z/3 with z of norm -12, div 3
+        (z_form(E1), [Fraction(2, 3), Fraction(1, 3)], 3),  # 3E1 glued to E6
+    ])
+    def test_glue_basis_spans_the_generators(self, zl, piece, index):
+        # the basis is not canonical, so check what makes it a basis: it
+        # spans exactly the lattice of R = [3 I ; 3 glue], in units of 1/3
+        if piece is None:
+            piece = [Fraction(x, 3) for x in find_norm_div_vector(zl, -12, 3)]
+        big = _three_copies(zl)
+        n = big.rank
+        glue = piece * 3
+        res = glue_overlattice(big, [glue])
+        assert res.index == index and res.lattice.is_even()
+        basis = [[int(3 * x) for x in row] for row in res.basis]
+        assert all(3 * x == y for row, brow in zip(res.basis, basis) for x, y in zip(row, brow))
+        d, adj = adjugate(basis)
+        assert abs(d) * res.index == 3 ** n
+        rows = [[3 * int(i == j) for j in range(n)] for i in range(n)]
+        rows.append([int(3 * x) for x in glue])
+        # the coordinates of a row r are r adj / d
+        for r in rows:
+            assert all(sum(r[i] * adj[i][j] for i in range(n)) % d == 0 for j in range(n))
 
     def test_empty_glue_is_identity(self):
         zl = z_form(E1)

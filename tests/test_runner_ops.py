@@ -372,6 +372,20 @@ def test_declare_kinds():
      r"argument 'generators\[1\]' must be a 2 x 2 matrix like generators\[0\], got \[\[1\]\]"),
     ({"op": "close_group", "args": {"ring": "E", "generators": [[[1, 0], [0, 1]], [[1]]]}},
      r"argument 'generators\[1\]' must be a 2 x 2 matrix like generators\[0\], got \[\[1\]\]"),
+    # a JSON boolean is not a rational, although a Python bool is an int
+    ({"op": "close_group", "args": {"generators": [[[True]]]}},
+     r"argument 'generators\[0\]' must be a rational: .*, got True"),
+    ({"op": "lincomb", "args": {"terms": [[True, 0, [[0, 1]]]]}},
+     r"argument 'terms\[0\]' must be a rational: .*, got True"),
+    ({"op": "weyl_fiber_count", "args": {"strata": [], "beta": [True, -1]}},
+     r"argument 'beta' must be a rational: .*, got True"),
+    ({"op": "weyl_fiber_count", "args": {"strata": [], "beta": [[1, False]]}},
+     r"argument 'beta' must be a rational: .*, got \[1, False\]"),
+    # a value that is not JSON, in a dict document
+    ({"op": "declare", "args": {"kind": "raw", "value": 1.5}, "facts": [{"cite": "unit test"}],
+      "expect": 1.5}, r"value is not JSON: cannot serialize float"),
+    ({"op": "declare", "args": {"kind": "raw", "value": 1.5}, "facts": [{"cite": "unit test"}]},
+     r"value is not JSON: cannot serialize float"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:

@@ -16,10 +16,15 @@ At load this module imports only `_pure`.  Each subcommand imports the
 layers it runs, after its input has parsed, the JSON argument reader
 (`stepargs`) when it has a JSON argument, and `serialize` only to print
 JSON: a fresh interpreter per call pays to compile just those modules.
+
+`main()` without `argv`, as the program calls it, ends with `gc.freeze()`,
+so the interpreter's shutdown skips collecting the call's objects;
+`main(argv)` leaves the caller's collector alone (see `main`).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -211,11 +216,11 @@ DESCRIPTION = ("exact cohomology workbench for GIT quotients and ball-quotient b
                "stratify COMMAND --help lists the arguments of a command")
 
 
-def _option(kind=str, choices=None, required=False, default=None, text=""):
+def _option(kind=str, choices=None, minimum=None, required=False, default=None, text=""):
     """An option of the table: the type of its value (`int` or `str`), the
-    values allowed (None: any), whether it must be given, its value when it
-    is not, and its help line."""
-    return kind, choices, required, default, text
+    values allowed (None: any), the least integer allowed (None: any),
+    whether it must be given, its value when it is not, and its help line."""
+    return kind, choices, minimum, required, default, text
 
 
 # accepted before or after the command; the last one given wins
@@ -234,8 +239,8 @@ COMMANDS = {
                   ("source", None, f"file path or one of: {', '.join(BUILTIN_SCENARIOS)}")),
                  {}),
     "strata": (_cmd_strata, "instability index set of a hypersurface action", (),
-               {"--n": _option(int, required=True),
-                "--d": _option(int, required=True),
+               {"--n": _option(int, minimum=1, required=True),
+                "--d": _option(int, minimum=1, required=True),
                 "--group": _option(choices=("sl", "torus"), default="sl")}),
     "molien": (_cmd_molien, "Molien series of a finite matrix group", (),
                {"--gens": _option(required=True, text="JSON file or inline JSON with generators"),
@@ -268,7 +273,7 @@ def _usage(command) -> str:
         options = {**options, **COMMON}
         rows = [(_metavar(name, choices), help_) for name, choices, help_ in positionals]
         synopsis = [command] + [word for word, _ in rows]
-    for flag, (_, choices, required, default, help_) in options.items():
+    for flag, (_, choices, _, required, default, help_) in options.items():
         word = f"{flag} {_metavar(flag[2:], choices)}"
         synopsis.append(word if required else f"[{word}]")
         rows.append((word, help_ if default is None else f"{help_} (default {default})".lstrip()))
@@ -301,12 +306,14 @@ def _flag(word: str, options, command) -> str:
     raise ScenarioParseError(f"unknown option {word}{where}; options: {', '.join(flags)}")
 
 
-def _value(name: str, word: str, kind, choices):
+def _value(name: str, word: str, kind, choices, minimum=None):
     if kind is int:
         try:
             word = int(word)
         except ValueError:
             raise ScenarioParseError(f"{name} must be an integer, got {word!r}") from None
+        if minimum is not None and word < minimum:
+            raise ScenarioParseError(f"{name} must be an integer >= {minimum}, got {word}")
     if choices is not None and word not in choices:
         raise ScenarioParseError(f"{name} must be one of {', '.join(choices)}, got {word!r}")
     return word
@@ -319,7 +326,7 @@ def parse_args(argv=None) -> SimpleNamespace:
     print the help.  A malformed command line raises `ScenarioParseError`
     naming the word or flag at fault."""
     words = iter(sys.argv[1:] if argv is None else argv)
-    values = {flag[2:]: spec[3] for flag, spec in COMMON.items()}
+    values = {flag[2:]: spec[4] for flag, spec in COMMON.items()}
     command, options, given = None, COMMON, []
     for word in words:
         if _is_option(word):
@@ -331,7 +338,7 @@ def parse_args(argv=None) -> SimpleNamespace:
                 value = next(words, None)
                 if value is None or _is_option(value):
                     raise ScenarioParseError(f"{flag} needs a value")
-            values[flag[2:]] = _value(flag, value, *options[flag][:2])
+            values[flag[2:]] = _value(flag, value, *options[flag][:3])
         elif command is not None:
             given.append(word)
         elif word in COMMANDS:
@@ -347,7 +354,7 @@ def parse_args(argv=None) -> SimpleNamespace:
                                  f"got {' '.join(map(repr, given)) or 'none'}")
     for (name, choices, _), word in zip(positionals, given):
         values[name] = _value(f"{command} {name}", word, str, choices)
-    for flag, (_, _, required, default, _) in command_options.items():
+    for flag, (_, _, _, required, default, _) in command_options.items():
         if required and flag[2:] not in values:
             raise ScenarioParseError(f"{command} needs {flag}")
         values.setdefault(flag[2:], default)
@@ -361,6 +368,15 @@ def build_parser() -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (default: the process's); return its exit code.
+
+    Without ``argv`` (program mode) `main` ends with `gc.freeze()`: the
+    process is about to exit, so the shutdown collections may skip its
+    objects, while output, `atexit` handlers and the exit code are kept, as
+    `os._exit` would not keep them.  A caller passing ``argv`` goes on
+    running, and a freeze would keep its objects out of every later
+    collection.
+    """
     try:
         args = parse_args(argv)
         if args.truncate is not None:
@@ -375,6 +391,9 @@ def main(argv=None) -> int:
     except (ScenarioCheckError, ValueError, AssertionError) as e:
         print(json.dumps({"error": "check", "message": str(e)}), file=sys.stderr)
         return EXIT_CHECK
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ def _op_declare(ctx, args, step):
 
 @op("hypersurface_weights", "n", "d")
 def _op_hw(ctx, args, step):
-    n, d = args.integer("n"), args.integer("d")
+    n, d = args.integer("n", minimum=1), args.integer("d", minimum=1)
     from . import weights
 
     return weights.hypersurface_weights(n, d)
@@ -522,9 +522,10 @@ def _op_assert_nonpos(ctx, args, step):
 @op("assert_true", "value")
 def _op_assert_true(ctx, args, step):
     val = args["value"]
-    if isinstance(val, dict):
-        val = val.get("ok", False)
-    if not val:
+    ok = val.get("ok") if isinstance(val, dict) else val
+    if type(ok) is not bool:
+        args.reject("value", "a boolean or an object whose 'ok' is a boolean", val)
+    if not ok:
         raise ScenarioCheckError(f"assertion failed at step {step['id']!r}")
     return True
 

@@ -54,7 +54,9 @@ class TestScenarioCommand:
         assert json.loads(err.strip())["error"] == "check"
 
     def test_bad_step_argument_exit_code(self, tmp_path):
-        for args, named in (({"n": 4}, "'d'"), ({"n": "4", "d": 3}, "'n'")):
+        for args, named in (({"n": 4}, "'d'"), ({"n": "4", "d": 3}, "'n'"),
+                            ({"n": 0, "d": 3}, "'n' must be an integer >= 1"),
+                            ({"n": 3, "d": 0}, "'d' must be an integer >= 1")):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps({
                 "name": "bad",
@@ -443,6 +445,8 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv, named", [
         (("strata", "--n", "abc", "--d", "3"), "--n must be an integer, got 'abc'"),
+        (("strata", "--n", "0", "--d", "3"), "--n must be an integer >= 1, got 0"),
+        (("strata", "--n", "3", "--d", "-1"), "--d must be an integer >= 1, got -1"),
         (("strata", "--n", "3"), "--d"),
         (("nosuch",), "'nosuch'"),
         (("lattice", "roots"), "LATTICE, got 'roots'"),
@@ -501,3 +505,47 @@ class TestCommandLine:
         assert callable(args.fn)
         args = build_parser().parse_args(["strata", "--n", "3", "--d", "2"])
         assert (args.n, args.d, args.group, args.format) == (3, 2, "sl", "text")
+
+
+class TestProgramMode:
+    """`main()` without arguments, as the console script calls it, ends with
+    `gc.freeze()`; a caller that passes `argv` keeps its collector as it was."""
+
+    BOOT = "import sys; from stratify.cli import main; sys.exit(main())"
+    TORUS = ("strata", "--n", "3", "--d", "3", "--group", "torus", "--format", "json")
+
+    def run_program(self, *argv, prelude=""):
+        return subprocess.run([sys.executable, "-c", prelude + self.BOOT, *argv],
+                              capture_output=True)
+
+    def test_in_process_call_freezes_nothing(self, capsys):
+        import gc
+
+        from stratify.cli import main
+
+        before = gc.get_freeze_count()
+        assert main(["lattice", "weyl-order", "E2"]) == 0
+        assert main(["strata", "--n", "5", "--d", "3"]) == 4
+        assert gc.get_freeze_count() == before
+        capsys.readouterr()
+
+    def test_program_writes_the_bytes_of_the_in_process_call(self, capsys):
+        from stratify.cli import main
+
+        assert main(list(self.TORUS)) == 0
+        expected = capsys.readouterr().out.encode()
+        proc = self.run_program(*self.TORUS)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == expected and len(expected) > 100_000
+
+    def test_atexit_handlers_still_run_after_the_freeze(self):
+        prelude = ("import atexit, gc; "
+                   "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); ")
+        proc = self.run_program("lattice", "weyl-order", "E2", prelude=prelude)
+        assert proc.returncode == 0
+        assert proc.stdout.decode().splitlines() == ["24", "frozen True"]
+
+    def test_resource_cap_still_exits_4(self):
+        proc = self.run_program("strata", "--n", "5", "--d", "3")
+        assert proc.returncode == 4 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"] == "resource-cap"

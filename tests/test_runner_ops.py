@@ -187,6 +187,19 @@ def test_assert_true_rejects_failed_check():
             {"id": "a", "op": "assert_true", "args": {"value": "$f"}}])
 
 
+@pytest.mark.parametrize("value", ["false", "no", [0], {"ok": "no"}])
+def test_assert_true_takes_only_a_boolean(value):
+    with pytest.raises(ScenarioParseError,
+                       match=r"step 'a': argument 'value' must be a boolean") as info:
+        run_steps([{"id": "a", "op": "assert_true", "args": {"value": value}}])
+    assert repr(value) in str(info.value)
+
+
+def test_assert_true_false_is_a_check_failure():
+    with pytest.raises(ScenarioCheckError, match="assertion failed at step 'a'"):
+        run_steps([{"id": "a", "op": "assert_true", "args": {"value": False}}])
+
+
 def test_assert_nonpositive_rejects_positive():
     with pytest.raises(ScenarioCheckError):
         run_steps([

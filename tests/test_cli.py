@@ -445,8 +445,6 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv, named", [
         (("strata", "--n", "abc", "--d", "3"), "--n must be an integer, got 'abc'"),
-        (("strata", "--n", "0", "--d", "3"), "--n must be an integer >= 1, got 0"),
-        (("strata", "--n", "3", "--d", "-1"), "--d must be an integer >= 1, got -1"),
         (("strata", "--n", "3"), "--d"),
         (("nosuch",), "'nosuch'"),
         (("lattice", "roots"), "LATTICE, got 'roots'"),
@@ -457,6 +455,8 @@ class TestCommandLine:
         (("strata", "--n", "3", "--d", "3", "--nn", "3"), "unknown option --nn"),
         (("lattice", "roots", "E1", "E2"), "'E2'"),
         (("--n", "3", "strata", "--d", "3"), "unknown option --n"),
+        (("strata", "--n", "0", "--d", "3"), "--n must be an integer >= 1, got 0"),
+        (("strata", "--n", "3", "--d", "-1"), "--d must be an integer >= 1, got -1"),
     ])
     def test_malformed_command_line_is_parse_error(self, argv, named):
         code, out, err = run_cli(*argv)

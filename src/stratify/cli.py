@@ -5,11 +5,11 @@ Subcommands: `scenario run`, `strata`, `molien`, `lattice`, `boundary`,
 2 check failure, 3 parse error, 4 resource cap exceeded.
 
 `COMMANDS` and `COMMON` are the one place that says what each command
-accepts: its handler, positionals and options, and the options every
-command takes.  `parse_args` reads the command line from them and
-`--help` prints them, and a malformed command line (an unknown word, a
-missing or ill-typed value, a value outside its choices) is a parse error
-like any other.  The parser is the table and one loop, not `argparse`, so
+accepts: its handler, positionals and options (`--truncate` only where the
+command reads it), and the options every command takes.  `parse_args`
+reads the command line from them and `--help` prints them, and a
+malformed command line (an unknown word, a missing or ill-typed value, a
+value outside its choices) is a parse error like any other.  The parser is the table and one loop, not `argparse`, so
 that no call loads `argparse`, `gettext` or `locale`.
 
 At load this module imports only `_pure`.  Each subcommand imports the
@@ -129,11 +129,12 @@ def _cmd_molien(args) -> int:
 
     if not isinstance(spec, dict):
         spec = {"generators": spec}
-    gens = StepArgs("molien", spec).only(("generators", "ring")).generators()
+    spec = StepArgs("molien", spec).only(("generators", "ring"))
+    gens = spec.generators("generators", spec.choice("ring", ("Q", "E"), "Q"))
     from . import invariants
 
     group = invariants.close_group(gens)
-    series = invariants.molien(group, args.degree, 10 if args.truncate is None else args.truncate)
+    series = invariants.molien(group, args.degree, args.truncate)
 
     def text(s):
         return f"group order {group.order}; invariant series {s}\n"
@@ -217,7 +218,8 @@ DESCRIPTION = ("exact cohomology workbench for GIT quotients and ball-quotient b
 
 
 def _option(kind=str, choices=None, minimum=None, required=False, default=None, text=""):
-    """An option of the table: the type of its value (`int` or `str`), the
+    """An option of the table: the type of its value (`int`, `str`, or an
+    integer held to `check_order`: "order", or "bound", to >= 0 only), the
     values allowed (None: any), the least integer allowed (None: any),
     whether it must be given, its value when it is not, and its help line."""
     return kind, choices, minimum, required, default, text
@@ -227,7 +229,6 @@ def _option(kind=str, choices=None, minimum=None, required=False, default=None, 
 COMMON = {
     "--format": _option(choices=("text", "json", "csv", "latex"), default="text",
                         text="output format"),
-    "--truncate": _option(int, text="truncation degree (series) or codimension bound (strata)"),
 }
 
 # What each command accepts: its handler, its help line, its positionals as
@@ -241,10 +242,13 @@ COMMANDS = {
     "strata": (_cmd_strata, "instability index set of a hypersurface action", (),
                {"--n": _option(int, minimum=1, required=True),
                 "--d": _option(int, minimum=1, required=True),
-                "--group": _option(choices=("sl", "torus"), default="sl")}),
+                "--group": _option(choices=("sl", "torus"), default="sl"),
+                "--truncate": _option("bound",
+                                      text="list only the strata of codimension <= TRUNCATE")}),
     "molien": (_cmd_molien, "Molien series of a finite matrix group", (),
                {"--gens": _option(required=True, text="JSON file or inline JSON with generators"),
-                "--degree": _option(int, default=2)}),
+                "--degree": _option(int, default=2),
+                "--truncate": _option("order", default=10, text="truncation degree")}),
     "lattice": (_cmd_lattice, "Eisenstein lattice computations",
                 (("action", ("roots", "weyl-order", "discriminant", "z-form"), ""),
                  ("lattice", None, "named lattice (E1..E4, H, 3E1, 3E3, E1+2E4) or JSON file")),
@@ -254,7 +258,8 @@ COMMANDS = {
     "blowup": (_cmd_blowup, "point-blowup correction polynomial", (),
                {"--exceptional": _option(required=True,
                                          text="JSON Betti table of the exceptional divisor"),
-                "--dim": _option(int, required=True, text="complex dimension of the target")}),
+                "--dim": _option(int, required=True, text="complex dimension of the target"),
+                "--truncate": _option("order", text="truncation degree")}),
 }
 
 
@@ -307,13 +312,15 @@ def _flag(word: str, options, command) -> str:
 
 
 def _value(name: str, word: str, kind, choices, minimum=None):
-    if kind is int:
+    if kind is not str:
         try:
             word = int(word)
         except ValueError:
             raise ScenarioParseError(f"{name} must be an integer, got {word!r}") from None
         if minimum is not None and word < minimum:
             raise ScenarioParseError(f"{name} must be an integer >= {minimum}, got {word}")
+        if kind == "order" or kind == "bound" and word < 0:
+            check_order(word, name)
     if choices is not None and word not in choices:
         raise ScenarioParseError(f"{name} must be one of {', '.join(choices)}, got {word!r}")
     return word
@@ -321,8 +328,8 @@ def _value(name: str, word: str, kind, choices, minimum=None):
 
 def parse_args(argv=None) -> SimpleNamespace:
     """The command line ``argv`` (default: the process's), read by the table:
-    `fn`, the handler, `command`, `format`, `truncate` and the command's
-    positionals and options as attributes.  ``-h`` or ``--help`` makes `fn`
+    `fn`, the handler, `command`, `format` and the command's positionals
+    and options as attributes.  ``-h`` or ``--help`` makes `fn`
     print the help.  A malformed command line raises `ScenarioParseError`
     naming the word or flag at fault."""
     words = iter(sys.argv[1:] if argv is None else argv)
@@ -333,7 +340,7 @@ def parse_args(argv=None) -> SimpleNamespace:
             flag, inline, value = word.partition("=")
             flag = _flag(flag, options, command)
             if flag == "--help":
-                return SimpleNamespace(fn=_cmd_help, command=command, truncate=None)
+                return SimpleNamespace(fn=_cmd_help, command=command)
             if not inline:
                 value = next(words, None)
                 if value is None or _is_option(value):
@@ -379,8 +386,6 @@ def main(argv=None) -> int:
     """
     try:
         args = parse_args(argv)
-        if args.truncate is not None:
-            check_order(args.truncate, "--truncate")
         return args.fn(args)
     except ResourceCapError as e:
         print(json.dumps({"error": "resource-cap", "message": str(e)}), file=sys.stderr)

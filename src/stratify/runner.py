@@ -7,16 +7,22 @@ any step may pin an expected output; mismatches fail the run with a diff.
 The emitted report is deterministic, so identical invocations are
 byte-identical.
 
-At load this module imports only `_pure`.  `run_scenario` imports the
-argument reader (`stepargs`) once the document has validated, `serialize`
-once a step has a value to report and `series` just before its output
-duality check, and each op imports the layers it calls when it runs, so a
-scenario loads only the layers its steps use, and a scenario that fails
-validation loads no other module.
+Each op declares its arguments once (`op`, `DECLARATIONS`).  Before the
+first step runs, `_validate` checks every literal argument against its
+declaration and every reference against the steps before it; what needs an
+earlier step's value (a lattice's rank, a value's class) is checked when
+its step runs.
+
+At load this module imports only `_pure`.  `_validate` imports the argument
+reader (`stepargs`) once the document's shape, op names and references
+hold; the readers, `run_scenario` and each op import the layers they use
+when they use them.  So a scenario loads only the layers its steps use, and
+one that fails before its arguments are read loads no other module.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 
@@ -41,11 +47,10 @@ class Context:
         self.values = {}
 
     def resolve(self, obj):
+        """``obj`` with each "$id" replaced by the value of step id, which
+        `_validate` has checked is an earlier step."""
         if isinstance(obj, str) and obj.startswith("$"):
-            key = obj[1:]
-            if key not in self.values:
-                raise ScenarioParseError(f"reference to unknown step {key!r}")
-            return self.values[key]
+            return self.values[obj[1:]]
         if isinstance(obj, list):
             return [self.resolve(x) for x in obj]
         if isinstance(obj, dict):
@@ -53,137 +58,158 @@ class Context:
         return obj
 
 
+def _references(obj) -> list:
+    """The step ids that the "$id" strings in ``obj`` name, nested ones included."""
+    if isinstance(obj, str):
+        return [obj[1:]] if obj.startswith("$") else []
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [key for x in obj for key in _references(x)] if isinstance(obj, list) else []
+
 
 # ---------------------------------------------------------------------------
 # operation registry
 # ---------------------------------------------------------------------------
 
+# op name -> its entry, called with the running `Context`, the step's
+# resolved `StepArgs` and the step
 OPS = {}
-# the step arguments each op reads; any other argument is a parse error
-OP_ARGS = {}
+# op name -> {argument: declaration (see `_arg`)}, in the order the op reads
+# them: the one description of the scenario language.  Any other argument
+# is a parse error.
+DECLARATIONS = {}
+# op name -> what a step of it declares, for the ops that need a cited fact
+CITED = {}
+# what a declaration's ``uses`` names for the scenario's truncation order
+SCENARIO_ORDER = "scenario order"
+# the value of an argument that holds a reference, before the run
+_PENDING = object()
 
 
-def op(name, *argnames):
-    """Register an op under ``name``, reading the step arguments ``argnames``."""
-
-    def deco(fn):
-        OPS[name] = fn
-        OP_ARGS[name] = frozenset(argnames)
-        return fn
-
-    return deco
+def _arg(reader, *params, uses=(), **kw):
+    """The declaration of an argument ``name``, read as
+    ``StepArgs.<reader>(name, *params, *used, **kw)``, where ``used`` are the
+    values of the arguments that ``uses`` names (or the scenario's order)."""
+    return reader, params, uses, kw
 
 
-@op("declare", "kind", "value", "order")
-def _op_declare(ctx, args, step):
-    if not any(f.get("cite") for f in step.get("facts", [])):
-        raise ScenarioParseError(
-            f"declared value in step {step['id']!r} carries no citation"
-        )
-    kind = args.choice("kind", ("series", "betti_table", "int", "raw"), "series")
-    if kind == "series":
-        return args.series("value", args.order(ctx.order))
-    if kind == "betti_table":
-        return args.table("value")
-    if kind == "int":
-        return args.integer("value")
-    return args["value"]
+INTEGER = _arg("integer")
+POSITIVE = _arg("integer", minimum=1)
+ORDER = _arg("order", uses=(SCENARIO_ORDER,))
+SERIES = _arg("series", uses=("order",))
+STRATA = _arg("items", "instance", "BetaStratum")
+TABLE = _arg("instance", "BettiTable")
 
 
-@op("hypersurface_weights", "n", "d")
-def _op_hw(ctx, args, step):
-    n, d = args.integer("n", minimum=1), args.integer("d", minimum=1)
-    from . import weights
+def _read(args, decls, order: int, pending=()) -> dict:
+    """The values of the arguments that ``decls`` declares, read from the
+    `StepArgs` ``args`` in declaration order, each after those it uses, for
+    a scenario of truncation order ``order``.  An argument named in
+    ``pending``, or one that uses it, is `_PENDING` and not read."""
+    values = {SCENARIO_ORDER: order}
 
-    return weights.hypersurface_weights(n, d)
+    def read(name):
+        if name not in values:
+            reader, params, uses, kw = decls[name]
+            used = [read(u) for u in uses]
+            values[name] = (_PENDING if name in pending or any(u is _PENDING for u in used)
+                            else getattr(args, reader)(name, *params, *used, **kw))
+        return values[name]
+
+    return {name: read(name) for name in decls}
 
 
-@op("instability_index_set", "weights", "budget", "weyl")
-def _op_iis(ctx, args, step):
+def op(name, target=None, /, *, cite=None, **decls):
+    """Register op ``name`` with its arguments declared as ``decls``.
+
+    With ``target``, "layer.function", the op is that call on the argument
+    values in declaration order; without it, `op` decorates the op's body,
+    called with the step's `StepArgs` and the values by name.  With
+    ``cite``, what a step of the op declares, a step needs a cited fact."""
+
+    def register(body):
+        def run(ctx, args, step):
+            values = _read(args, decls, ctx.order)
+            if body is not None:
+                return body(args, **values)
+            layer, *path = target.split(".")
+            fn = importlib.import_module(f".{layer}", __package__)
+            for attr in path:
+                fn = getattr(fn, attr)
+            return fn(*values.values())
+
+        OPS[name], DECLARATIONS[name] = run, decls
+        if cite:
+            CITED[name] = cite
+        return body
+
+    return register if target is None else register(None)
+
+
+@op("declare", cite="declared value",
+    kind=_arg("choice", ("series", "betti_table", "int", "raw"), "series"), order=ORDER,
+    value=_arg("declared", uses=("kind", "order")))
+def _op_declare(args, kind, order, value):
+    return value
+
+
+op("hypersurface_weights", "weights.hypersurface_weights", n=POSITIVE, d=POSITIVE)
+
+
+@op("instability_index_set", weights=_arg("instance", "WeightSystem"),
+    weyl=_arg("choice", ("sym", "trivial"), "sym"), budget=_arg("integer", None))
+def _op_iis(args, weights, weyl, budget):
     from . import strata
 
-    ws = args.instance("weights", "WeightSystem")
-    budget = args.integer("budget", strata.DEFAULT_BUDGET)
-    return strata.instability_index_set(ws, args.choice("weyl", ("sym", "trivial"), "sym"),
-                                        budget)
+    return strata.instability_index_set(
+        weights, weyl, strata.DEFAULT_BUDGET if budget is None else budget)
 
 
-@op("min_nonzero_codim", "strata")
-def _op_min_codim(ctx, args, step):
-    vals = [s.codim_expected for s in args.strata("strata") if not s.is_zero()]
+@op("min_nonzero_codim", strata=STRATA)
+def _op_min_codim(args, strata):
+    vals = [s.codim_expected for s in strata if not s.is_zero()]
     if not vals:
         raise ScenarioCheckError("no nonzero strata")
     return min(vals)
 
 
-@op("codim_census", "strata", "up_to")
-def _op_codim_census(ctx, args, step):
+@op("codim_census", up_to=_arg("integer", None), strata=STRATA)
+def _op_codim_census(args, up_to, strata):
     census: dict = {}
-    bound = args.integer("up_to", None)
-    for s in args.strata("strata"):
-        if s.is_zero():
-            continue
-        if bound is not None and s.codim_expected > bound:
-            continue
-        census[s.codim_expected] = census.get(s.codim_expected, 0) + 1
+    for s in strata:
+        if not s.is_zero() and (up_to is None or s.codim_expected <= up_to):
+            census[s.codim_expected] = census.get(s.codim_expected, 0) + 1
     return [[c, census[c]] for c in sorted(census)]
 
 
-@op("mark_nonempty", "strata", "codims")
-def _op_mark_nonempty(ctx, args, step):
+@op("mark_nonempty", cite="nonemptiness declaration",
+    codims=_arg("items", "integer", default=[]), strata=STRATA)
+def _op_mark_nonempty(args, codims, strata):
     """Fill the nonemptiness flag of selected strata from declared input."""
-    if not any(f.get("cite") for f in step.get("facts", [])):
-        raise ScenarioParseError(
-            f"nonemptiness declaration in step {step['id']!r} carries no citation"
-        )
-    codims = {items.integer(name) for items, name in args.each("codims", [])}
-    out = []
-    for s in args.strata("strata"):
-        if not s.is_zero() and s.codim_expected in codims:
-            out.append(s.replace(nonemptiness="declared"))
-        else:
-            out.append(s)
-    return out
+    return [s.replace(nonemptiness="declared")
+            if not s.is_zero() and s.codim_expected in codims else s for s in strata]
 
 
-@op("maximal_support_report", "weights", "strata")
-def _op_msr(ctx, args, step):
-    from . import strata
+@op("maximal_support_report", strata=STRATA, weights=_arg("instance", "WeightSystem"))
+def _op_msr(args, strata, weights):
+    from .strata import maximal_support_report
 
-    found = args.strata("strata")
-    report = strata.maximal_support_report(args.instance("weights", "WeightSystem"), found)
-    return [[r.r, r.codim_expected] for r in report]
+    return [[r.r, r.codim_expected] for r in maximal_support_report(weights, strata)]
 
 
-@op("verify_strata_oracle", "weights", "strata", "max_support")
-def _op_vso(ctx, args, step):
-    from . import strata
-
-    found = args.strata("strata")
-    rows = args["weights"]
-    if isinstance(rows, list):
-        weights = args.matrix("weights")
-        if any(len(w) != len(weights[0]) for w in weights):
-            args.reject("weights", "a list of equally long vectors", rows)
-    else:
-        weights = args.weights("weights", "WeightSystem", "NormalRep",
-                               "TangentNormalSplit").weights
-    return strata.verify_strata_against_oracle(
-        weights, found, args.integer("max_support", None)
-    )
+op("verify_strata_oracle", "strata.verify_strata_against_oracle", weights=_arg("weight_rows"),
+   strata=STRATA, max_support=_arg("integer", None))
 
 
-@op("parse_poly", "text", "nvars")
-def _op_parse_poly(ctx, args, step):
-    return args.polynomial("text", args.integer("nvars", minimum=1))
+@op("parse_poly", nvars=POSITIVE, text=_arg("polynomial", uses=("nvars",)))
+def _op_parse_poly(args, nvars, text):
+    return text
 
 
-@op("check_semiinvariant", "form", "matrix")
-def _op_check_semi(ctx, args, step):
+@op("check_semiinvariant", matrix=_arg("matrix"), form=_arg("instance", "MultiPoly"))
+def _op_check_semi(args, matrix, form):
     from . import orbits, serialize
 
-    matrix = args.matrix("matrix")
-    form = args.instance("form", "MultiPoly")
     n = form.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
         args.reject("matrix", f"a {n} x {n} matrix, one row per variable", args["matrix"])
@@ -191,54 +217,44 @@ def _op_check_semi(ctx, args, step):
     return {"ok": rep.ok, "scalar": serialize.to_jsonable(rep.scalar) if rep.scalar is not None else None}
 
 
-@op("normal_rep_of", "form", "cocharacters", "extra_tangents")
-def _op_normal_rep(ctx, args, step):
+@op("normal_rep_of", form=_arg("instance", "MultiPoly"), cocharacters=_arg("matrix"),
+    extra_tangents=_arg("listing", []))
+def _op_normal_rep(args, form, cocharacters, extra_tangents):
     from . import orbits
 
-    form = args.instance("form", "MultiPoly")
     n = form.nvars
-    cochars = args.matrix("cocharacters")
-    if not cochars or any(len(c) != n for c in cochars):
+    if not cocharacters or any(len(c) != n for c in cocharacters):
         args.reject("cocharacters", f"a nonempty list of vectors of length {n}",
                     args["cocharacters"])
-    extra = [items.polynomial(name, n) for items, name in args.each("extra_tangents", [])]
-    return orbits.normal_rep_of(form, cochars, extra)
+    extra = args.items("extra_tangents", "polynomial", n, default=[])
+    return orbits.normal_rep_of(form, cocharacters, extra)
 
 
-@op("split_summary", "split")
-def _op_split_summary(ctx, args, step):
-    sp = args.instance("split", "TangentNormalSplit")
-    return {"span_dim": sp.span_dim, "relation_count": sp.relation_count,
-            "normal_dim": sp.normal.dim}
+@op("split_summary", split=_arg("instance", "TangentNormalSplit"))
+def _op_split_summary(args, split):
+    return {"span_dim": split.span_dim, "relation_count": split.relation_count,
+            "normal_dim": split.normal.dim}
 
 
-@op("normal_rep_strata", "rep", "group")
-def _op_nrs(ctx, args, step):
-    from . import strata
-
-    rep = args.weights("rep", "NormalRep", "TangentNormalSplit")
-    return strata.normal_rep_strata(rep, args.choice("group", ("torus", "pgl2")))
+op("normal_rep_strata", "strata.normal_rep_strata",
+   rep=_arg("weights", "NormalRep", "TangentNormalSplit"),
+   group=_arg("choice", ("torus", "pgl2")))
 
 
-@op("weyl_fiber_count", "strata", "beta", "stabilizer_weyl")
-def _op_wfc(ctx, args, step):
-    from . import strata
+@op("weyl_fiber_count", strata=STRATA, beta=_arg("vector"),
+    stabilizer_weyl=_arg("choice", ("sign",), None))
+def _op_wfc(args, strata, beta, stabilizer_weyl):
+    from .strata import weyl_fiber_count
 
-    index_set = [s.beta for s in args.strata("strata")]
-    beta = tuple(args.rational("beta", c) for c in args.listing("beta"))
-    wr = None
-    if args.choice("stabilizer_weyl", ("sign",), None) == "sign":
-        wr = [lambda v: v, lambda v: tuple(-c for c in v)]
-    return strata.weyl_fiber_count(beta, index_set, wr)
+    wr = [lambda v: v, lambda v: tuple(-c for c in v)] if stabilizer_weyl == "sign" else None
+    return weyl_fiber_count(beta, [s.beta for s in strata], wr)
 
 
-@op("classifying_series", "group", "n", "order")
-def _op_classifying(ctx, args, step):
+@op("classifying_series", order=ORDER,
+    group=_arg("choice", ("SL", "PGL", "GL", "torus", "mu")), n=_arg("integer", 0))
+def _op_classifying(args, order, group, n):
     from .series import TruncatedSeries, gf_expand
 
-    order = args.order(ctx.order)
-    group = args.choice("group", ("SL", "PGL", "GL", "torus", "mu"))
-    n = args.integer("n", 0)
     # a factor of period 2i above the order is 1 in the truncation
     top = min(n, order // 2)
     if group in ("SL", "PGL"):
@@ -250,159 +266,66 @@ def _op_classifying(ctx, args, step):
     return TruncatedSeries.one(order)
 
 
-@op("gf_expand", "factors", "order")
-def _op_gf(ctx, args, step):
-    from .series import gf_expand
-
-    factors = []
-    for items, name in args.each("factors"):
-        f = items[name]
-        if not (isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)):
-            items.reject(name, "an integer pair [period, multiplicity]", f)
-        factors.append(tuple(f))
-    return gf_expand(factors, args.order(ctx.order))
+op("gf_expand", "series.gf_expand", factors=_arg("items", "factor"), order=ORDER)
+op("projective_series", "series.projective_space_series", dim=INTEGER, order=ORDER)
+op("projective_table", "series.BettiTable.of_projective_space", dim=INTEGER)
 
 
-@op("projective_series", "dim", "order")
-def _op_proj(ctx, args, step):
-    from .series import projective_space_series
-
-    return projective_space_series(args.integer("dim"), args.order(ctx.order))
-
-
-@op("projective_table", "dim")
-def _op_proj_table(ctx, args, step):
-    from .series import BettiTable
-
-    return BettiTable.of_projective_space(args.integer("dim"))
-
-
-@op("series_product", "factors", "order")
-def _op_series_product(ctx, args, step):
+@op("series_product", order=ORDER, factors=_arg("items", "series", uses=("order",)))
+def _op_series_product(args, order, factors):
     from .series import TruncatedSeries
 
-    order = args.order(ctx.order)
     total = TruncatedSeries.one(order)
-    for items, name in args.each("factors"):
-        total = total * items.series(name, order)
+    for factor in factors:
+        total = total * factor
     return total
 
 
-@op("lincomb", "terms", "order")
-def _op_lincomb(ctx, args, step):
+@op("lincomb", order=ORDER, terms=_arg("items", "term", uses=("order",)))
+def _op_lincomb(args, order, terms):
     from .series import lincomb
 
-    order = args.order(ctx.order)
-    terms = []
-    for items, name in args.each("terms"):
-        term = items[name]
-        if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
-            items.reject(name, "a list [coefficient, integer shift, series]", term)
-        coeff, shift, ref = term
-        if shift < 0:
-            items.reject(name, "a list [coefficient, integer shift >= 0, series]", term)
-        terms.append((items.rational(name, coeff), shift, items.series(name, order, ref)))
     return lincomb(terms)
 
 
-@op("close_group", "generators", "ring", "cap")
-def _op_close_group(ctx, args, step):
+@op("close_group", ring=_arg("choice", ("Q", "E"), "Q"),
+    generators=_arg("generators", uses=("ring",)), cap=_arg("integer", None))
+def _op_close_group(args, ring, generators, cap):
     from . import invariants
 
-    return invariants.close_group(args.generators(),
-                                  args.integer("cap", invariants.DEFAULT_CAP))
+    return invariants.close_group(generators, invariants.DEFAULT_CAP if cap is None else cap)
 
 
-@op("group_order", "group")
-def _op_group_order(ctx, args, step):
-    return args.group("group").order
+@op("group_order", group=_arg("group"))
+def _op_group_order(args, group):
+    return group.order
 
 
-@op("molien", "group", "degree", "order")
-def _op_molien(ctx, args, step):
-    from . import invariants
-
-    return invariants.molien(args.group("group"), args.integer("degree"),
-                             args.order(ctx.order))
-
-
-@op("semistable_series", "ambient_dim", "bsl_exponents", "strata", "order")
-def _op_semistable(ctx, args, step):
-    from . import assembly
-
-    exponents = [items.integer(name, minimum=1) for items, name in args.each("bsl_exponents")]
-    return assembly.semistable_series(
-        args.integer("ambient_dim"),
-        exponents,
-        args.contributions("strata", ctx.order),
-        args.order(ctx.order),
-    )
+op("molien", "invariants.molien", group=_arg("group"), degree=INTEGER, order=ORDER)
+op("semistable_series", "assembly.semistable_series", ambient_dim=INTEGER,
+   bsl_exponents=_arg("items", "integer", minimum=1),
+   strata=_arg("contributions", uses=("order",)), order=ORDER)
+op("main_term", "assembly.main_term", center_series=SERIES, normal_rank=_arg("dimension"),
+   order=ORDER)
+op("extra_term", "assembly.extra_term", items=_arg("contributions", uses=("order",)),
+   order=ORDER)
+op("b_shift", "assembly.b_shift", table=TABLE, order=ORDER)
+op("blowup_correction", "assembly.blowup_correction", exceptional=TABLE, dim=INTEGER,
+   order=ORDER)
 
 
-@op("main_term", "center_series", "normal_rank", "order")
-def _op_main_term(ctx, args, step):
-    from . import assembly
-    from .stepargs import _instance
-
-    rank = args["normal_rank"]
-    if _instance(rank, "orbits", "TangentNormalSplit"):
-        rank = rank.normal.dim
-    elif _instance(rank, "orbits", "NormalRep"):
-        rank = rank.dim
-    else:
-        rank = args.integer("normal_rank")
-    return assembly.main_term(
-        args.series("center_series", args.order(ctx.order)),
-        rank,
-        args.order(ctx.order),
-    )
-
-
-@op("extra_term", "items", "order")
-def _op_extra_term(ctx, args, step):
-    from . import assembly
-
-    return assembly.extra_term(
-        args.contributions("items", ctx.order), args.order(ctx.order)
-    )
-
-
-@op("b_shift", "table", "order")
-def _op_b_shift(ctx, args, step):
-    from . import assembly
-
-    return assembly.b_shift(args.instance("table", "BettiTable"), args.order(ctx.order))
-
-
-@op("blowup_correction", "exceptional", "dim", "order")
-def _op_blowup(ctx, args, step):
-    from . import assembly
-
-    return assembly.blowup_correction(
-        args.instance("exceptional", "BettiTable"), args.integer("dim"),
-        args.order(ctx.order)
-    )
-
-
-@op("duality_complete", "series", "dim", "order")
-def _op_duality_complete(ctx, args, step):
+@op("duality_complete", order=ORDER, series=SERIES, dim=INTEGER)
+def _op_duality_complete(args, order, series, dim):
     from .series import duality_complete
 
-    return duality_complete(
-        args.series("series", args.order(ctx.order)), args.integer("dim")
-    )
+    return duality_complete(series, dim)
 
 
-@op("duality_check", "table")
-def _op_duality_check(ctx, args, step):
-    from .series import duality_check
-
-    return duality_check(args.instance("table", "BettiTable"))
+op("duality_check", "series.duality_check", table=TABLE)
 
 
-@op("betti_product", "tables")
-def _op_betti_product(ctx, args, step):
-    tables = [items.instance(name, "BettiTable") for items, name in args.each("tables")]
+@op("betti_product", tables=_arg("items", "instance", "BettiTable"))
+def _op_betti_product(args, tables):
     if not tables:
         args.reject("tables", "a nonempty list", tables)
     total = tables[0]
@@ -411,122 +334,82 @@ def _op_betti_product(ctx, args, step):
     return total
 
 
-@op("named_lattice", "name")
-def _op_named_lattice(ctx, args, step):
-    from . import eisenstein
-
-    return eisenstein.named_lattice(args.lattice_name("name"))
+op("named_lattice", "eisenstein.named_lattice", name=_arg("lattice_name"))
+op("z_form", "weyl.z_form", lattice=_arg("instance", "EisLattice"))
 
 
-@op("z_form", "lattice")
-def _op_z_form(ctx, args, step):
+@op("root_count", lattice=_arg("z_lattice"))
+def _op_root_count(args, lattice):
     from . import weyl
 
-    return weyl.z_form(args.instance("lattice", "EisLattice"))
+    return len(weyl.enumerate_roots(lattice))
 
 
-@op("root_count", "lattice")
-def _op_root_count(ctx, args, step):
-    from . import weyl
-
-    return len(weyl.enumerate_roots(args.z_lattice("lattice")))
+op("weyl_group", "weyl.weyl_group", lattice=_arg("lattice"))
 
 
-@op("weyl_group", "lattice")
-def _op_weyl_group(ctx, args, step):
-    from . import weyl
-
-    if isinstance(args["lattice"], str):
-        from .eisenstein import named_lattice
-
-        return weyl.weyl_group(named_lattice(args.lattice_name("lattice")))
-    return weyl.weyl_group(args.instance("lattice", "EisLattice"))
-
-
-@op("abelian_quotient_betti", "group", "rank", "form")
-def _op_aqb(ctx, args, step):
+@op("abelian_quotient_betti", rank=_arg("quotient_rank"),
+    form=_arg("eis_matrix", uses=("rank",), default=None), group=_arg("group", "E"))
+def _op_aqb(args, rank, form, group):
     from . import invariants
 
-    rank = args.integer("rank")
-    invariants.check_quotient_rank(rank)
-    form = None if args.get("form") is None else args.eis_matrix("form", rank)
-    return invariants.abelian_quotient_betti(args.group("group", "E"), rank, form=form)
+    return invariants.abelian_quotient_betti(group, rank, form=form)
 
 
-@op("wreath_symmetrize", "value", "n", "order")
-def _op_wreath(ctx, args, step):
+@op("wreath_symmetrize", order=ORDER, value=_arg("table_or_series", uses=("order",)),
+    n=POSITIVE)
+def _op_wreath(args, order, value, n):
     from . import invariants
-    from .series import BettiTable, TruncatedSeries
 
-    value = args["value"]
-    if not isinstance(value, (BettiTable, TruncatedSeries)):
-        value = args.series("value", args.order(ctx.order))
-    return invariants.wreath_symmetrize(value, args.integer("n", minimum=1))
+    return invariants.wreath_symmetrize(value, n)
 
 
-@op("boundary_betti", "spec")
-def _op_boundary(ctx, args, step):
-    from . import eisenstein
-
-    return eisenstein.boundary_betti(args.boundary_spec("spec"))
+op("boundary_betti", "eisenstein.boundary_betti", spec=_arg("boundary_spec"))
+op("discriminant_form", "discriminant.discriminant_form", lattice=_arg("z_lattice"))
 
 
-@op("discriminant_form", "lattice")
-def _op_disc(ctx, args, step):
+@op("glue_overlattice", lattice=_arg("instance", "ZLattice"), glue=_arg("matrix"))
+def _op_glue(args, lattice, glue):
     from . import discriminant
 
-    return discriminant.discriminant_form(args.z_lattice("lattice"))
-
-
-@op("glue_overlattice", "lattice", "glue")
-def _op_glue(ctx, args, step):
-    from . import discriminant
-
-    base = args.instance("lattice", "ZLattice")
-    glue = args.matrix("glue")
     for items, name in args.each("glue"):
-        if len(items[name]) != base.rank:
-            items.reject(name, f"a vector of length {base.rank}, the lattice rank", items[name])
-    res = discriminant.glue_overlattice(base, glue)
+        if len(items[name]) != lattice.rank:
+            items.reject(name, f"a vector of length {lattice.rank}, the lattice rank",
+                         items[name])
+    res = discriminant.glue_overlattice(lattice, glue)
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}
 
 
-@op("glue_diagonal_norm12", "lattice", "copies")
-def _op_glue_diag(ctx, args, step):
+@op("glue_diagonal_norm12", lattice=_arg("instance", "ZLattice"), copies=_arg("integer", 3, 1))
+def _op_glue_diag(args, lattice, copies):
     """Glue n copies of a lattice along 1/3 of the diagonal norm-(-12) div-3 class."""
     from . import discriminant
 
-    res = discriminant.glue_diagonal(args.instance("lattice", "ZLattice"),
-                                     args.integer("copies", 3, minimum=1))
+    res = discriminant.glue_diagonal(lattice, copies)
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}
 
 
 @op("verify_cusp_vector")
-def _op_cusp_vector(ctx, args, step):
+def _op_cusp_vector(args):
     from . import discriminant
 
     rep = discriminant.verify_unimodular_complement_vector()
     return {"ok": rep.ok, "norm": rep.norm, "div_ideal_norm": rep.div_norm}
 
 
-@op("assert_nonpositive", "series", "order")
-def _op_assert_nonpos(ctx, args, step):
-    s = args.series("series", args.order(ctx.order))
-    if any(c > 0 for c in s.coeffs):
-        raise ScenarioCheckError(f"series has a positive coefficient: {s}")
+@op("assert_nonpositive", order=ORDER, series=SERIES)
+def _op_assert_nonpos(args, order, series):
+    if any(c > 0 for c in series.coeffs):
+        raise ScenarioCheckError(f"series has a positive coefficient: {series}")
     return True
 
 
-@op("assert_true", "value")
-def _op_assert_true(ctx, args, step):
-    val = args["value"]
-    ok = val.get("ok") if isinstance(val, dict) else val
-    if type(ok) is not bool:
-        args.reject("value", "a boolean or an object whose 'ok' is a boolean", val)
-    if not ok:
-        raise ScenarioCheckError(f"assertion failed at step {step['id']!r}")
+@op("assert_true", value=_arg("boolean"))
+def _op_assert_true(args, value):
+    if not value:
+        raise ScenarioCheckError(f"assertion failed at {args.where}")
     return True
 
 
@@ -624,6 +507,11 @@ def load_scenario(source) -> dict:
 
 
 def _validate(doc):
+    """Check ``doc`` before its first step runs: its shape, then each step's
+    id, op, argument names, facts and "$" references (each names an earlier
+    step; an output's, any step), then, with `stepargs`, each literal
+    argument against its op's declaration.  A document that fails before
+    that last pass loads no other module."""
     if not isinstance(doc, dict) or "name" not in doc or "steps" not in doc:
         raise ScenarioParseError("scenario needs 'name' and 'steps'")
     if not (isinstance(doc["name"], str) and isinstance(doc.get("description", ""), str)):
@@ -644,6 +532,8 @@ def _validate(doc):
             raise ScenarioParseError("each step needs 'id' and 'op'")
         if isinstance(step["id"], (list, dict)):
             raise ScenarioParseError(f"steps[{pos}]: 'id' must not be a list or an object")
+        if not isinstance(step["id"], str):
+            raise ScenarioParseError(f"steps[{pos}]: 'id' must be a string, got {step['id']!r}")
         if step["id"] in seen:
             raise ScenarioParseError(f"duplicate step id {step['id']!r}")
         if not isinstance(step["op"], str):
@@ -652,7 +542,7 @@ def _validate(doc):
             raise ScenarioParseError(f"unknown op {step['op']!r}")
         if not isinstance(step.get("args", {}), dict):
             raise ScenarioParseError(f"arguments of step {step['id']!r} must be an object")
-        unknown = sorted(set(step.get("args", {})) - OP_ARGS[step["op"]])
+        unknown = sorted(set(step.get("args", {})) - set(DECLARATIONS[step["op"]]))
         if unknown:
             raise ScenarioParseError(
                 f"step {step['id']!r}: op {step['op']!r} has no argument {unknown[0]!r}"
@@ -665,7 +555,25 @@ def _validate(doc):
                 raise ScenarioParseError(
                     f"fact without citation in step {step['id']!r}"
                 )
+        if step["op"] in CITED and not facts:
+            raise ScenarioParseError(
+                f"{CITED[step['op']]} in step {step['id']!r} carries no citation")
+        _check_references(step.get("args", {}), seen)
         seen.add(step["id"])
+    _check_references(doc.get("outputs", {}), seen)
+    from .stepargs import StepArgs
+
+    for step in doc["steps"]:
+        given = step.get("args", {})
+        literal = {k: v for k, v in given.items() if not _references(v)}
+        _read(StepArgs(f"step {step['id']!r}", literal), DECLARATIONS[step["op"]],
+              doc.get("order", 10), set(given) - set(literal))
+
+
+def _check_references(obj, ids):
+    for key in _references(obj):
+        if key not in ids:
+            raise ScenarioParseError(f"reference to unknown step {key!r}")
 
 
 def run_scenario(source) -> ScenarioReport:

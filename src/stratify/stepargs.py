@@ -1,11 +1,11 @@
 """The one reader of step input and of the JSON arguments of the CLI.
 
-`StepArgs` holds the resolved arguments of one scenario step (or the
-parsed JSON argument of a `molien`, `lattice`, `boundary` or `blowup`
-call) and reads each field as the kind an op needs: an integer, a choice,
-a rational matrix, an Eisenstein matrix, a series, a Betti table, or an
-earlier step's value of some layer's class.  A missing or ill-typed field is
-a `ScenarioParseError` naming the step and the field.
+`StepArgs` holds the arguments of one scenario step (or the parsed JSON
+argument of a `molien`, `lattice`, `boundary` or `blowup` call) and reads
+each field as the kind an op declares (`runner.DECLARATIONS`): an integer,
+a choice, a rational matrix, an Eisenstein matrix, a series, a Betti table,
+or an earlier step's value of some layer's class.  A missing or ill-typed
+field is a `ScenarioParseError` naming the step and the field.
 
 At load it imports only `_pure`: the CLI reads its JSON arguments without
 compiling the scenario runner, and a reader imports the layer it builds a
@@ -77,9 +77,17 @@ class StepArgs(dict):
                         value)
         return value
 
-    def order(self, default: int) -> int:
-        """The step's truncation order: its own ``order`` or the scenario's."""
-        return check_order(self.integer("order", default), f"{self._label()}: argument 'order'")
+    def order(self, key, default: int) -> int:
+        """The step's truncation order ``key``: its own or the scenario's, ``default``."""
+        return check_order(self.integer(key, default), f"{self._label()}: argument {key!r}")
+
+    def boolean(self, key) -> bool:
+        """Argument ``key``: a boolean, or an object whose ``ok`` is a boolean."""
+        value = self[key]
+        ok = value.get("ok") if isinstance(value, dict) else value
+        if type(ok) is not bool:
+            self.reject(key, "a boolean or an object whose 'ok' is a boolean", value)
+        return ok
 
     def choice(self, key, options, default=_REQUIRED, what="one of"):
         """String argument ``key``, one of ``options``; required unless a
@@ -97,6 +105,14 @@ class StepArgs(dict):
 
         return self.choice(key, NAMED_LATTICES, what="a lattice name, one of")
 
+    def lattice(self, key):
+        """Argument ``key``: an Eisenstein lattice, or the name of one."""
+        if isinstance(self[key], str):
+            from .eisenstein import NAMED_LATTICES
+
+            return NAMED_LATTICES[self.lattice_name(key)]
+        return self.instance(key, "EisLattice")
+
     def listing(self, key, default=_REQUIRED) -> list:
         """List argument ``key``."""
         value = self._get(key, default)
@@ -110,6 +126,11 @@ class StepArgs(dict):
         items = StepArgs(self.where, {f"{key}[{i}]": x for i, x in
                                       enumerate(self.listing(key, default))}, self.path)
         return [(items, name) for name in items]
+
+    def items(self, key, reader, *params, default=_REQUIRED, **kw) -> list:
+        """List argument ``key``, each item read by the reader ``reader``."""
+        return [getattr(items, reader)(name, *params, **kw)
+                for items, name in self.each(key, default)]
 
     def instance(self, key, *kinds):
         """Argument ``key``: an instance of one of the classes ``kinds``,
@@ -145,10 +166,33 @@ class StepArgs(dict):
             lat = z_form(lat)
         return lat
 
-    def strata(self, key) -> list:
-        """Strata argument ``key``: a list of `strata.BetaStratum`, as an
-        index-set step returns."""
-        return [items.instance(name, "BetaStratum") for items, name in self.each(key)]
+    def dimension(self, key) -> int:
+        """Argument ``key``: an integer, or a normal representation or a
+        tangent-normal split, read as the dimension of the representation."""
+        value = self[key]
+        if _instance(value, "orbits", "TangentNormalSplit"):
+            return value.normal.dim
+        return value.dim if _instance(value, "orbits", "NormalRep") else self.integer(key)
+
+    def quotient_rank(self, key) -> int:
+        """Argument ``key``: the rank of an abelian quotient, an integer held
+        to `invariants.check_quotient_rank`."""
+        from .invariants import check_quotient_rank
+
+        rank = self.integer(key)
+        check_quotient_rank(rank)
+        return rank
+
+    def weight_rows(self, key) -> list:
+        """Argument ``key``: a list of equally long rational vectors, or the
+        weights of a weight system, a normal representation or a split."""
+        rows = self[key]
+        if not isinstance(rows, list):
+            return self.weights(key, "WeightSystem", "NormalRep", "TangentNormalSplit").weights
+        weights = self.matrix(key)
+        if any(len(w) != len(weights[0]) for w in weights):
+            self.reject(key, "a list of equally long vectors", rows)
+        return weights
 
     def nested(self, key, names) -> "StepArgs":
         """The object argument ``key``, with its own checks; a field outside
@@ -179,6 +223,10 @@ class StepArgs(dict):
             pass
         self.reject(key, "a rational: an integer, a string like \"1/3\" or [num, den]", value)
 
+    def vector(self, key) -> tuple:
+        """List argument ``key`` of rationals."""
+        return tuple(self.rational(key, c) for c in self.listing(key))
+
     @staticmethod
     def _square(value) -> bool:
         """Whether ``value`` is a nonempty list of rows as long as the list."""
@@ -194,10 +242,13 @@ class StepArgs(dict):
             self.reject(key, "a matrix (a list of rows)", rows)
         return [[self.rational(key, x) for x in row] for row in rows]
 
-    def eis_matrix(self, key, size=None) -> list:
+    def eis_matrix(self, key, size=None, default=_REQUIRED) -> list:
         """Argument ``key``: a square matrix, ``size`` x ``size`` when given,
-        of integers or [a, b] integer pairs (a + b*omega)."""
-        rows = self[key]
+        of integers or [a, b] integer pairs (a + b*omega); required unless a
+        default is given (with default None, null stands for absent)."""
+        rows = self._get(key, default)
+        if rows is None and default is None:
+            return None
         if not (self._square(rows) and (size is None or len(rows) == size) and all(
                 type(e) is int or (isinstance(e, list) and len(e) == 2
                                    and all(type(x) is int for x in e))
@@ -206,13 +257,12 @@ class StepArgs(dict):
             self.reject(key, f"{shape} of integers or [a, b] pairs", rows)
         return rows
 
-    def generators(self) -> list:
-        """The ``generators`` of a `close_group` step or the `molien` command:
-        with ``"ring": "E"`` square matrices of integers or [a, b] pairs,
-        with ``"ring": "Q"`` (the default) square rational matrices, all of
-        the size of the first."""
-        gens = self.each("generators")
-        if self.choice("ring", tuple(_RINGS), "Q") == "Q":
+    def generators(self, key, ring) -> list:
+        """The generators ``key`` of a `close_group` step or the `molien`
+        command: over ``ring`` "E" square matrices of integers or [a, b]
+        pairs, over "Q" square rational matrices, all of the size of the first."""
+        gens = self.each(key)
+        if ring == "Q":
             mats = [items.matrix(name, square=True) for items, name in gens]
         else:
             from ._exact import eis
@@ -222,7 +272,7 @@ class StepArgs(dict):
         for (items, name), mat in zip(gens, mats):
             if len(mat) != len(mats[0]):
                 k = len(mats[0])
-                items.reject(name, f"a {k} x {k} matrix like generators[0]", items[name])
+                items.reject(name, f"a {k} x {k} matrix like {key}[0]", items[name])
         return mats
 
     def polynomial(self, key, nvars):
@@ -276,6 +326,30 @@ class StepArgs(dict):
         self.reject(key, "a series: an integer, a serialized series or a list of "
                     "[degree >= 0, num] or [degree, num, den != 0] integer terms", value)
 
+    def table_or_series(self, key, order):
+        """Argument ``key``: an earlier step's Betti table or series, or a
+        series as `series` reads it at ``order``."""
+        value = self[key]
+        known = any(_instance(value, "series", cls) for cls in ("BettiTable", "TruncatedSeries"))
+        return value if known else self.series(key, order)
+
+    def factor(self, key) -> tuple:
+        """Argument ``key``: a `gf_expand` factor, an integer pair [period, multiplicity]."""
+        f = self[key]
+        if not (isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)):
+            self.reject(key, "an integer pair [period, multiplicity]", f)
+        return tuple(f)
+
+    def term(self, key, order) -> tuple:
+        """Argument ``key``: a `lincomb` term [coefficient, shift >= 0, series]."""
+        term = self[key]
+        if not (isinstance(term, list) and len(term) == 3 and type(term[1]) is int):
+            self.reject(key, "a list [coefficient, integer shift, series]", term)
+        coeff, shift, value = term
+        if shift < 0:
+            self.reject(key, "a list [coefficient, integer shift >= 0, series]", term)
+        return self.rational(key, coeff), shift, self.series(key, order, value)
+
     def table(self, key) -> BettiTable:
         """Betti-table argument ``key``: {"complex_dim": n, "even": [...], "odd": [...]}
         (a serialized table) with n >= 0 and at most n + 1 even and n odd
@@ -297,6 +371,15 @@ class StepArgs(dict):
         for start, values in enumerate(parts):
             betti[start:2 * len(values):2] = values
         return BettiTable.from_list(betti, n)
+
+    def declared(self, key, kind, order):
+        """Argument ``key`` of a `declare` step of ``kind``: a series, a Betti
+        table, an integer or ("raw") any value."""
+        if kind == "series":
+            return self.series(key, order)
+        if kind == "betti_table":
+            return self.table(key)
+        return self.integer(key) if kind == "int" else self[key]
 
     def contributions(self, key, order) -> list:
         """Argument ``key``: a list of stratum contributions {"codim": c,

@@ -1,7 +1,7 @@
 """Argument probe: every declared argument of every op, set to a bad value,
 ends in a documented error.
 
-For each op in `runner.OP_ARGS` the base is a valid step: the op's first
+For each op in `runner.DECLARATIONS` the base is a valid step: the op's first
 step in the built-in scenarios, with only the steps its "$" references need,
 or one written here for ops no built-in scenario uses.  Each declared
 argument is set in turn to each of `VALUES`.  A run may succeed (a value can
@@ -15,7 +15,7 @@ import pytest
 
 from stratify._pure import BUILTIN_SCENARIOS
 from stratify.runner import (
-    OP_ARGS,
+    DECLARATIONS,
     ResourceCapError,
     ScenarioCheckError,
     ScenarioParseError,
@@ -76,12 +76,12 @@ def base_of(op):
     raise AssertionError(f"no base step for op {op!r}")
 
 
-@pytest.mark.parametrize("op", sorted(OP_ARGS))
+@pytest.mark.parametrize("op", sorted(DECLARATIONS))
 def test_bad_argument_values_end_in_documented_errors(op):
     order, steps, target = base_of(op)
     run_scenario({"name": "base", "order": order, "steps": steps})  # the base is valid
     undocumented = []
-    for arg in sorted(OP_ARGS[op]):
+    for arg in DECLARATIONS[op]:
         for value in VALUES:
             probe = copy.deepcopy(steps)
             next(s for s in probe if s["id"] == target).setdefault("args", {})[arg] = value

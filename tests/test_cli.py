@@ -218,6 +218,11 @@ class TestStrataCommand:
         assert code == 0
         assert "minimal nonzero expected codimension: 5" in out
 
+    def test_truncate_is_a_codimension_bound_without_the_order_cap(self):
+        full = run_cli("strata", "--n", "2", "--d", "3")
+        assert full[0] == 0
+        assert run_cli("strata", "--n", "2", "--d", "3", "--truncate", "2000") == full
+
     def test_csv(self):
         code, out, _ = run_cli("--format", "csv", "strata", "--n", "1", "--d", "12")
         assert code == 0
@@ -399,6 +404,8 @@ class TestBadInput:
         "@float": '{"name": "x", "steps": [{"id": "v", "op": "declare", "args": '
                   '{"kind": "raw", "value": 1.5}, "facts": [{"cite": "c"}], "expect": 1.5}]}',
         "@float-spec": '{"factors": [{"lattice": "E1", "count": 1e0}]}',
+        "@int-id": '{"name": "x", "steps": [{"id": 1, "op": "projective_series", "args": '
+                   '{"dim": 1}}, {"id": "s", "op": "b_shift", "args": {"table": "$1"}}]}',
     }
 
     @pytest.mark.parametrize("argv, message", [
@@ -426,6 +433,8 @@ class TestBadInput:
          "the number 1.0 is a float"),
         (("molien", "--gens", '{"generators": [[[NaN]]]}'), "the number NaN is a float"),
         (("lattice", "roots", '{"gram": [[-Infinity]]}'), "the number -Infinity is a float"),
+        # a reference is a string, so an id must be one
+        (("scenario", "run", "@int-id"), "steps[0]: 'id' must be a string, got 1"),
     ])
     def test_bad_input_is_parse_error(self, tmp_path, argv, message):
         latin1 = tmp_path / "latin1.json"
@@ -457,6 +466,9 @@ class TestCommandLine:
         (("--n", "3", "strata", "--d", "3"), "unknown option --n"),
         (("strata", "--n", "0", "--d", "3"), "--n must be an integer >= 1, got 0"),
         (("strata", "--n", "3", "--d", "-1"), "--d must be an integer >= 1, got -1"),
+        # --truncate only where the command reads it
+        (("scenario", "run", "cubicsurf", "--truncate", "5"), "unknown option --truncate"),
+        (("lattice", "roots", "E1", "--truncate", "3"), "unknown option --truncate"),
     ])
     def test_malformed_command_line_is_parse_error(self, argv, named):
         code, out, err = run_cli(*argv)
@@ -484,7 +496,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv, words", [
         (("--help",), ("scenario", "strata", "molien", "lattice", "boundary", "blowup",
-                       "--format", "--truncate")),
+                       "--format")),
         (("-h",), ("scenario", "strata", "molien", "lattice", "boundary", "blowup")),
         (("strata", "-h"), ("--n N", "--d D", "--group {sl,torus}", "--format", "--truncate")),
         (("molien", "--gens", "[[[1]]]", "--help"), ("--gens GENS", "--degree DEGREE")),
@@ -500,8 +512,7 @@ class TestCommandLine:
         from stratify.cli import build_parser
 
         args = build_parser().parse_args(["scenario", "run", "cubicsurf", "--format", "json"])
-        assert (args.action, args.source, args.format, args.truncate) == (
-            "run", "cubicsurf", "json", None)
+        assert (args.action, args.source, args.format) == ("run", "cubicsurf", "json")
         assert callable(args.fn)
         args = build_parser().parse_args(["strata", "--n", "3", "--d", "2"])
         assert (args.n, args.d, args.group, args.format) == (3, 2, "sl", "text")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratify._pure import ResourceCapError
-from stratify._exact import UNITS, EisInt, eis_matrix
+from stratify._exact import UNITS, EisInt, eis_matrix, identity, mat_mul
 from stratify.eisenstein import (
     E1,
     E2,
@@ -15,6 +15,7 @@ from stratify.eisenstein import (
     E4,
     H,
     NAMED_LATTICES,
+    EisLattice,
 )
 from stratify.invariants import (
     FiniteMatrixGroup,
@@ -315,6 +316,81 @@ def test_schreier_sims_matches_closure(case):
     lat, gens = case
     closed = close_group(gens, cap=1500)
     assert isometry_group_order(lat, gens) == closed.order
+
+
+# --- basis-free differential tests: the same group in another basis ---------
+
+def elementary_change(k, ops):
+    """A unimodular Z[omega] matrix P and its inverse, the product of the
+    elementary column operations ``ops``: ("add", i, j, u) adds u times
+    column i to column j, ("scale", j, u) multiplies column j by a unit u."""
+    p = [list(row) for row in identity(k)]
+    p_inv = [list(row) for row in identity(k)]
+    for op in ops:
+        if op[0] == "add":
+            _, i, j, u = op
+            for row in p:
+                row[j] = row[j] + u * row[i]
+            p_inv[i] = [x - u * y for x, y in zip(p_inv[i], p_inv[j])]
+        else:
+            _, j, u = op
+            for row in p:
+                row[j] = row[j] * u
+            p_inv[j] = [x * u.conj() for x in p_inv[j]]
+    assert mat_mul(p, p_inv) == identity(k)
+    return eis_matrix(p), eis_matrix(p_inv)
+
+
+def change_basis(lat, gens, p, p_inv):
+    """The lattice in the basis given by the columns of P: form P* G P, and
+    each isometry g as P^-1 g P."""
+    adjoint = tuple(tuple(e.conj() for e in col) for col in zip(*p))
+    return (EisLattice(lat.rank, mat_mul(adjoint, mat_mul(lat.gram, p))),
+            [mat_mul(p_inv, mat_mul(g, p)) for g in gens])
+
+
+@st.composite
+def elementary_ops(draw, k):
+    small = st.builds(EisInt, st.integers(-2, 2), st.integers(-2, 2))
+    pairs = st.permutations(range(k)).map(lambda perm: perm[:2])
+    add = st.tuples(st.just("add"), pairs, small).map(lambda t: ("add", *t[1], t[2]))
+    scale = st.tuples(st.just("scale"), st.integers(0, k - 1), st.sampled_from(UNITS))
+    return draw(st.lists(st.one_of(add, scale) if k > 1 else scale, max_size=6))
+
+
+conjugated_groups = small_groups.flatmap(lambda case: st.tuples(
+    st.just(case), elementary_ops(case[0].rank)))
+
+
+def assert_same_group(lat, gens, new_lat, new_gens, closure=True):
+    k = lat.rank
+    assert isometry_group_order(new_lat, new_gens) == isometry_group_order(lat, gens)
+    assert weyl_group(new_lat).order == weyl_group(lat).order
+    assert (abelian_quotient_betti(new_gens, k, form=new_lat.gram)
+            == abelian_quotient_betti(gens, k, form=lat.gram))
+    if closure:
+        group, new_group = close_group(gens, cap=1500), close_group(new_gens, cap=1500)
+        assert new_group.order == group.order
+        assert molien(new_group, 2, 8) == molien(group, 2, 8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(conjugated_groups)
+def test_group_invariants_do_not_depend_on_the_basis(case):
+    (lat, gens), ops = case
+    p, p_inv = elementary_change(lat.rank, ops)
+    assert_same_group(lat, gens, *change_basis(lat, gens, p, p_inv))
+
+
+def test_conjugated_e4_triflections():
+    # the closure of E4's 155,520 elements is left out: it takes minutes
+    ops = [("add", 0, 1, EisInt(1, 1)), ("add", 2, 3, EisInt(-2, 1)), ("scale", 1, UNITS[2]),
+           ("add", 3, 0, EisInt(0, 2)), ("add", 1, 2, EisInt(2, -1)), ("add", 0, 3, EisInt(1, 0))]
+    p, p_inv = elementary_change(4, ops)
+    gens = triflections(E4)
+    new_lat, new_gens = change_basis(E4, gens, p, p_inv)
+    assert new_lat.gram != E4.gram
+    assert_same_group(E4, gens, new_lat, new_gens, closure=False)
 
 
 def permutation_closure_order(perms):

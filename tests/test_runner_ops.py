@@ -1,8 +1,10 @@
 """Coverage for scenario ops not exercised by the built-in pipelines."""
 
+import time
+
 import pytest
 
-from stratify.runner import ScenarioCheckError, ScenarioParseError, run_scenario
+from stratify.runner import ScenarioCheckError, ScenarioParseError, load_scenario, run_scenario
 
 
 def run_steps(steps, order=8):
@@ -496,3 +498,24 @@ def test_abelian_quotient_form_is_an_eisenstein_gram():
          "args": {"group": "$g", "rank": 1, "form": [[[3, 0]]]},
          "expect": {"kind": "betti_table", "complex_dim": 1, "even": [1, 1], "odd": [0]}}])
     assert value_of(rep, "q")["even"] == [1, 1]
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([{"id": "bad", "op": "projective_series", "args": {"dim": "2"}}],
+     r"^step 'bad': argument 'dim' must be an integer, got '2'$"),
+    ([{"id": "bad", "op": "b_shift", "args": {"table": "$no_such_step"}}],
+     r"^reference to unknown step 'no_such_step'$"),
+    ([{"id": "bad", "op": "b_shift", "args": {"table": "$later"}},
+      {"id": "later", "op": "projective_table", "args": {"dim": 1}}],
+     r"^reference to unknown step 'later'$"),
+    ([{"id": "bad", "op": "betti_product", "args": {"tables": ["$tbl_git", "$no_such_step"]}}],
+     r"^reference to unknown step 'no_such_step'$"),
+])
+def test_a_bad_last_step_fails_before_the_first_step_runs(steps, message):
+    # the 107 steps of cubic3fold take a quarter of a second to run
+    doc = load_scenario("cubic3fold")
+    doc["steps"] += steps
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioParseError, match=message):
+        run_scenario(doc)
+    assert time.perf_counter() - t0 < 0.05

@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Subcommands: `scenario run`, `strata`, `molien`, `lattice`, `boundary`,
-`blowup`.  Output formats: text, json, csv, latex.  Exit codes: 0 success,
-2 check failure, 3 parse error, 4 resource cap exceeded.
+`blowup`.  Output formats: text and json, and where a command writes them
+(`WRITES`) csv and latex.  Exit codes: 0 success, 2 check failure, 3 parse
+error, 4 resource cap exceeded.
 
-`COMMANDS` and `COMMON` are the one place that says what each command
-accepts: its handler, positionals and options (`--truncate` only where the
-command reads it), and the options every command takes.  `parse_args`
-reads the command line from them and `--help` prints them, and a
-malformed command line (an unknown word, a missing or ill-typed value, a
-value outside its choices) is a parse error like any other.  The parser is the table and one loop, not `argparse`, so
-that no call loads `argparse`, `gettext` or `locale`.
+`COMMANDS`, `COMMON` and `WRITES` are the one place that says what each
+command accepts: its handler, positionals and options (`--truncate` only
+where the command reads it), the options every command takes, and the
+formats beyond text and json it writes.  `parse_args` reads the command
+line from them and `--help` prints them, and a malformed command line (an
+unknown word, a missing or ill-typed value, a value outside its choices, a
+format the command does not write) is a parse error like any other.  The
+parser is the table and one loop, not `argparse`, so that no call loads
+`argparse`, `gettext` or `locale`.
 
 At load this module imports only `_pure`.  Each subcommand imports the
 layers it runs, after its input has parsed, the JSON argument reader
@@ -47,11 +50,11 @@ EXIT_PARSE = 3
 EXIT_CAP = 4
 
 
-def _emit(payload, fmt: str, text_fn=None, csv_fn=None):
-    if fmt == "csv" and csv_fn:
-        print(csv_fn(payload), end="")
-    elif fmt != "json" and text_fn:
-        print(text_fn(payload), end="")
+def _emit(payload, fmt: str, text_fn, csv_fn=None):
+    """Print ``payload`` as json or as ``text_fn`` or ``csv_fn`` writes it;
+    `parse_args` has refused a format the command does not write."""
+    if fmt != "json":
+        print((csv_fn if fmt == "csv" else text_fn)(payload), end="")
     else:
         from .serialize import to_jsonable
 
@@ -231,6 +234,9 @@ COMMON = {
                         text="output format"),
 }
 
+# the formats beyond text and json that a command, with its action, writes
+WRITES = {"scenario run": ("csv", "latex"), "strata": ("csv",), "lattice z-form": ("csv",)}
+
 # What each command accepts: its handler, its help line, its positionals as
 # (name, choices, help line) and its options by flag.  A value is stored
 # under the positional's name or the flag without its dashes.
@@ -365,6 +371,11 @@ def parse_args(argv=None) -> SimpleNamespace:
         if required and flag[2:] not in values:
             raise ScenarioParseError(f"{command} needs {flag}")
         values.setdefault(flag[2:], default)
+    name = f"{command} {values['action']}" if "action" in values else command
+    writes = ("text", "json", *WRITES.get(name, ()))
+    if values["format"] not in writes:
+        raise ScenarioParseError(f"{name} does not write {values['format']}; "
+                                 f"it writes {', '.join(writes)}")
     return SimpleNamespace(fn=fn, command=command, **values)
 
 

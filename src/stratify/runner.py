@@ -8,10 +8,12 @@ The emitted report is deterministic, so identical invocations are
 byte-identical.
 
 Each op declares its arguments once (`op`, `DECLARATIONS`).  Before the
-first step runs, `_validate` checks every literal argument against its
-declaration and every reference against the steps before it; what needs an
-earlier step's value (a lattice's rank, a value's class) is checked when
-its step runs.
+first step runs, `_validate` checks every reference against the steps
+before it and every output as a plain "$id" reference, and reads every
+literal argument against its declaration; the run uses the values it read,
+so each literal is read once.  An argument that holds or uses a reference,
+and what needs an earlier step's value (a lattice's rank, a value's class),
+is read and checked when its step runs.
 
 At load this module imports only `_pure`.  `_validate` imports the argument
 reader (`stepargs`) once the document's shape, op names and references
@@ -39,11 +41,11 @@ from ._pure import (
 
 
 class Context:
-    """A running scenario: its truncation order and the values of the steps
-    run so far, by id."""
+    """A running scenario: the argument values `_validate` read for each step
+    and the values of the steps run so far, by id."""
 
-    def __init__(self, order: int):
-        self.order = order
+    def __init__(self, known: dict):
+        self.known = known
         self.values = {}
 
     def resolve(self, obj):
@@ -82,7 +84,7 @@ DECLARATIONS = {}
 CITED = {}
 # what a declaration's ``uses`` names for the scenario's truncation order
 SCENARIO_ORDER = "scenario order"
-# the value of an argument that holds a reference, before the run
+# the value of an argument that holds or uses a reference, before the run
 _PENDING = object()
 
 
@@ -101,18 +103,18 @@ STRATA = _arg("items", "instance", "BetaStratum")
 TABLE = _arg("instance", "BettiTable")
 
 
-def _read(args, decls, order: int, pending=()) -> dict:
-    """The values of the arguments that ``decls`` declares, read from the
-    `StepArgs` ``args`` in declaration order, each after those it uses, for
-    a scenario of truncation order ``order``.  An argument named in
-    ``pending``, or one that uses it, is `_PENDING` and not read."""
-    values = {SCENARIO_ORDER: order}
+def _read(args, decls, known: dict) -> dict:
+    """The values of the arguments that ``decls`` declares, in declaration
+    order: those in ``known`` (which holds the scenario's order) as given,
+    the others read from the `StepArgs` ``args``, each after those it uses.
+    One that uses a `_PENDING` value is `_PENDING` and not read."""
+    values = dict(known)
 
     def read(name):
         if name not in values:
             reader, params, uses, kw = decls[name]
             used = [read(u) for u in uses]
-            values[name] = (_PENDING if name in pending or any(u is _PENDING for u in used)
+            values[name] = (_PENDING if any(u is _PENDING for u in used)
                             else getattr(args, reader)(name, *params, *used, **kw))
         return values[name]
 
@@ -129,7 +131,8 @@ def op(name, target=None, /, *, cite=None, **decls):
 
     def register(body):
         def run(ctx, args, step):
-            values = _read(args, decls, ctx.order)
+            known = ctx.known[step["id"]].items()
+            values = _read(args, decls, {k: v for k, v in known if v is not _PENDING})
             if body is not None:
                 return body(args, **values)
             layer, *path = target.split(".")
@@ -372,10 +375,10 @@ op("discriminant_form", "discriminant.discriminant_form", lattice=_arg("z_lattic
 def _op_glue(args, lattice, glue):
     from . import discriminant
 
-    for items, name in args.each("glue"):
-        if len(items[name]) != lattice.rank:
-            items.reject(name, f"a vector of length {lattice.rank}, the lattice rank",
-                         items[name])
+    for i, row in enumerate(glue):
+        if len(row) != lattice.rank:
+            args.reject(f"glue[{i}]", f"a vector of length {lattice.rank}, the lattice rank",
+                        args["glue"][i])
     res = discriminant.glue_overlattice(lattice, glue)
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}
@@ -506,12 +509,14 @@ def load_scenario(source) -> dict:
         raise ScenarioParseError(f"scenario is not valid JSON: {e}") from e
 
 
-def _validate(doc):
+def _validate(doc) -> dict:
     """Check ``doc`` before its first step runs: its shape, then each step's
     id, op, argument names, facts and "$" references (each names an earlier
-    step; an output's, any step), then, with `stepargs`, each literal
-    argument against its op's declaration.  A document that fails before
-    that last pass loads no other module."""
+    step), then each output (a "$id" reference to any step), then, with
+    `stepargs`, read each literal argument against its op's declaration.
+    Return, by step id, the scenario's order and the values read, with
+    `_PENDING` for the arguments that hold or use a reference.  A document
+    that fails before that last pass loads no other module."""
     if not isinstance(doc, dict) or "name" not in doc or "steps" not in doc:
         raise ScenarioParseError("scenario needs 'name' and 'steps'")
     if not (isinstance(doc["name"], str) and isinstance(doc.get("description", ""), str)):
@@ -545,29 +550,31 @@ def _validate(doc):
         unknown = sorted(set(step.get("args", {})) - set(DECLARATIONS[step["op"]]))
         if unknown:
             raise ScenarioParseError(
-                f"step {step['id']!r}: op {step['op']!r} has no argument {unknown[0]!r}"
-            )
+                f"step {step['id']!r}: op {step['op']!r} has no argument {unknown[0]!r}")
         facts = step.get("facts", [])
         if not (isinstance(facts, list) and all(isinstance(f, dict) for f in facts)):
             raise ScenarioParseError(f"step {step['id']!r}: 'facts' must be a list of objects")
-        for fact in facts:
-            if not fact.get("cite"):
-                raise ScenarioParseError(
-                    f"fact without citation in step {step['id']!r}"
-                )
+        if not all(fact.get("cite") for fact in facts):
+            raise ScenarioParseError(f"fact without citation in step {step['id']!r}")
         if step["op"] in CITED and not facts:
             raise ScenarioParseError(
                 f"{CITED[step['op']]} in step {step['id']!r} carries no citation")
         _check_references(step.get("args", {}), seen)
         seen.add(step["id"])
-    _check_references(doc.get("outputs", {}), seen)
+    for label, ref in doc.get("outputs", {}).items():
+        if not (isinstance(label, str) and isinstance(ref, str) and ref.startswith("$")):
+            raise ScenarioParseError(f"output {label!r} must be a \"$id\" reference, got {ref!r}")
+        _check_references(ref, seen)
     from .stepargs import StepArgs
 
+    known, order = {}, {SCENARIO_ORDER: doc.get("order", 10)}
     for step in doc["steps"]:
         given = step.get("args", {})
         literal = {k: v for k, v in given.items() if not _references(v)}
-        _read(StepArgs(f"step {step['id']!r}", literal), DECLARATIONS[step["op"]],
-              doc.get("order", 10), set(given) - set(literal))
+        pending = dict.fromkeys(given.keys() - literal.keys(), _PENDING)
+        known[step["id"]] = {**order, **_read(StepArgs(f"step {step['id']!r}", literal),
+                                              DECLARATIONS[step["op"]], {**order, **pending})}
+    return known
 
 
 def _check_references(obj, ids):
@@ -578,10 +585,9 @@ def _check_references(obj, ids):
 
 def run_scenario(source) -> ScenarioReport:
     doc = load_scenario(source)
-    _validate(doc)
+    ctx = Context(_validate(doc))
     from .stepargs import StepArgs, _instance
 
-    ctx = Context(order=doc.get("order", 10))
     step_reports = []
     provenance = []
     for step in doc["steps"]:
@@ -604,8 +610,7 @@ def run_scenario(source) -> ScenarioReport:
         if jexpect is not None:
             if got != jexpect:
                 raise ScenarioCheckError(
-                    f"step {step['id']!r} mismatch:\n  expected {jexpect}\n  got      {got}"
-                )
+                    f"step {step['id']!r} mismatch:\n  expected {jexpect}\n  got      {got}")
             rep["checked"] = True
         rep["value"] = got
         step_reports.append(rep)
@@ -613,7 +618,7 @@ def run_scenario(source) -> ScenarioReport:
             provenance.append({"step": step["id"], **fact})
     tables = {}
     for label, ref in doc.get("outputs", {}).items():
-        value = ctx.resolve(ref)
+        value = ctx.values[ref[1:]]
         if not _instance(value, "series", "BettiTable"):
             raise ScenarioCheckError(f"output {label!r} is not a Betti table")
         from .series import duality_check
@@ -622,11 +627,6 @@ def run_scenario(source) -> ScenarioReport:
         if not rep.ok:
             raise ScenarioCheckError(f"output {label!r} fails duality: {rep.message}")
         tables[label] = value
-    return ScenarioReport(
-        name=doc["name"],
-        description=doc.get("description", ""),
-        steps=step_reports,
-        tables=tables,
-        provenance=provenance,
-        notes=doc.get("notes", []),
-    )
+    return ScenarioReport(name=doc["name"], description=doc.get("description", ""),
+                          steps=step_reports, tables=tables, provenance=provenance,
+                          notes=doc.get("notes", []))

@@ -406,6 +406,8 @@ class TestBadInput:
         "@float-spec": '{"factors": [{"lattice": "E1", "count": 1e0}]}',
         "@int-id": '{"name": "x", "steps": [{"id": 1, "op": "projective_series", "args": '
                    '{"dim": 1}}, {"id": "s", "op": "b_shift", "args": {"table": "$1"}}]}',
+        "@plain-output": '{"name": "x", "steps": [{"id": "t", "op": "projective_table", '
+                         '"args": {"dim": 1}}], "outputs": {"a": "t"}}',
     }
 
     @pytest.mark.parametrize("argv, message", [
@@ -435,6 +437,7 @@ class TestBadInput:
         (("lattice", "roots", '{"gram": [[-Infinity]]}'), "the number -Infinity is a float"),
         # a reference is a string, so an id must be one
         (("scenario", "run", "@int-id"), "steps[0]: 'id' must be a string, got 1"),
+        (("scenario", "run", "@plain-output"), "output 'a' must be a \"$id\" reference, got 't'"),
     ])
     def test_bad_input_is_parse_error(self, tmp_path, argv, message):
         latin1 = tmp_path / "latin1.json"
@@ -469,6 +472,16 @@ class TestCommandLine:
         # --truncate only where the command reads it
         (("scenario", "run", "cubicsurf", "--truncate", "5"), "unknown option --truncate"),
         (("lattice", "roots", "E1", "--truncate", "3"), "unknown option --truncate"),
+        # a format the command does not write, refused before it computes
+        (("strata", "--n", "2", "--d", "3", "--format", "latex"),
+         "strata does not write latex; it writes text, json, csv"),
+        (("molien", "--gens", "[[[0,1],[1,0]]]", "--format", "csv"),
+         "molien does not write csv; it writes text, json"),
+        (("lattice", "roots", "E1", "--format", "csv"),
+         "lattice roots does not write csv; it writes text, json"),
+        (("--format", "latex", "lattice", "z-form", "E1"),
+         "lattice z-form does not write latex; it writes text, json, csv"),
+        (("strata", "--n", "5", "--d", "3", "--format", "latex"), "strata does not write latex"),
     ])
     def test_malformed_command_line_is_parse_error(self, argv, named):
         code, out, err = run_cli(*argv)

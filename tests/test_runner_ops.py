@@ -1,5 +1,6 @@
 """Coverage for scenario ops not exercised by the built-in pipelines."""
 
+import collections
 import time
 
 import pytest
@@ -419,6 +420,13 @@ def test_lincomb_order_above_the_cap_is_a_resource_cap():
     ({"name": "x", "notes": ["a", 1]}, "scenario 'notes' must be a list of strings"),
     ({"name": ["x"]}, "scenario 'name' and 'description' must be strings"),
     ({"name": "x", "description": 5}, "scenario 'name' and 'description' must be strings"),
+    # an output is one "$id" reference, checked before the first step runs
+    ({"name": "x", "outputs": {"a": "s"}}, r"""^output 'a' must be a "\$id" reference, got 's'$"""),
+    ({"name": "x", "outputs": {"a": 5}}, r"""^output 'a' must be a "\$id" reference, got 5$"""),
+    ({"name": "x", "outputs": {"a": ["$s"]}},
+     r"""^output 'a' must be a "\$id" reference, got \['\$s'\]$"""),
+    ({"name": "x", "outputs": {1: "$s"}}, r"""^output 1 must be a "\$id" reference, got '\$s'$"""),
+    ({"name": "x", "outputs": {"a": "$t"}}, r"^reference to unknown step 't'$"),
 ])
 def test_scenario_name_description_and_notes_are_typed(doc, message):
     steps = [{"id": "s", "op": "projective_series", "args": {"dim": 1}}]
@@ -519,3 +527,56 @@ def test_a_bad_last_step_fails_before_the_first_step_runs(steps, message):
     with pytest.raises(ScenarioParseError, match=message):
         run_scenario(doc)
     assert time.perf_counter() - t0 < 0.05
+
+
+def test_an_output_is_checked_before_the_first_step_runs():
+    # the step would fail its assertion (exit 2) if it ran
+    doc = {"name": "x", "steps": [{"id": "s", "op": "assert_true", "args": {"value": False}}],
+           "outputs": {"a": "s"}}
+    with pytest.raises(ScenarioParseError, match="output 'a' must be"):
+        run_scenario(doc)
+
+
+@pytest.fixture
+def read_counts(monkeypatch):
+    """Calls of the argument readers and of `orbits.parse_poly`, by name."""
+    from stratify import orbits
+    from stratify.stepargs import StepArgs
+
+    calls = collections.Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("polynomial", "boundary_spec", "generators"):
+        count(StepArgs, name)
+    count(orbits, "parse_poly")
+    return calls
+
+
+def test_each_literal_argument_of_cubicsurf_is_read_once(read_counts):
+    run_scenario("cubicsurf")
+    assert read_counts == {"polynomial": 1, "boundary_spec": 1, "generators": 1,
+                           "parse_poly": 1}
+
+
+def test_a_literal_polynomial_is_parsed_once(read_counts):
+    run_steps([{"id": "f", "op": "parse_poly", "args": {"text": "x0*x1 + x2^3", "nvars": 3}}])
+    assert read_counts == {"polynomial": 1, "parse_poly": 1}
+
+
+def test_a_literal_that_uses_a_reference_is_read_when_its_step_runs(read_counts):
+    rep = run_steps([
+        {"id": "n", "op": "declare", "args": {"kind": "int", "value": 2},
+         "facts": [{"cite": "unit test"}]},
+        {"id": "f", "op": "parse_poly", "args": {"text": "x1^2", "nvars": "$n"}},
+        {"id": "g", "op": "check_semiinvariant", "args": {"form": "$f", "matrix": [[1, 0], [0, 2]]},
+         "expect": {"ok": True, "scalar": [4, 1]}}])
+    assert read_counts == {"polynomial": 1, "parse_poly": 1}
+    assert value_of(rep, "g")["ok"] is True

@@ -4,9 +4,10 @@ that both the strata path and the lattice layer use.
 
 This module imports no other stratify module, so the command line can load
 it, and with it the error types, the truncation-order and digit caps, the
-built-in scenario names and the input-file reader, before it knows which
-layers a call needs.  It holds only what callers of more than one layer
-share: every call compiles it.
+built-in scenario names, the input-file reader and `load_json`, the one
+exact reader of JSON input (scenario files and the CLI's JSON arguments),
+before it knows which layers a call needs.  It holds only what callers of
+more than one layer share: every call compiles it.
 
 `_extend_ldl` adds one row to a fraction-free LDL^T elimination in Python
 ints.  It is the step of the closest-point candidate search
@@ -20,12 +21,17 @@ adjugate, `rank`, the exact quotient `_div` and `rational`, the rule that a
 rational is an int where it is integral, live here rather than in `_exact`,
 which re-exports them: the index set needs the rank of its scaled weights,
 and neither the strata path nor the series layer loads Eisenstein arithmetic.
+`scaled_integers`, rational rows as integer rows over their common
+denominator, is the one such scaling: of the index set's weights, of a beta
+against them, of glue vectors and of cocharacters.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 BACKEND = "pure"
 
@@ -91,11 +97,24 @@ def read_input(path) -> str:
         raise ScenarioParseError(f"{path} is not UTF-8 text: {e}") from e
 
 
-def no_float(text):
-    """The `parse_float` and `parse_constant` of every `json.loads` of input:
-    a number with a fraction or an exponent, NaN or Infinity is not exact."""
+def _no_float(text):
+    """The `parse_float` and `parse_constant` of `load_json`: a number with a
+    fraction or an exponent, NaN or Infinity is not exact."""
     raise ScenarioParseError(f"the number {text} is a float; input numbers are "
                              "integers, and rationals are written \"p/q\" or [p, q]")
+
+
+def load_json(text: str, what: str):
+    """The JSON document ``text``, read exactly.  A float, NaN or Infinity,
+    malformed JSON and an integer beyond the interpreter's digit limit (a
+    plain `ValueError` from `json.loads`) are parse errors, the last two
+    "``what``: <reason>"."""
+    try:
+        return json.loads(text, parse_float=_no_float, parse_constant=_no_float)
+    except ScenarioParseError:
+        raise
+    except ValueError as e:
+        raise ScenarioParseError(f"{what}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +210,15 @@ def rational(x):
         return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def scaled_integers(rows) -> tuple:
+    """The rational rows (entries int or `Fraction`) as integer rows over
+    their common denominator: ``(scaled, denom)``, row i is
+    ``scaled[i] / denom``."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    denom = lcm(*{d for row in ratios for _, d in row})
+    return [tuple([n * (denom // d) for n, d in row]) for row in ratios], denom
 
 
 def _div(x, y):

@@ -19,6 +19,8 @@ At load this module imports only `_pure`.  Each subcommand imports the
 layers it runs, after its input has parsed, the JSON argument reader
 (`stepargs`) when it has a JSON argument, and `serialize` only to print
 JSON: a fresh interpreter per call pays to compile just those modules.
+JSON arguments are read by `_pure.load_json` and JSON output is written by
+`serialize.dumps`, the rules that scenario files and reports follow too.
 
 `main()` without `argv`, as the program calls it, ends with `gc.freeze()`,
 so the interpreter's shutdown skips collecting the call's objects;
@@ -40,7 +42,7 @@ from ._pure import (
     ScenarioCheckError,
     ScenarioParseError,
     check_order,
-    no_float,
+    load_json,
     read_input,
 )
 
@@ -56,39 +58,30 @@ def _emit(payload, fmt: str, text_fn, csv_fn=None):
     if fmt != "json":
         print((csv_fn if fmt == "csv" else text_fn)(payload), end="")
     else:
-        from .serialize import to_jsonable
+        from .serialize import dumps, to_jsonable
 
-        print(json.dumps(to_jsonable(payload), sort_keys=True, indent=2))
+        sys.stdout.write(dumps(to_jsonable(payload)))
 
 
-def _load_json_arg(value: str):
-    """Parse an argument that is either inline JSON or a path to a JSON file.
+def _json_arg(value: str, where: str, key: str):
+    """`StepArgs` ``where`` holding as ``key`` the document of an argument
+    that is either inline JSON or a path to a JSON file, read by `load_json`."""
+    if os.path.exists(value):
+        doc = load_json(read_input(value), f"{value} is not valid JSON")
+    else:
+        doc = load_json(value, "argument is neither a file nor JSON")
+    from .stepargs import StepArgs
 
-    Malformed JSON, a float and an integer beyond the interpreter's digit
-    limit (a plain `ValueError` from `json.loads`) are parse errors."""
-    is_file = os.path.exists(value)
-    text = read_input(value) if is_file else value
-    try:
-        return json.loads(text, parse_float=no_float, parse_constant=no_float)
-    except ScenarioParseError:
-        raise
-    except ValueError as e:
-        where = f"{value} is not valid JSON" if is_file else "argument is neither a file nor JSON"
-        raise ScenarioParseError(f"{where}: {e}") from e
+    return StepArgs(where, {key: doc})
 
 
 def _cmd_scenario(args) -> int:
     from .runner import run_scenario
 
     report = run_scenario(args.source)
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    elif args.format == "latex":
-        sys.stdout.write(report.to_latex())
-    elif args.format == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
-        sys.stdout.write(report.to_text())
+    writers = {"json": report.to_json, "latex": report.to_latex, "csv": report.to_csv,
+               "text": report.to_text}
+    sys.stdout.write(writers[args.format]())
     return EXIT_OK
 
 
@@ -127,12 +120,10 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_molien(args) -> int:
-    spec = _load_json_arg(args.gens)
-    from .stepargs import StepArgs
-
-    if not isinstance(spec, dict):
-        spec = {"generators": spec}
-    spec = StepArgs("molien", spec).only(("generators", "ring"))
+    spec = _json_arg(args.gens, "molien", "generators")
+    if isinstance(spec["generators"], dict):  # an object of the generators and ring
+        spec.update(spec.pop("generators"))
+    spec.only(("generators", "ring"))
     gens = spec.generators("generators", spec.choice("ring", ("Q", "E"), "Q"))
     from . import invariants
 
@@ -152,10 +143,8 @@ def _cmd_lattice(args) -> int:
     if args.lattice in eisenstein.NAMED_LATTICES:
         lat = eisenstein.named_lattice(args.lattice)
     elif os.path.exists(args.lattice) or args.lattice.lstrip()[:1] in ("{", "["):
-        doc = _load_json_arg(args.lattice)
-        from .stepargs import StepArgs
-
-        fields = StepArgs(f"lattice {args.action}", {"lattice": doc}).nested("lattice", ("gram",))
+        fields = _json_arg(args.lattice, f"lattice {args.action}", "lattice").nested(
+            "lattice", ("gram",))
         lat = eisenstein.eis_lattice(fields.eis_matrix("gram"))
     else:
         raise ScenarioParseError(
@@ -189,10 +178,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    doc = _load_json_arg(args.spec)
-    from .stepargs import StepArgs
-
-    spec = StepArgs("boundary", {"spec": doc}).boundary_spec("spec")
+    spec = _json_arg(args.spec, "boundary", "spec").boundary_spec("spec")
     from . import eisenstein
 
     table = eisenstein.boundary_betti(spec)
@@ -205,10 +191,7 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    doc = _load_json_arg(args.exceptional)
-    from .stepargs import StepArgs
-
-    table = StepArgs("blowup", {"exceptional": doc}).table("exceptional")
+    table = _json_arg(args.exceptional, "blowup", "exceptional").table("exceptional")
     from .assembly import blowup_correction
 
     corr = blowup_correction(table, args.dim, order=args.truncate)
@@ -401,7 +384,7 @@ def main(argv=None) -> int:
     except ResourceCapError as e:
         print(json.dumps({"error": "resource-cap", "message": str(e)}), file=sys.stderr)
         return EXIT_CAP
-    except (ScenarioParseError, json.JSONDecodeError, KeyError) as e:
+    except (ScenarioParseError, KeyError) as e:
         print(json.dumps({"error": "parse", "message": str(e)}), file=sys.stderr)
         return EXIT_PARSE
     except (ScenarioCheckError, ValueError, AssertionError) as e:

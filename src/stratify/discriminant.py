@@ -37,7 +37,7 @@ def smith_normal_form(mat):
     input, so an entry of A, U or V past `MAX_SMITH_GROWTH` times the bits
     of H^2 raises ResourceCapError.
     """
-    a = [row[:] for row in mat]
+    a = [list(row) for row in mat]
     n = len(a)
     m = len(a[0])
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -209,12 +209,8 @@ def glue_overlattice(zl: ZLattice, glue) -> GlueResult:
         return GlueResult(zl, 1, discriminant_form(zl),
                           tuple(tuple(Fraction(int(i == j)) for j in range(n))
                                 for i in range(n)))
-    denom = 1
-    for g in glue:
-        for x in g:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
     # each glue vector scaled once to integers, h = denom * g
-    scaled = [[x.numerator * (denom // x.denominator) for x in g] for g in glue]
+    scaled, denom = _pure.scaled_integers(glue)
     gh = [[sum(gram[i][j] * h[j] for j in range(n)) for i in range(n)] for h in scaled]
     d2 = denom * denom
     for h, pairings in zip(scaled, gh):

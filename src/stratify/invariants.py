@@ -54,7 +54,7 @@ class FiniteMatrixGroup(_pure.Record):
             object.__setattr__(self, "order", len(self.elements))
 
 
-def close_group(generators, cap: int = DEFAULT_CAP):
+def close_group(generators, cap: int | None = None):
     """Breadth-first multiplicative closure with exact equality testing.
 
     Accepts rational matrices (entries int/Fraction) or Eisenstein matrices
@@ -70,8 +70,10 @@ def close_group(generators, cap: int = DEFAULT_CAP):
     Finite orders do not make the group finite, so `close_eis` holds every
     product to the same test.  Raises ValueError on generators of different
     sizes and on the first matrix refused, and ResourceCapError when a
-    generator's order or the closure exceeds ``cap``.
+    generator's order or the closure exceeds ``cap`` (None: `DEFAULT_CAP`).
     """
+    if cap is None:
+        cap = DEFAULT_CAP
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")

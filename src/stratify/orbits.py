@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from ._exact import adjugate, rank, rational
-from ._pure import Record
+from ._pure import Record, scaled_integers
 from .weights import monomials_of_degree, vec
 
 
@@ -34,9 +33,6 @@ class MultiPoly:
                 c = rational(c)
                 if c:
                     self.terms[tuple(expo)] = c
-
-    def copy(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -243,9 +239,8 @@ def normal_rep_of(
     cochars = [vec(c) for c in cochars]
     if not cochars or any(len(lam) != nv for lam in cochars):
         raise ValueError("need at least one cocharacter, each with one entry per variable")
-    # each cocharacter times the lcm of its denominators: integer pairings
-    scales = [lcm(*(c.denominator for c in lam)) for lam in cochars]
-    scaled = [tuple(int(c * s) for c in lam) for lam, s in zip(cochars, scales)]
+    # the cocharacters over their common denominator: integer pairings
+    scaled, denom = scaled_integers(cochars)
 
     def pairing(expo):
         return tuple([sum(map(mul, expo, mu)) for mu in scaled])
@@ -288,8 +283,8 @@ def normal_rep_of(
         key = pairing(expo)
         full[key] = full.get(key, 0) + 1
 
-    # blocks sort alike by scaled and by exact pairings: each coordinate is
-    # scaled by a positive integer
+    # blocks sort alike by scaled and by exact pairings: every coordinate is
+    # scaled by the same positive integer
     tangent = []
     for key, rk in sorted(ranks.items()):
         if rk > full.get(key, 0):
@@ -305,7 +300,7 @@ def normal_rep_of(
     exact = {}  # scaled pairing -> (exact pairing, projected vector)
     for key in full:
         coeffs = [sum(map(mul, row, key)) for row in adj]
-        exact[key] = (tuple(Fraction(x, s) for x, s in zip(key, scales)),
+        exact[key] = (tuple(Fraction(x, denom) for x in key),
                       tuple(Fraction(sum(map(mul, coeffs, col)), den) for col in columns))
     span_dim = len(tangent)
     return TangentNormalSplit(

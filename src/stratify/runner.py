@@ -13,7 +13,11 @@ before it and every output as a plain "$id" reference, and reads every
 literal argument against its declaration; the run uses the values it read,
 so each literal is read once.  An argument that holds or uses a reference,
 and what needs an earlier step's value (a lattice's rank, a value's class),
-is read and checked when its step runs.
+is read and checked when its step runs; only such an argument has its
+references resolved, and a literal one reaches its step as given.  A
+`budget` or `cap` left out or null reaches its layer as None, the layer's
+own default.  Scenario files are read by `_pure.load_json` and reports
+written by `serialize.dumps`, as the command line's JSON is.
 
 At load this module imports only `_pure`.  `_validate` imports the argument
 reader (`stepargs`) once the document's shape, op names and references
@@ -25,7 +29,6 @@ one that fails before its arguments are read loads no other module.
 from __future__ import annotations
 
 import importlib
-import json
 import os
 
 from ._pure import (
@@ -35,29 +38,21 @@ from ._pure import (
     ScenarioCheckError,
     ScenarioParseError,
     check_order,
-    no_float,
+    load_json,
     read_input,
 )
 
 
-class Context:
-    """A running scenario: the argument values `_validate` read for each step
-    and the values of the steps run so far, by id."""
-
-    def __init__(self, known: dict):
-        self.known = known
-        self.values = {}
-
-    def resolve(self, obj):
-        """``obj`` with each "$id" replaced by the value of step id, which
-        `_validate` has checked is an earlier step."""
-        if isinstance(obj, str) and obj.startswith("$"):
-            return self.values[obj[1:]]
-        if isinstance(obj, list):
-            return [self.resolve(x) for x in obj]
-        if isinstance(obj, dict):
-            return {k: self.resolve(v) for k, v in obj.items()}
-        return obj
+def _resolve(obj, values: dict):
+    """``obj`` with each "$id" replaced by ``values[id]``, the value of step
+    id, which `_validate` has checked is an earlier step."""
+    if isinstance(obj, str) and obj.startswith("$"):
+        return values[obj[1:]]
+    if isinstance(obj, list):
+        return [_resolve(x, values) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _resolve(v, values) for k, v in obj.items()}
+    return obj
 
 
 def _references(obj) -> list:
@@ -73,8 +68,9 @@ def _references(obj) -> list:
 # operation registry
 # ---------------------------------------------------------------------------
 
-# op name -> its entry, called with the running `Context`, the step's
-# resolved `StepArgs` and the step
+# op name -> its entry, called with the argument values `_validate` read for
+# the step, the step's `StepArgs` (an argument that holds or uses a
+# reference resolved, a literal one as given) and the step
 OPS = {}
 # op name -> {argument: declaration (see `_arg`)}, in the order the op reads
 # them: the one description of the scenario language.  Any other argument
@@ -130,9 +126,8 @@ def op(name, target=None, /, *, cite=None, **decls):
     ``cite``, what a step of the op declares, a step needs a cited fact."""
 
     def register(body):
-        def run(ctx, args, step):
-            known = ctx.known[step["id"]].items()
-            values = _read(args, decls, {k: v for k, v in known if v is not _PENDING})
+        def run(known, args, step):
+            values = _read(args, decls, {k: v for k, v in known.items() if v is not _PENDING})
             if body is not None:
                 return body(args, **values)
             layer, *path = target.split(".")
@@ -159,13 +154,9 @@ def _op_declare(args, kind, order, value):
 op("hypersurface_weights", "weights.hypersurface_weights", n=POSITIVE, d=POSITIVE)
 
 
-@op("instability_index_set", weights=_arg("instance", "WeightSystem"),
-    weyl=_arg("choice", ("sym", "trivial"), "sym"), budget=_arg("integer", None))
-def _op_iis(args, weights, weyl, budget):
-    from . import strata
-
-    return strata.instability_index_set(
-        weights, weyl, strata.DEFAULT_BUDGET if budget is None else budget)
+op("instability_index_set", "strata.instability_index_set",
+   weights=_arg("instance", "WeightSystem"), weyl=_arg("choice", ("sym", "trivial"), "sym"),
+   budget=_arg("integer", None))
 
 
 @op("min_nonzero_codim", strata=STRATA)
@@ -296,7 +287,7 @@ def _op_lincomb(args, order, terms):
 def _op_close_group(args, ring, generators, cap):
     from . import invariants
 
-    return invariants.close_group(generators, invariants.DEFAULT_CAP if cap is None else cap)
+    return invariants.close_group(generators, cap)
 
 
 @op("group_order", group=_arg("group"))
@@ -449,7 +440,9 @@ class ScenarioReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\n"
+        from .serialize import dumps
+
+        return dumps(self.to_jsonable())
 
     def to_latex(self) -> str:
         lines = [r"% scenario: " + self.name]
@@ -501,12 +494,7 @@ def load_scenario(source) -> dict:
         raise ScenarioParseError(
             f"no such scenario {name!r}; built-ins: {', '.join(BUILTIN_SCENARIOS)}"
         )
-    try:
-        return json.loads(text, parse_float=no_float, parse_constant=no_float)
-    except ScenarioParseError:
-        raise
-    except ValueError as e:  # malformed, or an integer beyond the digit limit
-        raise ScenarioParseError(f"scenario is not valid JSON: {e}") from e
+    return load_json(text, "scenario is not valid JSON")
 
 
 def _validate(doc) -> dict:
@@ -585,20 +573,24 @@ def _check_references(obj, ids):
 
 def run_scenario(source) -> ScenarioReport:
     doc = load_scenario(source)
-    ctx = Context(_validate(doc))
+    known = _validate(doc)
     from .stepargs import StepArgs, _instance
 
+    values = {}
     step_reports = []
     provenance = []
     for step in doc["steps"]:
-        args = StepArgs(f"step {step['id']!r}", ctx.resolve(step.get("args", {})))
+        read = known[step["id"]]
+        args = StepArgs(f"step {step['id']!r}", {
+            k: _resolve(v, values) if read[k] is _PENDING else v
+            for k, v in step.get("args", {}).items()})
         try:
-            value = OPS[step["op"]](ctx, args, step)
+            value = OPS[step["op"]](read, args, step)
         except (ScenarioParseError, ScenarioCheckError, ResourceCapError):
             raise
         except (ValueError, AssertionError, KeyError) as e:
             raise ScenarioCheckError(f"step {step['id']!r} failed: {e}") from e
-        ctx.values[step["id"]] = value
+        values[step["id"]] = value
         from . import serialize
 
         try:
@@ -618,7 +610,7 @@ def run_scenario(source) -> ScenarioReport:
             provenance.append({"step": step["id"], **fact})
     tables = {}
     for label, ref in doc.get("outputs", {}).items():
-        value = ctx.values[ref[1:]]
+        value = values[ref[1:]]
         if not _instance(value, "series", "BettiTable"):
             raise ScenarioCheckError(f"output {label!r} is not a Betti table")
         from .series import duality_check

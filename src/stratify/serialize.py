@@ -8,13 +8,16 @@ A series or table holding an integer with more decimal digits than Python
 writes as text (`sys.get_int_max_str_digits`) is refused with
 `ResourceCapError` (exit code 4): no report could print it.
 
-This module holds only encoders; input is read and decoded by
+This module holds the encoders and `dumps`, the one writer of JSON text
+(sorted keys, indent 2, a final newline) for scenario reports and the CLI's
+json output alike; input is read by `_pure.load_json` and decoded by
 `stepargs.StepArgs`.  It imports no layer: `to_jsonable` finds a class's
 encoder by the class's module and name.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from ._pure import check_printable
@@ -168,3 +171,8 @@ def to_jsonable(value):
     cls = type(value)
     encode = _BY_CLASS.get(cls) or _encoder(cls)
     return encode(value)
+
+
+def dumps(value) -> str:
+    """The JSON text of ``value``, already JSON-able (see `to_jsonable`)."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"

@@ -11,11 +11,12 @@ coordinate permutations (orderly generation).  It stops at the affine
 dimension a of the weights: every independent subset of a+1 weights
 projects the origin to the same point, so that level is searched only when
 no smaller subset has given that point, and only until it appears.  The
-budget still bounds the flat subset count.  Each search node extends an
-exact fraction-free LDL^T elimination by one row (`_pure._extend_ldl`,
-which the lattice layer's short-vector enumeration shares), 2,326 rows for
-(n, d) = (4, 3), and builds its candidate only when the projection has
-positive barycentric coordinates.
+budget (`DEFAULT_BUDGET` where a caller passes None) still bounds the flat
+subset count.  Each search node extends an exact fraction-free LDL^T
+elimination by one row (`_pure._extend_ldl`, which the lattice layer's
+short-vector enumeration shares), 2,326 rows for (n, d) = (4, 3), and
+builds its candidate only when the projection has positive barycentric
+coordinates.
 
 The torus index set goes by orbits too when every coordinate permutation
 preserves the weight multiset, multiplicities counted.  The kernel then
@@ -26,13 +27,15 @@ the support moved by the permutation.  For hypersurface weights this cuts
 the kernel's LDL^T extensions from 1,349 to 177 for (n, d) = (3, 3) and
 from 405 to 133 for (2, 6).
 
-The index set stays in scaled Python ints from the weights, read by
-`as_integer_ratio`, to the report: its rank (`_pure.rank`), Weyl-invariance
-check, each candidate's support and below count (one pass over the weights)
-and inversions run on the same integer weights as the kernel, and the
-candidates are ordered by (|beta|^2, beta) over their common denominator
-before any stratum is built.  `Fraction`s appear only in the returned
-`BetaStratum` fields.  The module does not load `stratify._exact`.
+The index set stays in scaled Python ints from the weights, scaled over
+their common denominator by `_pure.scaled_integers` (as is each beta in
+`maximal_support_report`), to the report: its rank (`_pure.rank`),
+Weyl-invariance check, each candidate's support and below count (one pass
+over the weights) and inversions run on the same integer weights as the
+kernel, and the candidates are ordered by (|beta|^2, beta) over their
+common denominator before any stratum is built.  `Fraction`s appear only in
+the returned `BetaStratum` fields.  The module does not load
+`stratify._exact`.
 
 `verify_strata_against_oracle` certifies each stratum without the kernel:
 beta is the closest point of conv(S) if and only if every s in S has
@@ -57,7 +60,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
-from ._pure import Record, ResourceCapError, _extend_ldl, rank
+from ._pure import Record, ResourceCapError, _extend_ldl, rank, scaled_integers
 from .weights import WeightSystem, vec
 
 DEFAULT_BUDGET = 10**7
@@ -265,19 +268,6 @@ def projection_candidates(weights, rank, budget, chamber_sort):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_weights(weights) -> tuple:
-    """The weights as integer vectors over their common denominator.
-
-    Returns (scaled, denom): weight i is scaled[i] / denom.  The kernel and
-    the index set's bookkeeping both work on ``scaled``.
-    """
-    ratios = [[c.as_integer_ratio() for c in w] for w in weights]
-    if not ratios:
-        raise ValueError("empty weight list")
-    denom = lcm(*{d for w in ratios for _, d in w})
-    return [tuple([n * (denom // d) for n, d in w]) for w in ratios], denom
-
-
 def _stratum_from_beta(nums, den, denom, scaled, group: str) -> BetaStratum | None:
     """The stratum of the candidate beta = nums / (den * denom), or None when
     its expected codimension is negative.  One pass over the weights gives
@@ -390,8 +380,13 @@ def _torus_by_orbits(scaled, denom, rk, budget) -> list:
     return [found[c] for c in sorted(found, key=_order_key(found))]
 
 
-def _index_set(weights, group: str, budget: int) -> list:
-    scaled, denom = _scaled_weights(weights)
+def _index_set(weights, group: str, budget: int | None) -> list:
+    if not weights:
+        raise ValueError("empty weight list")
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    # weight i is scaled[i] / denom: the kernel and the bookkeeping work on scaled
+    scaled, denom = scaled_integers(weights)
     rk = rank(scaled)
     if group == "pgl2" and rk != 1:
         raise ValueError("pgl2 mode expects weights on a single line")
@@ -429,7 +424,7 @@ def _order_key(cands):
 
 
 def instability_index_set(
-    ws: WeightSystem, weyl: str = "sym", budget: int = DEFAULT_BUDGET
+    ws: WeightSystem, weyl: str = "sym", budget: int | None = None
 ) -> list:
     """Index set for a hypersurface weight system.
 
@@ -437,12 +432,13 @@ def instability_index_set(
     reduced to weakly decreasing representatives, parabolic dimension counted
     by inversions) or "trivial" for a torus.  Index elements whose expected
     codimension is negative index provably empty strata and are dropped.
+    ``budget`` bounds the flat subset count; None is `DEFAULT_BUDGET`.
     """
     group = {"sym": "sym", "trivial": "torus"}[weyl]
     return _index_set(ws.weights, group, budget)
 
 
-def normal_rep_strata(rep, group: str, budget: int = DEFAULT_BUDGET) -> list:
+def normal_rep_strata(rep, group: str, budget: int | None = None) -> list:
     """Index set for a stabilizer representation on a normal slice.
 
     ``group`` is "torus" (trivial Weyl group, zero parabolic contribution) or
@@ -498,15 +494,13 @@ def maximal_support_report(ws: WeightSystem, strata) -> list:
     is formed; strata whose closed side is maximal under inclusion are the
     maximal unstable families.  Records carry r = |closed side|.
     """
-    scaled, denom = _scaled_weights(ws.weights)
+    scaled, denom = scaled_integers(ws.weights)
     sides = []
     for s in strata:
         if s.is_zero():
             continue
         # beta * denom = nums / den, over the common denominator of its coordinates
-        ratios = [(c * denom).as_integer_ratio() for c in s.beta]
-        den = lcm(*[d for _, d in ratios])
-        nums = [n * (den // d) for n, d in ratios]
+        (nums,), den = scaled_integers([[c * denom for c in s.beta]])
         b2 = sum(map(mul, nums, nums))
         sides.append((frozenset(i for i, w in enumerate(scaled)
                                 if den * sum(map(mul, w, nums)) >= b2), s))

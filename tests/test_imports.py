@@ -286,3 +286,55 @@ def test_dead_definition_check_finds_an_unnamed_helper(tmp_path):
         "'_in_a_string'\n\n\ndef _in_a_string():\n    pass\n")
     # _dead names only itself, and a string does not name _in_a_string
     assert dead_definitions(tmp_path) == ["a:5 _dead", "a:14 _Unused", "b:16 _in_a_string"]
+
+
+def json_calls(package):
+    """The calls of `json.loads`, and of `json.dumps` with an ``indent``, in
+    the modules of directory ``package``, each as "module.function json.name"
+    by the innermost function that makes it, and each import from `json`,
+    which would hide such a call."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{module}.{child.name}"
+            elif isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.append(f"{where} from json import")
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"
+                  and (child.func.attr == "loads" or child.func.attr == "dumps"
+                       and any(k.arg == "indent" for k in child.keywords))):
+                found.append(f"{where} json.{child.func.attr}")
+            visit(child, module, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path.stem)
+    return found
+
+
+def test_json_is_read_and_written_in_one_place():
+    # every JSON input goes through `_pure.load_json` (no floats, parse
+    # errors with one message form), every JSON text out through
+    # `serialize.dumps` (sorted keys, indent 2, a final newline)
+    assert json_calls(Path(stratify.__file__).parent) == [
+        "_pure.load_json json.loads", "serialize.dumps json.dumps"]
+
+
+def test_json_call_check_finds_each_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import json\n\n\ndef f():\n    return json.loads('1')\n\n\n"
+        "class C:\n    def g(self):\n        json.dumps(1)\n"
+        "        return json.dumps(1, indent=1)\n\n\n"
+        "from json import loads\nx = json.loads('[]')\n")
+    assert json_calls(tmp_path) == ["a.f json.loads", "a.g json.dumps",
+                                    "a from json import", "a json.loads"]
+
+
+def test_runner_names_no_layer_default():
+    # a budget or cap left out reaches its layer as None, which the layer
+    # reads as its own default
+    runner = Path(stratify.__file__).parent / "runner.py"
+    names = set(_names(ast.parse(runner.read_text(encoding="utf-8"))))
+    assert not names & {"DEFAULT_BUDGET", "DEFAULT_CAP"}

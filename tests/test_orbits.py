@@ -201,6 +201,21 @@ def test_split_fields_are_fractions(cochars):
         assert dot(w, vec(cochars[0])) == p[0]
 
 
+def test_cocharacters_of_different_denominators():
+    # the cocharacters are scaled over one common denominator: a cocharacter
+    # rescaled by 1/2, another by 1/3, give the same projected weights in the
+    # same order, and pairings rescaled alike
+    f = parse_poly("x0*x1*x2", 3)
+    whole = normal_rep_of(f, [[1, 0, -1], [0, 1, -1]])
+    halves = normal_rep_of(f, [["1/2", 0, "-1/2"], [0, "1/3", "-1/3"]])
+    assert halves.tangent_weights == whole.tangent_weights
+    assert halves.normal.weights == whole.normal.weights
+    assert halves.normal.dim == whole.normal.dim > 0
+    for got, ref in ((halves.tangent_pairings, whole.tangent_pairings),
+                     (halves.normal.pairings, whole.normal.pairings)):
+        assert got == tuple((p / 2, q / 3) for p, q in ref)
+
+
 def test_cocharacters_must_match_the_variables():
     f = parse_poly(F_3D4, 5)
     for cochars in ([], [[1, 0, -1, 0]]):

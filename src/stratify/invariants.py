@@ -1,17 +1,18 @@
 """Finite matrix groups over the rationals or the Eisenstein integers.
 
-Provides multiplicative closure from generators, with one certificate (a
-trace bound) that each generator and each element has finite order,
+Provides the group of generators with its certified order, with one
+certificate (a trace bound) that each generator and the group are finite,
 Molien series of invariant rings, invariant cohomology of abelian-variety
 quotients as joint fixed spaces of generators on exterior powers, and
-cycle-index symmetrization of even graded Poincare series.  Orders
-certified without listing elements (Schreier-Sims on the roots of a
-lattice) are in `stratify.weyl`.
+cycle-index symmetrization of even graded Poincare series.  One engine,
+Schreier-Sims (`_stabilizer_chain`), gives every order: on column vectors
+for `close_group` and `molien`, which walks the elements off the chain, and
+on the roots of a lattice for `stratify.weyl`.
 
 Matrices of both rings are tuples of row tuples of `EisInt`
 (`_exact.eis_matrix`), a rational entry q as q + 0*omega, so both rings
-share one arithmetic, one matrix product (`_exact.mat_mul`), one closure
-(`close_eis`) and one determinant.
+share one arithmetic, one matrix product (`_exact.mat_mul`) and one
+determinant.
 
 At load this module imports only `_pure` and `_exact`; the functions that
 return a series or a Betti table import `series` when they run.
@@ -21,56 +22,49 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import _pure
-from ._exact import UNITS, EisInt, det, eis, eis_matrix, identity, mat_mul, nullspace, rational
+from ._exact import (UNITS, EisInt, adjugate, det, eis, eis_matrix, identity, mat_mul,
+                     nullspace, rational)
 
 DEFAULT_CAP = 10**6
 
 
 class FiniteMatrixGroup(_pure.Record):
-    """Finite matrix group; elements, when listed, in breadth-first order
-    from the generators (`close_eis`).
+    """Finite matrix group, given by its generators and its certified order.
 
     ``ring`` is "Q" (rational entries) or "E" (entries in Z[omega]); every
-    matrix, element, generator or form, is a tuple of row tuples of `EisInt`,
-    a rational entry q as q + 0*omega.  ``form`` optionally carries a
-    hermitian Gram matrix the group is unitary for.  ``order`` defaults to
-    the number of listed elements; a group whose order is certified
-    otherwise (a Weyl group, by Schreier-Sims) lists none, and `molien`
-    closes its generators when it needs the elements.
+    matrix, generator or form, is a tuple of row tuples of `EisInt`, a
+    rational entry q as q + 0*omega.  ``form`` optionally carries a
+    hermitian Gram matrix the group is unitary for.  Elements are never
+    listed: `molien` walks them from the generators' stabilizer chain.
     """
 
     ring: str
     dim: int
-    elements: tuple
-    gens: tuple = ()
+    gens: tuple
+    order: int
     form: tuple | None = None
-    order: int | None = None
-
-    def __post_init__(self):
-        if self.order is None:
-            object.__setattr__(self, "order", len(self.elements))
 
 
 def close_group(generators, cap: int | None = None):
-    """Breadth-first multiplicative closure with exact equality testing.
+    """The group generated by rational or Eisenstein matrices, with its order.
 
     Accepts rational matrices (entries int/Fraction) or Eisenstein matrices
-    (entries `EisInt` or (a, b) integer pairs), all k x k; both close by
-    `close_eis`, a rational entry q as q + 0*omega, an integral q as an int.
-    Elements come in breadth-first order.
+    (entries `EisInt` or (a, b) integer pairs), all k x k, a rational entry
+    q as q + 0*omega, an integral q as an int.  The order comes from the
+    generators' stabilizer chain (`_matrix_chain`), without listing elements.
 
     One certificate proves the group finite: the trace test `_check_trace`,
-    which every matrix of finite order passes.  Before any closure each
-    generator must be invertible with a unit determinant (+-1 over Q, the
-    six units over Z[omega]), and `_check_finite_order` walks its powers to
-    the identity, each one held to the trace test; the walk always ends.
-    Finite orders do not make the group finite, so `close_eis` holds every
-    product to the same test.  Raises ValueError on generators of different
-    sizes and on the first matrix refused, and ResourceCapError when a
-    generator's order or the closure exceeds ``cap`` (None: `DEFAULT_CAP`).
+    which every matrix of finite order passes.  Each generator must be
+    invertible with a unit determinant (+-1 over Q, the six units over
+    Z[omega]), and `_check_finite_order` walks its powers to the identity,
+    each one held to the trace test; the walk always ends.  Finite orders do
+    not make the group finite, so the chain holds each transversal element
+    to the same test.  Raises ValueError on generators of different sizes
+    and on the first matrix refused, and ResourceCapError when a generator's
+    order or the group's exceeds ``cap`` (None: `DEFAULT_CAP`).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -94,30 +88,176 @@ def close_group(generators, cap: int | None = None):
             raise ValueError(f"generator {i} has determinant {_show(d)}, not a unit, "
                              "so it has infinite order")
         _check_finite_order(i, mat, cap)
-    return FiniteMatrixGroup(ring, k, tuple(close_eis(mats, k, cap)), tuple(mats))
+    return FiniteMatrixGroup(ring, k, tuple(mats), _matrix_chain(mats, k, cap)[1])
 
 
-def close_eis(gens, k, cap):
-    """Breadth-first multiplicative closure of k x k `EisInt` matrices.
+def _matrix_chain(gens, k, cap):
+    """(levels, order) of the group generated by k x k matrices (`_Matrices`)."""
+    act = _Matrices(k, cap)
+    # the trivial group has no level; one with the identity alone walks it
+    levels = _stabilizer_chain(gens, act) or [_Level(act.bases[0], act.ident)]
+    order = prod(len(level.trans) for level in levels)
+    if order > cap:
+        raise _pure.ResourceCapError(f"group order {order} exceeds the cap {cap}")
+    return levels, order
 
-    Returns the elements as a list: the identity, then each new product
-    x * g in the order found, x running over the list and g over ``gens``.
-    Raises ValueError at the first element whose trace shows it has infinite
-    order (`_check_trace`), and ResourceCapError beyond ``cap`` elements.
+
+def _elements(levels, prefix=None):
+    """Each element of a `_matrix_chain` group once, the identity first, times
+    ``prefix`` on the left: u_0 u_1 ... u_m, one transversal element per level."""
+    if not levels:
+        yield prefix
+        return
+    for u, _ in levels[0].trans.values():
+        yield from _elements(levels[1:], u if prefix is None else mat_mul(prefix, u))
+
+
+# ---------------------------------------------------------------------------
+# the one group engine: stabilizer chains (Schreier-Sims)
+# ---------------------------------------------------------------------------
+
+
+class _Perms:
+    """Permutations of 0..n-1, tuples of images, acting on their points.  An
+    action has an identity, base points (only it fixes them all), ``mul``
+    (its second factor acts first), ``inverse``, ``image``, and ``check``,
+    called on each new transversal element with its orbit's new length."""
+
+    image = staticmethod(tuple.__getitem__)
+    mul = staticmethod(lambda p, q: tuple(map(p.__getitem__, q)))
+    inverse = staticmethod(lambda p: tuple(sorted(range(len(p)), key=p.__getitem__)))
+    check = staticmethod(lambda element, size: None)
+
+    def __init__(self, n):
+        self.ident, self.bases = tuple(range(n)), range(n)
+
+
+class _Matrices:
+    """k x k matrices acting on k x 1 columns, based at the standard basis
+    vectors; `check` holds each new transversal element to `_check_trace`
+    and each basic orbit to ``cap`` points."""
+
+    image = mul = staticmethod(mat_mul)
+
+    def __init__(self, k, cap):
+        self.k, self.cap, self.ident = k, cap, identity(k)
+        self.bases = [tuple(zip(row)) for row in self.ident]
+
+    @staticmethod
+    def inverse(mat):
+        d, adj = adjugate(mat)  # a unit: 1/d is its conjugate
+        return tuple(tuple(e * d.conj() for e in row) for row in adj)
+
+    def check(self, element, size):
+        _check_trace(element, self.k, "the group is infinite: an element")
+        if size > self.cap:
+            raise _pure.ResourceCapError(f"group order exceeds the cap {self.cap}")
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    fixing the earlier base points, the basic orbit with a transversal (orbit
+    point y -> (u, u^-1) with u mapping the base point to y, u^-1 None until
+    `inverse` needs it), and the Schreier generators (y, generator index)
+    already sifted or known to be the identity."""
+
+    def __init__(self, point, ident):
+        self.point, self.gens, self.trans, self.sifted = point, [], {point: (ident, ident)}, set()
+
+    def add(self, gen, act):
+        """Add a strong generator and walk the orbit again breadth first from
+        the base point: old entries stay, a new point z = s y gets s u_y."""
+        self.gens.append(gen)
+        trans, queue, reached = self.trans, [self.point], {self.point}
+        for y in queue:
+            for si, s in enumerate(self.gens):
+                z = act.image(s, y)
+                if z not in reached:
+                    reached.add(z)
+                    queue.append(z)
+                    if z not in trans:
+                        v = act.mul(s, trans[y][0])
+                        act.check(v, len(trans) + 1)
+                        trans[z] = (v, None)
+                        self.sifted.add((y, si))  # u_z^-1 s u_y is the identity
+
+    def inverse(self, y, act):
+        """u_y^-1, computed when a sift first needs it."""
+        u, u_inv = self.trans[y]
+        if u_inv is None:
+            u_inv = act.inverse(u)
+            self.trans[y] = (u, u_inv)
+        return u_inv
+
+
+def _sift(levels, g, start, act):
+    """Strip g through the levels from ``start``: the residue and the level
+    where it left the basic orbit (``len(levels)`` if it fixes every base point)."""
+    for i, level in enumerate(levels[start:], start):
+        y = act.image(g, level.point)
+        if y not in level.trans:
+            return g, i
+        g = act.mul(level.inverse(y, act), g)
+    return g, len(levels)
+
+
+def permutation_group_order(perms) -> int:
+    """Order of the group generated by permutations of 0..n-1."""
+    act = _Perms(len(perms[0]) if perms else 0)
+    return prod(len(level.trans) for level in _stabilizer_chain(map(tuple, perms), act))
+
+
+def _stabilizer_chain(gens, act) -> list:
+    """The levels of a base and strong generating set of the group that
+    ``gens`` generate in the action ``act`` (`_Perms`, `_Matrices`).
+
+    Deterministic Schreier-Sims (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 4.4; Seress, *Permutation Group
+    Algorithms*, 2003, section 4.2).  Generators are added one at a time and
+    one that sifts to the identity through the chain built so far is already
+    in the group.  Every Schreier generator u_{y^s}^-1 s u_y of every level is
+    sifted through the levels below it; a nonidentity residue becomes a new
+    strong generator and the levels from there down are checked again.  With
+    no residue left the chain is complete: each element is, once, a product
+    of one transversal element per level, so the order is the product of the
+    basic orbit lengths.
     """
-    ident = identity(k)
-    seen = {ident}
-    elements = [ident]
-    for x in elements:  # the list grows while it is read: breadth first
-        for g in gens:
-            y = mat_mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                _check_trace(y, k, "the group is infinite: an element")
-                if len(seen) > cap:
-                    raise _pure.ResourceCapError(f"group closure exceeded cap {cap}")
-                elements.append(y)
-    return elements
+    ident, mul, image = act.ident, act.mul, act.image
+    levels = []
+
+    def insert(h, lo, hi):
+        # h fixes the base points of the levels before hi; hi may be a new level
+        if hi == len(levels):
+            levels.append(_Level(next(x for x in act.bases if image(h, x) != x), ident))
+        for level in levels[lo:hi + 1]:
+            level.add(h, act)
+
+    for g in gens:
+        h, j = _sift(levels, g, 0, act)
+        if h == ident:
+            continue
+        insert(h, 0, j)
+        i = j
+        while i >= 0:
+            level = levels[i]
+            restart = None
+            for y, (u, _) in list(level.trans.items()):
+                for si, s in enumerate(level.gens):
+                    if (y, si) in level.sifted:
+                        continue
+                    level.sifted.add((y, si))
+                    w, z = mul(s, u), image(s, y)
+                    if w == level.trans[z][0]:  # the Schreier generator is the identity
+                        continue
+                    h, j = _sift(levels, mul(level.inverse(z, act), w), i + 1, act)
+                    if h != ident:
+                        insert(h, i + 1, j)
+                        restart = j
+                        break
+                if restart is not None:
+                    break
+            i = i - 1 if restart is None else restart
+    return levels
 
 
 def _show(x: EisInt) -> str:
@@ -151,13 +291,14 @@ def _check_finite_order(i, mat, cap):
     """Refuse generator i, a k x k matrix M, unless it has finite order.
 
     Certificate: the powers M, M^2, ... reach the identity, and each power
-    before it passes `_check_trace`, the test `close_eis` holds every element
-    to.  The walk ends.  An eigenvalue off the unit circle makes |tr M^j|
-    unbounded, and a non-integral eigenvalue gives some power a non-integral
-    trace.  Otherwise every eigenvalue is a root of unity (Kronecker), so for
-    L the lcm of their orders M^L is unipotent: the identity, or of trace k
-    without being scalar.  A power beyond ``cap`` raises ResourceCapError,
-    since then M alone generates more than ``cap`` elements.
+    before it passes `_check_trace`, the test `_matrix_chain` holds every
+    transversal element to.  The walk ends.  An eigenvalue off the unit
+    circle makes |tr M^j| unbounded, and a non-integral eigenvalue gives some
+    power a non-integral trace.  Otherwise every eigenvalue is a root of
+    unity (Kronecker), so for L the lcm of their orders M^L is unipotent:
+    the identity, or of trace k without being scalar.  A power beyond
+    ``cap`` raises ResourceCapError, since then M alone generates more than
+    ``cap`` elements.
     """
     k = len(mat)
     ident = identity(k)
@@ -195,22 +336,23 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
 
     ``generator_degree`` is the (even) cohomological degree the algebra
     generators are placed in.  The result is checked to be integral with
-    constant term 1.  A group given without its elements is closed first, and
-    the closure must have the declared order.
+    constant term 1.  The elements are walked from the generators'
+    stabilizer chain (`_matrix_chain`, `_elements`), whose order must be the
+    declared one.
     """
     from .series import TruncatedSeries
 
     if generator_degree < 1 or generator_degree % 2 != 0:
         raise ValueError("generator degree must be a positive even integer")
     k = group.dim
-    elements = group.elements or close_eis(group.gens, k, DEFAULT_CAP)
-    if len(elements) != group.order:
+    levels, n = _matrix_chain(group.gens, k, DEFAULT_CAP)
+    if n != group.order:
         raise AssertionError(
-            f"closure has order {len(elements)}, the group declares {group.order}")
+            f"the generators give order {n}, the group declares {group.order}")
     g = generator_degree
     zero = EisInt(0, 0)
     total = [zero] * (order + 1)
-    for mat in elements:
+    for mat in _elements(levels):
         es = _elementary_symmetric(mat)
         # det(1 - T M) = 1 + sum_p (-1)^p e_p T^p with T = t^g: its nonzero
         # terms past the constant, as (degree, coefficient), degrees ascending
@@ -226,7 +368,6 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
             inv[m] = -s
         for i in range(order + 1):
             total[i] = total[i] + inv[i]
-    n = group.order
     coeffs = []
     for c in total:
         if not c.is_real():
@@ -311,7 +452,7 @@ def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
     The variety is the k-fold product of the j-invariant-zero elliptic curve;
     the group acts through its Eisenstein matrix representation.  ``group``
     is a `FiniteMatrixGroup` over the Eisenstein integers (its generators are
-    used, or its elements if it has none) or a sequence of generators; a
+    used) or a sequence of generators; a
     generator or ``form`` may have any entries `eis` accepts.  h^{p,q} is
     the dimension of the invariants in Lambda^p V (x) conj Lambda^q V,
     computed exactly as the joint fixed space of the generators for p <= q;
@@ -329,7 +470,7 @@ def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
             raise ValueError("abelian quotients need a group over the Eisenstein integers")
         if group.dim != k:
             raise ValueError("rank mismatch")
-        gens = group.gens or group.elements
+        gens = group.gens
         gram = form if form is not None else group.form
     else:
         gens, gram = tuple(group), form

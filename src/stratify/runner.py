@@ -519,7 +519,7 @@ def _validate(doc) -> dict:
     if type(doc.get("order", 10)) is not int:
         raise ScenarioParseError("scenario 'order' must be an integer")
     check_order(doc.get("order", 10), "scenario 'order'")
-    seen = set()
+    seen, pending = set(), {}
     for pos, step in enumerate(doc["steps"]):
         if "id" not in step or "op" not in step:
             raise ScenarioParseError("each step needs 'id' and 'op'")
@@ -547,7 +547,8 @@ def _validate(doc) -> dict:
         if step["op"] in CITED and not facts:
             raise ScenarioParseError(
                 f"{CITED[step['op']]} in step {step['id']!r} carries no citation")
-        _check_references(step.get("args", {}), seen)
+        pending[step["id"]] = {k: _PENDING for k, v in step.get("args", {}).items()
+                               if _check_references(v, seen)}
         seen.add(step["id"])
     for label, ref in doc.get("outputs", {}).items():
         if not (isinstance(label, str) and isinstance(ref, str) and ref.startswith("$")):
@@ -557,18 +558,19 @@ def _validate(doc) -> dict:
 
     known, order = {}, {SCENARIO_ORDER: doc.get("order", 10)}
     for step in doc["steps"]:
-        given = step.get("args", {})
-        literal = {k: v for k, v in given.items() if not _references(v)}
-        pending = dict.fromkeys(given.keys() - literal.keys(), _PENDING)
+        held = pending[step["id"]]
+        literal = {k: v for k, v in step.get("args", {}).items() if k not in held}
         known[step["id"]] = {**order, **_read(StepArgs(f"step {step['id']!r}", literal),
-                                              DECLARATIONS[step["op"]], {**order, **pending})}
+                                              DECLARATIONS[step["op"]], {**order, **held})}
     return known
 
 
-def _check_references(obj, ids):
-    for key in _references(obj):
+def _check_references(obj, ids) -> list:
+    keys = _references(obj)
+    for key in keys:
         if key not in ids:
             raise ScenarioParseError(f"reference to unknown step {key!r}")
+    return keys
 
 
 def run_scenario(source) -> ScenarioReport:

@@ -7,12 +7,12 @@ the fraction-free LDL^T of `_pure._extend_ldl`, in integers.  The roots are
 the norm-3 vectors; a triflection fixes the orthogonal complement of a root
 and multiplies the root by omega.  The order of the group they generate is
 certified by deterministic Schreier-Sims on the permutation action on the
-roots (`permutation_group_order`), without listing elements.
+roots (`invariants.permutation_group_order`), without listing elements.
 
 At load this module imports `_pure`, `_exact` and `eisenstein` (the unit
 constants): every call reaches it from an Eisenstein lattice, so
-`eisenstein` is loaded already.  The unitarity check and the group record
-come from `invariants` when a triflection group is built.
+`eisenstein` is loaded already.  The unitarity check, the group record and
+Schreier-Sims come from `invariants` when they are used.
 """
 
 from __future__ import annotations
@@ -193,13 +193,18 @@ def triflections(lat: EisLattice) -> list:
     the line of one already used is skipped.  Every triflection is checked
     to have order 3 and preserve the form.
     """
+    return _triflections(lat, eisenstein_roots(lat))
+
+
+def _triflections(lat, roots) -> list:
+    """`triflections` from the lattice's roots, as Eisenstein vectors."""
     from .invariants import is_unitary
 
     ident = identity(lat.rank)
     found = []
     seen = set()
     lines = set()
-    for r in eisenstein_roots(lat):
+    for r in roots:
         if r in lines:
             continue
         lines.update(tuple(u * c for c in r) for u in UNITS)
@@ -233,15 +238,21 @@ def isometry_group_order(lat: EisLattice, gens) -> int:
 
     ``gens`` are square `EisInt` matrices.  Each one permutes the finitely
     many roots, acting on their integer coordinates through its `_z_matrix`,
-    and the order is that of this permutation group, from
-    `permutation_group_order` (Schreier-Sims).  The action is faithful: an
+    and the order is that of this permutation group, from Schreier-Sims
+    (`invariants.permutation_group_order`).  The action is faithful: an
     element fixing every root fixes their span, and it fixes their orthogonal
     complement because every generator must (as triflections do).  When the
     roots span the lattice, as for every named lattice, the complement is
     zero and this check is vacuous.
     """
+    return _root_action_order(lat, enumerate_roots(z_form(lat)), gens)
+
+
+def _root_action_order(lat, zroots, gens) -> int:
+    """`isometry_group_order` from the roots' `z_form` coordinates."""
+    from .invariants import permutation_group_order
+
     k = lat.rank
-    zroots = enumerate_roots(z_form(lat))
     if not zroots:
         raise ValueError("lattice has no roots")
     roots = [eis_vector_from_z(v, k) for v in zroots]
@@ -269,120 +280,12 @@ def isometry_group_order(lat: EisLattice, gens) -> int:
 def weyl_group(lat: EisLattice) -> FiniteMatrixGroup:
     """Group generated by all triflections of a definite Eisenstein lattice.
 
-    Its order is certified by Schreier-Sims on the roots
-    (`isometry_group_order`); its elements are not listed.
+    Its order is certified by Schreier-Sims on the roots its triflections
+    come from (`isometry_group_order`); its elements are not listed.
     """
     from .invariants import FiniteMatrixGroup
 
-    trifl = triflections(lat)
-    return FiniteMatrixGroup("E", lat.rank, (), tuple(trifl), form=lat.gram,
-                             order=isometry_group_order(lat, trifl))
-
-
-# ---------------------------------------------------------------------------
-# permutation group orders (Schreier-Sims)
-# ---------------------------------------------------------------------------
-
-
-def _then(p, q):
-    """The permutation 'first p, then q'; a permutation is the tuple of images."""
-    return tuple(map(q.__getitem__, p))
-
-
-def _inverse(p):
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
-class _Level:
-    """One level of a stabilizer chain: a base point, the strong generators
-    fixing the earlier base points, the basic orbit with a transversal
-    (orbit point y -> (u, u^-1) with u mapping the base point to y), and the
-    Schreier generators (y, generator index) already sifted."""
-
-    def __init__(self, point, ident):
-        self.point = point
-        self.gens = []
-        self.trans = {point: (ident, ident)}
-        self.sifted = set()
-
-    def add(self, gen):
-        """Add a strong generator and extend the orbit; old entries stay."""
-        self.gens.append(gen)
-        trans = self.trans
-        queue = list(trans)
-        for y in queue:
-            u = trans[y][0]
-            for s in self.gens:
-                z = s[y]
-                if z not in trans:
-                    v = _then(u, s)
-                    trans[z] = (v, _inverse(v))
-                    queue.append(z)
-
-
-def _sift(levels, g, start):
-    """Strip g through the levels from ``start``: the residue and the level
-    where it left the basic orbit (``len(levels)`` if it fixes every base point)."""
-    for i in range(start, len(levels)):
-        t = levels[i].trans.get(g[levels[i].point])
-        if t is None:
-            return g, i
-        g = _then(g, t[1])
-    return g, len(levels)
-
-
-def permutation_group_order(perms) -> int:
-    """Order of the group generated by permutations of 0..n-1.
-
-    Deterministic Schreier-Sims (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 4.4; Seress, *Permutation Group
-    Algorithms*, 2003, section 4.2).  Generators are added one at a time and
-    one that sifts to the identity through the chain built so far is already
-    in the group.  Every Schreier generator u_y s u_{y^s}^-1 of every level is
-    sifted through the levels below it; a nonidentity residue becomes a new
-    strong generator and the levels from there down are checked again.  With
-    no residue left the chain is complete, and the order is the product of the
-    basic orbit lengths.
-    """
-    perms = [tuple(p) for p in perms]
-    if not perms:
-        return 1
-    ident = tuple(range(len(perms[0])))
-    levels = []
-
-    def insert(h, lo, hi):
-        # h fixes the base points of the levels before hi; hi may be a new level
-        if hi == len(levels):
-            levels.append(_Level(next(x for x, y in enumerate(h) if x != y), ident))
-        for level in levels[lo:hi + 1]:
-            level.add(h)
-
-    for g in perms:
-        h, j = _sift(levels, g, 0)
-        if h == ident:
-            continue
-        insert(h, 0, j)
-        i = j
-        while i >= 0:
-            level = levels[i]
-            restart = None
-            for y, (u, _) in list(level.trans.items()):
-                for si, s in enumerate(level.gens):
-                    if (y, si) in level.sifted:
-                        continue
-                    level.sifted.add((y, si))
-                    h, j = _sift(levels, _then(_then(u, s), level.trans[s[y]][1]), i + 1)
-                    if h != ident:
-                        insert(h, i + 1, j)
-                        restart = j
-                        break
-                if restart is not None:
-                    break
-            i = i - 1 if restart is None else restart
-    order = 1
-    for level in levels:
-        order *= len(level.trans)
-    return order
+    zroots = enumerate_roots(z_form(lat))
+    trifl = _triflections(lat, [eis_vector_from_z(v, lat.rank) for v in zroots])
+    return FiniteMatrixGroup("E", lat.rank, tuple(trifl),
+                             _root_action_order(lat, zroots, trifl), lat.gram)

@@ -4,7 +4,7 @@ import sys
 import time
 
 import pytest
-from test_invariants import LEHMER, S7_GENS, SALEM, UNIPOTENT7
+from test_invariants import LEHMER, S7_GENS, SALEM, UNIPOTENT7, symmetric_gens
 
 
 def run_cli(*args):
@@ -289,6 +289,14 @@ class TestOtherCommands:
         assert time.perf_counter() - start < 1.0
         err = json.loads(err)
         assert code == 2 and err["error"] == "check" and "trace 2" in err["message"]
+
+    def test_molien_group_above_the_cap_fails_at_once(self):
+        # S_10 has 3,628,800 elements, above DEFAULT_CAP; its order is not a closure
+        start = time.perf_counter()
+        code, _, err = run_cli("molien", "--gens", json.dumps(symmetric_gens(10)))
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(err)
+        assert code == 4 and err["error"] == "resource-cap" and "3628800" in err["message"]
 
     def test_blowup(self):
         code, out, _ = run_cli(

@@ -20,25 +20,36 @@ from stratify.eisenstein import (
 from stratify.invariants import (
     FiniteMatrixGroup,
     _elementary_symmetric,
+    _elements,
+    _matrix_chain,
     abelian_quotient_betti,
     close_group,
     molien,
+    permutation_group_order,
     wreath_symmetrize,
 )
 from stratify.series import BettiTable, TruncatedSeries, gf_expand
-from stratify.weyl import (
-    isometry_group_order,
-    permutation_group_order,
-    triflections,
-    weyl_group,
-)
+from stratify.weyl import isometry_group_order, triflections, weyl_group
 
 DIHEDRAL_GENS = [[[0, 1], [1, 0]], [[-1, 1], [-1, 0]]]
 PERM3_GENS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 1, 0], [-1, 0, 0], [3, 0, 1]]]
-# a 7-cycle and a transposition, as permutation matrices
-S7_GENS = [[[int(j == (i + 1) % 7) for j in range(7)] for i in range(7)],
-           [[int(j == (1, 0, 2, 3, 4, 5, 6)[i]) for j in range(7)] for i in range(7)]]
+
+
+def symmetric_gens(n):
+    """An n-cycle and a transposition, as permutation matrices: S_n."""
+    swap = (1, 0, *range(2, n))
+    return [[[int(j == (i + 1) % n) for j in range(n)] for i in range(n)],
+            [[int(j == swap[i]) for j in range(n)] for i in range(n)]]
+
+
+S7_GENS = symmetric_gens(7)
 UNIPOTENT7 = [[int(i == j or (i, j) == (0, 1)) for j in range(7)] for i in range(7)]
+
+
+def walk(group):
+    """The elements of a group in the order of the chain walk (`_elements`)."""
+    levels, _ = _matrix_chain(group.gens, group.dim, group.order)
+    return list(_elements(levels))
 
 
 def _companion(coeffs):
@@ -152,13 +163,43 @@ class TestCloseGroup:
         assert close_group([[[-1]]]).order == 2
 
     def test_canonical_ordering_deterministic(self):
-        # breadth-first from the identity: the same generators give the
-        # same list, generators in another order the same elements
-        a = close_group(DIHEDRAL_GENS).elements
-        assert a == close_group(DIHEDRAL_GENS).elements
-        b = close_group(list(reversed(DIHEDRAL_GENS))).elements
+        # the chain walk starts at the identity: the same generators give
+        # the same list, generators in another order the same elements
+        a = walk(close_group(DIHEDRAL_GENS))
+        assert a == walk(close_group(DIHEDRAL_GENS))
+        b = walk(close_group(list(reversed(DIHEDRAL_GENS))))
         assert a[0] == b[0] == eis_matrix([[1, 0], [0, 1]])
         assert len(b) == 6 and set(a) == set(b)
+
+    def test_symmetric_group_order_without_closure(self):
+        start = time.perf_counter()
+        assert close_group(symmetric_gens(8)).order == 40320
+        assert time.perf_counter() - start < 1.0
+
+    def test_basic_orbit_of_every_element(self):
+        # S_6 in the basis of the columns of the unimodular P whose first
+        # column is (1, 2, ..., 6): the orbit of e_1 holds 720 vectors, one
+        # per element, so the chain acts on matrices, not on permutations of
+        # that orbit
+        n = 6
+        p = eis_matrix([[int(i == j) + (i + 1 if j == 0 < i else 0) for j in range(n)]
+                        for i in range(n)])
+        p_inv = eis_matrix([[int(i == j) - (i + 1 if j == 0 < i else 0) for j in range(n)]
+                            for i in range(n)])
+        gens = [mat_mul(p_inv, mat_mul(eis_matrix(g), p)) for g in symmetric_gens(n)]
+        start = time.perf_counter()
+        group = close_group(gens)
+        assert group.order == 720
+        assert len(_matrix_chain(group.gens, n, 720)[0][0].trans) == 720
+        assert molien(group, 2, 6) == molien(close_group(symmetric_gens(n)), 2, 6)
+        assert time.perf_counter() - start < 2.0
+
+    def test_order_above_the_cap_is_refused_at_once(self):
+        # S_10 has 3,628,800 elements, above DEFAULT_CAP
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="group order 3628800 exceeds the cap"):
+            close_group(symmetric_gens(10))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMolien:
@@ -217,24 +258,18 @@ class TestAbelianQuotients:
 
     def test_trivial_group_elliptic_curve(self):
         ident = [[(1, 0)]]
-        g = close_group([ident])
-        from stratify.invariants import FiniteMatrixGroup
-        g = FiniteMatrixGroup(g.ring, g.dim, g.elements, g.gens, form=eis_matrix([[3]]))
+        g = close_group([ident]).replace(form=eis_matrix([[3]]))
         t = abelian_quotient_betti(g, 1)
         assert list(t.betti) == [1, 2, 1]
 
     def test_order_six_quotient_is_projective_line(self):
-        g = close_group([[[(0, 1)]], [[(-1, 0)]]])
-        from stratify.invariants import FiniteMatrixGroup
-        g = FiniteMatrixGroup(g.ring, g.dim, g.elements, g.gens, form=eis_matrix([[3]]))
+        g = close_group([[[(0, 1)]], [[(-1, 0)]]]).replace(form=eis_matrix([[3]]))
         t = abelian_quotient_betti(g, 1)
         assert list(t.betti) == [1, 0, 1]
 
     def test_unitarity_violation_detected(self):
         bad = [[(2, 0)]]  # not unitary for the rank-1 form
-        g = close_group([[[(1, 0)]]])
-        from stratify.invariants import FiniteMatrixGroup
-        g = FiniteMatrixGroup("E", 1, (eis_matrix(bad),), (), form=eis_matrix([[3]]))
+        g = FiniteMatrixGroup("E", 1, (eis_matrix(bad),), 1, eis_matrix([[3]]))
         with pytest.raises(ValueError):
             abelian_quotient_betti(g, 1)
 
@@ -248,7 +283,7 @@ class TestAbelianQuotients:
         gen = eis_matrix([[(2**63 - 1, 0), (0, 0)], [(0, 0), (1, 0)]])
         form = eis_matrix([[3, 0], [0, 3]])
         with pytest.raises(ValueError):
-            abelian_quotient_betti(FiniteMatrixGroup("E", 2, (gen,), (gen,), form), 2)
+            abelian_quotient_betti(FiniteMatrixGroup("E", 2, (gen,), 2, form), 2)
         with pytest.raises(ValueError):
             abelian_quotient_betti([gen], 2, form=form)
 
@@ -263,7 +298,7 @@ def element_average_betti(group, k):
     numbers.  e_p comes from Newton's identities on trace powers, so this
     shares nothing with the fixed-space computation."""
     acc = [[EisInt(0, 0)] * (k + 1) for _ in range(k + 1)]
-    for mat in group.elements:
+    for mat in walk(group):
         es = _elementary_symmetric(mat)
         for p in range(k + 1):
             for q in range(k + 1):
@@ -479,7 +514,7 @@ def test_integral_rational_generators_give_int_parts():
         group = close_group(gens)
         assert group.ring == "Q" and group.order in (6, 12)
         assert all(type(e.a) is int and type(e.b) is int
-                   for m in group.elements for row in m for e in row)
+                   for m in walk(group) for row in m for e in row)
 
 
 # --- differential test against a Fraction reference written here -----------
@@ -569,9 +604,45 @@ def signed_permutation_groups(draw):
 def test_closure_and_molien_match_fraction_reference(gens, degree):
     group = close_group([[list(row) for row in g] for g in gens])
     expected = ref_closure(gens)
-    got = {tuple(tuple(Fraction(e.a) for e in row) for row in m) for m in group.elements}
-    assert all(e.b == 0 for m in group.elements for row in m for e in row)
+    elements = walk(group)
+    got = {tuple(tuple(Fraction(e.a) for e in row) for row in m) for m in elements}
+    assert all(e.b == 0 for m in elements for row in m for e in row)
     assert got == expected and group.order == len(expected)
     if all(x.denominator == 1 for g in gens for row in g for x in row):
-        assert all(type(e.a) is int for m in group.elements for row in m for e in row)
+        assert all(type(e.a) is int for m in elements for row in m for e in row)
     assert list(molien(group, degree, 8).coeffs) == ref_molien(list(expected), degree, 8)
+
+
+# --- the chain walk against a breadth-first element closure -----------------
+
+def bfs_closure(gens):
+    """Breadth-first multiplicative closure: the identity, then each new
+    product x * g, x running over the list as it grows and g over ``gens``."""
+    ident = identity(len(gens[0]))
+    seen, elements = {ident}, [ident]
+    for x in elements:
+        for g in gens:
+            y = mat_mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    return elements
+
+
+def _conjugated(case):
+    (lat, gens), ops = case
+    return change_basis(lat, gens, *elementary_change(lat.rank, ops))[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_groups.map(lambda case: case[1]),
+                 conjugated_groups.map(_conjugated),
+                 signed_permutation_groups().map(
+                     lambda gens: [[list(row) for row in g] for g in gens])))
+def test_chain_walk_lists_each_element_of_the_closure_once(gens):
+    group = close_group(gens, cap=1500)
+    listed = walk(group)
+    closure = bfs_closure(group.gens)
+    assert listed[0] == closure[0] == identity(group.dim)
+    assert len(listed) == len(set(listed)) == len(closure) == group.order
+    assert set(listed) == set(closure)

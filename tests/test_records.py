@@ -37,8 +37,8 @@ RECORDS = [
     (TangentNormalSplit, {"tangent_weights": (), "tangent_pairings": (), "normal": NORMAL,
                           "span_dim": 2, "relation_count": 1}, {}, None),
     (SemiInvariantReport, {"ok": True}, {"scalar": None, "message": ""}, None),
-    (FiniteMatrixGroup, {"ring": "Q", "dim": 1, "elements": ((F(1), 0), (F(-1), 0))},
-     {"gens": (), "form": None, "order": 2}, None),
+    (FiniteMatrixGroup, {"ring": "Q", "dim": 1, "gens": (((EisInt(-1, 0),),),), "order": 2},
+     {"form": None}, None),
     (EisLattice, {"rank": 1, "gram": ((EisInt(-3, 0),),)}, {}, {"gram": ((EisInt(1, 0),),)}),
     (ZLattice, {"rank": 2, "gram": ((2, 1), (1, 2))}, {}, {"gram": ((2, 1), (0, 2))}),
     (DiscriminantGroup, {"invariant_factors": (3,), "q_values": (F(2, 3),)},
@@ -83,12 +83,6 @@ def test_record(cls, fields, defaults, bad):
             cls(**{**fields, **bad})
         with pytest.raises(ValueError):
             record.replace(**bad)
-
-
-def test_group_order_defaults_to_the_listed_elements():
-    listed = FiniteMatrixGroup("Q", 1, ((F(1), 0), (F(-1), 0)))
-    assert listed.order == 2
-    assert FiniteMatrixGroup("E", 4, (), gens=((1,),), order=155520).order == 155520
 
 
 @pytest.mark.parametrize("record, text", [

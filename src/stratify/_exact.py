@@ -4,7 +4,10 @@ One number class, `EisInt`, for a + b*omega (omega^2 = -1 - omega).  With
 integer a, b it is an Eisenstein integer; with `Fraction` parts it is an
 element of Q(omega).  Parts are never coerced: integer input stays integer,
 so Gram entries serialize as plain JSON ints.  An `EisInt` with zero omega
-part equals the int or `Fraction` it stands for, and hashes like it.
+part equals the int or `Fraction` it stands for, and hashes like it.  There
+is no Euclidean division: a quotient is exact by `_div`, and the one ideal
+question, the norm of the cusp vector's divisibility ideal, is an index in
+Z^2 read off a Smith form (`stratify.discriminant`).
 
 One matrix representation: a matrix over Z[omega], Q(omega) or Q is a tuple
 of row tuples of `EisInt` (`eis_matrix`), a rational entry q as q + 0*omega,
@@ -93,24 +96,8 @@ class EisInt:
     def norm(self):
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def is_zero(self) -> bool:
-        return not self
-
     def is_real(self) -> bool:
         return self.b == 0
-
-    def divmod_nearest(self, o):
-        """Nearest-integer division in Z[omega]: self = q*o + r with N(r) < N(o)."""
-        n = o.norm()
-        num = self * o.conj()
-        q = EisInt(_round_div(num.a, n), _round_div(num.b, n))
-        return q, self - q * o
-
-    def exact_div(self, o):
-        q, r = self.divmod_nearest(o)
-        if r:
-            raise ValueError(f"{self} is not divisible by {o}")
-        return q
 
     def __repr__(self):
         return f"Eis({self.a},{self.b})"
@@ -119,10 +106,6 @@ class EisInt:
 # the units of Z[omega]: +-1, +-omega, +-omega^2
 UNITS = (EisInt(1, 0), EisInt(-1, 0), EisInt(0, 1),
          EisInt(0, -1), EisInt(-1, -1), EisInt(1, 1))
-
-
-def _round_div(a: int, n: int) -> int:
-    return (2 * a + n) // (2 * n)
 
 
 def eis(value) -> EisInt:

@@ -7,12 +7,14 @@ invariant factors, so no inverse is taken.  Overlattices glued along
 isotropic vectors of the dual read their basis off the same Smith form,
 applied to their generators.  The cusp check verifies the norm-3,
 divisibility-3 vector of the glued model of the paper's Eisenstein cusp
-lattice.  Overlattice Grams and q values are computed in integers;
-`Fraction`s are built only for the returned generators, bases and q values.
+lattice; the norm of its divisibility ideal, an index in Z[omega] = Z^2,
+is read off the Smith form too, so Z[omega] needs no Euclidean division.
+Overlattice Grams and q values are computed in integers; `Fraction`s are
+built only for the returned generators, bases and q values.
 
 At load this module imports only `_pure`.  The functions that build a
 Z-lattice or enumerate short vectors import `weyl` when they run, and the
-cusp check imports `eisenstein` for its lattices.
+cusp check imports `eisenstein` for its lattices and `_exact` for G v.
 """
 
 from __future__ import annotations
@@ -132,10 +134,7 @@ class DiscriminantGroup(_pure.Record):
     _not_in_repr = ("generators",)
 
     def order(self) -> int:
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return math.prod(self.invariant_factors)
 
 
 def discriminant_form(zl: ZLattice) -> DiscriminantGroup:
@@ -146,10 +145,7 @@ def discriminant_form(zl: ZLattice) -> DiscriminantGroup:
     dets = [d[i][i] for i in range(n)]
     if any(x == 0 for x in dets):
         raise ValueError("degenerate gram")
-    prod = 1
-    for x in dets:
-        prod *= abs(x)
-    if prod != abs(zl.det()):
+    if math.prod(abs(x) for x in dets) != abs(zl.det()):
         raise AssertionError("invariant factor product must match |det|")
     # U G V = D gives G^-1 U^-1 = V D^-1: the generator dual to column t of
     # U^-1 is column t of V over d_t
@@ -289,6 +285,17 @@ class CuspVectorReport(_pure.Record):
     message: str = ""
 
 
+def _ideal_norm(elements) -> int:
+    """The norm of the ideal of Z[omega] that ``elements`` (a + b omega with
+    int parts) generate: its index in Z[omega] = Z^2.  The ideal is the Z-span
+    of each element and its omega-multiple -b + (a - b) omega, so the norm is
+    d_1 d_2 of the Smith form of those rows; 0 for the zero ideal."""
+    if not elements:
+        return 0
+    d = smith_normal_form([r for e in elements for r in ((e.a, e.b), (-e.b, e.a - e.b))])[0]
+    return d[0][0] * d[1][1]
+
+
 def verify_unimodular_complement_vector() -> CuspVectorReport:
     """Verify the explicit norm-3, divisibility-3 vector in the glued model.
 
@@ -296,68 +303,36 @@ def verify_unimodular_complement_vector() -> CuspVectorReport:
     diagonal discriminant class, summed with the hyperbolic plane, the vector
     w = (v1 - v2) + theta*u (u of norm -3 in the hyperbolic plane, v_i the
     norm-6 vectors whose theta-multiples generate the discriminant classes)
-    must have hermitian norm 3 and Eisenstein divisibility 3.
+    must have hermitian norm 3 and Eisenstein divisibility 3: its pairings
+    with the glued lattice generate an ideal of norm 9 (`_ideal_norm`).
     """
-    from ._exact import EisInt
-    from .eisenstein import E3, E_ONE, E_ZERO, NAMED_LATTICES, OMEGA, THETA, H, eis_gcd
+    from ._exact import EisInt, mat_mul
+    from .eisenstein import E3, E_ZERO, NAMED_LATTICES, OMEGA, THETA, H
     from .weyl import eis_vector_from_z, enumerate_vectors, z_form
 
-    # find v in E3 with |v|^2 = 6 whose theta-multiple has Z-divisibility 3
-    zl3 = z_form(E3)
-    v_sought = None
-    for vz in enumerate_vectors(zl3, -4):  # |v|^2 = 6 <-> (v, v) = -4
+    def basis_pairings(lat, vec):  # <e_j, vec> for every basis vector e_j: G vec
+        return [row[0] for row in mat_mul(lat.gram, [(x,) for x in vec])]
+
+    # find v in E3 with |v|^2 = 6 and every <e_j, v> in theta^2 E = 3E
+    for vz in enumerate_vectors(z_form(E3), -4):  # |v|^2 = 6 <-> (v, v) = -4
         v = eis_vector_from_z(vz, 3)
-        ok = True
-        for j in range(3):
-            basis = [E_ZERO] * 3
-            basis[j] = E_ONE
-            c = E3.pair(basis, v).exact_div(THETA)
-            if (c.a + c.b) % 3 != 0:
-                ok = False
-                break
-        if ok:
-            v_sought = v
+        if all(p.a % 3 == 0 and p.b % 3 == 0 for p in basis_pairings(E3, v)):
             break
-    if v_sought is None:
+    else:
         return CuspVectorReport(False, 0, 0, "no norm-6 vector with the divisibility property")
 
-    big = NAMED_LATTICES["3E3"].direct_sum(H)  # rank 11
-    rank = big.rank
-
-    def embed(vec3, copy):
-        out = [E_ZERO] * rank
-        out[3 * copy:3 * copy + 3] = vec3
-        return out
-
-    v1 = embed(v_sought, 0)
-    v2 = embed(v_sought, 1)
-    v3 = embed(v_sought, 2)
+    big = NAMED_LATTICES["3E3"].direct_sum(H)  # rank 11, v_i in the i-th copy of E3
     # w = (v1 - v2) + theta*u with u = e + omega*f of norm -3 in the hyperbolic summand
-    w = [a - b for a, b in zip(v1, v2)]
-    w[9] = THETA * E_ONE
-    w[10] = THETA * OMEGA
-
+    w = [*v, *(-x for x in v), E_ZERO, E_ZERO, E_ZERO, THETA, THETA * OMEGA]
     nw = big.pair(w, w)
     if nw != 3:
         return CuspVectorReport(False, int(nw.a), 0, "candidate vector does not have norm 3")
 
-    # spanning set of the glued-plus-hyperbolic lattice: standard basis + glue
-    gens = []
-    for i in range(rank):
-        e = [E_ZERO] * rank
-        e[i] = E_ONE
-        gens.append(e)
-    # glue z/3 with z_i = -theta (v1 + v2 + v3)_i
-    gens.append([-THETA * (a + b + c) / 3 for a, b, c in zip(v1, v2, v3)])
-
-    pairings = []
-    for x in gens:
-        p = big.pair(x, w)
-        if p.a.denominator != 1 or p.b.denominator != 1:
-            return CuspVectorReport(False, 3, 0, "pairing with the glued lattice is not integral")
-        pairings.append(EisInt(int(p.a), int(p.b)))
-    g = E_ZERO
-    for p in pairings:
-        g = eis_gcd(g, p)
-    return CuspVectorReport(g.norm() == 9, 3, g.norm(),
-                            "" if g.norm() == 9 else f"divisibility ideal has norm {g.norm()}")
+    # the glued lattice is spanned by the standard basis and the glue z/3,
+    # z_i = -theta (v1 + v2 + v3)_i
+    p = big.pair([-THETA * x / 3 for x in v] * 3 + [E_ZERO, E_ZERO], w)
+    if p.a.denominator != 1 or p.b.denominator != 1:
+        return CuspVectorReport(False, 3, 0, "pairing with the glued lattice is not integral")
+    norm = _ideal_norm(basis_pairings(big, w) + [EisInt(int(p.a), int(p.b))])
+    return CuspVectorReport(norm == 9, 3, norm,
+                            "" if norm == 9 else f"divisibility ideal has norm {norm}")

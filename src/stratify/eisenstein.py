@@ -8,9 +8,11 @@ e_1, omega e_1, e_2, omega e_2, ...
 
 Eisenstein numbers are `EisInt` and determinants come from
 `stratify._exact`; this module keeps the lattices themselves (`EisLattice`,
-the named lattices) and the Betti tables of toroidal boundary divisors.  The
-integral forms, roots and triflection groups are in `stratify.weyl`, and the
-discriminant forms and overlattices in `stratify.discriminant`.
+the named lattices) and the Betti tables of toroidal boundary divisors.
+The integral forms, roots and triflection groups are in `stratify.weyl`,
+and the discriminant forms and overlattices in `stratify.discriminant`,
+whose cusp check reads the norm of a Z[omega] ideal off a Smith form: no
+gcd in Z[omega] is needed.
 
 At load this module imports only `_pure` and `_exact`.  `boundary_betti`
 imports `invariants` (quotients) and `series` (Betti tables) when it runs,
@@ -26,14 +28,6 @@ E_ZERO = EisInt(0, 0)
 E_ONE = EisInt(1, 0)
 OMEGA = EisInt(0, 1)
 THETA = EisInt(1, 2)  # omega - omega^2
-
-
-def eis_gcd(x: EisInt, y: EisInt) -> EisInt:
-    """Euclidean gcd in Z[omega] (defined up to units)."""
-    while not y.is_zero():
-        _, r = x.divmod_nearest(y)
-        x, y = y, r
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,9 @@ def _validate(doc) -> dict:
     for label, ref in doc.get("outputs", {}).items():
         if not (isinstance(label, str) and isinstance(ref, str) and ref.startswith("$")):
             raise ScenarioParseError(f"output {label!r} must be a \"$id\" reference, got {ref!r}")
+        if not (label.isascii() and label.replace("_", "a").isalnum()):  # a CSV/LaTeX cell
+            raise ScenarioParseError(
+                f"output {label!r} must be a nonempty name of ASCII letters, digits and '_'")
         _check_references(ref, seen)
     from .stepargs import StepArgs
 
@@ -571,6 +574,19 @@ def _check_references(obj, ids) -> list:
         if key not in ids:
             raise ScenarioParseError(f"reference to unknown step {key!r}")
     return keys
+
+
+def _same(got, want) -> bool:
+    """``got == want`` for a JSON value ``got``, except that a boolean equals
+    only a boolean and an integer only an integer (in Python True == 1).  A
+    ``want`` of another type is unequal, never compared."""
+    if type(got) is not type(want):
+        return False
+    if type(got) is list:
+        return len(got) == len(want) and all(map(_same, got, want))
+    if type(got) is dict:
+        return got.keys() == want.keys() and all(_same(v, want[k]) for k, v in got.items())
+    return got == want
 
 
 def run_scenario(source) -> ScenarioReport:
@@ -602,7 +618,7 @@ def run_scenario(source) -> ScenarioReport:
         rep = {"id": step["id"], "op": step["op"]}
         jexpect = step.get("expect")
         if jexpect is not None:
-            if got != jexpect:
+            if not _same(got, jexpect):
                 raise ScenarioCheckError(
                     f"step {step['id']!r} mismatch:\n  expected {jexpect}\n  got      {got}")
             rep["checked"] = True

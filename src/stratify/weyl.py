@@ -179,8 +179,10 @@ def triflection(lat: EisLattice, root) -> tuple:
     for i in range(k):
         row = []
         for j in range(k):
-            corr = (one_minus_omega * r[i] * rho[j]).exact_div(EisInt(3, 0))
-            row.append((E_ONE if i == j else E_ZERO) - corr)
+            c = one_minus_omega * r[i] * rho[j]  # in 3E, as rho_j is in theta E
+            if c.a % 3 or c.b % 3:
+                raise ValueError(f"{c} is not divisible by 3")
+            row.append((E_ONE if i == j else E_ZERO) - EisInt(c.a // 3, c.b // 3))
         mat.append(tuple(row))
     return tuple(mat)
 

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratify._exact import adjugate, eis_matrix, identity, mat_mul
+from stratify._exact import UNITS, adjugate, eis_matrix, identity, mat_mul
 from stratify.discriminant import (
+    _ideal_norm,
     discriminant_form,
     divisibility,
     find_norm_div_vector,
@@ -19,10 +22,10 @@ from stratify.eisenstein import (
     E3,
     E4,
     H,
+    OMEGA,
     THETA,
     EisInt,
     boundary_betti,
-    eis_gcd,
     eis_lattice,
     named_lattice,
 )
@@ -59,12 +62,6 @@ class TestEisInt:
         assert THETA * THETA.conj() == EisInt(3, 0)
         assert THETA.conj() == -THETA
 
-    def test_exact_division(self):
-        x = EisInt(3, 6)
-        assert x.exact_div(THETA) * THETA == x
-        with pytest.raises(ValueError):
-            EisInt(1, 0).exact_div(THETA)
-
     def test_field_axioms_spot(self):
         w = EisInt(0, 1)
         assert w * w == EisInt(-1, -1)
@@ -72,17 +69,6 @@ class TestEisInt:
         x = EisInt(Fraction(2, 3), Fraction(-1, 2))
         assert x * (1 / x) == EisInt(1, 0)
         assert (x * x.conj()).is_real()
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
-    def test_gcd_divides_both(self, a, b, c, d):
-        x, y = EisInt(a, b), EisInt(c, d)
-        if x.is_zero() and y.is_zero():
-            return
-        g = eis_gcd(x, y)
-        assert not g.is_zero()
-        x.exact_div(g)
-        y.exact_div(g)
 
 
 class TestZForm:
@@ -326,6 +312,37 @@ class TestGlue:
 def test_cusp_vector_verification():
     rep = verify_unimodular_complement_vector()
     assert rep.ok and rep.norm == 3 and rep.div_norm == 9
+
+
+def span_index(elements):
+    """The index in Z^2 of the span of each element a + b omega and its
+    omega-multiple, as (a, b) rows: the gcd of their 2 x 2 minors, which is 0
+    when they do not have rank 2."""
+    rows = [(x.a, x.b) for e in elements for x in (e, OMEGA * e)]
+    return gcd(*(p * s - q * r for (p, q), (r, s) in combinations(rows, 2)))
+
+
+eis_elements = st.builds(EisInt, st.integers(-60, 60), st.integers(-60, 60))
+
+
+@st.composite
+def ideal_generators(draw):
+    """0-6 elements: zeros, units, associates and multiples of one element,
+    and random entries."""
+    base = draw(eis_elements)
+    entry = st.one_of(st.just(EisInt(0, 0)), st.sampled_from(UNITS),
+                      st.sampled_from(UNITS).map(lambda u: u * base),
+                      eis_elements.map(lambda x: x * base), eis_elements)
+    return draw(st.lists(entry, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_generators())
+def test_ideal_norm_is_the_index_of_the_span(elements):
+    norm = _ideal_norm(elements)
+    assert type(norm) is int and norm == span_index(elements)
+    if len(elements) == 1:  # a principal ideal has the norm of its generator
+        assert norm == elements[0].norm()
 
 
 class TestBoundary:

@@ -1,6 +1,7 @@
 """Coverage for scenario ops not exercised by the built-in pipelines."""
 
 import collections
+import re
 import time
 
 import pytest
@@ -427,6 +428,11 @@ def test_lincomb_order_above_the_cap_is_a_resource_cap():
      r"""^output 'a' must be a "\$id" reference, got \['\$s'\]$"""),
     ({"name": "x", "outputs": {1: "$s"}}, r"""^output 1 must be a "\$id" reference, got '\$s'$"""),
     ({"name": "x", "outputs": {"a": "$t"}}, r"^reference to unknown step 't'$"),
+    # a label is a CSV cell and a LaTeX array row: it must need no escaping
+    *(({"name": "x", "outputs": {label: "$s"}},
+       f"^output {re.escape(repr(label))} must be a nonempty name of ASCII letters, "
+       "digits and '_'$")
+      for label in ["a,b", "line\nbreak", "x&y%z", "", "table one", "\u00e9", "a-b"]),
 ])
 def test_scenario_name_description_and_notes_are_typed(doc, message):
     steps = [{"id": "s", "op": "projective_series", "args": {"dim": 1}}]
@@ -580,3 +586,59 @@ def test_a_literal_that_uses_a_reference_is_read_when_its_step_runs(read_counts)
          "expect": {"ok": True, "scalar": [4, 1]}}])
     assert read_counts == {"polynomial": 1, "parse_poly": 1}
     assert value_of(rep, "g")["ok"] is True
+
+
+# scenarios whose last step, 'n', has a value holding a 1 or a true
+TRIVIAL_GROUP = [
+    {"id": "g", "op": "close_group", "args": {"generators": [[[1]]]}},
+    {"id": "n", "op": "group_order", "args": {"group": "$g"}}]
+DUALITY = [
+    {"id": "t", "op": "projective_table", "args": {"dim": 1}},
+    {"id": "n", "op": "duality_check", "args": {"table": "$t"}}]
+GLUE = [
+    {"id": "lat", "op": "named_lattice", "args": {"name": "E1"}},
+    {"id": "z", "op": "z_form", "args": {"lattice": "$lat"}},
+    {"id": "n", "op": "glue_overlattice", "args": {"lattice": "$z", "glue": []}}]
+SERIES = [{"id": "n", "op": "projective_series", "args": {"dim": 1}}]
+
+
+@pytest.mark.parametrize("steps, expect, got", [
+    (TRIVIAL_GROUP, True, "1"),
+    ([{"id": "n", "op": "assert_true", "args": {"value": True}}], 1, "True"),
+    (DUALITY, {"kind": "duality", "ok": 1, "first_offense": None},
+     "{'kind': 'duality', 'ok': True, 'first_offense': None}"),
+    (GLUE, {"index": True, "even": True, "invariant_factors": [3]},
+     "{'even': True, 'index': 1, 'invariant_factors': [3]}"),
+    (SERIES, {"kind": "series", "order": 8, "triples": [[0, 1, 1], [2, 1, True]]},
+     "{'kind': 'series', 'order': 8, 'triples': [[0, 1, 1], [2, 1, 1]]}"),
+], ids=["true_for_1", "1_for_true", "nested_1_for_true", "nested_true_for_1", "true_in_a_list"])
+def test_expect_tells_booleans_from_integers(steps, expect, got):
+    # in Python True == 1, so a loose comparison would pass each of these
+    *head, last = steps
+    with pytest.raises(ScenarioCheckError) as info:
+        run_steps([*head, {**last, "expect": expect}])
+    assert str(info.value) == f"step 'n' mismatch:\n  expected {expect}\n  got      {got}"
+
+
+class Unequal:
+    def __eq__(self, other):
+        raise RuntimeError("compared")
+
+
+@pytest.mark.parametrize("expect", [
+    Unequal(), {"index": Unequal(), "even": True, "invariant_factors": [3]},
+    {"index": 1, "even": True, "invariant_factors": [Unequal()]},
+    {"index": 1.0, "even": True, "invariant_factors": [3]}])
+def test_an_expect_value_of_another_type_is_a_mismatch(expect):
+    # a dict document may hold any Python value; none is compared
+    steps = [*GLUE[:-1], {**GLUE[-1], "expect": expect}]
+    with pytest.raises(ScenarioCheckError, match="^step 'n' mismatch:"):
+        run_steps(steps)
+
+
+def test_an_output_label_may_hold_underscores_and_digits():
+    doc = {"name": "x", "steps": [{"id": "t", "op": "projective_table", "args": {"dim": 1}}],
+           "outputs": {"_": "$t", "IH_2": "$t"}}
+    rep = run_scenario(doc)
+    assert sorted(rep.tables) == ["IH_2", "_"]
+    assert rep.to_csv().splitlines()[1:3] == ["IH_2,0,1", "IH_2,1,0"]

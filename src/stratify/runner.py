@@ -245,7 +245,7 @@ def _op_wfc(args, strata, beta, stabilizer_weyl):
 
 
 @op("classifying_series", order=ORDER,
-    group=_arg("choice", ("SL", "PGL", "GL", "torus", "mu")), n=_arg("integer", 0))
+    group=_arg("choice", ("SL", "PGL", "GL", "torus", "mu")), n=_arg("integer", 0, minimum=0))
 def _op_classifying(args, order, group, n):
     from .series import TruncatedSeries, gf_expand
 
@@ -255,8 +255,9 @@ def _op_classifying(args, order, group, n):
         return gf_expand([(2 * i, 1) for i in range(2, top + 1)], order)
     if group == "GL":
         return gf_expand([(2 * i, 1) for i in range(1, top + 1)], order)
-    if group == "torus":
+    if group == "torus" and n:
         return gf_expand([(2, n)], order)
+    # a finite group, or the torus of rank 0: the classifying space of a point
     return TruncatedSeries.one(order)
 
 

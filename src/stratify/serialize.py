@@ -154,23 +154,18 @@ _ENCODERS = {
     "builtins.str": _itself,
     "builtins.NoneType": _itself,
 }
-# the encoder of each class met so far
-_BY_CLASS = {}
 
 
 def _encoder(cls):
     for base in cls.__mro__:
         encode = _ENCODERS.get(f"{base.__module__}.{base.__qualname__}")
         if encode is not None:
-            _BY_CLASS[cls] = encode
             return encode
     raise TypeError(f"cannot serialize {cls.__name__}")
 
 
 def to_jsonable(value):
-    cls = type(value)
-    encode = _BY_CLASS.get(cls) or _encoder(cls)
-    return encode(value)
+    return _encoder(type(value))(value)
 
 
 def dumps(value) -> str:

@@ -391,8 +391,8 @@ class StepArgs(dict):
             spec = items.nested(name, ("codim", "series", "weyl_share", "provenance"))
             out.append(StratumContribution(
                 series=spec.series("series", order, spec.get("series", 1)),
-                codim=spec.integer("codim"),
-                weyl_share=spec.integer("weyl_share", 1),
+                codim=spec.integer("codim", minimum=1),
+                weyl_share=spec.integer("weyl_share", 1, minimum=1),
                 provenance=spec.get("provenance", ""),
             ))
         return out

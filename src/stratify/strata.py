@@ -18,24 +18,26 @@ short-vector enumeration shares), 2,326 rows for (n, d) = (4, 3), and
 builds its candidate only when the projection has positive barycentric
 coordinates.
 
-The torus index set goes by orbits too when every coordinate permutation
-preserves the weight multiset, multiplicities counted.  The kernel then
-searches as for the symmetric group and returns one sorted candidate per
-S_m-orbit; each representative's stratum is built once and rearranged to
-every distinct permutation of beta, with the same n_beta and |beta|^2 and
-the support moved by the permutation.  For hypersurface weights this cuts
-the kernel's LDL^T extensions from 1,349 to 177 for (n, d) = (3, 3) and
-from 405 to 133 for (2, 6).
+One loop, `_index_set`, assembles the index set of every group kind
+("sym", "torus", "pgl2"): it checks whether every coordinate permutation
+preserves the weight multiset, multiplicities counted, calls the kernel
+once, folds beta and -beta for "pgl2", and builds each stratum.  The torus
+goes by orbits when the multiset is invariant.  The kernel then searches as
+for the symmetric group and returns one sorted candidate per S_m-orbit;
+each representative's stratum is built once and rearranged to every
+distinct permutation of beta, with the same n_beta and |beta|^2 and the
+support moved by the permutation.  For hypersurface weights this cuts the
+kernel's LDL^T extensions from 1,349 to 177 for (n, d) = (3, 3) and from
+405 to 133 for (2, 6).
 
-The index set stays in scaled Python ints from the weights, scaled over
+The index set works in scaled Python ints from the weights, scaled over
 their common denominator by `_pure.scaled_integers` (as is each beta in
-`maximal_support_report`), to the report: its rank (`_pure.rank`),
-Weyl-invariance check, each candidate's support and below count (one pass
-over the weights) and inversions run on the same integer weights as the
-kernel, and the candidates are ordered by (|beta|^2, beta) over their
-common denominator before any stratum is built.  `Fraction`s appear only in
-the returned `BetaStratum` fields.  The module does not load
-`stratify._exact`.
+`maximal_support_report`): its rank (`_pure.rank`), Weyl-invariance check,
+each candidate's support and below count (one pass over the weights) and
+inversions run on the same integer weights as the kernel.  The strata are
+ordered once, by (|beta|^2, beta) on their betas scaled to integers by
+`scaled_integers`.  `Fraction`s appear only in the `BetaStratum` fields.
+The module does not load `stratify._exact`.
 
 `verify_strata_against_oracle` certifies each stratum without the kernel:
 beta is the closest point of conv(S) if and only if every s in S has
@@ -313,23 +315,6 @@ def _permutation_invariant(weights) -> bool:
     )
 
 
-def _check_weyl_invariance(weights, group: str):
-    """Chamber reduction needs the Weyl group to preserve the weight multiset."""
-    if group == "sym":
-        if not _permutation_invariant(weights):
-            raise ValueError(
-                "weight multiset is not permutation-invariant; "
-                "the symmetric Weyl reduction does not apply"
-            )
-    elif group == "pgl2":
-        negated = Counter(tuple(-c for c in w) for w in weights)
-        if negated != Counter(weights):
-            raise ValueError(
-                "weight ladder is not symmetric under negation; "
-                "the rank-1 Weyl reduction does not apply"
-            )
-
-
 def _rearrangements(nums):
     """Each distinct rearrangement of the weakly decreasing ``nums`` once, as
     a coordinate permutation perm: the rearrangement is [nums[t] for t in
@@ -354,33 +339,18 @@ def _rearrangements(nums):
         perm[k + 1:] = perm[:k:-1]
 
 
-def _torus_by_orbits(scaled, denom, rk, budget) -> list:
-    """The torus index set of weights whose multiset every coordinate
-    permutation preserves, built from one stratum per S_m-orbit.
-
-    The kernel returns one sorted candidate per orbit.  A permutation pi of
-    the coordinates permutes the weights, so the stratum of pi(beta) has the
-    n_beta and |beta|^2 of beta's, and its support holds the weights pi(s)
-    for s in beta's support; a weight that occurs several times contributes
-    each of its indices.
-    """
-    where = {}
-    for i, w in enumerate(scaled):
-        where.setdefault(w, []).append(i)
-    found = {}
-    for nums, den in projection_candidates(scaled, rk, budget, True):
-        rep = _stratum_from_beta(nums, den, denom, scaled, "torus")
-        points = {scaled[i] for i in rep.support}
-        for perm in _rearrangements(nums):
-            support = [i for p in points for i in where[tuple([p[t] for t in perm])]]
-            support.sort()
-            found[tuple([nums[t] for t in perm]), den] = BetaStratum(
-                tuple([rep.beta[t] for t in perm]), rep.norm2, tuple(support),
-                rep.n_beta, 0, rep.codim_expected)
-    return [found[c] for c in sorted(found, key=_order_key(found))]
-
-
 def _index_set(weights, group: str, budget: int | None) -> list:
+    """The index set of ``weights`` for the group kind ``group``, ordered by
+    (|beta|^2, beta).
+
+    Chamber reduction needs the Weyl group to preserve the weight multiset.
+    The torus goes by orbits when every coordinate permutation preserves it:
+    the kernel then returns one sorted candidate per S_m-orbit, and a
+    permutation pi of the coordinates permutes the weights, so the stratum of
+    pi(beta) has the n_beta and |beta|^2 of beta's, and its support holds the
+    weights pi(s) for s in beta's support; a weight that occurs several times
+    contributes each of its indices.
+    """
     if not weights:
         raise ValueError("empty weight list")
     if budget is None:
@@ -388,39 +358,48 @@ def _index_set(weights, group: str, budget: int | None) -> list:
     # weight i is scaled[i] / denom: the kernel and the bookkeeping work on scaled
     scaled, denom = scaled_integers(weights)
     rk = rank(scaled)
-    if group == "pgl2" and rk != 1:
-        raise ValueError("pgl2 mode expects weights on a single line")
-    _check_weyl_invariance(scaled, group)
-    if group == "torus" and _permutation_invariant(scaled):
-        return _torus_by_orbits(scaled, denom, rk, budget)
-    cands = projection_candidates(scaled, rk, budget, group == "sym")
+    invariant = _permutation_invariant(scaled)
+    if group == "sym" and not invariant:
+        raise ValueError(
+            "weight multiset is not permutation-invariant; "
+            "the symmetric Weyl reduction does not apply"
+        )
+    if group == "pgl2":
+        if rk != 1:
+            raise ValueError("pgl2 mode expects weights on a single line")
+        if Counter(tuple(-c for c in w) for w in scaled) != Counter(scaled):
+            raise ValueError(
+                "weight ladder is not symmetric under negation; "
+                "the rank-1 Weyl reduction does not apply"
+            )
+    by_orbits = group == "torus" and invariant
+    cands = projection_candidates(scaled, rk, budget, group == "sym" or by_orbits)
     if group == "pgl2":
         # the Weyl group of PGL2 acts on the line by beta -> -beta
         cands = {(max(nums, tuple(-c for c in nums)), den) for nums, den in cands}
+    where = {}
+    if by_orbits:
+        for i, w in enumerate(scaled):
+            where.setdefault(w, []).append(i)
     out = []
-    for nums, den in sorted(cands, key=_order_key(cands)):
+    for nums, den in cands:
         stratum = _stratum_from_beta(nums, den, denom, scaled, group)
-        if stratum is not None:
+        if stratum is None:
+            continue
+        if not by_orbits:
             out.append(stratum)
-    return out
-
-
-def _order_key(cands):
-    """Sort key putting candidates (nums, den) in the order of (|beta|^2, beta).
-
-    Over one common denominator L every beta is an integer vector c / L, so
-    |beta|^2 and beta compare as sum(c_i^2) and c do.  Candidates are
-    distinct, so no two keys tie.
-    """
-    common = lcm(*[den for _, den in cands])
-
-    def key(cand):
-        nums, den = cand
-        f = common // den
-        c = [x * f for x in nums]
-        return sum(map(mul, c, c)), c
-
-    return key
+            continue
+        points = {scaled[i] for i in stratum.support}
+        for perm in _rearrangements(nums):
+            support = [i for p in points for i in where[tuple([p[t] for t in perm])]]
+            support.sort()
+            out.append(BetaStratum(
+                tuple([stratum.beta[t] for t in perm]), stratum.norm2, tuple(support),
+                stratum.n_beta, 0, stratum.codim_expected))
+    # over one common denominator every beta is an integer vector, so
+    # |beta|^2 and beta compare as those of the vector; no two betas tie
+    keys = [(sum(map(mul, c, c)), c) for c in scaled_integers([s.beta for s in out])[0]]
+    return [out[i] for i in sorted(range(len(out)), key=keys.__getitem__)]
 
 
 def instability_index_set(

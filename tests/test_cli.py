@@ -116,6 +116,22 @@ class TestScenarioCommand:
             assert err["error"] == "parse"
             assert "step 's'" in err["message"] and field in err["message"]
 
+    def test_out_of_range_literal_values_exit_code(self, tmp_path):
+        for step, field in (
+                ({"op": "semistable_series", "args": {
+                    "ambient_dim": 3, "bsl_exponents": [2], "strata": [{"codim": 0}]}},
+                 "'codim'"),
+                ({"op": "extra_term", "args": {"items": [{"codim": 2, "weyl_share": 0}]}},
+                 "'weyl_share'"),
+                ({"op": "classifying_series", "args": {"group": "GL", "n": -2}}, "'n'")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"name": "bad", "steps": [{"id": "s", **step}]}))
+            code, _, err = run_cli("scenario", "run", str(bad))
+            assert code == 3
+            err = json.loads(err.strip())
+            assert err["error"] == "parse"
+            assert "step 's'" in err["message"] and field in err["message"]
+
     def test_huge_multiplicity_and_rank_answer_at_once(self, tmp_path):
         doc = tmp_path / "huge.json"
         doc.write_text(json.dumps({"name": "huge", "steps": [

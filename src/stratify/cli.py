@@ -10,8 +10,8 @@ command accepts: its handler, positionals and options (`--truncate` only
 where the command reads it), the options every command takes, and the
 formats beyond text and json it writes.  `parse_args` reads the command
 line from them and `--help` prints them, and a malformed command line (an
-unknown word, a missing or ill-typed value, a value outside its choices, a
-format the command does not write) is a parse error like any other.  The
+unknown word, a missing or ill-typed value, a value outside its range or
+choices, a format the command does not write) is a parse error.  The
 parser is the table and one loop, not `argparse`, so that no call loads
 `argparse`, `gettext` or `locale`.
 
@@ -41,6 +41,7 @@ from ._pure import (
     ResourceCapError,
     ScenarioCheckError,
     ScenarioParseError,
+    check_degree,
     check_order,
     load_json,
     read_input,
@@ -205,9 +206,10 @@ DESCRIPTION = ("exact cohomology workbench for GIT quotients and ball-quotient b
 
 def _option(kind=str, choices=None, minimum=None, required=False, default=None, text=""):
     """An option of the table: the type of its value (`int`, `str`, or an
-    integer held to `check_order`: "order", or "bound", to >= 0 only), the
-    values allowed (None: any), the least integer allowed (None: any),
-    whether it must be given, its value when it is not, and its help line."""
+    integer held to `check_order`: "order", or "bound", to >= 0 only, or to
+    `check_degree`: "degree"), the values allowed (None: any), the least
+    integer allowed (None: any), whether it must be given, its value when it
+    is not, and its help line."""
     return kind, choices, minimum, required, default, text
 
 
@@ -236,7 +238,7 @@ COMMANDS = {
                                       text="list only the strata of codimension <= TRUNCATE")}),
     "molien": (_cmd_molien, "Molien series of a finite matrix group", (),
                {"--gens": _option(required=True, text="JSON file or inline JSON with generators"),
-                "--degree": _option(int, default=2),
+                "--degree": _option("degree", default=2, text="a positive even integer"),
                 "--truncate": _option("order", default=10, text="truncation degree")}),
     "lattice": (_cmd_lattice, "Eisenstein lattice computations",
                 (("action", ("roots", "weyl-order", "discriminant", "z-form"), ""),
@@ -247,7 +249,8 @@ COMMANDS = {
     "blowup": (_cmd_blowup, "point-blowup correction polynomial", (),
                {"--exceptional": _option(required=True,
                                          text="JSON Betti table of the exceptional divisor"),
-                "--dim": _option(int, required=True, text="complex dimension of the target"),
+                "--dim": _option(int, minimum=1, required=True,
+                                 text="complex dimension of the target"),
                 "--truncate": _option("order", text="truncation degree")}),
 }
 
@@ -310,6 +313,8 @@ def _value(name: str, word: str, kind, choices, minimum=None):
             raise ScenarioParseError(f"{name} must be an integer >= {minimum}, got {word}")
         if kind == "order" or kind == "bound" and word < 0:
             check_order(word, name)
+        if kind == "degree":
+            check_degree(word, name)
     if choices is not None and word not in choices:
         raise ScenarioParseError(f"{name} must be one of {', '.join(choices)}, got {word!r}")
     return word

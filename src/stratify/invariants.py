@@ -446,17 +446,17 @@ def check_quotient_rank(k: int) -> None:
         )
 
 
-def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
+def abelian_quotient_betti(gens, k: int, form) -> BettiTable:
     """Betti table of the quotient of a k-dimensional abelian variety.
 
     The variety is the k-fold product of the j-invariant-zero elliptic curve;
-    the group acts through its Eisenstein matrix representation.  ``group``
-    is a `FiniteMatrixGroup` over the Eisenstein integers (its generators are
-    used) or a sequence of generators; a
-    generator or ``form`` may have any entries `eis` accepts.  h^{p,q} is
-    the dimension of the invariants in Lambda^p V (x) conj Lambda^q V,
-    computed exactly as the joint fixed space of the generators for p <= q;
-    conjugation gives h^{q,p} = h^{p,q}.
+    the group generated by ``gens``, k x k matrices over the Eisenstein
+    integers, acts through them.  A caller holding a `FiniteMatrixGroup`
+    passes its ``gens`` and its ``form``.  A generator or the hermitian
+    ``form`` may have any entries `eis` accepts.  h^{p,q} is the dimension
+    of the invariants in Lambda^p V (x) conj Lambda^q V, computed exactly as
+    the joint fixed space of the generators for p <= q; conjugation gives
+    h^{q,p} = h^{p,q}.
 
     Certificate: every generator has Z[omega] entries and is unitary for the
     hermitian form, which is definite, so the group is finite; the table must
@@ -465,18 +465,9 @@ def abelian_quotient_betti(group, k: int, form=None) -> BettiTable:
     from .series import BettiTable, duality_check
 
     check_quotient_rank(k)
-    if isinstance(group, FiniteMatrixGroup):
-        if group.ring != "E":
-            raise ValueError("abelian quotients need a group over the Eisenstein integers")
-        if group.dim != k:
-            raise ValueError("rank mismatch")
-        gens = group.gens
-        gram = form if form is not None else group.form
-    else:
-        gens, gram = tuple(group), form
-    if gram is None:
+    if form is None:
         raise ValueError("no hermitian form declared for unitarity checking")
-    gram, *mats = (eis_matrix(m) for m in (gram, *gens))
+    gram, *mats = (eis_matrix(m) for m in (form, *gens))
     if len(gram) != k or any(len(m) != k for m in mats):
         raise ValueError("rank mismatch")
     if not all(type(e.a) is int and type(e.b) is int

@@ -91,7 +91,7 @@ def _arg(reader, *params, uses=(), **kw):
     return reader, params, uses, kw
 
 
-INTEGER = _arg("integer")
+NONNEGATIVE = _arg("integer", minimum=0)
 POSITIVE = _arg("integer", minimum=1)
 ORDER = _arg("order", uses=(SCENARIO_ORDER,))
 SERIES = _arg("series", uses=("order",))
@@ -240,8 +240,7 @@ op("normal_rep_strata", "strata.normal_rep_strata",
 def _op_wfc(args, strata, beta, stabilizer_weyl):
     from .strata import weyl_fiber_count
 
-    wr = [lambda v: v, lambda v: tuple(-c for c in v)] if stabilizer_weyl == "sign" else None
-    return weyl_fiber_count(beta, [s.beta for s in strata], wr)
+    return weyl_fiber_count(beta, [s.beta for s in strata], sign=stabilizer_weyl == "sign")
 
 
 @op("classifying_series", order=ORDER,
@@ -262,8 +261,8 @@ def _op_classifying(args, order, group, n):
 
 
 op("gf_expand", "series.gf_expand", factors=_arg("items", "factor"), order=ORDER)
-op("projective_series", "series.projective_space_series", dim=INTEGER, order=ORDER)
-op("projective_table", "series.BettiTable.of_projective_space", dim=INTEGER)
+op("projective_series", "series.projective_space_series", dim=NONNEGATIVE, order=ORDER)
+op("projective_table", "series.BettiTable.of_projective_space", dim=NONNEGATIVE)
 
 
 @op("series_product", order=ORDER, factors=_arg("items", "series", uses=("order",)))
@@ -296,20 +295,20 @@ def _op_group_order(args, group):
     return group.order
 
 
-op("molien", "invariants.molien", group=_arg("group"), degree=INTEGER, order=ORDER)
-op("semistable_series", "assembly.semistable_series", ambient_dim=INTEGER,
+op("molien", "invariants.molien", group=_arg("group"), degree=_arg("degree"), order=ORDER)
+op("semistable_series", "assembly.semistable_series", ambient_dim=NONNEGATIVE,
    bsl_exponents=_arg("items", "integer", minimum=1),
    strata=_arg("contributions", uses=("order",)), order=ORDER)
-op("main_term", "assembly.main_term", center_series=SERIES, normal_rank=_arg("dimension"),
+op("main_term", "assembly.main_term", center_series=SERIES, normal_rank=_arg("dimension", 2),
    order=ORDER)
 op("extra_term", "assembly.extra_term", items=_arg("contributions", uses=("order",)),
    order=ORDER)
 op("b_shift", "assembly.b_shift", table=TABLE, order=ORDER)
-op("blowup_correction", "assembly.blowup_correction", exceptional=TABLE, dim=INTEGER,
+op("blowup_correction", "assembly.blowup_correction", exceptional=TABLE, dim=POSITIVE,
    order=ORDER)
 
 
-@op("duality_complete", order=ORDER, series=SERIES, dim=INTEGER)
+@op("duality_complete", order=ORDER, series=SERIES, dim=NONNEGATIVE)
 def _op_duality_complete(args, order, series, dim):
     from .series import duality_complete
 
@@ -346,9 +345,9 @@ op("weyl_group", "weyl.weyl_group", lattice=_arg("lattice"))
 @op("abelian_quotient_betti", rank=_arg("quotient_rank"),
     form=_arg("eis_matrix", uses=("rank",), default=None), group=_arg("group", "E"))
 def _op_aqb(args, rank, form, group):
-    from . import invariants
+    from .invariants import abelian_quotient_betti
 
-    return invariants.abelian_quotient_betti(group, rank, form=form)
+    return abelian_quotient_betti(group.gens, rank, group.form if form is None else form)
 
 
 @op("wreath_symmetrize", order=ORDER, value=_arg("table_or_series", uses=("order",)),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from ._pure import ScenarioParseError, check_order
+from ._pure import ScenarioParseError, check_degree, check_order
 
 _REQUIRED = object()
 _RINGS = {"Q": "the rationals", "E": "the Eisenstein integers"}
@@ -80,6 +80,10 @@ class StepArgs(dict):
     def order(self, key, default: int) -> int:
         """The step's truncation order ``key``: its own or the scenario's, ``default``."""
         return check_order(self.integer(key, default), f"{self._label()}: argument {key!r}")
+
+    def degree(self, key) -> int:
+        """Argument ``key``: a Molien generator degree (`check_degree`)."""
+        return check_degree(self.integer(key), f"{self._label()}: argument {key!r}")
 
     def boolean(self, key) -> bool:
         """Argument ``key``: a boolean, or an object whose ``ok`` is a boolean."""
@@ -166,13 +170,14 @@ class StepArgs(dict):
             lat = z_form(lat)
         return lat
 
-    def dimension(self, key) -> int:
-        """Argument ``key``: an integer, or a normal representation or a
-        tangent-normal split, read as the dimension of the representation."""
-        value = self[key]
-        if _instance(value, "orbits", "TangentNormalSplit"):
-            return value.normal.dim
-        return value.dim if _instance(value, "orbits", "NormalRep") else self.integer(key)
+    def dimension(self, key, minimum) -> int:
+        """Argument ``key``: an integer >= ``minimum``, or a normal
+        representation or a tangent-normal split, read as the dimension of
+        the representation."""
+        kinds = ("NormalRep", "TangentNormalSplit")
+        if any(_instance(self[key], "orbits", kind) for kind in kinds):
+            return self.weights(key, *kinds).dim
+        return self.integer(key, minimum=minimum)
 
     def quotient_rank(self, key) -> int:
         """Argument ``key``: the rank of an abelian quotient, an integer held
@@ -334,10 +339,10 @@ class StepArgs(dict):
         return value if known else self.series(key, order)
 
     def factor(self, key) -> tuple:
-        """Argument ``key``: a `gf_expand` factor, an integer pair [period, multiplicity]."""
+        """Argument ``key``: a `gf_expand` factor, an integer pair [period, multiplicity] > 0."""
         f = self[key]
-        if not (isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)):
-            self.reject(key, "an integer pair [period, multiplicity]", f)
+        if not (isinstance(f, list) and len(f) == 2 and all(type(x) is int and x > 0 for x in f)):
+            self.reject(key, "an integer pair [period >= 1, multiplicity >= 1]", f)
         return tuple(f)
 
     def term(self, key, order) -> tuple:

@@ -431,31 +431,23 @@ def normal_rep_strata(rep, group: str, budget: int | None = None) -> list:
     return _index_set(rep.weights, group, budget)
 
 
-def weyl_fiber_count(beta_prime, rep_index_set, wr_action=None) -> int:
+def weyl_fiber_count(beta_prime, betas, sign=False) -> int:
     """Number of index-set elements in the ambient-Weyl orbit of beta_prime.
 
     The ambient Weyl group permutes coordinates; membership in the orbit is
-    equality of sorted coordinate multisets.  With a nontrivial stabilizer
-    Weyl group, ``wr_action`` lists its elements as vector maps and the count
-    is of orbits under that action.
+    equality of sorted coordinate multisets.  With ``sign``, the stabilizer
+    Weyl group acts by beta -> -beta and the count is of the classes
+    {beta, -beta} in that fiber.
     """
     beta_prime = vec(beta_prime)
-    members = [vec(b) for b in rep_index_set]
+    members = [vec(b) for b in betas]
     if beta_prime not in members:
         raise ValueError("beta_prime is not an element of the index set")
     key = tuple(sorted(beta_prime))
     fiber = [b for b in members if tuple(sorted(b)) == key]
-    if not wr_action:
+    if not sign:
         return len(fiber)
-    remaining = set(fiber)
-    orbits = 0
-    while remaining:
-        b = remaining.pop()
-        orbits += 1
-        for g in wr_action:
-            img = vec(g(b))
-            remaining.discard(img)
-    return orbits
+    return len({min(b, tuple(-c for c in b)) for b in fiber})
 
 
 class SupportRecord(Record):

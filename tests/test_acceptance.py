@@ -194,8 +194,9 @@ def test_criterion_07_lattice_facts(capsys):
 
 
 def test_criterion_08_abelian_quotient_patterns(capsys):
-    q3 = abelian_quotient_betti(weyl_group(E3), 3)
-    q4 = abelian_quotient_betti(weyl_group(E4), 4)
+    w3, w4 = weyl_group(E3), weyl_group(E4)
+    q3 = abelian_quotient_betti(w3.gens, 3, w3.form)
+    q4 = abelian_quotient_betti(w4.gens, 4, w4.form)
     assert q3.even() == [1, 1, 1, 1] and all(b == 0 for b in q3.odd())
     assert q4.even() == [1, 1, 1, 1, 1] and all(b == 0 for b in q4.odd())
     with capsys.disabled():

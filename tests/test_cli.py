@@ -467,6 +467,22 @@ class TestBadInput:
         assert err["error"] == "parse" and message in err["message"]
 
 
+# (scenario op, its field, its other steps and arguments, command line
+# without the value, value): one range read through both doors
+_GENS = [[[0, 1], [1, 0]]]
+_TABLE = {"complex_dim": 1, "even": [1, 1], "odd": [0]}
+RANGES = [
+    ("molien", "degree", [{"id": "g", "op": "close_group", "args": {"generators": _GENS}}],
+     {"group": "$g"}, ("molien", "--gens", json.dumps(_GENS), "--degree"), value)
+    for value in (0, -2, 3)
+] + [
+    ("blowup_correction", "dim", [{"id": "t", "op": "declare", "args": {
+        "kind": "betti_table", "value": _TABLE}, "facts": [{"cite": "test"}]}],
+     {"exceptional": "$t"}, ("blowup", "--exceptional", json.dumps(_TABLE), "--dim"), value)
+    for value in (0, -1)
+]
+
+
 class TestCommandLine:
     """The command line is read from `cli.COMMANDS` and `cli.COMMON`."""
 
@@ -497,12 +513,39 @@ class TestCommandLine:
         (("--format", "latex", "lattice", "z-form", "E1"),
          "lattice z-form does not write latex; it writes text, json, csv"),
         (("strata", "--n", "5", "--d", "3", "--format", "latex"), "strata does not write latex"),
+        # out of range: refused with the command line, before the command runs
+        (("molien", "--gens", "[[[0,1],[1,0]]]", "--degree", "0"),
+         "--degree must be a positive even integer, got 0"),
+        (("molien", "--gens", "[[[0,1],[1,0]]]", "--degree", "3"),
+         "--degree must be a positive even integer, got 3"),
+        (("blowup", "--exceptional", '{"complex_dim":1,"even":[1,1],"odd":[0]}', "--dim", "-1"),
+         "--dim must be an integer >= 1, got -1"),
     ])
     def test_malformed_command_line_is_parse_error(self, argv, named):
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""
         err = json.loads(err)
         assert err["error"] == "parse" and named in err["message"]
+
+    @pytest.mark.parametrize("op, field, steps, args, argv, value", RANGES)
+    def test_one_range_through_both_doors(self, tmp_path, op, field, steps, args, argv, value):
+        # a first step that fails if it runs: the value is refused before step 1
+        doc = {"name": "range", "steps": [
+            {"id": "first", "op": "assert_true", "args": {"value": False}}, *steps,
+            {"id": "s", "op": op, "args": {**args, field: value}}]}
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(doc))
+        messages = []
+        for call in (("scenario", "run", str(path)), (*argv, str(value))):
+            code, out, err = run_cli(*call)
+            assert code == 3 and out == "", call
+            err = json.loads(err)
+            assert err["error"] == "parse"
+            messages.append(err["message"])
+        assert messages[0].startswith(f"step 's': argument '{field}' must be ")
+        assert messages[1].startswith(f"{argv[-1]} must be ")
+        # the same range, in the same words
+        assert messages[0].split(" must be ")[1] == messages[1].split(" must be ")[1]
 
     @pytest.mark.parametrize("argv", [
         ("--format", "json", "lattice", "weyl-order", "E2"),

@@ -18,7 +18,6 @@ from stratify.eisenstein import (
     EisLattice,
 )
 from stratify.invariants import (
-    FiniteMatrixGroup,
     _elementary_symmetric,
     _elements,
     _matrix_chain,
@@ -240,7 +239,7 @@ class TestMolien:
 class TestAbelianQuotients:
     def test_rank3_triflection_quotient(self):
         w3 = weyl_group(E3)
-        t = abelian_quotient_betti(w3, 3)
+        t = abelian_quotient_betti(w3.gens, 3, w3.form)
         assert t.even() == [1, 1, 1, 1] and t.odd() == [0, 0, 0]
 
     def test_rank5_quotient_is_the_kunneth_product(self):
@@ -252,45 +251,37 @@ class TestAbelianQuotients:
         t = abelian_quotient_betti(triflections(lat), 5, lat.gram)
         assert time.perf_counter() - t0 < 20
         e1 = abelian_quotient_betti(triflections(E1), 1, E1.gram)
-        e4 = abelian_quotient_betti(weyl_group(E4), 4)
+        w4 = weyl_group(E4)
+        e4 = abelian_quotient_betti(w4.gens, 4, w4.form)
         assert t == e1.kunneth(e4)
         assert list(t.betti) == [1, 0, 2, 0, 2, 0, 2, 0, 2, 0, 1]
 
     def test_trivial_group_elliptic_curve(self):
         ident = [[(1, 0)]]
-        g = close_group([ident]).replace(form=eis_matrix([[3]]))
-        t = abelian_quotient_betti(g, 1)
+        t = abelian_quotient_betti(close_group([ident]).gens, 1, eis_matrix([[3]]))
         assert list(t.betti) == [1, 2, 1]
 
     def test_order_six_quotient_is_projective_line(self):
-        g = close_group([[[(0, 1)]], [[(-1, 0)]]]).replace(form=eis_matrix([[3]]))
-        t = abelian_quotient_betti(g, 1)
+        g = close_group([[[(0, 1)]], [[(-1, 0)]]])
+        t = abelian_quotient_betti(g.gens, 1, eis_matrix([[3]]))
         assert list(t.betti) == [1, 0, 1]
 
     def test_unitarity_violation_detected(self):
         bad = [[(2, 0)]]  # not unitary for the rank-1 form
-        g = FiniteMatrixGroup("E", 1, (eis_matrix(bad),), 1, eis_matrix([[3]]))
         with pytest.raises(ValueError):
-            abelian_quotient_betti(g, 1)
-
-    def test_requires_eisenstein_ring(self):
-        g = close_group(DIHEDRAL_GENS)
-        with pytest.raises(ValueError):
-            abelian_quotient_betti(g, 2, form=eis_matrix([[3, 0], [0, 3]]))
+            abelian_quotient_betti([bad], 1, eis_matrix([[3]]))
 
     def test_int64_sized_generator_is_not_unitary(self):
         # the retired compiled character sums wrapped this entry to -1
         gen = eis_matrix([[(2**63 - 1, 0), (0, 0)], [(0, 0), (1, 0)]])
         form = eis_matrix([[3, 0], [0, 3]])
         with pytest.raises(ValueError):
-            abelian_quotient_betti(FiniteMatrixGroup("E", 2, (gen,), 2, form), 2)
-        with pytest.raises(ValueError):
             abelian_quotient_betti([gen], 2, form=form)
 
     def test_indefinite_form_is_rejected(self):
         g = close_group([[[(1, 0), (0, 0)], [(0, 0), (1, 0)]]])
         with pytest.raises(ValueError):
-            abelian_quotient_betti(g, 2, form=H.gram)
+            abelian_quotient_betti(g.gens, 2, form=H.gram)
 
 
 def element_average_betti(group, k):
@@ -341,7 +332,6 @@ def test_fixed_spaces_match_element_average(case):
     k = lat.rank
     group = close_group(gens, cap=1500)
     expected = element_average_betti(group, k)
-    assert list(abelian_quotient_betti(group, k, form=lat.gram).betti) == expected
     assert list(abelian_quotient_betti(gens, k, form=lat.gram).betti) == expected
 
 

@@ -413,6 +413,23 @@ def test_declare_kinds():
      r"items\[0\]: argument 'codim' must be an integer >= 1, got -1"),
     ({"op": "classifying_series", "args": {"group": "SL", "n": -1}},
      r"argument 'n' must be an integer >= 0, got -1"),
+    # out-of-range dimensions, factors and ranks are read as such
+    ({"op": "projective_series", "args": {"dim": -1}},
+     r"argument 'dim' must be an integer >= 0, got -1"),
+    ({"op": "projective_table", "args": {"dim": -1}},
+     r"argument 'dim' must be an integer >= 0, got -1"),
+    ({"op": "duality_complete", "args": {"series": 1, "dim": -1}},
+     r"argument 'dim' must be an integer >= 0, got -1"),
+    ({"op": "semistable_series", "args": {"ambient_dim": -1, "bsl_exponents": [2]}},
+     r"argument 'ambient_dim' must be an integer >= 0, got -1"),
+    ({"op": "gf_expand", "args": {"factors": [[2, 1], [0, 1]]}},
+     r"argument 'factors\[1\]' must be an integer pair \[period >= 1, multiplicity >= 1\], "
+     r"got \[0, 1\]"),
+    ({"op": "gf_expand", "args": {"factors": [[2, 0]]}},
+     r"argument 'factors\[0\]' must be an integer pair \[period >= 1, multiplicity >= 1\], "
+     r"got \[2, 0\]"),
+    ({"op": "main_term", "args": {"center_series": 1, "normal_rank": 1}},
+     r"argument 'normal_rank' must be an integer >= 2, got 1"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:
@@ -533,7 +550,7 @@ def test_abelian_quotient_form_is_an_eisenstein_gram():
 
 @pytest.mark.parametrize("steps, message", [
     ([{"id": "bad", "op": "projective_series", "args": {"dim": "2"}}],
-     r"^step 'bad': argument 'dim' must be an integer, got '2'$"),
+     r"^step 'bad': argument 'dim' must be an integer >= 0, got '2'$"),
     ([{"id": "bad", "op": "b_shift", "args": {"table": "$no_such_step"}}],
      r"^reference to unknown step 'no_such_step'$"),
     ([{"id": "bad", "op": "b_shift", "args": {"table": "$later"}},

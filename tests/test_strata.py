@@ -759,6 +759,5 @@ class TestNormalRepStrata:
         st_ = normal_rep_strata(self.split_chordal.normal, "pgl2")
         idx = [s.beta for s in st_]
         nz = [b for b in idx if any(b)]
-        wr = [lambda v: v, lambda v: tuple(-c for c in v)]
         # chamber representatives carry one element per +- pair
-        assert weyl_fiber_count(nz[0], idx, wr) == 1
+        assert weyl_fiber_count(nz[0], idx, sign=True) == 1

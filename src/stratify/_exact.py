@@ -13,6 +13,11 @@ One matrix representation: a matrix over Z[omega], Q(omega) or Q is a tuple
 of row tuples of `EisInt` (`eis_matrix`), a rational entry q as q + 0*omega,
 and `mat_mul` is its one product.
 
+One coordinate map, spelled out only here: Z[omega]^k is Z^2k on e_1,
+omega e_1, e_2, ... (`z_matrix`, `eis_vector_from_z`, and `real_form`, the
+integer matrix of 2 Re<x, y>).  One definiteness test, `definite_ldl`,
+serves the short vectors of `weyl` and the abelian quotients of `invariants`.
+
 One elimination, `echelon` (fraction-free, Bareiss), behind `det`, `rank`,
 `nullspace` and `adjugate`, over Z or Q (int or `Fraction` entries) and
 Z[omega] or Q(omega) (`EisInt` entries).  Its divisions are exact and go
@@ -33,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._pure import _div, echelon, rank, rational  # noqa: F401
+from ._pure import _div, _extend_ldl, echelon, rank, rational  # noqa: F401
 
 
 class EisInt:
@@ -211,3 +216,52 @@ def adjugate(mat) -> tuple:
     d = sign * rows[n - 1][n - 1]
     cols = list(_back_substitute(pivots, rows, -d, range(n, 2 * n)))
     return d, [[cols[c][i] for c in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Z[omega]^k as Z^2k, on the basis e_1, omega e_1, e_2, omega e_2, ...
+# ---------------------------------------------------------------------------
+
+
+def z_matrix(mat) -> list:
+    """The 2k x 2k integer matrix by which a k x k Z[omega] matrix acts on
+    the coordinates (e_i, omega e_i): (a + b w)(c + d w) is
+    (ac - bd) + (bc + (a - b) d) w."""
+    rows = []
+    for row in mat:
+        rows.append([x for e in row for x in (e.a, -e.b)])
+        rows.append([x for e in row for x in (e.b, e.a - e.b)])
+    return rows
+
+
+def eis_vector_from_z(v) -> tuple:
+    """The Eisenstein vector with coordinates ``v`` (pairs e_i, omega e_i)."""
+    return tuple(EisInt(v[i], v[i + 1]) for i in range(0, len(v), 2))
+
+
+def real_form(gram) -> list:
+    """The integer matrix of 2 Re<x, y>, <x, y> = conj(x)^T G y.  Rows r0, r1
+    of `z_matrix` (G) hold <e_i, y> = A + B w as (A, B), and <omega e_i, y> is
+    (B - A) - A w: 2 Re is 2 r0 - r1 and 2 r1 - r0."""
+    rows = z_matrix(gram)
+    return [[2 * x - y for x, y in zip(a, b)]
+            for r0, r1 in zip(rows[::2], rows[1::2]) for a, b in ((r0, r1), (r1, r0))]
+
+
+def definite_ldl(gram):
+    """(sign, low) with sign * G positive definite, sign that of G[0][0], and
+    ``low`` its fraction-free LDL^T (`_pure._extend_ldl`), for a symmetric
+    integer G.  The pivots low[i][i] are the leading minors of sign * G
+    (Sylvester): a zero one means a degenerate form, or an indefinite one
+    when det G is not zero, and a negative one an indefinite form."""
+    n = len(gram)
+    sign = -1 if n and gram[0][0] < 0 else 1
+    low = []
+    for s in range(n):
+        ext = _extend_ldl(low, [0] * n, [sign * x for x in gram[s][:s + 1]], 0)
+        if ext is None:
+            raise ValueError("degenerate form" if det(gram) == 0 else "lattice is indefinite")
+        low.append(ext[0])
+    if any(row[-1] < 0 for row in low):
+        raise ValueError("lattice is indefinite")
+    return sign, low

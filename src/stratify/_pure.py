@@ -11,8 +11,8 @@ more than one layer share: every call compiles it.
 
 `_extend_ldl` adds one row to a fraction-free LDL^T elimination in Python
 ints.  It is the step of the closest-point candidate search
-(`strata.projection_candidates`), and it decomposes Gram matrices for the
-short-vector enumeration of `weyl.enumerate_vectors`.  Matrices over
+(`strata.projection_candidates`) and of `_exact.definite_ldl`, the one
+definiteness test of Gram matrices.  Matrices over
 Z[omega] and their product live in `stratify._exact`, which this module
 does not import.
 
@@ -305,8 +305,8 @@ def _extend_ldl(low, rhs, row, b):
     the eliminated row and right-hand side; None when the new pivot is zero.
 
     Two callers: `strata.projection_candidates` grows one row per search
-    node, and `weyl._definite_ldl` eliminates a Gram matrix row by row with
-    right-hand side 0 for Fincke-Pohst enumeration.
+    node, and `_exact.definite_ldl` eliminates a Gram matrix row by row with
+    right-hand side 0, to test it definite and for Fincke-Pohst enumeration.
     """
     s = len(low)
     prev = 1

@@ -14,7 +14,7 @@ built only for the returned generators, bases and q values.
 
 At load this module imports only `_pure`.  The functions that build a
 Z-lattice or enumerate short vectors import `weyl` when they run, and the
-cusp check imports `eisenstein` for its lattices and `_exact` for G v.
+cusp check imports `eisenstein` for its lattices, `_exact` for G v and `z_matrix`.
 """
 
 from __future__ import annotations
@@ -286,13 +286,15 @@ class CuspVectorReport(_pure.Record):
 
 
 def _ideal_norm(elements) -> int:
-    """The norm of the ideal of Z[omega] that ``elements`` (a + b omega with
-    int parts) generate: its index in Z[omega] = Z^2.  The ideal is the Z-span
-    of each element and its omega-multiple -b + (a - b) omega, so the norm is
-    d_1 d_2 of the Smith form of those rows; 0 for the zero ideal."""
+    """The norm of the ideal of Z[omega] that ``elements`` (with int parts)
+    generate: its index in Z[omega] = Z^2, the Z-span of each e and omega e,
+    the columns of `_exact.z_matrix` ([[e]]).  That is d_1 d_2 of their Smith
+    form; 0 for the zero ideal."""
+    from ._exact import z_matrix
+
     if not elements:
         return 0
-    d = smith_normal_form([r for e in elements for r in ((e.a, e.b), (-e.b, e.a - e.b))])[0]
+    d = smith_normal_form([r for e in elements for r in zip(*z_matrix([[e]]))])[0]
     return d[0][0] * d[1][1]
 
 
@@ -306,16 +308,16 @@ def verify_unimodular_complement_vector() -> CuspVectorReport:
     must have hermitian norm 3 and Eisenstein divisibility 3: its pairings
     with the glued lattice generate an ideal of norm 9 (`_ideal_norm`).
     """
-    from ._exact import EisInt, mat_mul
+    from ._exact import EisInt, eis_vector_from_z, mat_mul
     from .eisenstein import E3, E_ZERO, NAMED_LATTICES, OMEGA, THETA, H
-    from .weyl import eis_vector_from_z, enumerate_vectors, z_form
+    from .weyl import enumerate_vectors, z_form
 
     def basis_pairings(lat, vec):  # <e_j, vec> for every basis vector e_j: G vec
         return [row[0] for row in mat_mul(lat.gram, [(x,) for x in vec])]
 
     # find v in E3 with |v|^2 = 6 and every <e_j, v> in theta^2 E = 3E
     for vz in enumerate_vectors(z_form(E3), -4):  # |v|^2 = 6 <-> (v, v) = -4
-        v = eis_vector_from_z(vz, 3)
+        v = eis_vector_from_z(vz)
         if all(p.a % 3 == 0 and p.b % 3 == 0 for p in basis_pairings(E3, v)):
             break
     else:

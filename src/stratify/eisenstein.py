@@ -3,8 +3,8 @@
 Conventions: omega is a primitive cube root of unity (omega^2 = -1 - omega),
 theta = omega - omega^2 with theta * conj(theta) = 3.  Hermitian forms are
 linear in the second slot, take values in theta * E, and have diagonal in 3Z.
-The underlying integral form is (x, y) = -(2/3) Re<x, y> on the basis
-e_1, omega e_1, e_2, omega e_2, ...
+The underlying integral form is (x, y) = -(2/3) Re<x, y> in the
+coordinates of `_exact.z_matrix`.
 
 Eisenstein numbers are `EisInt` and determinants come from
 `stratify._exact`; this module keeps the lattices themselves (`EisLattice`,
@@ -22,7 +22,7 @@ and `weyl` only for a factor acted on by its triflection group.
 from __future__ import annotations
 
 from . import _pure
-from ._exact import EisInt, det, eis_matrix
+from ._exact import EisInt, det, eis, eis_matrix, mat_mul
 
 E_ZERO = EisInt(0, 0)
 E_ONE = EisInt(1, 0)
@@ -57,13 +57,9 @@ class EisLattice(_pure.Record):
                     raise ValueError("entries must lie in theta * E")
 
     def pair(self, x, y) -> EisInt:
-        """Hermitian pairing, linear in the second slot."""
-        s = E_ZERO
-        for i in range(self.rank):
-            ci = x[i].conj()
-            for j in range(self.rank):
-                s = s + ci * self.gram[i][j] * y[j]
-        return s
+        """Hermitian pairing conj(x)^T G y, linear in the second slot."""
+        row = mat_mul([[eis(c).conj() for c in x]], self.gram)
+        return mat_mul(row, [[eis(c)] for c in y])[0][0]
 
     def det(self) -> EisInt:
         return det(self.gram)

@@ -25,8 +25,8 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 from . import _pure
-from ._exact import (UNITS, EisInt, adjugate, det, eis, eis_matrix, identity, mat_mul,
-                     nullspace, rational)
+from ._exact import (UNITS, EisInt, adjugate, definite_ldl, det, eis, eis_matrix, identity,
+                     mat_mul, nullspace, rational, real_form)
 
 DEFAULT_CAP = 10**6
 
@@ -387,17 +387,6 @@ def is_unitary(mat, gram) -> bool:
     return mat_mul(adjoint, mat_mul(gram, mat)) == tuple(map(tuple, gram))
 
 
-def _is_definite(gram) -> bool:
-    """Sylvester's criterion for a hermitian matrix of `EisInt`."""
-    k = len(gram)
-    if any(gram[j][i] != gram[i][j].conj() for i in range(k) for j in range(k)):
-        return False
-    minors = [det([row[:i] for row in gram[:i]]) for i in range(1, k + 1)]
-    return all(m.a > 0 for m in minors) or all(
-        (-1) ** i * m.a > 0 for i, m in enumerate(minors, 1)
-    )
-
-
 def _compound(mat, p):
     """p-th exterior power: the p x p minors, p-subsets in lexicographic order."""
     subsets = list(combinations(range(len(mat)), p))
@@ -459,8 +448,8 @@ def abelian_quotient_betti(gens, k: int, form) -> BettiTable:
     h^{q,p} = h^{p,q}.
 
     Certificate: every generator has Z[omega] entries and is unitary for the
-    hermitian form, which is definite, so the group is finite; the table must
-    satisfy Poincare duality.  Ranks above `MAX_QUOTIENT_RANK` are refused.
+    hermitian form, definite by `_exact.definite_ldl`, so the group is finite;
+    the table must satisfy Poincare duality.  Ranks above `MAX_QUOTIENT_RANK` are refused.
     """
     from .series import BettiTable, duality_check
 
@@ -473,8 +462,9 @@ def abelian_quotient_betti(gens, k: int, form) -> BettiTable:
     if not all(type(e.a) is int and type(e.b) is int
                for m in (gram, *mats) for row in m for e in row):
         raise ValueError("generators and form must have Eisenstein-integer entries")
-    if not _is_definite(gram):
-        raise ValueError("the hermitian form is not definite")
+    if any(gram[j][i] != gram[i][j].conj() for i in range(k) for j in range(k)):
+        raise ValueError("the form is not hermitian")
+    definite_ldl(real_form(gram))  # raises on a degenerate or indefinite form
     if not all(is_unitary(m, gram) for m in mats):
         raise ValueError("generator is not unitary for the declared form")
     powers = [[_compound(m, p) for p in range(k + 1)] for m in mats]

@@ -264,9 +264,11 @@ class StepArgs(dict):
 
     def generators(self, key, ring) -> list:
         """The generators ``key`` of a `close_group` step or the `molien`
-        command: over ``ring`` "E" square matrices of integers or [a, b]
-        pairs, over "Q" square rational matrices, all of the size of the first."""
+        command, at least one: over ``ring`` "E" square matrices of integers or
+        [a, b] pairs, over "Q" square rational matrices, all of the size of the first."""
         gens = self.each(key)
+        if not gens:
+            self.reject(key, "a nonempty list of matrices", self[key])
         if ring == "Q":
             mats = [items.matrix(name, square=True) for items, name in gens]
         else:

@@ -1,13 +1,13 @@
 """Integral forms, roots and triflection (Weyl) groups of Eisenstein lattices.
 
 `z_form` gives the underlying even integral lattice of a hermitian
-Eisenstein lattice, (x, y) = -(2/3) Re<x, y> on the basis e_1, omega e_1,
-e_2, omega e_2, ...  Short vectors are found by Fincke-Pohst enumeration on
-the fraction-free LDL^T of `_pure._extend_ldl`, in integers.  The roots are
-the norm-3 vectors; a triflection fixes the orthogonal complement of a root
-and multiplies the root by omega.  The order of the group they generate is
-certified by deterministic Schreier-Sims on the permutation action on the
-roots (`invariants.permutation_group_order`), without listing elements.
+Eisenstein lattice, (x, y) = -(2/3) Re<x, y> (`_exact.real_form`).  Short
+vectors are found by Fincke-Pohst enumeration on `_exact.definite_ldl`, in
+integers.  The roots are the vectors of norm 3 (-3 if negative definite); a
+triflection fixes the orthogonal complement of a root and multiplies the
+root by omega.  The order of the group they generate is certified by
+deterministic Schreier-Sims on the permutation action on the roots
+(`invariants.permutation_group_order`), without listing elements.
 
 At load this module imports `_pure`, `_exact` and `eisenstein` (the unit
 constants): every call reaches it from an Eisenstein lattice, so
@@ -21,7 +21,8 @@ import math
 from operator import mul
 
 from . import _pure
-from ._exact import UNITS, EisInt, det, eis, identity, mat_mul, nullspace
+from ._exact import (UNITS, EisInt, definite_ldl, det, eis, eis_vector_from_z, identity,
+                     mat_mul, nullspace, real_form, z_matrix)
 from .eisenstein import E_ONE, E_ZERO, OMEGA
 
 
@@ -35,10 +36,8 @@ class ZLattice(_pure.Record):
         g = self.gram
         if len(g) != self.rank or any(len(r) != self.rank for r in g):
             raise ValueError("gram size mismatch")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram must be symmetric")
+        if any(g[i][j] != g[j][i] for i in range(self.rank) for j in range(i)):
+            raise ValueError("gram must be symmetric")
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -55,60 +54,20 @@ class ZLattice(_pure.Record):
 
 
 def z_form(lat: EisLattice) -> ZLattice:
-    """Underlying even integral lattice on the basis e_i, omega*e_i."""
-    k = lat.rank
-    basis = []
-    for i in range(k):
-        for s in (E_ONE, OMEGA):
-            v = [E_ZERO] * k
-            v[i] = s
-            basis.append(v)
-    g = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(2 * k):
-        for j in range(2 * k):
-            h = lat.pair(basis[i], basis[j])
-            # (x, y) = -(2/3) Re<x, y>;  Re(a + b w) = a - b/2
-            re2 = 2 * h.a - h.b  # twice the real part
-            if re2 % 3:
-                raise AssertionError("pairing is not theta-integral")
-            g[i][j] = -re2 // 3
-    zl = ZLattice(2 * k, tuple(tuple(r) for r in g))
+    """Underlying even integral lattice, (x, y) = -(2/3) Re<x, y>: minus a
+    third of `_exact.real_form`."""
+    g = real_form(lat.gram)
+    if any(x % 3 for row in g for x in row):
+        raise AssertionError("pairing is not theta-integral")
+    zl = ZLattice(len(g), tuple(tuple(-x // 3 for x in row) for row in g))
     if not zl.is_even():
         raise AssertionError("integral form of a theta-valued lattice must be even")
     return zl
 
 
-def eis_vector_from_z(v, k) -> tuple:
-    """Integral-basis coordinates (pairs e_i, omega e_i) to an Eisenstein vector."""
-    return tuple(EisInt(v[2 * i], v[2 * i + 1]) for i in range(k))
-
-
 # ---------------------------------------------------------------------------
 # short vectors
 # ---------------------------------------------------------------------------
-
-
-def _definite_ldl(gram):
-    """(sign, low) with sign * G positive definite and ``low`` its
-    fraction-free LDL^T elimination (`_pure._extend_ldl`, right-hand side 0).
-
-    The pivots low[i][i] are the leading principal minors P_i of sign * G, so
-    by Sylvester's criterion sign * G is positive definite when all are
-    positive.  A zero minor means the form is degenerate, or indefinite when
-    its determinant is not zero.
-    """
-    n = len(gram)
-    zeros = [0] * n
-    for sign in (1, -1):
-        low = []
-        for s in range(n):
-            ext = _pure._extend_ldl(low, zeros, [sign * x for x in gram[s][:s + 1]], 0)
-            if ext is None:
-                raise ValueError("degenerate form" if det(gram) == 0 else "lattice is indefinite")
-            low.append(ext[0])
-        if all(row[-1] > 0 for row in low):
-            return sign, low
-    raise ValueError("lattice is indefinite")
 
 
 def enumerate_vectors(zl: ZLattice, value: int) -> list:
@@ -121,11 +80,15 @@ def enumerate_vectors(zl: ZLattice, value: int) -> list:
     is an integer, and each coordinate's range is exact by `math.isqrt`.
     Raises on an indefinite or degenerate form.
     """
-    n = zl.rank
-    sign, low = _definite_ldl(zl.gram)
-    target = sign * value
+    sign, low = definite_ldl(zl.gram)
+    return _fincke_pohst(low, sign * value)
+
+
+def _fincke_pohst(low, target) -> list:
+    """The vectors of square ``target`` in the form eliminated to ``low``."""
     if target < 0:
         return []
+    n = len(low)
     out = []
     x = [0] * n
 
@@ -151,13 +114,13 @@ def enumerate_vectors(zl: ZLattice, value: int) -> list:
 
 def enumerate_roots(zl: ZLattice) -> list:
     """Vectors of square -2 (negative definite) or +2 (positive definite)."""
-    return enumerate_vectors(zl, 2 * _definite_ldl(zl.gram)[0])
+    return _fincke_pohst(definite_ldl(zl.gram)[1], 2)
 
 
 def eisenstein_roots(lat: EisLattice) -> list:
-    """Norm-3 vectors of a definite Eisenstein lattice, via the integral form."""
-    zl = z_form(lat)
-    return [eis_vector_from_z(v, lat.rank) for v in enumerate_roots(zl)]
+    """Roots of a definite Eisenstein lattice (norm 3, or -3 when negative
+    definite), via the integral form."""
+    return [eis_vector_from_z(v) for v in enumerate_roots(z_form(lat))]
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +130,11 @@ def eisenstein_roots(lat: EisLattice) -> list:
 
 def triflection(lat: EisLattice, root) -> tuple:
     """Matrix of x -> x - (1-omega) (<r, x>/<r, r>) r, acting on columns, as a
-    tuple of row tuples of `EisInt`."""
+    tuple of row tuples of `EisInt`, for a root r: <r, r> = 3 or -3."""
     r = tuple(eis(c) for c in root)
-    if lat.pair(r, r) != 3:
-        raise ValueError("triflections require a norm-3 root")
+    norm = lat.pair(r, r)
+    if norm not in (3, -3):
+        raise ValueError("triflections require a root of norm 3 or -3")
     k = lat.rank
     # row functional rho_j = sum_l conj(r_l) G[l][j]
     rho = mat_mul([[x.conj() for x in r]], lat.gram)[0]
@@ -182,7 +146,7 @@ def triflection(lat: EisLattice, root) -> tuple:
             c = one_minus_omega * r[i] * rho[j]  # in 3E, as rho_j is in theta E
             if c.a % 3 or c.b % 3:
                 raise ValueError(f"{c} is not divisible by 3")
-            row.append((E_ONE if i == j else E_ZERO) - EisInt(c.a // 3, c.b // 3))
+            row.append((E_ONE if i == j else E_ZERO) - EisInt(c.a // norm.a, c.b // norm.a))
         mat.append(tuple(row))
     return tuple(mat)
 
@@ -224,22 +188,11 @@ def _triflections(lat, roots) -> list:
     return found
 
 
-def _z_matrix(mat) -> list:
-    """The 2k x 2k integer matrix by which a k x k Z[omega] matrix acts on
-    `z_form` coordinates (e_i, omega e_i): (a + b w)(c + d w) is
-    (ac - bd) + (bc + (a - b) d) w."""
-    rows = []
-    for row in mat:
-        rows.append([x for e in row for x in (e.a, -e.b)])
-        rows.append([x for e in row for x in (e.b, e.a - e.b)])
-    return rows
-
-
 def isometry_group_order(lat: EisLattice, gens) -> int:
     """Order of the group generated by isometries of a definite lattice.
 
     ``gens`` are square `EisInt` matrices.  Each one permutes the finitely
-    many roots, acting on their integer coordinates through its `_z_matrix`,
+    many roots, acting on their integer coordinates through its `_exact.z_matrix`,
     and the order is that of this permutation group, from Schreier-Sims
     (`invariants.permutation_group_order`).  The action is faithful: an
     element fixing every root fixes their span, and it fixes their orthogonal
@@ -247,25 +200,24 @@ def isometry_group_order(lat: EisLattice, gens) -> int:
     roots span the lattice, as for every named lattice, the complement is
     zero and this check is vacuous.
     """
-    return _root_action_order(lat, enumerate_roots(z_form(lat)), gens)
+    zl = z_form(lat)
+    return _root_action_order(zl, enumerate_roots(zl), gens)
 
 
-def _root_action_order(lat, zroots, gens) -> int:
-    """`isometry_group_order` from the roots' `z_form` coordinates."""
+def _root_action_order(zl, zroots, gens) -> int:
+    """`isometry_group_order` from the integral form and the roots' coordinates."""
     from .invariants import permutation_group_order
 
-    k = lat.rank
     if not zroots:
         raise ValueError("lattice has no roots")
-    roots = [eis_vector_from_z(v, k) for v in zroots]
-    # x is orthogonal to r when sum_ij conj(r_i) G_ij x_j = 0
-    perp = nullspace(mat_mul([[x.conj() for x in r] for r in roots], lat.gram))
-    perp = [tuple(c for x in v for c in (x.a, x.b)) for v in perp]
-    zmats = [_z_matrix(m) for m in gens]
 
     def act(z, v):
         return tuple([sum(map(mul, row, v)) for row in z])
 
+    # the roots' complement in the integral form is the hermitian one: a unit
+    # multiple u r of a root is a root, and Re<u r, x> = 0 for u = 1, omega
+    perp = [tuple(v) for v in nullspace([act(zl.gram, r) for r in zroots])]
+    zmats = [z_matrix(m) for m in gens]
     if any(act(z, x) != x for z in zmats for x in perp):
         raise AssertionError("a generator moves the orthogonal complement of the roots, "
                              "so the action on the roots is not certified faithful")
@@ -287,7 +239,8 @@ def weyl_group(lat: EisLattice) -> FiniteMatrixGroup:
     """
     from .invariants import FiniteMatrixGroup
 
-    zroots = enumerate_roots(z_form(lat))
-    trifl = _triflections(lat, [eis_vector_from_z(v, lat.rank) for v in zroots])
+    zl = z_form(lat)
+    zroots = enumerate_roots(zl)
+    trifl = _triflections(lat, [eis_vector_from_z(v) for v in zroots])
     return FiniteMatrixGroup("E", lat.rank, tuple(trifl),
-                             _root_action_order(lat, zroots, trifl), lat.gram)
+                             _root_action_order(zl, zroots, trifl), lat.gram)

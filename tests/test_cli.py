@@ -203,6 +203,9 @@ class TestLatticeCommand:
         f.write_text(json.dumps({"gram": [[3]]}))
         code, out, _ = run_cli("lattice", "weyl-order", str(f))
         assert code == 0 and out.strip() == "3"
+        # a negative definite lattice: its roots have norm -3
+        code, out, _ = run_cli("lattice", "weyl-order", '{"gram": [[-3]]}')
+        assert code == 0 and out.strip() == "3"
 
     def test_smith_growth_hits_the_cap(self, tmp_path):
         # a dense theta-valued Gram: Smith elimination of its z-form grows
@@ -520,6 +523,8 @@ class TestCommandLine:
          "--degree must be a positive even integer, got 3"),
         (("blowup", "--exceptional", '{"complex_dim":1,"even":[1,1],"odd":[0]}', "--dim", "-1"),
          "--dim must be an integer >= 1, got -1"),
+        # no generators is malformed input, not a failed check
+        (("molien", "--gens", "[]"), "argument 'generators' must be a nonempty list"),
     ])
     def test_malformed_command_line_is_parse_error(self, argv, named):
         code, out, err = run_cli(*argv)

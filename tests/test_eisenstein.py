@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratify._exact import UNITS, adjugate, eis_matrix, identity, mat_mul
+from stratify._exact import (UNITS, adjugate, definite_ldl, det, eis_matrix, eis_vector_from_z,
+                             identity, mat_mul, real_form, z_matrix)
 from stratify.discriminant import (
     _ideal_norm,
     discriminant_form,
@@ -22,18 +23,19 @@ from stratify.eisenstein import (
     E3,
     E4,
     H,
+    NAMED_LATTICES,
     OMEGA,
     THETA,
     EisInt,
+    EisLattice,
     boundary_betti,
     eis_lattice,
     named_lattice,
 )
-from stratify.invariants import FiniteMatrixGroup, close_group, molien
+from stratify.invariants import (MAX_QUOTIENT_RANK, FiniteMatrixGroup, abelian_quotient_betti,
+                                 close_group, molien)
 from stratify.weyl import (
     ZLattice,
-    _z_matrix,
-    eis_vector_from_z,
     eisenstein_roots,
     enumerate_roots,
     enumerate_vectors,
@@ -105,6 +107,99 @@ class TestZForm:
             eis_lattice([[3, [1, 0]], [[1, 0], 3]])
 
 
+def z_form_by_pairings(lat):
+    """The integral form as `weyl.z_form` computed it before it read
+    `_exact.real_form`: one hermitian pairing, a k^2 loop, per pair of basis
+    vectors e_i, omega e_i, (x, y) = -(2/3) Re<x, y>.  The reference for `z_form`."""
+    k = lat.rank
+    basis = [[u if j == i else EisInt(0, 0) for j in range(k)]
+             for i in range(k) for u in (EisInt(1, 0), OMEGA)]
+    gram = []
+    for x in basis:
+        row = []
+        for y in basis:
+            h = EisInt(0, 0)
+            for i in range(k):
+                for j in range(k):
+                    h = h + x[i].conj() * lat.gram[i][j] * y[j]
+            re2 = 2 * h.a - h.b  # twice the real part
+            assert re2 % 3 == 0, "pairing is not theta-integral"
+            row.append(-re2 // 3)
+        gram.append(tuple(row))
+    return tuple(gram)
+
+
+def is_definite_sylvester(gram):
+    """Sylvester's criterion on the k leading Eisenstein minors of a square
+    matrix of `EisInt`, False when it is not hermitian: the definiteness test
+    `abelian_quotient_betti` ran before it read `_exact.definite_ldl`."""
+    k = len(gram)
+    if any(gram[j][i] != gram[i][j].conj() for i in range(k) for j in range(k)):
+        return False
+    minors = [det([row[:i] for row in gram[:i]]) for i in range(1, k + 1)]
+    return all(m.a > 0 for m in minors) or all(
+        (-1) ** i * m.a > 0 for i, m in enumerate(minors, 1))
+
+
+small_eis = st.builds(EisInt, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def hermitian_forms(draw, theta=True):
+    """A hermitian k x k matrix, k <= 3: B* B or -B* B (definite or
+    degenerate), or a random one (often indefinite).  With ``theta`` its
+    entries lie in theta E and its diagonal in 3Z: the Gram of an `EisLattice`."""
+    k = draw(st.integers(1, 3))
+    scale = THETA if theta else EisInt(1, 0)
+    if draw(st.booleans()):
+        b = [[scale * draw(small_eis) for _ in range(k)] for _ in range(k)]
+        sign = draw(st.sampled_from((1, -1)))
+        adj = [[e.conj() for e in col] for col in zip(*b)]
+        return tuple(tuple(sign * e for e in row) for row in mat_mul(adj, b))
+    g = [[None] * k for _ in range(k)]
+    for i in range(k):
+        g[i][i] = EisInt((3 if theta else 1) * draw(st.integers(-9, 9)), 0)
+        for j in range(i + 1, k):
+            g[i][j] = scale * draw(small_eis)
+            g[j][i] = g[i][j].conj()
+    return tuple(map(tuple, g))
+
+
+@st.composite
+def square_forms(draw):
+    """Hermitian forms, and (one draw in four) square matrices that are
+    usually not hermitian."""
+    if draw(st.integers(0, 3)):
+        return draw(hermitian_forms(theta=draw(st.booleans())))
+    k = draw(st.integers(1, 3))
+    return tuple(tuple(draw(small_eis) for _ in range(k)) for _ in range(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_forms())
+def test_z_form_matches_the_pairings(gram):
+    lat = EisLattice(len(gram), gram)
+    assert z_form(lat).gram == z_form_by_pairings(lat)
+
+
+def test_z_form_matches_the_pairings_on_the_named_lattices():
+    for lat in NAMED_LATTICES.values():
+        assert z_form(lat).gram == z_form_by_pairings(lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_forms())
+def test_one_definiteness_test_agrees_with_sylvester(gram):
+    k = len(gram)
+    if is_definite_sylvester(gram):
+        sign, _ = definite_ldl(real_form(gram))
+        assert sign == (1 if gram[0][0].a > 0 else -1)
+        assert abelian_quotient_betti([], k, gram).betti[0] == 1
+    else:
+        with pytest.raises(ValueError, match="not hermitian|degenerate form|lattice is indefinite"):
+            abelian_quotient_betti([], k, gram)
+
+
 class TestRoots:
     def test_classical_root_counts(self):
         assert len(enumerate_roots(z_form(E1))) == 6
@@ -154,6 +249,18 @@ class TestWeylGroups:
         sign = eis_matrix([[1, 0], [0, -1]])  # fixes every root
         with pytest.raises(AssertionError, match="not certified faithful"):
             isometry_group_order(lat, [sign])
+
+    @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "3E1", "3E3"])
+    def test_negative_definite_lattice_has_the_same_weyl_group(self, name):
+        # a root of -L has norm -3; its triflections are those of L
+        lat = named_lattice(name)
+        neg = EisLattice(lat.rank, tuple(tuple(-e for e in row) for row in lat.gram))
+        assert triflections(neg) == triflections(lat)
+        assert weyl_group(neg).order == weyl_group(lat).order
+        if lat.rank <= MAX_QUOTIENT_RANK:  # 3E3's boundary is over the rank cap
+            tables = [boundary_betti({"factors": [{"lattice": x, "group": "weyl"}]})
+                      for x in (lat, neg)]
+            assert tables[0] == tables[1]
 
     def test_generator_must_permute_the_roots(self):
         with pytest.raises(AssertionError, match="permute the roots"):
@@ -383,6 +490,6 @@ def test_z_matrix_acts_as_the_eisenstein_product(lat, data):
     mat = word[0]
     for t in word[1:]:
         mat = mat_mul(mat, t)
-    column = mat_mul(mat, [[x] for x in eis_vector_from_z(zroot, lat.rank)])
+    column = mat_mul(mat, [[x] for x in eis_vector_from_z(zroot)])
     expected = tuple(c for (e,) in column for c in (e.a, e.b))
-    assert tuple(sum(map(mul, row, zroot)) for row in _z_matrix(mat)) == expected
+    assert tuple(sum(map(mul, row, zroot)) for row in z_matrix(mat)) == expected

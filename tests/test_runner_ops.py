@@ -158,6 +158,10 @@ def test_choice_values_are_read():
     ([{"id": "s", "op": "semistable_series",
        "args": {"ambient_dim": 2, "bsl_exponents": [0], "strata": []}}],
      r"argument 'bsl_exponents\[0\]' must be an integer >= 1, got 0"),
+    # a close_group result carries no form, so the step must give one
+    ([{"id": "g", "op": "close_group", "args": {"ring": "E", "generators": [[[[0, 1]]]]}},
+      {"id": "s", "op": "abelian_quotient_betti", "args": {"group": "$g", "rank": 1}}],
+     r"argument 'form' must be a 1 x 1 hermitian form, as the group carries none, got None"),
 ])
 def test_bad_orbit_and_semistable_arguments_are_parse_errors(steps, message):
     with pytest.raises(ScenarioParseError, match=message) as info:
@@ -430,6 +434,9 @@ def test_declare_kinds():
      r"got \[2, 0\]"),
     ({"op": "main_term", "args": {"center_series": 1, "normal_rank": 1}},
      r"argument 'normal_rank' must be an integer >= 2, got 1"),
+    # no generators is malformed input, not a failed check
+    ({"op": "close_group", "args": {"generators": []}},
+     r"argument 'generators' must be a nonempty list of matrices, got \[\]"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     with pytest.raises(ScenarioParseError, match=message) as info:

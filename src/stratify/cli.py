@@ -22,8 +22,9 @@ JSON: a fresh interpreter per call pays to compile just those modules.
 JSON arguments are read by `_pure.load_json` and JSON output is written by
 `serialize.dumps`, the rules that scenario files and reports follow too.
 
-`main()` without `argv`, as the program calls it, ends with `gc.freeze()`,
-so the interpreter's shutdown skips collecting the call's objects;
+`main()` without `argv`, as the program calls it, turns the cyclic
+collector off for the whole call and ends with `gc.freeze()`, so neither
+the call nor the interpreter's shutdown collects the call's objects;
 `main(argv)` leaves the caller's collector alone (see `main`).
 """
 
@@ -376,13 +377,16 @@ def build_parser() -> SimpleNamespace:
 def main(argv=None) -> int:
     """Run the command line ``argv`` (default: the process's); return its exit code.
 
-    Without ``argv`` (program mode) `main` ends with `gc.freeze()`: the
-    process is about to exit, so the shutdown collections may skip its
-    objects, while output, `atexit` handlers and the exit code are kept, as
-    `os._exit` would not keep them.  A caller passing ``argv`` goes on
-    running, and a freeze would keep its objects out of every later
-    collection.
+    Without ``argv`` (program mode) `main` turns the cyclic collector off
+    and ends with `gc.freeze()`: the process is about to exit, so its
+    objects all die together, and neither the call nor the shutdown
+    collections need walk them, while output, `atexit` handlers and the
+    exit code are kept, as `os._exit` would not keep them.  A caller
+    passing ``argv`` goes on running, so its collector stays as it was: a
+    freeze would keep its objects out of every later collection.
     """
+    if argv is None:
+        gc.disable()
     try:
         args = parse_args(argv)
         return args.fn(args)

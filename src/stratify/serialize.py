@@ -13,12 +13,20 @@ This module holds the encoders and `dumps`, the one writer of JSON text
 json output alike; input is read by `_pure.load_json` and decoded by
 `stepargs.StepArgs`.  It imports no layer: `to_jsonable` finds a class's
 encoder by the class's module and name.
+
+`dumps` writes the bytes of ``json.dumps(value, sort_keys=True, indent=2)``
+in one recursive pass: strings and keys go through json's C
+`encode_basestring_ascii` and ints through `int.__repr__`, as json writes
+them, while `json.dumps` with an indent runs json's pure-Python encoder,
+which takes two to four times as long on a report.  A value that
+`to_jsonable` never returns (a float, a set, a key that is not a string)
+raises `TypeError`.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from ._pure import check_printable
 
@@ -168,6 +176,52 @@ def to_jsonable(value):
     return _encoder(type(value))(value)
 
 
+def _write(value, newline: str, put) -> None:
+    """Pass the JSON text of ``value`` to ``put`` piece by piece; ``newline``
+    is a newline and the indent of the line that ``value`` starts on."""
+    if isinstance(value, str):
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"cannot write a {type(key).__name__} key as JSON")
+            put(sep + _quote(key) + ": ")
+            _write(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def dumps(value) -> str:
-    """The JSON text of ``value``, already JSON-able (see `to_jsonable`)."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    """The JSON text of ``value``, already JSON-able (see `to_jsonable`):
+    the bytes of ``json.dumps(value, sort_keys=True, indent=2)`` and a
+    final newline."""
+    parts = []
+    _write(value, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)

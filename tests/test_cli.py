@@ -595,8 +595,9 @@ class TestCommandLine:
 
 
 class TestProgramMode:
-    """`main()` without arguments, as the console script calls it, ends with
-    `gc.freeze()`; a caller that passes `argv` keeps its collector as it was."""
+    """`main()` without arguments, as the console script calls it, turns the
+    cyclic collector off and ends with `gc.freeze()`; a caller that passes
+    `argv` keeps its collector as it was."""
 
     BOOT = "import sys; from stratify.cli import main; sys.exit(main())"
     TORUS = ("strata", "--n", "3", "--d", "3", "--group", "torus", "--format", "json")
@@ -614,6 +615,15 @@ class TestProgramMode:
         assert main(["lattice", "weyl-order", "E2"]) == 0
         assert main(["strata", "--n", "5", "--d", "3"]) == 4
         assert gc.get_freeze_count() == before
+        enabled = gc.isenabled()
+        try:
+            for state in (True, False):  # the caller's collector, on or off
+                (gc.enable if state else gc.disable)()
+                assert main(["lattice", "roots", "E1"]) == 0
+                assert main(["strata", "--n", "5", "--d", "3"]) == 4
+                assert gc.isenabled() is state
+        finally:
+            (gc.enable if enabled else gc.disable)()
         capsys.readouterr()
 
     def test_program_writes_the_bytes_of_the_in_process_call(self, capsys):
@@ -627,10 +637,11 @@ class TestProgramMode:
 
     def test_atexit_handlers_still_run_after_the_freeze(self):
         prelude = ("import atexit, gc; "
-                   "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); ")
+                   "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, "
+                   "'collector on', gc.isenabled())); ")
         proc = self.run_program("lattice", "weyl-order", "E2", prelude=prelude)
         assert proc.returncode == 0
-        assert proc.stdout.decode().splitlines() == ["24", "frozen True"]
+        assert proc.stdout.decode().splitlines() == ["24", "frozen True collector on False"]
 
     def test_resource_cap_still_exits_4(self):
         proc = self.run_program("strata", "--n", "5", "--d", "3")

@@ -291,8 +291,8 @@ def test_dead_definition_check_finds_an_unnamed_helper(tmp_path):
 def json_calls(package):
     """The calls of `json.loads`, and of `json.dumps` with an ``indent``, in
     the modules of directory ``package``, each as "module.function json.name"
-    by the innermost function that makes it, and each import from `json`,
-    which would hide such a call."""
+    by the innermost function that makes it, and each import from `json` or
+    its submodules, which would hide such a call or write JSON another way."""
     found = []
 
     def visit(node, module, where):
@@ -300,8 +300,9 @@ def json_calls(package):
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = f"{module}.{child.name}"
-            elif isinstance(child, ast.ImportFrom) and child.module == "json":
-                found.append(f"{where} from json import")
+            elif (isinstance(child, ast.ImportFrom)
+                  and (child.module or "").partition(".")[0] == "json"):
+                found.append(f"{where} from {child.module} import")
             elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
                   and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"
                   and (child.func.attr == "loads" or child.func.attr == "dumps"
@@ -317,9 +318,10 @@ def json_calls(package):
 def test_json_is_read_and_written_in_one_place():
     # every JSON input goes through `_pure.load_json` (no floats, parse
     # errors with one message form), every JSON text out through
-    # `serialize.dumps` (sorted keys, indent 2, a final newline)
+    # `serialize.dumps` (sorted keys, indent 2, a final newline), which
+    # alone takes json's string encoder
     assert json_calls(Path(stratify.__file__).parent) == [
-        "_pure.load_json json.loads", "serialize.dumps json.dumps"]
+        "_pure.load_json json.loads", "serialize from json.encoder import"]
 
 
 def test_json_call_check_finds_each_call(tmp_path):

@@ -18,7 +18,7 @@ encoder by the class's module and name.
 in one recursive pass: strings and keys go through json's C
 `encode_basestring_ascii` and ints through `int.__repr__`, as json writes
 them, while `json.dumps` with an indent runs json's pure-Python encoder,
-which takes two to four times as long on a report.  A value that
+which takes about twice as long on a report.  A value that
 `to_jsonable` never returns (a float, a set, a key that is not a string)
 raises `TypeError`.
 """

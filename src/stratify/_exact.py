@@ -22,11 +22,11 @@ One elimination, `echelon` (fraction-free, Bareiss), behind `det`, `rank`,
 `nullspace` and `adjugate`, over Z or Q (int or `Fraction` entries) and
 Z[omega] or Q(omega) (`EisInt` entries).  Its divisions are exact and go
 through `_div`, so integral input stays integral throughout, and `nullspace`
-returns primitive integral vectors; no result is ever a float.  `rational`
-brings an input value to the same form, so integral values run in plain
-integers.  `echelon`, `rank`, `_div` and `rational` are defined in
-`stratify._pure`, so the strata and series layers reach them without
-loading this module, and re-exported here.
+returns primitive integral vectors; no result is ever a float.  `echelon`,
+`rank`, `_div` and `rational` (which brings an input value to the same
+form, so integral values run in plain integers) live in `stratify._pure`,
+so the strata and series layers reach them without loading this module;
+callers import them from there.
 
 The closest-point certificate in `strata` (`verify_strata_against_oracle`)
 keeps its own integer phase-I simplex so that it stays independent of the
@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._pure import _div, _extend_ldl, echelon, rank, rational  # noqa: F401
+from ._pure import _div, _extend_ldl, echelon
 
 
 class EisInt:

@@ -18,9 +18,9 @@ does not import.
 
 `echelon`, the one fraction-free elimination behind rank, det, nullspace and
 adjugate, `rank`, the exact quotient `_div` and `rational`, the rule that a
-rational is an int where it is integral, live here rather than in `_exact`,
-which re-exports them: the index set needs the rank of its scaled weights,
-and neither the strata path nor the series layer loads Eisenstein arithmetic.
+rational is an int where it is integral, live here, and `_exact` imports
+them from here: the index set needs the rank of its scaled weights, and
+neither the strata path nor the series layer loads Eisenstein arithmetic.
 `scaled_integers`, rational rows as integer rows over their common
 denominator, is the one such scaling: of the index set's weights, of a beta
 against them, of glue vectors and of cocharacters.

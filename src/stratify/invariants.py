@@ -26,7 +26,7 @@ from math import comb, factorial, prod
 
 from . import _pure
 from ._exact import (UNITS, EisInt, adjugate, definite_ldl, det, eis, eis_matrix, identity,
-                     mat_mul, nullspace, rational, real_form)
+                     mat_mul, nullspace, real_form)
 
 DEFAULT_CAP = 10**6
 
@@ -78,7 +78,7 @@ def close_group(generators, cap: int | None = None):
                              f"generator {i} is not {k} x {k}")
     ring = "Q" if isinstance(generators[0][0][0], (int, Fraction)) else "E"
     if ring == "Q":
-        generators = [[[rational(x) for x in row] for row in g] for g in generators]
+        generators = [[[_pure.rational(x) for x in row] for row in g] for g in generators]
     mats = [eis_matrix(g) for g in generators]
     for i, mat in enumerate(mats):
         d = det(mat)
@@ -338,7 +338,10 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     generators are placed in.  The result is checked to be integral with
     constant term 1.  The elements are walked from the generators'
     stabilizer chain (`_matrix_chain`, `_elements`), whose order must be the
-    declared one.
+    declared one.  det(1 - T M) depends only on the characteristic
+    polynomial of M, so the walk counts the elements per polynomial (its
+    `_elementary_symmetric` tuple), and each polynomial's series is inverted
+    once and weighted by its count: S6 has 720 elements but 11 polynomials.
     """
     from .series import TruncatedSeries
 
@@ -349,11 +352,14 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     if n != group.order:
         raise AssertionError(
             f"the generators give order {n}, the group declares {group.order}")
+    census = {}
+    for mat in _elements(levels):
+        es = tuple(_elementary_symmetric(mat))
+        census[es] = census.get(es, 0) + 1
     g = generator_degree
     zero = EisInt(0, 0)
     total = [zero] * (order + 1)
-    for mat in _elements(levels):
-        es = _elementary_symmetric(mat)
+    for es, count in census.items():
         # det(1 - T M) = 1 + sum_p (-1)^p e_p T^p with T = t^g: its nonzero
         # terms past the constant, as (degree, coefficient), degrees ascending
         terms = [(p * g, -es[p] if p % 2 else es[p])
@@ -367,7 +373,7 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
                 s = s + c * inv[m - t]
             inv[m] = -s
         for i in range(order + 1):
-            total[i] = total[i] + inv[i]
+            total[i] = total[i] + inv[i] * count
     coeffs = []
     for c in total:
         if not c.is_real():

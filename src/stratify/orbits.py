@@ -14,8 +14,8 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from ._exact import adjugate, rank, rational
-from ._pure import Record, scaled_integers
+from ._exact import adjugate
+from ._pure import Record, rank, rational, scaled_integers
 from .weights import monomials_of_degree, vec
 
 

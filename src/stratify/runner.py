@@ -34,6 +34,7 @@ import os
 from ._pure import (
     BACKEND,
     BUILTIN_SCENARIOS,
+    Record,
     ResourceCapError,
     ScenarioCheckError,
     ScenarioParseError,
@@ -212,7 +213,7 @@ def _op_check_semi(args, matrix, form):
 
 
 @op("normal_rep_of", form=_arg("instance", "MultiPoly"), cocharacters=_arg("matrix"),
-    extra_tangents=_arg("listing", []))
+    extra_tangents=_arg("items", "polynomial", uses=("form",), default=[]))
 def _op_normal_rep(args, form, cocharacters, extra_tangents):
     from . import orbits
 
@@ -220,8 +221,7 @@ def _op_normal_rep(args, form, cocharacters, extra_tangents):
     if not cocharacters or any(len(c) != n for c in cocharacters):
         args.reject("cocharacters", f"a nonempty list of vectors of length {n}",
                     args["cocharacters"])
-    extra = args.items("extra_tangents", "polynomial", n, default=[])
-    return orbits.normal_rep_of(form, cocharacters, extra)
+    return orbits.normal_rep_of(form, cocharacters, extra_tangents)
 
 
 @op("split_summary", split=_arg("instance", "TangentNormalSplit"))
@@ -372,9 +372,7 @@ def _op_glue(args, lattice, glue):
         if len(row) != lattice.rank:
             args.reject(f"glue[{i}]", f"a vector of length {lattice.rank}, the lattice rank",
                         args["glue"][i])
-    res = discriminant.glue_overlattice(lattice, glue)
-    return {"index": res.index, "even": res.lattice.is_even(),
-            "invariant_factors": list(res.disc.invariant_factors)}
+    return _glue_report(discriminant.glue_overlattice(lattice, glue))
 
 
 @op("glue_diagonal_norm12", lattice=_arg("instance", "ZLattice"), copies=_arg("integer", 3, 1))
@@ -382,7 +380,11 @@ def _op_glue_diag(args, lattice, copies):
     """Glue n copies of a lattice along 1/3 of the diagonal norm-(-12) div-3 class."""
     from . import discriminant
 
-    res = discriminant.glue_diagonal(lattice, copies)
+    return _glue_report(discriminant.glue_diagonal(lattice, copies))
+
+
+def _glue_report(res) -> dict:
+    """The value of a glue step: the overlattice's index, parity and invariant factors."""
     return {"index": res.index, "even": res.lattice.is_even(),
             "invariant_factors": list(res.disc.invariant_factors)}
 
@@ -414,19 +416,17 @@ def _op_assert_true(args, value):
 # ---------------------------------------------------------------------------
 
 
-class ScenarioReport:
+class ScenarioReport(Record):
     """What `run_scenario` returns: the step values, the checked output
     tables and the provenance ledger, with their json, latex, csv and text
     forms."""
 
-    def __init__(self, name: str, description: str, steps: list, tables: dict,
-                 provenance: list, notes: list):
-        self.name = name
-        self.description = description
-        self.steps = steps
-        self.tables = tables
-        self.provenance = provenance
-        self.notes = notes
+    name: str
+    description: str
+    steps: list
+    tables: dict
+    provenance: list
+    notes: list
 
     def to_jsonable(self) -> dict:
         from . import serialize

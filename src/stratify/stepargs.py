@@ -283,10 +283,13 @@ class StepArgs(dict):
         return mats
 
     def polynomial(self, key, nvars):
-        """Polynomial argument ``key`` in ``nvars`` variables: an earlier
-        step's polynomial or a text that `orbits.parse_poly` reads."""
+        """Polynomial argument ``key`` in ``nvars`` variables, or in those of
+        the polynomial ``nvars``: an earlier step's polynomial or a text that
+        `orbits.parse_poly` reads."""
         from . import orbits
 
+        if isinstance(nvars, orbits.MultiPoly):
+            nvars = nvars.nvars
         value = self[key]
         what = f"a polynomial in x0..x{nvars - 1}"
         if isinstance(value, orbits.MultiPoly) and value.nvars == nvars:

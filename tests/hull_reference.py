@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import combinations
 from math import lcm
 
-from stratify import _exact, strata
+from stratify import _pure, strata
 from stratify.weights import dot, norm2, vec
 
 
@@ -29,7 +29,7 @@ def closest_point(points) -> tuple:
     pts = tuple(vec(p) for p in points)
     if not pts:
         raise ValueError("empty point list")
-    rank = _exact.rank(pts)
+    rank = _pure.rank(pts)
     best = None
     best_n2 = None
     for k in range(1, min(rank + 1, len(pts)) + 1):
@@ -90,7 +90,7 @@ def fraction_index_set(weights, group, budget=strata.DEFAULT_BUDGET) -> list:
     pts = [vec(w) for w in weights]
     denom = reduce(lcm, (c.denominator for p in pts for c in p), 1)
     scaled = [tuple(int(c * denom) for c in p) for p in pts]
-    cands = strata.projection_candidates(scaled, _exact.rank(scaled), budget, group == "sym")
+    cands = strata.projection_candidates(scaled, _pure.rank(scaled), budget, group == "sym")
     betas = {tuple(Fraction(c, den * denom) for c in nums) for nums, den in cands}
     if group == "pgl2":
         # the rank-1 Weyl group maps beta to -beta; the chamber keeps the

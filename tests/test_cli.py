@@ -123,6 +123,21 @@ class TestScenarioCommand:
             assert err["error"] == "parse"
             assert "step 's'" in err["message"] and field in err["message"]
 
+    def test_bad_extra_tangents_exit_code(self, tmp_path):
+        # read with the variables of the form, an earlier step's value, when
+        # the step runs: still a parse error naming the step and the field
+        for value, message in (
+                (5, "argument 'extra_tangents' must be a list, got 5"),
+                ([1], "argument 'extra_tangents[0]' must be a polynomial in x0..x1, got 1")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"name": "bad", "steps": [
+                {"id": "f", "op": "parse_poly", "args": {"text": "x0^2*x1^2", "nvars": 2}},
+                {"id": "s", "op": "normal_rep_of", "args": {
+                    "form": "$f", "cocharacters": [[1, -1]], "extra_tangents": value}}]}))
+            code, out, err = run_cli("scenario", "run", str(bad))
+            assert code == 3 and out == ""
+            assert json.loads(err) == {"error": "parse", "message": f"step 's': {message}"}
+
     def test_huge_multiplicity_and_rank_answer_at_once(self, tmp_path):
         doc = tmp_path / "huge.json"
         doc.write_text(json.dumps({"name": "huge", "steps": [

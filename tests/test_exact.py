@@ -24,8 +24,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stratify._exact import EisInt, adjugate, det, eis, nullspace, rank
-from stratify._pure import ResourceCapError
+from stratify._exact import EisInt, adjugate, det, eis, nullspace
+from stratify._pure import ResourceCapError, rank
 from stratify.discriminant import smith_normal_form
 
 

@@ -334,6 +334,61 @@ def test_json_call_check_finds_each_call(tmp_path):
                                     "a from json import", "a json.loads"]
 
 
+# defined in `_pure`, where the strata and series layers reach them without
+# loading Eisenstein arithmetic; `_exact` uses three of them but passes none on
+PURE_HELPERS = {"_div", "_extend_ldl", "echelon", "rank", "rational"}
+
+
+def helpers_from_exact(paths):
+    """Each import of a `PURE_HELPERS` name from `_exact`, and each read of
+    one as an attribute of `_exact`, in the modules ``paths``, as "module:line name"."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").rpartition(".")[2] == "_exact"):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "_exact"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno} {name}" for name in names
+                      if name in PURE_HELPERS]
+    return found
+
+
+def test_pure_helpers_are_imported_from_pure():
+    paths = [*sorted(Path(stratify.__file__).parent.glob("*.py")),
+             *sorted(Path(__file__).parent.glob("*.py"))]
+    assert helpers_from_exact(paths) == []
+
+
+def test_helper_import_check_finds_each_use(tmp_path):
+    module = tmp_path / "a.py"
+    module.write_text("from ._exact import eis, rank\nfrom stratify._pure import echelon\n"
+                      "from stratify import _exact\nx = _exact.echelon(_exact.det)\n")
+    assert helpers_from_exact([module]) == ["a:1 rank", "a:4 echelon"]
+
+
+def test_lattice_help_names_the_named_lattices():
+    # the help writes the names out, as `cli` does not load `eisenstein`
+    from stratify import cli, eisenstein
+
+    help_ = {name: text for name, _, text in cli.COMMANDS["lattice"][2]}["lattice"]
+    names = []
+    for word in help_[help_.index("(") + 1:help_.index(")")].split(", "):
+        first, dots, last = word.partition("..")
+        if dots:  # a range such as E1..E4
+            prefix = first.rstrip("0123456789")
+            names += [f"{prefix}{i}" for i in range(int(first[len(prefix):]),
+                                                      int(last[len(prefix):]) + 1)]
+        else:
+            names.append(word)
+    assert names == list(eisenstein.NAMED_LATTICES)
+    assert "eisenstein" not in loaded("import stratify.cli")[0]
+
+
 def test_runner_names_no_layer_default():
     # a budget or cap left out reaches its layer as None, which the layer
     # reads as its own default

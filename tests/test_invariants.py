@@ -636,3 +636,48 @@ def test_chain_walk_lists_each_element_of_the_closure_once(gens):
     assert listed[0] == closure[0] == identity(group.dim)
     assert len(listed) == len(set(listed)) == len(closure) == group.order
     assert set(listed) == set(closure)
+
+
+# --- the Molien census against the per-element sum --------------------------
+
+def molien_by_elements(group, degree, order):
+    """`molien` as one series per element: det(1 - T M)^(-1), T = t^degree,
+    inverted for each element of the chain walk, summed and averaged.  The
+    census must give the same coefficients."""
+    k, zero = group.dim, EisInt(0, 0)
+    total = [zero] * (order + 1)
+    for mat in walk(group):
+        es = _elementary_symmetric(mat)
+        terms = [(p * degree, -es[p] if p % 2 else es[p])
+                 for p in range(1, min(k, order // degree) + 1) if es[p]]
+        inv = [EisInt(1, 0)] + [zero] * order
+        for m in range(1, order + 1):
+            s = zero
+            for t, c in terms:
+                if t > m:
+                    break
+                s = s + c * inv[m - t]
+            inv[m] = -s
+        total = [a + b for a, b in zip(total, inv)]
+    assert all(c.is_real() for c in total)
+    return [Fraction(c.a, group.order) for c in total]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_groups.map(lambda case: case[1]), conjugated_groups.map(_conjugated)),
+       st.sampled_from((2, 4)))
+def test_molien_census_matches_the_per_element_sum(gens, degree):
+    group = close_group(gens, cap=1500)
+    assert list(molien(group, degree, 8).coeffs) == molien_by_elements(group, degree, 8)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_molien_census_of_symmetric_groups(n):
+    group = close_group(symmetric_gens(n))
+    assert list(molien(group, 2, 8).coeffs) == molien_by_elements(group, 2, 8)
+
+
+def test_s6_elements_have_eleven_characteristic_polynomials():
+    # one per cycle type, the 11 partitions of 6: the census inverts 11 series, not 720
+    group = close_group(symmetric_gens(6))
+    assert len({tuple(_elementary_symmetric(m)) for m in walk(group)}) == 11

@@ -60,9 +60,6 @@ class EisInt:
         o = eis(o)
         return EisInt(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, o):
-        return eis(o) - self
-
     def __neg__(self):
         return EisInt(-self.a, -self.b)
 

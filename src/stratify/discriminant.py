@@ -133,9 +133,6 @@ class DiscriminantGroup(_pure.Record):
     generators: tuple = ()
     _not_in_repr = ("generators",)
 
-    def order(self) -> int:
-        return math.prod(self.invariant_factors)
-
 
 def discriminant_form(zl: ZLattice) -> DiscriminantGroup:
     """Discriminant group with its Q/2Z quadratic form on chosen generators."""

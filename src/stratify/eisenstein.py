@@ -22,7 +22,7 @@ and `weyl` only for a factor acted on by its triflection group.
 from __future__ import annotations
 
 from . import _pure
-from ._exact import EisInt, det, eis, eis_matrix, mat_mul
+from ._exact import EisInt, eis, eis_matrix, mat_mul
 
 E_ZERO = EisInt(0, 0)
 E_ONE = EisInt(1, 0)
@@ -60,9 +60,6 @@ class EisLattice(_pure.Record):
         """Hermitian pairing conj(x)^T G y, linear in the second slot."""
         row = mat_mul([[eis(c).conj() for c in x]], self.gram)
         return mat_mul(row, [[eis(c)] for c in y])[0][0]
-
-    def det(self) -> EisInt:
-        return det(self.gram)
 
     def direct_sum(self, other: "EisLattice") -> "EisLattice":
         r = self.rank + other.rank

@@ -343,7 +343,7 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     `_elementary_symmetric` tuple), and each polynomial's series is inverted
     once and weighted by its count: S6 has 720 elements but 11 polynomials.
     """
-    from .series import TruncatedSeries
+    from .series import TruncatedSeries, inverse
 
     if generator_degree < 1 or generator_degree % 2 != 0:
         raise ValueError("generator degree must be a positive even integer")
@@ -360,18 +360,11 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     zero = EisInt(0, 0)
     total = [zero] * (order + 1)
     for es, count in census.items():
-        # det(1 - T M) = 1 + sum_p (-1)^p e_p T^p with T = t^g: its nonzero
-        # terms past the constant, as (degree, coefficient), degrees ascending
-        terms = [(p * g, -es[p] if p % 2 else es[p])
-                 for p in range(1, min(k, order // g) + 1) if es[p]]
-        inv = [EisInt(1, 0)] + [zero] * order
-        for m in range(1, order + 1):
-            s = zero
-            for t, c in terms:
-                if t > m:
-                    break
-                s = s + c * inv[m - t]
-            inv[m] = -s
+        # det(1 - T M) = 1 + sum_p (-1)^p e_p T^p with T = t^g
+        f = [1] + [0] * min(k * g, order)
+        for p in range(1, min(k, order // g) + 1):
+            f[p * g] = -es[p] if p % 2 else es[p]
+        inv = inverse(f, order)
         for i in range(order + 1):
             total[i] = total[i] + inv[i] * count
     coeffs = []

@@ -59,9 +59,6 @@ class MultiPoly:
             out[e] = out.get(e, 0) + c
         return MultiPoly(self.nvars, out)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "MultiPoly":
         c = rational(c)
         return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})

@@ -347,6 +347,8 @@ op("weyl_group", "weyl.weyl_group", lattice=_arg("lattice"))
 def _op_aqb(args, rank, form, group):
     from .invariants import abelian_quotient_betti
 
+    if rank != group.dim:
+        args.reject("rank", f"{group.dim}, the dimension of its group", rank)
     if form is None and group.form is None:
         args.reject("form", f"a {rank} x {rank} hermitian form, as the group carries none", form)
     return abelian_quotient_betti(group.gens, rank, group.form if form is None else form)

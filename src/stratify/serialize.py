@@ -68,12 +68,6 @@ def stratum_to_jsonable(s: BetaStratum) -> dict:
     }
 
 
-def _support_record(value) -> dict:
-    return {"kind": "support_record", "r": value.r,
-            "codim_expected": value.codim_expected,
-            "beta": [frac_pair(c) for c in value.beta]}
-
-
 def _weight_system(value) -> dict:
     return {"kind": "weight_system", "n": value.n, "d": value.d,
             "monomials": [list(m) for m in value.monomials]}
@@ -119,10 +113,6 @@ def _poly(value) -> dict:
     return {"kind": "poly", "nvars": value.nvars, "text": repr(value)}
 
 
-def _eis_int(value) -> list:
-    return [value.a, value.b]
-
-
 def _sequence(value) -> list:
     return [to_jsonable(v) for v in value]
 
@@ -143,7 +133,6 @@ _ENCODERS = {
     "stratify.series.TruncatedSeries": series_to_jsonable,
     "stratify.series.BettiTable": table_to_jsonable,
     "stratify.strata.BetaStratum": stratum_to_jsonable,
-    "stratify.strata.SupportRecord": _support_record,
     "stratify.weights.WeightSystem": _weight_system,
     "stratify.orbits.NormalRep": _normal_rep,
     "stratify.orbits.TangentNormalSplit": _tangent_normal_split,
@@ -153,7 +142,6 @@ _ENCODERS = {
     "stratify.discriminant.DiscriminantGroup": _discriminant,
     "stratify.series.DualityReport": _duality,
     "stratify.orbits.MultiPoly": _poly,
-    "stratify._exact.EisInt": _eis_int,
     "fractions.Fraction": frac_pair,
     "builtins.list": _sequence,
     "builtins.tuple": _sequence,

@@ -6,8 +6,9 @@ Combining two series truncates to the smaller order.  A coefficient is an
 int where it is integral and a `Fraction` where it is not (`_pure.rational`),
 the rule of the group and orbit layers, so Poincare series, which are
 integral, multiply and invert in plain ints.  `TruncatedSeries.from_coeffs`
-applies the rule, and every operation that makes new coefficients builds its
-result through it.
+applies the rule, and every operation that makes a new series builds it
+through it; `inverse`, the one series inversion, returns the coefficients,
+over Q or Q(omega), to its caller.
 """
 
 from __future__ import annotations
@@ -85,20 +86,6 @@ class TruncatedSeries(Record):
         return TruncatedSeries.from_coeffs(
             [sum(map(mul, a[: i + 1], b[i::-1])) for i in range(m + 1)], m)
 
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv = [_div(1, a[0])]
-        for m in range(1, self.order + 1):
-            inv.append(_div(-sum(map(mul, a[1: m + 1], inv[::-1])), a[0]))
-        return TruncatedSeries.from_coeffs(inv, self.order)
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(self.order, other.order)
-        return self.truncate(m) * other.truncate(m).inverse()
-
     def substitute_power(self, k: int) -> "TruncatedSeries":
         """Return P(t^k) at the same truncation order."""
         if k < 1:
@@ -106,9 +93,6 @@ class TruncatedSeries(Record):
         cs = [0] * (self.order + 1)
         cs[::k] = self.coeffs[: self.order // k + 1]
         return TruncatedSeries(tuple(cs), self.order)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def integer_coeffs(self) -> list:
         """Coefficient list as ints; raises if any coefficient is not integral."""
@@ -129,6 +113,29 @@ class TruncatedSeries(Record):
                 terms.append(f"{cs}t^{i}" if i > 1 else f"{cs}t")
         body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
         return f"({body} + O(t^{self.order + 1}))"
+
+
+def inverse(coeffs, order: int) -> list:
+    """The coefficients of 1/f up to t^order, f = sum coeffs[i] t^i over Q or
+    Q(omega): the one series inversion.  It is sparse, b_m = sum_t (-f_t /
+    f_0) b_(m-t) over the nonzero terms f_t past the constant, each scaled
+    once, so det(1 - T M) in `invariants.molien` costs a few products per
+    degree.  Every quotient is `_pure._div`'s: over a unit f_0, integral
+    input stays integral.  Raises ZeroDivisionError when f_0 is zero."""
+    c0 = coeffs[0]
+    if not c0:
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    terms = [(t, _div(-c, c0)) for t, c in enumerate(coeffs[1: order + 1], 1) if c]
+    inv = [_div(1, c0)]
+    zero = 0 * c0  # in the constant's ring, so no sum starts from an int
+    for m in range(1, order + 1):
+        s = zero
+        for t, c in terms:
+            if t > m:
+                break
+            s = s + c * inv[m - t]
+        inv.append(s)
+    return inv
 
 
 def gf_expand(factors: list, order: int) -> TruncatedSeries:

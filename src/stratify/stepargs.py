@@ -411,8 +411,11 @@ class StepArgs(dict):
         """Argument ``key``: the spec of `eisenstein.boundary_betti`, every
         field checked."""
         spec = self.nested(key, ("factors", "extra_projective_lines"))
+        entries = spec.each("factors")
+        if not entries:
+            spec.reject("factors", "a nonempty list of factors", spec["factors"])
         factors = []
-        for items, name in spec.each("factors"):
+        for items, name in entries:
             factor = items.nested(name, ("lattice", "group", "count"))
             lattice = factor["lattice"]
             if isinstance(lattice, str):

@@ -23,16 +23,6 @@ def vec(entries) -> tuple:
     return tuple(Fraction(e) for e in entries)
 
 
-def dot(x: tuple, y: tuple) -> Fraction:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
-
-
-def norm2(x: tuple) -> Fraction:
-    return dot(x, x)
-
-
 def monomials_of_degree(n: int, d: int) -> list:
     """Exponent vectors of length n+1 summing to d, in lexicographic order.
 
@@ -52,10 +42,6 @@ class WeightSystem:
     d: int
     monomials: tuple
     weights: tuple
-
-    @property
-    def rank(self) -> int:
-        return self.n
 
 
 def hypersurface_weights(n: int, d: int) -> WeightSystem:

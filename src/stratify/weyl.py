@@ -42,13 +42,6 @@ class ZLattice(_pure.Record):
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def pair(self, x, y):
-        return sum(
-            x[i] * self.gram[i][j] * y[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
     def det(self) -> int:
         return det(self.gram)
 
@@ -188,8 +181,9 @@ def _triflections(lat, roots) -> list:
     return found
 
 
-def isometry_group_order(lat: EisLattice, gens) -> int:
-    """Order of the group generated by isometries of a definite lattice.
+def _root_action_order(zl, zroots, gens) -> int:
+    """Order of the group generated by isometries of a definite lattice,
+    from its integral form ``zl`` and the integer coordinates of its roots.
 
     ``gens`` are square `EisInt` matrices.  Each one permutes the finitely
     many roots, acting on their integer coordinates through its `_exact.z_matrix`,
@@ -200,12 +194,6 @@ def isometry_group_order(lat: EisLattice, gens) -> int:
     roots span the lattice, as for every named lattice, the complement is
     zero and this check is vacuous.
     """
-    zl = z_form(lat)
-    return _root_action_order(zl, enumerate_roots(zl), gens)
-
-
-def _root_action_order(zl, zroots, gens) -> int:
-    """`isometry_group_order` from the integral form and the roots' coordinates."""
     from .invariants import permutation_group_order
 
     if not zroots:
@@ -235,7 +223,7 @@ def weyl_group(lat: EisLattice) -> FiniteMatrixGroup:
     """Group generated by all triflections of a definite Eisenstein lattice.
 
     Its order is certified by Schreier-Sims on the roots its triflections
-    come from (`isometry_group_order`); its elements are not listed.
+    come from (`_root_action_order`); its elements are not listed.
     """
     from .invariants import FiniteMatrixGroup
 

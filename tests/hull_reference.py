@@ -1,5 +1,8 @@
 """References for the strata tests, in plain `Fraction` arithmetic.
 
+`dot` and `norm2` are the standard dot product and squared norm of
+weights, which only the tests need.
+
 `closest_point` is the brute-force closest point of a convex hull: it
 minimizes over the projections of the origin onto the affine spans of all
 affinely independent subsets of at most rank+1 points, keeping those inside
@@ -21,7 +24,18 @@ from itertools import combinations
 from math import lcm
 
 from stratify import _pure, strata
-from stratify.weights import dot, norm2, vec
+from stratify.weights import vec
+
+
+def dot(x: tuple, y: tuple) -> Fraction:
+    """The standard dot product of two rational vectors of one length."""
+    if len(x) != len(y):
+        raise ValueError("dimension mismatch")
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def norm2(x: tuple) -> Fraction:
+    return dot(x, x)
 
 
 def closest_point(points) -> tuple:

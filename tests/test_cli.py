@@ -441,6 +441,13 @@ class TestBadInput:
                    '{"dim": 1}}, {"id": "s", "op": "b_shift", "args": {"table": "$1"}}]}',
         "@plain-output": '{"name": "x", "steps": [{"id": "t", "op": "projective_table", '
                          '"args": {"dim": 1}}], "outputs": {"a": "t"}}',
+        "@wrong-rank": '{"name": "x", "steps": [{"id": "g", "op": "close_group", "args": '
+                       '{"ring": "E", "generators": [[[[0, 1]]]]}}, {"id": "q", "op": '
+                       '"abelian_quotient_betti", "args": {"group": "$g", "rank": 2, '
+                       '"form": [[3, 0], [0, 3]]}}]}',
+        "@empty-spec": '{"name": "x", "steps": [{"id": "first", "op": "assert_true", "args": '
+                       '{"value": false}}, {"id": "b", "op": "boundary_betti", "args": '
+                       '{"spec": {"factors": []}}}]}',
     }
 
     @pytest.mark.parametrize("argv, message", [
@@ -471,6 +478,14 @@ class TestBadInput:
         # a reference is a string, so an id must be one
         (("scenario", "run", "@int-id"), "steps[0]: 'id' must be a string, got 1"),
         (("scenario", "run", "@plain-output"), "output 'a' must be a \"$id\" reference, got 't'"),
+        # a boundary of no factors, refused before step 1, which would fail
+        (("boundary", '{"factors": []}'),
+         "boundary: spec: argument 'factors' must be a nonempty list of factors, got []"),
+        (("scenario", "run", "@empty-spec"),
+         "step 'b': spec: argument 'factors' must be a nonempty list of factors, got []"),
+        # an abelian quotient's rank is the dimension of its group
+        (("scenario", "run", "@wrong-rank"),
+         "step 'q': argument 'rank' must be 1, the dimension of its group, got 2"),
     ])
     def test_bad_input_is_parse_error(self, tmp_path, argv, message):
         latin1 = tmp_path / "latin1.json"

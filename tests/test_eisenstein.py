@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_reference import isometry_group_order, z_pair
 from stratify._exact import (UNITS, adjugate, definite_ldl, det, eis_matrix, eis_vector_from_z,
                              identity, mat_mul, real_form, z_matrix)
 from stratify.discriminant import (
@@ -39,7 +40,6 @@ from stratify.weyl import (
     eisenstein_roots,
     enumerate_roots,
     enumerate_vectors,
-    isometry_group_order,
     triflection,
     triflections,
     weyl_group,
@@ -94,7 +94,7 @@ class TestZForm:
     def test_determinant_matches_eisenstein_norm(self):
         for lat in (E1, E2, E3, E4, H):
             zl = z_form(lat)
-            assert abs(zl.det()) * 3**lat.rank == lat.det().norm()
+            assert abs(zl.det()) * 3**lat.rank == det(lat.gram).norm()
 
     def test_lattice_file_format(self):
         lat = eis_lattice([[3, [1, 2]], [[-1, -2], 3]])
@@ -326,7 +326,7 @@ class TestDivisibility:
         zl = z_form(E3)
         v = find_norm_div_vector(zl, -12, 3)
         assert v is not None
-        assert zl.pair(v, v) == -12 and divisibility(v, zl) == 3
+        assert z_pair(zl, v, v) == -12 and divisibility(v, zl) == 3
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -358,7 +358,7 @@ class TestGlue:
         for i, x in enumerate(z):
             diff[i] = x
             diff[6 + i] = -x
-        assert big.pair(diff, diff) == -24
+        assert z_pair(big, diff, diff) == -24
         # divisibility inside the overlattice: pair against the glued basis
         vals = []
         for row in res.basis:
@@ -484,7 +484,7 @@ TRIFLECTIONS = {lat: triflections(lat) for lat in Z_ROOTS}
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([E1, E2, E3]), st.data())
 def test_z_matrix_acts_as_the_eisenstein_product(lat, data):
-    # the integer action isometry_group_order permutes the roots by
+    # the integer action `_root_action_order` permutes the roots by
     word = data.draw(st.lists(st.sampled_from(TRIFLECTIONS[lat]), min_size=1, max_size=4))
     zroot = data.draw(st.sampled_from(Z_ROOTS[lat]))
     mat = word[0]

@@ -245,6 +245,9 @@ def test_declare_kinds():
     assert value_of(rep, "s")["triples"] == [[0, 1, 1], [2, 3, 1]]
 
 
+OMEGA_GROUP = {"id": "g", "op": "close_group", "args": {"ring": "E", "generators": [[[[0, 1]]]]}}
+
+
 @pytest.mark.parametrize("step, message", [
     ({"op": "hypersurface_weights", "args": {"n": 4}}, "needs argument 'd'"),
     ({"op": "wreath_symmetrize", "args": {"n": 2}}, "needs argument 'value'"),
@@ -434,13 +437,20 @@ def test_declare_kinds():
      r"got \[2, 0\]"),
     ({"op": "main_term", "args": {"center_series": 1, "normal_rank": 1}},
      r"argument 'normal_rank' must be an integer >= 2, got 1"),
-    # no generators is malformed input, not a failed check
+    # no generators, or no boundary factors, is malformed input, not a failed check
     ({"op": "close_group", "args": {"generators": []}},
      r"argument 'generators' must be a nonempty list of matrices, got \[\]"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": []}}},
+     r"spec: argument 'factors' must be a nonempty list of factors, got \[\]"),
+    # after the steps it reads: a quotient's rank is the dimension of its group
+    ([OMEGA_GROUP, {"op": "abelian_quotient_betti",
+                    "args": {"group": "$g", "rank": 2, "form": [[3, 0], [0, 3]]}}],
+     r"argument 'rank' must be 1, the dimension of its group, got 2"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
+    *before, step = step if isinstance(step, list) else [step]
     with pytest.raises(ScenarioParseError, match=message) as info:
-        run_steps([{"id": "s", **step}])
+        run_steps([*before, {"id": "s", **step}])
     assert "step 's'" in str(info.value)
 
 
@@ -521,9 +531,6 @@ def test_quotient_rank_cap(step, rank):
     from stratify.strata import ResourceCapError
     with pytest.raises(ResourceCapError, match=f"rank {rank} exceeds the cap 5"):
         run_steps([{"id": "q", **step}])
-
-
-OMEGA_GROUP = {"id": "g", "op": "close_group", "args": {"ring": "E", "generators": [[[[0, 1]]]]}}
 
 
 @pytest.mark.parametrize("steps, message", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stratify._exact import UNITS, EisInt
 from stratify._pure import MAX_ORDER, ResourceCapError
 from stratify.assembly import StratumContribution, semistable_series
 from stratify.series import (
@@ -14,6 +15,7 @@ from stratify.series import (
     duality_check,
     duality_complete,
     gf_expand,
+    inverse,
     lincomb,
     projective_space_series,
 )
@@ -186,11 +188,11 @@ class TestSeriesArithmetic:
 
     def test_inverse_round_trip(self):
         s = TruncatedSeries.from_coeffs([1, 2, Fraction(1, 3), 0, 5], 4)
-        assert s * s.inverse() == TruncatedSeries.one(4)
+        assert s * TruncatedSeries.from_coeffs(inverse(s.coeffs, 4), 4) == TruncatedSeries.one(4)
 
     def test_inverse_needs_unit(self):
         with pytest.raises(ZeroDivisionError):
-            TruncatedSeries.from_coeffs([0, 1], 3).inverse()
+            inverse([0, 1], 3)
 
     def test_no_silent_extension(self):
         s = gf_expand([(2, 1)], 4)
@@ -231,12 +233,21 @@ def ref_mul(a, b):
             for k in range(min(len(a), len(b)))]
 
 
-def ref_inverse(a):
-    inv = [1 / Fraction(a[0])]
+def ref_inverse(a, recip=lambda c: 1 / Fraction(c)):
+    """Dense reference of the inverse of a coefficient list: b_0 = 1/a_0 and
+    b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0, with ``recip`` the inverse of
+    a_0 (over Q by default)."""
+    r = recip(a[0])
+    inv = [r]
     for k in range(1, len(a)):
-        inv.append(-sum((Fraction(a[j]) * inv[k - j] for j in range(1, k + 1)), Fraction(0))
-                   / a[0])
+        inv.append(-sum((a[j] * inv[k - j] for j in range(1, k + 1)), 0 * r) * r)
     return inv
+
+
+def eis_recip(c):
+    """1/c in Q(omega), as conj(c) / N(c) in `Fraction` parts."""
+    n = c.norm()
+    return EisInt(Fraction(c.a - c.b, n), Fraction(-c.b, n))
 
 
 def ref_lincomb(terms):
@@ -267,6 +278,14 @@ rationals = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=4, min_va
 coeff_lists = st.integers(0, 7).flatmap(lambda n: st.lists(rationals, min_size=n + 1,
                                                            max_size=n + 1))
 units = coeff_lists.filter(lambda cs: cs[0] != 0)
+eis_ints = st.builds(EisInt, st.integers(-4, 4), st.integers(-4, 4))
+
+
+def sparse_lists(coeffs, constants):
+    """Coefficient lists of up to 13 terms, an invertible constant first and
+    about half of the rest zero."""
+    return st.builds(lambda c, rest: [c, *rest], constants,
+                     st.lists(st.one_of(st.just(0), coeffs), max_size=12))
 
 
 def series_of(cs):
@@ -288,14 +307,15 @@ class TestAgainstFractionReference:
 
     @given(units)
     def test_inverse(self, a):
-        s = series_of(a).inverse()
-        assert_rule(s)
-        assert list(s.coeffs) == ref_inverse(a)
+        inv = inverse(a, len(a) - 1)
+        assert inv == ref_inverse(a)
+        if a[0] in (1, -1) and all(type(c) is int for c in a):
+            assert all(type(c) is int for c in inv)
 
     @given(coeff_lists, units)
     def test_quotient(self, a, b):
         m = min(len(a), len(b))
-        s = series_of(a) / series_of(b)
+        s = series_of(a[:m]) * series_of(inverse(b, m - 1))
         assert_rule(s)
         assert list(s.coeffs) == ref_mul(a[:m], ref_inverse(b[:m]))
 
@@ -322,6 +342,38 @@ class TestAgainstFractionReference:
         s = series_of(a).substitute_power(k)
         assert_rule(s)
         assert list(s.coeffs) == ref_substitute_power(a, k)
+
+
+class TestInverse:
+    """`inverse`, the one series inversion, against the dense `ref_inverse`:
+    sparse inputs over Q (any nonzero constant) and over Z[omega] (a unit
+    constant, or any nonzero one in Q(omega)), at every order."""
+
+    @given(sparse_lists(rationals, rationals.filter(bool)), st.integers(0, 15))
+    def test_rationals(self, a, order):
+        padded = (a + [0] * order)[: order + 1]
+        assert inverse(a, order) == ref_inverse(padded)
+
+    @given(sparse_lists(eis_ints, st.sampled_from(UNITS)), st.integers(0, 15))
+    def test_eisenstein_integers(self, a, order):
+        padded = (a + [0] * order)[: order + 1]
+        inv = inverse(a, order)
+        assert inv == ref_inverse(padded, eis_recip)
+        # over a unit constant the inverse is integral, in int parts
+        assert all(type(c) is int or type(c.a) is type(c.b) is int for c in inv)
+
+    @given(sparse_lists(eis_ints, eis_ints.filter(bool)), st.integers(0, 15))
+    def test_eisenstein_rationals(self, a, order):
+        padded = (a + [0] * order)[: order + 1]
+        assert inverse(a, order) == ref_inverse(padded, eis_recip)
+
+    def test_order_zero(self):
+        assert inverse([2, 5], 0) == [Fraction(1, 2)]
+        assert inverse([EisInt(0, 1)], 0) == [EisInt(-1, -1)]
+
+    def test_non_unit_constant(self):
+        # 1/(2 - t) = sum t^k / 2^(k+1)
+        assert inverse([2, -1], 4) == [Fraction(1, 2 ** (k + 1)) for k in range(5)]
 
 
 class TestIntegralCoefficientsAreInts:
@@ -364,7 +416,8 @@ class TestOrderCapSpeed:
     def test_inverse(self):
         s = gf_expand([(1, 3)], MAX_ORDER)
         t0 = time.perf_counter()
-        inv = s.inverse()
+        inv = inverse(s.coeffs, MAX_ORDER)
         assert time.perf_counter() - t0 < 0.5
         # (1 - t)^3
-        assert inv.integer_coeffs() == [1, -3, 3, -1] + [0] * (MAX_ORDER - 3)
+        assert inv == [1, -3, 3, -1] + [0] * (MAX_ORDER - 3)
+        assert all(type(c) is int for c in inv)

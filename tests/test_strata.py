@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hull_reference import affine_projection, closest_point, fraction_index_set, fraction_oracle
+from hull_reference import (affine_projection, closest_point, dot, fraction_index_set,
+                            fraction_oracle, norm2)
 from stratify import strata as strata_module
 from stratify.orbits import normal_rep_of, parse_poly
 from stratify.strata import (
@@ -25,7 +26,7 @@ from stratify.strata import (
     verify_strata_against_oracle,
     weyl_fiber_count,
 )
-from stratify.weights import dot, hypersurface_weights, norm2, vec
+from stratify.weights import hypersurface_weights, vec
 
 
 def brute_force_index_set_rank1(values):

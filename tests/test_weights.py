@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hull_reference import dot
 from stratify._pure import ResourceCapError
-from stratify.weights import MAX_WEIGHTS, dot, hypersurface_weights, monomials_of_degree
+from stratify.weights import MAX_WEIGHTS, hypersurface_weights, monomials_of_degree
 
 
 class TestHypersurfaceWeights:

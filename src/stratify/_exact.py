@@ -137,17 +137,19 @@ def identity(k) -> tuple:
 
 def mat_mul(x, y) -> tuple:
     """The product of two matrices of `EisInt` (the one Z[omega] matrix
-    product), as a tuple of row tuples."""
+    product), as a tuple of row tuples; the zero entries of ``x`` are skipped."""
     cols = tuple(zip(*y))
     out = []
     for row in x:
+        terms = [(j, p.a, p.b) for j, p in enumerate(row) if p.a or p.b]
         new = []
         for col in cols:
             ra = rb = 0
-            for p, q in zip(row, col):
-                bd = p.b * q.b
-                ra += p.a * q.a - bd
-                rb += p.a * q.b + p.b * q.a - bd
+            for j, pa, pb in terms:
+                q = col[j]
+                bd = pb * q.b
+                ra += pa * q.a - bd
+                rb += pa * q.b + pb * q.a - bd
             new.append(EisInt(ra, rb))
         out.append(tuple(new))
     return tuple(out)

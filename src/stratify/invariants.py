@@ -59,12 +59,14 @@ def close_group(generators, cap: int | None = None):
     One certificate proves the group finite: the trace test `_check_trace`,
     which every matrix of finite order passes.  Each generator must be
     invertible with a unit determinant (+-1 over Q, the six units over
-    Z[omega]), and `_check_finite_order` walks its powers to the identity,
-    each one held to the trace test; the walk always ends.  Finite orders do
-    not make the group finite, so the chain holds each transversal element
-    to the same test.  Raises ValueError on generators of different sizes
-    and on the first matrix refused, and ResourceCapError when a generator's
-    order or the group's exceeds ``cap`` (None: `DEFAULT_CAP`).
+    Z[omega]), and the chain of the cyclic group it generates must complete,
+    each transversal element held to the trace test; when it does not,
+    `_check_finite_order` walks the generator's powers to name the first one
+    refused.  Finite orders do not make the group finite, so the group's
+    chain holds each transversal element to the same test.  Raises
+    ValueError on generators of different sizes and on the first matrix
+    refused, and ResourceCapError when a generator's order or the group's
+    exceeds ``cap`` (None: `DEFAULT_CAP`).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -87,7 +89,11 @@ def close_group(generators, cap: int | None = None):
         if d not in UNITS:
             raise ValueError(f"generator {i} has determinant {_show(d)}, not a unit, "
                              "so it has infinite order")
-        _check_finite_order(i, mat, cap)
+        try:  # M has finite order <= cap exactly when its cyclic group's chain completes
+            _matrix_chain([mat], k, cap)
+        except (ValueError, _pure.ResourceCapError):
+            _check_finite_order(i, mat, cap)  # names the first power refused
+            raise
     return FiniteMatrixGroup(ring, k, tuple(mats), _matrix_chain(mats, k, cap)[1])
 
 
@@ -156,21 +162,22 @@ class _Matrices:
 
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
-    fixing the earlier base points, the basic orbit with a transversal (orbit
-    point y -> (u, u^-1) with u mapping the base point to y, u^-1 None until
-    `inverse` needs it), and the Schreier generators (y, generator index)
-    already sifted or known to be the identity."""
+    (s, s^-1) fixing the earlier base points, the basic orbit with a
+    transversal (orbit point y -> (u, u^-1) with u mapping the base point to
+    y), and the Schreier generators (y, generator index) already sifted or
+    known to be the identity."""
 
     def __init__(self, point, ident):
         self.point, self.gens, self.trans, self.sifted = point, [], {point: (ident, ident)}, set()
 
     def add(self, gen, act):
-        """Add a strong generator and walk the orbit again breadth first from
-        the base point: old entries stay, a new point z = s y gets s u_y."""
+        """Add a strong generator (s, s^-1) and walk the orbit again breadth
+        first from the base point: old entries stay, a new point z = s y gets
+        (s u_y, u_y^-1 s^-1)."""
         self.gens.append(gen)
         trans, queue, reached = self.trans, [self.point], {self.point}
         for y in queue:
-            for si, s in enumerate(self.gens):
+            for si, (s, s_inv) in enumerate(self.gens):
                 z = act.image(s, y)
                 if z not in reached:
                     reached.add(z)
@@ -178,16 +185,8 @@ class _Level:
                     if z not in trans:
                         v = act.mul(s, trans[y][0])
                         act.check(v, len(trans) + 1)
-                        trans[z] = (v, None)
+                        trans[z] = (v, act.mul(trans[y][1], s_inv))
                         self.sifted.add((y, si))  # u_z^-1 s u_y is the identity
-
-    def inverse(self, y, act):
-        """u_y^-1, computed when a sift first needs it."""
-        u, u_inv = self.trans[y]
-        if u_inv is None:
-            u_inv = act.inverse(u)
-            self.trans[y] = (u, u_inv)
-        return u_inv
 
 
 def _sift(levels, g, start, act):
@@ -197,7 +196,7 @@ def _sift(levels, g, start, act):
         y = act.image(g, level.point)
         if y not in level.trans:
             return g, i
-        g = act.mul(level.inverse(y, act), g)
+        g = act.mul(level.trans[y][1], g)
     return g, len(levels)
 
 
@@ -229,8 +228,9 @@ def _stabilizer_chain(gens, act) -> list:
         # h fixes the base points of the levels before hi; hi may be a new level
         if hi == len(levels):
             levels.append(_Level(next(x for x in act.bases if image(h, x) != x), ident))
+        gen = (h, act.inverse(h))  # the one inverse taken per strong generator
         for level in levels[lo:hi + 1]:
-            level.add(h, act)
+            level.add(gen, act)
 
     for g in gens:
         h, j = _sift(levels, g, 0, act)
@@ -242,14 +242,14 @@ def _stabilizer_chain(gens, act) -> list:
             level = levels[i]
             restart = None
             for y, (u, _) in list(level.trans.items()):
-                for si, s in enumerate(level.gens):
+                for si, (s, _) in enumerate(level.gens):
                     if (y, si) in level.sifted:
                         continue
                     level.sifted.add((y, si))
                     w, z = mul(s, u), image(s, y)
                     if w == level.trans[z][0]:  # the Schreier generator is the identity
                         continue
-                    h, j = _sift(levels, mul(level.inverse(z, act), w), i + 1, act)
+                    h, j = _sift(levels, mul(level.trans[z][1], w), i + 1, act)
                     if h != ident:
                         insert(h, i + 1, j)
                         restart = j
@@ -287,8 +287,8 @@ def _check_trace(mat, k, what):
     raise ValueError(f"{what} has trace {_show(tr)} and {why}")
 
 
-def _check_finite_order(i, mat, cap):
-    """Refuse generator i, a k x k matrix M, unless it has finite order.
+def _check_finite_order(i, mat, cap) -> int:
+    """The order of generator i, a k x k matrix M; refuse M unless it is finite.
 
     Certificate: the powers M, M^2, ... reach the identity, and each power
     before it passes `_check_trace`, the test `_matrix_chain` holds every
@@ -298,7 +298,8 @@ def _check_finite_order(i, mat, cap):
     unity (Kronecker), so for L the lcm of their orders M^L is unipotent:
     the identity, or of trace k without being scalar.  A power beyond
     ``cap`` raises ResourceCapError, since then M alone generates more than
-    ``cap`` elements.
+    ``cap`` elements.  `close_group` walks only when the chain of M's cyclic
+    group fails, so the walk names the first power refused.
     """
     k = len(mat)
     ident = identity(k)
@@ -309,6 +310,7 @@ def _check_finite_order(i, mat, cap):
             raise _pure.ResourceCapError(f"generator {i} has order above the cap {cap}")
         power = mat_mul(power, mat)
         j += 1
+    return j
 
 
 def _elementary_symmetric(mat):
@@ -345,8 +347,7 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
     """
     from .series import TruncatedSeries, inverse
 
-    if generator_degree < 1 or generator_degree % 2 != 0:
-        raise ValueError("generator degree must be a positive even integer")
+    _pure.check_degree(generator_degree, "generator degree")
     k = group.dim
     levels, n = _matrix_chain(group.gens, k, DEFAULT_CAP)
     if n != group.order:

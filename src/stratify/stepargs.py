@@ -262,10 +262,11 @@ class StepArgs(dict):
             self.reject(key, f"{shape} of integers or [a, b] pairs", rows)
         return rows
 
-    def generators(self, key, ring) -> list:
-        """The generators ``key`` of a `close_group` step or the `molien`
-        command, at least one: over ``ring`` "E" square matrices of integers or
-        [a, b] pairs, over "Q" square rational matrices, all of the size of the first."""
+    def generators(self, key, ring, size=None) -> list:
+        """The generators ``key`` of a `close_group` step, the `molien`
+        command or a boundary factor's group, at least one: over ``ring`` "E"
+        square matrices of integers or [a, b] pairs, over "Q" square rational
+        matrices, all ``size`` x ``size`` when given, else of the size of the first."""
         gens = self.each(key)
         if not gens:
             self.reject(key, "a nonempty list of matrices", self[key])
@@ -276,10 +277,10 @@ class StepArgs(dict):
 
             mats = [[[eis(e) for e in row] for row in items.eis_matrix(name)]
                     for items, name in gens]
+        k, like = (size, "") if size else (len(mats[0]), f" like {key}[0]")
         for (items, name), mat in zip(gens, mats):
-            if len(mat) != len(mats[0]):
-                k = len(mats[0])
-                items.reject(name, f"a {k} x {k} matrix like {key}[0]", items[name])
+            if len(mat) != k:
+                items.reject(name, f"a {k} x {k} matrix{like}", items[name])
         return mats
 
     def polynomial(self, key, nvars):
@@ -409,7 +410,7 @@ class StepArgs(dict):
 
     def boundary_spec(self, key) -> dict:
         """Argument ``key``: the spec of `eisenstein.boundary_betti`, every
-        field checked."""
+        field checked by the readers `lattice`, `generators` and `integer`."""
         spec = self.nested(key, ("factors", "extra_projective_lines"))
         entries = spec.each("factors")
         if not entries:
@@ -417,15 +418,11 @@ class StepArgs(dict):
         factors = []
         for items, name in entries:
             factor = items.nested(name, ("lattice", "group", "count"))
-            lattice = factor["lattice"]
-            if isinstance(lattice, str):
-                factor.lattice_name("lattice")
-            elif not _instance(lattice, "eisenstein", "EisLattice"):
-                factor.reject("lattice", "a lattice or a lattice name", lattice)
+            lattice = factor.lattice("lattice")
             group = factor.get("group", "weyl")
-            if group != "weyl":
-                gens = factor.nested("group", ("generators",)).each("generators")
-                group = {"generators": [g.eis_matrix(n) for g, n in gens]}
+            if group != "weyl":  # generators sized to the lattice's rank
+                group = {"generators": factor.nested("group", ("generators",)).generators(
+                    "generators", "E", lattice.rank)}
             factors.append({"lattice": lattice, "group": group,
                             "count": factor.integer("count", 1, minimum=1)})
         return {"factors": factors,

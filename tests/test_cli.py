@@ -337,12 +337,12 @@ class TestOtherCommands:
     def test_boundary_single_factor_may_have_odd_cohomology(self):
         # E1 by the trivial group is an elliptic curve; one copy symmetrizes nothing
         code, out, _ = run_cli(
-            "boundary", '{"factors":[{"lattice":"E1","group":{"generators":[]}}]}')
+            "boundary", '{"factors":[{"lattice":"E1","group":{"generators":[[[1]]]}}]}')
         assert code == 0 and out == "even Betti [1, 1], odd [2]\n"
 
     def test_boundary_symmetrizing_odd_cohomology_is_refused(self):
         code, _, err = run_cli(
-            "boundary", '{"factors":[{"lattice":"E1","group":{"generators":[]},"count":2}]}')
+            "boundary", '{"factors":[{"lattice":"E1","group":{"generators":[[[1]]]},"count":2}]}')
         assert code == 2
         err = json.loads(err)
         assert err["error"] == "check" and "odd coefficients" in err["message"]
@@ -555,6 +555,14 @@ class TestCommandLine:
          "--dim must be an integer >= 1, got -1"),
         # no generators is malformed input, not a failed check
         (("molien", "--gens", "[]"), "argument 'generators' must be a nonempty list"),
+        # a boundary factor's generators: at least one, each sized to the lattice's rank
+        (("boundary", '{"factors":[{"lattice":"E1","group":{"generators":[]}}]}'),
+         "spec.factors[0].group: argument 'generators' must be a nonempty list"),
+        (("boundary", '{"factors":[{"lattice":"E3","group":{"generators":[[[1,0],[0,1]]]}}]}'),
+         "argument 'generators[0]' must be a 3 x 3 matrix, got [[1, 0], [0, 1]]"),
+        (("boundary", '{"factors":[{"lattice":"E3","group":{"generators":'
+                      '[[[1,0,0],[0,1,0],[0,0,1]],[[1]]]}}]}'),
+         "argument 'generators[1]' must be a 3 x 3 matrix, got [[1]]"),
     ])
     def test_malformed_command_line_is_parse_error(self, argv, named):
         code, out, err = run_cli(*argv)

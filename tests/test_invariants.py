@@ -1,6 +1,7 @@
 import re
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,15 @@ from stratify.eisenstein import (
     NAMED_LATTICES,
     EisLattice,
 )
+from stratify import invariants
 from stratify.invariants import (
+    _check_finite_order,
     _elementary_symmetric,
     _elements,
     _matrix_chain,
+    _Matrices,
+    _Perms,
+    _stabilizer_chain,
     abelian_quotient_betti,
     close_group,
     molien,
@@ -40,6 +46,24 @@ def symmetric_gens(n):
     swap = (1, 0, *range(2, n))
     return [[[int(j == (i + 1) % n) for j in range(n)] for i in range(n)],
             [[int(j == swap[i]) for j in range(n)] for i in range(n)]]
+
+
+def skew_symmetric_gens(n):
+    """S_n in the basis of the columns of the unimodular P whose first column
+    is (1, 2, ..., n): the orbit of e_1 holds one vector per element."""
+    p = eis_matrix([[int(i == j) + (i + 1 if j == 0 < i else 0) for j in range(n)]
+                    for i in range(n)])
+    p_inv = eis_matrix([[int(i == j) - (i + 1 if j == 0 < i else 0) for j in range(n)]
+                        for i in range(n)])
+    return [mat_mul(p_inv, mat_mul(eis_matrix(g), p)) for g in symmetric_gens(n)]
+
+
+def cycles_matrix(lengths):
+    """The permutation matrix of disjoint cycles of the given lengths."""
+    perm = []
+    for n in lengths:
+        perm += [len(perm) + (i + 1) % n for i in range(n)]
+    return [[int(perm[j] == i) for j in range(len(perm))] for i in range(len(perm))]
 
 
 S7_GENS = symmetric_gens(7)
@@ -177,21 +201,24 @@ class TestCloseGroup:
         assert time.perf_counter() - start < 1.0
 
     def test_basic_orbit_of_every_element(self):
-        # S_6 in the basis of the columns of the unimodular P whose first
-        # column is (1, 2, ..., 6): the orbit of e_1 holds 720 vectors, one
-        # per element, so the chain acts on matrices, not on permutations of
-        # that orbit
+        # S_6 in a skew basis: the orbit of e_1 holds 720 vectors, one per
+        # element, so the chain acts on matrices, not on permutations of that orbit
         n = 6
-        p = eis_matrix([[int(i == j) + (i + 1 if j == 0 < i else 0) for j in range(n)]
-                        for i in range(n)])
-        p_inv = eis_matrix([[int(i == j) - (i + 1 if j == 0 < i else 0) for j in range(n)]
-                            for i in range(n)])
-        gens = [mat_mul(p_inv, mat_mul(eis_matrix(g), p)) for g in symmetric_gens(n)]
+        gens = skew_symmetric_gens(n)
         start = time.perf_counter()
         group = close_group(gens)
         assert group.order == 720
         assert len(_matrix_chain(group.gens, n, 720)[0][0].trans) == 720
         assert molien(group, 2, 6) == molien(close_group(symmetric_gens(n)), 2, 6)
+        assert time.perf_counter() - start < 2.0
+
+    def test_generator_of_large_order_is_certified_by_its_chain(self, monkeypatch):
+        # cycles of lengths 2, 3, 5, 7 and 11 on 28 points: order 2,310, which
+        # the walk over the powers reaches only after 2,310 products; it
+        # runs only to name the power that refuses a generator
+        monkeypatch.setattr(invariants, "_check_finite_order", None)
+        start = time.perf_counter()
+        assert close_group([cycles_matrix((2, 3, 5, 7, 11))]).order == 2310
         assert time.perf_counter() - start < 2.0
 
     def test_order_above_the_cap_is_refused_at_once(self):
@@ -683,3 +710,96 @@ def test_s6_elements_have_eleven_characteristic_polynomials():
     # one per cycle type, the 11 partitions of 6: the census inverts 11 series, not 720
     group = close_group(symmetric_gens(6))
     assert len({tuple(_elementary_symmetric(m)) for m in walk(group)}) == 11
+
+
+# --- each transversal element is held with its inverse ----------------------
+
+def counted_chain(gens, act):
+    """The chain of ``gens`` in ``act``, and the number of `inverse` calls."""
+    calls, inverse = [], act.inverse
+    act.inverse = lambda x: calls.append(x) or inverse(x)
+    return _stabilizer_chain(gens, act), len(calls)
+
+
+def assert_inverse_pairs(gens, act):
+    """At every level u u^-1 is the identity for every orbit point y, with
+    u mapping the base point to y, and s s^-1 for every strong generator, whose
+    inverse was taken once; returns the order."""
+    levels, inverse_calls = counted_chain(gens, act)
+    # a strong generator s is inserted at several levels, the same s at each
+    strong = {id(gen[0]): gen for level in levels for gen in level.gens}
+    assert inverse_calls == len(strong)
+    assert all(act.mul(s, s_inv) == act.ident for s, s_inv in strong.values())
+    for level in levels:
+        for y, (u, u_inv) in level.trans.items():
+            assert act.image(u, level.point) == y
+            assert act.mul(u, u_inv) == act.ident
+    return prod(len(level.trans) for level in levels)
+
+
+@pytest.mark.parametrize("lat, order", [(E3, 648), (E4, 155520)])
+def test_root_permutation_chain_holds_inverses(monkeypatch, lat, order):
+    # the permutations of the roots that `weyl_group` hands to the engine
+    perms = []
+    monkeypatch.setattr(invariants, "permutation_group_order", lambda p: perms.extend(p) or 1)
+    weyl_group(lat)
+    assert assert_inverse_pairs(perms, _Perms(len(perms[0]))) == order
+
+
+@pytest.mark.parametrize("gens, order", [
+    (DIHEDRAL_GENS, 6), (skew_symmetric_gens(6), 720)])
+def test_matrix_chain_holds_inverses(gens, order):
+    gens = [eis_matrix(g) for g in gens]
+    assert assert_inverse_pairs(gens, _Matrices(len(gens[0]), 1000)) == order
+
+
+@settings(max_examples=30, deadline=None)
+@given(conjugated_groups.map(_conjugated))
+def test_conjugated_matrix_chain_holds_inverses(gens):
+    order = assert_inverse_pairs(gens, _Matrices(len(gens[0]), 1500))
+    assert order == close_group(gens, cap=1500).order
+
+
+# --- two finiteness certificates of one generator ---------------------------
+
+def certified_orders(mat, cap=1500):
+    """A generator's order from the chain of its cyclic group and from the
+    walk over its powers (`_check_finite_order`), None where one refuses."""
+    mat = eis_matrix(mat)
+    orders = []
+    for certify in (lambda: _matrix_chain([mat], len(mat), cap)[1],
+                    lambda: _check_finite_order(0, mat, cap)):
+        try:
+            orders.append(certify())
+        except (ValueError, ResourceCapError):
+            orders.append(None)
+    return orders
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_groups.map(lambda case: case[1]), conjugated_groups.map(_conjugated)))
+def test_cyclic_chain_and_power_walk_agree_on_group_generators(gens):
+    for gen in gens:
+        chain, walk_order = certified_orders(gen)
+        assert chain is not None and chain == walk_order
+
+
+_HALF_TURN = [[Fraction(a, 9) for a in row] for row in ((-7, 4, 4), (4, -1, 8), (4, 8, -1))]
+
+
+@pytest.mark.parametrize("gen, cap, order", [
+    # the generators TestCloseGroup refuses, each of infinite order
+    (LEHMER, 1500, None), (SALEM, 1500, None), (UNIPOTENT7, 1500, None),
+    ([[1, 1], [0, 1]], 1500, None), ([[2, 1], [1, 1]], 1500, None),
+    ([[(0, 1), (1, 0)], [(0, 0), (0, 1)]], 1500, None),
+    ([[Fraction(1, 2), 0], [0, 1]], 1500, None), ([[2]], 1500, None), ([[(2, 1)]], 1500, None),
+    # and those of finite order that generate infinite groups
+    ([[0, 1], [-1, 1]], 1500, 6), ([[-1, -1], [1, 0]], 1500, 3),
+    ([[1, 0], [0, -1]], 1500, 2), ([[2, 3], [-1, -2]], 1500, 2),
+    ([[(0, 1), (0, 0)], [(0, 0), (1, 0)]], 1500, 3),
+    ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], 1500, 4), (_HALF_TURN, 1500, 2),
+    # a finite order above the cap
+    (cycles_matrix((2, 3)), 6, 6), (cycles_matrix((2, 3)), 5, None),
+])
+def test_cyclic_chain_and_power_walk_agree_on_refusals(gen, cap, order):
+    assert certified_orders(gen, cap) == [order, order]

@@ -446,6 +446,17 @@ OMEGA_GROUP = {"id": "g", "op": "close_group", "args": {"ring": "E", "generators
     ([OMEGA_GROUP, {"op": "abelian_quotient_betti",
                     "args": {"group": "$g", "rank": 2, "form": [[3, 0], [0, 3]]}}],
      r"argument 'rank' must be 1, the dimension of its group, got 2"),
+    # a boundary factor's generators are read as close_group's, sized to the lattice's rank
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"lattice": "E1", "group": {"generators": []}}]}}},
+     r"spec.factors\[0\].group: argument 'generators' must be a nonempty list of matrices"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"lattice": "E3", "group": {"generators": [[[1, 0], [0, 1]]]}}]}}},
+     r"spec.factors\[0\].group: argument 'generators\[0\]' must be a 3 x 3 matrix, got"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"lattice": "E3", "group": {"generators": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]]]}}]}}},
+     r"spec.factors\[0\].group: argument 'generators\[1\]' must be a 3 x 3 matrix, "
+     r"got \[\[1\]\]"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     *before, step = step if isinstance(step, list) else [step]
@@ -616,7 +627,8 @@ def read_counts(monkeypatch):
 
 def test_each_literal_argument_of_cubicsurf_is_read_once(read_counts):
     run_scenario("cubicsurf")
-    assert read_counts == {"polynomial": 1, "boundary_spec": 1, "generators": 1,
+    # close_group's generators and tbl_t3a2's boundary factor, each read once
+    assert read_counts == {"polynomial": 1, "boundary_spec": 1, "generators": 2,
                            "parse_poly": 1}
 
 

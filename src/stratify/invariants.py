@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
+from operator import itemgetter
 
 from . import _pure
 from ._exact import (UNITS, EisInt, adjugate, definite_ldl, det, eis, eis_matrix, identity,
@@ -60,13 +61,14 @@ def close_group(generators, cap: int | None = None):
     which every matrix of finite order passes.  Each generator must be
     invertible with a unit determinant (+-1 over Q, the six units over
     Z[omega]), and the chain of the cyclic group it generates must complete,
-    each transversal element held to the trace test; when it does not,
-    `_check_finite_order` walks the generator's powers to name the first one
-    refused.  Finite orders do not make the group finite, so the group's
-    chain holds each transversal element to the same test.  Raises
-    ValueError on generators of different sizes and on the first matrix
-    refused, and ResourceCapError when a generator's order or the group's
-    exceeds ``cap`` (None: `DEFAULT_CAP`).
+    each transversal element held to the trace test: that chain is the
+    generator's only finiteness certificate, and a one-generator group takes
+    its order from it.  Finite orders do not make the group finite, so the
+    chain of two or more generators holds each transversal element to the
+    same test.  Raises ValueError on generators of different sizes and on
+    the first matrix refused ("generator i has infinite order: a power has
+    trace ..." for a power of a generator), and ResourceCapError when a
+    generator's order or the group's exceeds ``cap`` (None: `DEFAULT_CAP`).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -90,16 +92,18 @@ def close_group(generators, cap: int | None = None):
             raise ValueError(f"generator {i} has determinant {_show(d)}, not a unit, "
                              "so it has infinite order")
         try:  # M has finite order <= cap exactly when its cyclic group's chain completes
-            _matrix_chain([mat], k, cap)
-        except (ValueError, _pure.ResourceCapError):
-            _check_finite_order(i, mat, cap)  # names the first power refused
-            raise
-    return FiniteMatrixGroup(ring, k, tuple(mats), _matrix_chain(mats, k, cap)[1])
+            order = _matrix_chain([mat], k, cap, f"generator {i} has infinite order: a power")[1]
+        except _pure.ResourceCapError:
+            raise _pure.ResourceCapError(f"generator {i} has order above the cap {cap}") from None
+    if len(mats) > 1:
+        order = _matrix_chain(mats, k, cap)[1]
+    return FiniteMatrixGroup(ring, k, tuple(mats), order)
 
 
-def _matrix_chain(gens, k, cap):
-    """(levels, order) of the group generated by k x k matrices (`_Matrices`)."""
-    act = _Matrices(k, cap)
+def _matrix_chain(gens, k, cap, *what):
+    """(levels, order) of the group generated by k x k matrices (`_Matrices`,
+    which names a refused transversal element ``what`` when it is given)."""
+    act = _Matrices(k, cap, *what)
     # the trivial group has no level; one with the identity alone walks it
     levels = _stabilizer_chain(gens, act) or [_Level(act.bases[0], act.ident)]
     order = prod(len(level.trans) for level in levels)
@@ -130,7 +134,7 @@ class _Perms:
     called on each new transversal element with its orbit's new length."""
 
     image = staticmethod(tuple.__getitem__)
-    mul = staticmethod(lambda p, q: tuple(map(p.__getitem__, q)))
+    mul = staticmethod(lambda p, q: itemgetter(*q)(p))
     inverse = staticmethod(lambda p: tuple(sorted(range(len(p)), key=p.__getitem__)))
     check = staticmethod(lambda element, size: None)
 
@@ -140,13 +144,13 @@ class _Perms:
 
 class _Matrices:
     """k x k matrices acting on k x 1 columns, based at the standard basis
-    vectors; `check` holds each new transversal element to `_check_trace`
-    and each basic orbit to ``cap`` points."""
+    vectors; `check` holds each new transversal element to `_check_trace`,
+    naming it ``what``, and each basic orbit to ``cap`` points."""
 
     image = mul = staticmethod(mat_mul)
 
-    def __init__(self, k, cap):
-        self.k, self.cap, self.ident = k, cap, identity(k)
+    def __init__(self, k, cap, what="the group is infinite: an element"):
+        self.k, self.cap, self.what, self.ident = k, cap, what, identity(k)
         self.bases = [tuple(zip(row)) for row in self.ident]
 
     @staticmethod
@@ -155,7 +159,7 @@ class _Matrices:
         return tuple(tuple(e * d.conj() for e in row) for row in adj)
 
     def check(self, element, size):
-        _check_trace(element, self.k, "the group is infinite: an element")
+        _check_trace(element, self.k, self.what)
         if size > self.cap:
             raise _pure.ResourceCapError(f"group order exceeds the cap {self.cap}")
 
@@ -285,32 +289,6 @@ def _check_trace(mat, k, what):
     else:
         return
     raise ValueError(f"{what} has trace {_show(tr)} and {why}")
-
-
-def _check_finite_order(i, mat, cap) -> int:
-    """The order of generator i, a k x k matrix M; refuse M unless it is finite.
-
-    Certificate: the powers M, M^2, ... reach the identity, and each power
-    before it passes `_check_trace`, the test `_matrix_chain` holds every
-    transversal element to.  The walk ends.  An eigenvalue off the unit
-    circle makes |tr M^j| unbounded, and a non-integral eigenvalue gives some
-    power a non-integral trace.  Otherwise every eigenvalue is a root of
-    unity (Kronecker), so for L the lcm of their orders M^L is unipotent:
-    the identity, or of trace k without being scalar.  A power beyond
-    ``cap`` raises ResourceCapError, since then M alone generates more than
-    ``cap`` elements.  `close_group` walks only when the chain of M's cyclic
-    group fails, so the walk names the first power refused.
-    """
-    k = len(mat)
-    ident = identity(k)
-    power, j = mat, 1
-    while power != ident:
-        _check_trace(power, k, f"generator {i} has infinite order: M^{j}")
-        if j >= cap:
-            raise _pure.ResourceCapError(f"generator {i} has order above the cap {cap}")
-        power = mat_mul(power, mat)
-        j += 1
-    return j
 
 
 def _elementary_symmetric(mat):

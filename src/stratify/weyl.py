@@ -11,8 +11,8 @@ deterministic Schreier-Sims on the permutation action on the roots
 
 At load this module imports `_pure`, `_exact` and `eisenstein` (the unit
 constants): every call reaches it from an Eisenstein lattice, so
-`eisenstein` is loaded already.  The unitarity check, the group record and
-Schreier-Sims come from `invariants` when they are used.
+`eisenstein` is loaded already.  The group record and Schreier-Sims come
+from `invariants` when they are used.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import math
 from operator import mul
 
 from . import _pure
-from ._exact import (UNITS, EisInt, definite_ldl, det, eis, eis_vector_from_z, identity,
-                     mat_mul, nullspace, real_form, z_matrix)
+from ._exact import (UNITS, EisInt, definite_ldl, det, eis, eis_vector_from_z, mat_mul,
+                     nullspace, real_form, z_matrix)
 from .eisenstein import E_ONE, E_ZERO, OMEGA
 
 
@@ -149,17 +149,16 @@ def triflections(lat: EisLattice) -> list:
     first root giving each (`eisenstein_roots`).
 
     The six unit multiples of a root give the same triflection, so a root on
-    the line of one already used is skipped.  Every triflection is checked
-    to have order 3 and preserve the form.
+    the line of one already used is skipped.  A triflection has order 3 and
+    preserves the form by construction; where its matrix is used, for an
+    abelian quotient, `invariants.abelian_quotient_betti` certifies that it
+    is unitary.
     """
     return _triflections(lat, eisenstein_roots(lat))
 
 
 def _triflections(lat, roots) -> list:
     """`triflections` from the lattice's roots, as Eisenstein vectors."""
-    from .invariants import is_unitary
-
-    ident = identity(lat.rank)
     found = []
     seen = set()
     lines = set()
@@ -168,14 +167,9 @@ def _triflections(lat, roots) -> list:
             continue
         lines.update(tuple(u * c for c in r) for u in UNITS)
         mat = triflection(lat, r)
-        if mat in seen:
-            continue
-        if mat_mul(mat_mul(mat, mat), mat) != ident or mat == ident:
-            raise AssertionError("triflection does not have order 3")
-        if not is_unitary(mat, lat.gram):
-            raise AssertionError("triflection does not preserve the form")
-        seen.add(mat)
-        found.append(mat)
+        if mat not in seen:
+            seen.add(mat)
+            found.append(mat)
     if not found:
         raise ValueError("lattice has no roots")
     return found
@@ -188,11 +182,14 @@ def _root_action_order(zl, zroots, gens) -> int:
     ``gens`` are square `EisInt` matrices.  Each one permutes the finitely
     many roots, acting on their integer coordinates through its `_exact.z_matrix`,
     and the order is that of this permutation group, from Schreier-Sims
-    (`invariants.permutation_group_order`).  The action is faithful: an
-    element fixing every root fixes their span, and it fixes their orthogonal
-    complement because every generator must (as triflections do).  When the
-    roots span the lattice, as for every named lattice, the complement is
-    zero and this check is vacuous.
+    (`invariants.permutation_group_order`).  A generator is Z[omega]-linear,
+    so it maps u v to u g(v) for each of the six units u: one dense image per
+    root line gives the images of its six roots, read from a table of unit
+    multiples.  Each image must be a root and each generator a bijection.
+    The action is faithful: an element fixing every root fixes their span,
+    and it fixes their orthogonal complement because every generator must
+    (as triflections do).  When the roots span the lattice, as for every
+    named lattice, the complement is zero and this check is vacuous.
     """
     from .invariants import permutation_group_order
 
@@ -202,6 +199,13 @@ def _root_action_order(zl, zroots, gens) -> int:
     def act(z, v):
         return tuple([sum(map(mul, row, v)) for row in z])
 
+    def units(v):  # v, omega v, omega^2 v and their negatives
+        out = [v]  # omega (a + b w) = -b + (a - b) w
+        for _ in range(2):
+            v = tuple(x for a, b in zip(v[::2], v[1::2]) for x in (-b, a - b))
+            out.append(v)
+        return out + [tuple(-x for x in u) for u in out]
+
     # the roots' complement in the integral form is the hermitian one: a unit
     # multiple u r of a root is a root, and Re<u r, x> = 0 for u = 1, omega
     perp = [tuple(v) for v in nullspace([act(zl.gram, r) for r in zroots])]
@@ -210,12 +214,20 @@ def _root_action_order(zl, zroots, gens) -> int:
         raise AssertionError("a generator moves the orthogonal complement of the roots, "
                              "so the action on the roots is not certified faithful")
     index = {v: i for i, v in enumerate(zroots)}
+    multiples = [[index[u] for u in units(v)] for v in zroots]
+    lines = [m for i, m in enumerate(multiples) if min(m) == i]
     perms = []
     for z in zmats:
-        perm = tuple(index.get(act(z, v)) for v in zroots)
+        perm = [None] * len(zroots)
+        for line in lines:
+            image = index.get(act(z, zroots[line[0]]))
+            if image is None:
+                break  # not a root: the line's entries stay None
+            for i, j in zip(line, multiples[image]):
+                perm[i] = j
         if None in perm or len(set(perm)) != len(perm):
             raise AssertionError("a generator does not permute the roots")
-        perms.append(perm)
+        perms.append(tuple(perm))
     return permutation_group_order(perms)
 
 

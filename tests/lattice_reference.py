@@ -3,11 +3,17 @@
 `isometry_group_order` is the order of the group that Eisenstein matrices
 generate, read off their action on the roots of a definite lattice: the
 path `weyl.weyl_group` takes, through `weyl._root_action_order`, for any
-generators.  `z_pair` is the integral pairing x^T G y of a `ZLattice`.
-The program needs neither: it pairs lattice vectors through its Gram
-matrices, and it orders only triflection groups.
+generators.  `root_permutations` is that action formed one dense image per
+root, the reference for `_root_action_order`, which forms one image per
+root line and reads the other five off the unit multiples.  `z_pair` is the
+integral pairing x^T G y of a `ZLattice`.  The program needs none of them:
+it pairs lattice vectors through its Gram matrices, and it orders only
+triflection groups.
 """
 
+from operator import mul
+
+from stratify._exact import z_matrix
 from stratify.weyl import _root_action_order, enumerate_roots, z_form
 
 
@@ -16,6 +22,15 @@ def isometry_group_order(lat, gens) -> int:
     Eisenstein lattice, from its permutation action on the roots."""
     zl = z_form(lat)
     return _root_action_order(zl, enumerate_roots(zl), gens)
+
+
+def root_permutations(lat, gens) -> list:
+    """Each of the isometries ``gens`` of a definite Eisenstein lattice as a
+    permutation of its roots (`enumerate_roots` order), one dense image per root."""
+    zroots = enumerate_roots(z_form(lat))
+    index = {v: i for i, v in enumerate(zroots)}
+    return [tuple(index[tuple(sum(map(mul, row, v)) for row in z)] for v in zroots)
+            for z in map(z_matrix, gens)]
 
 
 def z_pair(zl, x, y):

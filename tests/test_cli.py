@@ -297,8 +297,8 @@ class TestOtherCommands:
         for gens, message in (("[[[2]]]", "not a unit"),
                               ("[[[1,1],[0,1]]]", "infinite order"),  # unipotent
                               ("[[[2,1],[1,1]]]", "infinite order"),  # hyperbolic, det 1
-                              (json.dumps([LEHMER]), "M^11 has trace 10"),
-                              (json.dumps([SALEM]), "M^3 has trace 7"),
+                              (json.dumps([LEHMER]), "a power has trace 10"),
+                              (json.dumps([SALEM]), "a power has trace 7"),
                               # refused before S_7's 5040 elements are closed
                               (json.dumps([*S7_GENS, UNIPOTENT7]),
                                "generator 2 has infinite order")):

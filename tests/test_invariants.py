@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_reference import isometry_group_order
+from lattice_reference import isometry_group_order, root_permutations
 from stratify._pure import ResourceCapError
 from stratify._exact import UNITS, EisInt, eis_matrix, identity, mat_mul
 from stratify.eisenstein import (
@@ -21,7 +21,7 @@ from stratify.eisenstein import (
 )
 from stratify import invariants
 from stratify.invariants import (
-    _check_finite_order,
+    _check_trace,
     _elementary_symmetric,
     _elements,
     _matrix_chain,
@@ -115,17 +115,18 @@ class TestCloseGroup:
         ([DIHEDRAL_GENS[0], [[Fraction(1, 2), 0], [0, 1]]], "generator 1 has determinant 1/2,"),
         ([[[(2, 1)]]], "determinant 2 + 1*omega,"),
         # unit determinant, infinite order
-        ([[[1, 1], [0, 1]]], "generator 0 has infinite order: M^1 has trace 2 and |trace| = 2, "
+        ([[[1, 1], [0, 1]]], "generator 0 has infinite order: a power has trace 2 and |trace| = 2, "
                              "the dimension, but it is not a root of unity times the identity"),
         ([[[2, 1], [1, 1]]],
-         "generator 0 has infinite order: M^1 has trace 3 and |trace| > 2, the dimension"),
+         "generator 0 has infinite order: a power has trace 3 and |trace| > 2, the dimension"),
         ([[[(0, 1), (1, 0)], [(0, 0), (0, 1)]]],
-         "generator 0 has infinite order: M^1 has trace 0 + 2*omega and |trace| = 2, "
+         "generator 0 has infinite order: a power has trace 0 + 2*omega and |trace| = 2, "
          "the dimension, but it is not a root of unity times the identity"),
-        ([LEHMER], "generator 0 has infinite order: M^11 has trace 10 and |trace| = 10"),
-        ([SALEM], "generator 0 has infinite order: M^3 has trace 7 and |trace| > 4"),
+        ([LEHMER], "generator 0 has infinite order: a power has trace 10 and |trace| = 10"),
+        ([SALEM], "generator 0 has infinite order: a power has trace 7 and |trace| > 4"),
         # S_7 closes to 5040 elements; the unipotent generator after it is refused first
-        ([*S7_GENS, UNIPOTENT7], "generator 2 has infinite order: M^1 has trace 7 and |trace| = 7"),
+        ([*S7_GENS, UNIPOTENT7],
+         "generator 2 has infinite order: a power has trace 7 and |trace| = 7"),
     ])
     def test_rejects_generator_of_infinite_order(self, gens, det):
         start = time.perf_counter()
@@ -212,14 +213,32 @@ class TestCloseGroup:
         assert molien(group, 2, 6) == molien(close_group(symmetric_gens(n)), 2, 6)
         assert time.perf_counter() - start < 2.0
 
-    def test_generator_of_large_order_is_certified_by_its_chain(self, monkeypatch):
+    def test_generator_of_large_order_is_certified_by_its_chain(self):
         # cycles of lengths 2, 3, 5, 7 and 11 on 28 points: order 2,310, which
-        # the walk over the powers reaches only after 2,310 products; it
-        # runs only to name the power that refuses a generator
-        monkeypatch.setattr(invariants, "_check_finite_order", None)
+        # a walk over the powers reaches only after 2,310 products
         start = time.perf_counter()
         assert close_group([cycles_matrix((2, 3, 5, 7, 11))]).order == 2310
         assert time.perf_counter() - start < 2.0
+
+    def test_generator_order_above_the_cap_is_refused_by_its_chain(self):
+        # cycles of lengths 2 to 13 on 41 points: order 30,030, refused from
+        # orbits of those lengths, not after 10,000 powers
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="generator 0 has order above the cap 10000$"):
+            close_group([cycles_matrix((2, 3, 5, 7, 11, 13))], cap=10_000)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("gens, chains", [
+        ([cycles_matrix((2, 3, 5, 7, 11))], 1), (DIHEDRAL_GENS, 3), (PERM3_GENS, 3),
+        (symmetric_gens(5) + [cycles_matrix((5,))], 4)])
+    def test_one_chain_per_generator_and_one_for_the_group(self, monkeypatch, gens, chains):
+        # a one-generator group takes its order from the generator's chain
+        calls = []
+        chain = invariants._matrix_chain
+        monkeypatch.setattr(invariants, "_matrix_chain",
+                            lambda *args: calls.append(args) or chain(*args))
+        close_group(gens)
+        assert len(calls) == chains
 
     def test_order_above_the_cap_is_refused_at_once(self):
         # S_10 has 3,628,800 elements, above DEFAULT_CAP
@@ -447,6 +466,37 @@ def test_conjugated_e4_triflections():
     assert_same_group(E4, gens, new_lat, new_gens, closure=False)
 
 
+def line_image_permutations(monkeypatch, lat, gens):
+    """The permutations of the roots that `weyl._root_action_order` hands to
+    the engine for ``gens``, and the order it certifies."""
+    perms = []
+    monkeypatch.setattr(invariants, "permutation_group_order",
+                        lambda p: perms.extend(p) or permutation_group_order(p))
+    return perms, isometry_group_order(lat, gens)
+
+
+@pytest.mark.parametrize("name, order", [
+    ("E1", 3), ("E2", 24), ("E3", 648), ("E4", 155520), ("3E1", 27), ("3E3", 648**3),
+    ("E1+2E4", 3 * 155520**2)])
+def test_root_line_images_match_the_per_root_images(monkeypatch, name, order):
+    # one dense image per root line, five read off the unit multiples; the
+    # triflections' order is the one `weyl_group` certifies on this path
+    lat = NAMED_LATTICES[name]
+    neg = EisLattice(lat.rank, tuple(tuple(-e for e in row) for row in lat.gram))
+    for x in (lat, neg):
+        gens = triflections(x)
+        perms, n = line_image_permutations(monkeypatch, x, gens)
+        assert n == order and perms == root_permutations(x, gens)
+
+
+def test_root_line_images_of_conjugated_e4_triflections(monkeypatch):
+    ops = [("add", 0, 1, EisInt(1, 1)), ("add", 2, 3, EisInt(-2, 1)), ("scale", 1, UNITS[2]),
+           ("add", 3, 0, EisInt(0, 2)), ("add", 1, 2, EisInt(2, -1)), ("add", 0, 3, EisInt(1, 0))]
+    new_lat, new_gens = change_basis(E4, triflections(E4), *elementary_change(4, ops))
+    perms, order = line_image_permutations(monkeypatch, new_lat, new_gens)
+    assert order == 155520 and perms == root_permutations(new_lat, new_gens)
+
+
 def permutation_closure_order(perms):
     """Breadth-first closure of permutations, shared with nothing in the library."""
     ident = tuple(range(len(perms[0])))
@@ -463,6 +513,12 @@ def permutation_closure_order(perms):
     lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4)))
 def test_permutation_group_order_matches_closure(perms):
     assert permutation_group_order(perms) == permutation_closure_order(perms)
+
+
+def test_permutation_group_order_on_one_and_two_points():
+    # one point has only the identity, so no product is taken there
+    assert permutation_group_order([(0,)]) == 1
+    assert permutation_group_order([(1, 0)]) == 2
 
 
 def test_permutation_group_order_of_known_groups():
@@ -762,13 +818,39 @@ def test_conjugated_matrix_chain_holds_inverses(gens):
 
 # --- two finiteness certificates of one generator ---------------------------
 
+def power_walk_order(i, mat, cap) -> int:
+    """The order of generator i, a k x k matrix M, from its powers: the
+    reference for the chain of its cyclic group in `close_group`.
+
+    Certificate: the powers M, M^2, ... reach the identity, and each power
+    before it passes `_check_trace`, the test the chain holds every
+    transversal element to.  The walk ends.  An eigenvalue off the unit
+    circle makes |tr M^j| unbounded, and a non-integral eigenvalue gives some
+    power a non-integral trace.  Otherwise every eigenvalue is a root of
+    unity (Kronecker), so for L the lcm of their orders M^L is unipotent:
+    the identity, or of trace k without being scalar.  A power beyond
+    ``cap`` raises ResourceCapError, since then M alone generates more than
+    ``cap`` elements.
+    """
+    k = len(mat)
+    ident = identity(k)
+    power, j = mat, 1
+    while power != ident:
+        _check_trace(power, k, f"generator {i} has infinite order: M^{j}")
+        if j >= cap:
+            raise ResourceCapError(f"generator {i} has order above the cap {cap}")
+        power = mat_mul(power, mat)
+        j += 1
+    return j
+
+
 def certified_orders(mat, cap=1500):
-    """A generator's order from the chain of its cyclic group and from the
-    walk over its powers (`_check_finite_order`), None where one refuses."""
-    mat = eis_matrix(mat)
+    """A generator's order from `close_group`, which takes it from the chain
+    of its cyclic group, and from the walk over its powers
+    (`power_walk_order`), None where one refuses."""
     orders = []
-    for certify in (lambda: _matrix_chain([mat], len(mat), cap)[1],
-                    lambda: _check_finite_order(0, mat, cap)):
+    for certify in (lambda: close_group([mat], cap).order,
+                    lambda: power_walk_order(0, eis_matrix(mat), cap)):
         try:
             orders.append(certify())
         except (ValueError, ResourceCapError):
@@ -803,3 +885,24 @@ _HALF_TURN = [[Fraction(a, 9) for a in row] for row in ((-7, 4, 4), (4, -1, 8), 
 ])
 def test_cyclic_chain_and_power_walk_agree_on_refusals(gen, cap, order):
     assert certified_orders(gen, cap) == [order, order]
+
+
+@pytest.mark.parametrize("gens, cap", [
+    ([LEHMER], 10**6), ([SALEM], 10**6), ([[[1, 1], [0, 1]]], 10**6),
+    ([[[2, 1], [1, 1]]], 10**6), ([[[(0, 1), (1, 0)], [(0, 0), (0, 1)]]], 10**6),
+    ([*S7_GENS, UNIPOTENT7], 10**6),
+    ([cycles_matrix((2, 3))], 5),  # order 6, above the cap
+])
+def test_cyclic_chain_refuses_as_the_power_walk(gens, cap):
+    # the same exception class, and for an infinite order the same trace and reason
+    i = len(gens) - 1
+    with pytest.raises((ValueError, ResourceCapError)) as chain:
+        close_group(gens, cap)
+    with pytest.raises((ValueError, ResourceCapError)) as reference:
+        power_walk_order(i, eis_matrix(gens[i]), cap)
+    assert chain.type is reference.type
+    rest = str(reference.value).partition(" has trace ")[2]
+    if rest:  # the walk names the power M^j that it refuses
+        assert str(chain.value) == f"generator {i} has infinite order: a power has trace {rest}"
+    else:
+        assert str(chain.value) == str(reference.value)

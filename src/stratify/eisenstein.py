@@ -16,7 +16,8 @@ gcd in Z[omega] is needed.
 
 At load this module imports only `_pure` and `_exact`.  `boundary_betti`
 imports `invariants` (quotients) and `series` (Betti tables) when it runs,
-and `weyl` only for a factor acted on by its triflection group.
+and `weyl` only for a factor acted on by its triflection group, which it
+quotients by the few triflections that `weyl.generating_triflections` keeps.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ def boundary_betti(spec: dict) -> BettiTable:
     ``spec`` lists factors, each a lattice acted on by its triflection group
     or by an explicitly generated isometry group, repeated ``count`` times and
     symmetrized; factors and declared projective lines multiply together.
-    Each factor's quotient comes from the generators alone, never a closure.
+    Each factor's quotient comes from the generators alone, never a closure;
+    a Weyl group's are the few triflections whose root orbits cover every
+    root line (`weyl.generating_triflections`).
     Declared extra symmetries that act trivially are recorded by the caller
     and do not change the table.
     """
@@ -152,9 +155,9 @@ def boundary_betti(spec: dict) -> BettiTable:
     for factor, lat in zip(spec["factors"], lattices):
         group_spec = factor.get("group", "weyl")
         if group_spec == "weyl":
-            from .weyl import triflections
+            from .weyl import generating_triflections
 
-            gens = triflections(lat)
+            gens = generating_triflections(lat)[0]
         else:
             gens = group_spec["generators"]
         part = abelian_quotient_betti(gens, lat.rank, form=lat.gram)

@@ -400,8 +400,9 @@ def _invariant_dim(powers, p, q) -> int:
 
 # Cap on the rank of an abelian quotient: the fixed spaces live in
 # Lambda^p V (x) conj Lambda^q V, of dimension C(k, p) C(k, q), up to 400 at
-# rank 6 against 100 at rank 5 (E1+E4 takes 2-3 s, 2E3 about 60 s, mostly in
-# products with the 400 x 400 operators).  The pinned boundaries use rank <= 4.
+# rank 6 against 100 at rank 5 (on the generators `weyl_group` carries,
+# E1+E4 takes about 0.2 s and 2E3 about 3 s, mostly in products with the
+# 400 x 400 operators).  The pinned boundaries use rank <= 4.
 MAX_QUOTIENT_RANK = 5
 
 

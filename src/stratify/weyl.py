@@ -5,9 +5,10 @@ Eisenstein lattice, (x, y) = -(2/3) Re<x, y> (`_exact.real_form`).  Short
 vectors are found by Fincke-Pohst enumeration on `_exact.definite_ldl`, in
 integers.  The roots are the vectors of norm 3 (-3 if negative definite); a
 triflection fixes the orthogonal complement of a root and multiplies the
-root by omega.  The order of the group they generate is certified by
-deterministic Schreier-Sims on the permutation action on the roots
-(`invariants.permutation_group_order`), without listing elements.
+root by omega.  A few triflections, whose root orbits cover every root
+line, generate the whole group (`generating_triflections`); its order is
+certified by deterministic Schreier-Sims on their permutation action on the
+roots (`invariants.permutation_group_order`), without listing elements.
 
 At load this module imports `_pure`, `_exact` and `eisenstein` (the unit
 constants): every call reaches it from an Eisenstein lattice, so
@@ -21,8 +22,8 @@ import math
 from operator import mul
 
 from . import _pure
-from ._exact import (UNITS, EisInt, definite_ldl, det, eis, eis_vector_from_z, mat_mul,
-                     nullspace, real_form, z_matrix)
+from ._exact import (EisInt, definite_ldl, det, eis, eis_vector_from_z, mat_mul, real_form,
+                     z_matrix)
 from .eisenstein import E_ONE, E_ZERO, OMEGA
 
 
@@ -110,12 +111,6 @@ def enumerate_roots(zl: ZLattice) -> list:
     return _fincke_pohst(definite_ldl(zl.gram)[1], 2)
 
 
-def eisenstein_roots(lat: EisLattice) -> list:
-    """Roots of a definite Eisenstein lattice (norm 3, or -3 when negative
-    definite), via the integral form."""
-    return [eis_vector_from_z(v) for v in enumerate_roots(z_form(lat))]
-
-
 # ---------------------------------------------------------------------------
 # triflections and Weyl groups
 # ---------------------------------------------------------------------------
@@ -144,55 +139,29 @@ def triflection(lat: EisLattice, root) -> tuple:
     return tuple(mat)
 
 
-def triflections(lat: EisLattice) -> list:
-    """All distinct triflections of a definite lattice, in the order of the
-    first root giving each (`eisenstein_roots`).
+def generating_triflections(lat: EisLattice) -> tuple:
+    """Triflections that generate the Weyl group of a definite lattice, and
+    each one's permutation of the roots (`enumerate_roots` order).
 
-    The six unit multiples of a root give the same triflection, so a root on
-    the line of one already used is skipped.  A triflection has order 3 and
-    preserves the form by construction; where its matrix is used, for an
-    abelian quotient, `invariants.abelian_quotient_betti` certifies that it
-    is unitary.
+    The roots are enumerated once and grouped into lines: the six unit
+    multiples of a root give the same triflection.  The lines are walked in
+    order.  A line that no kept triflection has reached gives the next one,
+    and a breadth-first search under the kept permutations extends the
+    reached roots.  For an isometry h, h t_r h^-1 = t_(h r), so once the
+    kept triflections' orbits cover every line, every triflection is
+    conjugate to a kept one inside the group they generate: they generate
+    the Weyl group.  The walk keeps 1, 2, 3 and 4 for E1 to E4, 3 for 3E1,
+    and 9 of 3E3's 36 and of E1+2E4's 81.
+
+    A triflection is Z[omega]-linear, so it maps u v to u t(v) for each of
+    the six units u: one dense image per root line, through its
+    `_exact.z_matrix`, gives the images of the line's six roots, read from a
+    table of unit multiples.  Each image must be a root.  A triflection has
+    order 3 and preserves the form by construction; where its matrix is
+    used, for an abelian quotient, `invariants.abelian_quotient_betti`
+    certifies that it is unitary.
     """
-    return _triflections(lat, eisenstein_roots(lat))
-
-
-def _triflections(lat, roots) -> list:
-    """`triflections` from the lattice's roots, as Eisenstein vectors."""
-    found = []
-    seen = set()
-    lines = set()
-    for r in roots:
-        if r in lines:
-            continue
-        lines.update(tuple(u * c for c in r) for u in UNITS)
-        mat = triflection(lat, r)
-        if mat not in seen:
-            seen.add(mat)
-            found.append(mat)
-    if not found:
-        raise ValueError("lattice has no roots")
-    return found
-
-
-def _root_action_order(zl, zroots, gens) -> int:
-    """Order of the group generated by isometries of a definite lattice,
-    from its integral form ``zl`` and the integer coordinates of its roots.
-
-    ``gens`` are square `EisInt` matrices.  Each one permutes the finitely
-    many roots, acting on their integer coordinates through its `_exact.z_matrix`,
-    and the order is that of this permutation group, from Schreier-Sims
-    (`invariants.permutation_group_order`).  A generator is Z[omega]-linear,
-    so it maps u v to u g(v) for each of the six units u: one dense image per
-    root line gives the images of its six roots, read from a table of unit
-    multiples.  Each image must be a root and each generator a bijection.
-    The action is faithful: an element fixing every root fixes their span,
-    and it fixes their orthogonal complement because every generator must
-    (as triflections do).  When the roots span the lattice, as for every
-    named lattice, the complement is zero and this check is vacuous.
-    """
-    from .invariants import permutation_group_order
-
+    zroots = enumerate_roots(z_form(lat))
     if not zroots:
         raise ValueError("lattice has no roots")
 
@@ -206,41 +175,44 @@ def _root_action_order(zl, zroots, gens) -> int:
             out.append(v)
         return out + [tuple(-x for x in u) for u in out]
 
-    # the roots' complement in the integral form is the hermitian one: a unit
-    # multiple u r of a root is a root, and Re<u r, x> = 0 for u = 1, omega
-    perp = [tuple(v) for v in nullspace([act(zl.gram, r) for r in zroots])]
-    zmats = [z_matrix(m) for m in gens]
-    if any(act(z, x) != x for z in zmats for x in perp):
-        raise AssertionError("a generator moves the orthogonal complement of the roots, "
-                             "so the action on the roots is not certified faithful")
     index = {v: i for i, v in enumerate(zroots)}
     multiples = [[index[u] for u in units(v)] for v in zroots]
     lines = [m for i, m in enumerate(multiples) if min(m) == i]
-    perms = []
-    for z in zmats:
-        perm = [None] * len(zroots)
-        for line in lines:
-            image = index.get(act(z, zroots[line[0]]))
+    mats, perms, reached = [], [], set()
+    for line in lines:
+        if line[0] in reached:  # the reached roots are orbits, unions of lines
+            continue
+        mats.append(triflection(lat, eis_vector_from_z(zroots[line[0]])))
+        z = z_matrix(mats[-1])
+        perm = [0] * len(zroots)
+        for other in lines:
+            image = index.get(act(z, zroots[other[0]]))
             if image is None:
-                break  # not a root: the line's entries stay None
-            for i, j in zip(line, multiples[image]):
+                raise AssertionError("a generator does not permute the roots")
+            for i, j in zip(other, multiples[image]):
                 perm[i] = j
-        if None in perm or len(set(perm)) != len(perm):
-            raise AssertionError("a generator does not permute the roots")
         perms.append(tuple(perm))
-    return permutation_group_order(perms)
+        frontier = [*line, *reached]  # the search visits what it appends
+        reached.update(line)
+        for x in frontier:
+            for p in perms:
+                if p[x] not in reached:
+                    reached.add(p[x])
+                    frontier.append(p[x])
+    return tuple(mats), perms
 
 
 def weyl_group(lat: EisLattice) -> FiniteMatrixGroup:
-    """Group generated by all triflections of a definite Eisenstein lattice.
+    """Group generated by all triflections of a definite Eisenstein lattice,
+    carried by the few that `generating_triflections` keeps.
 
-    Its order is certified by Schreier-Sims on the roots its triflections
-    come from (`_root_action_order`); its elements are not listed.
+    Its order is certified by Schreier-Sims on their permutations of the
+    roots (`invariants.permutation_group_order`); its elements are not
+    listed.  The action is faithful: an element fixing every root fixes
+    their span, and every triflection fixes the orthogonal complement of its
+    own root, so the group fixes the complement of the roots' span.
     """
-    from .invariants import FiniteMatrixGroup
+    from .invariants import FiniteMatrixGroup, permutation_group_order
 
-    zl = z_form(lat)
-    zroots = enumerate_roots(zl)
-    trifl = _triflections(lat, [eis_vector_from_z(v) for v in zroots])
-    return FiniteMatrixGroup("E", lat.rank, tuple(trifl),
-                             _root_action_order(zl, zroots, trifl), lat.gram)
+    mats, perms = generating_triflections(lat)
+    return FiniteMatrixGroup("E", lat.rank, mats, permutation_group_order(perms), lat.gram)

@@ -252,7 +252,8 @@ def test_criterion_11_property_suites(cubic3fold_report, capsys):
 
     # triflections have order 3 and preserve the form
     from stratify._exact import identity, mat_mul
-    from stratify.weyl import eisenstein_roots, triflection
+    from lattice_reference import eisenstein_roots
+    from stratify.weyl import triflection
     ident = identity(3)
     for r in eisenstein_roots(E3)[:12]:
         t = triflection(E3, r)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_reference import isometry_group_order, z_pair
+from lattice_reference import (eisenstein_roots, isometry_group_order, root_permutations,
+                               triflections, z_pair)
 from stratify._exact import (UNITS, adjugate, definite_ldl, det, eis_matrix, eis_vector_from_z,
                              identity, mat_mul, real_form, z_matrix)
 from stratify.discriminant import (
@@ -34,14 +35,13 @@ from stratify.eisenstein import (
     named_lattice,
 )
 from stratify.invariants import (MAX_QUOTIENT_RANK, FiniteMatrixGroup, abelian_quotient_betti,
-                                 close_group, molien)
+                                 close_group, molien, permutation_group_order)
 from stratify.weyl import (
     ZLattice,
-    eisenstein_roots,
     enumerate_roots,
     enumerate_vectors,
+    generating_triflections,
     triflection,
-    triflections,
     weyl_group,
     z_form,
 )
@@ -239,13 +239,15 @@ class TestWeylGroups:
         monkeypatch.setattr(invariants, "_elements", refuse)
         assert weyl_group(E3).order == 648
         w4 = weyl_group(E4)
-        assert w4.order == 155520 and len(w4.gens) == 40
+        assert w4.order == 155520 and len(w4.gens) == 4
 
     def test_roots_short_of_spanning(self):
         # the roots of diag(3, 6) span only the first line; a triflection
         # fixes its orthogonal complement, so the action is still faithful
         lat = eis_lattice([[3, 0], [0, 6]])
-        assert weyl_group(lat).order == 3
+        w = weyl_group(lat)
+        assert w.order == 3 and len(w.gens) == 1
+        # an isometry need not: the reference engine checks the complement
         sign = eis_matrix([[1, 0], [0, -1]])  # fixes every root
         with pytest.raises(AssertionError, match="not certified faithful"):
             isometry_group_order(lat, [sign])
@@ -484,7 +486,7 @@ TRIFLECTIONS = {lat: triflections(lat) for lat in Z_ROOTS}
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([E1, E2, E3]), st.data())
 def test_z_matrix_acts_as_the_eisenstein_product(lat, data):
-    # the integer action `_root_action_order` permutes the roots by
+    # the integer action `generating_triflections` permutes the roots by
     word = data.draw(st.lists(st.sampled_from(TRIFLECTIONS[lat]), min_size=1, max_size=4))
     zroot = data.draw(st.sampled_from(Z_ROOTS[lat]))
     mat = word[0]
@@ -493,3 +495,55 @@ def test_z_matrix_acts_as_the_eisenstein_product(lat, data):
     column = mat_mul(mat, [[x] for x in eis_vector_from_z(zroot)])
     expected = tuple(c for (e,) in column for c in (e.a, e.b))
     assert tuple(sum(map(mul, row, zroot)) for row in z_matrix(mat)) == expected
+
+
+# --- a few triflections whose root orbits cover every line generate W --------
+
+WEYL_ORDERS = {"E1": (1, 3), "E2": (2, 24), "E3": (3, 648), "E4": (4, 155520),
+               "3E1": (3, 27), "3E3": (9, 648**3), "E1+2E4": (9, 3 * 155520**2)}
+
+
+def negation(lat):
+    return EisLattice(lat.rank, tuple(tuple(-e for e in row) for row in lat.gram))
+
+
+@pytest.mark.parametrize("name", WEYL_ORDERS)
+def test_generating_triflections_are_certified(name):
+    count, order = WEYL_ORDERS[name]
+    lat = named_lattice(name)
+    for x in (lat, negation(lat)):
+        mats, perms = generating_triflections(x)
+        everyone = triflections(x)
+        assert len(mats) == count and all(m in everyone for m in mats)
+        assert perms == root_permutations(x, mats)
+        assert permutation_group_order(perms) == isometry_group_order(x, everyone) == order
+        assert weyl_group(x).gens == mats
+
+
+@pytest.mark.parametrize("name, smaller", [("E2", 3), ("E3", 24), ("E4", 648),
+                                           ("3E3", 10_077_696)])
+def test_each_generating_triflection_is_needed(name, smaller):
+    # the kept set is minimal: without any one, its orbits miss a root line
+    _, perms = generating_triflections(named_lattice(name))
+    for i in range(len(perms)):
+        assert permutation_group_order(perms[:i] + perms[i + 1:]) == smaller
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "3E1"])
+def test_generating_triflections_give_the_all_triflection_quotient(name):
+    lat = named_lattice(name)
+    for x in (lat, negation(lat)):
+        assert (abelian_quotient_betti(generating_triflections(x)[0], x.rank, x.gram)
+                == abelian_quotient_betti(triflections(x), x.rank, x.gram))
+
+
+@pytest.mark.parametrize("name, count", [("E3", 1), ("E3", 2), ("E3", 3), ("E4", 2)])
+def test_weyl_boundary_matches_the_all_triflection_boundary(name, count):
+    lat = named_lattice(name)
+    everyone = {"generators": [[[[e.a, e.b] for e in row] for row in m]
+                               for m in triflections(lat)]}
+    t = boundary_betti({"factors": [{"lattice": name, "group": "weyl", "count": count}]})
+    assert t == boundary_betti({"factors": [{"lattice": name, "group": everyone,
+                                             "count": count}]})
+    if name == "E4":
+        assert t.even() == [1, 1, 2, 2, 3, 2, 2, 1, 1] and not any(t.odd())

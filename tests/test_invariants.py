@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_reference import isometry_group_order, root_permutations
+from lattice_reference import isometry_group_order, root_permutations, triflections
 from stratify._pure import ResourceCapError
 from stratify._exact import UNITS, EisInt, eis_matrix, identity, mat_mul
 from stratify.eisenstein import (
@@ -35,7 +35,7 @@ from stratify.invariants import (
     wreath_symmetrize,
 )
 from stratify.series import BettiTable, TruncatedSeries, gf_expand, inverse
-from stratify.weyl import triflections, weyl_group
+from stratify.weyl import weyl_group
 
 DIHEDRAL_GENS = [[[0, 1], [1, 0]], [[-1, 1], [-1, 0]]]
 PERM3_GENS = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 1, 0], [-1, 0, 0], [3, 0, 1]]]
@@ -455,20 +455,32 @@ def test_group_invariants_do_not_depend_on_the_basis(case):
     assert_same_group(lat, gens, *change_basis(lat, gens, p, p_inv))
 
 
+# elementary column operations that take E4 to a basis with another Gram matrix
+E4_OPS = [("add", 0, 1, EisInt(1, 1)), ("add", 2, 3, EisInt(-2, 1)), ("scale", 1, UNITS[2]),
+          ("add", 3, 0, EisInt(0, 2)), ("add", 1, 2, EisInt(2, -1)), ("add", 0, 3, EisInt(1, 0))]
+
+
 def test_conjugated_e4_triflections():
     # the closure of E4's 155,520 elements is left out: it takes minutes
-    ops = [("add", 0, 1, EisInt(1, 1)), ("add", 2, 3, EisInt(-2, 1)), ("scale", 1, UNITS[2]),
-           ("add", 3, 0, EisInt(0, 2)), ("add", 1, 2, EisInt(2, -1)), ("add", 0, 3, EisInt(1, 0))]
-    p, p_inv = elementary_change(4, ops)
+    p, p_inv = elementary_change(4, E4_OPS)
     gens = triflections(E4)
     new_lat, new_gens = change_basis(E4, gens, p, p_inv)
     assert new_lat.gram != E4.gram
     assert_same_group(E4, gens, new_lat, new_gens, closure=False)
 
 
+def test_weyl_group_of_conjugated_e4():
+    # the cover walk picks its generators in the new basis's own root order
+    new_lat, _ = change_basis(E4, [], *elementary_change(4, E4_OPS))
+    w, w4 = weyl_group(new_lat), weyl_group(E4)
+    assert w.order == 155520 and len(w.gens) == 4
+    assert abelian_quotient_betti(w.gens, 4, w.form) == abelian_quotient_betti(w4.gens, 4, w4.form)
+
+
 def line_image_permutations(monkeypatch, lat, gens):
-    """The permutations of the roots that `weyl._root_action_order` hands to
-    the engine for ``gens``, and the order it certifies."""
+    """The permutations of the roots that the reference engine
+    (`lattice_reference.root_action_order`) hands to Schreier-Sims for
+    ``gens``, and the order it certifies."""
     perms = []
     monkeypatch.setattr(invariants, "permutation_group_order",
                         lambda p: perms.extend(p) or permutation_group_order(p))
@@ -480,7 +492,7 @@ def line_image_permutations(monkeypatch, lat, gens):
     ("E1+2E4", 3 * 155520**2)])
 def test_root_line_images_match_the_per_root_images(monkeypatch, name, order):
     # one dense image per root line, five read off the unit multiples; the
-    # triflections' order is the one `weyl_group` certifies on this path
+    # order of all triflections is the one `weyl_group` certifies on its few
     lat = NAMED_LATTICES[name]
     neg = EisLattice(lat.rank, tuple(tuple(-e for e in row) for row in lat.gram))
     for x in (lat, neg):
@@ -490,9 +502,7 @@ def test_root_line_images_match_the_per_root_images(monkeypatch, name, order):
 
 
 def test_root_line_images_of_conjugated_e4_triflections(monkeypatch):
-    ops = [("add", 0, 1, EisInt(1, 1)), ("add", 2, 3, EisInt(-2, 1)), ("scale", 1, UNITS[2]),
-           ("add", 3, 0, EisInt(0, 2)), ("add", 1, 2, EisInt(2, -1)), ("add", 0, 3, EisInt(1, 0))]
-    new_lat, new_gens = change_basis(E4, triflections(E4), *elementary_change(4, ops))
+    new_lat, new_gens = change_basis(E4, triflections(E4), *elementary_change(4, E4_OPS))
     perms, order = line_image_permutations(monkeypatch, new_lat, new_gens)
     assert order == 155520 and perms == root_permutations(new_lat, new_gens)
 

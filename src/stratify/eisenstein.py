@@ -15,9 +15,10 @@ whose cusp check reads the norm of a Z[omega] ideal off a Smith form: no
 gcd in Z[omega] is needed.
 
 At load this module imports only `_pure` and `_exact`.  `boundary_betti`
-imports `invariants` (quotients) and `series` (Betti tables) when it runs,
-and `weyl` only for a factor acted on by its triflection group, which it
+imports `invariants` (quotients and symmetric powers) when it runs, and
+`weyl` only for a factor acted on by its triflection group, which it
 quotients by the few triflections that `weyl.generating_triflections` keeps.
+A factor given as an earlier step's table is not quotiented again.
 """
 
 from __future__ import annotations
@@ -124,12 +125,14 @@ def named_lattice(name: str) -> EisLattice:
 def boundary_betti(spec: dict) -> BettiTable:
     """Betti table of a toroidal boundary divisor from its factor description.
 
-    ``spec`` lists factors, each a lattice acted on by its triflection group
-    or by an explicitly generated isometry group, repeated ``count`` times and
-    symmetrized; factors and declared projective lines multiply together.
-    Each factor's quotient comes from the generators alone, never a closure;
-    a Weyl group's are the few triflections whose root orbits cover every
-    root line (`weyl.generating_triflections`).
+    ``spec`` is as `StepArgs.boundary_spec` reads it: a nonempty list of
+    factors, each repeated ``count`` times and symmetrized, multiplied
+    together.  A factor is either ``table``, a quotient an earlier step
+    computed, or the quotient of ``lattice`` by ``group``: its triflection
+    group ("weyl") or a list of generating isometries.  Each quotient comes
+    from the generators alone, never a closure; a Weyl group's are the few
+    triflections whose root orbits cover every root line
+    (`weyl.generating_triflections`).
     Declared extra symmetries that act trivially are recorded by the caller
     and do not change the table.
     """
@@ -139,35 +142,30 @@ def boundary_betti(spec: dict) -> BettiTable:
         check_wreath_count,
         wreath_symmetrize,
     )
-    from .series import BettiTable
 
     # the product's complex dimension, held to the cap before any factor runs
-    dim = spec.get("extra_projective_lines", 0)
-    lattices = []
+    dim = 0
     for factor in spec["factors"]:
-        lat = factor["lattice"]
-        lattices.append(named_lattice(lat) if isinstance(lat, str) else lat)
-        check_quotient_rank(lattices[-1].rank)
-        check_wreath_count(factor.get("count", 1))
-        dim += lattices[-1].rank * factor.get("count", 1)
+        if "table" in factor:
+            rank = factor["table"].complex_dim
+        else:
+            rank = factor["lattice"].rank
+            check_quotient_rank(rank)
+        check_wreath_count(factor["count"])
+        dim += rank * factor["count"]
     _pure.check_order(2 * dim, "twice the product's dimension")
     table = None
-    for factor, lat in zip(spec["factors"], lattices):
-        group_spec = factor.get("group", "weyl")
-        if group_spec == "weyl":
-            from .weyl import generating_triflections
-
-            gens = generating_triflections(lat)[0]
+    for factor in spec["factors"]:
+        if "table" in factor:
+            part = factor["table"]
         else:
-            gens = group_spec["generators"]
-        part = abelian_quotient_betti(gens, lat.rank, form=lat.gram)
-        count = factor.get("count", 1)
-        if count > 1:
-            part = wreath_symmetrize(part, count)
+            lat, gens = factor["lattice"], factor["group"]
+            if gens == "weyl":
+                from .weyl import generating_triflections
+
+                gens = generating_triflections(lat)[0]
+            part = abelian_quotient_betti(gens, lat.rank, form=lat.gram)
+        if factor["count"] > 1:
+            part = wreath_symmetrize(part, factor["count"])
         table = part if table is None else table.kunneth(part)
-    for _ in range(spec.get("extra_projective_lines", 0)):
-        p1 = BettiTable.of_projective_space(1)
-        table = p1 if table is None else table.kunneth(p1)
-    if table is None:
-        raise ValueError("boundary spec needs at least one factor")
     return table

@@ -493,7 +493,9 @@ def wreath_symmetrize(p, n: int):
     """Symmetric-power invariants via the cycle index of the symmetric group.
 
     Input must have vanishing odd part (so no sign issues arise); accepts a
-    TruncatedSeries or a BettiTable and returns the same kind.
+    TruncatedSeries or a BettiTable and returns the same kind.  A table of
+    complex dimension d gives one of dimension d n, whose series order 2 d n
+    is held to the truncation-order cap before the series is built.
     """
     from .series import BettiTable, TruncatedSeries
 
@@ -501,7 +503,8 @@ def wreath_symmetrize(p, n: int):
         raise ValueError("n must be positive")
     check_wreath_count(n)
     if isinstance(p, BettiTable):
-        series = p.poincare_series(2 * p.complex_dim * n)
+        series = p.poincare_series(
+            _pure.check_order(2 * p.complex_dim * n, "twice the symmetrized dimension"))
         out = wreath_symmetrize(series, n)
         return BettiTable.from_list(out.integer_coeffs(), p.complex_dim * n)
     if any(p.coeffs[i] != 0 for i in range(1, p.order + 1, 2)):

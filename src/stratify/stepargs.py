@@ -410,23 +410,26 @@ class StepArgs(dict):
 
     def boundary_spec(self, key) -> dict:
         """Argument ``key``: the spec of `eisenstein.boundary_betti`, every
-        field checked by the readers `lattice`, `generators` and `integer`."""
-        spec = self.nested(key, ("factors", "extra_projective_lines"))
+        field checked by the readers `lattice`, `generators`, `instance` and
+        `integer`, and every default filled in here.  A factor's ``table``, an
+        earlier step's Betti table (a CLI call names no step), stands in place
+        of its ``lattice`` and ``group``."""
+        spec = self.nested(key, ("factors",))
         entries = spec.each("factors")
         if not entries:
             spec.reject("factors", "a nonempty list of factors", spec["factors"])
         factors = []
         for items, name in entries:
-            factor = items.nested(name, ("lattice", "group", "count"))
-            lattice = factor.lattice("lattice")
-            group = factor.get("group", "weyl")
-            if group != "weyl":  # generators sized to the lattice's rank
-                group = {"generators": factor.nested("group", ("generators",)).generators(
-                    "generators", "E", lattice.rank)}
-            factors.append({"lattice": lattice, "group": group,
-                            "count": factor.integer("count", 1, minimum=1)})
-        return {"factors": factors,
-                "extra_projective_lines": spec.integer("extra_projective_lines", 0, minimum=0)}
+            factor = items.nested(name, ("lattice", "group", "table", "count"))
+            if "table" in factor:  # a quotient an earlier step computed
+                part = {"table": factor.only(("table", "count")).instance("table", "BettiTable")}
+            else:
+                part = {"lattice": factor.lattice("lattice"), "group": factor.get("group", "weyl")}
+                if part["group"] != "weyl":  # generators sized to the lattice's rank
+                    part["group"] = factor.nested("group", ("generators",)).generators(
+                        "generators", "E", part["lattice"].rank)
+            factors.append({**part, "count": factor.integer("count", 1, minimum=1)})
+        return {"factors": factors}
 
 
 def _instance(value, layer, cls) -> bool:

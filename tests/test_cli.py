@@ -359,6 +359,11 @@ class TestOtherCommands:
          "spec.factors[0] has no field 'cuont'"),
         (("molien", "--gens", '{"generators": [[[0,1],[1,0]]], "rng": "E"}'),
          "has no field 'rng'"),
+        (("boundary", '{"factors":[{"lattice":"E1"}],"extra_projective_lines":1}'),
+         "spec has no field 'extra_projective_lines'"),
+        # a table factor is an earlier step's table: a call names no step
+        (("boundary", '{"factors":[{"table":{"complex_dim":1,"even":[1,1]}}]}'),
+         "spec.factors[0]: argument 'table' must be a Betti table"),
     ])
     def test_unknown_nested_field_is_parse_error(self, argv, field):
         code, _, err = run_cli(*argv)
@@ -366,17 +371,39 @@ class TestOtherCommands:
         err = json.loads(err)
         assert err["error"] == "parse" and field in err["message"]
 
-    def test_high_rank_boundary_hits_the_cap(self):
+    def test_high_rank_boundary_hits_the_cap(self, tmp_path):
         # a factor of rank 9, then products whose twice complex dimension is
-        # above the truncation-order cap, refused before any quotient
+        # above the truncation-order cap, refused before any quotient: 600
+        # E1 factors, and a P^300 table factor squared
+        doc = tmp_path / "boundary.json"
+        doc.write_text(json.dumps({"name": "boundary", "steps": [
+            {"id": "p", "op": "projective_table", "args": {"dim": 300}},
+            {"id": "b", "op": "boundary_betti",
+             "args": {"spec": {"factors": [{"table": "$p", "count": 2}]}}}]}))
         specs = [{"factors": [{"lattice": "3E3"}]}, {"factors": [{"lattice": "E1+2E4"}]},
-                 {"factors": [{"lattice": "E1"}] * 600},
-                 {"factors": [{"lattice": "E1"}], "extra_projective_lines": 100000}]
-        for spec in specs:
+                 {"factors": [{"lattice": "E1"}] * 600}]
+        for argv in [("boundary", json.dumps(spec)) for spec in specs] + [
+                ("scenario", "run", str(doc))]:
             t0 = time.perf_counter()
-            code, _, err = run_cli("boundary", json.dumps(spec))
+            code, _, err = run_cli(*argv)
             assert time.perf_counter() - t0 < 1
             assert code == 4 and json.loads(err)["error"] == "resource-cap"
+
+    @pytest.mark.parametrize("dim, n", [(300, 2), (500, 6), (500, 12), (3, 12)])
+    def test_wreath_of_a_table_is_held_to_the_order_cap(self, tmp_path, dim, n):
+        # the symmetric power of a table of dimension dim has dimension
+        # dim * n, held to the cap as betti_product holds its product
+        doc = tmp_path / "wreath.json"
+        doc.write_text(json.dumps({"name": "wreath", "steps": [
+            {"id": "p", "op": "projective_table", "args": {"dim": dim}},
+            {"id": "w", "op": "wreath_symmetrize", "args": {"value": "$p", "n": n}}]}))
+        t0 = time.perf_counter()
+        code, out, err = run_cli("scenario", "run", str(doc), "--format", "json")
+        if 2 * dim * n <= 1000:
+            assert code == 0 and json.loads(out)["steps"][1]["value"]["complex_dim"] == dim * n
+        else:
+            assert time.perf_counter() - t0 < 1
+            assert code == 4 and out == "" and json.loads(err)["error"] == "resource-cap"
 
     def test_huge_table_dimension_exits_at_once(self, tmp_path):
         # a table of complex dimension n has a Poincare series of order 2n,

@@ -36,6 +36,8 @@ from stratify.eisenstein import (
 )
 from stratify.invariants import (MAX_QUOTIENT_RANK, FiniteMatrixGroup, abelian_quotient_betti,
                                  close_group, molien, permutation_group_order)
+from stratify.runner import load_scenario
+from stratify.stepargs import StepArgs
 from stratify.weyl import (
     ZLattice,
     enumerate_roots,
@@ -46,12 +48,18 @@ from stratify.weyl import (
     z_form,
 )
 
+
+def read_spec(spec):
+    """``spec`` as a `boundary_betti` step or the `boundary` command reads it."""
+    return StepArgs("test", {"spec": spec}).boundary_spec("spec")
+
+
 O3E1_GENS = {
     "generators": [
-        [[(0, 1), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]],
-        [[(-1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]],
-        [[(0, 0), (1, 0), (0, 0)], [(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]],
-        [[(0, 0), (0, 0), (1, 0)], [(1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)]],
+        [[[0, 1], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]],
+        [[[-1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]],
+        [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]],
+        [[[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
     ]
 }
 
@@ -260,7 +268,7 @@ class TestWeylGroups:
         assert triflections(neg) == triflections(lat)
         assert weyl_group(neg).order == weyl_group(lat).order
         if lat.rank <= MAX_QUOTIENT_RANK:  # 3E3's boundary is over the rank cap
-            tables = [boundary_betti({"factors": [{"lattice": x, "group": "weyl"}]})
+            tables = [boundary_betti(read_spec({"factors": [{"lattice": x, "group": "weyl"}]}))
                       for x in (lat, neg)]
             assert tables[0] == tables[1]
 
@@ -456,27 +464,65 @@ def test_ideal_norm_is_the_index_of_the_span(elements):
 
 class TestBoundary:
     def test_wreath_pair_with_line_factor(self):
-        t = boundary_betti({"factors": [
+        t = boundary_betti(read_spec({"factors": [
             {"lattice": "E1", "group": O3E1_GENS_RANK1, "count": 1},
-            {"lattice": "E4", "group": "weyl", "count": 2}]})
+            {"lattice": "E4", "group": "weyl", "count": 2}]}))
         assert t.even() == [1, 2, 3, 4, 5, 5, 4, 3, 2, 1]
         assert all(b == 0 for b in t.odd())
 
     def test_wreath_triple(self):
-        t = boundary_betti({"factors": [{"lattice": "E3", "group": "weyl", "count": 3}]})
+        t = boundary_betti(read_spec({"factors": [
+            {"lattice": "E3", "group": "weyl", "count": 3}]}))
         assert t.even() == [1, 1, 2, 3, 3, 3, 3, 2, 1, 1]
 
     def test_full_isometry_enumeration(self):
-        t = boundary_betti({"factors": [
-            {"lattice": "3E1", "group": O3E1_GENS, "count": 1}]})
+        t = boundary_betti(read_spec({"factors": [
+            {"lattice": "3E1", "group": O3E1_GENS, "count": 1}]}))
         assert t.even() == [1, 1, 1, 1] and t.odd() == [0, 0, 0]
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
-            boundary_betti({"factors": []})
+            boundary_betti(read_spec({"factors": []}))
 
 
-O3E1_GENS_RANK1 = {"generators": [[[(0, 1)]], [[(-1, 0)]]]}
+O3E1_GENS_RANK1 = {"generators": [[[[0, 1]]], [[[-1, 0]]]]}
+
+
+def quotient_table(factor):
+    """The quotient of one copy of a lattice-and-group factor, as the
+    `weyl_group` and `abelian_quotient_betti` steps compute it."""
+    (read,) = read_spec({"factors": [{**factor, "count": 1}]})["factors"]
+    lat, gens = read["lattice"], read["group"]
+    return abelian_quotient_betti(weyl_group(lat).gens if gens == "weyl" else gens,
+                                  lat.rank, lat.gram)
+
+
+def scenario_boundary_factors():
+    """Each boundary factor of cubic3fold and cubicsurf, a table factor
+    written as the lattice and Weyl group that its quotient step reads."""
+    cases = []
+    for name in ("cubic3fold", "cubicsurf"):
+        steps = {step["id"]: step for step in load_scenario(name)["steps"]}
+        for step in (s for s in steps.values() if s["op"] == "boundary_betti"):
+            for factor in step["args"]["spec"]["factors"]:
+                if "table" in factor:
+                    quot = steps[factor["table"][1:]]
+                    group = steps[quot["args"]["group"][1:]]
+                    lattice = steps[group["args"]["lattice"][1:]]
+                    assert [s["op"] for s in (quot, group, lattice)] == [
+                        "abelian_quotient_betti", "weyl_group", "named_lattice"]
+                    factor = {"lattice": lattice["args"]["name"], "count": factor["count"]}
+                cases.append(pytest.param(factor, id=f"{name}-{step['id']}-{factor['lattice']}"))
+    return cases
+
+
+@pytest.mark.parametrize("factor", [
+    pytest.param({"lattice": f"E{k}", "count": count}, id=f"E{k}-count{count}")
+    for k in range(1, 5) for count in range(1, 4)] + scenario_boundary_factors())
+def test_table_factor_is_the_lattice_factor(factor):
+    by_table = {"table": quotient_table(factor), "count": factor["count"]}
+    assert (boundary_betti(read_spec({"factors": [by_table]}))
+            == boundary_betti(read_spec({"factors": [factor]})))
 
 
 Z_ROOTS = {lat: enumerate_roots(z_form(lat)) for lat in (E1, E2, E3)}
@@ -542,8 +588,9 @@ def test_weyl_boundary_matches_the_all_triflection_boundary(name, count):
     lat = named_lattice(name)
     everyone = {"generators": [[[[e.a, e.b] for e in row] for row in m]
                                for m in triflections(lat)]}
-    t = boundary_betti({"factors": [{"lattice": name, "group": "weyl", "count": count}]})
-    assert t == boundary_betti({"factors": [{"lattice": name, "group": everyone,
-                                             "count": count}]})
+    t = boundary_betti(read_spec({"factors": [
+        {"lattice": name, "group": "weyl", "count": count}]}))
+    assert t == boundary_betti(read_spec({"factors": [{"lattice": name, "group": everyone,
+                                                       "count": count}]}))
     if name == "E4":
         assert t.even() == [1, 1, 2, 2, 3, 2, 2, 1, 1] and not any(t.odd())

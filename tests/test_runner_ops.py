@@ -246,6 +246,7 @@ def test_declare_kinds():
 
 
 OMEGA_GROUP = {"id": "g", "op": "close_group", "args": {"ring": "E", "generators": [[[[0, 1]]]]}}
+P1_TABLE = {"id": "t", "op": "projective_table", "args": {"dim": 1}}
 
 
 @pytest.mark.parametrize("step, message", [
@@ -457,6 +458,22 @@ OMEGA_GROUP = {"id": "g", "op": "close_group", "args": {"ring": "E", "generators
         {"lattice": "E3", "group": {"generators": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]]]}}]}}},
      r"spec.factors\[0\].group: argument 'generators\[1\]' must be a 3 x 3 matrix, "
      r"got \[\[1\]\]"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [{"lattice": "E1"}],
+                                                "extra_projective_lines": 1}}},
+     r"spec has no field 'extra_projective_lines'"),
+    # a table factor stands in place of a lattice and its group
+    ([P1_TABLE, {"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"table": "$t", "lattice": "E1"}]}}}],
+     r"spec.factors\[0\] has no field 'lattice'"),
+    ([P1_TABLE, {"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"table": "$t", "group": "weyl"}]}}}],
+     r"spec.factors\[0\] has no field 'group'"),
+    ([{"id": "t", "op": "projective_series", "args": {"dim": 1}},
+      {"op": "boundary_betti", "args": {"spec": {"factors": [{"table": "$t"}]}}}],
+     r"spec.factors\[0\]: argument 'table' must be a Betti table, got"),
+    ({"op": "boundary_betti", "args": {"spec": {"factors": [
+        {"table": {"complex_dim": 1, "even": [1, 1]}}]}}},
+     r"spec.factors\[0\]: argument 'table' must be a Betti table, got"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     *before, step = step if isinstance(step, list) else [step]
@@ -523,13 +540,45 @@ def test_wreath_count_cap():
 def test_boundary_spec_fields_pass_through():
     rep = run_steps([
         {"id": "lat", "op": "named_lattice", "args": {"name": "E1"}},
+        P1_TABLE,
         {"id": "b", "op": "boundary_betti", "args": {"spec": {
             "factors": [{"lattice": "$lat", "group": {"generators": [[[[0, 1]]], [[-1]]]},
-                         "count": 2}],
-            "extra_projective_lines": 1}},
+                         "count": 2}, {"table": "$t"}]}},
          "expect": {"kind": "betti_table", "complex_dim": 3,
                     "even": [1, 2, 2, 1], "odd": [0, 0, 0]}}])
     assert value_of(rep, "b")["complex_dim"] == 3
+
+
+def test_table_factor_over_the_cap_runs_no_wreath(monkeypatch):
+    # the product's dimension, 2 x 300, is held to the cap before any factor runs
+    from stratify import invariants
+    from stratify.strata import ResourceCapError
+
+    def never(*args):
+        raise AssertionError("a wreath ran")
+
+    monkeypatch.setattr(invariants, "wreath_symmetrize", never)
+    with pytest.raises(ResourceCapError, match="truncation order 1200 exceeds the cap 1000"):
+        run_steps([{"id": "p", "op": "projective_table", "args": {"dim": 300}},
+                   {"id": "b", "op": "boundary_betti",
+                    "args": {"spec": {"factors": [{"table": "$p", "count": 2}]}}}])
+
+
+def test_cubic3fold_computes_each_weyl_quotient_once(monkeypatch):
+    # the boundary steps read the quotients quot_e3 and quot_e4 as tables:
+    # three quotients (E3, E4 and the rank-1 factor) and two Weyl groups
+    from stratify import invariants, weyl
+
+    calls = collections.Counter()
+    for module, name in ((invariants, "abelian_quotient_betti"),
+                         (weyl, "generating_triflections")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(module, name, counted)
+    run_scenario("cubic3fold")
+    assert calls == {"abelian_quotient_betti": 3, "generating_triflections": 2}
 
 
 @pytest.mark.parametrize("step, rank", [

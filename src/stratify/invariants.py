@@ -4,7 +4,7 @@ Provides the group of generators with its certified order, with one
 certificate (a trace bound) that each generator and the group are finite,
 Molien series of invariant rings, invariant cohomology of abelian-variety
 quotients as joint fixed spaces of generators on exterior powers, and
-cycle-index symmetrization of even graded Poincare series.  One engine,
+symmetric powers of graded Poincare series by the cycle index.  One engine,
 Schreier-Sims (`_stabilizer_chain`), gives every order: on column vectors
 for `close_group` and `molien`, which walks the elements off the chain, and
 on the roots of a lattice for `stratify.weyl`.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import itemgetter
 
 from . import _pure
@@ -459,25 +459,9 @@ def abelian_quotient_betti(gens, k: int, form) -> BettiTable:
     return table
 
 
-def _partitions(n: int):
-    """Partitions of n as multiplicity dicts {part: count}."""
-
-    def rec(n, maxpart):
-        if n == 0:
-            yield {}
-            return
-        for p in range(min(n, maxpart), 0, -1):
-            for rest in rec(n - p, p):
-                d = dict(rest)
-                d[p] = d.get(p, 0) + 1
-                yield d
-
-    yield from rec(n, n)
-
-
-# Cap on the number of symmetrized copies: the cycle index sums over the
-# partitions of n (p(12) = 77 terms, p(100) about 1.9e8), each a product of
-# series of order 2 * dim * n.  The pinned boundaries use at most 3.
+# Cap on the number of symmetrized copies: the cycle-index recurrence takes
+# n (n + 1) / 2 series products, each of order 2 * dim * n for a table.
+# The pinned boundaries use at most 3.
 MAX_WREATH_COUNT = 12
 
 
@@ -490,12 +474,18 @@ def check_wreath_count(n: int) -> None:
 
 
 def wreath_symmetrize(p, n: int):
-    """Symmetric-power invariants via the cycle index of the symmetric group.
+    """The n-th symmetric power of a graded space by the cycle index of S_n.
 
-    Input must have vanishing odd part (so no sign issues arise); accepts a
-    TruncatedSeries or a BettiTable and returns the same kind.  A table of
-    complex dimension d gives one of dimension d n, whose series order 2 d n
-    is held to the truncation-order cap before the series is built.
+    With the signed power sums p_k, P(t^k) with its odd-degree terms
+    negated for even k (a k-cycle permutes k copies of an odd class with
+    sign (-1)^(k-1)), the recurrence h_0 = 1, m h_m = sum_{k=1..m} p_k h_(m-k)
+    gives h_n in n (n + 1) / 2 series products: Macdonald's formula for the
+    Poincare polynomial of a symmetric product, and on even input the
+    partition sum of the cycle index.  Accepts a TruncatedSeries or a
+    BettiTable and returns the same kind.  A table of complex dimension d
+    gives one of dimension d n, whose series order 2 d n is held to the
+    truncation-order cap before the series is built; its coefficients are
+    certified integral.
     """
     from .series import BettiTable, TruncatedSeries
 
@@ -507,19 +497,12 @@ def wreath_symmetrize(p, n: int):
             _pure.check_order(2 * p.complex_dim * n, "twice the symmetrized dimension"))
         out = wreath_symmetrize(series, n)
         return BettiTable.from_list(out.integer_coeffs(), p.complex_dim * n)
-    if any(p.coeffs[i] != 0 for i in range(1, p.order + 1, 2)):
-        raise ValueError("odd coefficients present; signed symmetrization not supported")
-    order = p.order
-    total = TruncatedSeries.zero(order)
-    for part in _partitions(n):
-        weight = factorial(n)
-        for c, m in part.items():
-            weight //= (c**m) * factorial(m)
-        term = TruncatedSeries.one(order)
-        for c, m in part.items():
-            pc = p.substitute_power(c)
-            for _ in range(m):
-                term = term * pc
-        total = total + term.scale(Fraction(weight, factorial(n)))
-    return total
+    signed = TruncatedSeries(tuple(-c if i % 2 else c for i, c in enumerate(p.coeffs)), p.order)
+    sums = [(signed if k % 2 == 0 else p).substitute_power(k) for k in range(1, n + 1)]
+    h = [TruncatedSeries.one(p.order)]
+    for m in range(1, n + 1):
+        total = sum((sums[k - 1] * h[m - k] for k in range(1, m + 1)),
+                    TruncatedSeries.zero(p.order))
+        h.append(total.scale(Fraction(1, m)))
+    return h[n]
 

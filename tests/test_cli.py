@@ -340,12 +340,11 @@ class TestOtherCommands:
             "boundary", '{"factors":[{"lattice":"E1","group":{"generators":[[[1]]]}}]}')
         assert code == 0 and out == "even Betti [1, 1], odd [2]\n"
 
-    def test_boundary_symmetrizing_odd_cohomology_is_refused(self):
-        code, _, err = run_cli(
+    def test_boundary_symmetrizes_odd_cohomology(self):
+        # Sym^2 of an elliptic curve, a P^1-bundle over it: Betti 1, 2, 2, 2, 1
+        code, out, _ = run_cli(
             "boundary", '{"factors":[{"lattice":"E1","group":{"generators":[[[1]]]},"count":2}]}')
-        assert code == 2
-        err = json.loads(err)
-        assert err["error"] == "check" and "odd coefficients" in err["message"]
+        assert code == 0 and out == "even Betti [1, 2, 1], odd [2, 2]\n"
 
     def test_boundary_bad_spec_is_parse_error(self):
         code, _, err = run_cli("boundary", '{"factors":[{"group":"weyl","count":2}]}')

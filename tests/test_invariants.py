@@ -1,7 +1,7 @@
 import re
 import time
 from fractions import Fraction
-from math import prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -542,6 +542,54 @@ def test_permutation_group_order_of_known_groups():
     assert permutation_group_order([tuple(range(5))]) == 1
 
 
+def _partitions(n):
+    """Partitions of n as multiplicity dicts {part: count}."""
+
+    def rec(n, maxpart):
+        if n == 0:
+            yield {}
+            return
+        for p in range(min(n, maxpart), 0, -1):
+            for rest in rec(n - p, p):
+                yield {**rest, p: rest.get(p, 0) + 1}
+
+    yield from rec(n, n)
+
+
+def wreath_by_partitions(p, n):
+    """Sym^n of an even series as the cycle index of S_n summed over the
+    partitions of n, each weighted by its class size n! / prod c^m m!."""
+    total = TruncatedSeries.zero(p.order)
+    for part in _partitions(n):
+        term = TruncatedSeries.one(p.order)
+        for c, m in part.items():
+            for _ in range(m):
+                term = term * p.substitute_power(c)
+        size = factorial(n) // prod(c**m * factorial(m) for c, m in part.items())
+        total = total + term.scale(Fraction(size, factorial(n)))
+    return total
+
+
+def macdonald_reference(coeffs, n, order):
+    """Betti numbers of Sym^n of a space with Betti numbers ``coeffs``, to
+    degree ``order``: the coefficient of u^n in Macdonald's product
+    prod_j (1 - (-1)^j t^j u)^(-(-1)^j c_j), expanded in u."""
+    # rows[r][d] is the coefficient of u^r t^d
+    rows = [[int(r == d == 0) for d in range(order + 1)] for r in range(n + 1)]
+    for j, c in enumerate(coeffs[: order + 1]):
+        if c == 0:
+            continue
+        # an odd class is exterior, (1 + t^j u)^c; an even one symmetric, (1 - t^j u)^(-c)
+        factor = [comb(c, r) if j % 2 else comb(c + r - 1, r) for r in range(n + 1)]
+        out = [[0] * (order + 1) for _ in range(n + 1)]
+        for a in range(n + 1):
+            for r in range(n + 1 - a):
+                for d in range(order + 1 - j * r):
+                    out[a + r][d + j * r] += factor[r] * rows[a][d]
+        rows = out
+    return rows[n]
+
+
 class TestWreath:
     def test_square_symmetrization(self):
         p = TruncatedSeries.from_coeffs([1, 0, 1, 0, 1, 0, 1, 0, 1], 16)
@@ -565,10 +613,49 @@ class TestWreath:
         got = wreath_symmetrize(t, 3)
         assert got.complex_dim == 3 and got.even() == [1, 1, 1, 1]
 
-    def test_refuses_odd_classes(self):
+    def test_symmetrizes_odd_classes(self):
+        # Sym^2 of 1 + t: the square of the odd class is zero
         p = TruncatedSeries.from_coeffs([1, 1], 1)
-        with pytest.raises(ValueError):
-            wreath_symmetrize(p, 2)
+        assert wreath_symmetrize(p, 2) == p
+
+    def test_symmetric_powers_of_an_elliptic_curve(self):
+        # Sym^n E is a P^(n-1)-bundle over E
+        e = BettiTable.from_list([1, 2, 1], 1)
+        assert wreath_symmetrize(e, 2) == BettiTable.from_list([1, 2, 2, 2, 1], 2)
+        assert wreath_symmetrize(e, 3) == BettiTable.from_list([1, 2, 2, 2, 2, 2, 1], 3)
+
+    @pytest.mark.parametrize("genus", range(4))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_symmetric_powers_of_curves_match_macdonald(self, genus, n):
+        got = wreath_symmetrize(BettiTable.from_list([1, 2 * genus, 1], 1), n)
+        assert list(got.betti) == macdonald_reference([1, 2 * genus, 1], n, 2 * n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=7), st.integers(1, 5))
+    def test_mixed_parity_matches_macdonald(self, coeffs, n):
+        p = TruncatedSeries.from_coeffs(coeffs, 10)
+        assert wreath_symmetrize(p, n).integer_coeffs() == macdonald_reference(coeffs, n, 10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=5), st.integers(1, 6))
+    def test_even_series_match_the_partition_sum(self, even_coeffs, n):
+        coeffs = [c for e in even_coeffs for c in (e, 0)]
+        p = TruncatedSeries.from_coeffs(coeffs, 12)
+        assert wreath_symmetrize(p, n) == wreath_by_partitions(p, n)
+
+    def test_work_is_n_n_plus_one_over_two_products(self, monkeypatch):
+        products = 0
+        mul = TruncatedSeries.__mul__
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        n = 12
+        wreath_symmetrize(TruncatedSeries.from_coeffs([1, 0, 1, 0, 1], 4 * n), n)
+        assert products <= n * (n + 1) // 2  # the partition sum makes 399
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=4))

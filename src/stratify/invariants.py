@@ -6,8 +6,8 @@ Molien series of invariant rings, invariant cohomology of abelian-variety
 quotients as joint fixed spaces of generators on exterior powers, and
 symmetric powers of graded Poincare series by the cycle index.  One engine,
 Schreier-Sims (`_stabilizer_chain`), gives every order: on column vectors
-for `close_group` and `molien`, which walks the elements off the chain, and
-on the roots of a lattice for `stratify.weyl`.
+for `close_group`, whose group keeps the chain's transversals for `molien`
+to walk the elements off, and on the roots of a lattice for `stratify.weyl`.
 
 Matrices of both rings are tuples of row tuples of `EisInt`
 (`_exact.eis_matrix`), a rational entry q as q + 0*omega, so both rings
@@ -39,14 +39,18 @@ class FiniteMatrixGroup(_pure.Record):
     matrix, generator or form, is a tuple of row tuples of `EisInt`, a
     rational entry q as q + 0*omega.  ``form`` optionally carries a
     hermitian Gram matrix the group is unitary for.  Elements are never
-    listed: `molien` walks them from the generators' stabilizer chain.
+    listed: ``chain`` (not in the repr) holds the transversals of the
+    `_matrix_chain` that `close_group` certified, for `molien` to walk, or None.
     """
+
+    _not_in_repr = ("chain",)
 
     ring: str
     dim: int
     gens: tuple
     order: int
     form: tuple | None = None
+    chain: tuple | None = None
 
 
 def close_group(generators, cap: int | None = None):
@@ -62,13 +66,13 @@ def close_group(generators, cap: int | None = None):
     invertible with a unit determinant (+-1 over Q, the six units over
     Z[omega]), and the chain of the cyclic group it generates must complete,
     each transversal element held to the trace test: that chain is the
-    generator's only finiteness certificate, and a one-generator group takes
-    its order from it.  Finite orders do not make the group finite, so the
-    chain of two or more generators holds each transversal element to the
-    same test.  Raises ValueError on generators of different sizes and on
-    the first matrix refused ("generator i has infinite order: a power has
-    trace ..." for a power of a generator), and ResourceCapError when a
-    generator's order or the group's exceeds ``cap`` (None: `DEFAULT_CAP`).
+    generator's only finiteness certificate, and a one-generator group keeps
+    it.  Finite orders do not make the group finite, so the chain of two or
+    more generators, which the group keeps, holds each transversal element
+    to the same test.  Raises ValueError on generators of different sizes
+    and on the first matrix refused ("generator i has infinite order: a
+    power has trace ..." for a power of a generator), and ResourceCapError
+    when a generator's order or the group's exceeds ``cap`` (None: `DEFAULT_CAP`).
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -92,34 +96,36 @@ def close_group(generators, cap: int | None = None):
             raise ValueError(f"generator {i} has determinant {_show(d)}, not a unit, "
                              "so it has infinite order")
         try:  # M has finite order <= cap exactly when its cyclic group's chain completes
-            order = _matrix_chain([mat], k, cap, f"generator {i} has infinite order: a power")[1]
+            chain = _matrix_chain([mat], k, cap, f"generator {i} has infinite order: a power")
         except _pure.ResourceCapError:
             raise _pure.ResourceCapError(f"generator {i} has order above the cap {cap}") from None
     if len(mats) > 1:
-        order = _matrix_chain(mats, k, cap)[1]
-    return FiniteMatrixGroup(ring, k, tuple(mats), order)
+        chain = _matrix_chain(mats, k, cap)
+    return FiniteMatrixGroup(ring, k, tuple(mats), prod(map(len, chain)), chain=chain)
 
 
 def _matrix_chain(gens, k, cap, *what):
-    """(levels, order) of the group generated by k x k matrices (`_Matrices`,
-    which names a refused transversal element ``what`` when it is given)."""
+    """The transversals u of each level, the identity first, of the chain of
+    the group generated by k x k matrices (`_Matrices`, which names a refused
+    transversal element ``what`` when it is given); its order is held to ``cap``."""
     act = _Matrices(k, cap, *what)
     # the trivial group has no level; one with the identity alone walks it
     levels = _stabilizer_chain(gens, act) or [_Level(act.bases[0], act.ident)]
-    order = prod(len(level.trans) for level in levels)
+    chain = tuple(tuple(u for u, _ in level.trans.values()) for level in levels)
+    order = prod(map(len, chain))
     if order > cap:
         raise _pure.ResourceCapError(f"group order {order} exceeds the cap {cap}")
-    return levels, order
+    return chain
 
 
-def _elements(levels, prefix=None):
+def _elements(chain, prefix=None):
     """Each element of a `_matrix_chain` group once, the identity first, times
     ``prefix`` on the left: u_0 u_1 ... u_m, one transversal element per level."""
-    if not levels:
+    if not chain:
         yield prefix
         return
-    for u, _ in levels[0].trans.values():
-        yield from _elements(levels[1:], u if prefix is None else mat_mul(prefix, u))
+    for u in chain[0]:
+        yield from _elements(chain[1:], u if prefix is None else mat_mul(prefix, u))
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +322,27 @@ def molien(group: FiniteMatrixGroup, generator_degree: int, order: int) -> Trunc
 
     ``generator_degree`` is the (even) cohomological degree the algebra
     generators are placed in.  The result is checked to be integral with
-    constant term 1.  The elements are walked from the generators'
-    stabilizer chain (`_matrix_chain`, `_elements`), whose order must be the
-    declared one.  det(1 - T M) depends only on the characteristic
-    polynomial of M, so the walk counts the elements per polynomial (its
-    `_elementary_symmetric` tuple), and each polynomial's series is inverted
-    once and weighted by its count: S6 has 720 elements but 11 polynomials.
+    constant term 1.  The elements are walked (`_elements`) off the group's
+    chain, built from the generators for a group without one (a Weyl group);
+    its order must be the declared one, at most `DEFAULT_CAP`.  det(1 - T M)
+    depends only on the characteristic polynomial of M, so the walk counts
+    the elements per polynomial (its `_elementary_symmetric` tuple), and each
+    polynomial's series is inverted once and weighted by its count: S6 has
+    720 elements but 11 polynomials.
     """
     from .series import TruncatedSeries, inverse
 
     _pure.check_degree(generator_degree, "generator degree")
     k = group.dim
-    levels, n = _matrix_chain(group.gens, k, DEFAULT_CAP)
+    chain = group.chain or _matrix_chain(group.gens, k, DEFAULT_CAP)
+    n = prod(map(len, chain))
+    if n > DEFAULT_CAP:  # a group closed with a larger cap: refused before the walk
+        raise _pure.ResourceCapError(f"group order {n} exceeds the cap {DEFAULT_CAP}")
     if n != group.order:
         raise AssertionError(
             f"the generators give order {n}, the group declares {group.order}")
     census = {}
-    for mat in _elements(levels):
+    for mat in _elements(chain):
         es = tuple(_elementary_symmetric(mat))
         census[es] = census.get(es, 0) + 1
     g = generator_degree

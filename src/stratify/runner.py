@@ -157,7 +157,7 @@ op("hypersurface_weights", "weights.hypersurface_weights", n=POSITIVE, d=POSITIV
 
 op("instability_index_set", "strata.instability_index_set",
    weights=_arg("instance", "WeightSystem"), weyl=_arg("choice", ("sym", "trivial"), "sym"),
-   budget=_arg("integer", None))
+   budget=_arg("integer", None, minimum=1))
 
 
 @op("min_nonzero_codim", strata=STRATA)
@@ -283,7 +283,7 @@ def _op_lincomb(args, order, terms):
 
 
 @op("close_group", ring=_arg("choice", ("Q", "E"), "Q"),
-    generators=_arg("generators", uses=("ring",)), cap=_arg("integer", None))
+    generators=_arg("generators", uses=("ring",)), cap=_arg("integer", None, minimum=1))
 def _op_close_group(args, ring, generators, cap):
     from . import invariants
 

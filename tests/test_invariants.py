@@ -1,3 +1,4 @@
+import json
 import re
 import time
 from fractions import Fraction
@@ -20,11 +21,11 @@ from stratify.eisenstein import (
     EisLattice,
 )
 from stratify import invariants
+from stratify.cli import main
 from stratify.invariants import (
     _check_trace,
     _elementary_symmetric,
     _elements,
-    _matrix_chain,
     _Matrices,
     _Perms,
     _stabilizer_chain,
@@ -34,6 +35,7 @@ from stratify.invariants import (
     permutation_group_order,
     wreath_symmetrize,
 )
+from stratify.runner import run_scenario
 from stratify.series import BettiTable, TruncatedSeries, gf_expand, inverse
 from stratify.weyl import weyl_group
 
@@ -72,8 +74,15 @@ UNIPOTENT7 = [[int(i == j or (i, j) == (0, 1)) for j in range(7)] for i in range
 
 def walk(group):
     """The elements of a group in the order of the chain walk (`_elements`)."""
-    levels, _ = _matrix_chain(group.gens, group.dim, group.order)
-    return list(_elements(levels))
+    return list(_elements(group.chain))
+
+
+def counted_chains(monkeypatch):
+    """The list of the `_matrix_chain` calls made from now on."""
+    calls, chain = [], invariants._matrix_chain
+    monkeypatch.setattr(invariants, "_matrix_chain",
+                        lambda *args: calls.append(args) or chain(*args))
+    return calls
 
 
 def _companion(coeffs):
@@ -209,7 +218,7 @@ class TestCloseGroup:
         start = time.perf_counter()
         group = close_group(gens)
         assert group.order == 720
-        assert len(_matrix_chain(group.gens, n, 720)[0][0].trans) == 720
+        assert len(group.chain[0]) == 720
         assert molien(group, 2, 6) == molien(close_group(symmetric_gens(n)), 2, 6)
         assert time.perf_counter() - start < 2.0
 
@@ -233,10 +242,7 @@ class TestCloseGroup:
         (symmetric_gens(5) + [cycles_matrix((5,))], 4)])
     def test_one_chain_per_generator_and_one_for_the_group(self, monkeypatch, gens, chains):
         # a one-generator group takes its order from the generator's chain
-        calls = []
-        chain = invariants._matrix_chain
-        monkeypatch.setattr(invariants, "_matrix_chain",
-                            lambda *args: calls.append(args) or chain(*args))
+        calls = counted_chains(monkeypatch)
         close_group(gens)
         assert len(calls) == chains
 
@@ -273,6 +279,54 @@ class TestMolien:
         s = molien(g, 2, 14)
         assert s[0] == 1
         assert all(c.denominator == 1 and c >= 0 for c in s.coeffs)
+
+    @pytest.mark.parametrize("gens, degrees", [
+        (DIHEDRAL_GENS, [(4, 1), (6, 1)]), (PERM3_GENS, [(2, 1), (4, 1), (6, 1)]),
+        ([[[-1]]], [(4, 1)]), (skew_symmetric_gens(4), [(2, 1), (4, 1), (6, 1), (8, 1)])])
+    def test_walks_the_chain_close_group_kept(self, monkeypatch, gens, degrees):
+        group = close_group(gens)
+
+        def refuse(*args):
+            raise AssertionError("molien built a second chain")
+
+        monkeypatch.setattr(invariants, "_matrix_chain", refuse)
+        assert molien(group, 2, 12) == gf_expand(degrees, 12)
+
+    @pytest.mark.parametrize("name, chains", [("cubicsurf", 3), ("cubic3fold", 7)])
+    def test_a_scenario_builds_only_close_group_chains(self, monkeypatch, name, chains):
+        # cubicsurf: the dihedral group's three, walked by two molien steps;
+        # cubic3fold: three for S3, one for the sign and three for the dihedral
+        calls = counted_chains(monkeypatch)
+        run_scenario(name)
+        assert len(calls) == chains
+
+    def test_the_command_builds_only_close_group_chains(self, monkeypatch, capsys):
+        calls = counted_chains(monkeypatch)
+        assert main(["molien", "--gens", json.dumps(DIHEDRAL_GENS)]) == 0
+        assert "group order 6;" in capsys.readouterr().out
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("lat, degrees", [
+        (E2, [(8, 1), (12, 1)]), (E3, [(12, 1), (18, 1), (24, 1)])])
+    def test_a_weyl_group_is_closed_once(self, monkeypatch, lat, degrees):
+        # `weyl_group` certifies the order on the roots and keeps no chain
+        w = weyl_group(lat)
+        closed = close_group(w.gens)
+        calls = counted_chains(monkeypatch)
+        series = molien(w, 2, 24)
+        assert len(calls) == 1
+        assert series == molien(closed, 2, 24) == gf_expand(degrees, 24)
+        assert len(calls) == 1
+
+    def test_order_above_the_cap_is_refused_before_the_walk(self):
+        # S_10 closed with a larger cap holds its chain; molien's cap stays
+        group = close_group(symmetric_gens(10), cap=4_000_000)
+        assert group.order == 3628800
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError,
+                           match="^group order 3628800 exceeds the cap 1000000$"):
+            molien(group, 2, 4)
+        assert time.perf_counter() - start < 1.0
 
     def test_central_extension_factorization(self):
         # a central 1-torus acting trivially factors out as its classifying series
@@ -824,11 +878,14 @@ def test_chain_walk_lists_each_element_of_the_closure_once(gens):
 
 def molien_by_elements(group, degree, order):
     """`molien` as one series per element: det(1 - T M)^(-1), T = t^degree,
-    inverted for each element of the chain walk, summed and averaged.  The
-    census must give the same coefficients."""
+    inverted for each element of the breadth-first closure of the
+    generators, which shares no chain with `molien`, summed and averaged.
+    The census must give the same coefficients."""
     k, zero = group.dim, EisInt(0, 0)
     total = [zero] * (order + 1)
-    for mat in walk(group):
+    elements = bfs_closure(group.gens)
+    assert len(elements) == group.order
+    for mat in elements:
         es = _elementary_symmetric(mat)
         terms = [(p * degree, -es[p] if p % 2 else es[p])
                  for p in range(1, min(k, order // degree) + 1) if es[p]]

@@ -9,7 +9,7 @@ from stratify._exact import EisInt
 from stratify.assembly import StratumContribution
 from stratify.discriminant import CuspVectorReport, DiscriminantGroup, GlueResult
 from stratify.eisenstein import EisLattice
-from stratify.invariants import FiniteMatrixGroup
+from stratify.invariants import FiniteMatrixGroup, close_group
 from stratify.orbits import NormalRep, SemiInvariantReport, TangentNormalSplit
 from stratify.series import BettiTable, DualityReport, TruncatedSeries
 from stratify.strata import BetaStratum, SupportRecord
@@ -38,7 +38,7 @@ RECORDS = [
                           "span_dim": 2, "relation_count": 1}, {}, None),
     (SemiInvariantReport, {"ok": True}, {"scalar": None, "message": ""}, None),
     (FiniteMatrixGroup, {"ring": "Q", "dim": 1, "gens": (((EisInt(-1, 0),),),), "order": 2},
-     {"form": None}, None),
+     {"form": None, "chain": None}, None),
     (EisLattice, {"rank": 1, "gram": ((EisInt(-3, 0),),)}, {}, {"gram": ((EisInt(1, 0),),)}),
     (ZLattice, {"rank": 2, "gram": ((2, 1), (1, 2))}, {}, {"gram": ((2, 1), (0, 2))}),
     (DiscriminantGroup, {"invariant_factors": (3,), "q_values": (F(2, 3),)},
@@ -93,6 +93,9 @@ def test_record(cls, fields, defaults, bad):
     (DISC, "DiscriminantGroup(invariant_factors=(3,), q_values=(Fraction(2, 3),))"),
     (SupportRecord(5, 3, (F(1), F(-1)), (0, 1, 4)),
      "SupportRecord(r=5, codim_expected=3, beta=(Fraction(1, 1), Fraction(-1, 1)))"),
+    # the chain that certified the order is held, not printed
+    (close_group([[[-1]]]), "FiniteMatrixGroup(ring='Q', dim=1, gens=(((Eis(-1,0),),),), "
+     "order=2, form=None)"),
 ])
 def test_repr(record, text):
     assert repr(record) == text

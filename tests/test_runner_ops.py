@@ -474,6 +474,12 @@ P1_TABLE = {"id": "t", "op": "projective_table", "args": {"dim": 1}}
     ({"op": "boundary_betti", "args": {"spec": {"factors": [
         {"table": {"complex_dim": 1, "even": [1, 1]}}]}}},
      r"spec.factors\[0\]: argument 'table' must be a Betti table, got"),
+    # a cap or a budget below 1 is malformed input; null is the layer's default
+    ({"op": "close_group", "args": {"generators": [[[1]]], "cap": -1}},
+     r"argument 'cap' must be an integer >= 1, got -1"),
+    ([{"id": "w", "op": "hypersurface_weights", "args": {"n": 3, "d": 3}},
+      {"op": "instability_index_set", "args": {"weights": "$w", "budget": -1}}],
+     r"argument 'budget' must be an integer >= 1, got -1"),
 ])
 def test_bad_step_arguments_are_parse_errors(step, message):
     *before, step = step if isinstance(step, list) else [step]
